@@ -92,10 +92,7 @@ def _oracle_grid_gap(model, qs, ys, xs, tol=1e-6):
                 sub = np.array([x for x in xs if (x - y) * side > 0])
                 if sub.size == 0:
                     continue
-                try:
-                    e0, e1 = fpt_oracle_curve(model, q, y, sub, tol)
-                except Exception:
-                    raise
+                e0, e1 = fpt_oracle_curve(model, q, y, sub, tol)
                 for i, x in enumerate(sub):
                     for state, oracle in ((0, e0[i]), (1, e1[i])):
                         closed = laplace_fpt(FptQuery(q, x, y, state), model)

@@ -44,22 +44,39 @@ from .simulate import (
     sample_switch_sequence,
 )
 
-_REASON_NAMES = {0: "", 1: "horizon", 2: "switch_cap"}
+_REASON_NAMES = np.array(["", "horizon", "switch_cap"])
 
 
 def _fmt(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, str):
+        return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _column_text(column) -> list[str]:
+    """One CSV column's fields.  A numpy column is formatted once by its
+    dtype: floats to 17 significant digits, integers in decimal, text as
+    given.  Any other sequence goes field by field, None as an empty field."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiuU":
+        items = column.tolist()
+        if column.dtype.kind == "f":
+            return [format(v, ".17g") for v in items]
+        return list(map(str, items))
+    return [_fmt(v) for v in column]
+
+
+def _atomic_write(path: str, parts) -> None:
+    """Write the strings of `parts` to `path`, replacing it only once all are written."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -67,11 +84,21 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(field if isinstance(field, str) else _fmt(field) for field in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+# rows per formatted block: a large CSV is never held in memory as text whole
+_CSV_BLOCK = 1 << 14
+
+
+def _csv_blocks(header: list[str], columns):
+    yield ",".join(header) + "\n"
+    n = len(columns[0]) if columns else 0
+    for lo in range(0, n, _CSV_BLOCK):
+        fields = [_column_text(c[lo : lo + _CSV_BLOCK]) for c in columns]
+        yield "\n".join(map(",".join, zip(*fields))) + "\n"
+
+
+def _write_csv(path: str, header: list[str], columns) -> None:
+    """Write equal-length columns under the header, one row per index."""
+    _atomic_write(path, _csv_blocks(header, columns))
 
 
 def _manifest(cfg: RunConfig, command: str, outputs: list[str], t0: float, extra=None) -> str:
@@ -91,7 +118,7 @@ def _manifest(cfg: RunConfig, command: str, outputs: list[str], t0: float, extra
     if extra:
         body.update(extra)
     path = os.path.join(cfg.out_dir, f"{command}_manifest.json")
-    _atomic_write(path, json.dumps(body, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(body, indent=2, sort_keys=True) + "\n"])
     return path
 
 
@@ -108,23 +135,26 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         with_noise = cfg.get("simulate", "with_noise", default=False, cast=bool)
         n_eval = int(cfg.get("simulate", "eval_points", default=201))
         grid = np.linspace(0.0, horizon, n_eval)
-        rows = []
+        per_path = []
         for path_id in range(n_paths):
             seq = sample_switch_sequence(
                 cfg.model.rates, state0, horizon, stream(cfg.seed, "path-switches", path_id)
             )
             times = np.unique(np.concatenate([grid, seq.switch_times]))
-            xs = [evaluate_x(seq, x0, float(t), cfg.model) for t in times]
+            columns = [
+                np.full(times.size, path_id),
+                times,
+                seq.state_at(times),
+                evaluate_x(seq, x0, times, cfg.model),
+            ]
             if with_noise:
-                ms = sample_m_path(seq, x0, times, cfg.model, stream(cfg.seed, "path-noise", path_id))
-                for t, xv, mv in zip(times, xs, ms):
-                    rows.append((path_id, t, seq.state_at(float(t)), xv, mv))
-            else:
-                for t, xv in zip(times, xs):
-                    rows.append((path_id, t, seq.state_at(float(t)), xv))
+                columns.append(
+                    sample_m_path(seq, x0, times, cfg.model, stream(cfg.seed, "path-noise", path_id))
+                )
+            per_path.append(columns)
         header = ["path", "t", "state", "x"] + (["m"] if with_noise else [])
         out = os.path.join(cfg.out_dir, "paths.csv")
-        _write_csv(out, header, rows)
+        _write_csv(out, header, [np.concatenate(c) for c in zip(*per_path)])
     else:
         if mode != "fpt":
             raise ConfigError("simulate.mode", f"unknown mode {mode!r}")
@@ -135,12 +165,14 @@ def _cmd_simulate(cfg: RunConfig) -> int:
             max_switches=int(cfg.get("simulate", "cap_switches", default=10_000_000)),
         )
         batch = fpt_samples(cfg.model, x, y, state0, n_paths, cfg.seed, caps=caps)
-        rows = [
-            (i, "censored" if c else "hit", t, _REASON_NAMES[int(r)])
-            for i, (t, c, r) in enumerate(zip(batch.times, batch.censored, batch.reason))
+        columns = [
+            np.arange(batch.times.size),
+            np.where(batch.censored, "censored", "hit"),
+            batch.times,
+            _REASON_NAMES[batch.reason],
         ]
         out = os.path.join(cfg.out_dir, "fpt_samples.csv")
-        _write_csv(out, ["sample", "outcome", "time", "reason"], rows)
+        _write_csv(out, ["sample", "outcome", "time", "reason"], columns)
         extra["censoring"] = {
             "horizon": int(np.sum(batch.reason == 1)),
             "switch_cap": int(np.sum(batch.reason == 2)),
@@ -177,7 +209,7 @@ def _cmd_fpt(cfg: RunConfig) -> int:
     _write_csv(
         out,
         ["q", "x", "y", "state", "closed_form", "oracle", "mc_mean", "mc_stderr"],
-        rows,
+        list(zip(*rows)),
     )
     manifest = _manifest(cfg, "fpt", [out], t0, {"censoring": {"count": censored}})
     print(manifest)
@@ -196,7 +228,7 @@ def _cmd_invariant(cfg: RunConfig) -> int:
         margin = 1e-6 * (hi - lo)
         xs = np.linspace(lo + margin, hi - margin, grid_points)
         p0, p1, _, _ = invariant_density_with_derivative(xs, cfg.model)
-        _write_csv(out_csv, ["x", "pi0", "pi1"], zip(xs, p0, p1))
+        _write_csv(out_csv, ["x", "pi0", "pi1"], [xs, p0, p1])
         r0, r1 = stationarity_residual(xs, cfg.model)
         desc = invariant_description(cfg.model)
         summary.update(
@@ -211,7 +243,7 @@ def _cmd_invariant(cfg: RunConfig) -> int:
     else:
         _write_csv(out_csv, ["x", "pi0", "pi1"], [])
     out_json = os.path.join(cfg.out_dir, "invariant_summary.json")
-    _atomic_write(out_json, json.dumps(summary, indent=2, sort_keys=True, default=float) + "\n")
+    _atomic_write(out_json, [json.dumps(summary, indent=2, sort_keys=True, default=float) + "\n"])
     manifest = _manifest(cfg, "invariant", [out_csv, out_json], t0)
     print(manifest)
     return 0
@@ -274,11 +306,8 @@ def _cmd_scaling(cfg: RunConfig) -> int:
         "var_stderr",
         "cdf_dist",
     ]
-    table = []
-    for r in rows:
-        d = asdict(r)
-        table.append([d[k] if d[k] is not None else "" for k in header])
-    _write_csv(out, header, table)
+    table = [asdict(r) for r in rows]
+    _write_csv(out, header, [[d[k] for d in table] for k in header])
     manifest = _manifest(cfg, "scaling", [out], t0)
     print(manifest)
     return 0
@@ -292,7 +321,7 @@ def _cmd_validate(args) -> int:
     failed = [r for r in results if not r.passed]
     if args.report:
         body = [asdict(r) for r in results]
-        _atomic_write(args.report, json.dumps(body, indent=2) + "\n")
+        _atomic_write(args.report, [json.dumps(body, indent=2) + "\n"])
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     return 1 if failed else 0
 
@@ -314,7 +343,6 @@ def main(argv=None) -> int:
         )
 
     v = sub.add_parser("validate", help="run the acceptance cross-check suite")
-    v.add_argument("--quick", action="store_true", help="run the core criteria only (default)")
     v.add_argument("--only", help="comma-separated criterion indices")
     v.add_argument("--report", help="write a JSON report to this path")
 

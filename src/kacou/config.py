@@ -13,6 +13,9 @@ from .model import KacOuModel
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "config_hash"]
 
+# the spellings configparser itself accepts: 1/true/yes/on and 0/false/no/off
+_BOOLEAN_STATES = configparser.ConfigParser.BOOLEAN_STATES
+
 MODEL_KEYS = ("lambda0", "lambda1", "a0", "a1", "b0", "b1", "gamma0", "gamma1")
 
 
@@ -41,9 +44,14 @@ class RunConfig:
                 raise ConfigError(f"{section}.{key}", "required key is missing")
             return default
         raw = block[key]
+        if cast is bool:
+            value = _BOOLEAN_STATES.get(raw.strip().lower())
+            if value is None:
+                raise ConfigError(
+                    f"{section}.{key}", f"cannot parse {raw!r} as a boolean (1/true/yes/on or 0/false/no/off)"
+                )
+            return value
         try:
-            if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
             return cast(raw)
         except ValueError as exc:
             raise ConfigError(f"{section}.{key}", f"cannot parse {raw!r}") from exc

@@ -76,9 +76,11 @@ class SwitchSequence:
     switch_times: np.ndarray
     horizon: float
 
-    def state_at(self, t: float) -> int:
-        k = int(np.searchsorted(self.switch_times, t, side="right"))
-        return (self.initial_state + k) % 2
+    def state_at(self, t):
+        """Chain state at time t (an int), or at each of an array of times (an
+        array); at a switch time the chain is already in its new state."""
+        states = (self.initial_state + np.searchsorted(self.switch_times, t, side="right")) % 2
+        return int(states) if np.ndim(t) == 0 else states
 
 
 @dataclass(frozen=True)
@@ -141,20 +143,37 @@ def sample_switch_sequence(
     return SwitchSequence(initial_state, np.asarray(times, dtype=float), horizon)
 
 
-def evaluate_x(seq: SwitchSequence, x0: float, t: float, model: KacOuModel) -> float:
-    """Exact mean path at time t, composing the patterns segment by segment."""
-    if t > seq.horizon:
-        raise ParameterError(f"t = {t} beyond sequence horizon {seq.horizon}")
+def evaluate_x(seq: SwitchSequence, x0: float, t, model: KacOuModel):
+    """Exact mean path at time t, composing the patterns segment by segment.
+
+    t is a float (a float is returned) or a sorted array of times (an array
+    is returned), all within the horizon.  One walk serves every time: each
+    whole segment is crossed once, and a time inside a segment, or at its
+    closing switch, is evaluated from that segment's start, so a value is
+    the same whether it is asked for alone or among others.
+    """
+    times = np.asarray(t, dtype=float)
+    flat = times.reshape(-1)
+    if np.any(np.diff(flat) < 0.0):
+        raise ParameterError("evaluation times must be sorted")
+    if flat.size and flat[-1] > seq.horizon:
+        raise ParameterError(f"t = {flat[-1]} beyond sequence horizon {seq.horizon}")
+    # a time equal to a switch time belongs to the segment that switch closes
+    ends = np.searchsorted(seq.switch_times, flat, side="left").tolist()
+    switches = seq.switch_times.tolist()
+    out = np.empty(flat.size)
     x = x0
     s = seq.initial_state
     prev = 0.0
-    for ts in seq.switch_times:
-        if ts >= t:
-            break
-        x = pattern_phi(s, ts - prev, x, model)
-        s = 1 - s
-        prev = ts
-    return pattern_phi(s, t - prev, x, model)
+    k = 0
+    for i, (te, end) in enumerate(zip(flat.tolist(), ends)):
+        while k < end:
+            x = pattern_phi(s, switches[k] - prev, x, model)
+            s = 1 - s
+            prev = switches[k]
+            k += 1
+        out[i] = pattern_phi(s, te - prev, x, model)
+    return float(out[0]) if times.ndim == 0 else out
 
 
 def _interval_var(b: float, gamma: float, dt: float) -> float:

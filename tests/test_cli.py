@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from kacou.cli import main
+from kacou.cli import _column_text, _fmt, main
 from kacou.config import ConfigError, config_hash, load_config
 
 BASE_CFG = """
@@ -83,6 +83,26 @@ def test_missing_model_key(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(str(path))
     assert "lambda1" in str(err.value)
+
+
+def test_boolean_spellings(tmp_path):
+    path, _ = write_cfg(tmp_path)
+    for raw, value in (("1", True), ("TRUE", True), ("Yes", True), (" on ", True),
+                       ("0", False), ("False", False), ("NO", False), ("off", False)):
+        cfg = load_config(path, overrides=[f"simulate.with_noise={raw}"])
+        assert cfg.get("simulate", "with_noise", cast=bool) is value
+    cfg = load_config(path, overrides=["simulate.with_noise=ture"])
+    with pytest.raises(ConfigError) as err:
+        cfg.get("simulate", "with_noise", cast=bool)
+    assert err.value.key == "simulate.with_noise"
+
+
+def test_misspelled_boolean_exits_2(tmp_path, capsys):
+    path, out = write_cfg(tmp_path)
+    code = main(["simulate", "--config", path, "--set", "simulate.mode=path", "--set", "simulate.with_noise=ture"])
+    assert code == 2
+    assert "simulate.with_noise" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "paths.csv"))
 
 
 def test_override_changes_hash(tmp_path):
@@ -183,6 +203,15 @@ def test_path_csv_with_noise(tmp_path):
     vals = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
     assert np.all(np.isfinite(vals))
     assert set(vals[:, 0]) == {0.0, 1.0}
+
+
+def test_typed_columns_format_like_single_fields():
+    floats = np.array([0.1, -0.0, 1e-300, 2.5e17, math.pi, math.inf, -math.inf, math.nan])
+    ints = np.array([0, 7, -3, 2**40])
+    texts = np.array(["hit", "censored", ""])
+    for column in (floats, ints, texts):
+        assert _column_text(column) == [_fmt(v) for v in column]
+    assert _column_text([3, 0.5, None, "x"]) == ["3", "0.5", "", "x"]
 
 
 def test_invariant_summary(tmp_path):

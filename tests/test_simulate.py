@@ -100,6 +100,63 @@ def test_evaluate_x_beyond_horizon_rejected():
         evaluate_x(seq, 0.0, 2.0, ATTRACTING)
 
 
+def _composed_x(seq, x0, t, model):
+    """Reference: flow each whole segment before t, then the partial one."""
+    x, s, prev = x0, seq.initial_state, 0.0
+    for ts in seq.switch_times:
+        if ts >= t:
+            break
+        x = pattern_phi(s, ts - prev, x, model)
+        s, prev = 1 - s, ts
+    return pattern_phi(s, t - prev, x, model)
+
+
+def test_evaluate_x_array_equals_segment_composition():
+    seq = sample_switch_sequence(SwitchRates(2.0, 3.0), 1, 6.0, stream(21, "walk"))
+    assert seq.switch_times.size > 3
+    sw = seq.switch_times
+    times = np.sort(np.concatenate([[0.0, sw[1], 0.5 * (sw[2] + sw[3]), seq.horizon], np.linspace(0.0, 6.0, 13)]))
+    xs = evaluate_x(seq, -0.4, times, ATTRACTING)
+    assert isinstance(xs, np.ndarray) and xs.shape == times.shape
+    for t, x in zip(times, xs):
+        assert x == _composed_x(seq, -0.4, float(t), ATTRACTING)
+        assert evaluate_x(seq, -0.4, float(t), ATTRACTING) == x
+    assert isinstance(evaluate_x(seq, -0.4, 1.0, ATTRACTING), float)
+
+
+def test_evaluate_x_array_rejects_unsorted_and_beyond_horizon():
+    seq = sample_switch_sequence(SwitchRates(1.0, 1.0), 0, 5.0, stream(4, "s"))
+    with pytest.raises(ParameterError):
+        evaluate_x(seq, 0.0, np.array([2.0, 1.0]), ATTRACTING)
+    with pytest.raises(ParameterError):
+        evaluate_x(seq, 0.0, np.array([1.0, 5.5]), ATTRACTING)
+
+
+def test_path_command_walks_each_segment_once(tmp_path, monkeypatch):
+    import kacou.simulate
+    from kacou.cli import main
+
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return pattern_phi(*args)
+
+    monkeypatch.setattr(kacou.simulate, "pattern_phi", counted)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "[model]\nlambda0 = 1\nlambda1 = 1\na0 = 0\na1 = 1\nb0 = 0\nb1 = 0\ngamma0 = 1\ngamma1 = 1\n"
+        f"[run]\nseed = 5\nout_dir = {tmp_path / 'out'}\n"
+        "[simulate]\nmode = path\nhorizon = 2000\nwith_noise = false\n"
+    )
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    lines = (tmp_path / "out" / "paths.csv").read_text().splitlines()[1:]
+    states = [line.split(",")[2] for line in lines]
+    switches = sum(a != b for a, b in zip(states, states[1:]))
+    assert switches > 1000
+    assert calls[0] <= switches + len(lines) + 1
+
+
 # --- diffusion path ----------------------------------------------------------
 
 
