@@ -4,6 +4,9 @@ Exact event-driven simulation, closed-form first-passage Laplace transforms,
 closed-form invariant densities, and numerically verified scaling limits,
 with every closed form cross-checked against an independent simulation or
 integral-equation oracle.
+
+The package namespace holds the entry points of the README's library sketch
+and the error classes; everything else is imported from its module.
 """
 
 __version__ = "0.1.0"
@@ -18,90 +21,27 @@ from .errors import (
     SeriesConvergenceError,
     UnsupportedRegimeError,
 )
-from .first_passage import (
-    FptQuery,
-    fpt_integral_oracle,
-    fpt_ode_residual,
-    fpt_oracle_curve,
-    laplace_fpt,
-    running_extremum_prob,
-)
-from .invariant import (
-    EmpiricalFit,
-    InvariantDensity,
-    empirical_invariant_profile,
-    empirical_invariant_distance,
-    invariant_density,
-    invariant_description,
-    invariant_exists,
-    invariant_mass,
-    stationarity_residual,
-)
-from .model import (
-    DerivedParams,
-    HyperParams,
-    KacOuModel,
-    Regime,
-    RegimeTag,
-    StateCoeffs,
-    SwitchRates,
-    TransitionMatrix,
-    classify_regime,
-    derived_params,
-    hitting_time,
-    hyper_args,
-    pattern_phi,
-    stationary_state_dist,
-    transition_matrix,
-    xi0,
-    xi1,
-)
-from .scaling import (
-    ConvergenceRow,
-    LimitSde,
-    ScaledPair,
-    ScalingKind,
-    ScalingSpec,
-    TelegraphParams,
-    convergence_check,
-    limit_moment_odes,
-    limiting_sde,
-    ou_moments,
-    scaled_model,
-    pi_star_star,
-    sigma_combine,
-    stratonovich_adjusted,
-    telegraph_to_model,
-)
-from .simulate import (
-    FptOutcome,
-    FptSampleBatch,
-    McEstimate,
-    PathSegment,
-    SimCaps,
-    SwitchSequence,
-    TerminalSample,
-    evaluate_x,
-    fpt_samples,
-    mc_laplace_fpt,
-    path_segments,
-    sample_fpt,
-    sample_m_path,
-    sample_switch_sequence,
-    terminal_values,
-)
-from .specfun import (
-    LogValue,
-    SeriesResult,
-    beta_fn,
-    gauss_2f1,
-    gauss_2f1_log,
-    gauss_2f1_pair,
-    gauss_2f1_pair_log,
-    kummer_1f1,
-    kummer_1f1_log,
-    log_gamma,
-    pochhammer,
-)
+from .first_passage import FptQuery, fpt_integral_oracle, laplace_fpt
+from .invariant import invariant_density, invariant_mass
+from .model import KacOuModel, pattern_phi
+from .simulate import evaluate_x, mc_laplace_fpt
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "KacOuModel",
+    "FptQuery",
+    "laplace_fpt",
+    "fpt_integral_oracle",
+    "mc_laplace_fpt",
+    "invariant_density",
+    "invariant_mass",
+    "evaluate_x",
+    "pattern_phi",
+    "KacOuError",
+    "ParameterError",
+    "OutOfDomainError",
+    "DegenerateModelError",
+    "UnsupportedRegimeError",
+    "NoInvariantMeasureError",
+    "OracleError",
+    "SeriesConvergenceError",
+]

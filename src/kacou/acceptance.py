@@ -32,7 +32,7 @@ from .scaling import (
     ou_moments,
 )
 from .simulate import mc_laplace_fpt
-from .specfun import gauss_2f1, kummer_1f1
+from .specfun import gauss_2f1_log, kummer_1f1_log
 
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
 
@@ -261,13 +261,13 @@ def criterion_10():
     worst_log = 0.0
     for z in np.arange(-0.9, 0.95, 0.1):
         z = float(round(z, 10))
-        val = gauss_2f1(1.0, 1.0, 2.0, z).value
+        val = gauss_2f1_log(1.0, 1.0, 2.0, z).value()
         ref = 1.0 if z == 0.0 else -math.log1p(-z) / z
         worst_log = max(worst_log, abs(val - ref))
 
     worst_exp = 0.0
     for a, z in ((1.3, 0.9), (0.7, -2.0), (2.5, 3.0), (1.1, -0.4)):
-        worst_exp = max(worst_exp, abs(kummer_1f1(a, a, z).value - math.exp(z)))
+        worst_exp = max(worst_exp, abs(kummer_1f1_log(a, a, z).value() - math.exp(z)))
 
     def direct_series(b0, b1, b2, z):
         s = t = 1.0
@@ -281,9 +281,8 @@ def criterion_10():
     worst_pfaff = 0.0
     for b0, b1, b2 in ((1.3, 0.7, 2.1), (0.5, 2.5, 1.7), (0.9, 1.9, 3.2)):
         for z in (-0.9, -0.5, -0.25, -0.05):
-            worst_pfaff = max(
-                worst_pfaff, abs(gauss_2f1(b0, b1, b2, z).value - direct_series(b0, b1, b2, z))
-            )
+            direct = direct_series(b0, b1, b2, z)
+            worst_pfaff = max(worst_pfaff, abs(gauss_2f1_log(b0, b1, b2, z).value() - direct))
 
     worst_ck = 0.0
     for lam in (SwitchRates(1.0, 1.0), SwitchRates(2.0, 5.0)):

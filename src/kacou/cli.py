@@ -37,14 +37,16 @@ from .rng import stream
 from .scaling import ScaledPair, ScalingKind, ScalingSpec, convergence_check
 from .invariant import invariant_density_with_derivative
 from .simulate import (
+    CENSOR_HORIZON,
+    CENSOR_SWITCH_CAP,
+    REASON_NAMES,
     SimCaps,
     evaluate_x,
     fpt_samples,
+    mc_laplace_fpt,
     sample_m_path,
     sample_switch_sequence,
 )
-
-_REASON_NAMES = np.array(["", "horizon", "switch_cap"])
 
 
 def _fmt(x) -> str:
@@ -101,6 +103,14 @@ def _write_csv(path: str, header: list[str], columns) -> None:
     _atomic_write(path, _csv_blocks(header, columns))
 
 
+def _count(cfg: RunConfig, section: str, key: str, default: int, least: int = 1) -> int:
+    """A count entry (truncated to an integer) that must be at least `least`."""
+    value = cfg.get(section, key, default=default)
+    if not least <= value < math.inf:
+        raise ConfigError(f"{section}.{key}", f"must be a count of at least {least}, got {value}")
+    return int(value)
+
+
 def _manifest(cfg: RunConfig, command: str, outputs: list[str], t0: float, extra=None) -> str:
     body = {
         "command": command,
@@ -125,15 +135,16 @@ def _manifest(cfg: RunConfig, command: str, outputs: list[str], t0: float, extra
 def _cmd_simulate(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     mode = cfg.get("simulate", "mode", default="path", cast=str)
-    n_paths = int(cfg.get("simulate", "n_paths", default=1))
+    n_paths = _count(cfg, "simulate", "n_paths", 1)
     horizon = cfg.get("simulate", "horizon", default=10.0)
     x0 = cfg.get("simulate", "x0", default=0.0)
     state0 = int(cfg.get("simulate", "state0", default=0))
-    extra = {"censoring": {"horizon": 0, "switch_cap": 0}}
+    reasons = (CENSOR_HORIZON, CENSOR_SWITCH_CAP)
+    extra = {"censoring": {REASON_NAMES[code]: 0 for code in reasons}}
 
     if mode == "path":
         with_noise = cfg.get("simulate", "with_noise", default=False, cast=bool)
-        n_eval = int(cfg.get("simulate", "eval_points", default=201))
+        n_eval = _count(cfg, "simulate", "eval_points", 201)
         grid = np.linspace(0.0, horizon, n_eval)
         per_path = []
         for path_id in range(n_paths):
@@ -169,14 +180,11 @@ def _cmd_simulate(cfg: RunConfig) -> int:
             np.arange(batch.times.size),
             np.where(batch.censored, "censored", "hit"),
             batch.times,
-            _REASON_NAMES[batch.reason],
+            np.array(REASON_NAMES)[batch.reason],
         ]
         out = os.path.join(cfg.out_dir, "fpt_samples.csv")
         _write_csv(out, ["sample", "outcome", "time", "reason"], columns)
-        extra["censoring"] = {
-            "horizon": int(np.sum(batch.reason == 1)),
-            "switch_cap": int(np.sum(batch.reason == 2)),
-        }
+        extra["censoring"] = {REASON_NAMES[code]: int(np.sum(batch.reason == code)) for code in reasons}
 
     manifest = _manifest(cfg, "simulate", [out], t0, extra)
     print(manifest)
@@ -189,7 +197,7 @@ def _cmd_fpt(cfg: RunConfig) -> int:
     x = cfg.get("fpt", "x")
     y = cfg.get("fpt", "y")
     state = int(cfg.get("fpt", "state"))
-    n_mc = int(cfg.get("fpt", "mc_samples", default=200_000))
+    n_mc = _count(cfg, "fpt", "mc_samples", 200_000, least=1_000)
     tol = cfg.get("fpt", "oracle_tol", default=1e-6)
 
     rows = []
@@ -198,13 +206,9 @@ def _cmd_fpt(cfg: RunConfig) -> int:
         query = FptQuery(q, x, y, state)
         closed = laplace_fpt(query, cfg.model)
         oracle = fpt_integral_oracle(query, cfg.model, tol)
-        batch = fpt_samples(cfg.model, x, y, state, n_mc, seed=cfg.seed + i)
-        contrib = np.where(batch.censored, 0.0, np.exp(-q * batch.times))
-        censored += int(np.sum(batch.censored))
-        rows.append(
-            (q, x, y, state, closed, oracle, float(np.mean(contrib)),
-             float(np.std(contrib, ddof=1) / math.sqrt(n_mc)))
-        )
+        mc = mc_laplace_fpt(query, cfg.model, n_mc, seed=cfg.seed + i)
+        censored += mc.censored
+        rows.append((q, x, y, state, closed, oracle, mc.mean, mc.stderr))
     out = os.path.join(cfg.out_dir, "fpt.csv")
     _write_csv(
         out,
@@ -219,7 +223,7 @@ def _cmd_fpt(cfg: RunConfig) -> int:
 def _cmd_invariant(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     exists, support = invariant_exists(cfg.model)
-    grid_points = int(cfg.get("invariant", "grid_points", default=401))
+    grid_points = _count(cfg, "invariant", "grid_points", 401)
 
     out_csv = os.path.join(cfg.out_dir, "invariant.csv")
     summary = {"exists": exists, "support": None}
@@ -289,7 +293,7 @@ def _cmd_scaling(cfg: RunConfig) -> int:
         spec,
         cfg.get("scaling", "t", default=1.0),
         [int(v) for v in cfg.get_list("scaling", "n_list", default=[10, 100, 1000])],
-        int(cfg.get("scaling", "n_paths", default=100_000)),
+        _count(cfg, "scaling", "n_paths", 100_000),
         seed=cfg.seed,
         x0=cfg.get("scaling", "x0", default=0.0),
     )

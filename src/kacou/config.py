@@ -15,6 +15,7 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "config_hash"]
 
 # the spellings configparser itself accepts: 1/true/yes/on and 0/false/no/off
 _BOOLEAN_STATES = configparser.ConfigParser.BOOLEAN_STATES
+_BOOLEAN_HINT = " as a boolean (1/true/yes/on or 0/false/no/off)"
 
 MODEL_KEYS = ("lambda0", "lambda1", "a0", "a1", "b0", "b1", "gamma0", "gamma1")
 
@@ -38,34 +39,36 @@ class RunConfig:
     raw_text: str = ""
 
     def get(self, section: str, key: str, default=None, cast=float):
+        if cast is bool:
+            return self._parse(section, key, default, _boolean, _BOOLEAN_HINT)
+        return self._parse(section, key, default, cast)
+
+    def get_list(self, section: str, key: str, default=None, cast=float):
+        def parse(raw):
+            return [cast(tok) for tok in raw.replace(",", " ").split()]
+
+        return self._parse(section, key, default, parse)
+
+    def _parse(self, section: str, key: str, default, parse, what: str = ""):
+        """`parse` applied to the entry's text, or `default` when the entry is
+        absent; a missing required key or a ValueError is a ConfigError."""
         block = self.sections.get(section, {})
         if key not in block:
             if default is None:
                 raise ConfigError(f"{section}.{key}", "required key is missing")
             return default
         raw = block[key]
-        if cast is bool:
-            value = _BOOLEAN_STATES.get(raw.strip().lower())
-            if value is None:
-                raise ConfigError(
-                    f"{section}.{key}", f"cannot parse {raw!r} as a boolean (1/true/yes/on or 0/false/no/off)"
-                )
-            return value
         try:
-            return cast(raw)
+            return parse(raw)
         except ValueError as exc:
-            raise ConfigError(f"{section}.{key}", f"cannot parse {raw!r}") from exc
+            raise ConfigError(f"{section}.{key}", f"cannot parse {raw!r}{what}") from exc
 
-    def get_list(self, section: str, key: str, default=None, cast=float):
-        block = self.sections.get(section, {})
-        if key not in block:
-            if default is None:
-                raise ConfigError(f"{section}.{key}", "required key is missing")
-            return default
-        try:
-            return [cast(tok) for tok in block[key].replace(",", " ").split()]
-        except ValueError as exc:
-            raise ConfigError(f"{section}.{key}", f"cannot parse {block[key]!r}") from exc
+
+def _boolean(raw: str) -> bool:
+    value = _BOOLEAN_STATES.get(raw.strip().lower())
+    if value is None:
+        raise ValueError(raw)
+    return value
 
 
 def _apply_overrides(parser: configparser.ConfigParser, overrides) -> None:

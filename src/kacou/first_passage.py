@@ -32,14 +32,15 @@ from .model import (
     RegimeTag,
     classify_regime,
     derived_params,
+    hitting_time,
     hyper_args,
+    pattern_phi,
     reflect,
     swap_states,
     xi0,
     xi1,
 )
 from .quadrature import gauss_legendre
-from .simulate import _hit_time_vec, _phi_vec
 from .specfun import LogValue, gauss_2f1_log, gauss_2f1_pair_log, kummer_1f1_log
 
 __all__ = [
@@ -345,17 +346,15 @@ def _oracle_nodes(model, q, y, lo_needed):
 
 def _oracle_state_setup(model, q, y, nodes, state):
     """Quadrature positions/weights and first terms for one state's equation."""
-    a = np.full(nodes.shape, model.coeffs[state].a)
-    g = np.full(nodes.shape, model.coeffs[state].gamma)
     lam = model.rates.rate(state)
-    t_hit = _hit_time_vec(a, g, nodes, y)
+    t_hit = hitting_time(state, nodes, y, model)
     tau_max = KERNEL_CUT / (q + lam)
     T = np.minimum(t_hit, tau_max)
     first = np.where(np.isfinite(t_hit), np.exp(-(q + lam) * np.minimum(t_hit, 700.0)), 0.0)
 
     tau = T[:, None] * _QUAD_X[None, :]
     weight = T[:, None] * _QUAD_W[None, :] * lam * np.exp(-(q + lam) * tau)
-    pos = _phi_vec(a[:, None], g[:, None], tau, nodes[:, None])
+    pos = pattern_phi(state, tau, nodes[:, None], model)
 
     idx = np.searchsorted(nodes, pos, side="right") - 1
     np.clip(idx, 0, nodes.size - 2, out=idx)

@@ -326,6 +326,23 @@ def _tail_mass(cf: _ClosedForm, dist: float) -> float:
     )
 
 
+def _search_edge(inside, inner: float, outer: float, cap: float, rel_tol: float, max_iter: int):
+    """Bracket the distance where `inside` turns false: double `outer`
+    while it is still inside and below `cap`, then bisect [inner, outer]
+    until it is `rel_tol` * outer wide or `max_iter` midpoints are spent."""
+    while outer < cap and inside(outer):
+        inner, outer = outer, 2.0 * outer
+    for _ in range(max_iter):
+        mid = 0.5 * (inner + outer)
+        if inside(mid):
+            inner = mid
+        else:
+            outer = mid
+        if outer - inner <= rel_tol * outer:
+            break
+    return inner, outer
+
+
 def support_cutoff(model: KacOuModel, floor: float = 1e-16) -> tuple[float, float]:
     """Finite interval outside which the mixture density is below `floor`.
 
@@ -337,28 +354,15 @@ def support_cutoff(model: KacOuModel, floor: float = 1e-16) -> tuple[float, floa
     if math.isfinite(lo) and math.isfinite(hi):
         return lo, hi
 
-    def mix(d):
-        return float(cf.mix_anchor(np.asarray([d]))[0])
+    def inside(d):
+        return float(cf.mix_anchor(np.asarray([d]))[0]) >= floor
 
-    step = 1e-6 * cf.scale
-    last_inside = step
-    entered = False
-    while step < 1e15 * cf.scale:
-        if mix(step) >= floor:
-            entered = True
-            last_inside = step
-        elif entered:
-            break
+    # the density may start below the floor at the anchor: step out to it first
+    start, cap = 1e-6 * cf.scale, 1e15 * cf.scale
+    step = start
+    while step < cap and not inside(step):
         step *= 2.0
-    inner, outer = last_inside, step
-    for _ in range(200):
-        mid = 0.5 * (inner + outer)
-        if mix(mid) >= floor:
-            inner = mid
-        else:
-            outer = mid
-        if outer - inner <= 1e-9 * outer:
-            break
+    _, outer = _search_edge(inside, step if step < cap else start, step, cap, 1e-9, 200)
     far = cf.anchor + cf.direction * outer
     return (lo, far) if math.isfinite(lo) else (far, hi)
 
@@ -369,20 +373,12 @@ def _histogram_range(cf: _ClosedForm, tail_mass: float = 5e-4) -> tuple[float, f
     lo, hi = cf.desc.support
     if math.isfinite(lo) and math.isfinite(hi):
         return lo, hi
-    inner, outer = 1e-3 * cf.scale, 1e-3 * cf.scale
-    while _tail_mass(cf, outer) > tail_mass:
-        inner = outer
-        outer *= 2.0
-        if outer > 1e15 * cf.scale:
-            break
-    for _ in range(60):
-        mid = 0.5 * (inner + outer)
-        if _tail_mass(cf, mid) > tail_mass:
-            inner = mid
-        else:
-            outer = mid
-        if outer - inner <= 1e-3 * outer:
-            break
+
+    def inside(d):
+        return _tail_mass(cf, d) > tail_mass
+
+    start = 1e-3 * cf.scale
+    _, outer = _search_edge(inside, start, start, 1e15 * cf.scale, 1e-3, 60)
     far = cf.anchor + cf.direction * outer
     return (lo, far) if math.isfinite(lo) else (far, hi)
 
@@ -463,13 +459,11 @@ def empirical_invariant_profile(
         x0 = 0.5 * (lo + hi)
     else:
         # median distance from the anchor by bisection on the tail mass
-        d_lo, d_hi = 1e-6 * cf.scale, abs(hi - lo)
-        for _ in range(80):
-            mid = 0.5 * (d_lo + d_hi)
-            if _tail_mass(cf, mid) > 0.5:
-                d_lo = mid
-            else:
-                d_hi = mid
+        def above_median(d):
+            return _tail_mass(cf, d) > 0.5
+
+        d_hi = abs(hi - lo)
+        d_lo, d_hi = _search_edge(above_median, 1e-6 * cf.scale, d_hi, d_hi, 0.0, 80)
         x0 = cf.anchor + cf.direction * 0.5 * (d_lo + d_hi)
     sample = terminal_values(
         model, x0, t_horizon, n_paths, seed, with_noise=False,

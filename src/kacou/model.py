@@ -29,8 +29,10 @@ __all__ = [
     "HyperParams",
     "classify_regime",
     "derived_params",
+    "pattern_map",
     "pattern_phi",
     "hitting_time",
+    "interval_variance",
     "transition_matrix",
     "stationary_state_dist",
     "hyper_args",
@@ -43,7 +45,7 @@ __all__ = [
 # Relative tolerance for deciding a0/gamma0 == a1/gamma1 on user input.
 RHO_EQUAL_RTOL = 1e-12
 
-# Largest exponent fed to math.exp before we short-circuit to 0 / inf.
+# Largest exponent fed to math.exp before we short-circuit to 0.
 _EXP_MAX = 700.0
 
 
@@ -237,65 +239,115 @@ def derived_params(model: KacOuModel) -> DerivedParams:
     return DerivedParams(rho0, rho1, alpha0, alpha1)
 
 
-def _exp(z: float) -> float:
-    if z > _EXP_MAX:
-        return math.inf
-    if z < -_EXP_MAX:
-        return 0.0
-    return math.exp(z)
+def _result(value, *inputs):
+    """A float when every input is a scalar, the array otherwise."""
+    return float(value) if all(np.ndim(v) == 0 for v in inputs) else value
 
 
-def pattern_phi(state: int, t: float, x: float, model: KacOuModel) -> float:
-    """Deterministic flow of one state evaluated at time t from x.
+def pattern_map(state, t, model: KacOuModel):
+    """The state's flow over time t as an affine map (base, shift, factor):
+    pattern_phi(state, t, x) == base + (x - shift) * factor for every x.
+
+    The map is (rho, rho, exp(-gamma t)) when gamma != 0, (a t, 0, 1) when
+    gamma = 0, and the exact identity (-0.0, 0, 1) at t = 0.  A factor of
+    inf marks repelling growth beyond double range, which pattern_phi
+    resolves from x.  state and t are scalars or broadcastable arrays.
+    """
+    a, g = model.a_vec[state], model.gamma_vec[state]
+    t = np.asarray(t, dtype=float)
+    t_min = t.min() if t.size else 0.0
+    if t_min < 0.0:
+        raise ParameterError(f"pattern time must be >= 0, got {t_min}")
+    lin = g == 0.0
+    with np.errstate(over="ignore"):
+        factor = np.exp(-g * t)
+    base = shift = a / np.where(lin, 1.0, g)
+    if lin.any():
+        base = np.where(lin, a * t, base)
+        shift = np.where(lin, 0.0, shift)
+        factor = np.where(lin, 1.0, factor)
+    if t_min == 0.0:  # the factor is exactly 1 there already
+        still = t == 0.0
+        base = np.where(still, -0.0, base)
+        shift = np.where(still, 0.0, shift)
+    return base, shift, factor
+
+
+def pattern_phi(state, t, x, model: KacOuModel):
+    """Deterministic flow of a state evaluated at time t from x.
 
     Exponential relaxation toward rho when gamma != 0, a straight line when
-    gamma = 0.  Satisfies phi(t+s, x) = phi(t, phi(s, x)).
+    gamma = 0.  Satisfies phi(t+s, x) = phi(t, phi(s, x)).  t = 0 returns x
+    exactly and t < 0 raises ParameterError.  Repelling growth beyond
+    double range gives +-inf, while x = rho stays at rho.  state, t and x
+    are scalars (a float is returned) or broadcastable arrays.
     """
-    if t < 0.0:
-        raise ParameterError(f"pattern time must be >= 0, got {t}")
-    if t == 0.0:
-        return x
-    c = model.coeff(state)
-    if c.gamma == 0.0:
-        return x + c.a * t
-    rho = c.a / c.gamma
-    expo = -c.gamma * t
-    if expo > _EXP_MAX:  # repelling growth; keep the product finite if it is
-        diff = x - rho
-        if diff == 0.0:
-            return rho
-        log_mag = math.log(abs(diff)) + expo
-        if log_mag > 709.0:
-            return math.inf if diff > 0.0 else -math.inf
-        return rho + math.copysign(math.exp(log_mag), diff)
-    return rho + (x - rho) * math.exp(expo)
+    base, shift, factor = pattern_map(state, t, model)
+    x = np.asarray(x, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = base + (x - shift) * factor
+    repels = model.coeffs[0].gamma < 0.0 or model.coeffs[1].gamma < 0.0
+    if repels and np.isinf(factor).any():
+        # grow in log magnitude: finite where the result is, and no 0 * inf
+        # at the repelling level itself
+        g = model.gamma_vec[state]
+        out = np.array(out)
+        big = np.broadcast_to(np.isinf(factor), out.shape)
+        rho = np.broadcast_to(shift, out.shape)[big]
+        diff = np.broadcast_to(x, out.shape)[big] - rho
+        expo = np.broadcast_to(-g * np.asarray(t, dtype=float), out.shape)[big]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            grown = np.copysign(np.exp(np.log(np.abs(diff)) + expo), diff)
+        out[big] = np.where(diff == 0.0, rho, rho + grown)
+    return _result(out, state, t, x)
 
 
-def hitting_time(state: int, x: float, y: float, model: KacOuModel) -> float:
+def hitting_time(state, x, y, model: KacOuModel):
     """Time for the state's pattern started at x to reach y; +inf if it never does.
 
     The +inf return is a deliberate distinguished value (it selects the
     half-line branch of the renewal integral equations), never an overflow.
+    Scalar x == y raises ParameterError; in arrays an entry already at y
+    gets 0, so a Monte Carlo lane that lands on its target hits at once.
+    state, x and y are scalars (a float is returned) or broadcastable arrays.
     """
-    if x == y:
+    a, g = model.a_vec[state], model.gamma_vec[state]
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.ndim(state) == 0 and x.ndim == 0 and y.ndim == 0 and x == y:
         raise ParameterError("hitting_time requires x != y")
-    c = model.coeff(state)
-    if c.gamma == 0.0:
-        if c.a == 0.0:
-            return math.inf
-        t = (y - x) / c.a
-        return t if t > 0.0 else math.inf
-    rho = c.a / c.gamma
-    if y == rho:
-        return math.inf  # the pattern only reaches its own level in the limit
-    r = (x - rho) / (y - rho)
-    if c.gamma > 0.0:
-        if r > 1.0:
-            return math.log(r) / c.gamma
-        return math.inf
-    if 0.0 < r < 1.0:
-        return math.log(r) / c.gamma
-    return math.inf
+    lin = g == 0.0
+    g_safe = np.where(lin, 1.0, g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = a / g_safe
+        # y = rho gives r = +-inf: the level is reached only in the limit
+        r = (x - rho) / (y - rho)
+        curved = np.log(np.where(r > 0.0, r, 1.0)) / g_safe
+        straight = (y - x) / np.where(a == 0.0, 1.0, a)
+    # a positive log-ratio time is reached: r > 1 toward an attractor, 0 < r < 1
+    # away from a repeller
+    reached = ~lin & (curved > 0.0)
+    t = np.where(reached, curved, np.where(lin & (a != 0.0) & (straight > 0.0), straight, np.inf))
+    return _result(np.where(x == y, 0.0, t), state, x, y)
+
+
+def interval_variance(state, t, model: KacOuModel):
+    """Variance the state's diffusion accumulates over time t from a fixed
+    point: b^2 (1 - exp(-2 gamma t)) / (2 gamma), or b^2 t when gamma = 0.
+
+    Repelling growth beyond double range gives inf; b = 0 gives 0.  state
+    and t are scalars (a float is returned) or broadcastable arrays.
+    """
+    b, g = model.b_vec[state], model.gamma_vec[state]
+    t = np.asarray(t, dtype=float)
+    lin = g == 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = b * b * (1.0 - np.exp(-2.0 * g * t)) / (2.0 * np.where(lin, 1.0, g))
+    if lin.any():
+        var = np.where(lin, b * b * t, var)
+    if (b == 0.0).any():
+        var = np.where(b == 0.0, 0.0, var)
+    return _result(var, state, t)
 
 
 @dataclass(frozen=True)

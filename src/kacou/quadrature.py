@@ -7,9 +7,9 @@ singularities.  To actually resolve those singularities in double precision
 the integrand must be evaluated from its exact distance to the endpoint, not
 from the rounded abscissa, so the primitive here is
 :func:`integrate_de_offsets`, whose integrand receives (distance from a,
-distance from b) pairs; the plain :func:`integrate_de` wraps it for smooth
-integrands.  Half-lines are folded onto (0, 1) by a rational map, turning
-finite-mass power tails into integrable endpoint singularities.
+distance from b) pairs.  Half-lines are folded onto (0, 1) by a rational
+map, turning finite-mass power tails into integrable endpoint
+singularities.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ import numpy as np
 from .errors import ParameterError
 
 __all__ = [
-    "integrate_de",
     "integrate_de_offsets",
-    "integrate_half_line",
     "integrate_half_line_offsets",
     "gauss_legendre",
 ]
@@ -78,17 +76,6 @@ def integrate_de_offsets(f2, a: float, b: float, tol: float = 1e-12, max_level: 
     return result
 
 
-def integrate_de(f, a: float, b: float, tol: float = 1e-12, max_level: int = 12) -> float:
-    """Integrate a smooth (or endpoint-integrable) f over (a, b); f takes an
-    array of points and endpoints are never evaluated."""
-
-    def f2(d_lo, d_hi):
-        pts = np.where(d_lo <= d_hi, a + d_lo, b - d_hi)
-        return f(pts)
-
-    return integrate_de_offsets(f2, a, b, tol=tol, max_level=max_level)
-
-
 def integrate_half_line_offsets(
     f1, direction: float, scale: float = 1.0, tol: float = 1e-12
 ) -> float:
@@ -115,14 +102,6 @@ def integrate_half_line_offsets(
         return np.where(np.isfinite(vals), vals, 0.0)
 
     return integrate_de_offsets(g2, 0.0, 1.0, tol=tol)
-
-
-def integrate_half_line(f, anchor: float, direction: float, scale: float = 1.0, tol: float = 1e-12) -> float:
-    """Integrate f(x) from anchor to +/-infinity for integrands without an
-    endpoint singularity sharper than double precision can place."""
-    return integrate_half_line_offsets(
-        lambda d: f(anchor + direction * d), direction, scale=scale, tol=tol
-    )
 
 
 def gauss_legendre(n: int, a: float = 0.0, b: float = 1.0):

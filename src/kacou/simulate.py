@@ -23,22 +23,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .model import KacOuModel, SwitchRates, hitting_time, pattern_phi, stationary_state_dist
+from .model import (
+    KacOuModel,
+    SwitchRates,
+    hitting_time,
+    interval_variance,
+    pattern_map,
+    pattern_phi,
+    stationary_state_dist,
+)
 from .rng import stream
 
 __all__ = [
     "SwitchSequence",
-    "PathSegment",
-    "FptOutcome",
     "McEstimate",
     "SimCaps",
     "FptSampleBatch",
     "TerminalSample",
     "sample_switch_sequence",
     "evaluate_x",
-    "path_segments",
     "sample_m_path",
-    "sample_fpt",
     "mc_laplace_fpt",
     "fpt_samples",
     "terminal_values",
@@ -49,7 +53,8 @@ CHUNK = 1 << 14
 CENSOR_NONE = 0
 CENSOR_HORIZON = 1
 CENSOR_SWITCH_CAP = 2
-_REASONS = {CENSOR_HORIZON: "horizon", CENSOR_SWITCH_CAP: "switch_cap"}
+# censoring reason names, indexed by the codes above
+REASON_NAMES = ("", "horizon", "switch_cap")
 
 
 def _n_workers() -> int:
@@ -84,26 +89,11 @@ class SwitchSequence:
 
 
 @dataclass(frozen=True)
-class PathSegment:
-    t_start: float
-    state: int
-    x_start: float
-    m_mean: float
-    m_var: float
-
-
-@dataclass(frozen=True)
-class FptOutcome:
-    kind: str  # "hit" | "censored"
-    time: float
-    reason: str | None = None
-
-
-@dataclass(frozen=True)
 class McEstimate:
     mean: float
     stderr: float
     n: int
+    censored: int
 
 
 @dataclass(frozen=True)
@@ -143,6 +133,26 @@ def sample_switch_sequence(
     return SwitchSequence(initial_state, np.asarray(times, dtype=float), horizon)
 
 
+def _walk(x, states, dts, model: KacOuModel, noise: dict) -> list[float]:
+    """Carry x through consecutive flows: the value after each step
+    phi(states[k], dts[k], .), plus noise[k] for the steps noise holds.
+
+    The affine maps of all steps come from one kernel call; a step whose
+    growth overflowed the map goes through pattern_phi itself.
+    """
+    maps = [np.broadcast_to(c, dts.shape).tolist() for c in pattern_map(states, dts, model)]
+    out = []
+    for k, (base, shift, factor) in enumerate(zip(*maps)):
+        if factor < math.inf:
+            x = base + (x - shift) * factor
+        else:
+            x = pattern_phi(states[k], dts[k], x, model)
+        if k in noise:
+            x = x + noise[k]
+        out.append(x)
+    return out
+
+
 def evaluate_x(seq: SwitchSequence, x0: float, t, model: KacOuModel):
     """Exact mean path at time t, composing the patterns segment by segment.
 
@@ -159,61 +169,13 @@ def evaluate_x(seq: SwitchSequence, x0: float, t, model: KacOuModel):
     if flat.size and flat[-1] > seq.horizon:
         raise ParameterError(f"t = {flat[-1]} beyond sequence horizon {seq.horizon}")
     # a time equal to a switch time belongs to the segment that switch closes
-    ends = np.searchsorted(seq.switch_times, flat, side="left").tolist()
-    switches = seq.switch_times.tolist()
-    out = np.empty(flat.size)
-    x = x0
-    s = seq.initial_state
-    prev = 0.0
-    k = 0
-    for i, (te, end) in enumerate(zip(flat.tolist(), ends)):
-        while k < end:
-            x = pattern_phi(s, switches[k] - prev, x, model)
-            s = 1 - s
-            prev = switches[k]
-            k += 1
-        out[i] = pattern_phi(s, te - prev, x, model)
+    seg = np.searchsorted(seq.switch_times, flat, side="left")
+    n_seg = int(seg[-1]) if flat.size else 0
+    starts = np.concatenate([[0.0], seq.switch_times[:n_seg]])
+    states = (seq.initial_state + np.arange(n_seg + 1)) % 2
+    x_start = np.array([x0] + _walk(x0, states[:-1], np.diff(starts), model, {}))
+    out = pattern_phi(states[seg], flat - starts[seg], x_start[seg], model)
     return float(out[0]) if times.ndim == 0 else out
-
-
-def _interval_var(b: float, gamma: float, dt: float) -> float:
-    if b == 0.0 or dt == 0.0:
-        return 0.0
-    if gamma == 0.0:
-        return b * b * dt
-    e = math.exp(-2.0 * gamma * dt) if -2.0 * gamma * dt < 700.0 else math.inf
-    return b * b * (1.0 - e) / (2.0 * gamma)
-
-
-def path_segments(seq: SwitchSequence, x0: float, model: KacOuModel) -> list[PathSegment]:
-    """Per-segment start data for the mean path and the conditional Gaussian law."""
-    out = []
-    x = x0
-    s = seq.initial_state
-    prev = 0.0
-    v = 0.0
-    for ts in seq.switch_times:
-        out.append(PathSegment(prev, s, x, x, v))
-        dt = ts - prev
-        c = model.coeff(s)
-        decay2 = math.exp(-2.0 * c.gamma * dt) if -2.0 * c.gamma * dt < 700.0 else math.inf
-        v = v * decay2 + _interval_var(c.b, c.gamma, dt)
-        x = pattern_phi(s, dt, x, model)
-        prev = ts
-        s = 1 - s
-    out.append(PathSegment(prev, s, x, x, v))
-    return out
-
-
-def _gauss_step(m, state, dt, model, rng):
-    if dt == 0.0:
-        return m
-    c = model.coeff(state)
-    mean = pattern_phi(state, dt, m, model)
-    var = _interval_var(c.b, c.gamma, dt)
-    if var > 0.0:
-        return mean + math.sqrt(var) * rng.standard_normal()
-    return mean
 
 
 def sample_m_path(
@@ -225,59 +187,28 @@ def sample_m_path(
 ) -> np.ndarray:
     """Draw the modulated diffusion at the requested times, one exact Gaussian
     step per constant-coefficient interval (switch boundaries always included;
-    ties resolve switch-first)."""
+    ties resolve switch-first).  No normal is drawn for an interval of zero
+    length or zero variance."""
     eval_times = np.asarray(eval_times, dtype=float)
     if eval_times.size and np.any(np.diff(eval_times) < 0.0):
         raise ParameterError("eval_times must be sorted")
     if eval_times.size and eval_times[-1] > seq.horizon:
         raise ParameterError("eval_times must lie within the horizon")
+    if eval_times.size == 0:
+        return np.empty(0)
 
-    out = np.empty(eval_times.size)
-    m = x0
-    s = seq.initial_state
-    t = 0.0
-    i_sw = 0
-    sw = seq.switch_times
-    for i_ev, te in enumerate(eval_times):
-        while i_sw < sw.size and sw[i_sw] <= te:
-            m = _gauss_step(m, s, sw[i_sw] - t, model, rng)
-            t = sw[i_sw]
-            s = 1 - s
-            i_sw += 1
-        m = _gauss_step(m, s, te - t, model, rng)
-        t = te
-        out[i_ev] = m
-    return out
-
-
-def sample_fpt(
-    x: float,
-    y: float,
-    initial_state: int,
-    model: KacOuModel,
-    rng: np.random.Generator,
-    caps: SimCaps = SimCaps(),
-) -> FptOutcome:
-    """Single exact first-passage draw; censoring is a value, not an error."""
-    if x == y:
-        raise ParameterError("sample_fpt requires x != y")
-    t = 0.0
-    xc = x
-    s = initial_state
-    nsw = 0
-    while True:
-        th = hitting_time(s, xc, y, model) if xc != y else 0.0
-        dt = rng.standard_exponential() / model.rates.rate(s)
-        if min(th, dt) >= caps.horizon - t:
-            return FptOutcome("censored", caps.horizon, "horizon")
-        if th < dt:
-            return FptOutcome("hit", t + th)
-        xc = pattern_phi(s, dt, xc, model)
-        t += dt
-        s = 1 - s
-        nsw += 1
-        if nsw >= caps.max_switches:
-            return FptOutcome("censored", t, "switch_cap")
+    # one interval ends at each switch up to the last time and at each time
+    sw = seq.switch_times[: np.searchsorted(seq.switch_times, eval_times[-1], side="right")]
+    ends = np.concatenate([sw, eval_times])
+    order = np.argsort(ends, kind="stable")
+    at_switch = order < sw.size
+    dts = np.diff(ends[order], prepend=0.0)
+    states = (seq.initial_state + np.cumsum(at_switch) - at_switch) % 2
+    var = interval_variance(states, dts, model)
+    drawn = np.flatnonzero((dts > 0.0) & (var > 0.0))
+    kicks = np.sqrt(var[drawn]) * rng.standard_normal(drawn.size)
+    noise = dict(zip(drawn.tolist(), kicks.tolist()))
+    return np.array(_walk(x0, states, dts, model, noise))[~at_switch]
 
 
 # ---------------------------------------------------------------------------
@@ -285,44 +216,8 @@ def sample_fpt(
 # ---------------------------------------------------------------------------
 
 
-def _phi_vec(a, g, dt, x):
-    lin = g == 0.0
-    g_safe = np.where(lin, 1.0, g)
-    rho = a / g_safe
-    with np.errstate(over="ignore", invalid="ignore"):
-        decay = np.exp(np.minimum(-g * dt, 700.0))
-        curved = rho + (x - rho) * decay
-    return np.where(lin, x + a * dt, curved)
-
-
-def _hit_time_vec(a, g, x, y):
-    lin = g == 0.0
-    g_safe = np.where(lin, 1.0, g)
-    a_safe = np.where(a == 0.0, 1.0, a)
-    rho = a / g_safe
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        r = (x - rho) / (y - rho)
-        t_curved = np.log(np.where(r > 0.0, r, 1.0)) / g_safe
-        ok_curved = ~lin & (((g > 0.0) & (r > 1.0)) | ((g < 0.0) & (r > 0.0) & (r < 1.0)))
-        t_lin = (y - x) / a_safe
-        ok_lin = lin & (a != 0.0) & (t_lin > 0.0)
-    t = np.full(x.shape, np.inf)
-    t[ok_curved] = t_curved[ok_curved]
-    t[ok_lin] = t_lin[ok_lin]
-    return t
-
-
-def _var_vec(b, g, dt):
-    lin = g == 0.0
-    g_safe = np.where(lin, 1.0, g)
-    with np.errstate(over="ignore"):
-        e = np.exp(np.minimum(-2.0 * g * dt, 700.0))
-        v = b * b * (1.0 - e) / (2.0 * g_safe)
-    return np.where(lin, b * b * dt, v)
-
-
 def _fpt_chunk(model, x, y, state, size, rng, caps):
-    lam, a, g = model.lam_vec, model.a_vec, model.gamma_vec
+    lam = model.lam_vec
     times = np.full(size, np.nan)
     censored = np.zeros(size, dtype=bool)
     reason = np.zeros(size, dtype=np.uint8)
@@ -333,7 +228,7 @@ def _fpt_chunk(model, x, y, state, size, rng, caps):
     ts = np.zeros(size)
     nsw = 0
     while idx.size:
-        th = _hit_time_vec(a[ss], g[ss], xs, y)
+        th = hitting_time(ss, xs, y, model)
         dt = rng.standard_exponential(idx.size) / lam[ss]
         rem = caps.horizon - ts
 
@@ -353,7 +248,7 @@ def _fpt_chunk(model, x, y, state, size, rng, caps):
         idx, xs, ss, ts, dt = idx[keep], xs[keep], ss[keep], ts[keep], dt[keep]
         if idx.size == 0:
             break
-        xs = _phi_vec(a[ss], g[ss], dt, xs)
+        xs = pattern_phi(ss, dt, xs, model)
         ts = ts + dt
         ss = 1 - ss
         nsw += 1
@@ -366,7 +261,7 @@ def _fpt_chunk(model, x, y, state, size, rng, caps):
 
 
 def _terminal_chunk(model, x0, t, size, rng, with_noise, initial_state):
-    lam, a, g, b = model.lam_vec, model.a_vec, model.gamma_vec, model.b_vec
+    lam = model.lam_vec
     if initial_state == "stationary":
         p0, _ = stationary_state_dist(model.rates)
         ss = np.where(rng.random(size) < p0, 0, 1).astype(np.int64)
@@ -377,10 +272,9 @@ def _terminal_chunk(model, x0, t, size, rng, with_noise, initial_state):
     while np.any(rem > 0.0):
         dt = rng.standard_exponential(size) / lam[ss]
         step = np.clip(np.minimum(dt, rem), 0.0, None)
-        nxt = _phi_vec(a[ss], g[ss], step, xs)
+        nxt = pattern_phi(ss, step, xs, model)
         if with_noise:
-            var = _var_vec(b[ss], g[ss], step)
-            nxt = nxt + np.sqrt(var) * rng.standard_normal(size)
+            nxt = nxt + np.sqrt(interval_variance(ss, step, model)) * rng.standard_normal(size)
         active = rem > 0.0
         xs = np.where(active, nxt, xs)
         ss = np.where(active & (dt < rem), 1 - ss, ss)
@@ -389,7 +283,10 @@ def _terminal_chunk(model, x0, t, size, rng, with_noise, initial_state):
 
 
 def _run_chunks(n, seed, purpose, worker):
-    """Run `worker(size, rng)` over fixed-size chunks, assembled in order."""
+    """Run `worker(size, rng)` over fixed-size chunks; each of the arrays a
+    worker returns is concatenated over the chunks in index order."""
+    if n < 1:
+        raise ParameterError(f"need at least one sample, got n = {n}")
     sizes = [CHUNK] * (n // CHUNK)
     if n % CHUNK:
         sizes.append(n % CHUNK)
@@ -405,7 +302,7 @@ def _run_chunks(n, seed, purpose, worker):
             results = list(pool.map(run, jobs))
     else:
         results = [run(j) for j in jobs]
-    return results
+    return [np.concatenate(field) for field in zip(*results)]
 
 
 def fpt_samples(
@@ -421,13 +318,9 @@ def fpt_samples(
     """n independent first-passage draws (vectorized, chunked, reproducible)."""
     if x == y:
         raise ParameterError("first passage requires x != y")
-    parts = _run_chunks(
+    return FptSampleBatch(*_run_chunks(
         n, seed, purpose, lambda sz, rng: _fpt_chunk(model, x, y, initial_state, sz, rng, caps)
-    )
-    times = np.concatenate([p[0] for p in parts])
-    censored = np.concatenate([p[1] for p in parts])
-    reason = np.concatenate([p[2] for p in parts])
-    return FptSampleBatch(times, censored, reason)
+    ))
 
 
 def terminal_values(
@@ -442,15 +335,9 @@ def terminal_values(
 ) -> TerminalSample:
     """Exact terminal draws of the mean path (or the diffusion when
     with_noise) at time t; initial_state may be 0, 1 or "stationary"."""
-    parts = _run_chunks(
-        n,
-        seed,
-        purpose,
-        lambda sz, rng: _terminal_chunk(model, x0, t, sz, rng, with_noise, initial_state),
-    )
-    values = np.concatenate([p[0] for p in parts])
-    states = np.concatenate([p[1] for p in parts])
-    return TerminalSample(values, states)
+    return TerminalSample(*_run_chunks(
+        n, seed, purpose, lambda sz, rng: _terminal_chunk(model, x0, t, sz, rng, with_noise, initial_state)
+    ))
 
 
 def mc_laplace_fpt(query, model: KacOuModel, n: int, seed: int, caps: SimCaps = SimCaps()) -> McEstimate:
@@ -467,4 +354,4 @@ def mc_laplace_fpt(query, model: KacOuModel, n: int, seed: int, caps: SimCaps = 
         contrib = np.where(batch.censored, 0.0, np.exp(-query.q * batch.times))
     mean = float(np.mean(contrib))
     stderr = float(np.std(contrib, ddof=1) / math.sqrt(n))
-    return McEstimate(mean, stderr, n)
+    return McEstimate(mean, stderr, n, int(np.count_nonzero(batch.censored)))

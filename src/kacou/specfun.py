@@ -1,10 +1,11 @@
 """Self-contained special-function kernel: Pochhammer symbols, the Gauss
 hypergeometric series, Kummer's confluent function, log-Gamma and Beta.
 
-The Gauss series is summed either from its two real upper parameters or,
-when those form a complex-conjugate pair, from their real (sum, product)
-via the coefficient recurrence c_{n+1} = c_n * (n^2 + n*sum + product),
-which keeps all arithmetic real.
+One summation loop serves both series.  The Gauss series is summed either
+from its two real upper parameters or, when those form a complex-conjugate
+pair, from their real (sum, product) via the coefficient recurrence
+c_{n+1} = c_n * (n^2 + n*sum + product), which keeps all arithmetic real;
+Kummer's series uses the same loop with the numerator n + a.
 
 Summation carries a separate log scale so that large-parameter evaluations
 (e.g. killing rates of 1e6, where the function value overflows any double)
@@ -22,14 +23,10 @@ import numpy as np
 from .errors import OutOfDomainError, ParameterError, SeriesConvergenceError
 
 __all__ = [
-    "SeriesResult",
     "LogValue",
     "pochhammer",
-    "gauss_2f1",
     "gauss_2f1_log",
-    "gauss_2f1_pair",
     "gauss_2f1_pair_log",
-    "kummer_1f1",
     "kummer_1f1_log",
     "log_gamma",
     "beta_fn",
@@ -57,13 +54,6 @@ _LANCZOS = (
     1.5056327351493116e-7,
 )
 _LOG_SQRT_2PI = 0.9189385332046727418
-
-
-@dataclass(frozen=True)
-class SeriesResult:
-    value: float
-    terms_used: int
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -130,23 +120,29 @@ def _check_lower_param(b2: float, name: str = "b2") -> None:
         raise ParameterError(f"{name} = {b2} is a pole of the Pochhammer denominator")
 
 
-def _sum_series_pair(s: float, p: float, b2: float, z: float) -> LogValue:
-    """Direct summation of the defining series with pair-product coefficients
-    and periodic rescaling into a log carry.
+def _sum_series(c2, c1, c0, b2: float, z: float) -> LogValue:
+    """Direct summation of the series with first term 1 and term ratio
+    (c2 k^2 + c1 k + c0) z / ((b2 + k)(k + 1)), k = 0, 1, ..., with periodic
+    rescaling into a log carry.
 
-    If the term cap is reached while every summand has stayed positive (no
-    cancellation is possible), summation continues in vectorized log space;
-    this is what large-parameter evaluations (killing rates around 1e6,
-    where millions of terms precede the peak) fall back to.
+    (c2, c1, c0) = (1, sum, product) is the Gauss series whose upper
+    parameters have that sum and product; (0, 1, a) is Kummer's series
+    with upper parameter a.
+
+    If the Gauss series reaches the term cap while every summand has stayed
+    positive (no cancellation is possible), summation continues in
+    vectorized log space; this is what large-parameter evaluations (killing
+    rates around 1e6, where millions of terms precede the peak) fall back to.
     """
     total = 1.0
     term = 1.0
     log_scale = 0.0
     small_run = 0
     single_signed = z > 0.0
+    k = 0.0  # a float counter: exact here, and cheaper than int-float arithmetic
     for n in range(1, SERIES_CAP + 1):
-        k = n - 1
-        factor = (k * k + k * s + p) * z / ((b2 + k) * n)
+        factor = (c2 * k * k + c1 * k + c0) * z / ((b2 + k) * (k + 1.0))
+        k += 1.0
         if factor <= 0.0:
             single_signed = False
         term *= factor
@@ -165,8 +161,10 @@ def _sum_series_pair(s: float, p: float, b2: float, z: float) -> LogValue:
                 return _finish(total, log_scale, n + 1)
         else:
             small_run = 0
-    if single_signed and total > 0.0 and term > 0.0:
-        return _long_tail_positive(s, p, b2, z, total, term, log_scale)
+    # the log-space continuation is the Gauss series' large-parameter path;
+    # Kummer's series (c2 = 0) reports the cap
+    if c2 and single_signed and total > 0.0 and term > 0.0:
+        return _long_tail_positive(c1, c0, b2, z, total, term, log_scale)
     raise SeriesConvergenceError(
         f"hypergeometric series did not converge in {SERIES_CAP} terms (z={z})",
         terms_used=SERIES_CAP,
@@ -231,7 +229,7 @@ def gauss_2f1_log(b0: float, b1: float, b2: float, z: float) -> LogValue:
 
     terminating = _is_nonpositive_int(b0) or _is_nonpositive_int(b1)
     if terminating:
-        return _sum_series_pair(b0 + b1, b0 * b1, b2, z)
+        return _sum_series(1.0, b0 + b1, b0 * b1, b2, z)
 
     if z >= 1.0:
         if z > 1.0:
@@ -243,22 +241,17 @@ def gauss_2f1_log(b0: float, b1: float, b2: float, z: float) -> LogValue:
         closed = _gauss_at_unit_log(b0, b1, b2)
         if closed is not None:
             return closed
-        return _sum_series_pair(b0 + b1, b0 * b1, b2, z)
+        return _sum_series(1.0, b0 + b1, b0 * b1, b2, z)
 
     if z > 0.0:
-        return _sum_series_pair(b0 + b1, b0 * b1, b2, z)
+        return _sum_series(1.0, b0 + b1, b0 * b1, b2, z)
 
     # z < 0: Pfaff with the smaller upper parameter in the exponent; the
     # transformed argument lies in (0, 1) so the summands are single-signed
     be, bo = (b0, b1) if abs(b0) <= abs(b1) else (b1, b0)
     w = z / (z - 1.0)
-    inner = _sum_series_pair(be + (b2 - bo), be * (b2 - bo), b2, w)
+    inner = _sum_series(1.0, be + (b2 - bo), be * (b2 - bo), b2, w)
     return LogValue(inner.log - be * math.log1p(-z), inner.sign, inner.terms_used)
-
-
-def gauss_2f1(b0: float, b1: float, b2: float, z: float) -> SeriesResult:
-    lv = gauss_2f1_log(b0, b1, b2, z)
-    return SeriesResult(lv.value(), lv.terms_used, True)
 
 
 def gauss_2f1_pair_log(pair_sum: float, pair_product: float, b2: float, z: float) -> LogValue:
@@ -273,12 +266,7 @@ def gauss_2f1_pair_log(pair_sum: float, pair_product: float, b2: float, z: float
         return LogValue(0.0, 1.0, 1)
     if abs(z) >= 1.0:
         raise OutOfDomainError(f"conjugate-pair series requires |z| < 1, got z = {z}")
-    return _sum_series_pair(pair_sum, pair_product, b2, z)
-
-
-def gauss_2f1_pair(pair_sum: float, pair_product: float, b2: float, z: float) -> SeriesResult:
-    lv = gauss_2f1_pair_log(pair_sum, pair_product, b2, z)
-    return SeriesResult(lv.value(), lv.terms_used, True)
+    return _sum_series(1.0, pair_sum, pair_product, b2, z)
 
 
 def kummer_1f1_log(a: float, b: float, z: float) -> LogValue:
@@ -295,37 +283,7 @@ def kummer_1f1_log(a: float, b: float, z: float) -> LogValue:
         inner = kummer_1f1_log(b - a, b, -z)
         return LogValue(inner.log + z, inner.sign, inner.terms_used)
 
-    total = 1.0
-    term = 1.0
-    log_scale = 0.0
-    small_run = 0
-    for n in range(1, SERIES_CAP + 1):
-        k = n - 1
-        term *= (a + k) * z / ((b + k) * n)
-        total += term
-        if term == 0.0:
-            return _finish(total, log_scale, n + 1)
-        mag = abs(term)
-        if mag > _RESCALE_AT or abs(total) > _RESCALE_AT:
-            term /= _RESCALE_AT
-            total /= _RESCALE_AT
-            log_scale += _RESCALE_LOG
-            mag = abs(term)
-        if mag <= SERIES_RTOL * abs(total) + SERIES_FLOOR:
-            small_run += 1
-            if small_run >= 2:
-                return _finish(total, log_scale, n + 1)
-        else:
-            small_run = 0
-    raise SeriesConvergenceError(
-        f"confluent series did not converge in {SERIES_CAP} terms (z={z})",
-        terms_used=SERIES_CAP,
-    )
-
-
-def kummer_1f1(a: float, b: float, z: float) -> SeriesResult:
-    lv = kummer_1f1_log(a, b, z)
-    return SeriesResult(lv.value(), lv.terms_used, True)
+    return _sum_series(0.0, 1.0, a, b, z)
 
 
 def log_gamma(x: float) -> float:

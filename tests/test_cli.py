@@ -122,6 +122,42 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "lambda0" in err
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("simulate", "simulate.n_paths", "0"),
+        ("simulate", "simulate.n_paths", "-5"),
+        ("simulate", "simulate.n_paths", "inf"),
+        ("simulate", "simulate.n_paths", "nan"),
+        ("simulate", "simulate.eval_points", "-3"),
+        ("invariant", "invariant.grid_points", "0"),
+        ("scaling", "scaling.n_paths", "-1"),
+        ("fpt", "fpt.mc_samples", "999"),
+    ],
+)
+def test_counts_below_minimum_exit_2(tmp_path, capsys, command, key, value):
+    path, out = write_cfg(tmp_path)
+    argv = [command, "--config", path, "--set", f"{key}={value}"]
+    if key == "simulate.eval_points":
+        argv += ["--set", "simulate.mode=path"]
+    assert main(argv) == 2
+    assert key in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_censoring_counts_in_manifests(tmp_path):
+    path, out = write_cfg(tmp_path)
+    caps = ["--set", "simulate.cap_horizon=1.5", "--set", "simulate.cap_switches=2"]
+    assert main(["simulate", "--config", path] + caps) == 0
+    manifest = json.load(open(os.path.join(out, "simulate_manifest.json")))
+    rows = open(os.path.join(out, "fpt_samples.csv")).read().splitlines()[1:]
+    reasons = [line.rsplit(",", 1)[1] for line in rows]
+    counts = {name: reasons.count(name) for name in ("horizon", "switch_cap")}
+    assert manifest["censoring"] == counts and min(counts.values()) > 0
+    assert main(["fpt", "--config", path]) == 0
+    assert json.load(open(os.path.join(out, "fpt_manifest.json")))["censoring"] == {"count": 0}
+
+
 def test_fpt_csv_contract(tmp_path):
     path, out = write_cfg(tmp_path)
     assert main(["fpt", "--config", path]) == 0

@@ -14,6 +14,7 @@ from kacou.model import (
     derived_params,
     hitting_time,
     hyper_args,
+    interval_variance,
     pattern_phi,
     stationary_state_dist,
     transition_matrix,
@@ -120,6 +121,55 @@ def test_hitting_time_consistency(coeff, x, y):
     t = hitting_time(0, x, y, m)
     if math.isfinite(t):
         assert pattern_phi(0, t, x, m) == pytest.approx(y, abs=1e-10, rel=1e-10)
+
+
+def test_pattern_phi_contract():
+    rep = make(a1=0.0, gamma1=-1.0)  # state 1 repels from rho1 = 0
+    assert pattern_phi(0, 0.0, 0.3, rep) == 0.3
+    assert pattern_phi(1, 0.0, -0.0, rep) == 0.0 and math.copysign(1.0, pattern_phi(1, 0.0, -0.0, rep)) == -1.0
+    with pytest.raises(ParameterError):
+        pattern_phi(0, -1e-3, 0.3, rep)
+    with pytest.raises(ParameterError):
+        pattern_phi(0, np.array([1.0, -1e-3]), 0.3, rep)
+    assert pattern_phi(1, 800.0, 1.0, rep) == math.inf
+    assert pattern_phi(1, 800.0, -1.0, rep) == -math.inf
+    assert pattern_phi(1, 800.0, 0.0, rep) == 0.0  # no 0 * inf at the repelling level
+    # growth past exp's range whose result is still a double
+    grown = pattern_phi(1, 720.0, 1e-6, rep)
+    assert math.isfinite(grown) and math.log(grown) == pytest.approx(720.0 + math.log(1e-6), rel=1e-14)
+    assert interval_variance(1, 800.0, make(b1=0.5, gamma1=-1.0)) == math.inf
+    assert interval_variance(1, 800.0, rep) == 0.0
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def test_flow_kernel_on_arrays_equals_scalar_calls():
+    rng = np.random.default_rng(5)
+    models = [
+        make(a0=0.4, gamma0=1.3, a1=1.0, gamma1=-0.7),  # attracting and repelling
+        make(a0=0.4, gamma0=0.9, a1=-1.5, gamma1=0.0),  # attracting and straight line
+    ]
+    for m in models:
+        states = rng.integers(0, 2, 400)
+        ts = rng.exponential(1.0, 400)
+        ts[::7] = 0.0
+        ts[3::11] = 1200.0  # repelling growth past double range
+        levels = np.array([0.4 / m.coeffs[0].gamma, m.coeffs[1].rho if m.coeffs[1].gamma else 0.0])
+        xs = rng.uniform(-2.0, 2.0, 400)
+        xs[1::5] = levels[states[1::5]]  # x = rho
+        xs[2::13] = 1e-7 + levels[states[2::13]]
+        phi = pattern_phi(states, ts, xs, m)
+        ref = [pattern_phi(int(s), float(t), float(x), m) for s, t, x in zip(states, ts, xs)]
+        assert np.array_equal(_bits(phi), _bits(ref))
+        var = interval_variance(states, ts, m)
+        assert np.array_equal(_bits(var), _bits([interval_variance(int(s), float(t), m) for s, t in zip(states, ts)]))
+        ys = np.where(xs == 0.7, 0.8, 0.7)
+        hit = hitting_time(states, xs, ys, m)
+        ref = [hitting_time(int(s), float(x), float(y), m) for s, x, y in zip(states, xs, ys)]
+        assert np.array_equal(_bits(hit), _bits(ref))
+        assert np.isfinite(hit).any() and np.isinf(hit).any()
 
 
 # --- chain algebra ---------------------------------------------------------

@@ -246,14 +246,13 @@ def test_telegraph_model_roundtrip():
 def test_ou_moments_match_exact_simulator_recursion():
     # frozen-state transition: the simulator's one-step law reproduces the
     # constant-coefficient moments at any horizon
-    from kacou.model import pattern_phi
-    from kacou.simulate import _interval_var
+    from kacou.model import interval_variance, pattern_phi
 
     model = KacOuModel.from_values(1.0, 1.0, 0.7, 0.0, 0.6, 0.0, 1.3, 1.0)
     for t in (0.2, 1.0, 4.0):
         mean_ref, var_ref = ou_moments(t, 0.4, 0.7, 1.3, 0.6)
         assert pattern_phi(0, t, 0.4, model) == pytest.approx(mean_ref, rel=1e-14)
-        assert _interval_var(0.6, 1.3, t) == pytest.approx(var_ref, rel=1e-14)
+        assert interval_variance(0, t, model) == pytest.approx(var_ref, rel=1e-14)
 
 
 def test_case_c_moments_match_stratonovich_limit():

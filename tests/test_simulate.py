@@ -1,20 +1,19 @@
 import math
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from kacou.errors import ParameterError
 from kacou.first_passage import FptQuery, laplace_fpt
-from kacou.model import KacOuModel, SwitchRates, pattern_phi
+from kacou.model import KacOuModel, SwitchRates, hitting_time, pattern_phi
 from kacou.rng import stream
 from kacou.simulate import (
     SimCaps,
     evaluate_x,
     fpt_samples,
     mc_laplace_fpt,
-    path_segments,
-    sample_fpt,
     sample_m_path,
     sample_switch_sequence,
     terminal_values,
@@ -23,6 +22,47 @@ from kacou.simulate import (
 ATTRACTING = KacOuModel.from_values(1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0)
 NOISY = KacOuModel.from_values(1.0, 1.0, 0.0, 1.0, 0.6, 0.9, 1.0, 1.0)
 DEGENERATE = KacOuModel.from_values(1.0, 1.0, 1.0, 2.0, 0.0, 0.0, 1.0, 2.0)
+
+
+# --- reference for the conditional Gaussian law -------------------------------
+
+
+@dataclass(frozen=True)
+class PathSegment:
+    t_start: float
+    state: int
+    x_start: float
+    m_mean: float
+    m_var: float
+
+
+def _interval_var(b: float, gamma: float, dt: float) -> float:
+    if b == 0.0 or dt == 0.0:
+        return 0.0
+    if gamma == 0.0:
+        return b * b * dt
+    e = math.exp(-2.0 * gamma * dt) if -2.0 * gamma * dt < 700.0 else math.inf
+    return b * b * (1.0 - e) / (2.0 * gamma)
+
+
+def path_segments(seq, x0: float, model: KacOuModel) -> list[PathSegment]:
+    """Per-segment start data for the mean path and the conditional Gaussian law."""
+    out = []
+    x = x0
+    s = seq.initial_state
+    prev = 0.0
+    v = 0.0
+    for ts in seq.switch_times:
+        out.append(PathSegment(prev, s, x, x, v))
+        dt = ts - prev
+        c = model.coeff(s)
+        decay2 = math.exp(-2.0 * c.gamma * dt) if -2.0 * c.gamma * dt < 700.0 else math.inf
+        v = v * decay2 + _interval_var(c.b, c.gamma, dt)
+        x = pattern_phi(s, dt, x, model)
+        prev = ts
+        s = 1 - s
+    out.append(PathSegment(prev, s, x, x, v))
+    return out
 
 
 # --- switch sequences -------------------------------------------------------
@@ -136,25 +176,32 @@ def test_path_command_walks_each_segment_once(tmp_path, monkeypatch):
     import kacou.simulate
     from kacou.cli import main
 
+    # each path takes its per-segment coefficients from the flow kernel in
+    # whole-array calls, never one call per segment
     calls = [0]
 
-    def counted(*args):
-        calls[0] += 1
-        return pattern_phi(*args)
+    def counted(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
 
-    monkeypatch.setattr(kacou.simulate, "pattern_phi", counted)
+        return wrapper
+
+    for name in ("pattern_map", "pattern_phi", "interval_variance"):
+        monkeypatch.setattr(kacou.simulate, name, counted(getattr(kacou.simulate, name)))
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        "[model]\nlambda0 = 1\nlambda1 = 1\na0 = 0\na1 = 1\nb0 = 0\nb1 = 0\ngamma0 = 1\ngamma1 = 1\n"
+        "[model]\nlambda0 = 1\nlambda1 = 1\na0 = 0\na1 = 1\nb0 = 0.5\nb1 = 0.5\ngamma0 = 1\ngamma1 = 1\n"
         f"[run]\nseed = 5\nout_dir = {tmp_path / 'out'}\n"
-        "[simulate]\nmode = path\nhorizon = 2000\nwith_noise = false\n"
+        "[simulate]\nmode = path\nhorizon = 2000\nwith_noise = true\n"
     )
     assert main(["simulate", "--config", str(cfg)]) == 0
     lines = (tmp_path / "out" / "paths.csv").read_text().splitlines()[1:]
     states = [line.split(",")[2] for line in lines]
     switches = sum(a != b for a, b in zip(states, states[1:]))
     assert switches > 1000
-    assert calls[0] <= switches + len(lines) + 1
+    # evaluate_x: one map and one flow; sample_m_path: one variance and one map
+    assert calls[0] <= 4
 
 
 # --- diffusion path ----------------------------------------------------------
@@ -230,19 +277,39 @@ def test_m_path_rejects_unsorted_times():
 def test_sample_fpt_single_segment_exact():
     # long first holding time forced by screening seeds: hit equals the
     # deterministic hitting time exactly
-    from kacou.model import hitting_time
-
     target = hitting_time(1, 0.2, 0.8, ATTRACTING)
     found = False
-    for rep in range(200):
-        rng = stream(77, "screen", rep)
-        probe = rng.standard_exponential()  # the draw sample_fpt will see
+    for seed in range(200):
+        probe = stream(seed, "fpt", 0).standard_exponential()  # the draw fpt_samples will see
         if probe / ATTRACTING.rates.lambda1 > target:
-            out = sample_fpt(0.2, 0.8, 1, ATTRACTING, stream(77, "screen", rep))
-            assert out.kind == "hit" and out.time == target
+            batch = fpt_samples(ATTRACTING, 0.2, 0.8, 1, 1, seed=seed)
+            assert not batch.censored[0] and batch.times[0] == target
             found = True
             break
     assert found
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_sample_counts_below_one_rejected(n):
+    with pytest.raises(ParameterError):
+        fpt_samples(ATTRACTING, 0.2, 0.8, 0, n, seed=1)
+    with pytest.raises(ParameterError):
+        terminal_values(ATTRACTING, 0.5, 1.0, n, seed=1)
+
+
+def test_lane_on_target_hits_at_once():
+    # a lane that lands exactly on y hits there; a scalar query on y is an error
+    lanes = hitting_time(np.array([0, 1]), np.array([0.8, 0.2]), 0.8, ATTRACTING)
+    assert lanes[0] == 0.0 and lanes[1] == hitting_time(1, 0.2, 0.8, ATTRACTING)
+    with pytest.raises(ParameterError):
+        hitting_time(0, 0.8, 0.8, ATTRACTING)
+
+
+def test_mc_estimate_counts_censored_paths():
+    caps = SimCaps(horizon=0.5)
+    est = mc_laplace_fpt(FptQuery(1.0, 0.2, 0.8, 0), ATTRACTING, 2_000, seed=3, caps=caps)
+    batch = fpt_samples(ATTRACTING, 0.2, 0.8, 0, 2_000, seed=3, caps=caps)
+    assert 0 < est.censored == int(batch.censored.sum())
 
 
 def test_fpt_censoring_vanishes_in_attracting_regime():
