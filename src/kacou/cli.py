@@ -26,6 +26,7 @@ from .config import ConfigError, RunConfig, config_hash, load_config
 from .errors import KacOuError
 from .first_passage import FptQuery, fpt_integral_oracle, laplace_fpt
 from .invariant import (
+    invariant_density_with_derivative,
     invariant_description,
     invariant_exists,
     invariant_mass,
@@ -35,7 +36,6 @@ from .invariant import (
 from .model import classify_regime
 from .rng import stream
 from .scaling import ScaledPair, ScalingKind, ScalingSpec, convergence_check
-from .invariant import invariant_density_with_derivative
 from .simulate import (
     CENSOR_HORIZON,
     CENSOR_SWITCH_CAP,
@@ -111,6 +111,14 @@ def _count(cfg: RunConfig, section: str, key: str, default: int, least: int = 1)
     return int(value)
 
 
+def _state(cfg: RunConfig, section: str, key: str, default=None) -> int:
+    """A chain-state entry, which must be 0 or 1."""
+    value = cfg.get(section, key, default=default)
+    if value not in (0.0, 1.0):
+        raise ConfigError(f"{section}.{key}", f"must be a chain state, 0 or 1, got {value}")
+    return int(value)
+
+
 def _manifest(cfg: RunConfig, command: str, outputs: list[str], t0: float, extra=None) -> str:
     body = {
         "command": command,
@@ -138,7 +146,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     n_paths = _count(cfg, "simulate", "n_paths", 1)
     horizon = cfg.get("simulate", "horizon", default=10.0)
     x0 = cfg.get("simulate", "x0", default=0.0)
-    state0 = int(cfg.get("simulate", "state0", default=0))
+    state0 = _state(cfg, "simulate", "state0", default=0)
     reasons = (CENSOR_HORIZON, CENSOR_SWITCH_CAP)
     extra = {"censoring": {REASON_NAMES[code]: 0 for code in reasons}}
 
@@ -173,7 +181,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         y = cfg.get("simulate", "y")
         caps = SimCaps(
             horizon=cfg.get("simulate", "cap_horizon", default=1e3),
-            max_switches=int(cfg.get("simulate", "cap_switches", default=10_000_000)),
+            max_switches=_count(cfg, "simulate", "cap_switches", 10_000_000),
         )
         batch = fpt_samples(cfg.model, x, y, state0, n_paths, cfg.seed, caps=caps)
         columns = [
@@ -196,7 +204,7 @@ def _cmd_fpt(cfg: RunConfig) -> int:
     qs = cfg.get_list("fpt", "q_grid")
     x = cfg.get("fpt", "x")
     y = cfg.get("fpt", "y")
-    state = int(cfg.get("fpt", "state"))
+    state = _state(cfg, "fpt", "state")
     n_mc = _count(cfg, "fpt", "mc_samples", 200_000, least=1_000)
     tol = cfg.get("fpt", "oracle_tol", default=1e-6)
 

@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import wraps
-from typing import Callable
 
 import numpy as np
 
@@ -60,68 +58,70 @@ class InvariantDensity:
     constants: tuple[float, float] | None
 
 
-def _masked_lanes(fn):
-    """Suppress numpy noise from lanes that the inside-support mask discards."""
-
-    @wraps(fn)
-    def wrapper(x):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return fn(x)
-
-    return wrapper
-
-
 @dataclass(frozen=True)
 class _ClosedForm:
+    """One family in an offset frame.  u = direction * (x - anchor) is the
+    distance into the support from its finite end; v = far_sign * (x - far)
+    is the distance from a second level: the closing end of a bounded
+    support, or the repelling level behind a Pareto-like anchor (unused by
+    GammaLike).  State i has density c_i u^p_i v^s_i, or c_i u^p_i e^(-s_i u)
+    for GammaLike, with (p_i, s_i) and c_i from the public descriptor."""
+
     desc: InvariantDensity
-    evaluate: Callable  # x array -> (pi0, pi1, dpi0, dpi1)
-    # mixture density from exact distance(s) to the support boundary:
-    # bounded kinds take (d_lo, d_hi), half-line kinds take the distance to
-    # the finite anchor
-    mix_bounded: Callable | None
-    mix_anchor: Callable | None
-    anchor: float | None
+    anchor: float
     direction: float  # +1: support extends above the anchor
+    far: float
+    far_sign: float  # dv/dx
     scale: float  # characteristic width for the half-line rational map
 
+    @property
+    def bounded(self) -> bool:
+        return self.far_sign != self.direction
 
-def invariant_exists(model: KacOuModel) -> tuple[bool, tuple[float, float] | None]:
-    """Whether an invariant probability density exists, and its support."""
+    def density(self, u, v, state: int | None = None):
+        """One state's density, or the mixture for None, at offsets (u, v)."""
+        if state is None:
+            return self.density(u, v, 0) + self.density(u, v, 1)
+        c = self.desc.constants[state]
+        p, s = self.desc.exponents[state]
+        if self.desc.kind == "GammaLike":
+            return c * u**p * np.exp(-s * u)
+        return c * u**p * v**s
+
+    def anchored(self, u, state: int | None = None):
+        """Density at distance u from the anchor (half-line kinds)."""
+        return self.density(u, self.far_sign * (self.anchor - self.far) + u, state)
+
+    def _log_slope(self, u, v, state: int):
+        p, s = self.desc.exponents[state]
+        if self.desc.kind == "GammaLike":
+            return self.direction * p / u - self.direction * s
+        return self.direction * p / u + self.far_sign * s / v
+
+    def evaluate(self, x):
+        """(pi0, pi1, dpi0/dx, dpi1/dx) at x, zero outside the support."""
+        x = np.asarray(x, dtype=float)
+        u = self.direction * (x - self.anchor)
+        v = self.far_sign * (x - self.far)
+        inside = (u > 0.0) & (v > 0.0)
+        # lanes outside the support are evaluated at (1, 1) and discarded
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            us = np.where(inside, u, 1.0)
+            vs = np.where(inside, v, 1.0)
+            p = [np.where(inside, self.density(us, vs, i), 0.0) for i in (0, 1)]
+            d = [np.where(inside, p[i] * self._log_slope(us, vs, i), 0.0) for i in (0, 1)]
+        return p[0], p[1], d[0], d[1]
+
+
+def _by_state(state: int, mine, other):
+    """(value of state 0, value of state 1) from `state`'s value and the other's."""
+    return (mine, other) if state == 0 else (other, mine)
+
+
+def _closed_form(model: KacOuModel) -> _ClosedForm | None:
+    """The regime's closed form, or None when no invariant density exists."""
     regime = classify_regime(model)
     tag = regime.tag
-    c0, c1 = model.coeffs
-
-    if tag is RegimeTag.ATTRACTING_STRICT:
-        r0, r1 = c0.rho, c1.rho
-        return True, (min(r0, r1), max(r0, r1))
-    if tag in (RegimeTag.ATTRACTION_REPULSION_01, RegimeTag.ATTRACTION_REPULSION_10):
-        alpha_sum = model.rates.lambda0 / c0.gamma + model.rates.lambda1 / c1.gamma
-        if alpha_sum >= 0.0:
-            return False, None
-        attract = 0 if c0.gamma > 0.0 else 1
-        rho_a = model.coeffs[attract].rho
-        rho_r = model.coeffs[1 - attract].rho
-        if rho_a < rho_r:
-            return True, (-math.inf, rho_a)
-        return True, (rho_a, math.inf)
-    if tag is RegimeTag.NON_STRICT_ATTRACTING:
-        zero = regime.zero_state
-        rho = model.coeffs[1 - zero].rho
-        if regime.drift_sign > 0:
-            return True, (rho, math.inf)
-        return True, (-math.inf, rho)
-    # repulsion-only, null non-strict, degenerate levels, and the unnamed
-    # zero-gamma corners: no invariant probability density
-    return False, None
-
-
-def _closed_form(model: KacOuModel) -> _ClosedForm:
-    regime = classify_regime(model)
-    tag = regime.tag
-    exists, support = invariant_exists(model)
-    if not exists:
-        raise NoInvariantMeasureError(f"no invariant density in regime {tag.value}")
-
     lam = model.lam_vec
     g = model.gamma_vec
 
@@ -136,38 +136,14 @@ def _closed_form(model: KacOuModel) -> _ClosedForm:
             width ** (a_lo + a_hi)
             * (beta_fn(a_lo, a_hi + 1.0) / g[lo_state] + beta_fn(a_lo + 1.0, a_hi) / g[hi_state])
         )
-        c_lo = c / g[lo_state]
-        c_hi = c / g[hi_state]
-
-        @_masked_lanes
-        def evaluate(x):
-            x = np.asarray(x, dtype=float)
-            u = x - rho_lo
-            v = rho_hi - x
-            inside = (u > 0.0) & (v > 0.0)
-            us = np.where(inside, u, 1.0)
-            vs = np.where(inside, v, 1.0)
-            p_lo = np.where(inside, c_lo * us ** (a_lo - 1.0) * vs**a_hi, 0.0)
-            p_hi = np.where(inside, c_hi * us**a_lo * vs ** (a_hi - 1.0), 0.0)
-            d_lo = np.where(inside, p_lo * ((a_lo - 1.0) / us - a_hi / vs), 0.0)
-            d_hi = np.where(inside, p_hi * (a_lo / us - (a_hi - 1.0) / vs), 0.0)
-            if lo_state == 0:
-                return p_lo, p_hi, d_lo, d_hi
-            return p_hi, p_lo, d_hi, d_lo
-
-        def mix_bounded(du, dv):
-            return c_lo * du ** (a_lo - 1.0) * dv**a_hi + c_hi * du**a_lo * dv ** (a_hi - 1.0)
-
-        exps = [None, None]
-        exps[lo_state] = (a_lo - 1.0, a_hi)
-        exps[hi_state] = (a_lo, a_hi - 1.0)
-        consts = [None, None]
-        consts[lo_state] = c_lo
-        consts[hi_state] = c_hi
-        desc = InvariantDensity("BetaLike", support, tuple(exps), tuple(consts))
-        return _ClosedForm(desc, evaluate, mix_bounded, None, rho_lo, 1.0, width)
+        exps = _by_state(lo_state, (a_lo - 1.0, a_hi), (a_lo, a_hi - 1.0))
+        consts = _by_state(lo_state, c / g[lo_state], c / g[hi_state])
+        desc = InvariantDensity("BetaLike", (rho_lo, rho_hi), exps, consts)
+        return _ClosedForm(desc, rho_lo, 1.0, rho_hi, -1.0, width)
 
     if tag in (RegimeTag.ATTRACTION_REPULSION_01, RegimeTag.ATTRACTION_REPULSION_10):
+        if lam[0] / g[0] + lam[1] / g[1] >= 0.0:
+            return None
         s_a = 0 if g[0] > 0.0 else 1
         s_r = 1 - s_a
         rho_a = model.coeffs[s_a].rho
@@ -183,97 +159,62 @@ def _closed_form(model: KacOuModel) -> _ClosedForm:
                 - beta_fn(-a_a - a_r, 1.0 + a_a) / g[s_r]
             )
         )
-        c_a = c / g[s_a]
-        c_r = c / abs(g[s_r])
+        exps = _by_state(s_a, (a_a - 1.0, a_r), (a_a, a_r - 1.0))
+        consts = _by_state(s_a, c / g[s_a], c / abs(g[s_r]))
+        support = (-math.inf, rho_a) if sgn < 0.0 else (rho_a, math.inf)
+        desc = InvariantDensity("ParetoLike", support, exps, consts)
+        return _ClosedForm(desc, rho_a, sgn, rho_r, sgn, width)
 
-        @_masked_lanes
-        def evaluate(x):
-            x = np.asarray(x, dtype=float)
-            u = sgn * (x - rho_a)
-            v = sgn * (x - rho_r)
-            inside = u > 0.0
-            us = np.where(inside, u, 1.0)
-            vs = np.where(inside, v, 1.0)
-            p_a = np.where(inside, c_a * us ** (a_a - 1.0) * vs**a_r, 0.0)
-            p_r = np.where(inside, c_r * us**a_a * vs ** (a_r - 1.0), 0.0)
-            d_a = np.where(inside, sgn * p_a * ((a_a - 1.0) / us + a_r / vs), 0.0)
-            d_r = np.where(inside, sgn * p_r * (a_a / us + (a_r - 1.0) / vs), 0.0)
-            if s_a == 0:
-                return p_a, p_r, d_a, d_r
-            return p_r, p_a, d_r, d_a
-
-        def mix_anchor(d):
-            v = d + width
-            return c_a * d ** (a_a - 1.0) * v**a_r + c_r * d**a_a * v ** (a_r - 1.0)
-
-        exps = [None, None]
-        exps[s_a] = (a_a - 1.0, a_r)
-        exps[s_r] = (a_a, a_r - 1.0)
-        consts = [None, None]
-        consts[s_a] = c_a
-        consts[s_r] = c_r
-        desc = InvariantDensity("ParetoLike", support, tuple(exps), tuple(consts))
-        return _ClosedForm(desc, evaluate, None, mix_anchor, rho_a, sgn, width)
-
-    # non-strict attracting
+    if tag is not RegimeTag.NON_STRICT_ATTRACTING:
+        # repulsion-only, null non-strict, degenerate levels, and the unnamed
+        # zero-gamma corners: no invariant probability density
+        return None
     zero = regime.zero_state
     other = 1 - zero
     az = model.coeffs[zero].a
-    g_o = g[other]
     rho = model.coeffs[other].rho
-    alpha = lam[other] / g_o
+    alpha = lam[other] / g[other]
     k = lam[zero] / abs(az)
     sgn = 1.0 if az > 0.0 else -1.0
     log_c = alpha * math.log(k) + math.log(lam[zero] / (lam[zero] + lam[other])) - log_gamma(alpha)
     c = math.exp(log_c)
-    slope = g_o / abs(az)
+    exps = _by_state(other, (alpha - 1.0, k), (alpha, k))
+    consts = _by_state(other, c, g[other] / abs(az) * c)
+    support = (rho, math.inf) if sgn > 0.0 else (-math.inf, rho)
+    desc = InvariantDensity("GammaLike", support, exps, consts)
+    return _ClosedForm(desc, rho, sgn, rho, sgn, 1.0 / k)
 
-    @_masked_lanes
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        u = sgn * (x - rho)
-        inside = u > 0.0
-        us = np.where(inside, u, 1.0)
-        damp = np.exp(-k * np.where(inside, u, 0.0))
-        p_o = np.where(inside, c * us ** (alpha - 1.0) * damp, 0.0)
-        p_z = np.where(inside, slope * c * us**alpha * damp, 0.0)
-        d_o = np.where(inside, sgn * p_o * ((alpha - 1.0) / us - k), 0.0)
-        d_z = np.where(inside, sgn * p_z * (alpha / us - k), 0.0)
-        if other == 0:
-            return p_o, p_z, d_o, d_z
-        return p_z, p_o, d_z, d_o
 
-    def mix_anchor(d):
-        return c * d ** (alpha - 1.0) * (1.0 + slope * d) * np.exp(-k * d)
+def _require(model: KacOuModel) -> _ClosedForm:
+    cf = _closed_form(model)
+    if cf is None:
+        raise NoInvariantMeasureError(
+            f"no invariant density in regime {classify_regime(model).tag.value}"
+        )
+    return cf
 
-    exps = [None, None]
-    exps[other] = (alpha - 1.0, k)
-    exps[zero] = (alpha, k)
-    consts = [None, None]
-    consts[other] = c
-    consts[zero] = slope * c
-    desc = InvariantDensity("GammaLike", support, tuple(exps), tuple(consts))
-    return _ClosedForm(desc, evaluate, None, mix_anchor, rho, sgn, 1.0 / k)
+
+def invariant_exists(model: KacOuModel) -> tuple[bool, tuple[float, float] | None]:
+    """Whether an invariant probability density exists, and its support."""
+    cf = _closed_form(model)
+    return (False, None) if cf is None else (True, cf.desc.support)
 
 
 def invariant_description(model: KacOuModel) -> InvariantDensity:
-    exists, _ = invariant_exists(model)
-    if not exists:
-        return InvariantDensity("None", None, None, None)
-    return _closed_form(model).desc
+    cf = _closed_form(model)
+    return InvariantDensity("None", None, None, None) if cf is None else cf.desc
 
 
 def invariant_density(x, state: int, model: KacOuModel):
     """Closed-form stationary density of (X, state) at x (0 outside support)."""
-    cf = _closed_form(model)
-    p0, p1, _, _ = cf.evaluate(x)
+    p0, p1, _, _ = _require(model).evaluate(x)
     out = p0 if state == 0 else p1
     return out if np.ndim(x) else float(out)
 
 
 def invariant_density_with_derivative(x, model: KacOuModel):
     """(pi0, pi1, dpi0/dx, dpi1/dx) with analytic derivatives."""
-    return _closed_form(model).evaluate(x)
+    return _require(model).evaluate(x)
 
 
 def stationarity_residual(x, model: KacOuModel):
@@ -312,17 +253,16 @@ def invariant_mass(model: KacOuModel, tol: float = 1e-11) -> float:
     Bounded supports integrate directly; half-lines go through the rational
     map, so power tails lose no mass to truncation.
     """
-    cf = _closed_form(model)
-    if cf.mix_bounded is not None:
-        lo, hi = cf.desc.support
-        return integrate_de_offsets(cf.mix_bounded, lo, hi, tol=tol)
-    return integrate_half_line_offsets(cf.mix_anchor, cf.direction, scale=cf.scale, tol=tol)
+    cf = _require(model)
+    if cf.bounded:
+        return integrate_de_offsets(cf.density, cf.anchor, cf.far, tol=tol)
+    return integrate_half_line_offsets(cf.anchored, cf.direction, scale=cf.scale, tol=tol)
 
 
 def _tail_mass(cf: _ClosedForm, dist: float) -> float:
     """Mass beyond distance `dist` from the finite anchor (half-line kinds)."""
     return integrate_half_line_offsets(
-        lambda d: cf.mix_anchor(dist + d), cf.direction, scale=cf.scale, tol=1e-9
+        lambda d: cf.anchored(dist + d), cf.direction, scale=cf.scale, tol=1e-9
     )
 
 
@@ -349,13 +289,13 @@ def support_cutoff(model: KacOuModel, floor: float = 1e-16) -> tuple[float, floa
     For half-line supports the cutoff follows the density envelope by
     doubling-and-bisection; for bounded supports it is the support itself.
     """
-    cf = _closed_form(model)
+    cf = _require(model)
     lo, hi = cf.desc.support
-    if math.isfinite(lo) and math.isfinite(hi):
+    if cf.bounded:
         return lo, hi
 
     def inside(d):
-        return float(cf.mix_anchor(np.asarray([d]))[0]) >= floor
+        return float(cf.anchored(np.asarray([d]))[0]) >= floor
 
     # the density may start below the floor at the anchor: step out to it first
     start, cap = 1e-6 * cf.scale, 1e15 * cf.scale
@@ -371,7 +311,7 @@ def _histogram_range(cf: _ClosedForm, tail_mass: float = 5e-4) -> tuple[float, f
     """Finite binning window; on half-line supports it leaves `tail_mass`
     outside (that mass is charged to the L1 distance explicitly)."""
     lo, hi = cf.desc.support
-    if math.isfinite(lo) and math.isfinite(hi):
+    if cf.bounded:
         return lo, hi
 
     def inside(d):
@@ -383,38 +323,21 @@ def _histogram_range(cf: _ClosedForm, tail_mass: float = 5e-4) -> tuple[float, f
     return (lo, far) if math.isfinite(lo) else (far, hi)
 
 
-def _offset_density(cf: _ClosedForm, state: int | None):
-    """Density (one state, or the mixture) written in exact offset
-    coordinates: (d_lo, d_hi) for bounded kinds, anchor distance otherwise."""
-    if state is None:
-        return cf.mix_bounded, cf.mix_anchor
-    c = cf.desc.constants[state]
-    p, s = cf.desc.exponents[state]
-    if cf.desc.kind == "BetaLike":
-        return (lambda dl, dh: c * dl**p * dh**s), None
-    if cf.desc.kind == "ParetoLike":
-        width = cf.scale
-        return None, lambda d: c * d**p * (d + width) ** s
-    return None, lambda d: c * d**p * np.exp(-s * d)  # GammaLike: s is the rate
-
-
 def _bin_masses(cf: _ClosedForm, edges: np.ndarray, state: int | None = None) -> np.ndarray:
     """Expected mass per bin (mixture, or one state's density), endpoint
     singularities included."""
-    lo, hi = cf.desc.support
-    bounded, anchored = _offset_density(cf, state)
     out = np.empty(edges.size - 1)
     for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        if bounded is not None:
-            base_lo = max(a - lo, 0.0)
-            base_hi = max(hi - b, 0.0)
-            f2 = lambda dl, dh: bounded(base_lo + dl, base_hi + dh)
+        if cf.bounded:
+            base_u = max(a - cf.anchor, 0.0)
+            base_v = max(cf.far - b, 0.0)
+            f2 = lambda dl, dh: cf.density(base_u + dl, base_v + dh, state)
         elif cf.direction > 0:
             base = max(a - cf.anchor, 0.0)
-            f2 = lambda dl, dh: anchored(base + dl)
+            f2 = lambda dl, dh: cf.anchored(base + dl, state)
         else:
             base = max(cf.anchor - b, 0.0)
-            f2 = lambda dl, dh: anchored(base + dh)
+            f2 = lambda dl, dh: cf.anchored(base + dh, state)
         out[i] = integrate_de_offsets(f2, a, b, tol=1e-11)
     return out
 
@@ -452,10 +375,10 @@ def empirical_invariant_profile(
     """
     if bins < 2 or n_paths < 100:
         raise ParameterError("need bins >= 2 and n_paths >= 100")
-    cf = _closed_form(model)
+    cf = _require(model)
 
     lo, hi = _histogram_range(cf)
-    if cf.mix_bounded is not None:
+    if cf.bounded:
         x0 = 0.5 * (lo + hi)
     else:
         # median distance from the anchor by bisection on the tail mass

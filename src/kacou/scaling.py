@@ -356,7 +356,9 @@ def convergence_check(
         m2 = float(np.mean(centered**2))
         m4 = float(np.mean(centered**4))
         var_se = math.sqrt(max(m4 - m2 * m2, 0.0) / n_paths)
-        cdf = _ks_distance(v, limit_mean, math.sqrt(limit_var)) if gaussian else None
+        cdf = None
+        if gaussian and limit_var > 0.0:  # a zero-variance limit is a point mass
+            cdf = _ks_distance(v, limit_mean, math.sqrt(limit_var))
         rows.append(
             ConvergenceRow(
                 n=n,

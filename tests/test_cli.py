@@ -133,6 +133,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("invariant", "invariant.grid_points", "0"),
         ("scaling", "scaling.n_paths", "-1"),
         ("fpt", "fpt.mc_samples", "999"),
+        ("simulate", "simulate.cap_switches", "nan"),
     ],
 )
 def test_counts_below_minimum_exit_2(tmp_path, capsys, command, key, value):
@@ -140,6 +141,26 @@ def test_counts_below_minimum_exit_2(tmp_path, capsys, command, key, value):
     argv = [command, "--config", path, "--set", f"{key}={value}"]
     if key == "simulate.eval_points":
         argv += ["--set", "simulate.mode=path"]
+    assert main(argv) == 2
+    assert key in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "command, key, value, mode",
+    [
+        ("simulate", "simulate.state0", "2", "fpt"),
+        ("simulate", "simulate.state0", "-1", "fpt"),
+        ("simulate", "simulate.state0", "2", "path"),
+        ("fpt", "fpt.state", "nan", None),
+        ("fpt", "fpt.state", "0.5", None),
+    ],
+)
+def test_chain_state_must_be_0_or_1(tmp_path, capsys, command, key, value, mode):
+    path, out = write_cfg(tmp_path)
+    argv = [command, "--config", path, "--set", f"{key}={value}"]
+    if mode:
+        argv += ["--set", f"simulate.mode={mode}"]
     assert main(argv) == 2
     assert key in capsys.readouterr().err
     assert not os.path.exists(out)

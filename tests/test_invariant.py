@@ -7,6 +7,7 @@ from kacou.errors import NoInvariantMeasureError
 from kacou.invariant import (
     empirical_invariant_distance,
     invariant_density,
+    invariant_density_with_derivative,
     invariant_description,
     invariant_exists,
     invariant_mass,
@@ -163,16 +164,30 @@ def test_mass_against_scipy_quadrature():
 
 
 def test_state_marginals_match_chain_stationary_dist():
-    # integrating each state's density recovers the chain's stationary law
+    # integrating each state's density recovers the chain's stationary law;
+    # scipy's adaptive quadrature takes half-lines out to +-inf
     from scipy.integrate import quad
 
-    pi = stationary_state_dist(ATTRACTING_GEN.rates)
-    for state in (0, 1):
-        mass, _ = quad(
-            lambda x, s=state: invariant_density(x, s, ATTRACTING_GEN),
-            0.0, 1.0, points=[0.0, 1.0], limit=200,
-        )
-        assert mass == pytest.approx(pi[state], abs=1e-8)
+    for name, model, _ in ALL_EXISTING:
+        lo, hi = invariant_exists(model)[1]
+        points = [lo, hi] if math.isfinite(lo) and math.isfinite(hi) else None
+        pi = stationary_state_dist(model.rates)
+        for state in (0, 1):
+            mass, _ = quad(
+                lambda x, s=state: invariant_density(x, s, model), lo, hi, points=points, limit=200
+            )
+            assert mass == pytest.approx(pi[state], abs=1e-8), (name, state)
+
+
+@pytest.mark.parametrize("name, model, xs", ALL_EXISTING)
+def test_derivatives_match_central_differences(name, model, xs):
+    h = 1e-6
+    _, _, d0, d1 = invariant_density_with_derivative(xs, model)
+    for state, analytic in ((0, d0), (1, d1)):
+        upper = invariant_density(xs + h, state, model)
+        lower = invariant_density(xs - h, state, model)
+        numeric = (upper - lower) / (2.0 * h)
+        assert np.max(np.abs(numeric - analytic) / np.abs(analytic)) <= 1e-6
 
 
 def test_boundary_flux_vanishes():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,17 @@ def test_fast_switching_convergence_moments():
     row = rows[0]
     assert row.mean_gap <= 4.0 * row.mean_stderr + 1e-3
     assert row.var_gap <= 4.0 * row.var_stderr + 2e-3
+
+
+def test_fast_switching_zero_limit_variance_has_no_cdf_distance():
+    # b0 = b1 = 0: the limit is deterministic, so a KS distance to it is undefined
+    quiet = KacOuModel.from_values(1.0, 1.0, 0.0, 2.0, 0.0, 0.0, 1.0, 3.0)
+    spec = ScalingSpec(ScalingKind.FAST_SWITCHING, nu=1.0, base=quiet)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = convergence_check(spec, 1.0, [10, 50], 2_000, seed=5, x0=0.5)
+    assert [row.limit_var for row in rows] == [0.0, 0.0]
+    assert [row.cdf_dist for row in rows] == [None, None]
 
 
 def test_case_b_moments_match_stratonovich_limit():
