@@ -111,6 +111,14 @@ def _count(cfg: RunConfig, section: str, key: str, default: int, least: int = 1)
     return int(value)
 
 
+def _positive(cfg: RunConfig, section: str, key: str, default: float) -> float:
+    """A finite entry that must be positive."""
+    value = cfg.get(section, key, default=default)
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{section}.{key}", f"must be finite and positive, got {value}")
+    return value
+
+
 def _state(cfg: RunConfig, section: str, key: str, default=None) -> int:
     """A chain-state entry, which must be 0 or 1."""
     value = cfg.get(section, key, default=default)
@@ -144,13 +152,13 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     mode = cfg.get("simulate", "mode", default="path", cast=str)
     n_paths = _count(cfg, "simulate", "n_paths", 1)
-    horizon = cfg.get("simulate", "horizon", default=10.0)
     x0 = cfg.get("simulate", "x0", default=0.0)
     state0 = _state(cfg, "simulate", "state0", default=0)
     reasons = (CENSOR_HORIZON, CENSOR_SWITCH_CAP)
     extra = {"censoring": {REASON_NAMES[code]: 0 for code in reasons}}
 
     if mode == "path":
+        horizon = _positive(cfg, "simulate", "horizon", 10.0)
         with_noise = cfg.get("simulate", "with_noise", default=False, cast=bool)
         n_eval = _count(cfg, "simulate", "eval_points", 201)
         grid = np.linspace(0.0, horizon, n_eval)
@@ -180,7 +188,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         x = cfg.get("simulate", "x")
         y = cfg.get("simulate", "y")
         caps = SimCaps(
-            horizon=cfg.get("simulate", "cap_horizon", default=1e3),
+            horizon=_positive(cfg, "simulate", "cap_horizon", 1e3),
             max_switches=_count(cfg, "simulate", "cap_switches", 10_000_000),
         )
         batch = fpt_samples(cfg.model, x, y, state0, n_paths, cfg.seed, caps=caps)
@@ -206,7 +214,7 @@ def _cmd_fpt(cfg: RunConfig) -> int:
     y = cfg.get("fpt", "y")
     state = _state(cfg, "fpt", "state")
     n_mc = _count(cfg, "fpt", "mc_samples", 200_000, least=1_000)
-    tol = cfg.get("fpt", "oracle_tol", default=1e-6)
+    tol = _positive(cfg, "fpt", "oracle_tol", 1e-6)
 
     rows = []
     censored = 0

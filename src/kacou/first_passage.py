@@ -7,10 +7,11 @@ underlying power series converge.  Queries outside those domains raise
 oracle covers every regime (for q > 0) and is the cross-check for all of
 them.
 
-Symmetries used for dispatch: relabelling the chain states and reflecting
-space are both first-passage preserving, so every supported query is mapped
-onto a canonical orientation (lower attractor first; zero-reversion state
-last with unit positive drift) before a formula is applied.
+One frame for dispatch: relabelling the chain states and rescaling space
+preserve first-passage times, so each regime picks a state swap and a scale
+that carry a query onto its formula's orientation (rho0 < rho1 with the
+attracting state first; the zero-reversion state last with unit positive
+drift), read as x / scale.  Domain errors quote the query's coordinates.
 """
 
 from __future__ import annotations
@@ -31,11 +32,10 @@ from .model import (
     KacOuModel,
     RegimeTag,
     classify_regime,
-    derived_params,
     hitting_time,
     hyper_args,
     pattern_phi,
-    reflect,
+    rescale,
     swap_states,
     xi0,
     xi1,
@@ -71,12 +71,40 @@ class FptQuery:
     initial_state: int
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.q, self.x, self.y))):
+            raise ParameterError(f"q, x and y must be finite, got {self.q}, {self.x}, {self.y}")
         if self.x == self.y:
             raise ParameterError("first-passage query requires x != y")
         if self.q < 0.0:
             raise ParameterError(f"q must be >= 0, got {self.q}")
         if self.initial_state not in (0, 1):
             raise ParameterError(f"initial_state must be 0 or 1, got {self.initial_state}")
+
+
+class _Frame:
+    """A query in its formula's canonical coordinates x_c = x / scale (the
+    states already relabelled)."""
+
+    def __init__(self, regime: str, scale: float, query: FptQuery):
+        self.regime, self.scale, self.query = regime, scale, query
+        self.x, self.y = query.x / scale, query.y / scale
+
+    def require(self, name, what, lo=-math.inf, hi=math.inf, lo_closed=False, hi_closed=False):
+        """Raise OutOfDomainError unless lo < x_c < hi (y_c when name is "y";
+        a closed end admits equality).  The message maps the interval back
+        through scale and quotes the query's own x or y."""
+        v = getattr(self, name)
+        if (lo <= v if lo_closed else lo < v) and (v <= hi if hi_closed else v < hi):
+            return
+        ends = [lo * self.scale, hi * self.scale]
+        ops = ["<=" if lo_closed else "<", "<=" if hi_closed else "<"]
+        if self.scale < 0.0:  # the ends swap
+            ends.reverse()
+            ops.reverse()
+        raise OutOfDomainError(
+            f"{self.regime} closed form needs {ends[0]} {ops[0]} {name} {ops[1]} {ends[1]} ({what}), "
+            f"got {name}={getattr(self.query, name)}; use fpt_integral_oracle"
+        )
 
 
 def _hyper_F(hp, b2: float, z: float):
@@ -93,37 +121,31 @@ def _hyper_ratio(hp, b2_num: float, z_num: float, b2_den: float, z_den: float) -
     return _hyper_F(hp, b2_num, z_num).ratio(_hyper_F(hp, b2_den, z_den))
 
 
-def _attracting_value(model, q, x, y, state):
-    d = derived_params(model)
-    r0, r1 = d.rho0, d.rho1
+def _regular_branch(hp, beta, lam, q, zx, zy, toward, state):
+    """The series branch regular at the attractor the coordinate z is
+    measured from: F(beta;zx)/F(beta;zy) for the state `toward` whose
+    pattern heads for the threshold, and lam/(q+lam) F(1+beta;zx)/F(beta;zy)
+    for the other state (beta and lam are the other state's), which has to
+    switch first."""
+    if state == toward:
+        return _hyper_ratio(hp, beta, zx, beta, zy)
+    return lam / (q + lam) * _hyper_ratio(hp, 1.0 + beta, zx, beta, zy)
+
+
+def _attracting_value(model, q, frame, state):
+    # canonical: rho0 < rho1
+    r0, r1 = model.coeffs[0].rho, model.coeffs[1].rho
     l0, l1 = model.rates.lambda0, model.rates.lambda1
     hp = hyper_args(q, model)
+    x, y = frame.x, frame.y
     if x < y:
-        if not (r0 <= y < r1):
-            raise OutOfDomainError(
-                f"attracting x<y formulas need rho0 <= y < rho1, got y={y}, rho=({r0},{r1})"
-            )
-        if not (2.0 * r0 - r1 < x):
-            raise OutOfDomainError(
-                f"series converges only for x > 2*rho0 - rho1 = {2 * r0 - r1}, got x={x}"
-            )
-        zx, zy = xi0(x, r0, r1), xi0(y, r0, r1)
-        if state == 1:
-            return _hyper_ratio(hp, hp.beta0, zx, hp.beta0, zy)
-        return l0 / (q + l0) * _hyper_ratio(hp, 1.0 + hp.beta0, zx, hp.beta0, zy)
+        frame.require("y", "the threshold between the attractors", r0, r1, lo_closed=True)
+        frame.require("x", "series radius", lo=2.0 * r0 - r1)
+        return _regular_branch(hp, hp.beta0, l0, q, xi0(x, r0, r1), xi0(y, r0, r1), 1, state)
     # x > y: mirrored series in xi1
-    if not (r0 < y <= r1):
-        raise OutOfDomainError(
-            f"attracting x>y formulas need rho0 < y <= rho1, got y={y}, rho=({r0},{r1})"
-        )
-    if not (x < 2.0 * r1 - r0):
-        raise OutOfDomainError(
-            f"series converges only for x < 2*rho1 - rho0 = {2 * r1 - r0}, got x={x}"
-        )
-    zx, zy = xi1(x, r0, r1), xi1(y, r0, r1)
-    if state == 0:
-        return _hyper_ratio(hp, hp.beta1, zx, hp.beta1, zy)
-    return l1 / (q + l1) * _hyper_ratio(hp, 1.0 + hp.beta1, zx, hp.beta1, zy)
+    frame.require("y", "the threshold between the attractors", r0, r1, hi_closed=True)
+    frame.require("x", "series radius", hi=2.0 * r1 - r0)
+    return _regular_branch(hp, hp.beta1, l1, q, xi1(x, r0, r1), xi1(y, r0, r1), 0, state)
 
 
 def _ar_decaying_pair(hp, z):
@@ -147,55 +169,40 @@ def _ar_decaying_pair(hp, z):
     return g_val, h_val
 
 
-def _attraction_repulsion_value(model, q, x, y, state):
-    # canonical orientation: gamma0 > 0 > gamma1 and rho0 < rho1
-    d = derived_params(model)
-    r0, r1 = d.rho0, d.rho1
+def _attraction_repulsion_value(model, q, frame, state):
+    # canonical: gamma0 > 0 > gamma1 and rho0 < rho1
+    r0, r1 = model.coeffs[0].rho, model.coeffs[1].rho
     l0, l1 = model.rates.lambda0, model.rates.lambda1
-    g1 = model.coeffs[1].gamma
-    if not (y < r0):
-        raise OutOfDomainError(
-            f"attraction-repulsion formulas need the threshold below rho0={r0}, got y={y}"
-        )
+    x, y = frame.x, frame.y
+    frame.require("y", "the threshold past the attractor, away from the repelling level", hi=r0)
     hp = hyper_args(q, model)
     # the root discriminant is bounded below by (alpha0+alpha1)^2 when the
     # reversion rates have opposite signs, so the pair is always real here
     if x < y:
-        beta1_0 = l1 / g1
         gx, hx = _ar_decaying_pair(hp, xi0(x, r0, r1))
         gy, _ = _ar_decaying_pair(hp, xi0(y, r0, r1))
         if state == 0:
             return gx.ratio(gy)
-        return hx.scaled(beta1_0).ratio(gy)
+        return hx.scaled(l1 / model.coeffs[1].gamma).ratio(gy)
     # x > y: the transforms are smooth across rho0 (the no-switch hit time is
     # infinite on both sides), which selects the series branch regular there,
     # normalized by ell1 -> 1 as x decreases to y.
-    if not (2.0 * r0 - r1 < y):
-        raise OutOfDomainError(
-            f"series converges only for y > 2*rho0 - rho1 = {2 * r0 - r1}, got y={y}"
-        )
-    if not (x < r1):
-        raise OutOfDomainError(
-            f"x>y branch is valid below the repelling level rho1 = {r1}, got x={x}"
-        )
-    zx, zy = xi0(x, r0, r1), xi0(y, r0, r1)
-    if state == 1:
-        return _hyper_ratio(hp, hp.beta0, zx, hp.beta0, zy)
-    return l0 / (q + l0) * _hyper_ratio(hp, 1.0 + hp.beta0, zx, hp.beta0, zy)
+    frame.require("y", "series radius", lo=2.0 * r0 - r1)
+    frame.require("x", "the start on the attractor's side of the repelling level", hi=r1)
+    return _regular_branch(hp, hp.beta0, l0, q, xi0(x, r0, r1), xi0(y, r0, r1), 1, state)
 
 
-def _non_strict_value(model, q, x, y, state):
-    # canonical: gamma1 = 0, a1 = 1, gamma0 > 0, x < y
+def _non_strict_value(model, q, frame, state):
+    # canonical: gamma1 = 0, a1 = 1, gamma0 > 0
     c0 = model.coeffs[0]
     l0, l1 = model.rates.lambda0, model.rates.lambda1
-    rho = c0.a / c0.gamma
-    if not (y > rho):
-        # below the attractor both no-switch hit times are finite and both
-        # transforms reach 1 at the boundary; the confluent branch regular at
-        # the attractor no longer solves that problem
-        raise OutOfDomainError(
-            f"non-strict closed form needs the threshold above rho = {rho}, got y={y}"
-        )
+    x, y = frame.x, frame.y
+    frame.require("x", "a passage in the linear state's drift direction", hi=y)
+    rho = c0.rho
+    # below the attractor both no-switch hit times are finite and both
+    # transforms reach 1 at the boundary; the confluent branch regular at
+    # the attractor no longer solves that problem
+    frame.require("y", "the threshold past the attractor", lo=rho)
     beta0 = (q + l0) / c0.gamma
     delta = ((q + l0) * (q + l1) - l0 * l1) / (c0.gamma * (q + l1))
     ux = (x - rho) * (q + l1)
@@ -204,13 +211,6 @@ def _non_strict_value(model, q, x, y, state):
     if state == 1:
         return kummer_1f1_log(delta, beta0, ux).ratio(den)
     return l0 / (q + l0) * kummer_1f1_log(delta, 1.0 + beta0, ux).ratio(den)
-
-
-def _finalize(value: float) -> float:
-    # 0.0 is reachable only by underflow at extreme killing rates
-    if not math.isfinite(value) or value < 0.0 or value > 1.0 + 1e-9:
-        raise OutOfDomainError(f"closed form produced out-of-range weight {value}")
-    return min(value, 1.0)
 
 
 def laplace_fpt(query: FptQuery, model: KacOuModel) -> float:
@@ -222,52 +222,35 @@ def laplace_fpt(query: FptQuery, model: KacOuModel) -> float:
     :func:`fpt_integral_oracle`.
     """
     regime = classify_regime(model)
-    q, x, y, state = query.q, query.x, query.y, query.initial_state
     tag = regime.tag
-
     if tag is RegimeTag.DEGENERATE_EQUAL_RHO:
         raise DegenerateModelError(
             "equal attractor levels: no hypergeometric closed form, use fpt_integral_oracle"
         )
     if tag is RegimeTag.ATTRACTING_STRICT:
-        d = derived_params(model)
-        if d.rho0 > d.rho1:
-            model, state = swap_states(model), 1 - state
-        return _finalize(_attracting_value(model, q, x, y, state))
-    if tag in (RegimeTag.ATTRACTION_REPULSION_01, RegimeTag.ATTRACTION_REPULSION_10):
-        if tag is RegimeTag.ATTRACTION_REPULSION_10:
-            model, state = swap_states(model), 1 - state
-        d = derived_params(model)
-        if d.rho0 > d.rho1:
-            model, x, y = reflect(model), -x, -y
-        return _finalize(_attraction_repulsion_value(model, q, x, y, state))
-    if tag is RegimeTag.NON_STRICT_ATTRACTING:
-        if regime.zero_state == 0:
-            model, state = swap_states(model), 1 - state
-        a1 = model.coeffs[1].a
-        # x -> x/a1 rescales (and reflects, when a1 < 0) onto unit drift;
-        # first-passage times are invariant under this bijection.
-        model = KacOuModel.from_values(
-            model.rates.lambda0,
-            model.rates.lambda1,
-            model.coeffs[0].a / a1,
-            1.0,
-            model.coeffs[0].b,
-            model.coeffs[1].b,
-            model.coeffs[0].gamma,
-            0.0,
+        formula, swap, scale = _attracting_value, model.coeffs[0].rho > model.coeffs[1].rho, 1.0
+    elif tag in (RegimeTag.ATTRACTION_REPULSION_01, RegimeTag.ATTRACTION_REPULSION_10):
+        swap = tag is RegimeTag.ATTRACTION_REPULSION_10
+        attract, repel = model.coeffs[::-1] if swap else model.coeffs
+        formula, scale = _attraction_repulsion_value, -1.0 if attract.rho > repel.rho else 1.0
+    elif tag is RegimeTag.NON_STRICT_ATTRACTING:
+        swap = regime.zero_state == 0
+        formula, scale = _non_strict_value, model.coeffs[regime.zero_state].a
+    else:
+        raise UnsupportedRegimeError(
+            f"no closed-form first-passage transform for regime {tag.value}; "
+            "use fpt_integral_oracle or simulation"
         )
-        x, y = x / a1, y / a1
-        if not (x < y):
-            raise OutOfDomainError(
-                "non-strict closed form covers passages in the linear state's drift "
-                "direction only; use fpt_integral_oracle for the other side"
-            )
-        return _finalize(_non_strict_value(model, q, x, y, state))
-    raise UnsupportedRegimeError(
-        f"no closed-form first-passage transform for regime {tag.value}; "
-        "use fpt_integral_oracle or simulation"
-    )
+    state = query.initial_state
+    if swap:
+        model, state = swap_states(model), 1 - state
+    if scale != 1.0:
+        model = rescale(model, scale)
+    value = formula(model, query.q, _Frame(tag.value, scale, query), state)
+    # 0.0 is reachable only by underflow at extreme killing rates
+    if not math.isfinite(value) or value < 0.0 or value > 1.0 + 1e-9:
+        raise OutOfDomainError(f"closed form produced out-of-range weight {value}")
+    return min(value, 1.0)
 
 
 def running_extremum_prob(q: float, x: float, y: float, initial_state: int, model: KacOuModel) -> float:
@@ -310,18 +293,14 @@ def _oracle_nodes(model, q, y, lo_needed):
     across it); it gets its own node and a geometric tail beneath it.
     """
     a, g, lam = model.a_vec, model.gamma_vec, model.lam_vec
-    span = abs(y - lo_needed)
     core_lo = lo_needed
     for i in range(2):
-        rho = a[i] / g[i] if g[i] != 0.0 else None
-        if g[i] > 0.0 and rho < y:
-            core_lo = min(core_lo, rho)
-        elif g[i] < 0.0 and rho < y:
-            core_lo = min(core_lo, rho)
+        if g[i] != 0.0 and a[i] / g[i] < y:
+            core_lo = min(core_lo, a[i] / g[i])
         elif g[i] == 0.0 and a[i] < 0.0:
             tau_max = KERNEL_CUT / (q + lam[i])
             core_lo = min(core_lo, lo_needed + 3.0 * a[i] * tau_max)
-    span = max(abs(y - core_lo), span, 1e-6 * max(1.0, abs(y)))
+    span = max(abs(y - core_lo), abs(y - lo_needed), 1e-6 * max(1.0, abs(y)))
     core_lo -= 0.05 * span
     top = y - 1e-9 * max(1.0, abs(y))
     nodes = [np.linspace(core_lo, top, ORACLE_CORE_NODES)]
@@ -340,8 +319,7 @@ def _oracle_nodes(model, q, y, lo_needed):
             d_hi = min(max(rho - core_lo, scale) * ratio, _TAIL_RATIO_CAP * scale)
             tail = rho - np.geomspace(d_lo, d_hi, ORACLE_TAIL_NODES)
             nodes.append(tail[tail < top])
-    out = np.unique(np.concatenate(nodes))
-    return out
+    return np.unique(np.concatenate(nodes))
 
 
 def _oracle_state_setup(model, q, y, nodes, state):
@@ -377,8 +355,12 @@ def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs, tol: float = 1e-
     iterates the integral system, and interpolates the query points.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if q <= 0.0:
-        raise ParameterError(f"the integral oracle requires q > 0, got {q}")
+    if not 0.0 < q < math.inf:
+        raise ParameterError(f"the integral oracle requires a finite q > 0, got {q}")
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"the oracle tolerance must be finite and > 0, got {tol}")
+    if not (math.isfinite(y) and np.isfinite(xs).all()):
+        raise ParameterError("oracle queries require finite x and y")
     if np.any(xs == y):
         raise ParameterError("oracle queries require x != y")
     if np.any(xs < y) and np.any(xs > y):
@@ -387,8 +369,7 @@ def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs, tol: float = 1e-
     if np.all(xs > y):
         # solve the reflected problem below -y; first-passage laws are
         # invariant under x -> -x
-        r0, r1 = fpt_oracle_curve(reflect(model), q, -y, -xs, tol)
-        return r0, r1
+        return fpt_oracle_curve(rescale(model, -1.0), q, -y, -xs, tol)
 
     nodes = _oracle_nodes(model, q, y, float(np.min(xs)))
     f0, w0, i0, fr0 = _oracle_state_setup(model, q, y, nodes, 0)
@@ -429,15 +410,11 @@ def fpt_ode_residual(q: float, x: float, y: float, model: KacOuModel, h: float):
     by the closed-form transforms; O(h^2) by construction."""
     if h <= 0.0:
         raise ParameterError(f"step h must be positive, got {h}")
-    vals = {}
+    ells, ders = [], []
     for state in (0, 1):
-        for xx in (x - h, x, x + h):
-            vals[(state, xx)] = laplace_fpt(FptQuery(q, xx, y, state), model)
-    d0 = (vals[(0, x + h)] - vals[(0, x - h)]) / (2.0 * h)
-    d1 = (vals[(1, x + h)] - vals[(1, x - h)]) / (2.0 * h)
-    e0, e1 = vals[(0, x)], vals[(1, x)]
-    ders = (d0, d1)
-    ells = (e0, e1)
+        below, mid, above = (laplace_fpt(FptQuery(q, xx, y, state), model) for xx in (x - h, x, x + h))
+        ells.append(mid)
+        ders.append((above - below) / (2.0 * h))
 
     out = []
     for i in (0, 1):

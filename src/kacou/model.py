@@ -24,11 +24,9 @@ __all__ = [
     "KacOuModel",
     "RegimeTag",
     "Regime",
-    "DerivedParams",
     "TransitionMatrix",
     "HyperParams",
     "classify_regime",
-    "derived_params",
     "pattern_map",
     "pattern_phi",
     "hitting_time",
@@ -39,7 +37,7 @@ __all__ = [
     "xi0",
     "xi1",
     "swap_states",
-    "reflect",
+    "rescale",
 ]
 
 # Relative tolerance for deciding a0/gamma0 == a1/gamma1 on user input.
@@ -139,11 +137,13 @@ def swap_states(model: KacOuModel) -> KacOuModel:
     )
 
 
-def reflect(model: KacOuModel) -> KacOuModel:
-    """Spatial reflection x -> -x: drift levels flip sign, everything else kept."""
+def rescale(model: KacOuModel, scale: float) -> KacOuModel:
+    """Change of variable x -> x / scale: drift levels are divided by scale and
+    everything else is kept, so patterns and hitting times map exactly.
+    scale = -1 is the reflection x -> -x."""
     return KacOuModel(
         rates=model.rates,
-        coeffs=tuple(StateCoeffs(-c.a, c.b, c.gamma) for c in model.coeffs),
+        coeffs=tuple(StateCoeffs(c.a / scale, c.b, c.gamma) for c in model.coeffs),
     )
 
 
@@ -218,25 +218,6 @@ def classify_regime(model: KacOuModel) -> Regime:
     if model.coeffs[other].gamma > 0.0:
         return Regime(RegimeTag.NON_STRICT_ATTRACTING, zero_state=zero, drift_sign=sign)
     return Regime(RegimeTag.NON_STRICT_REPELLING, zero_state=zero, drift_sign=sign)
-
-
-@dataclass(frozen=True)
-class DerivedParams:
-    """rho_i = a_i/gamma_i and alpha_i = lambda_i/gamma_i; None when gamma_i = 0."""
-
-    rho0: float | None
-    rho1: float | None
-    alpha0: float | None
-    alpha1: float | None
-
-
-def derived_params(model: KacOuModel) -> DerivedParams:
-    c0, c1 = model.coeffs
-    rho0 = c0.a / c0.gamma if c0.gamma != 0.0 else None
-    rho1 = c1.a / c1.gamma if c1.gamma != 0.0 else None
-    alpha0 = model.rates.lambda0 / c0.gamma if c0.gamma != 0.0 else None
-    alpha1 = model.rates.lambda1 / c1.gamma if c1.gamma != 0.0 else None
-    return DerivedParams(rho0, rho1, alpha0, alpha1)
 
 
 def _result(value, *inputs):

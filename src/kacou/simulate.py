@@ -72,6 +72,12 @@ class SimCaps:
     horizon: float = 1e3
     max_switches: int = 10_000_000
 
+    def __post_init__(self):
+        if not self.horizon > 0.0:
+            raise ParameterError(f"censoring horizon must be > 0, got {self.horizon}")
+        if not self.max_switches >= 1:
+            raise ParameterError(f"max_switches must be at least 1, got {self.max_switches}")
+
 
 @dataclass(frozen=True)
 class SwitchSequence:
@@ -119,8 +125,8 @@ def sample_switch_sequence(
     rates: SwitchRates, initial_state: int, horizon: float, rng: np.random.Generator
 ) -> SwitchSequence:
     """Alternating exponential holding times, truncated at the horizon."""
-    if horizon <= 0.0:
-        raise ParameterError(f"horizon must be positive, got {horizon}")
+    if not 0.0 < horizon < math.inf:
+        raise ParameterError(f"horizon must be finite and positive, got {horizon}")
     times = []
     t = 0.0
     s = initial_state

@@ -149,6 +149,27 @@ def test_counts_below_minimum_exit_2(tmp_path, capsys, command, key, value):
 @pytest.mark.parametrize(
     "command, key, value, mode",
     [
+        ("simulate", "simulate.horizon", "nan", "path"),
+        ("simulate", "simulate.horizon", "inf", "path"),
+        ("simulate", "simulate.horizon", "0", "path"),
+        ("simulate", "simulate.cap_horizon", "nan", "fpt"),
+        ("simulate", "simulate.cap_horizon", "-1", "fpt"),
+        ("fpt", "fpt.oracle_tol", "0", None),
+    ],
+)
+def test_horizons_and_tolerances_must_be_positive(tmp_path, capsys, command, key, value, mode):
+    path, out = write_cfg(tmp_path)
+    argv = [command, "--config", path, "--set", f"{key}={value}"]
+    if mode:
+        argv += ["--set", f"simulate.mode={mode}"]
+    assert main(argv) == 2
+    assert key in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "command, key, value, mode",
+    [
         ("simulate", "simulate.state0", "2", "fpt"),
         ("simulate", "simulate.state0", "-1", "fpt"),
         ("simulate", "simulate.state0", "2", "path"),

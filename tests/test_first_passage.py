@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kacou.errors import (
     DegenerateModelError,
+    KacOuError,
     OutOfDomainError,
     ParameterError,
     UnsupportedRegimeError,
@@ -17,7 +20,7 @@ from kacou.first_passage import (
     laplace_fpt,
     running_extremum_prob,
 )
-from kacou.model import KacOuModel
+from kacou.model import KacOuModel, rescale, swap_states
 from kacou.rng import stream
 from kacou.simulate import SimCaps, fpt_samples
 
@@ -96,6 +99,20 @@ def test_oracle_handles_degenerate_and_matches_mc():
 def test_oracle_requires_positive_q():
     with pytest.raises(ParameterError):
         fpt_integral_oracle(FptQuery(0.0, 0.25, 0.75, 1), ATTRACTING)
+    # non-finite rates, points and tolerances fail at once instead of running
+    # every sweep
+    for q, y, xs, tol in [
+        (math.nan, 0.75, [0.25], 1e-6),
+        (math.inf, 0.75, [0.25], 1e-6),
+        (1.0, 0.75, [0.25], 0.0),
+        (1.0, 0.75, [0.25], math.nan),
+        (1.0, 0.75, [0.25], math.inf),
+        (1.0, math.nan, [0.25], 1e-6),
+        (1.0, 0.75, [-math.inf], 1e-6),
+        (1.0, 0.75, [math.inf], 1e-6),
+    ]:
+        with pytest.raises(ParameterError):
+            fpt_oracle_curve(ATTRACTING, q, y, np.array(xs), tol)
 
 
 def test_oracle_rejects_straddling_queries():
@@ -130,6 +147,14 @@ def test_attraction_repulsion_domain_errors():
         laplace_fpt(FptQuery(0.7, -0.2, 0.3, 0), ATTRACT_REPEL)  # threshold above rho0
     with pytest.raises(OutOfDomainError):
         laplace_fpt(FptQuery(0.7, 1.4, -0.5, 0), ATTRACT_REPEL)  # above the repelling level
+    # messages quote the bound and the value in the query's own coordinates,
+    # not in the swapped and reflected frame the formula works in
+    ar10 = KacOuModel.from_values(1.0, 0.3, 1.0, 0.0, 0.0, 0.0, -1.0, 1.0)
+    with pytest.raises(OutOfDomainError, match=r"needs -inf < y < 1\.0 \(series radius\), got y=2\.0;"):
+        laplace_fpt(FptQuery(0.7, 1.0, 2.0, 0), ar10)
+    ar01_mirrored = KacOuModel.from_values(0.3, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, -1.0)
+    with pytest.raises(OutOfDomainError, match=r"needs -1\.0 < x < inf .*got x=-2\.0;"):
+        laplace_fpt(FptQuery(0.7, -2.0, 0.5, 0), ar01_mirrored)
 
 
 def test_non_strict_side_restriction():
@@ -137,6 +162,11 @@ def test_non_strict_side_restriction():
         laplace_fpt(FptQuery(0.7, 0.8, 0.2, 1), NON_STRICT)  # against the drift
     with pytest.raises(OutOfDomainError):
         laplace_fpt(FptQuery(0.7, -2.0, -1.0, 1), NON_STRICT)  # threshold below rho
+    # zero-reversion state first with negative drift: the threshold must lie
+    # below the attractor at -2, and the message says so
+    ns_down = KacOuModel.from_values(0.7, 1.1, -0.9, -1.0, 0.0, 0.0, 0.0, 0.5)
+    with pytest.raises(OutOfDomainError, match=r"needs -inf < y < -2\.0 .*got y=-2\.0;.*fpt_integral_oracle"):
+        laplace_fpt(FptQuery(0.7, -1.0, -2.0, 0), ns_down)
     # ... but the oracle covers both
     val = fpt_integral_oracle(FptQuery(0.7, -2.0, -1.0, 1), NON_STRICT, tol=1e-6)
     assert 0.0 < val <= 1.0
@@ -149,6 +179,9 @@ def test_query_validation():
         FptQuery(-1.0, 0.2, 0.5, 0)
     with pytest.raises(ParameterError):
         FptQuery(1.0, 0.2, 0.5, 2)
+    for q, x, y in [(math.nan, 0.2, 0.5), (math.inf, 0.2, 0.5), (1.0, math.nan, 0.5), (1.0, 0.2, -math.inf)]:
+        with pytest.raises(ParameterError):
+            FptQuery(q, x, y, 0)
 
 
 # --- symmetry reductions -------------------------------------------------------
@@ -167,6 +200,47 @@ def test_mirrored_orientations_agree_with_oracle():
     closed = laplace_fpt(q2, ns_neg)
     oracle = fpt_integral_oracle(q2, ns_neg, tol=1e-7)
     assert closed == pytest.approx(oracle, abs=1e-4)
+
+
+def _outcome(model, q, x, y, state):
+    try:
+        return laplace_fpt(FptQuery(q, x, y, state), model)
+    except KacOuError as exc:
+        return type(exc)
+
+
+@given(
+    kind=st.sampled_from(["attracting", "attraction_repulsion", "non_strict"]),
+    rates=st.tuples(st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
+    gammas=st.tuples(st.floats(0.3, 3.0), st.floats(0.3, 3.0)),
+    rhos=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    drift_down=st.booleans(),
+    q=st.floats(0.0, 5.0),
+    x=st.floats(-4.0, 4.0),
+    y=st.floats(-4.0, 4.0),
+    state=st.sampled_from([0, 1]),
+)
+@settings(max_examples=300, deadline=None)
+def test_relabelling_and_reflection_preserve_transforms(kind, rates, gammas, rhos, drift_down, q, x, y, state):
+    assume(x != y)
+    g0, g1 = gammas
+    a0, a1 = rhos[0] * g0, rhos[1] * g1
+    if kind == "attraction_repulsion":
+        g1, a1 = -g1, -a1
+    elif kind == "non_strict":
+        # the linear state drifts at speed gamma1, up or down
+        g1, a1 = 0.0, -g1 if drift_down else g1
+    model = KacOuModel.from_values(*rates, a0, a1, 0.0, 0.0, g0, g1)
+    ref = _outcome(model, q, x, y, state)
+    # an out-of-domain draw raises the same error type on every side
+    assert _outcome(swap_states(model), q, x, y, 1 - state) == ref
+    mirrored = _outcome(rescale(model, -1.0), q, -x, -y, state)
+    if kind == "attracting" and isinstance(ref, float):
+        # the reflected query runs the other branch, whose coordinate
+        # (rho1 - x)/(rho1 - rho0) rounds differently from 1 - xi0
+        assert mirrored == pytest.approx(ref, rel=1e-10, abs=0.0)
+    else:
+        assert mirrored == ref
 
 
 def test_rho_ordering_swap_in_attracting():

@@ -11,7 +11,6 @@ from kacou.model import (
     RegimeTag,
     SwitchRates,
     classify_regime,
-    derived_params,
     hitting_time,
     hyper_args,
     interval_variance,
@@ -248,11 +247,6 @@ def test_hyper_args_vieta():
 def test_hyper_args_rejects_zero_gamma():
     with pytest.raises(ParameterError):
         hyper_args(1.0, make(gamma1=0.0))
-
-
-def test_derived_params_none_for_zero_gamma():
-    d = derived_params(make(gamma1=0.0, a1=1.0))
-    assert d.rho0 == 0.0 and d.rho1 is None and d.alpha1 is None
 
 
 # --- affine coordinates -----------------------------------------------------

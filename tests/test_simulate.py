@@ -297,6 +297,23 @@ def test_sample_counts_below_one_rejected(n):
         terminal_values(ATTRACTING, 0.5, 1.0, n, seed=1)
 
 
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0])
+def test_switch_sequence_needs_finite_positive_horizon(horizon):
+    # a non-finite horizon would never end the switch loop
+    with pytest.raises(ParameterError):
+        sample_switch_sequence(SwitchRates(1.0, 1.0), 0, horizon, stream(1, "h"))
+
+
+@pytest.mark.parametrize("horizon", [math.nan, 0.0, -1.0])
+def test_censoring_caps_must_be_positive(horizon):
+    # a nan horizon would silently turn censoring off; inf is a valid cap
+    with pytest.raises(ParameterError):
+        SimCaps(horizon=horizon)
+    with pytest.raises(ParameterError):
+        SimCaps(max_switches=0)
+    assert SimCaps(horizon=math.inf).horizon == math.inf
+
+
 def test_lane_on_target_hits_at_once():
     # a lane that lands exactly on y hits there; a scalar query on y is an error
     lanes = hitting_time(np.array([0, 1]), np.array([0.8, 0.2]), 0.8, ATTRACTING)
