@@ -119,6 +119,14 @@ def _positive(cfg: RunConfig, section: str, key: str, default: float) -> float:
     return value
 
 
+def _finite(cfg: RunConfig, section: str, key: str, default=None) -> float:
+    """A number entry that must be finite."""
+    value = cfg.get(section, key, default=default)
+    if not math.isfinite(value):
+        raise ConfigError(f"{section}.{key}", f"must be finite, got {value}")
+    return value
+
+
 def _state(cfg: RunConfig, section: str, key: str, default=None) -> int:
     """A chain-state entry, which must be 0 or 1."""
     value = cfg.get(section, key, default=default)
@@ -152,7 +160,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     mode = cfg.get("simulate", "mode", default="path", cast=str)
     n_paths = _count(cfg, "simulate", "n_paths", 1)
-    x0 = cfg.get("simulate", "x0", default=0.0)
+    x0 = _finite(cfg, "simulate", "x0", default=0.0)
     state0 = _state(cfg, "simulate", "state0", default=0)
     reasons = (CENSOR_HORIZON, CENSOR_SWITCH_CAP)
     extra = {"censoring": {REASON_NAMES[code]: 0 for code in reasons}}
@@ -185,8 +193,8 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     else:
         if mode != "fpt":
             raise ConfigError("simulate.mode", f"unknown mode {mode!r}")
-        x = cfg.get("simulate", "x")
-        y = cfg.get("simulate", "y")
+        x = _finite(cfg, "simulate", "x")
+        y = _finite(cfg, "simulate", "y")
         caps = SimCaps(
             horizon=_positive(cfg, "simulate", "cap_horizon", 1e3),
             max_switches=_count(cfg, "simulate", "cap_switches", 10_000_000),
@@ -210,8 +218,11 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 def _cmd_fpt(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     qs = cfg.get_list("fpt", "q_grid")
-    x = cfg.get("fpt", "x")
-    y = cfg.get("fpt", "y")
+    for q in qs:
+        if not math.isfinite(q):
+            raise ConfigError("fpt.q_grid", f"every entry must be finite, got {q}")
+    x = _finite(cfg, "fpt", "x")
+    y = _finite(cfg, "fpt", "y")
     state = _state(cfg, "fpt", "state")
     n_mc = _count(cfg, "fpt", "mc_samples", 200_000, least=1_000)
     tol = _positive(cfg, "fpt", "oracle_tol", 1e-6)
@@ -307,11 +318,11 @@ def _cmd_scaling(cfg: RunConfig) -> int:
 
     rows = convergence_check(
         spec,
-        cfg.get("scaling", "t", default=1.0),
+        _positive(cfg, "scaling", "t", 1.0),
         [int(v) for v in cfg.get_list("scaling", "n_list", default=[10, 100, 1000])],
         _count(cfg, "scaling", "n_paths", 100_000),
         seed=cfg.seed,
-        x0=cfg.get("scaling", "x0", default=0.0),
+        x0=_finite(cfg, "scaling", "x0", default=0.0),
     )
     out = os.path.join(cfg.out_dir, "scaling.csv")
     header = [

@@ -234,17 +234,18 @@ def pattern_map(state, t, model: KacOuModel):
     inf marks repelling growth beyond double range, which pattern_phi
     resolves from x.  state and t are scalars or broadcastable arrays.
     """
-    a, g = model.a_vec[state], model.gamma_vec[state]
+    # levels and rates per state, so each lane costs one gather apiece
+    a_s, g_s = model.a_vec, model.gamma_vec
+    lin_s = g_s == 0.0
     t = np.asarray(t, dtype=float)
     t_min = t.min() if t.size else 0.0
     if t_min < 0.0:
         raise ParameterError(f"pattern time must be >= 0, got {t_min}")
-    lin = g == 0.0
     with np.errstate(over="ignore"):
-        factor = np.exp(-g * t)
-    base = shift = a / np.where(lin, 1.0, g)
-    if lin.any():
-        base = np.where(lin, a * t, base)
+        factor = np.exp((-g_s)[state] * t)
+    base = shift = (a_s / np.where(lin_s, 1.0, g_s))[state]
+    if lin_s.any() and (lin := lin_s[state]).any():
+        base = np.where(lin, a_s[state] * t, base)
         shift = np.where(lin, 0.0, shift)
         factor = np.where(lin, 1.0, factor)
     if t_min == 0.0:  # the factor is exactly 1 there already

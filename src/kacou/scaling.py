@@ -321,6 +321,8 @@ def convergence_check(
     The chain starts in its stationary distribution, which makes the
     weighted-drift identity hold exactly at every finite n.
     """
+    if not 0.0 <= t < math.inf:  # before the limit's moment equations run to t
+        raise ParameterError(f"t must be finite and >= 0, got {t}")
     n_list = list(n_list)
     if sorted(n_list) != n_list:
         raise ParameterError("n_list must be increasing")

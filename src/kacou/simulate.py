@@ -4,8 +4,10 @@ estimators the other modules use as oracles.
 
 Nothing here discretizes time: between switches the mean path follows the
 exponential pattern exactly and the diffusion transition is the exact
-Gaussian one-step law, so the only randomness is in holding times,
-one normal draw per constant-coefficient interval, and first-passage logic.
+Gaussian one-step law.  The only randomness is in holding times and normal
+draws: a sampled path draws one normal per constant-coefficient interval,
+and a terminal draw carries its variance given the switch path and draws
+one normal at the end.
 
 Monte Carlo runs are split into fixed-size chunks; each chunk owns its own
 counter-based stream (see :mod:`kacou.rng`) and chunk results are assembled
@@ -159,6 +161,12 @@ def _walk(x, states, dts, model: KacOuModel, noise: dict) -> list[float]:
     return out
 
 
+def _check_finite(**values) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
+
+
 def evaluate_x(seq: SwitchSequence, x0: float, t, model: KacOuModel):
     """Exact mean path at time t, composing the patterns segment by segment.
 
@@ -168,6 +176,7 @@ def evaluate_x(seq: SwitchSequence, x0: float, t, model: KacOuModel):
     closing switch, is evaluated from that segment's start, so a value is
     the same whether it is asked for alone or among others.
     """
+    _check_finite(x0=x0)
     times = np.asarray(t, dtype=float)
     flat = times.reshape(-1)
     if np.any(np.diff(flat) < 0.0):
@@ -195,6 +204,7 @@ def sample_m_path(
     step per constant-coefficient interval (switch boundaries always included;
     ties resolve switch-first).  No normal is drawn for an interval of zero
     length or zero variance."""
+    _check_finite(x0=x0)
     eval_times = np.asarray(eval_times, dtype=float)
     if eval_times.size and np.any(np.diff(eval_times) < 0.0):
         raise ParameterError("eval_times must be sorted")
@@ -223,6 +233,10 @@ def sample_m_path(
 
 
 def _fpt_chunk(model, x, y, state, size, rng, caps):
+    """First-passage draws for one chunk.  Each round advances every live lane
+    across one holding time; a pattern is monotone, so a lane can reach y in
+    that time only if x - y changed sign or reached 0, and hitting_time runs
+    on those lanes alone."""
     lam = model.lam_vec
     times = np.full(size, np.nan)
     censored = np.zeros(size, dtype=bool)
@@ -234,27 +248,34 @@ def _fpt_chunk(model, x, y, state, size, rng, caps):
     ts = np.zeros(size)
     nsw = 0
     while idx.size:
-        th = hitting_time(ss, xs, y, model)
         dt = rng.standard_exponential(idx.size) / lam[ss]
         rem = caps.horizon - ts
+        nxt = pattern_phi(ss, dt, xs, model)
+        with np.errstate(invalid="ignore"):
+            # nan (0 * inf) counts as a crossing: such a lane is checked exactly
+            crossed = np.flatnonzero(~((nxt - y) * (xs - y) > 0.0))
+        th = hitting_time(ss[crossed], xs[crossed], y, model)
+        hit = th < dt[crossed]
 
-        over = np.minimum(th, dt) >= rem
+        # censored: the lane meets neither y nor a switch before the horizon,
+        # which needs at least a holding time that outlasts it
+        over = dt >= rem
         if np.any(over):
+            over[crossed] = np.minimum(th, dt[crossed]) >= rem[crossed]
+            hit &= ~over[crossed]
             oi = idx[over]
             times[oi] = caps.horizon
             censored[oi] = True
             reason[oi] = CENSOR_HORIZON
 
-        hit = ~over & (th < dt)
-        if np.any(hit):
-            hi = idx[hit]
-            times[hi] = ts[hit] + th[hit]
+        hits = crossed[hit]
+        times[idx[hits]] = ts[hits] + th[hit]
 
-        keep = ~over & ~hit
-        idx, xs, ss, ts, dt = idx[keep], xs[keep], ss[keep], ts[keep], dt[keep]
+        keep = ~over
+        keep[hits] = False
+        idx, xs, ss, ts, dt = idx[keep], nxt[keep], ss[keep], ts[keep], dt[keep]
         if idx.size == 0:
             break
-        xs = pattern_phi(ss, dt, xs, model)
         ts = ts + dt
         ss = 1 - ss
         nsw += 1
@@ -267,25 +288,63 @@ def _fpt_chunk(model, x, y, state, size, rng, caps):
 
 
 def _terminal_chunk(model, x0, t, size, rng, with_noise, initial_state):
+    """Terminal draws for one chunk.  Each round draws one holding time for
+    every lane of the chunk, so the stream does not depend on which lanes are
+    still running; only the live lanes are advanced, and a lane that reaches
+    t is written out and dropped.  With noise a lane carries the variance of
+    its position given the switch path, V <- V f^2 + b^2 (1 - f^2) / (2 gamma)
+    (b^2 dt when gamma = 0) with f = exp(-gamma dt) the flow's own factor,
+    and one normal per lane is drawn at the end."""
     lam = model.lam_vec
     if initial_state == "stationary":
         p0, _ = stationary_state_dist(model.rates)
         ss = np.where(rng.random(size) < p0, 0, 1).astype(np.int64)
     else:
         ss = np.full(size, int(initial_state), dtype=np.int64)
-    xs = np.full(size, float(x0))
-    rem = np.full(size, float(t))
-    while np.any(rem > 0.0):
-        dt = rng.standard_exponential(size) / lam[ss]
-        step = np.clip(np.minimum(dt, rem), 0.0, None)
-        nxt = pattern_phi(ss, step, xs, model)
-        if with_noise:
-            nxt = nxt + np.sqrt(interval_variance(ss, step, model)) * rng.standard_normal(size)
-        active = rem > 0.0
-        xs = np.where(active, nxt, xs)
-        ss = np.where(active & (dt < rem), 1 - ss, ss)
+    values = np.full(size, float(x0))
+    states = ss.copy()
+    variance = np.zeros(size)
+    b2, g = model.b_vec ** 2, model.gamma_vec
+    lin = g == 0.0
+    ou_var = np.where(lin, 0.0, b2 / (2.0 * np.where(lin, 1.0, g)))  # b^2 / (2 gamma)
+    lin_var = np.where(lin, b2, 0.0) if lin.any() else None  # b^2 per unit time
+    repels = bool((g < 0.0).any())  # only then can the flow's factor overflow
+
+    idx = np.arange(size) if t > 0.0 else np.arange(0)
+    xs, ss, var = values[idx], ss[idx], variance[idx]
+    rem = np.full(idx.size, float(t))
+    while idx.size:
+        draws = rng.standard_exponential(size)
+        dt = (draws if idx.size == size else draws[idx]) / lam[ss]
+        step = np.minimum(dt, rem)
+        base, shift, factor = pattern_map(ss, step, model)
+        with np.errstate(invalid="ignore", over="ignore"):
+            nxt = base + (xs - shift) * factor
+            if with_noise:
+                level = ou_var[ss]
+                var = level + (var - level) * (factor * factor)
+                if lin_var is not None:
+                    var += lin_var[ss] * step
+            if repels:  # growth beyond double range
+                grown = np.isinf(factor)
+                if grown.any():
+                    nxt[grown] = pattern_phi(ss[grown], step[grown], xs[grown], model)
+                if with_noise:  # f^2 = inf on a lane without noise gives 0 * inf
+                    var[np.isnan(var)] = 0.0
+        go = dt < rem
+        if not go.all():
+            done = ~go
+            out = idx[done]
+            values[out] = nxt[done]
+            states[out] = ss[done]
+            variance[out] = var[done]
+            idx, nxt, ss, rem, dt, var = idx[go], nxt[go], ss[go], rem[go], dt[go], var[go]
+        xs = nxt
+        ss = 1 - ss
         rem = rem - dt
-    return xs, ss
+    if with_noise:
+        values = values + np.sqrt(variance) * rng.standard_normal(size)
+    return values, states
 
 
 def _run_chunks(n, seed, purpose, worker):
@@ -322,6 +381,7 @@ def fpt_samples(
     purpose: str = "fpt",
 ) -> FptSampleBatch:
     """n independent first-passage draws (vectorized, chunked, reproducible)."""
+    _check_finite(x=x, y=y)
     if x == y:
         raise ParameterError("first passage requires x != y")
     return FptSampleBatch(*_run_chunks(
@@ -340,7 +400,11 @@ def terminal_values(
     purpose: str = "terminal",
 ) -> TerminalSample:
     """Exact terminal draws of the mean path (or the diffusion when
-    with_noise) at time t; initial_state may be 0, 1 or "stationary"."""
+    with_noise) at time t; initial_state may be 0, 1 or "stationary".
+    t must be finite and >= 0, and x0 finite."""
+    _check_finite(x0=x0, t=t)
+    if t < 0.0:
+        raise ParameterError(f"t must be >= 0, got {t}")
     return TerminalSample(*_run_chunks(
         n, seed, purpose, lambda sz, rng: _terminal_chunk(model, x0, t, sz, rng, with_noise, initial_state)
     ))

@@ -173,6 +173,8 @@ def _sum_series(c2, c1, c0, b2: float, z: float) -> LogValue:
 
 _LONG_BLOCK = 1_000_000
 _LONG_BLOCKS = 64
+# most terms one Gauss evaluation may sum: the cap, then the long-tail blocks
+_TERM_BUDGET = SERIES_CAP + _LONG_BLOCKS * _LONG_BLOCK
 
 
 def _long_tail_positive(s, p, b2, z, total, term, log_scale) -> LogValue:
@@ -231,13 +233,16 @@ def gauss_2f1_log(b0: float, b1: float, b2: float, z: float) -> LogValue:
     if terminating:
         return _sum_series(1.0, b0 + b1, b0 * b1, b2, z)
 
-    if z >= 1.0:
-        if z > 1.0:
-            raise OutOfDomainError(f"z = {z} > 1 lies outside the series domain")
-        if b2 - b0 - b1 <= 0.0:
-            raise OutOfDomainError(
-                f"series diverges at z = 1 for b2 - b0 - b1 = {b2 - b0 - b1} <= 0"
-            )
+    if z > 1.0:
+        raise OutOfDomainError(f"z = {z} > 1 lies outside the series domain")
+    # terms fall off like k^(b0 + b1 - b2 - 1) z^k: with b2 - b0 - b1 <= 0 the
+    # sum grows without bound as z -> 1, and within 1/_TERM_BUDGET of 1 it
+    # cannot settle in the terms the summation may spend
+    if b2 - b0 - b1 <= 0.0 and 1.0 - z < 1.0 / _TERM_BUDGET:
+        near = "" if z == 1.0 else f", and z = {z} lies within {1.0 / _TERM_BUDGET:.2g} of it"
+        raise OutOfDomainError(f"series diverges at z = 1 for b2 - b0 - b1 = {b2 - b0 - b1} <= 0{near}")
+
+    if z == 1.0:
         closed = _gauss_at_unit_log(b0, b1, b2)
         if closed is not None:
             return closed

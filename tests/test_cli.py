@@ -187,6 +187,33 @@ def test_chain_state_must_be_0_or_1(tmp_path, capsys, command, key, value, mode)
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize(
+    "command, key, value, mode",
+    [
+        ("simulate", "simulate.x0", "nan", "path"),
+        ("simulate", "simulate.x", "nan", "fpt"),
+        ("simulate", "simulate.y", "inf", "fpt"),
+        ("fpt", "fpt.x", "nan", None),
+        ("fpt", "fpt.y", "-inf", None),
+        ("fpt", "fpt.q_grid", "0.5, nan", None),
+        ("scaling", "scaling.t", "inf", None),
+        ("scaling", "scaling.t", "nan", None),
+        ("scaling", "scaling.t", "-1", None),
+        ("scaling", "scaling.x0", "nan", None),
+    ],
+)
+def test_points_and_times_must_be_finite(tmp_path, capsys, command, key, value, mode):
+    # a nan point would censor every sample or write nan columns, and an
+    # infinite scaling time would never finish
+    path, out = write_cfg(tmp_path)
+    argv = [command, "--config", path, "--set", f"{key}={value}"]
+    if mode:
+        argv += ["--set", f"simulate.mode={mode}"]
+    assert main(argv) == 2
+    assert key in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_censoring_counts_in_manifests(tmp_path):
     path, out = write_cfg(tmp_path)
     caps = ["--set", "simulate.cap_horizon=1.5", "--set", "simulate.cap_switches=2"]

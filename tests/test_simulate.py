@@ -4,12 +4,27 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.stats import ks_2samp
 
+import kacou.simulate
 from kacou.errors import ParameterError
 from kacou.first_passage import FptQuery, laplace_fpt
-from kacou.model import KacOuModel, SwitchRates, hitting_time, pattern_phi
+from kacou.invariant import empirical_invariant_profile
+from kacou.model import (
+    KacOuModel,
+    SwitchRates,
+    hitting_time,
+    interval_variance,
+    pattern_phi,
+    stationary_state_dist,
+)
 from kacou.rng import stream
+from kacou.scaling import ScaledPair, ScalingKind, ScalingSpec, convergence_check, scaled_model
 from kacou.simulate import (
+    CENSOR_HORIZON,
+    CENSOR_SWITCH_CAP,
+    CHUNK,
     SimCaps,
     evaluate_x,
     fpt_samples,
@@ -63,6 +78,115 @@ def path_segments(seq, x0: float, model: KacOuModel) -> list[PathSegment]:
         s = 1 - s
     out.append(PathSegment(prev, s, x, x, v))
     return out
+
+
+# --- references for the chunk kernels ----------------------------------------
+#
+# The Monte Carlo kernels as first written: every lane of a chunk advances
+# until the slowest one is done, a normal is drawn per lane per segment, and
+# hitting_time runs on every live lane in every round.  Without noise the
+# library kernels must reproduce them bit for bit.
+
+
+def reference_fpt_chunk(model, x, y, state, size, rng, caps):
+    lam = model.lam_vec
+    times = np.full(size, np.nan)
+    censored = np.zeros(size, dtype=bool)
+    reason = np.zeros(size, dtype=np.uint8)
+
+    idx = np.arange(size)
+    xs = np.full(size, float(x))
+    ss = np.full(size, int(state), dtype=np.int64)
+    ts = np.zeros(size)
+    nsw = 0
+    while idx.size:
+        th = hitting_time(ss, xs, y, model)
+        dt = rng.standard_exponential(idx.size) / lam[ss]
+        rem = caps.horizon - ts
+
+        over = np.minimum(th, dt) >= rem
+        if np.any(over):
+            oi = idx[over]
+            times[oi] = caps.horizon
+            censored[oi] = True
+            reason[oi] = CENSOR_HORIZON
+
+        hit = ~over & (th < dt)
+        if np.any(hit):
+            hi = idx[hit]
+            times[hi] = ts[hit] + th[hit]
+
+        keep = ~over & ~hit
+        idx, xs, ss, ts, dt = idx[keep], xs[keep], ss[keep], ts[keep], dt[keep]
+        if idx.size == 0:
+            break
+        xs = pattern_phi(ss, dt, xs, model)
+        ts = ts + dt
+        ss = 1 - ss
+        nsw += 1
+        if nsw >= caps.max_switches:
+            times[idx] = ts
+            censored[idx] = True
+            reason[idx] = CENSOR_SWITCH_CAP
+            break
+    return times, censored, reason
+
+
+def reference_terminal_chunk(model, x0, t, size, rng, with_noise, initial_state):
+    """Also returns, per lane, the segments it crossed (its switches plus one)."""
+    lam = model.lam_vec
+    if initial_state == "stationary":
+        p0, _ = stationary_state_dist(model.rates)
+        ss = np.where(rng.random(size) < p0, 0, 1).astype(np.int64)
+    else:
+        ss = np.full(size, int(initial_state), dtype=np.int64)
+    xs = np.full(size, float(x0))
+    rem = np.full(size, float(t))
+    segments = np.zeros(size, dtype=np.int64)
+    while np.any(rem > 0.0):
+        dt = rng.standard_exponential(size) / lam[ss]
+        step = np.clip(np.minimum(dt, rem), 0.0, None)
+        nxt = pattern_phi(ss, step, xs, model)
+        if with_noise:
+            nxt = nxt + np.sqrt(interval_variance(ss, step, model)) * rng.standard_normal(size)
+        active = rem > 0.0
+        segments += active
+        xs = np.where(active, nxt, xs)
+        ss = np.where(active & (dt < rem), 1 - ss, ss)
+        rem = rem - dt
+    return xs, ss, segments
+
+
+def run_reference(n, seed, purpose, chunk):
+    """`chunk(size, rng)` over the library's chunks and streams, concatenated."""
+    parts = [chunk(min(CHUNK, n - lo), stream(seed, purpose, replicate=i)) for i, lo in enumerate(range(0, n, CHUNK))]
+    return [np.concatenate(field) for field in zip(*parts)]
+
+
+def exact_moments(model, x0, t, initial_state):
+    """Mean and variance of the diffusion at t, from the linear equations of
+    p_i = P(J_t = i), m_i = E[X_t; J_t = i] and s_i = E[X_t^2; J_t = i]."""
+    lam, a, b, g = model.lam_vec, model.a_vec, model.b_vec, model.gamma_vec
+    gen = np.zeros((6, 6))
+    for i in (0, 1):
+        j = 1 - i
+        p, m, s = i, 2 + i, 4 + i
+        gen[p, p] -= lam[i]
+        gen[p, j] += lam[j]
+        gen[m, m] -= lam[i] + g[i]
+        gen[m, 2 + j] += lam[j]
+        gen[m, p] += a[i]
+        gen[s, s] -= lam[i] + 2.0 * g[i]
+        gen[s, 4 + j] += lam[j]
+        gen[s, m] += 2.0 * a[i]
+        gen[s, p] += b[i] ** 2
+    if initial_state == "stationary":
+        probs = np.array(stationary_state_dist(model.rates))
+    else:
+        probs = np.eye(2)[initial_state]
+    u = expm(gen * t) @ np.concatenate([probs, x0 * probs, x0 * x0 * probs])
+    mean = u[2] + u[3]
+    return mean, u[4] + u[5] - mean * mean
 
 
 # --- switch sequences -------------------------------------------------------
@@ -394,3 +518,154 @@ def test_terminal_values_deterministic_by_seed():
     c = terminal_values(NOISY, 0.1, 2.0, 10_000, seed=10, with_noise=True)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
+
+
+# --- chunk kernels against the references ---------------------------------------
+
+REPELLING = KacOuModel.from_values(1.0, 0.7, 0.3, 1.0, 0.0, 0.0, 1.0, -0.8)
+PURE_DRIFT = KacOuModel.from_values(1.3, 0.7, -0.5, 1.0, 0.0, 0.0, 0.0, 0.0)
+NON_STRICT = KacOuModel.from_values(0.9, 1.1, 0.2, 1.5, 0.0, 0.0, 1.2, 0.0)
+# rare switches and a fast pull to rho1 = 1: a lane in state 1 ends its
+# holding time exactly on the level 1.0 (the flow factor underflows)
+LANDS_ON_LEVEL = KacOuModel.from_values(0.05, 0.05, 0.0, 5.0, 0.0, 0.0, 1.0, 5.0)
+
+KERNEL_MODELS = {
+    "attracting": KacOuModel.from_values(1.0, 2.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.5),
+    "repelling": REPELLING,
+    "pure_drift": PURE_DRIFT,
+    "non_strict": NON_STRICT,
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+@pytest.mark.parametrize("initial_state", [0, 1, "stationary"])
+def test_terminal_values_match_reference_bitwise(name, initial_state):
+    model = KERNEL_MODELS[name]
+    n = CHUNK + 3_000  # a full chunk and a partial one
+    for t in (0.0, 0.7, 6.0):
+        got = terminal_values(model, 0.4, t, n, seed=5, initial_state=initial_state, purpose="ref")
+        want = run_reference(
+            n, 5, "ref", lambda sz, rng: reference_terminal_chunk(model, 0.4, t, sz, rng, False, initial_state)
+        )
+        assert np.array_equal(got.values, want[0], equal_nan=True)
+        assert np.array_equal(got.states, want[1])
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+@pytest.mark.parametrize("x, y", [(0.2, 0.8), (0.8, 0.2), (0.4, -0.3), (0.1, 2.5)])
+def test_fpt_samples_match_reference_bitwise(name, x, y):
+    model = KERNEL_MODELS[name]
+    # a short horizon and a low switch cap censor some lanes both ways
+    caps = SimCaps(horizon=20.0, max_switches=40)
+    for state in (0, 1):
+        got = fpt_samples(model, x, y, state, 20_000, seed=11, caps=caps)
+        want = run_reference(20_000, 11, "fpt", lambda sz, rng: reference_fpt_chunk(model, x, y, state, sz, rng, caps))
+        assert np.array_equal(got.times, want[0], equal_nan=True)
+        assert np.array_equal(got.censored, want[1])
+        assert np.array_equal(got.reason, want[2])
+
+
+def test_fpt_lane_landing_on_target_matches_reference():
+    assert pattern_phi(1, 50.0, 0.2, LANDS_ON_LEVEL) == 1.0
+    caps = SimCaps()
+    got = fpt_samples(LANDS_ON_LEVEL, 0.2, 1.0, 1, 5_000, seed=3, caps=caps)
+    want = run_reference(5_000, 3, "fpt", lambda sz, rng: reference_fpt_chunk(LANDS_ON_LEVEL, 0.2, 1.0, 1, sz, rng, caps))
+    assert np.array_equal(got.times, want[0], equal_nan=True)
+    assert np.array_equal(got.reason, want[2])
+    # the level is reached only by landing on it, at the end of a holding time
+    assert not got.censored.any()
+
+
+def test_terminal_chunk_never_advances_a_finished_lane(monkeypatch):
+    elements = [0]
+    original = kacou.simulate.pattern_map
+
+    def counted(state, t, model):
+        elements[0] += np.size(t)
+        return original(state, t, model)
+
+    monkeypatch.setattr(kacou.simulate, "pattern_map", counted)
+    model = KERNEL_MODELS["attracting"]
+    terminal_values(model, 0.4, 3.0, 5_000, seed=8, initial_state="stationary", purpose="count")
+    segments = run_reference(
+        5_000, 8, "count", lambda sz, rng: reference_terminal_chunk(model, 0.4, 3.0, sz, rng, False, "stationary")
+    )[2]
+    # each lane is advanced once per segment it crosses before t, no more
+    assert elements[0] == int(segments.sum())
+
+
+CASE_B_SPEC = ScalingSpec(
+    ScalingKind.CASE_B,
+    nu=2.0,
+    base=KacOuModel.from_values(1.0, 1.0, -0.2, 1.5, 0.8, 0.5, 1.0, 2.5),
+    reversion=ScaledPair(0.4, 1.0),
+)
+CASE_B = scaled_model(CASE_B_SPEC, 100)
+NOISY_CASES = {
+    "attracting": (KacOuModel.from_values(0.7, 1.6, 0.0, 1.2, 0.6, 0.9, 1.0, 2.0), 0.3, 2.0, "stationary"),
+    "non_strict": (KacOuModel.from_values(1.0, 1.5, 0.5, -0.8, 0.4, 0.7, 1.0, 0.0), 0.2, 1.5, 1),
+    "repelling": (KacOuModel.from_values(1.0, 1.0, 0.0, 0.5, 0.5, 0.5, 1.0, -0.5), 0.1, 1.0, 0),
+    "case_b": (CASE_B, 0.0, 1.0, "stationary"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOISY_CASES))
+def test_noisy_terminal_values_match_exact_moments(name):
+    model, x0, t, start = NOISY_CASES[name]
+    n = 40_000
+    v = terminal_values(model, x0, t, n, seed=21, with_noise=True, initial_state=start).values
+    mean, var = exact_moments(model, x0, t, start)
+    centered = v - v.mean()
+    m4 = float(np.mean(centered**4))
+    assert abs(v.mean() - mean) < 5.0 * math.sqrt(var / n)
+    assert abs(v.var(ddof=1) - var) < 5.0 * math.sqrt((m4 - var * var) / n)
+
+
+def test_noisy_terminal_values_match_per_segment_reference_in_law():
+    model, x0, t, start = NOISY_CASES["attracting"]
+    got = terminal_values(model, x0, t, 20_000, seed=4, with_noise=True, initial_state=start).values
+    want = run_reference(
+        20_000, 5, "terminal", lambda sz, rng: reference_terminal_chunk(model, x0, t, sz, rng, True, start)
+    )[0]
+    assert ks_2samp(got, want).pvalue > 1e-3
+
+
+def test_noise_free_model_with_noise_flag_matches_mean_path():
+    # zero diffusion: the carried variance stays 0 and the normals add nothing
+    a = terminal_values(ATTRACTING, 0.4, 2.0, 3_000, seed=2, with_noise=True)
+    b = terminal_values(ATTRACTING, 0.4, 2.0, 3_000, seed=2)
+    assert np.array_equal(a.values, b.values)
+
+
+# --- inputs the samplers refuse ---------------------------------------------------
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan, -1.0])
+def test_terminal_values_needs_finite_nonnegative_time(t):
+    # an infinite t would never end the round loop; nan or t < 0 would
+    # return the start unchanged
+    with pytest.raises(ParameterError):
+        terminal_values(ATTRACTING, 0.5, t, 10, seed=1)
+    # case (b) has a multiplicative limit, whose moment equations would run to t
+    for spec in (ScalingSpec(ScalingKind.FAST_SWITCHING, nu=1.0, base=NOISY), CASE_B_SPEC):
+        with pytest.raises(ParameterError):
+            convergence_check(spec, t, [10], 100, seed=1)
+    with pytest.raises(ParameterError):
+        empirical_invariant_profile(ATTRACTING, 100, t, 10, seed=1)
+
+
+@pytest.mark.parametrize("x0", [math.inf, math.nan])
+def test_samplers_need_finite_start(x0):
+    with pytest.raises(ParameterError):
+        terminal_values(ATTRACTING, x0, 1.0, 10, seed=1)
+    seq = sample_switch_sequence(SwitchRates(1.0, 1.0), 0, 5.0, stream(4, "s"))
+    with pytest.raises(ParameterError):
+        evaluate_x(seq, x0, 1.0, ATTRACTING)
+    with pytest.raises(ParameterError):
+        sample_m_path(seq, x0, [1.0], NOISY, stream(4, "s2"))
+
+
+@pytest.mark.parametrize("x, y", [(math.nan, 0.8), (0.2, math.inf), (-math.inf, 0.8)])
+def test_fpt_samples_need_finite_points(x, y):
+    with pytest.raises(ParameterError):
+        fpt_samples(ATTRACTING, x, y, 0, 10, seed=1)

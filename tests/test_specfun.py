@@ -143,6 +143,14 @@ def test_gauss_2f1_unit_divergence_is_error():
         gauss_2f1_log(0.5, 0.9, 0.7, 1.0)
 
 
+@pytest.mark.parametrize("z", [1.0 - 2.0**-53, 1.0 - 1e-9])
+def test_gauss_2f1_divergent_series_next_to_unit_fails_at_once(z):
+    # closer to 1 than one over the whole term budget the series cannot
+    # settle; it used to sum 65M terms before giving up
+    with pytest.raises(OutOfDomainError, match="diverges at z = 1"):
+        gauss_2f1_log(0.5, 0.9, 0.7, z)
+
+
 # --- Kummer series -----------------------------------------------------------
 
 
