@@ -16,7 +16,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict
+import dataclasses
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .invariant import (
 )
 from .model import classify_regime
 from .rng import stream
-from .scaling import ScaledPair, ScalingKind, ScalingSpec, convergence_check
+from .scaling import SCALED_PAIRS, ConvergenceRow, ScaledPair, ScalingKind, ScalingSpec, convergence_check
 from .simulate import (
     CENSOR_HORIZON,
     CENSOR_SWITCH_CAP,
@@ -111,7 +111,7 @@ def _count(cfg: RunConfig, section: str, key: str, default: int, least: int = 1)
     return int(value)
 
 
-def _positive(cfg: RunConfig, section: str, key: str, default: float) -> float:
+def _positive(cfg: RunConfig, section: str, key: str, default=None) -> float:
     """A finite entry that must be positive."""
     value = cfg.get(section, key, default=default)
     if not 0.0 < value < math.inf:
@@ -125,6 +125,17 @@ def _finite(cfg: RunConfig, section: str, key: str, default=None) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"{section}.{key}", f"must be finite, got {value}")
     return value
+
+
+def _numbers(cfg: RunConfig, section: str, key: str, default=None, count: bool = False) -> list:
+    """A list entry whose every entry must be finite, or with `count` a count
+    of at least 1 (truncated to an integer)."""
+    values = cfg.get_list(section, key, default=default)
+    need = "a finite count of at least 1" if count else "finite"
+    for value in values:
+        if not math.isfinite(value) or (count and value < 1):
+            raise ConfigError(f"{section}.{key}", f"every entry must be {need}, got {value}")
+    return [int(v) for v in values] if count else values
 
 
 def _state(cfg: RunConfig, section: str, key: str, default=None) -> int:
@@ -217,10 +228,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 
 def _cmd_fpt(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
-    qs = cfg.get_list("fpt", "q_grid")
-    for q in qs:
-        if not math.isfinite(q):
-            raise ConfigError("fpt.q_grid", f"every entry must be finite, got {q}")
+    qs = _numbers(cfg, "fpt", "q_grid")
     x = _finite(cfg, "fpt", "x")
     y = _finite(cfg, "fpt", "y")
     state = _state(cfg, "fpt", "state")
@@ -290,55 +298,37 @@ _SCALING_KINDS = {
 }
 
 
+# suffix of each spec field's config keys sigma0<suffix> and delta<suffix>
+_PAIR_SUFFIX = {"velocity": "", "drift": "_a", "reversion": "_g"}
+
+
 def _cmd_scaling(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     kind_name = cfg.get("scaling", "kind", cast=str)
     if kind_name not in _SCALING_KINDS:
         raise ConfigError("scaling.kind", f"unknown kind {kind_name!r}")
     kind = _SCALING_KINDS[kind_name]
-    nu = cfg.get("scaling", "nu", default=1.0)
-
-    def pair(prefix):
-        return ScaledPair(
-            cfg.get("scaling", f"sigma0_{prefix}"), cfg.get("scaling", f"delta_{prefix}", default=0.0)
+    nu = _positive(cfg, "scaling", "nu", 1.0)
+    pairs = {
+        name: ScaledPair(
+            _positive(cfg, "scaling", "sigma0" + _PAIR_SUFFIX[name]),
+            _finite(cfg, "scaling", "delta" + _PAIR_SUFFIX[name], default=0.0),
         )
-
-    kwargs = {"kind": kind, "nu": nu}
-    if kind in (ScalingKind.KAC_ASYMMETRIC, ScalingKind.KAC_CLASSIC):
-        kwargs["velocity"] = ScaledPair(
-            cfg.get("scaling", "sigma0"), cfg.get("scaling", "delta", default=0.0)
-        )
-    else:
-        kwargs["base"] = cfg.model
-        if kind in (ScalingKind.CASE_A, ScalingKind.CASE_C):
-            kwargs["drift"] = pair("a")
-        if kind in (ScalingKind.CASE_B, ScalingKind.CASE_C):
-            kwargs["reversion"] = pair("g")
-    spec = ScalingSpec(**kwargs)
+        for name, _, _ in SCALED_PAIRS[kind]
+    }
+    spec = ScalingSpec(kind, nu, base=cfg.model, **pairs)
 
     rows = convergence_check(
         spec,
         _positive(cfg, "scaling", "t", 1.0),
-        [int(v) for v in cfg.get_list("scaling", "n_list", default=[10, 100, 1000])],
+        _numbers(cfg, "scaling", "n_list", default=[10, 100, 1000], count=True),
         _count(cfg, "scaling", "n_paths", 100_000),
         seed=cfg.seed,
         x0=_finite(cfg, "scaling", "x0", default=0.0),
     )
     out = os.path.join(cfg.out_dir, "scaling.csv")
-    header = [
-        "n",
-        "emp_mean",
-        "emp_var",
-        "limit_mean",
-        "limit_var",
-        "mean_gap",
-        "var_gap",
-        "mean_stderr",
-        "var_stderr",
-        "cdf_dist",
-    ]
-    table = [asdict(r) for r in rows]
-    _write_csv(out, header, [[d[k] for d in table] for k in header])
+    header = [f.name for f in dataclasses.fields(ConvergenceRow)]
+    _write_csv(out, header, [[getattr(r, k) for r in rows] for k in header])
     manifest = _manifest(cfg, "scaling", [out], t0)
     print(manifest)
     return 0
@@ -351,7 +341,7 @@ def _cmd_validate(args) -> int:
     results = run_all(indices=indices, verbose=True)
     failed = [r for r in results if not r.passed]
     if args.report:
-        body = [asdict(r) for r in results]
+        body = [dataclasses.asdict(r) for r in results]
         _atomic_write(args.report, [json.dumps(body, indent=2) + "\n"])
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     return 1 if failed else 0

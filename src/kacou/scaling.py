@@ -10,13 +10,18 @@ The scaled families fix lambda0 = nu*n, lambda1 = n and give any scaled pair
 with opposite signs s0 = -s1.  Deriving sigma1 = sigma0/sqrt(nu) makes the
 rate ratio and the weighted-drift identity hold exactly at every n, not just
 in the limit, so convergence tables measure process-level convergence only.
+
+One table, SCALED_PAIRS, names the pairs each kind scales; the spec's
+required fields, the scaled model, the limiting SDE and the CLI's config keys
+all read it.  A telegraph integral is a scaled drift on a base with no
+reversion and no noise.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +33,7 @@ __all__ = [
     "ScalingKind",
     "ScaledPair",
     "ScalingSpec",
+    "SCALED_PAIRS",
     "TelegraphParams",
     "LimitSde",
     "ConvergenceRow",
@@ -35,7 +41,6 @@ __all__ = [
     "stratonovich_adjusted",
     "pi_star_star",
     "scaled_model",
-    "telegraph_to_model",
     "limiting_sde",
     "ou_moments",
     "limit_moment_odes",
@@ -43,6 +48,7 @@ __all__ = [
 ]
 
 
+# kept for bench/montecarlo.py's isinstance test; scaled_model returns a KacOuModel for every kind
 @dataclass(frozen=True)
 class TelegraphParams:
     """Velocities and switching rates of a two-speed telegraph integral."""
@@ -61,6 +67,28 @@ class ScalingKind(enum.Enum):
     CASE_C = "CaseC"
 
 
+_VELOCITY = ("velocity", "a", 1.0)
+_TELEGRAPH_BASE = (StateCoeffs(0.0, 0.0, 0.0),) * 2
+
+# kind -> (spec field, model coefficient, sign s0 of the state-0 amplitude) per
+# scaled pair; the telegraph kinds scale the velocity pair on _TELEGRAPH_BASE
+SCALED_PAIRS = {
+    ScalingKind.FAST_SWITCHING: (),
+    ScalingKind.KAC_CLASSIC: (_VELOCITY,),
+    ScalingKind.KAC_ASYMMETRIC: (_VELOCITY,),
+    ScalingKind.CASE_A: (("drift", "a", -1.0),),
+    ScalingKind.CASE_B: (("reversion", "gamma", -1.0),),
+    ScalingKind.CASE_C: (("drift", "a", -1.0), ("reversion", "gamma", -1.0)),
+}
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not value > 0.0:
+        raise ParameterError(f"{name} must be positive, got {value}")
+    if value == math.inf:
+        raise ParameterError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ScaledPair:
     """Free parameters of one scaled quantity: amplitude for state 0 and the
@@ -70,36 +98,38 @@ class ScaledPair:
     delta: float
 
     def __post_init__(self):
-        if self.sigma0 <= 0.0:
-            raise ParameterError(f"sigma0 must be positive, got {self.sigma0}")
+        _check_positive("sigma0", self.sigma0)
+        if not math.isfinite(self.delta):
+            raise ParameterError(f"delta must be finite, got {self.delta}")
 
 
 @dataclass(frozen=True)
 class ScalingSpec:
+    """The kind's SCALED_PAIRS on a base model (unused by telegraph kinds)."""
+
     kind: ScalingKind
     nu: float
     base: KacOuModel | None = None
-    velocity: ScaledPair | None = None  # telegraph kinds
-    drift: ScaledPair | None = None  # case (a) and (c): the drift-level pair
-    reversion: ScaledPair | None = None  # case (b) and (c): the reversion pair
+    velocity: ScaledPair | None = None
+    drift: ScaledPair | None = None
+    reversion: ScaledPair | None = None
 
     def __post_init__(self):
-        if self.nu <= 0.0:
-            raise ParameterError(f"nu must be positive, got {self.nu}")
-        needs = {
-            ScalingKind.FAST_SWITCHING: ("base",),
-            ScalingKind.KAC_CLASSIC: ("velocity",),
-            ScalingKind.KAC_ASYMMETRIC: ("velocity",),
-            ScalingKind.CASE_A: ("base", "drift"),
-            ScalingKind.CASE_B: ("base", "reversion"),
-            ScalingKind.CASE_C: ("base", "drift", "reversion"),
-        }[self.kind]
+        _check_positive("nu", self.nu)
+        needs = [name for name, _, _ in SCALED_PAIRS[self.kind]]
+        if _VELOCITY not in SCALED_PAIRS[self.kind]:
+            needs.insert(0, "base")
         for field_name in needs:
             if getattr(self, field_name) is None:
                 raise ParameterError(f"{self.kind.value} spec requires '{field_name}'")
         if self.kind is ScalingKind.KAC_CLASSIC:
             if self.nu != 1.0 or self.velocity.delta != 0.0:
                 raise ParameterError("classic Kac scaling means nu = 1 and delta = 0")
+
+    @property
+    def coeffs(self) -> tuple[StateCoeffs, StateCoeffs]:
+        """The coefficients the scaled pairs replace."""
+        return _TELEGRAPH_BASE if _VELOCITY in SCALED_PAIRS[self.kind] else self.base.coeffs
 
     def sigma1_of(self, pair: ScaledPair) -> float:
         return pair.sigma0 / math.sqrt(self.nu)
@@ -133,75 +163,37 @@ def pi_star_star(nu: float) -> tuple[float, float]:
     return (1.0 / (1.0 + nu), nu / (1.0 + nu))
 
 
-def _scaled_pair_values(spec: ScalingSpec, pair: ScaledPair, n: float, sign0: float):
-    s1 = spec.sigma1_of(pair)
-    u0 = sign0 * pair.sigma0 * math.sqrt(spec.nu * n) + pair.delta
-    u1 = -sign0 * s1 * math.sqrt(n) + pair.delta
-    return u0, u1
-
-
-def scaled_model(spec: ScalingSpec, n: float):
-    """Concrete parameters at scale index n: a model, or telegraph velocities
-    for the telegraph kinds."""
+def scaled_model(spec: ScalingSpec, n: float) -> KacOuModel:
+    """The model at scale index n: each scaled pair sets its coefficient to
+    (u0(n), u1(n)); every other coefficient is the base's."""
     if n < 1:
         raise ParameterError(f"scale index must be >= 1, got {n}")
-    rates = SwitchRates(spec.nu * n, float(n))
-    if spec.kind in (ScalingKind.KAC_CLASSIC, ScalingKind.KAC_ASYMMETRIC):
-        c0, c1 = _scaled_pair_values(spec, spec.velocity, n, sign0=1.0)
-        return TelegraphParams(c0, c1, rates)
-    if spec.kind is ScalingKind.FAST_SWITCHING:
-        return KacOuModel(rates=rates, coeffs=spec.base.coeffs)
-
-    base = spec.base
-    a0, a1 = base.coeffs[0].a, base.coeffs[1].a
-    g0, g1 = base.coeffs[0].gamma, base.coeffs[1].gamma
-    if spec.kind in (ScalingKind.CASE_A, ScalingKind.CASE_C):
-        a0, a1 = _scaled_pair_values(spec, spec.drift, n, sign0=-1.0)
-    if spec.kind in (ScalingKind.CASE_B, ScalingKind.CASE_C):
-        g0, g1 = _scaled_pair_values(spec, spec.reversion, n, sign0=-1.0)
-    return KacOuModel(
-        rates=rates,
-        coeffs=(
-            StateCoeffs(a0, base.coeffs[0].b, g0),
-            StateCoeffs(a1, base.coeffs[1].b, g1),
-        ),
-    )
-
-
-def telegraph_to_model(tp: TelegraphParams) -> KacOuModel:
-    """Telegraph integral as a zero-reversion, zero-noise model."""
-    return KacOuModel(
-        rates=tp.rates,
-        coeffs=(StateCoeffs(tp.c0, 0.0, 0.0), StateCoeffs(tp.c1, 0.0, 0.0)),
-    )
+    coeffs = spec.coeffs
+    for field_name, name, s0 in SCALED_PAIRS[spec.kind]:
+        pair = getattr(spec, field_name)
+        u0 = s0 * pair.sigma0 * math.sqrt(spec.nu * n) + pair.delta
+        u1 = -s0 * spec.sigma1_of(pair) * math.sqrt(n) + pair.delta
+        coeffs = (replace(coeffs[0], **{name: u0}), replace(coeffs[1], **{name: u1}))
+    return KacOuModel(rates=SwitchRates(spec.nu * n, float(n)), coeffs=coeffs)
 
 
 def limiting_sde(spec: ScalingSpec) -> LimitSde:
-    """Coefficients of the limiting SDE (a drifted Brownian motion for the
-    telegraph kinds, an OU-type equation otherwise)."""
+    """Coefficients of the limiting SDE: the base's pi**-weighted ones, with
+    a scaled pair's delta in place of its own, and noise sigma_combine(sigma0,
+    sigma1) per scaled pair (for the telegraph kinds, a drifted Brownian motion)."""
     p = pi_star_star(spec.nu)
-    if spec.kind in (ScalingKind.KAC_CLASSIC, ScalingKind.KAC_ASYMMETRIC):
-        sigma = sigma_combine(spec.velocity.sigma0, spec.sigma1_of(spec.velocity))
-        return LimitSde(spec.velocity.delta, 0.0, sigma, 0.0)
-
-    base = spec.base
-    a_inf = p[0] * base.coeffs[0].a + p[1] * base.coeffs[1].a
-    b_inf = p[0] * base.coeffs[0].b + p[1] * base.coeffs[1].b
-    g_inf = p[0] * base.coeffs[0].gamma + p[1] * base.coeffs[1].gamma
-
-    if spec.kind is ScalingKind.FAST_SWITCHING:
-        return LimitSde(a_inf, g_inf, b_inf, 0.0)
-    if spec.kind is ScalingKind.CASE_A:
-        sigma_a = sigma_combine(spec.drift.sigma0, spec.sigma1_of(spec.drift))
-        # the scaled-drift noise and the frozen diffusion ride independent
-        # Wiener processes, so their amplitudes add in quadrature
-        return LimitSde(spec.drift.delta, g_inf, math.hypot(sigma_a, b_inf), 0.0)
-    if spec.kind is ScalingKind.CASE_B:
-        sigma_g = sigma_combine(spec.reversion.sigma0, spec.sigma1_of(spec.reversion))
-        return LimitSde(a_inf, spec.reversion.delta, b_inf, sigma_g)
-    sigma_a = sigma_combine(spec.drift.sigma0, spec.sigma1_of(spec.drift))
-    sigma_g = sigma_combine(spec.reversion.sigma0, spec.sigma1_of(spec.reversion))
-    return LimitSde(spec.drift.delta, spec.reversion.delta, b_inf, sigma_g, sigma_a)
+    c0, c1 = spec.coeffs
+    limit = {name: p[0] * getattr(c0, name) + p[1] * getattr(c1, name) for name in ("a", "b", "gamma")}
+    sigma = {"a": 0.0}
+    for field_name, name, _ in SCALED_PAIRS[spec.kind]:
+        pair = getattr(spec, field_name)
+        limit[name] = pair.delta
+        sigma[name] = sigma_combine(pair.sigma0, spec.sigma1_of(pair))
+    if "gamma" in sigma:  # a scaled drift's noise shares the reversion's chain
+        return LimitSde(limit["a"], limit["gamma"], limit["b"], sigma["gamma"], sigma["a"])
+    # the scaled-drift noise and the frozen diffusion ride independent
+    # Wiener processes, so their amplitudes add in quadrature
+    return LimitSde(limit["a"], limit["gamma"], math.hypot(sigma["a"], limit["b"]), 0.0)
 
 
 def ou_moments(t: float, x0: float, a: float, gamma: float, b: float):
@@ -328,10 +320,8 @@ def convergence_check(
         raise ParameterError("n_list must be increasing")
 
     limit = limiting_sde(spec)
-    telegraph = spec.kind in (ScalingKind.KAC_CLASSIC, ScalingKind.KAC_ASYMMETRIC)
-    gaussian = telegraph or spec.kind in (ScalingKind.FAST_SWITCHING, ScalingKind.CASE_A)
-
-    if limit.multiplicative_noise == 0.0 and limit.noise_offset == 0.0:
+    gaussian = limit.multiplicative_noise == 0.0
+    if gaussian:
         limit_mean, limit_var = ou_moments(t, x0, limit.drift_const, limit.drift_lin, limit.additive_noise)
     else:
         m, s = limit_moment_odes(stratonovich_adjusted(limit), t, x0)
@@ -339,18 +329,11 @@ def convergence_check(
 
     rows = []
     for n in n_list:
-        scaled = scaled_model(spec, n)
-        if telegraph:
-            model = telegraph_to_model(scaled)
-            noise = False
-        else:
-            model = scaled
-            noise = bool(np.any(model.b_vec > 0.0))
-        sample = terminal_values(
+        model = scaled_model(spec, n)
+        v = terminal_values(
             model, x0, t, n_paths, seed,
-            with_noise=noise, initial_state="stationary", purpose=f"scaling-n{n}",
-        )
-        v = sample.values
+            with_noise=bool(np.any(model.b_vec > 0.0)), initial_state="stationary", purpose=f"scaling-n{n}",
+        ).values
         emp_mean = float(np.mean(v))
         emp_var = float(np.var(v, ddof=1))
         mean_se = float(np.std(v, ddof=1) / math.sqrt(n_paths))

@@ -382,6 +382,8 @@ def fpt_samples(
 ) -> FptSampleBatch:
     """n independent first-passage draws (vectorized, chunked, reproducible)."""
     _check_finite(x=x, y=y)
+    if initial_state not in (0, 1):
+        raise ParameterError(f"initial_state must be 0 or 1, got {initial_state!r}")
     if x == y:
         raise ParameterError("first passage requires x != y")
     return FptSampleBatch(*_run_chunks(
@@ -405,6 +407,8 @@ def terminal_values(
     _check_finite(x0=x0, t=t)
     if t < 0.0:
         raise ParameterError(f"t must be >= 0, got {t}")
+    if initial_state not in (0, 1, "stationary"):
+        raise ParameterError(f'initial_state must be 0, 1 or "stationary", got {initial_state!r}')
     return TerminalSample(*_run_chunks(
         n, seed, purpose, lambda sz, rng: _terminal_chunk(model, x0, t, sz, rng, with_noise, initial_state)
     ))

@@ -132,6 +132,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("simulate", "simulate.eval_points", "-3"),
         ("invariant", "invariant.grid_points", "0"),
         ("scaling", "scaling.n_paths", "-1"),
+        ("scaling", "scaling.n_list", "0.5"),
+        ("scaling", "scaling.n_list", "10, 0"),
         ("fpt", "fpt.mc_samples", "999"),
         ("simulate", "simulate.cap_switches", "nan"),
     ],
@@ -155,6 +157,11 @@ def test_counts_below_minimum_exit_2(tmp_path, capsys, command, key, value):
         ("simulate", "simulate.cap_horizon", "nan", "fpt"),
         ("simulate", "simulate.cap_horizon", "-1", "fpt"),
         ("fpt", "fpt.oracle_tol", "0", None),
+        ("scaling", "scaling.nu", "0", None),
+        ("scaling", "scaling.nu", "inf", None),
+        ("scaling", "scaling.nu", "nan", None),
+        ("scaling", "scaling.sigma0", "nan", None),
+        ("scaling", "scaling.sigma0", "-1", None),
     ],
 )
 def test_horizons_and_tolerances_must_be_positive(tmp_path, capsys, command, key, value, mode):
@@ -200,6 +207,9 @@ def test_chain_state_must_be_0_or_1(tmp_path, capsys, command, key, value, mode)
         ("scaling", "scaling.t", "nan", None),
         ("scaling", "scaling.t", "-1", None),
         ("scaling", "scaling.x0", "nan", None),
+        ("scaling", "scaling.delta", "nan", None),
+        ("scaling", "scaling.n_list", "10, nan", None),
+        ("scaling", "scaling.n_list", "10, inf", None),
     ],
 )
 def test_points_and_times_must_be_finite(tmp_path, capsys, command, key, value, mode):
@@ -348,6 +358,39 @@ def test_scaling_csv(tmp_path):
     rows = open(os.path.join(out, "scaling.csv")).read().strip().splitlines()
     assert rows[0].startswith("n,emp_mean,emp_var,limit_mean,limit_var")
     assert len(rows) == 3
+
+
+SCALING_KEYS = {
+    "telegraph": "nu=2 sigma0=1.0 delta=0.3",
+    "kac_classic": "sigma0=1.2 delta=0",
+    "fast_switching": "nu=1.5",
+    "case_a": "sigma0_a=0.8 delta_a=0.4",
+    "case_b": "sigma0_g=0.5 delta_g=1.0",
+    "case_c": "sigma0_a=0.6 delta_a=0.3 sigma0_g=0.9 delta_g=1.2",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCALING_KEYS))
+def test_scaling_every_kind_reads_its_pair_keys(tmp_path, kind):
+    path, out = write_cfg(tmp_path)
+    argv = ["scaling", "--config", path, "--set", f"scaling.kind={kind}", "--set", "scaling.n_paths=2000"]
+    for item in SCALING_KEYS[kind].split():
+        argv += ["--set", f"scaling.{item}"]
+    assert main(argv) == 0
+    rows = open(os.path.join(out, "scaling.csv")).read().splitlines()
+    assert rows[0].split(",") == [
+        "n", "emp_mean", "emp_var", "limit_mean", "limit_var",
+        "mean_gap", "var_gap", "mean_stderr", "var_stderr", "cdf_dist",
+    ]
+    assert len(rows) == 3
+
+
+def test_scaling_missing_pair_key_exits_2(tmp_path, capsys):
+    path, out = write_cfg(tmp_path)
+    argv = ["scaling", "--config", path, "--set", "scaling.kind=case_b", "--set", "scaling.delta_g=1.0"]
+    assert main(argv) == 2
+    assert "scaling.sigma0_g" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_validate_subset(tmp_path, capsys):

@@ -20,7 +20,6 @@ from kacou.scaling import (
     pi_star_star,
     scaled_model,
     sigma_combine,
-    telegraph_to_model,
 )
 from kacou.simulate import terminal_values
 
@@ -86,6 +85,16 @@ def test_case_b_and_c_coefficients():
     assert lc.additive_noise == 1.0  # independent diffusion amplitude stays separate
 
 
+@given(st.floats(0.01, 100.0), st.floats(0.01, 100.0), st.floats(-5.0, 5.0))
+@settings(max_examples=100, deadline=None)
+def test_telegraph_limit_is_exactly_a_drifted_brownian_motion(sigma0, nu, delta):
+    # the telegraph kinds take the one limit rule on a zero base:
+    # hypot(sigma, 0.0) is sigma and every weighted coefficient is 0.0
+    spec = ScalingSpec(ScalingKind.KAC_ASYMMETRIC, nu=nu, velocity=ScaledPair(sigma0, delta))
+    sigma = sigma_combine(sigma0, sigma0 / math.sqrt(nu))
+    assert limiting_sde(spec) == LimitSde(delta, 0.0, sigma, 0.0)
+
+
 def test_spec_validation():
     with pytest.raises(ParameterError):
         ScalingSpec(ScalingKind.CASE_A, nu=1.0, base=BASE)  # missing drift pair
@@ -93,31 +102,47 @@ def test_spec_validation():
         ScalingSpec(ScalingKind.KAC_CLASSIC, nu=2.0, velocity=ScaledPair(1.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_scaling_parameters_must_be_finite(bad):
+    # a nan or infinite parameter would pass a plain `<= 0` test and fail
+    # later, deep in the model or in sigma_combine
+    with pytest.raises(ParameterError, match="nu"):
+        ScalingSpec(ScalingKind.FAST_SWITCHING, nu=bad, base=BASE)
+    with pytest.raises(ParameterError, match="sigma0"):
+        ScaledPair(sigma0=bad, delta=0.0)
+    if not math.isfinite(bad):
+        with pytest.raises(ParameterError, match="delta"):
+            ScaledPair(sigma0=1.0, delta=bad)
+
+
 # --- scaled families --------------------------------------------------------------
 
 
 def test_scaled_telegraph_at_n1():
     spec = ScalingSpec(ScalingKind.KAC_ASYMMETRIC, nu=1.0, velocity=ScaledPair(1.0, 0.0))
-    tp = scaled_model(spec, 1)
-    assert (tp.c0, tp.c1) == (1.0, -1.0)
-    assert (tp.rates.lambda0, tp.rates.lambda1) == (1.0, 1.0)
+    model = scaled_model(spec, 1)
+    assert (model.coeffs[0].a, model.coeffs[1].a) == (1.0, -1.0)
+    assert (model.rates.lambda0, model.rates.lambda1) == (1.0, 1.0)
+    # a telegraph integral: no noise and no reversion
+    assert all(c.b == 0.0 and c.gamma == 0.0 for c in model.coeffs)
 
 
 def test_scaled_family_identities_hold_at_every_n():
     spec = ScalingSpec(ScalingKind.KAC_ASYMMETRIC, nu=2.5, velocity=ScaledPair(1.3, 0.3))
     s1 = spec.sigma1_of(spec.velocity)
     for n in (1, 10, 1000, 12345):
-        tp = scaled_model(spec, n)
+        model = scaled_model(spec, n)
+        rates, c0, c1 = model.rates, model.coeffs[0].a, model.coeffs[1].a
         # rate ratio identity
-        assert tp.rates.lambda0 / tp.rates.lambda1 == pytest.approx(2.5, rel=1e-14)
+        assert rates.lambda0 / rates.lambda1 == pytest.approx(2.5, rel=1e-14)
         # weighted-drift identity, exact at every n
-        drift = (tp.rates.lambda1 * tp.c0 + tp.rates.lambda0 * tp.c1) / tp.rates.total
+        drift = (rates.lambda1 * c0 + rates.lambda0 * c1) / rates.total
         assert drift == pytest.approx(0.3, rel=1e-12)
     # amplitude ratios become exact when delta = 0
     spec0 = ScalingSpec(ScalingKind.KAC_ASYMMETRIC, nu=2.5, velocity=ScaledPair(1.3, 0.0))
-    tp = scaled_model(spec0, 77)
-    assert tp.c0 / math.sqrt(tp.rates.lambda0) == pytest.approx(1.3, rel=1e-14)
-    assert tp.c1 / math.sqrt(tp.rates.lambda1) == pytest.approx(-s1, rel=1e-14)
+    model = scaled_model(spec0, 77)
+    assert model.coeffs[0].a / math.sqrt(model.rates.lambda0) == pytest.approx(1.3, rel=1e-14)
+    assert model.coeffs[1].a / math.sqrt(model.rates.lambda1) == pytest.approx(-s1, rel=1e-14)
 
 
 def test_scaled_cases_move_the_right_coefficients():
@@ -248,8 +273,8 @@ def test_stderr_scaling_with_path_count():
 
 def test_telegraph_model_roundtrip():
     spec = ScalingSpec(ScalingKind.KAC_ASYMMETRIC, nu=1.0, velocity=ScaledPair(1.0, 0.0))
-    tp = scaled_model(spec, 10)
-    model = telegraph_to_model(tp)
+    model = scaled_model(spec, 10)
+    assert (model.b_vec == 0.0).all() and (model.gamma_vec == 0.0).all()
     sample = terminal_values(model, 0.0, 1.0, 5_000, seed=3, initial_state="stationary")
     se = sample.values.std(ddof=1) / math.sqrt(sample.values.size)
     assert abs(float(np.mean(sample.values))) < 4.0 * se

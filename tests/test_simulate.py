@@ -669,3 +669,15 @@ def test_samplers_need_finite_start(x0):
 def test_fpt_samples_need_finite_points(x, y):
     with pytest.raises(ParameterError):
         fpt_samples(ATTRACTING, x, y, 0, 10, seed=1)
+
+
+@pytest.mark.parametrize("state", [2, -1, 0.5, "stationry"])
+def test_samplers_need_a_known_initial_state(state):
+    # an unknown state would index past the rate vector or fail in int(); the
+    # first-passage sampler has no stationary start
+    with pytest.raises(ParameterError, match="initial_state"):
+        terminal_values(ATTRACTING, 0.5, 1.0, 10, seed=1, initial_state=state)
+    with pytest.raises(ParameterError, match="initial_state"):
+        fpt_samples(ATTRACTING, 0.2, 0.8, state, 10, seed=1)
+    with pytest.raises(ParameterError, match="initial_state"):
+        fpt_samples(ATTRACTING, 0.2, 0.8, "stationary", 10, seed=1)
