@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .acceptance import run_all
 from .config import ConfigError, RunConfig, config_hash, load_config
-from .errors import KacOuError
+from .errors import DoubleRangeError, KacOuError
 from .first_passage import FptQuery, fpt_integral_oracle, laplace_fpt
 from .invariant import (
     invariant_density_with_derivative,
@@ -317,15 +317,20 @@ def _cmd_scaling(cfg: RunConfig) -> int:
         for name, _, _ in SCALED_PAIRS[kind]
     }
     spec = ScalingSpec(kind, nu, base=cfg.model, **pairs)
-
-    rows = convergence_check(
-        spec,
-        _positive(cfg, "scaling", "t", 1.0),
-        _numbers(cfg, "scaling", "n_list", default=[10, 100, 1000], count=True),
-        _count(cfg, "scaling", "n_paths", 100_000),
-        seed=cfg.seed,
-        x0=_finite(cfg, "scaling", "x0", default=0.0),
-    )
+    try:
+        rows = convergence_check(
+            spec,
+            _positive(cfg, "scaling", "t", 1.0),
+            _numbers(cfg, "scaling", "n_list", default=[10, 100, 1000], count=True),
+            _count(cfg, "scaling", "n_paths", 100_000),
+            seed=cfg.seed,
+            x0=_finite(cfg, "scaling", "x0", default=0.0),
+        )
+    except DoubleRangeError as exc:
+        # t, x0, the model and the amplitudes (times sqrt(nu*n)) set the
+        # moments together; no one key is to blame
+        amplitudes = "".join(f", scaling.sigma0{_PAIR_SUFFIX[name]}" for name in pairs)
+        raise ConfigError("scaling", f"{exc}; see scaling.t, scaling.x0{amplitudes} and [model]") from exc
     out = os.path.join(cfg.out_dir, "scaling.csv")
     header = [f.name for f in dataclasses.fields(ConvergenceRow)]
     _write_csv(out, header, [[getattr(r, k) for r in rows] for k in header])

@@ -9,6 +9,10 @@ class ParameterError(KacOuError):
     """A model or function parameter violates its domain."""
 
 
+class DoubleRangeError(ParameterError):
+    """A result the parameters set together leaves the range of a double."""
+
+
 class SeriesConvergenceError(KacOuError):
     """A hypergeometric series failed to converge within the term cap."""
 

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DoubleRangeError, ParameterError
 from .model import KacOuModel, StateCoeffs, SwitchRates
 from .simulate import terminal_values
 
@@ -147,15 +148,26 @@ class LimitSde:
     noise_offset: float = 0.0
 
     def __post_init__(self):
-        if self.additive_noise < 0.0 or self.multiplicative_noise < 0.0:
-            raise ParameterError("noise amplitudes must be nonnegative")
+        for amplitude in (self.additive_noise, self.multiplicative_noise):
+            if not 0.0 <= amplitude < math.inf:
+                raise ParameterError(f"noise amplitudes must be finite and nonnegative, got {amplitude}")
 
 
 def sigma_combine(sigma0: float, sigma1: float) -> float:
-    """Effective Brownian amplitude sigma0*sigma1 / sqrt((sigma0^2+sigma1^2)/2)."""
-    if sigma0 <= 0.0 or sigma1 <= 0.0:
-        raise ParameterError("sigma_combine requires positive amplitudes")
-    return sigma0 * sigma1 / math.sqrt(0.5 * (sigma0 * sigma0 + sigma1 * sigma1))
+    """Effective Brownian amplitude sigma0*sigma1 / sqrt((sigma0^2+sigma1^2)/2).
+
+    Where the product or the mean square leaves the normal double range, the
+    amplitudes are first divided by the larger one."""
+    if not (0.0 < sigma0 < math.inf and 0.0 < sigma1 < math.inf):
+        raise ParameterError(f"sigma_combine requires finite positive amplitudes, got ({sigma0}, {sigma1})")
+    product = sigma0 * sigma1
+    mean_square = 0.5 * (sigma0 * sigma0 + sigma1 * sigma1)
+    tiny = sys.float_info.min  # below it a double loses precision
+    if tiny <= product < math.inf and tiny <= mean_square < math.inf:
+        return product / math.sqrt(mean_square)
+    big = max(sigma0, sigma1)
+    r0, r1 = sigma0 / big, sigma1 / big
+    return big * (r0 * r1 / math.sqrt(0.5 * (r0 * r0 + r1 * r1)))
 
 
 def pi_star_star(nu: float) -> tuple[float, float]:
@@ -231,23 +243,37 @@ def limit_moment_odes(limit: LimitSde, t: float, x0: float):
     def integrate(steps):
         h = t / steps
         m, s = x0, x0 * x0
-        for _ in range(steps):
-            k1 = _moment_rhs(limit, m, s)
-            k2 = _moment_rhs(limit, m + 0.5 * h * k1[0], s + 0.5 * h * k1[1])
-            k3 = _moment_rhs(limit, m + 0.5 * h * k2[0], s + 0.5 * h * k2[1])
-            k4 = _moment_rhs(limit, m + h * k3[0], s + h * k3[1])
-            m += h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-            s += h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        try:
+            for _ in range(steps):
+                k1 = _moment_rhs(limit, m, s)
+                k2 = _moment_rhs(limit, m + 0.5 * h * k1[0], s + 0.5 * h * k1[1])
+                k3 = _moment_rhs(limit, m + 0.5 * h * k2[0], s + 0.5 * h * k2[1])
+                k4 = _moment_rhs(limit, m + h * k3[0], s + h * k3[1])
+                m += h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+                s += h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+                if not (math.isfinite(m) and math.isfinite(s)):
+                    break  # it stays non-finite; a finer step may not (a stiff limit)
+        except OverflowError:  # a squared amplitude beyond double range
+            return math.inf, math.inf
         return m, s
 
+    # RK4 is stable on the decaying modes (rates drift_lin and 2 drift_lin -
+    # sg^2) while h * rate < 2.78: a pass that leaves double range with such
+    # a step does so because the moments do, and halving it would not help
+    sg = limit.multiplicative_noise
+    stiffest = max(limit.drift_lin, 2.0 * limit.drift_lin - sg * sg)
     steps = 64
     prev = integrate(steps)
     for _ in range(16):
+        if not (math.isfinite(prev[0]) and math.isfinite(prev[1])) and t / steps * stiffest < 2.5:
+            break
         steps *= 2
         cur = integrate(steps)
         if abs(cur[0] - prev[0]) < 1e-10 and abs(cur[1] - prev[1]) < 1e-10:
             return cur
         prev = cur
+    if not (math.isfinite(prev[0]) and math.isfinite(prev[1])):
+        raise DoubleRangeError(f"the limit's moment equations stay out of double range at t = {t}")
     return prev
 
 
@@ -286,8 +312,15 @@ class ConvergenceRow:
     cdf_dist: float | None
 
 
+def _require_finite(what: str, mean: float, var: float, *stderrs: float) -> None:
+    """Rows are written only where every moment is a double."""
+    if not all(map(math.isfinite, (mean, var, *stderrs))):
+        raise DoubleRangeError(f"{what} is out of double range: mean {mean}, variance {var}")
+
+
 def _normal_cdf(z: np.ndarray) -> np.ndarray:
-    return np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in z])
+    erf = np.fromiter(map(math.erf, (z / math.sqrt(2.0)).tolist()), dtype=float, count=z.size)
+    return 0.5 * (1.0 + erf)
 
 
 def _ks_distance(values: np.ndarray, mu: float, sd: float) -> float:
@@ -326,6 +359,7 @@ def convergence_check(
     else:
         m, s = limit_moment_odes(stratonovich_adjusted(limit), t, x0)
         limit_mean, limit_var = m, s - m * m
+    _require_finite(f"the limit at t = {t}", limit_mean, limit_var)
 
     rows = []
     for n in n_list:
@@ -334,13 +368,15 @@ def convergence_check(
             model, x0, t, n_paths, seed,
             with_noise=bool(np.any(model.b_vec > 0.0)), initial_state="stationary", purpose=f"scaling-n{n}",
         ).values
-        emp_mean = float(np.mean(v))
-        emp_var = float(np.var(v, ddof=1))
-        mean_se = float(np.std(v, ddof=1) / math.sqrt(n_paths))
-        centered = v - emp_mean
-        m2 = float(np.mean(centered**2))
-        m4 = float(np.mean(centered**4))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            emp_mean = float(np.mean(v))
+            emp_var = float(np.var(v, ddof=1))
+            mean_se = float(np.std(v, ddof=1) / math.sqrt(n_paths))
+            centered = v - emp_mean
+            m2 = float(np.mean(centered**2))
+            m4 = float(np.mean(centered**4))
         var_se = math.sqrt(max(m4 - m2 * m2, 0.0) / n_paths)
+        _require_finite(f"the sample at n = {n}", emp_mean, emp_var, mean_se, var_se)
         cdf = None
         if gaussian and limit_var > 0.0:  # a zero-variance limit is a point mass
             cdf = _ks_distance(v, limit_mean, math.sqrt(limit_var))

@@ -7,6 +7,14 @@ pair, from their real (sum, product) via the coefficient recurrence
 c_{n+1} = c_n * (n^2 + n*sum + product), which keeps all arithmetic real;
 Kummer's series uses the same loop with the numerator n + a.
 
+That loop sums a scalar head (the first 256 terms, one at a time), then
+numpy blocks (512 terms at first, doubling to at most 65,536).  A block forms
+its terms and partial sums with sequential ``accumulate`` calls, so they are
+bitwise the values of term-by-term summation; the indices where the loop
+acts (a zero term, a rescale, the stop) are found with array masks and
+taken by the scalar loop itself.  Results, term counts and errors are those
+of the plain loop; past the head a term costs about a seventh as much.
+
 Summation carries a separate log scale so that large-parameter evaluations
 (e.g. killing rates of 1e6, where the function value overflows any double)
 stay finite; ratios of such values are formed in log space via the
@@ -120,14 +128,29 @@ def _check_lower_param(b2: float, name: str = "b2") -> None:
         raise ParameterError(f"{name} = {b2} is a pole of the Pochhammer denominator")
 
 
+# terms the scalar loop takes before numpy blocks start (the median call
+# sums about 70), and the first and largest block widths
+_HEAD = 256
+_BLOCK_FIRST = 512
+_BLOCK_MAX = 65_536
+
+
 def _sum_series(c2, c1, c0, b2: float, z: float) -> LogValue:
     """Direct summation of the series with first term 1 and term ratio
     (c2 k^2 + c1 k + c0) z / ((b2 + k)(k + 1)), k = 0, 1, ..., with periodic
-    rescaling into a log carry.
+    rescaling into a log carry.  b2 is never a nonpositive integer (the
+    callers check), so no ratio divides by zero.
 
     (c2, c1, c0) = (1, sum, product) is the Gauss series whose upper
     parameters have that sum and product; (0, 1, a) is Kummer's series
     with upper parameter a.
+
+    A scalar loop takes the first _HEAD terms, which is all most calls
+    need.  Past them, numpy blocks (``_block``) take the terms the loop
+    would add without acting on them; the loop itself takes each index
+    where it acts (a zero term, a rescale or the stop), and blocks start
+    again at _BLOCK_FIRST after it.  Every term and partial sum is bitwise
+    the one-at-a-time loop's.
 
     If the Gauss series reaches the term cap while every summand has stayed
     positive (no cancellation is possible), summation continues in
@@ -139,28 +162,44 @@ def _sum_series(c2, c1, c0, b2: float, z: float) -> LogValue:
     log_scale = 0.0
     small_run = 0
     single_signed = z > 0.0
-    k = 0.0  # a float counter: exact here, and cheaper than int-float arithmetic
-    for n in range(1, SERIES_CAP + 1):
-        factor = (c2 * k * k + c1 * k + c0) * z / ((b2 + k) * (k + 1.0))
-        k += 1.0
-        if factor <= 0.0:
-            single_signed = False
-        term *= factor
-        total += term
-        if term == 0.0:
-            return _finish(total, log_scale, n + 1)
-        mag = abs(term)
-        if mag > _RESCALE_AT or abs(total) > _RESCALE_AT:
-            term /= _RESCALE_AT
-            total /= _RESCALE_AT
-            log_scale += _RESCALE_LOG
-            mag = abs(term)
-        if mag <= SERIES_RTOL * abs(total) + SERIES_FLOOR:
-            small_run += 1
-            if small_run >= 2:
+    n = 0
+    stop = _HEAD
+    while True:
+        k = float(n)  # a float counter: exact here, and cheaper than int-float arithmetic
+        for n in range(n + 1, stop + 1):
+            factor = (c2 * k * k + c1 * k + c0) * z / ((b2 + k) * (k + 1.0))
+            k += 1.0
+            if factor <= 0.0:
+                single_signed = False
+            term *= factor
+            total += term
+            if term == 0.0:
                 return _finish(total, log_scale, n + 1)
-        else:
-            small_run = 0
+            mag = abs(term)
+            if mag > _RESCALE_AT or abs(total) > _RESCALE_AT:
+                term /= _RESCALE_AT
+                total /= _RESCALE_AT
+                log_scale += _RESCALE_LOG
+                mag = abs(term)
+            if mag <= SERIES_RTOL * abs(total) + SERIES_FLOOR:
+                small_run += 1
+                if small_run >= 2:
+                    return _finish(total, log_scale, n + 1)
+            else:
+                small_run = 0
+        width = _BLOCK_FIRST
+        while n < SERIES_CAP:
+            m = min(width, SERIES_CAP - n)
+            used, term, total, small_run, single_signed = _block(
+                c2, c1, c0, b2, z, n, m, term, total, small_run, single_signed
+            )
+            n += used
+            if used < m:
+                break
+            width = min(2 * width, _BLOCK_MAX)
+        if n == SERIES_CAP:
+            break
+        stop = n + 1  # the loop takes the index where the blocks stopped
     # the log-space continuation is the Gauss series' large-parameter path;
     # Kummer's series (c2 = 0) reports the cap
     if c2 and single_signed and total > 0.0 and term > 0.0:
@@ -169,6 +208,45 @@ def _sum_series(c2, c1, c0, b2: float, z: float) -> LogValue:
         f"hypergeometric series did not converge in {SERIES_CAP} terms (z={z})",
         terms_used=SERIES_CAP,
     )
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _block(c2, c1, c0, b2, z, n, m, term, total, small_run, single_signed):
+    """Terms n+1 .. n+m of ``_sum_series`` in one numpy pass.
+
+    Returns how many of them the loop adds before the first index where it
+    acts, with the term, total, small-term run and single-signed flag after
+    those.  The ratios are the loop's expression, and both accumulations run
+    in sequence from the loop's term and total, so each value is bitwise the
+    loop's; values past the first such index may overflow and are dropped.
+    """
+    k = np.arange(n, n + m, dtype=float)
+    terms = np.empty(m + 1)
+    terms[0] = term
+    factors = terms[1:]
+    np.divide((c2 * k * k + c1 * k + c0) * z, (b2 + k) * (k + 1.0), out=factors)
+    if single_signed:
+        nonpositive = factors <= 0.0
+    np.multiply.accumulate(terms, out=terms)
+    totals = terms.copy()
+    totals[0] = total
+    np.add.accumulate(totals, out=totals)
+    terms, totals = terms[1:], totals[1:]
+    mag = np.abs(terms)
+    size = np.abs(totals)
+    small = mag <= SERIES_RTOL * size + SERIES_FLOOR
+    acts = (terms == 0.0) | (mag > _RESCALE_AT) | (size > _RESCALE_AT)
+    acts[1:] |= small[1:] & small[:-1]
+    acts[0] |= small_run > 0 and small[0]
+    used = int(acts.argmax())
+    if not acts[used]:
+        used = m
+    if used == 0:
+        return 0, term, total, small_run, single_signed
+    if single_signed:
+        single_signed = not nonpositive[:used].any()
+    last = used - 1
+    return used, float(terms[last]), float(totals[last]), int(small[last]), single_signed
 
 
 _LONG_BLOCK = 1_000_000
@@ -288,6 +366,14 @@ def kummer_1f1_log(a: float, b: float, z: float) -> LogValue:
         inner = kummer_1f1_log(b - a, b, -z)
         return LogValue(inner.log + z, inner.sign, inner.terms_used)
 
+    # for a, b > 0 every term ratio (k + a) z / ((k + b)(k + 1)) is at least
+    # min(1, a/b) z / (k + 1), so here all ratios before the cap exceed 2:
+    # the terms grow the whole way and summing them could only reach the cap
+    if a > 0.0 and b > 0.0 and z > 2.0 * SERIES_CAP * max(1.0, b / a):
+        raise SeriesConvergenceError(
+            f"hypergeometric series did not converge in {SERIES_CAP} terms (z={z})",
+            terms_used=SERIES_CAP,
+        )
     return _sum_series(0.0, 1.0, a, b, z)
 
 

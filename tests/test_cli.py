@@ -385,6 +385,47 @@ def test_scaling_every_kind_reads_its_pair_keys(tmp_path, kind):
     assert len(rows) == 3
 
 
+def test_scaling_tiny_amplitude_runs_to_finite_rows(tmp_path):
+    # sigma0*sigma1 and the mean square underflow to 0 here: this was a
+    # ZeroDivisionError traceback
+    path, out = write_cfg(tmp_path)
+    assert main(["scaling", "--config", path, "--set", "scaling.sigma0=1e-200"]) == 0
+    rows = open(os.path.join(out, "scaling.csv")).read().splitlines()[1:]
+    assert len(rows) == 2
+    for row in rows:
+        assert all(math.isfinite(float(v)) for v in row.split(",") if v)
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("telegraph", "scaling.sigma0", "1e200"),
+        ("case_a", "scaling.sigma0_a", "1e200"),
+        ("case_b", "scaling.sigma0_g", "1e200"),
+        ("fast_switching", "scaling.x0", "1e200"),
+    ],
+)
+def test_scaling_moments_beyond_double_range_exit_2(tmp_path, capsys, kind, key, value):
+    # the limit's or the sample's moments overflow: each of these used to
+    # exit 0 and write inf or nan
+    path, out = write_cfg(tmp_path)
+    argv = ["scaling", "--config", path, "--set", f"scaling.kind={kind}", "--set", f"{key}={value}"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "out of double range" in err
+    assert "scaling.t, scaling.x0" in err and key in err
+    assert not os.path.exists(out)
+
+
+def test_scaling_parameter_errors_keep_exit_1(tmp_path, capsys):
+    # only out-of-range moments become config errors; the library's other
+    # checks keep their own text and exit code
+    path, out = write_cfg(tmp_path)
+    assert main(["scaling", "--config", path, "--set", "scaling.n_list=50, 10"]) == 1
+    assert "n_list must be increasing" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_scaling_missing_pair_key_exits_2(tmp_path, capsys):
     path, out = write_cfg(tmp_path)
     argv = ["scaling", "--config", path, "--set", "scaling.kind=case_b", "--set", "scaling.delta_g=1.0"]

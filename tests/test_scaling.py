@@ -1,12 +1,13 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kacou.errors import ParameterError
+from kacou.errors import DoubleRangeError, ParameterError
 from kacou.model import KacOuModel
 from kacou.scaling import (
     LimitSde,
@@ -34,6 +35,36 @@ def test_sigma_combine_values():
     assert sigma_combine(3.0, 4.0) == pytest.approx(12.0 / math.sqrt(12.5), rel=1e-15)
     with pytest.raises(ParameterError):
         sigma_combine(0.0, 1.0)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e155, 1e200, 1e300])
+def test_sigma_combine_extreme_amplitudes(scale):
+    # sigma0*sigma1 and the mean square leave double range here (they
+    # underflowed to 0/0 or overflowed to inf/inf); scaling by the larger
+    # amplitude keeps the result homogeneous
+    for s0, s1 in [(1.0, 1.0), (3.0, 4.0), (1.0, 1.0 / math.sqrt(7.0))]:
+        assert sigma_combine(scale * s0, scale * s1) == pytest.approx(scale * sigma_combine(s0, s1), rel=1e-15)
+    with pytest.raises(ParameterError):
+        sigma_combine(scale, math.inf)
+    with pytest.raises(ParameterError):
+        sigma_combine(math.nan, scale)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_limit_sde_amplitudes_must_be_finite_and_nonnegative(bad):
+    with pytest.raises(ParameterError, match="noise amplitudes"):
+        LimitSde(0.0, 1.0, bad, 0.0)
+    with pytest.raises(ParameterError, match="noise amplitudes"):
+        LimitSde(0.0, 1.0, 0.5, bad)
+
+
+def test_normal_cdf_is_bitwise_the_loop():
+    from kacou.scaling import _normal_cdf
+
+    rng = np.random.default_rng(3)
+    z = np.concatenate([rng.standard_normal(5000) * 3.0, [0.0, -0.0, 40.0, -40.0, 1e-300, 8.5, -8.5]])
+    loop = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in z])
+    assert _normal_cdf(z).tobytes() == loop.tobytes()
 
 
 @given(st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.1, 10.0))
@@ -189,6 +220,41 @@ def test_limit_moment_odes_step_refinement():
     ref = limit_moment_odes(limit, 1.0, 0.1)
     again = limit_moment_odes(limit, 1.0, 0.1)
     assert ref == again  # deterministic refinement to the 1e-10 plateau
+
+
+def test_stiff_limit_moments_refine_past_overflowing_passes():
+    # h * 2 * drift_lin is about 156 on the first 64-step pass at t = 100:
+    # explicit RK4 overflows there, and the step doubling must go on to a
+    # stable step; the moments have reached their stationary values
+    limit = LimitSde(0.3, 50.0, 0.2, 0.5, noise_offset=0.1)
+    m, s = limit_moment_odes(limit, 100.0, 0.4)
+    assert m == pytest.approx(0.3 / 50.0, rel=1e-12)
+    assert s == pytest.approx((0.6 * m - 0.1 * m + 0.01 + 0.04) / 99.75, rel=1e-12)
+    spec = ScalingSpec(ScalingKind.CASE_B, nu=1.0, base=BASE, reversion=ScaledPair(0.5, 50.0))
+    (row,) = convergence_check(spec, 100.0, [100], 500, seed=2, x0=0.4)
+    assert math.isfinite(row.limit_mean) and row.limit_var > 0.0
+
+
+@pytest.mark.parametrize(
+    "limit, t",
+    [(LimitSde(0.0, 0.0, 0.1, 10.0), 10.0), (LimitSde(0.0, 1.0, 0.1, 1e200), 1.0)],
+)
+def test_moments_beyond_double_range_raise_without_refining(limit, t):
+    # s grows like exp(100 t) here, or its rate overflows: a pass that leaves
+    # double range with a stable step ends the refinement
+    from kacou import scaling
+
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return scaling_rhs(*args)
+
+    scaling_rhs = scaling._moment_rhs
+    with mock.patch.object(scaling, "_moment_rhs", counted):
+        with pytest.raises(DoubleRangeError):
+            limit_moment_odes(limit, t, 0.4)
+    assert len(calls) < 4 * 2048  # the full refinement would take 4 * 8.4e6
 
 
 # --- convergence tables --------------------------------------------------------------

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kacou import specfun
 from kacou.errors import OutOfDomainError, ParameterError, SeriesConvergenceError
 from kacou.specfun import (
     beta_fn,
@@ -231,3 +233,230 @@ def test_gauss_2f1_log_matches_mpmath_at_large_parameters():
         ref = float(mpmath.log(mpmath.hyp2f1(a, b, c, z)))
         assert mine.sign == 1.0
         assert mine.log == pytest.approx(ref, abs=1e-11)
+
+
+# --- blockwise summation against the scalar loop -------------------------------
+
+
+def reference_sum_series(c2, c1, c0, b2, z):
+    """The one-term-at-a-time loop that ``_sum_series`` sums in numpy blocks
+    past its head: the bitwise referee for every term count and result."""
+    total = 1.0
+    term = 1.0
+    log_scale = 0.0
+    small_run = 0
+    single_signed = z > 0.0
+    k = 0.0
+    for n in range(1, specfun.SERIES_CAP + 1):
+        factor = (c2 * k * k + c1 * k + c0) * z / ((b2 + k) * (k + 1.0))
+        k += 1.0
+        if factor <= 0.0:
+            single_signed = False
+        term *= factor
+        total += term
+        if term == 0.0:
+            return specfun._finish(total, log_scale, n + 1)
+        mag = abs(term)
+        if mag > specfun._RESCALE_AT or abs(total) > specfun._RESCALE_AT:
+            term /= specfun._RESCALE_AT
+            total /= specfun._RESCALE_AT
+            log_scale += specfun._RESCALE_LOG
+            mag = abs(term)
+        if mag <= specfun.SERIES_RTOL * abs(total) + specfun.SERIES_FLOOR:
+            small_run += 1
+            if small_run >= 2:
+                return specfun._finish(total, log_scale, n + 1)
+        else:
+            small_run = 0
+    if c2 and single_signed and total > 0.0 and term > 0.0:
+        return specfun._long_tail_positive(c1, c0, b2, z, total, term, log_scale)
+    raise SeriesConvergenceError(
+        f"hypergeometric series did not converge in {specfun.SERIES_CAP} terms (z={z})",
+        terms_used=specfun.SERIES_CAP,
+    )
+
+
+def reference_block(c2, c1, c0, b2, z, n, m, term, total, small_run, single_signed):
+    """The loop's state after terms n+1 .. n+m, stopping short of the first
+    index where it acts (a zero term, a rescale or a second small term)."""
+    k = float(n)
+    for used in range(m):
+        factor = (c2 * k * k + c1 * k + c0) * z / ((b2 + k) * (k + 1.0))
+        k += 1.0
+        new_term = term * factor
+        new_total = total + new_term
+        mag = abs(new_term)
+        small = mag <= specfun.SERIES_RTOL * abs(new_total) + specfun.SERIES_FLOOR
+        big = mag > specfun._RESCALE_AT or abs(new_total) > specfun._RESCALE_AT
+        if new_term == 0.0 or big or (small and small_run):
+            return used, term, total, small_run, single_signed
+        if factor <= 0.0:
+            single_signed = False
+        term, total, small_run = new_term, new_total, int(small)
+    return m, term, total, small_run, single_signed
+
+
+def _state_bits(state):
+    used, term, total, small_run, single_signed = state
+    return used, float(term).hex(), float(total).hex(), small_run, bool(single_signed)
+
+
+def _checked_block(*args):
+    got = _numpy_block(*args)
+    assert _state_bits(got) == _state_bits(reference_block(*args)), args
+    return got
+
+
+_numpy_block = specfun._block
+
+
+def _outcome(fn, args):
+    """A LogValue's bits, or an error's type, text and term count."""
+    try:
+        v = fn(*args)
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc), getattr(exc, "terms_used", None)
+    return v.log.hex(), v.sign.hex(), v.terms_used
+
+
+def assert_same_as_loop(args):
+    """Equal results, and every block ends in the loop's own state."""
+    with mock.patch.object(specfun, "_block", _checked_block):
+        got = _outcome(specfun._sum_series, args)
+    assert got == _outcome(reference_sum_series, args)
+
+
+# Each family draws its parameters through u(lo, hi), a uniform float on
+# [lo, hi]: hypothesis and a seeded generator drive the same families.
+
+
+def _lower(u):
+    b2 = u(0.1, 40.0)
+    return b2 if b2 != math.floor(b2) else b2 + 0.5
+
+
+def _disc(u):
+    # |z| from 0 to 0.999, a third of them negative (alternating terms)
+    z = 1.0 - 10.0 ** -u(0.0, 3.0)
+    return -z if u(0.0, 3.0) < 1.0 else z
+
+
+def _real_pair(u):
+    b0, b1 = u(-5.0, 40.0), u(-5.0, 40.0)
+    return 1.0, b0 + b1, b0 * b1, _lower(u), _disc(u)
+
+
+def _conjugate_pair(u):
+    s = u(-10.0, 30.0)
+    return 1.0, s, 0.25 * s * s + u(0.01, 100.0), _lower(u), _disc(u)
+
+
+def _kummer(u):
+    # z past about 650 pushes the terms over the rescale threshold
+    return 0.0, 1.0, u(-5.0, 30.0), _lower(u), u(0.01, 1500.0)
+
+
+def _terminating(u):
+    # b0 = -m: the ratio at k = m is zero; z of either sign, terms change sign
+    m = math.floor(u(1.0, 2000.0))
+    b1 = u(-3.0, 3.0)
+    return 1.0, b1 - m, -m * b1, u(0.1, 5.0), u(-3.0, 3.0)
+
+
+def _next_to_unit(u):
+    # convergent at z = 1 (b2 - b0 - b1 > 0), so only z^k ends the sum:
+    # thousands of terms, across several blocks
+    b0, b1 = u(0.1, 5.0), u(0.1, 5.0)
+    return 1.0, b0 + b1, b0 * b1, b0 + b1 + u(0.2, 3.0), 1.0 - 10.0 ** -u(1.0, 3.5)
+
+
+def _large_q(u):
+    # the Gauss series of a killing rate q: it rescales inside blocks
+    q = 10.0 ** u(3.0, 4.5)
+    return 1.0, 2.0 * q + 2.0, q * (q + 2.0), q + math.floor(u(1.0, 3.0)), u(0.05, 0.9)
+
+
+FAMILIES = [_real_pair, _conjugate_pair, _kummer, _terminating, _next_to_unit, _large_q]
+
+
+def _drawn(data, family):
+    return family(lambda lo, hi: data.draw(st.floats(lo, hi)))
+
+
+@given(st.sampled_from(FAMILIES), st.data())
+@settings(max_examples=150, deadline=None)
+def test_blocks_are_bitwise_the_scalar_loop(family, data):
+    assert_same_as_loop(_drawn(data, family))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_seeded_draws_are_bitwise_the_scalar_loop(family):
+    # hypothesis favours short series; uniform draws reach the long ones
+    rng = np.random.default_rng(8)
+    for _ in range(25):
+        assert_same_as_loop(family(lambda lo, hi: float(rng.uniform(lo, hi))))
+
+
+@pytest.mark.parametrize("head, first, widest", [(1, 1, 2), (2, 3, 8), (5, 2, 64)])
+@given(st.sampled_from(FAMILIES[:4]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_every_stop_and_rescale_on_a_block_boundary(head, first, widest, family, data):
+    # blocks one to a few terms wide put each zero term, rescale, stop and
+    # carried small-term run on some block's first or last index
+    with mock.patch.multiple(specfun, _HEAD=head, _BLOCK_FIRST=first, _BLOCK_MAX=widest):
+        assert_same_as_loop(_drawn(data, family))
+
+
+@pytest.mark.parametrize("last", [255, 256, 257, 768, 769, 770, 1792, 1793])
+def test_terminating_stop_on_default_block_boundaries(last):
+    # the head ends at term 256, the first block at 768, the second at 1792;
+    # b0 = 1 - last makes term `last` the first zero one
+    m = last - 1.0
+    assert_same_as_loop((1.0, 0.5 - m, -m * 0.5, 1.5, 0.9))
+    assert_same_as_loop((1.0, 0.5 - m, -m * 0.5, 1.5, -2.5))
+
+
+def test_ratio_sign_past_a_cut_block_is_not_read():
+    # upper parameters -700.5 and -699.7: the ratio at k = 700 is negative,
+    # but the stop at term 414 cuts the first block short of it, so the
+    # block's single-signed flag must stay set
+    assert_same_as_loop((1.0, -1400.2, 700.5 * 699.7, 0.5, 0.9))
+
+
+CAP_AND_TAIL = [
+    (1.0, 0.7, -4.94, 0.9, 1.0),  # Gauss at z = 1 that never settles: the cap
+    (0.0, 1.0, 0.5, 1.5, 1e30),  # a rescale every ten terms, up to the cap
+    (1.0, 2e6 + 2.0, 1e6 * (1e6 + 2.0), 1e6 + 1.0, 0.6),  # q = 1e6: the long tail
+]
+
+
+@pytest.mark.parametrize("args", CAP_AND_TAIL)
+def test_cap_and_long_tail_match_the_loop(args):
+    assert_same_as_loop(args)
+
+
+def test_no_warning_escapes_the_blocks():
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in CAP_AND_TAIL + [(1.0, 2e5 + 2.0, 1e5 * (1e5 + 2.0), 1e5 + 1.0, 0.3)]:
+            _outcome(specfun._sum_series, args)
+        with pytest.raises(SeriesConvergenceError):
+            gauss_2f1_log(2.6, -1.9, 0.9, 1.0)
+        assert gauss_2f1_log(2e6, 5e5, 1e6 + 1.0, 0.25).log > 709.0
+
+
+def test_kummer_whose_terms_grow_to_the_cap_raises_at_once():
+    # a, b > 0 and z > 2 * SERIES_CAP * max(1, b/a): every ratio before the
+    # cap exceeds 2, so the loop could only sum to the cap (a second of
+    # blocks at z = 1e30) or overflow (at z = 1e300 it returned log = inf)
+    expected = _outcome(reference_sum_series, (0.0, 1.0, 0.5, 1.5, 1e30))
+    assert expected[0] is SeriesConvergenceError
+    with mock.patch.object(specfun, "_sum_series", side_effect=AssertionError("summed")):
+        assert _outcome(kummer_1f1_log, (0.5, 1.5, 1e30)) == expected
+        with pytest.raises(SeriesConvergenceError) as err:
+            kummer_1f1_log(0.5, 1.5, 1e300)
+    assert err.value.terms_used == specfun.SERIES_CAP
+    # below the bound the series is summed as before
+    assert kummer_1f1_log(0.5, 1.5, 700.0) == specfun._sum_series(0.0, 1.0, 0.5, 1.5, 700.0)
