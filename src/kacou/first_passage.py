@@ -59,6 +59,7 @@ ORACLE_MAX_ITER = 10_000
 _TAIL_RATIO_CAP = 1e13
 _QUAD_PANELS = 18
 _QUAD_ORDER = 6
+_ORACLE_BLOCK_ROWS = 256  # rows per setup block: each rows x points temporary stays in L2
 
 
 @dataclass(frozen=True)
@@ -322,37 +323,72 @@ def _oracle_nodes(model, q, y, lo_needed):
     return np.unique(np.concatenate(nodes))
 
 
-def _oracle_state_setup(model, q, y, nodes, state):
-    """Quadrature positions/weights and first terms for one state's equation."""
+def _oracle_operator(model, q, y, nodes, state):
+    """One state's renewal equation as ell = first + A ell_other, with the
+    first-passage terms and the quadrature operator A built once per call.
+
+    Row i of A integrates the other state's transform at the flowed
+    positions of nodes[i], each interpolated linearly between the two grid
+    nodes around it.  The flow is monotone in tau, so the quadrature points
+    of a row that land in one grid cell are consecutive, and each such run
+    is stored once: its cell's two end nodes with the run's summed weights
+    (a cell met twice would only make a second run).  Rows are built
+    _ORACLE_BLOCK_ROWS at a time.
+
+    Returns (first, cols, weights, starts): (A ell)[i] is the sum of
+    weights[k] * ell[cols[k]] for k from starts[i] up to the next row's start.
+    """
     lam = model.rates.rate(state)
-    t_hit = hitting_time(state, nodes, y, model)
     tau_max = KERNEL_CUT / (q + lam)
-    T = np.minimum(t_hit, tau_max)
-    first = np.where(np.isfinite(t_hit), np.exp(-(q + lam) * np.minimum(t_hit, 700.0)), 0.0)
+    gaps = np.diff(nodes)
+    parts = []
+    offset = 0
+    for lo in range(0, nodes.size, _ORACLE_BLOCK_ROWS):
+        x = nodes[lo : lo + _ORACLE_BLOCK_ROWS]
+        t_hit = hitting_time(state, x, y, model)
+        T = np.minimum(t_hit, tau_max)
+        first = np.where(np.isfinite(t_hit), np.exp(-(q + lam) * np.minimum(t_hit, 700.0)), 0.0)
 
-    tau = T[:, None] * _QUAD_X[None, :]
-    weight = T[:, None] * _QUAD_W[None, :] * lam * np.exp(-(q + lam) * tau)
-    pos = pattern_phi(state, tau, nodes[:, None], model)
+        tau = T[:, None] * _QUAD_X[None, :]
+        weight = T[:, None] * _QUAD_W[None, :] * lam * np.exp(-(q + lam) * tau)
+        pos = pattern_phi(state, tau, x[:, None], model)
 
-    idx = np.searchsorted(nodes, pos, side="right") - 1
-    np.clip(idx, 0, nodes.size - 2, out=idx)
-    gap = nodes[idx + 1] - nodes[idx]
-    frac = np.clip((pos - nodes[idx]) / gap, 0.0, 1.0)
-    # positions that escaped below the grid contribute the far-field closure 0
-    weight = np.where(pos < nodes[0], 0.0, weight)
-    return first, weight, idx, frac
+        idx = np.searchsorted(nodes, pos, side="right") - 1
+        np.clip(idx, 0, nodes.size - 2, out=idx)
+        frac = np.clip((pos - nodes.take(idx)) / gaps.take(idx), 0.0, 1.0)
+        # positions that escaped below the grid contribute the far-field closure 0
+        weight = np.where(pos < nodes[0], 0.0, weight)
+
+        # a run starts at each row's first point and wherever the cell changes
+        opens = np.empty(idx.shape, dtype=bool)
+        opens[:, 0] = True
+        np.not_equal(idx[:, 1:], idx[:, :-1], out=opens[:, 1:])
+        run = np.flatnonzero(opens)
+        cols = np.empty(2 * run.size, dtype=np.intp)
+        cols[0::2] = idx.take(run)
+        cols[1::2] = cols[0::2] + 1
+        weights = np.empty(2 * run.size)
+        weights[0::2] = np.add.reduceat((weight * (1.0 - frac)).ravel(), run)
+        weights[1::2] = np.add.reduceat((weight * frac).ravel(), run)
+        runs_per_row = np.count_nonzero(opens, axis=1)
+        starts = offset + 2 * (np.cumsum(runs_per_row) - runs_per_row)
+        offset += cols.size
+        parts.append((first, cols, weights, starts))
+    return tuple(np.concatenate(field) for field in zip(*parts))
 
 
-def _interp_rows(values, idx, frac):
-    return values[idx] * (1.0 - frac) + values[idx + 1] * frac
+def _apply_operator(op, values):
+    first, cols, weights, starts = op
+    return first + np.add.reduceat(weights * values.take(cols), starts)
 
 
 def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs, tol: float = 1e-6):
     """Solve the coupled renewal integral equations on the side of y that
     contains every query point; returns (ell0, ell1) at xs.
 
-    Independent of the hypergeometric route: builds a grid, fixed-point
-    iterates the integral system, and interpolates the query points.
+    Independent of the hypergeometric route: builds a grid and each state's
+    quadrature operator once, fixed-point iterates the integral system with
+    them, and interpolates the query points.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if not 0.0 < q < math.inf:
@@ -372,15 +408,15 @@ def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs, tol: float = 1e-
         return fpt_oracle_curve(rescale(model, -1.0), q, -y, -xs, tol)
 
     nodes = _oracle_nodes(model, q, y, float(np.min(xs)))
-    f0, w0, i0, fr0 = _oracle_state_setup(model, q, y, nodes, 0)
-    f1, w1, i1, fr1 = _oracle_state_setup(model, q, y, nodes, 1)
+    op0 = _oracle_operator(model, q, y, nodes, 0)
+    op1 = _oracle_operator(model, q, y, nodes, 1)
 
     ell0 = np.zeros(nodes.size)
     ell1 = np.zeros(nodes.size)
     inner_tol = 0.1 * tol
     for _ in range(ORACLE_MAX_ITER):
-        new0 = f0 + np.sum(w0 * _interp_rows(ell1, i0, fr0), axis=1)
-        new1 = f1 + np.sum(w1 * _interp_rows(new0, i1, fr1), axis=1)
+        new0 = _apply_operator(op0, ell1)
+        new1 = _apply_operator(op1, new0)
         delta = max(np.max(np.abs(new0 - ell0)), np.max(np.abs(new1 - ell1)))
         ell0, ell1 = new0, new1
         if delta < inner_tol:

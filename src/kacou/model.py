@@ -300,9 +300,10 @@ def hitting_time(state, x, y, model: KacOuModel):
         raise ParameterError("hitting_time requires x != y")
     lin = g == 0.0
     g_safe = np.where(lin, 1.0, g)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rho = a / g_safe
-        # y = rho gives r = +-inf: the level is reached only in the limit
+        # y = rho gives r = +-inf: the level is reached only in the limit;
+        # a time past double range (a tiny gamma or drift) is inf too
         r = (x - rho) / (y - rho)
         curved = np.log(np.where(r > 0.0, r, 1.0)) / g_safe
         straight = (y - x) / np.where(a == 0.0, 1.0, a)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DoubleRangeError, ParameterError
 from .model import (
     KacOuModel,
     SwitchRates,
@@ -343,6 +343,13 @@ def _terminal_chunk(model, x0, t, size, rng, with_noise, initial_state):
         ss = 1 - ss
         rem = rem - dt
     if with_noise:
+        # a repelling flow can carry a lane's mean or variance past double
+        # range, where m + sqrt(V) Z is no draw at all (inf - inf is nan)
+        if repels and not (np.isfinite(values).all() and np.isfinite(variance).all()):
+            raise DoubleRangeError(
+                f"noisy terminal draws leave double range at t = {t} from x0 = {x0}, "
+                f"initial_state = {initial_state!r}"
+            )
         values = values + np.sqrt(variance) * rng.standard_normal(size)
     return values, states
 
@@ -403,7 +410,9 @@ def terminal_values(
 ) -> TerminalSample:
     """Exact terminal draws of the mean path (or the diffusion when
     with_noise) at time t; initial_state may be 0, 1 or "stationary".
-    t must be finite and >= 0, and x0 finite."""
+    t must be finite and >= 0, and x0 finite.  A repelling flow may carry a
+    noise-free draw to +-inf; with noise, a mean or variance past double
+    range raises DoubleRangeError."""
     _check_finite(x0=x0, t=t)
     if t < 0.0:
         raise ParameterError(f"t must be >= 0, got {t}")

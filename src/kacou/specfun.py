@@ -129,10 +129,12 @@ def _check_lower_param(b2: float, name: str = "b2") -> None:
 
 
 # terms the scalar loop takes before numpy blocks start (the median call
-# sums about 70), and the first and largest block widths
+# sums about 70), the first and largest block widths, and the narrowest
+# block worth its fixed cost (a block call costs about 90 loop terms)
 _HEAD = 256
 _BLOCK_FIRST = 512
 _BLOCK_MAX = 65_536
+_BLOCK_MIN = 128
 
 
 def _sum_series(c2, c1, c0, b2: float, z: float) -> LogValue:
@@ -148,9 +150,11 @@ def _sum_series(c2, c1, c0, b2: float, z: float) -> LogValue:
     A scalar loop takes the first _HEAD terms, which is all most calls
     need.  Past them, numpy blocks (``_block``) take the terms the loop
     would add without acting on them; the loop itself takes each index
-    where it acts (a zero term, a rescale or the stop), and blocks start
-    again at _BLOCK_FIRST after it.  Every term and partial sum is bitwise
-    the one-at-a-time loop's.
+    where it acts (a zero term, a rescale or the stop).  A block cut short
+    is followed by one twice as wide as the terms it used (at least
+    _BLOCK_MIN), and a cut within _BLOCK_MIN terms means acts come densely,
+    so the loop takes another _HEAD terms first.  Every term and partial sum
+    is bitwise the one-at-a-time loop's.
 
     If the Gauss series reaches the term cap while every summand has stayed
     positive (no cancellation is possible), summation continues in
@@ -164,6 +168,7 @@ def _sum_series(c2, c1, c0, b2: float, z: float) -> LogValue:
     single_signed = z > 0.0
     n = 0
     stop = _HEAD
+    width = _BLOCK_FIRST
     while True:
         k = float(n)  # a float counter: exact here, and cheaper than int-float arithmetic
         for n in range(n + 1, stop + 1):
@@ -187,7 +192,6 @@ def _sum_series(c2, c1, c0, b2: float, z: float) -> LogValue:
                     return _finish(total, log_scale, n + 1)
             else:
                 small_run = 0
-        width = _BLOCK_FIRST
         while n < SERIES_CAP:
             m = min(width, SERIES_CAP - n)
             used, term, total, small_run, single_signed = _block(
@@ -199,7 +203,10 @@ def _sum_series(c2, c1, c0, b2: float, z: float) -> LogValue:
             width = min(2 * width, _BLOCK_MAX)
         if n == SERIES_CAP:
             break
-        stop = n + 1  # the loop takes the index where the blocks stopped
+        # the loop takes the index where the blocks stopped, and _HEAD more
+        # terms when they stopped within _BLOCK_MIN
+        stop = min(n + (1 if used >= _BLOCK_MIN else _HEAD), SERIES_CAP)
+        width = min(max(2 * used, _BLOCK_MIN), _BLOCK_MAX)
     # the log-space continuation is the Gauss series' large-parameter path;
     # Kummer's series (c2 = 0) reports the cap
     if c2 and single_signed and total > 0.0 and term > 0.0:

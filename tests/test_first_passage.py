@@ -5,9 +5,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from kacou import first_passage as fp
 from kacou.errors import (
     DegenerateModelError,
     KacOuError,
+    OracleError,
     OutOfDomainError,
     ParameterError,
     UnsupportedRegimeError,
@@ -20,7 +22,7 @@ from kacou.first_passage import (
     laplace_fpt,
     running_extremum_prob,
 )
-from kacou.model import KacOuModel, rescale, swap_states
+from kacou.model import KacOuModel, hitting_time, pattern_phi, rescale, swap_states
 from kacou.rng import stream
 from kacou.simulate import SimCaps, fpt_samples
 
@@ -118,6 +120,125 @@ def test_oracle_requires_positive_q():
 def test_oracle_rejects_straddling_queries():
     with pytest.raises(ParameterError):
         fpt_oracle_curve(ATTRACTING, 1.0, 0.5, np.array([0.25, 0.75]))
+
+
+# --- the oracle's operator against the per-element reference ---------------------
+
+
+def _reference_state_setup(model, q, y, nodes, state):
+    """Every quadrature point of every row kept on its own: positions,
+    weights and the cell each point is interpolated in."""
+    lam = model.rates.rate(state)
+    t_hit = hitting_time(state, nodes, y, model)
+    tau_max = fp.KERNEL_CUT / (q + lam)
+    T = np.minimum(t_hit, tau_max)
+    first = np.where(np.isfinite(t_hit), np.exp(-(q + lam) * np.minimum(t_hit, 700.0)), 0.0)
+
+    tau = T[:, None] * fp._QUAD_X[None, :]
+    weight = T[:, None] * fp._QUAD_W[None, :] * lam * np.exp(-(q + lam) * tau)
+    pos = pattern_phi(state, tau, nodes[:, None], model)
+
+    idx = np.searchsorted(nodes, pos, side="right") - 1
+    np.clip(idx, 0, nodes.size - 2, out=idx)
+    gap = nodes[idx + 1] - nodes[idx]
+    frac = np.clip((pos - nodes[idx]) / gap, 0.0, 1.0)
+    weight = np.where(pos < nodes[0], 0.0, weight)
+    return first, weight, idx, frac
+
+
+def _interp_rows(values, idx, frac):
+    return values[idx] * (1.0 - frac) + values[idx + 1] * frac
+
+
+def reference_oracle_curve(model, q, y, xs, tol):
+    """``fpt_oracle_curve`` with each sweep interpolating every quadrature
+    point element by element: the referee for the merged-run operator."""
+    xs = np.asarray(xs, dtype=float)
+    if np.all(xs > y):
+        return reference_oracle_curve(rescale(model, -1.0), q, -y, -xs, tol)
+    nodes = fp._oracle_nodes(model, q, y, float(np.min(xs)))
+    f0, w0, i0, fr0 = _reference_state_setup(model, q, y, nodes, 0)
+    f1, w1, i1, fr1 = _reference_state_setup(model, q, y, nodes, 1)
+    ell0 = np.zeros(nodes.size)
+    ell1 = np.zeros(nodes.size)
+    for _ in range(fp.ORACLE_MAX_ITER):
+        new0 = f0 + np.sum(w0 * _interp_rows(ell1, i0, fr0), axis=1)
+        new1 = f1 + np.sum(w1 * _interp_rows(new0, i1, fr1), axis=1)
+        delta = max(np.max(np.abs(new0 - ell0)), np.max(np.abs(new1 - ell1)))
+        ell0, ell1 = new0, new1
+        if delta < 0.1 * tol:
+            break
+    else:
+        raise OracleError("reference did not contract")
+    return np.interp(xs, nodes, ell0), np.interp(xs, nodes, ell1)
+
+
+def assert_oracle_matches_reference(model, q, y, xs, tol=1e-6):
+    # 1e-14 is far below any one sweep's change, so the sweep counts agree too
+    got = fpt_oracle_curve(model, q, y, np.asarray(xs, dtype=float), tol)
+    ref = reference_oracle_curve(model, q, y, xs, tol)
+    for g, r in zip(got, ref):
+        np.testing.assert_allclose(g, r, rtol=0.0, atol=1e-14)
+
+
+# a repelling level below the threshold: its own node and a geometric tail
+AR_NODE_BELOW_Y = KacOuModel.from_values(0.6, 1.2, 0.5, 1.0, 0.0, 0.0, 1.0, -2.0)
+# equal levels, one attracting and one repelling state
+DEGENERATE_MIXED = KacOuModel.from_values(1.0, 0.8, 2.0, -1.0, 0.0, 0.0, 2.0, -1.0)
+# the zero-reversion state drifts down: the core grid reaches further below
+NON_STRICT_DOWN = KacOuModel.from_values(2.0, 1.0, -3.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+# pulled up to 2 and pushed down from 1.5: below y = 1 the repelling state
+# carries positions past the grid's geometric tail, onto the far-field zero
+PAST_THE_TAIL = KacOuModel.from_values(1.0, 1.0, 6.0, -3.0, 0.0, 0.0, 3.0, -2.0)
+
+
+@pytest.mark.parametrize(
+    "model, q, y, below, above",
+    [
+        # the five closed-form branches, each solved on both sides of y
+        (ATTRACTING, 1.0, 0.75, [0.25, 0.5, 0.7], [0.9, 1.4]),
+        (ATTRACTING, 0.5, 0.4, [-0.3, 0.1], [0.6, 0.9]),
+        (ATTRACT_REPEL, 0.7, -0.5, [-0.9, -0.6], [0.4, 0.9]),
+        (NON_STRICT, 0.7, 0.8, [0.2, 0.5], [1.1, 2.0]),
+        (NON_STRICT_DOWN, 0.9, -0.2, [-1.0, -0.5], [0.5, 1.5]),
+        (AR_NODE_BELOW_Y, 0.8, 0.9, [-0.2, 0.4], [1.3, 2.0]),
+        (AR_NODE_BELOW_Y, 3.0, -0.4, [-1.5, -0.6], [0.1, 0.45, 0.7]),
+        (DEGENERATE, 1.0, 0.75, [0.25], [0.95]),
+        (DEGENERATE_MIXED, 0.9, 1.3, [0.5, 1.0], [1.8]),
+        (DEGENERATE_MIXED, 0.9, 2.5, [1.2], [3.0]),
+        (REPELLING, 1.5, 0.2, [-0.5], [0.4, 0.9]),
+        (PAST_THE_TAIL, 0.3, 1.0, [-3.0, 0.0], [1.2, 1.4]),
+    ],
+)
+def test_oracle_operator_matches_element_by_element_reference(model, q, y, below, above):
+    assert_oracle_matches_reference(model, q, y, below)
+    assert_oracle_matches_reference(model, q, y, above, tol=1e-7)
+
+
+@pytest.mark.parametrize("model", [ATTRACTING, ATTRACT_REPEL, NON_STRICT, DEGENERATE_MIXED])
+def test_oracle_operator_next_to_the_threshold(model):
+    for y in (-0.5, 0.75):
+        assert_oracle_matches_reference(model, 1.0, y, [y - 1e-8, y - 1e-3])
+        assert_oracle_matches_reference(model, 1.0, y, [y + 1e-8])
+
+
+@given(
+    rates=st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0)),
+    gammas=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    levels=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    q=st.floats(0.3, 30.0),
+    y=st.floats(-2.0, 2.0),
+    d=st.floats(1e-6, 2.0),
+    above=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_oracle_operator_matches_reference_on_drawn_models(rates, gammas, levels, q, y, d, above):
+    # gamma = 0 draws a linear state with drift `level`; otherwise the level
+    # is the state's rho
+    a = [lv if g == 0.0 else lv * g for lv, g in zip(levels, gammas)]
+    model = KacOuModel.from_values(*rates, *a, 0.0, 0.0, *gammas)
+    x = y + d if above else y - d
+    assert_oracle_matches_reference(model, q, y, [x, x + 0.5 * (y - x)])
 
 
 # --- dispatch errors ----------------------------------------------------------

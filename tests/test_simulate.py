@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.linalg import expm
 from scipy.stats import ks_2samp
 
 import kacou.simulate
-from kacou.errors import ParameterError
+from kacou.errors import DoubleRangeError, ParameterError
 from kacou.first_passage import FptQuery, laplace_fpt
 from kacou.invariant import empirical_invariant_profile
 from kacou.model import (
@@ -628,6 +629,22 @@ def test_noisy_terminal_values_match_per_segment_reference_in_law():
         20_000, 5, "terminal", lambda sz, rng: reference_terminal_chunk(model, x0, t, sz, rng, True, start)
     )[0]
     assert ks_2samp(got, want).pvalue > 1e-3
+
+
+# rare switches and a fast push away from the level 0 in state 1, which has
+# the noise: a lane that stays there leaves double range, mean and spread
+ESCAPES = KacOuModel.from_values(0.01, 0.01, 0.0, 0.0, 0.0, 0.5, 1.0, -20.0)
+
+
+@pytest.mark.parametrize("initial_state", [0, 1])
+def test_noisy_terminal_draws_past_double_range_raise(initial_state):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DoubleRangeError, match=rf"t = 60\.0 from x0 = 0\.3, initial_state = {initial_state}"):
+            terminal_values(ESCAPES, 0.3, 60.0, 2_000, seed=1, with_noise=True, initial_state=initial_state)
+        # noise-free draws keep their +-inf lanes
+        plain = terminal_values(ESCAPES, 0.3, 60.0, 2_000, seed=1, initial_state=initial_state).values
+    assert np.isinf(plain).any() and not np.isnan(plain).any()
 
 
 def test_noise_free_model_with_noise_flag_matches_mean_path():

@@ -426,6 +426,7 @@ def test_ratio_sign_past_a_cut_block_is_not_read():
 CAP_AND_TAIL = [
     (1.0, 0.7, -4.94, 0.9, 1.0),  # Gauss at z = 1 that never settles: the cap
     (0.0, 1.0, 0.5, 1.5, 1e30),  # a rescale every ten terms, up to the cap
+    (0.0, 1.0, -2000.0, 1.5, 1e30),  # a rescale every ten terms, then a zero term
     (1.0, 2e6 + 2.0, 1e6 * (1e6 + 2.0), 1e6 + 1.0, 0.6),  # q = 1e6: the long tail
 ]
 
@@ -433,6 +434,23 @@ CAP_AND_TAIL = [
 @pytest.mark.parametrize("args", CAP_AND_TAIL)
 def test_cap_and_long_tail_match_the_loop(args):
     assert_same_as_loop(args)
+
+
+def test_blocks_after_dense_rescales_stay_narrow():
+    # each block is cut within a few terms; one that restarted at full width
+    # after every cut asked for 44.6 million terms to sum this million
+    args = (0.0, 1.0, 0.5, 1.5, 1e30)
+    requested = []
+
+    def counted(*block_args):
+        requested.append(block_args[6])
+        return _checked_block(*block_args)
+
+    with mock.patch.object(specfun, "_block", counted):
+        got = _outcome(specfun._sum_series, args)
+    assert got == _outcome(reference_sum_series, args)
+    assert got[2] == specfun.SERIES_CAP
+    assert sum(requested) <= 2 * specfun.SERIES_CAP
 
 
 def test_no_warning_escapes_the_blocks():
