@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .errors import KacOuError
@@ -96,6 +97,8 @@ def _parse_model(parser: configparser.ConfigParser) -> KacOuModel:
             values[key] = float(raw)
         except ValueError as exc:
             raise ConfigError(f"model.{key}", f"cannot parse {raw!r}") from exc
+        if not math.isfinite(values[key]):
+            raise ConfigError(f"model.{key}", f"must be finite, got {raw!r}")
     if values["lambda0"] <= 0.0:
         raise ConfigError("model.lambda0", "switching rate must be positive")
     if values["lambda1"] <= 0.0:

@@ -220,61 +220,46 @@ def ou_moments(t: float, x0: float, a: float, gamma: float, b: float):
     return mean, var
 
 
-def _moment_rhs(limit: LimitSde, m: float, s: float):
-    dm = limit.drift_const - limit.drift_lin * m
-    noise2 = (
-        limit.multiplicative_noise**2 * s
-        - 2.0 * limit.multiplicative_noise * limit.noise_offset * m
-        + limit.noise_offset**2
-        + limit.additive_noise**2
-    )
-    ds = 2.0 * limit.drift_const * m - 2.0 * limit.drift_lin * s + noise2
-    return dm, ds
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring a degree-18 Taylor polynomial (Moler &
+    Van Loan, SIAM Review 45, 2003); the scaled 1-norm is below 1, so the
+    truncated tail is below 1e-17."""
+    squarings = max(0, math.frexp(float(np.abs(a).sum(axis=0).max()))[1])
+    scaled = np.ldexp(a, -squarings)
+    result = term = np.eye(len(a))
+    for k in range(1, 19):
+        term = term @ scaled / k
+        result = result + term
+    for _ in range(squarings):
+        result = result @ result
+    return result
 
 
 def limit_moment_odes(limit: LimitSde, t: float, x0: float):
-    """(mean, second moment) of the limit SDE at time t by RK4 with step
-    doubling until the result is stable to 1e-10."""
+    """(mean, second moment) of the limit SDE at time t.
+
+    With c = drift_const, l = drift_lin, sg = multiplicative_noise and
+    off = noise_offset, the moment equations m' = c - l m and
+    s' = k m + r s + d, where k = 2 (c - sg off), r = sg^2 - 2 l and
+    d = off^2 + additive_noise^2, are linear with constant coefficients, so
+    (m, s, 1)(t) = exp(t G) (x0, x0^2, 1) with G = [[-l, 0, c], [k, r, d],
+    [0, 0, 0]]."""
     if t < 0.0:
         raise ParameterError(f"t must be >= 0, got {t}")
     if t == 0.0:
         return x0, x0 * x0
-
-    def integrate(steps):
-        h = t / steps
-        m, s = x0, x0 * x0
-        try:
-            for _ in range(steps):
-                k1 = _moment_rhs(limit, m, s)
-                k2 = _moment_rhs(limit, m + 0.5 * h * k1[0], s + 0.5 * h * k1[1])
-                k3 = _moment_rhs(limit, m + 0.5 * h * k2[0], s + 0.5 * h * k2[1])
-                k4 = _moment_rhs(limit, m + h * k3[0], s + h * k3[1])
-                m += h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-                s += h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-                if not (math.isfinite(m) and math.isfinite(s)):
-                    break  # it stays non-finite; a finer step may not (a stiff limit)
-        except OverflowError:  # a squared amplitude beyond double range
-            return math.inf, math.inf
-        return m, s
-
-    # RK4 is stable on the decaying modes (rates drift_lin and 2 drift_lin -
-    # sg^2) while h * rate < 2.78: a pass that leaves double range with such
-    # a step does so because the moments do, and halving it would not help
-    sg = limit.multiplicative_noise
-    stiffest = max(limit.drift_lin, 2.0 * limit.drift_lin - sg * sg)
-    steps = 64
-    prev = integrate(steps)
-    for _ in range(16):
-        if not (math.isfinite(prev[0]) and math.isfinite(prev[1])) and t / steps * stiffest < 2.5:
-            break
-        steps *= 2
-        cur = integrate(steps)
-        if abs(cur[0] - prev[0]) < 1e-10 and abs(cur[1] - prev[1]) < 1e-10:
-            return cur
-        prev = cur
-    if not (math.isfinite(prev[0]) and math.isfinite(prev[1])):
-        raise DoubleRangeError(f"the limit's moment equations stay out of double range at t = {t}")
-    return prev
+    c, l, sg, off = limit.drift_const, limit.drift_lin, limit.multiplicative_noise, limit.noise_offset
+    d = off * off + limit.additive_noise * limit.additive_noise
+    if x0 == 0.0 and c == 0.0 and d == 0.0:  # homogeneous from 0: 0, even where exp(t G) overflows
+        return 0.0, 0.0
+    k, r = 2.0 * (c - sg * off), sg * sg - 2.0 * l
+    tg = np.array([[-l * t, 0.0, c * t], [k * t, r * t, d * t], [0.0, 0.0, 0.0]])
+    if np.isfinite(tg).all():
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            m, s, _ = _expm(tg) @ np.array([x0, x0 * x0, 1.0])
+        if math.isfinite(m) and math.isfinite(s):
+            return float(m), float(s)
+    raise DoubleRangeError(f"the limit's moments are out of double range at t = {t}")
 
 
 def stratonovich_adjusted(limit: LimitSde) -> LimitSde:
@@ -346,7 +331,7 @@ def convergence_check(
     The chain starts in its stationary distribution, which makes the
     weighted-drift identity hold exactly at every finite n.
     """
-    if not 0.0 <= t < math.inf:  # before the limit's moment equations run to t
+    if not 0.0 <= t < math.inf:  # a ParameterError before the limit's moments see t
         raise ParameterError(f"t must be finite and >= 0, got {t}")
     n_list = list(n_list)
     if sorted(n_list) != n_list:

@@ -304,9 +304,11 @@ def _terminal_chunk(model, x0, t, size, rng, with_noise, initial_state):
     values = np.full(size, float(x0))
     states = ss.copy()
     variance = np.zeros(size)
-    b2, g = model.b_vec ** 2, model.gamma_vec
+    g = model.gamma_vec
     lin = g == 0.0
-    ou_var = np.where(lin, 0.0, b2 / (2.0 * np.where(lin, 1.0, g)))  # b^2 / (2 gamma)
+    with np.errstate(over="ignore"):  # a level past double range is checked at the end
+        b2 = model.b_vec * model.b_vec
+        ou_var = np.where(lin, 0.0, b2 / (2.0 * np.where(lin, 1.0, g)))  # b^2 / (2 gamma)
     lin_var = np.where(lin, b2, 0.0) if lin.any() else None  # b^2 per unit time
     repels = bool((g < 0.0).any())  # only then can the flow's factor overflow
 
@@ -322,15 +324,17 @@ def _terminal_chunk(model, x0, t, size, rng, with_noise, initial_state):
             nxt = base + (xs - shift) * factor
             if with_noise:
                 level = ou_var[ss]
-                var = level + (var - level) * (factor * factor)
+                gap = var - level
+                var = level + gap * (factor * factor)
                 if lin_var is not None:
                     var += lin_var[ss] * step
             if repels:  # growth beyond double range
                 grown = np.isinf(factor)
                 if grown.any():
                     nxt[grown] = pattern_phi(ss[grown], step[grown], xs[grown], model)
-                if with_noise:  # f^2 = inf on a lane without noise gives 0 * inf
-                    var[np.isnan(var)] = 0.0
+                    if with_noise:  # f^2 = inf on a lane at its level gives 0 * inf
+                        still = grown & (gap == 0.0)
+                        var[still] = level[still]
         go = dt < rem
         if not go.all():
             done = ~go
@@ -343,9 +347,10 @@ def _terminal_chunk(model, x0, t, size, rng, with_noise, initial_state):
         ss = 1 - ss
         rem = rem - dt
     if with_noise:
-        # a repelling flow can carry a lane's mean or variance past double
-        # range, where m + sqrt(V) Z is no draw at all (inf - inf is nan)
-        if repels and not (np.isfinite(values).all() and np.isfinite(variance).all()):
+        # a repelling flow or an amplitude whose square overflows can carry a
+        # lane's mean or variance past double range, where m + sqrt(V) Z is
+        # no draw at all (inf - inf is nan)
+        if not (np.isfinite(values).all() and np.isfinite(variance).all()):
             raise DoubleRangeError(
                 f"noisy terminal draws leave double range at t = {t} from x0 = {x0}, "
                 f"initial_state = {initial_state!r}"

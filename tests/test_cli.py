@@ -210,6 +210,10 @@ def test_chain_state_must_be_0_or_1(tmp_path, capsys, command, key, value, mode)
         ("scaling", "scaling.delta", "nan", None),
         ("scaling", "scaling.n_list", "10, nan", None),
         ("scaling", "scaling.n_list", "10, inf", None),
+        ("invariant", "model.a0", "inf", None),
+        ("invariant", "model.lambda0", "nan", None),
+        ("invariant", "model.b1", "nan", None),
+        ("invariant", "model.gamma1", "-inf", None),
     ],
 )
 def test_points_and_times_must_be_finite(tmp_path, capsys, command, key, value, mode):

@@ -1,7 +1,7 @@
 import math
 import warnings
-from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -219,13 +219,12 @@ def test_limit_moment_odes_step_refinement():
     limit = LimitSde(0.5, 1.5, 0.4, 0.9, noise_offset=0.2)
     ref = limit_moment_odes(limit, 1.0, 0.1)
     again = limit_moment_odes(limit, 1.0, 0.1)
-    assert ref == again  # deterministic refinement to the 1e-10 plateau
+    assert ref == again  # deterministic
 
 
 def test_stiff_limit_moments_refine_past_overflowing_passes():
-    # h * 2 * drift_lin is about 156 on the first 64-step pass at t = 100:
-    # explicit RK4 overflows there, and the step doubling must go on to a
-    # stable step; the moments have reached their stationary values
+    # t * 2 * drift_lin is 1e4, far too stiff for an explicit step; the
+    # moments have reached their stationary values
     limit = LimitSde(0.3, 50.0, 0.2, 0.5, noise_offset=0.1)
     m, s = limit_moment_odes(limit, 100.0, 0.4)
     assert m == pytest.approx(0.3 / 50.0, rel=1e-12)
@@ -240,21 +239,50 @@ def test_stiff_limit_moments_refine_past_overflowing_passes():
     [(LimitSde(0.0, 0.0, 0.1, 10.0), 10.0), (LimitSde(0.0, 1.0, 0.1, 1e200), 1.0)],
 )
 def test_moments_beyond_double_range_raise_without_refining(limit, t):
-    # s grows like exp(100 t) here, or its rate overflows: a pass that leaves
-    # double range with a stable step ends the refinement
-    from kacou import scaling
+    # s grows like exp(100 t) here, or its rate overflows
+    with pytest.raises(DoubleRangeError):
+        limit_moment_odes(limit, t, 0.4)
 
-    calls = []
 
-    def counted(*args):
-        calls.append(None)
-        return scaling_rhs(*args)
+def _explicit_moments(limit, t, x0):
+    """The moment equations solved by hand at 50 digits: with m_inf = c / l,
+    s(t) = x0^2 e^{rt} + (k m_inf + d)(e^{rt} - 1) / r
+           + k (x0 - m_inf)(e^{rt} - e^{-lt}) / (r + l)."""
+    with mpmath.workdps(50):
+        c, l, sg, off = (mpmath.mpf(v) for v in (limit.drift_const, limit.drift_lin,
+                                                  limit.multiplicative_noise, limit.noise_offset))
+        t, x0 = mpmath.mpf(t), mpmath.mpf(x0)
+        k, r = 2 * (c - sg * off), sg * sg - 2 * l
+        d = off * off + mpmath.mpf(limit.additive_noise) ** 2
+        m_inf = c / l
+        m = m_inf + (x0 - m_inf) * mpmath.exp(-l * t)
+        s = (x0 * x0 * mpmath.exp(r * t) + (k * m_inf + d) * mpmath.expm1(r * t) / r
+             + k * (x0 - m_inf) * (mpmath.exp(r * t) - mpmath.exp(-l * t)) / (r + l))
+        return float(m), float(s)
 
-    scaling_rhs = scaling._moment_rhs
-    with mock.patch.object(scaling, "_moment_rhs", counted):
-        with pytest.raises(DoubleRangeError):
-            limit_moment_odes(limit, t, 0.4)
-    assert len(calls) < 4 * 2048  # the full refinement would take 4 * 8.4e6
+
+@pytest.mark.parametrize("x0", [0.3, 1e3, 1e4])
+@pytest.mark.parametrize(
+    "limit, t",
+    [
+        (LimitSde(1.0, 1.0, 0.5, 0.8, 0.2), 1.0),
+        (LimitSde(-0.7, 2.5, 0.3, 1.4, -0.6), 3.0),
+        (LimitSde(0.5, 0.25, 0.0, 0.4), 10.0),
+        (LimitSde(2.0, 0.1, 1.0, 0.3, 0.5), 100.0),
+        (LimitSde(0.2, 0.1, 0.3, 1.0, 0.4), 10.0),  # s grows like e^{0.8 t}
+        (LimitSde(0.3, 50.0, 0.2, 0.5, noise_offset=0.1), 100.0),  # stiff
+    ],
+)
+def test_limit_moments_match_the_explicit_solution(limit, t, x0):
+    m, s = limit_moment_odes(limit, t, x0)
+    want_m, want_s = _explicit_moments(limit, t, x0)
+    assert m == pytest.approx(want_m, rel=1e-12)
+    assert s == pytest.approx(want_s, rel=1e-12)
+
+
+def test_identically_zero_moments_stay_zero():
+    # r t = 880 puts e^{rt} past double range, but nothing drives m or s
+    assert limit_moment_odes(LimitSde(0.0, 0.1, 0.0, 3.0), 100.0, 0.0) == (0.0, 0.0)
 
 
 # --- convergence tables --------------------------------------------------------------

@@ -634,17 +634,28 @@ def test_noisy_terminal_values_match_per_segment_reference_in_law():
 # rare switches and a fast push away from the level 0 in state 1, which has
 # the noise: a lane that stays there leaves double range, mean and spread
 ESCAPES = KacOuModel.from_values(0.01, 0.01, 0.0, 0.0, 0.0, 0.5, 1.0, -20.0)
+# squared amplitudes that overflow, on an attracting and a repelling model
+WIDE = KacOuModel.from_values(1.0, 1.0, 0.0, 1.0, 1e160, 1e160, 1.0, 1.0)
+WIDE_REPELLING = KacOuModel.from_values(1.0, 1.0, 0.0, 0.0, 1e160, 1e160, 1.0, -1.0)
 
 
-@pytest.mark.parametrize("initial_state", [0, 1])
-def test_noisy_terminal_draws_past_double_range_raise(initial_state):
+@pytest.mark.parametrize(
+    "model, t, initial_state",
+    [
+        pytest.param(ESCAPES, 60.0, 0, id="0"),
+        pytest.param(ESCAPES, 60.0, 1, id="1"),
+        pytest.param(WIDE, 2.0, 0, id="squared-amplitude-overflows"),
+        pytest.param(WIDE_REPELLING, 2.0, 0, id="squared-amplitude-overflows-repelling"),
+    ],
+)
+def test_noisy_terminal_draws_past_double_range_raise(model, t, initial_state):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(DoubleRangeError, match=rf"t = 60\.0 from x0 = 0\.3, initial_state = {initial_state}"):
-            terminal_values(ESCAPES, 0.3, 60.0, 2_000, seed=1, with_noise=True, initial_state=initial_state)
+        with pytest.raises(DoubleRangeError, match=rf"t = {t} from x0 = 0\.3, initial_state = {initial_state}"):
+            terminal_values(model, 0.3, t, 2_000, seed=1, with_noise=True, initial_state=initial_state)
         # noise-free draws keep their +-inf lanes
-        plain = terminal_values(ESCAPES, 0.3, 60.0, 2_000, seed=1, initial_state=initial_state).values
-    assert np.isinf(plain).any() and not np.isnan(plain).any()
+        plain = terminal_values(model, 0.3, t, 2_000, seed=1, initial_state=initial_state).values
+    assert np.isinf(plain).any() == (model is ESCAPES) and not np.isnan(plain).any()
 
 
 def test_noise_free_model_with_noise_flag_matches_mean_path():
