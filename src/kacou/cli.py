@@ -21,7 +21,7 @@ import dataclasses
 import numpy as np
 
 from . import __version__
-from .acceptance import run_all
+from .acceptance import CRITERIA, run_all
 from .config import ConfigError, RunConfig, config_hash, load_config
 from .errors import DoubleRangeError, KacOuError
 from .first_passage import FptQuery, fpt_integral_oracle, laplace_fpt
@@ -339,11 +339,18 @@ def _cmd_scaling(cfg: RunConfig) -> int:
     return 0
 
 
+def _criterion_indices(text: str) -> set[int]:
+    """The --only list: comma-separated criterion numbers, each 1 to len(CRITERIA)."""
+    indices = set()
+    for tok in text.split(","):
+        if not (tok.strip().isdecimal() and 1 <= int(tok) <= len(CRITERIA)):
+            raise argparse.ArgumentTypeError(f"{tok!r} is not a criterion index from 1 to {len(CRITERIA)}")
+        indices.add(int(tok))
+    return indices
+
+
 def _cmd_validate(args) -> int:
-    indices = None
-    if args.only:
-        indices = {int(tok) for tok in args.only.split(",")}
-    results = run_all(indices=indices, verbose=True)
+    results = run_all(indices=args.only, verbose=True)
     failed = [r for r in results if not r.passed]
     if args.report:
         body = [dataclasses.asdict(r) for r in results]
@@ -369,7 +376,7 @@ def main(argv=None) -> int:
         )
 
     v = sub.add_parser("validate", help="run the acceptance cross-check suite")
-    v.add_argument("--only", help="comma-separated criterion indices")
+    v.add_argument("--only", type=_criterion_indices, help="comma-separated criterion indices")
     v.add_argument("--report", help="write a JSON report to this path")
 
     args = parser.parse_args(argv)

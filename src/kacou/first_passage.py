@@ -41,7 +41,8 @@ from .model import (
     xi1,
 )
 from .quadrature import gauss_legendre
-from .specfun import LogValue, gauss_2f1_log, gauss_2f1_pair_log, kummer_1f1_log
+from .specfun import LogValue, gauss_2f1_log, kummer_1f1_log
+from .specfun import gauss_2f1_pair_log  # noqa: F401  (bench/tracing.py wraps it here; ROADMAP item 6)
 
 __all__ = [
     "FptQuery",
@@ -108,18 +109,10 @@ class _Frame:
         )
 
 
-def _hyper_F(hp, b2: float, z: float):
-    """Log-scaled F(b0,b1;b2;z), through the real roots or the (sum, product)
-    recurrence when the roots are a conjugate pair."""
-    if hp.is_real_pair:
-        return gauss_2f1_log(hp.b0, hp.b1, b2, z)
-    return gauss_2f1_pair_log(hp.pair_sum, hp.pair_product, b2, z)
-
-
 def _hyper_ratio(hp, b2_num: float, z_num: float, b2_den: float, z_den: float) -> float:
     """F(b0,b1;b2_num;z_num) / F(b0,b1;b2_den;z_den), formed in log space so
     large-parameter evaluations (big q) stay finite."""
-    return _hyper_F(hp, b2_num, z_num).ratio(_hyper_F(hp, b2_den, z_den))
+    return gauss_2f1_log(hp.b0, hp.b1, b2_num, z_num).ratio(gauss_2f1_log(hp.b0, hp.b1, b2_den, z_den))
 
 
 def _regular_branch(hp, beta, lam, q, zx, zy, toward, state):
@@ -177,8 +170,6 @@ def _attraction_repulsion_value(model, q, frame, state):
     x, y = frame.x, frame.y
     frame.require("y", "the threshold past the attractor, away from the repelling level", hi=r0)
     hp = hyper_args(q, model)
-    # the root discriminant is bounded below by (alpha0+alpha1)^2 when the
-    # reversion rates have opposite signs, so the pair is always real here
     if x < y:
         gx, hx = _ar_decaying_pair(hp, xi0(x, r0, r1))
         gy, _ = _ar_decaying_pair(hp, xi0(y, r0, r1))

@@ -42,7 +42,6 @@ __all__ = [
     "invariant_mass",
     "EmpiricalFit",
     "empirical_invariant_profile",
-    "empirical_invariant_distance",
     "support_cutoff",
 ]
 
@@ -256,14 +255,12 @@ def invariant_mass(model: KacOuModel, tol: float = 1e-11) -> float:
     cf = _require(model)
     if cf.bounded:
         return integrate_de_offsets(cf.density, cf.anchor, cf.far, tol=tol)
-    return integrate_half_line_offsets(cf.anchored, cf.direction, scale=cf.scale, tol=tol)
+    return integrate_half_line_offsets(cf.anchored, scale=cf.scale, tol=tol)
 
 
 def _tail_mass(cf: _ClosedForm, dist: float) -> float:
     """Mass beyond distance `dist` from the finite anchor (half-line kinds)."""
-    return integrate_half_line_offsets(
-        lambda d: cf.anchored(dist + d), cf.direction, scale=cf.scale, tol=1e-9
-    )
+    return integrate_half_line_offsets(lambda d: cf.anchored(dist + d), scale=cf.scale, tol=1e-9)
 
 
 def _search_edge(inside, inner: float, outer: float, cap: float, rel_tol: float, max_iter: int):
@@ -408,14 +405,3 @@ def empirical_invariant_profile(
             )
         per_state = (dists[0], dists[1])
     return EmpiricalFit(pooled, per_state)
-
-
-def empirical_invariant_distance(
-    model: KacOuModel,
-    n_paths: int,
-    t_horizon: float,
-    bins: int,
-    seed: int,
-) -> float:
-    """Pooled L1 histogram distance; see :func:`empirical_invariant_profile`."""
-    return empirical_invariant_profile(model, n_paths, t_horizon, bins, seed).pooled

@@ -24,7 +24,6 @@ __all__ = [
     "KacOuModel",
     "RegimeTag",
     "Regime",
-    "TransitionMatrix",
     "HyperParams",
     "classify_regime",
     "pattern_map",
@@ -166,13 +165,12 @@ class RegimeTag(enum.Enum):
 class Regime:
     """Classification of the sign pattern of (gamma0, gamma1, a0, a1).
 
-    ``zero_state``/``drift_sign`` are populated only for the non-strict tags:
-    the index of the zero-gamma state and the sign of its drift.
+    ``zero_state`` is populated only for the non-strict tags: the index of
+    the zero-gamma state.
     """
 
     tag: RegimeTag
     zero_state: int | None = None
-    drift_sign: int | None = None
 
 
 def _rho_equal(c0: StateCoeffs, c1: StateCoeffs) -> bool:
@@ -206,18 +204,16 @@ def classify_regime(model: KacOuModel) -> Regime:
 
     if g0 == 0.0 and g1 == 0.0:
         if c0.a == 0.0 and c1.a == 0.0:
-            return Regime(RegimeTag.NULL_NON_STRICT, zero_state=0, drift_sign=0)
+            return Regime(RegimeTag.NULL_NON_STRICT, zero_state=0)
         return Regime(RegimeTag.PURE_DRIFT)
 
     zero = 0 if g0 == 0.0 else 1
     other = 1 - zero
-    az = model.coeffs[zero].a
-    if az == 0.0:
-        return Regime(RegimeTag.NULL_NON_STRICT, zero_state=zero, drift_sign=0)
-    sign = 1 if az > 0.0 else -1
+    if model.coeffs[zero].a == 0.0:
+        return Regime(RegimeTag.NULL_NON_STRICT, zero_state=zero)
     if model.coeffs[other].gamma > 0.0:
-        return Regime(RegimeTag.NON_STRICT_ATTRACTING, zero_state=zero, drift_sign=sign)
-    return Regime(RegimeTag.NON_STRICT_REPELLING, zero_state=zero, drift_sign=sign)
+        return Regime(RegimeTag.NON_STRICT_ATTRACTING, zero_state=zero)
+    return Regime(RegimeTag.NON_STRICT_REPELLING, zero_state=zero)
 
 
 def _result(value, *inputs):
@@ -325,7 +321,7 @@ def interval_variance(state, t, model: KacOuModel):
     t = np.asarray(t, dtype=float)
     lin = g == 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        var = b * b * (1.0 - np.exp(-2.0 * g * t)) / (2.0 * np.where(lin, 1.0, g))
+        var = b * b * -np.expm1(-2.0 * g * t) / (2.0 * np.where(lin, 1.0, g))
     if lin.any():
         var = np.where(lin, b * b * t, var)
     if (b == 0.0).any():
@@ -333,31 +329,20 @@ def interval_variance(state, t, model: KacOuModel):
     return _result(var, state, t)
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Chain transition probabilities over a fixed horizon, row-stochastic."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        if self.p.shape != (2, 2):
-            raise ParameterError("transition matrix must be 2x2")
-
-
-def transition_matrix(t: float, rates: SwitchRates) -> TransitionMatrix:
-    """Closed-form matrix exponential of the two-state generator at time t."""
+def transition_matrix(t: float, rates: SwitchRates) -> np.ndarray:
+    """Closed-form matrix exponential of the two-state generator at time t,
+    a row-stochastic 2x2 array."""
     if t < 0.0:
         raise ParameterError(f"time must be >= 0, got {t}")
     l0, l1 = rates.lambda0, rates.lambda1
     tot = l0 + l1
     e = math.exp(-tot * t) if tot * t < _EXP_MAX else 0.0
-    p = np.array(
+    return np.array(
         [
             [(l1 + l0 * e) / tot, l0 * (1.0 - e) / tot],
             [l1 * (1.0 - e) / tot, (l0 + l1 * e) / tot],
         ]
     )
-    return TransitionMatrix(p)
 
 
 def stationary_state_dist(rates: SwitchRates) -> tuple[float, float]:
@@ -382,22 +367,14 @@ def xi1(x: float, rho0: float, rho1: float) -> float:
 class HyperParams:
     """Arguments feeding the hypergeometric closed forms at a given rate q.
 
-    ``b0``/``b1`` are the roots of z^2 - sum*z + product; they are None when
-    the discriminant is negative (possible only for gamma0*gamma1 < 0), in
-    which case series must be evaluated through the real (sum, product)
-    recurrence instead of the individual roots.
+    ``b0 >= b1`` are the real roots of
+    z^2 - (beta0 + beta1) z + beta0 beta1 - beta0(0) beta1(0).
     """
 
     beta0: float
     beta1: float
-    pair_sum: float
-    pair_product: float
-    b0: float | None
-    b1: float | None
-
-    @property
-    def is_real_pair(self) -> bool:
-        return self.b0 is not None
+    b0: float
+    b1: float
 
 
 def hyper_args(q: float, model: KacOuModel) -> HyperParams:
@@ -417,9 +394,10 @@ def hyper_args(q: float, model: KacOuModel) -> HyperParams:
     # factors), which makes the q=0 degeneracy of the transforms exact.
     p = beta0 * beta1 - beta0_0 * beta1_0
     if p == 0.0:  # q = 0 collapse: the roots are exactly {0, sum}
-        return HyperParams(beta0, beta1, s, p, max(s, 0.0), min(s, 0.0))
-    disc = (beta0 - beta1) ** 2 + 4.0 * beta0_0 * beta1_0
-    if disc < 0.0:
-        return HyperParams(beta0, beta1, s, p, None, None)
+        return HyperParams(beta0, beta1, max(s, 0.0), min(s, 0.0))
+    # for q >= 0 the discriminant is at least (beta0_0 + beta1_0)^2 when the
+    # gammas have opposite signs, and 4 beta0_0 beta1_0 > 0 is added when they
+    # agree, so only rounding could take it below 0
+    disc = max((beta0 - beta1) ** 2 + 4.0 * beta0_0 * beta1_0, 0.0)
     root = math.sqrt(disc)
-    return HyperParams(beta0, beta1, s, p, 0.5 * (s + root), 0.5 * (s - root))
+    return HyperParams(beta0, beta1, 0.5 * (s + root), 0.5 * (s - root))

@@ -76,20 +76,15 @@ def integrate_de_offsets(f2, a: float, b: float, tol: float = 1e-12, max_level: 
     return result
 
 
-def integrate_half_line_offsets(
-    f1, direction: float, scale: float = 1.0, tol: float = 1e-12
-) -> float:
-    """Integrate f from an anchor point to +/-infinity, where f1(d) evaluates
-    the integrand from the exact distance d > 0 to the anchor.
+def integrate_half_line_offsets(f1, scale: float = 1.0, tol: float = 1e-12) -> float:
+    """Integrate f over a half-line from its anchor point, where f1(d)
+    evaluates the integrand from the exact distance d > 0 to the anchor.
 
     The rational map d = scale*s/(1-s) carries (0,1) onto the half-line; a
     finite-mass power tail becomes an integrable endpoint singularity at
     s = 1 and the anchor singularity stays at s = 0, both of which the
-    tanh-sinh rule absorbs.  `direction` only fixes the sign convention of
-    the result (+1 integrates toward +infinity).
+    tanh-sinh rule absorbs.
     """
-    if direction not in (1.0, -1.0):
-        raise ParameterError("direction must be +1.0 or -1.0")
     if scale <= 0.0:
         raise ParameterError("scale must be positive")
 

@@ -10,16 +10,14 @@ and a terminal draw carries its variance given the switch path and draws
 one normal at the end.
 
 Monte Carlo runs are split into fixed-size chunks; each chunk owns its own
-counter-based stream (see :mod:`kacou.rng`) and chunk results are assembled
-in index order, so estimates are bit-identical for a given seed no matter
-how many worker threads run.
+counter-based stream (see :mod:`kacou.rng`), and the chunks run in index
+order in the calling thread, so estimates are bit-identical for a given
+seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,19 +50,18 @@ __all__ = [
 
 CHUNK = 1 << 14
 
+# Below this |gamma| t a terminal draw grows a state's variance by the series
+# b^2 dt (1 - gamma dt), within (2/3) (gamma t)^2 < 2e-11 of exact.  The level
+# form b^2 (1 - f^2) / (2 gamma) loses about eps / (gamma t) to cancellation
+# there, all of it once f^2 rounds to 1, and b^2 / (2 gamma) overflows for a
+# subnormal gamma.
+_SERIES_GT = 5e-6
+
 CENSOR_NONE = 0
 CENSOR_HORIZON = 1
 CENSOR_SWITCH_CAP = 2
 # censoring reason names, indexed by the codes above
 REASON_NAMES = ("", "horizon", "switch_cap")
-
-
-def _n_workers() -> int:
-    raw = os.environ.get("KACOU_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -293,8 +290,9 @@ def _terminal_chunk(model, x0, t, size, rng, with_noise, initial_state):
     still running; only the live lanes are advanced, and a lane that reaches
     t is written out and dropped.  With noise a lane carries the variance of
     its position given the switch path, V <- V f^2 + b^2 (1 - f^2) / (2 gamma)
-    (b^2 dt when gamma = 0) with f = exp(-gamma dt) the flow's own factor,
-    and one normal per lane is drawn at the end."""
+    with f = exp(-gamma dt) the flow's own factor (V f^2 + b^2 dt (1 - gamma dt)
+    in a state with |gamma| t < _SERIES_GT), and one normal per lane is drawn
+    at the end."""
     lam = model.lam_vec
     if initial_state == "stationary":
         p0, _ = stationary_state_dist(model.rates)
@@ -305,11 +303,15 @@ def _terminal_chunk(model, x0, t, size, rng, with_noise, initial_state):
     states = ss.copy()
     variance = np.zeros(size)
     g = model.gamma_vec
-    lin = g == 0.0
+    lin = np.abs(g) * t < _SERIES_GT  # gamma = 0 included: b^2 dt exactly
     with np.errstate(over="ignore"):  # a level past double range is checked at the end
         b2 = model.b_vec * model.b_vec
         ou_var = np.where(lin, 0.0, b2 / (2.0 * np.where(lin, 1.0, g)))  # b^2 / (2 gamma)
-    lin_var = np.where(lin, b2, 0.0) if lin.any() else None  # b^2 per unit time
+    lin_var = lin_damp = None
+    if lin.any():  # b^2 per unit time, and gamma b^2 where some such gamma is not 0
+        lin_var = np.where(lin, b2, 0.0)
+        if (g[lin] != 0.0).any():
+            lin_damp = np.where(lin, g * b2, 0.0)
     repels = bool((g < 0.0).any())  # only then can the flow's factor overflow
 
     idx = np.arange(size) if t > 0.0 else np.arange(0)
@@ -328,6 +330,8 @@ def _terminal_chunk(model, x0, t, size, rng, with_noise, initial_state):
                 var = level + gap * (factor * factor)
                 if lin_var is not None:
                     var += lin_var[ss] * step
+                    if lin_damp is not None:
+                        var -= lin_damp[ss] * step * step
             if repels:  # growth beyond double range
                 grown = np.isinf(factor)
                 if grown.any():
@@ -367,18 +371,7 @@ def _run_chunks(n, seed, purpose, worker):
     sizes = [CHUNK] * (n // CHUNK)
     if n % CHUNK:
         sizes.append(n % CHUNK)
-    jobs = [(i, sz) for i, sz in enumerate(sizes)]
-
-    def run(job):
-        i, sz = job
-        return worker(sz, stream(seed, purpose, replicate=i))
-
-    workers = _n_workers()
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
+    results = [worker(sz, stream(seed, purpose, replicate=i)) for i, sz in enumerate(sizes)]
     return [np.concatenate(field) for field in zip(*results)]
 
 

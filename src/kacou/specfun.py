@@ -1,11 +1,11 @@
-"""Self-contained special-function kernel: Pochhammer symbols, the Gauss
-hypergeometric series, Kummer's confluent function, log-Gamma and Beta.
+"""Self-contained special-function kernel: the Gauss hypergeometric series,
+Kummer's confluent function, log-Gamma and Beta.
 
-One summation loop serves both series.  The Gauss series is summed either
-from its two real upper parameters or, when those form a complex-conjugate
-pair, from their real (sum, product) via the coefficient recurrence
-c_{n+1} = c_n * (n^2 + n*sum + product), which keeps all arithmetic real;
-Kummer's series uses the same loop with the numerator n + a.
+One summation loop serves both series.  The Gauss series is summed from the
+(sum, product) of its upper parameters via the coefficient recurrence
+c_{n+1} = c_n * (n^2 + n*sum + product), which keeps all arithmetic real even
+for a complex-conjugate pair (``gauss_2f1_pair_log``); Kummer's series uses
+the same loop with the numerator n + a.
 
 That loop sums a scalar head (the first 256 terms, one at a time), then
 numpy blocks (512 terms at first, doubling to at most 65,536).  A block forms
@@ -32,7 +32,6 @@ from .errors import OutOfDomainError, ParameterError, SeriesConvergenceError
 
 __all__ = [
     "LogValue",
-    "pochhammer",
     "gauss_2f1_log",
     "gauss_2f1_pair_log",
     "kummer_1f1_log",
@@ -107,16 +106,6 @@ class LogValue:
         if total == 0.0:
             return LogValue(-math.inf, 0.0, n)
         return LogValue(hi.log + math.log(abs(total)), hi.sign * math.copysign(1.0, total), n)
-
-
-def pochhammer(b: float, n: int) -> float:
-    """Rising factorial b(b+1)...(b+n-1) with (b)_0 = 1."""
-    if n < 0:
-        raise ParameterError(f"pochhammer order must be >= 0, got {n}")
-    out = 1.0
-    for k in range(n):
-        out *= b + k
-    return out
 
 
 def _is_nonpositive_int(x: float) -> bool:

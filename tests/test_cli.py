@@ -253,20 +253,13 @@ def test_fpt_csv_contract(tmp_path):
 
 
 def test_outputs_byte_identical_across_runs_and_threads(tmp_path):
+    # Monte Carlo chunks run in index order in the calling thread, so two runs
+    # of one config and seed write the same bytes
     path, out = write_cfg(tmp_path)
-    old = os.environ.get("KACOU_THREADS")
-    try:
-        os.environ["KACOU_THREADS"] = "1"
-        assert main(["fpt", "--config", path]) == 0
-        first = open(os.path.join(out, "fpt.csv"), "rb").read()
-        os.environ["KACOU_THREADS"] = "3"
-        assert main(["fpt", "--config", path]) == 0
-        second = open(os.path.join(out, "fpt.csv"), "rb").read()
-    finally:
-        if old is None:
-            os.environ.pop("KACOU_THREADS", None)
-        else:
-            os.environ["KACOU_THREADS"] = old
+    assert main(["fpt", "--config", path]) == 0
+    first = open(os.path.join(out, "fpt.csv"), "rb").read()
+    assert main(["fpt", "--config", path]) == 0
+    second = open(os.path.join(out, "fpt.csv"), "rb").read()
     assert first == second
 
 
@@ -446,6 +439,17 @@ def test_validate_subset(tmp_path, capsys):
     body = json.load(open(report))
     assert [r["index"] for r in body] == [1, 7, 10]
     assert all(r["passed"] for r in body)
+
+
+@pytest.mark.parametrize("only, token", [("11", "'11'"), ("0", "'0'"), ("2,x", "'x'"), ("1,,2", "''")])
+def test_validate_rejects_bad_criterion_indices(only, token, capsys):
+    # a usage error: nothing runs, exit 2, and the message names the token
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--only", only])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "--only" in captured.err and token in captured.err
+    assert "criterion" not in captured.out
 
 
 def test_config_inline_comments_and_lists(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from kacou.errors import NoInvariantMeasureError
 from kacou.invariant import (
-    empirical_invariant_distance,
+    empirical_invariant_profile,
     invariant_density,
     invariant_density_with_derivative,
     invariant_description,
@@ -218,24 +218,22 @@ def test_support_cutoff_brackets_density():
 
 
 def test_empirical_distance_small_for_linear_example():
-    d = empirical_invariant_distance(ATTRACTING, 100_000, 20.0, 50, seed=2026)
+    d = empirical_invariant_profile(ATTRACTING, 100_000, 20.0, 50, seed=2026).pooled
     assert d < 0.02
 
 
 def test_empirical_distance_improves_with_samples():
-    d_small = empirical_invariant_distance(ATTRACTING, 2_000, 20.0, 50, seed=7)
-    d_large = empirical_invariant_distance(ATTRACTING, 20_000, 20.0, 50, seed=7)
+    d_small = empirical_invariant_profile(ATTRACTING, 2_000, 20.0, 50, seed=7).pooled
+    d_large = empirical_invariant_profile(ATTRACTING, 20_000, 20.0, 50, seed=7).pooled
     assert d_large <= d_small + 0.01
 
 
 def test_empirical_distance_half_line_support():
-    d = empirical_invariant_distance(NON_STRICT, 50_000, 25.0, 50, seed=11)
+    d = empirical_invariant_profile(NON_STRICT, 50_000, 25.0, 50, seed=11).pooled
     assert d < 0.04
 
 
 def test_empirical_per_state_profile():
-    from kacou.invariant import empirical_invariant_profile
-
     fit = empirical_invariant_profile(ATTRACTING, 100_000, 20.0, 50, seed=2026)
     assert fit.per_state is not None
     assert fit.per_state[0] < 0.02 and fit.per_state[1] < 0.02
@@ -245,12 +243,10 @@ def test_empirical_per_state_profile():
 
 def test_empirical_distance_requires_measure():
     with pytest.raises(NoInvariantMeasureError):
-        empirical_invariant_distance(REPULSION, 1_000, 5.0, 20, seed=0)
+        empirical_invariant_profile(REPULSION, 1_000, 5.0, 20, seed=0)
 
 
 def test_empirical_profile_mirrored_half_line():
-    from kacou.invariant import empirical_invariant_profile
-
     fit = empirical_invariant_profile(ATTRACT_REPEL_10, 100_000, 30.0, 50, seed=31)
     assert fit.pooled < 0.02
     assert fit.per_state is not None and max(fit.per_state) < 0.02

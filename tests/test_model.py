@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,7 +51,7 @@ def test_classify_regime_table(kwargs, tag):
 
 def test_classify_non_strict_payload():
     regime = classify_regime(make(gamma0=2.0, gamma1=0.0, a1=-3.0))
-    assert regime.zero_state == 1 and regime.drift_sign == -1
+    assert regime.zero_state == 1
 
 
 def test_degenerate_takes_precedence_over_repulsion():
@@ -171,6 +172,15 @@ def test_flow_kernel_on_arrays_equals_scalar_calls():
         assert np.isfinite(hit).any() and np.isinf(hit).any()
 
 
+@pytest.mark.parametrize("gamma", [1e-310, 1e-17, 1e-12, 1e-8, 1.0, -1.0])
+def test_interval_variance_matches_mpmath_at_small_gamma_t(gamma):
+    # 1 - exp(-2 gamma t) cancels for small gamma t; expm1 does not
+    with mpmath.workdps(50):
+        g = mpmath.mpf(gamma)
+        want = float(-mpmath.expm1(-2 * g) / (2 * g))
+    assert interval_variance(0, 1.0, make(b0=1.0, gamma0=gamma)) == pytest.approx(want, rel=1e-13)
+
+
 # --- chain algebra ---------------------------------------------------------
 
 
@@ -189,10 +199,10 @@ def _expm_oracle(mat, t, squarings=8):
 
 def test_transition_matrix_closed_form():
     rates = SwitchRates(1.0, 1.0)
-    assert np.allclose(transition_matrix(0.0, rates).p, np.eye(2))
-    p = transition_matrix(math.log(2.0) / 2.0, rates).p
+    assert np.allclose(transition_matrix(0.0, rates), np.eye(2))
+    p = transition_matrix(math.log(2.0) / 2.0, rates)
     assert p[0, 1] == pytest.approx(0.25, abs=1e-15)
-    far = transition_matrix(100.0, rates).p
+    far = transition_matrix(100.0, rates)
     assert np.max(np.abs(far - 0.5)) < 1e-12
 
 
@@ -200,14 +210,14 @@ def test_transition_matrix_closed_form():
 @pytest.mark.parametrize("t", [0.05, 0.7, 3.0])
 def test_transition_matrix_vs_expm_oracle(rates, t):
     gen = np.array([[-rates.lambda0, rates.lambda0], [rates.lambda1, -rates.lambda1]])
-    assert np.max(np.abs(transition_matrix(t, rates).p - _expm_oracle(gen, t))) < 1e-12
+    assert np.max(np.abs(transition_matrix(t, rates) - _expm_oracle(gen, t))) < 1e-12
 
 
 def test_transition_matrix_chapman_kolmogorov_and_rows():
     rates = SwitchRates(2.0, 5.0)
     for s, t in [(0.3, 0.9), (0.01, 5.0)]:
-        lhs = transition_matrix(s + t, rates).p
-        rhs = transition_matrix(s, rates).p @ transition_matrix(t, rates).p
+        lhs = transition_matrix(s + t, rates)
+        rhs = transition_matrix(s, rates) @ transition_matrix(t, rates)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
         assert np.max(np.abs(lhs.sum(axis=1) - 1.0)) < 1e-12
 
@@ -216,7 +226,7 @@ def test_stationary_state_dist():
     assert stationary_state_dist(SwitchRates(1.0, 1.0)) == (0.5, 0.5)
     assert stationary_state_dist(SwitchRates(1.0, 3.0)) == (0.75, 0.25)
     pi = np.array(stationary_state_dist(SwitchRates(2.0, 5.0)))
-    assert np.max(np.abs(pi @ transition_matrix(0.7, SwitchRates(2.0, 5.0)).p - pi)) < 1e-12
+    assert np.max(np.abs(pi @ transition_matrix(0.7, SwitchRates(2.0, 5.0)) - pi)) < 1e-12
 
 
 # --- hypergeometric arguments ----------------------------------------------
@@ -231,16 +241,17 @@ def test_hyper_args_hand_value():
 def test_hyper_args_q0_root_collapses():
     m = make(lambda0=1.7, lambda1=0.4, a0=-1.0, a1=3.0, gamma0=2.0, gamma1=0.8)
     hp = hyper_args(0.0, m)
-    assert hp.pair_product == 0.0
-    assert hp.b1 == pytest.approx(0.0, abs=1e-12)
-    assert hp.b0 == pytest.approx(hp.beta0 + hp.beta1, abs=1e-12)
+    # beta0 beta1 equals beta0(0) beta1(0) exactly, so the roots are {0, sum}
+    assert hp.beta0 * hp.beta1 == (1.7 / 2.0) * (0.4 / 0.8)
+    assert hp.b1 == 0.0
+    assert hp.b0 == hp.beta0 + hp.beta1
 
 
 def test_hyper_args_vieta():
     m = make(lambda0=0.9, lambda1=2.2, a0=0.5, a1=2.0, gamma0=1.4, gamma1=0.6)
     hp = hyper_args(0.37, m)
-    assert hp.b0 + hp.b1 == pytest.approx(hp.pair_sum, abs=1e-12)
-    assert hp.b0 * hp.b1 == pytest.approx(hp.pair_product, abs=1e-12)
+    assert hp.b0 + hp.b1 == pytest.approx(hp.beta0 + hp.beta1, abs=1e-12)
+    assert hp.b0 * hp.b1 == pytest.approx(hp.beta0 * hp.beta1 - (0.9 / 1.4) * (2.2 / 0.6), abs=1e-12)
     assert hp.b0 >= hp.b1
 
 
@@ -275,15 +286,21 @@ def test_xi_rejects_equal_levels():
 @given(
     st.floats(0.2, 3.0), st.floats(0.2, 3.0),
     st.floats(0.3, 3.0), st.floats(0.3, 3.0),
-    st.floats(0.0, 5.0),
+    st.floats(0.0, 5.0), st.sampled_from([1.0, -1.0]),
 )
 @settings(max_examples=200, deadline=None)
-def test_mixed_sign_roots_are_always_real(lam0, lam1, g0, g1, q):
+def test_mixed_sign_roots_are_always_real(lam0, lam1, g0, g1, q, sign):
     # with opposite reversion signs the discriminant is bounded below by
-    # (alpha0 + alpha1)^2, so the root pair never goes complex for q >= 0
-    m = make(lambda0=lam0, lambda1=lam1, a0=0.0, a1=-1.0, gamma0=g0, gamma1=-g1)
+    # (alpha0 + alpha1)^2, with alpha_i = lambda_i / gamma_i, and with equal
+    # signs 4 alpha0 alpha1 > 0 is added to a square, so for q >= 0 the roots
+    # are real and satisfy Vieta's relations
+    m = make(lambda0=lam0, lambda1=lam1, a0=0.0, a1=-1.0, gamma0=g0, gamma1=sign * g1)
     hp = hyper_args(q, m)
-    assert hp.is_real_pair
+    assert math.isfinite(hp.b0) and math.isfinite(hp.b1)
+    a0a1 = (lam0 / g0) * (lam1 / (sign * g1))
+    size = abs(hp.beta0) + abs(hp.beta1)
+    assert abs(hp.b0 + hp.b1 - (hp.beta0 + hp.beta1)) <= 1e-12 * size
+    assert abs(hp.b0 * hp.b1 - (hp.beta0 * hp.beta1 - a0a1)) <= 1e-12 * max(abs(hp.beta0 * hp.beta1), abs(a0a1))
 
 
 def test_rho_equality_tolerance():

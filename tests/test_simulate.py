@@ -1,5 +1,4 @@
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -493,26 +492,6 @@ def test_trapping_interval_absorbs_paths():
     assert np.all(later.values >= 0.0) and np.all(later.values <= 1.0)
 
 
-# --- determinism across the vectorized kernels --------------------------------
-
-
-def test_batches_bit_identical_across_thread_counts():
-    q_args = dict(x=0.25, y=0.75, initial_state=1, n=50_000, seed=123)
-    old = os.environ.get("KACOU_THREADS")
-    try:
-        os.environ["KACOU_THREADS"] = "1"
-        seq = fpt_samples(ATTRACTING, **q_args)
-        os.environ["KACOU_THREADS"] = "4"
-        par = fpt_samples(ATTRACTING, **q_args)
-    finally:
-        if old is None:
-            os.environ.pop("KACOU_THREADS", None)
-        else:
-            os.environ["KACOU_THREADS"] = old
-    assert np.array_equal(seq.times, par.times, equal_nan=True)
-    assert np.array_equal(seq.censored, par.censored)
-
-
 def test_terminal_values_deterministic_by_seed():
     a = terminal_values(NOISY, 0.1, 2.0, 10_000, seed=9, with_noise=True)
     b = terminal_values(NOISY, 0.1, 2.0, 10_000, seed=9, with_noise=True)
@@ -629,6 +608,15 @@ def test_noisy_terminal_values_match_per_segment_reference_in_law():
         20_000, 5, "terminal", lambda sz, rng: reference_terminal_chunk(model, x0, t, sz, rng, True, start)
     )[0]
     assert ks_2samp(got, want).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("g", [1e-310, 1e-17, 1e-12])
+def test_noisy_terminal_draws_keep_their_noise_at_tiny_reversion(g):
+    # the variance is b^2 t (1 + O(gamma t)) = 2; the level b^2 / (2 gamma)
+    # overflows at g = 1e-310, and at 1e-17 the factor f^2 rounds to 1
+    model = KacOuModel.from_values(1, 1, 0, 0, 1, 1, g, g)
+    values = terminal_values(model, 0.3, 2.0, 20_000, seed=1, with_noise=True).values
+    assert values.var(ddof=1) == pytest.approx(2.0, rel=0.05)
 
 
 # rare switches and a fast push away from the level 0 in state 1, which has

@@ -14,7 +14,6 @@ from kacou.specfun import (
     gauss_2f1_pair_log,
     kummer_1f1_log,
     log_gamma,
-    pochhammer,
 )
 
 
@@ -33,21 +32,6 @@ def direct_1f1(a, b, z, n_terms=400):
         t *= (a + n) * z / ((b + n) * (n + 1.0))
         s += t
     return s
-
-
-# --- pochhammer -------------------------------------------------------------
-
-
-def test_pochhammer_examples():
-    assert pochhammer(5.0, 0) == 1.0
-    assert pochhammer(3.0, 4) == 360.0
-    assert pochhammer(0.0, 2) == 0.0
-
-
-@given(st.floats(-5, 5, allow_nan=False), st.integers(0, 12))
-@settings(max_examples=100, deadline=None)
-def test_pochhammer_recurrence(b, n):
-    assert pochhammer(b, n + 1) == pochhammer(b, n) * (b + n)
 
 
 # --- Gauss series -----------------------------------------------------------
