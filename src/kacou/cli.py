@@ -322,7 +322,7 @@ def _cmd_scaling(cfg: RunConfig) -> int:
             spec,
             _positive(cfg, "scaling", "t", 1.0),
             _numbers(cfg, "scaling", "n_list", default=[10, 100, 1000], count=True),
-            _count(cfg, "scaling", "n_paths", 100_000),
+            _count(cfg, "scaling", "n_paths", 100_000, least=2),
             seed=cfg.seed,
             x0=_finite(cfg, "scaling", "x0", default=0.0),
         )

@@ -206,6 +206,8 @@ def invariant_description(model: KacOuModel) -> InvariantDensity:
 
 def invariant_density(x, state: int, model: KacOuModel):
     """Closed-form stationary density of (X, state) at x (0 outside support)."""
+    if state not in (0, 1):
+        raise ParameterError(f"state must be 0 or 1, got {state}")
     p0, p1, _, _ = _require(model).evaluate(x)
     out = p0 if state == 0 else p1
     return out if np.ndim(x) else float(out)

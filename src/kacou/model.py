@@ -311,19 +311,21 @@ def hitting_time(state, x, y, model: KacOuModel):
 
 
 def interval_variance(state, t, model: KacOuModel):
-    """Variance the state's diffusion accumulates over time t from a fixed
-    point: b^2 (1 - exp(-2 gamma t)) / (2 gamma), or b^2 t when gamma = 0.
+    """Variance the state's diffusion accumulates over a finite time t >= 0
+    from a fixed point: b^2 t phi(2 gamma t), with phi(x) = (1 - exp(-x))/x
+    and phi(0) = 1.
 
     Repelling growth beyond double range gives inf; b = 0 gives 0.  state
     and t are scalars (a float is returned) or broadcastable arrays.
     """
     b, g = model.b_vec[state], model.gamma_vec[state]
     t = np.asarray(t, dtype=float)
-    lin = g == 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        var = b * b * -np.expm1(-2.0 * g * t) / (2.0 * np.where(lin, 1.0, g))
-    if lin.any():
-        var = np.where(lin, b * b * t, var)
+    bad = t[~((t >= 0.0) & (t < math.inf))]
+    if bad.size:
+        raise ParameterError(f"interval time must be finite and >= 0, got {bad[0]}")
+    with np.errstate(over="ignore", invalid="ignore"):  # phi's 0/0 is replaced by 1
+        x = 2.0 * g * t
+        var = b * b * t * np.where(x == 0.0, 1.0, -np.expm1(-x) / x)
     if (b == 0.0).any():
         var = np.where(b == 0.0, 0.0, var)
     return _result(var, state, t)
@@ -332,7 +334,7 @@ def interval_variance(state, t, model: KacOuModel):
 def transition_matrix(t: float, rates: SwitchRates) -> np.ndarray:
     """Closed-form matrix exponential of the two-state generator at time t,
     a row-stochastic 2x2 array."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise ParameterError(f"time must be >= 0, got {t}")
     l0, l1 = rates.lambda0, rates.lambda1
     tot = l0 + l1

@@ -15,19 +15,22 @@ One table, SCALED_PAIRS, names the pairs each kind scales; the spec's
 required fields, the scaled model, the limiting SDE and the CLI's config keys
 all read it.  A telegraph integral is a scaled drift on a base with no
 reversion and no noise.
+
+Every limit is an Ornstein-Uhlenbeck process, Gaussian or with
+multiplicative noise; limit_moments gives the mean and variance of each by
+one linear moment system.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DoubleRangeError, ParameterError
-from .model import KacOuModel, StateCoeffs, SwitchRates
+from .model import KacOuModel, StateCoeffs, SwitchRates, stationary_state_dist
 from .simulate import terminal_values
 
 __all__ = [
@@ -40,11 +43,9 @@ __all__ = [
     "ConvergenceRow",
     "sigma_combine",
     "stratonovich_adjusted",
-    "pi_star_star",
     "scaled_model",
     "limiting_sde",
-    "ou_moments",
-    "limit_moment_odes",
+    "limit_moments",
     "convergence_check",
 ]
 
@@ -156,23 +157,13 @@ class LimitSde:
 def sigma_combine(sigma0: float, sigma1: float) -> float:
     """Effective Brownian amplitude sigma0*sigma1 / sqrt((sigma0^2+sigma1^2)/2).
 
-    Where the product or the mean square leaves the normal double range, the
-    amplitudes are first divided by the larger one."""
+    The amplitudes are first divided by the larger one, so no product or
+    square leaves double range."""
     if not (0.0 < sigma0 < math.inf and 0.0 < sigma1 < math.inf):
         raise ParameterError(f"sigma_combine requires finite positive amplitudes, got ({sigma0}, {sigma1})")
-    product = sigma0 * sigma1
-    mean_square = 0.5 * (sigma0 * sigma0 + sigma1 * sigma1)
-    tiny = sys.float_info.min  # below it a double loses precision
-    if tiny <= product < math.inf and tiny <= mean_square < math.inf:
-        return product / math.sqrt(mean_square)
     big = max(sigma0, sigma1)
     r0, r1 = sigma0 / big, sigma1 / big
     return big * (r0 * r1 / math.sqrt(0.5 * (r0 * r0 + r1 * r1)))
-
-
-def pi_star_star(nu: float) -> tuple[float, float]:
-    """Limit of the chain's stationary distribution under rate ratio nu."""
-    return (1.0 / (1.0 + nu), nu / (1.0 + nu))
 
 
 def scaled_model(spec: ScalingSpec, n: float) -> KacOuModel:
@@ -193,7 +184,7 @@ def limiting_sde(spec: ScalingSpec) -> LimitSde:
     """Coefficients of the limiting SDE: the base's pi**-weighted ones, with
     a scaled pair's delta in place of its own, and noise sigma_combine(sigma0,
     sigma1) per scaled pair (for the telegraph kinds, a drifted Brownian motion)."""
-    p = pi_star_star(spec.nu)
+    p = stationary_state_dist(SwitchRates(spec.nu, 1.0))
     c0, c1 = spec.coeffs
     limit = {name: p[0] * getattr(c0, name) + p[1] * getattr(c1, name) for name in ("a", "b", "gamma")}
     sigma = {"a": 0.0}
@@ -206,18 +197,6 @@ def limiting_sde(spec: ScalingSpec) -> LimitSde:
     # the scaled-drift noise and the frozen diffusion ride independent
     # Wiener processes, so their amplitudes add in quadrature
     return LimitSde(limit["a"], limit["gamma"], math.hypot(sigma["a"], limit["b"]), 0.0)
-
-
-def ou_moments(t: float, x0: float, a: float, gamma: float, b: float):
-    """Mean and variance of a constant-coefficient OU value at time t."""
-    if t < 0.0:
-        raise ParameterError(f"t must be >= 0, got {t}")
-    if gamma == 0.0:
-        return x0 + a * t, b * b * t
-    decay = math.exp(-gamma * t)
-    mean = a / gamma + (x0 - a / gamma) * decay
-    var = b * b * (1.0 - decay * decay) / (2.0 * gamma)
-    return mean, var
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -235,30 +214,36 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return result
 
 
-def limit_moment_odes(limit: LimitSde, t: float, x0: float):
-    """(mean, second moment) of the limit SDE at time t.
+def limit_moments(limit: LimitSde, t: float, x0: float):
+    """(mean, variance) of the limit SDE at time t.
 
     With c = drift_const, l = drift_lin, sg = multiplicative_noise and
-    off = noise_offset, the moment equations m' = c - l m and
-    s' = k m + r s + d, where k = 2 (c - sg off), r = sg^2 - 2 l and
-    d = off^2 + additive_noise^2, are linear with constant coefficients, so
-    (m, s, 1)(t) = exp(t G) (x0, x0^2, 1) with G = [[-l, 0, c], [k, r, d],
-    [0, 0, 0]]."""
+    off = noise_offset, the mean m, its square m^2 and the variance v obey
+    the linear equations m' = c - l m, (m^2)' = 2 c m - 2 l m^2 and
+    v' = sg^2 m^2 - 2 sg off m + (sg^2 - 2 l) v + d with d = off^2 +
+    additive_noise^2, so (m, m^2, v, 1)(t) = exp(t G) (x0, x0^2, 0, 1).  x0^2
+    reaches v only through sg^2, so a Gaussian limit (sg = 0) is fed 0 there
+    and keeps finite moments from any finite x0."""
     if t < 0.0:
         raise ParameterError(f"t must be >= 0, got {t}")
     if t == 0.0:
-        return x0, x0 * x0
+        return x0, 0.0
     c, l, sg, off = limit.drift_const, limit.drift_lin, limit.multiplicative_noise, limit.noise_offset
     d = off * off + limit.additive_noise * limit.additive_noise
     if x0 == 0.0 and c == 0.0 and d == 0.0:  # homogeneous from 0: 0, even where exp(t G) overflows
         return 0.0, 0.0
-    k, r = 2.0 * (c - sg * off), sg * sg - 2.0 * l
-    tg = np.array([[-l * t, 0.0, c * t], [k * t, r * t, d * t], [0.0, 0.0, 0.0]])
-    if np.isfinite(tg).all():
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            m, s, _ = _expm(tg) @ np.array([x0, x0 * x0, 1.0])
-        if math.isfinite(m) and math.isfinite(s):
-            return float(m), float(s)
+    gen = np.array([
+        [-l, 0.0, 0.0, c],
+        [2.0 * c, -2.0 * l, 0.0, 0.0],
+        [-2.0 * sg * off, sg * sg, sg * sg - 2.0 * l, d],
+        [0.0, 0.0, 0.0, 0.0],
+    ])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        tg = gen * t
+        if np.isfinite(tg).all():
+            m, _, v, _ = _expm(tg) @ np.array([x0, x0 * x0 if sg else 0.0, 0.0, 1.0])
+            if math.isfinite(m) and math.isfinite(v):
+                return float(m), float(v)
     raise DoubleRangeError(f"the limit's moments are out of double range at t = {t}")
 
 
@@ -336,14 +321,12 @@ def convergence_check(
     n_list = list(n_list)
     if sorted(n_list) != n_list:
         raise ParameterError("n_list must be increasing")
+    if not n_paths >= 2:  # a sample variance needs two draws
+        raise ParameterError(f"n_paths must be at least 2, got {n_paths}")
 
     limit = limiting_sde(spec)
     gaussian = limit.multiplicative_noise == 0.0
-    if gaussian:
-        limit_mean, limit_var = ou_moments(t, x0, limit.drift_const, limit.drift_lin, limit.additive_noise)
-    else:
-        m, s = limit_moment_odes(stratonovich_adjusted(limit), t, x0)
-        limit_mean, limit_var = m, s - m * m
+    limit_mean, limit_var = limit_moments(stratonovich_adjusted(limit), t, x0)
     _require_finite(f"the limit at t = {t}", limit_mean, limit_var)
 
     rows = []

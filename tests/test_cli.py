@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -420,6 +421,17 @@ def test_scaling_parameter_errors_keep_exit_1(tmp_path, capsys):
     path, out = write_cfg(tmp_path)
     assert main(["scaling", "--config", path, "--set", "scaling.n_list=50, 10"]) == 1
     assert "n_list must be increasing" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_scaling_one_path_exits_2_naming_the_key(tmp_path, capsys):
+    # one draw has no sample variance: this used to warn from numpy and then
+    # blame scaling.t and scaling.x0 for a nan variance
+    path, out = write_cfg(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["scaling", "--config", path, "--set", "scaling.n_paths=1"]) == 2
+    assert "scaling.n_paths" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kacou.errors import NoInvariantMeasureError
+from kacou.errors import NoInvariantMeasureError, ParameterError
 from kacou.invariant import (
     empirical_invariant_profile,
     invariant_density,
@@ -92,6 +92,13 @@ def test_density_vanishes_outside_support():
     assert invariant_density(1.5, 0, ATTRACTING) == 0.0
     assert invariant_density(0.5, 1, ATTRACT_REPEL) == 0.0
     assert invariant_density(-0.1, 0, NON_STRICT) == 0.0
+
+
+@pytest.mark.parametrize("state", [2, -1])
+def test_density_takes_only_chain_states(state):
+    # any state but 0 used to return pi1
+    with pytest.raises(ParameterError, match="state must be 0 or 1"):
+        invariant_density(0.5, state, ATTRACTING)
 
 
 def test_nonexistent_description_kind():

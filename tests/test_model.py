@@ -181,6 +181,24 @@ def test_interval_variance_matches_mpmath_at_small_gamma_t(gamma):
     assert interval_variance(0, 1.0, make(b0=1.0, gamma0=gamma)) == pytest.approx(want, rel=1e-13)
 
 
+@pytest.mark.parametrize("t", [0.3, 1e-10, 1.0])
+def test_interval_variance_at_subnormal_gamma(t):
+    # 2 gamma t sits on the coarse subnormal grid or underflows to 0; the
+    # variance is still b^2 t to rounding
+    gamma = 1e-320
+    with mpmath.workdps(50):
+        x = 2 * mpmath.mpf(gamma) * mpmath.mpf(t)
+        want = float(mpmath.mpf(t) * -mpmath.expm1(-x) / x)
+    assert interval_variance(0, t, make(b0=1.0, gamma0=gamma)) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("t", [-1.0, np.array([0.5, -1e-3]), math.nan, math.inf])
+def test_interval_variance_rejects_negative_and_infinite_times(t):
+    # -1.0 used to give a negative variance; phi(2 gamma t) has no value at t = inf
+    with pytest.raises(ParameterError, match="interval time"):
+        interval_variance(0, t, make(b0=1.0))
+
+
 # --- chain algebra ---------------------------------------------------------
 
 
@@ -204,6 +222,7 @@ def test_transition_matrix_closed_form():
     assert p[0, 1] == pytest.approx(0.25, abs=1e-15)
     far = transition_matrix(100.0, rates)
     assert np.max(np.abs(far - 0.5)) < 1e-12
+    assert np.array_equal(transition_matrix(math.inf, SwitchRates(1.0, 3.0)), [[0.75, 0.25], [0.75, 0.25]])
 
 
 @pytest.mark.parametrize("rates", [SwitchRates(1.0, 1.0), SwitchRates(2.0, 5.0), SwitchRates(0.3, 4.0)])
@@ -211,6 +230,13 @@ def test_transition_matrix_closed_form():
 def test_transition_matrix_vs_expm_oracle(rates, t):
     gen = np.array([[-rates.lambda0, rates.lambda0], [rates.lambda1, -rates.lambda1]])
     assert np.max(np.abs(transition_matrix(t, rates) - _expm_oracle(gen, t))) < 1e-12
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, -math.inf])
+def test_transition_matrix_rejects_times_not_at_least_0(t):
+    # nan used to return the stationary matrix
+    with pytest.raises(ParameterError, match="time must be >= 0"):
+        transition_matrix(t, SwitchRates(2.0, 5.0))
 
 
 def test_transition_matrix_chapman_kolmogorov_and_rows():

@@ -8,23 +8,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kacou.errors import DoubleRangeError, ParameterError
-from kacou.model import KacOuModel
+from kacou.model import KacOuModel, SwitchRates, stationary_state_dist
 from kacou.scaling import (
     LimitSde,
     ScaledPair,
     ScalingKind,
     ScalingSpec,
     convergence_check,
-    limit_moment_odes,
+    limit_moments,
     limiting_sde,
-    ou_moments,
-    pi_star_star,
     scaled_model,
     sigma_combine,
 )
 from kacou.simulate import terminal_values
 
 BASE = KacOuModel.from_values(1.0, 1.0, 0.0, 2.0, 1.0, 1.0, 1.0, 3.0)
+
+
+def _ou_exact(t, x0, a, gamma, b):
+    """Mean and variance of dX = (a - gamma X) dt + b dW from x0 at time t,
+    in closed form at 50 digits."""
+    with mpmath.workdps(50):
+        t, x0, a, g, b = (mpmath.mpf(v) for v in (t, x0, a, gamma, b))
+        if g == 0:
+            return float(x0 + a * t), float(b * b * t)
+        mean = a / g + (x0 - a / g) * mpmath.exp(-g * t)
+        return float(mean), float(-b * b * mpmath.expm1(-2 * g * t) / (2 * g))
 
 
 # --- sigma combination ----------------------------------------------------------
@@ -85,9 +94,14 @@ def test_fast_switching_limit_coefficients():
 
 
 def test_pi_star_star_limit():
-    assert pi_star_star(1.0) == (0.5, 0.5)
-    p = pi_star_star(1e6)
+    # the chain's stationary law under rate ratio nu = lambda0/lambda1 is
+    # (1, nu) / (1 + nu), and the limit weights the base's coefficients by it
+    for nu in (1e-8, 0.3, 1.0, 7.0, 1e8):
+        assert stationary_state_dist(SwitchRates(nu, 1.0)) == pytest.approx((1 / (1 + nu), nu / (1 + nu)), rel=1e-15)
+    p = stationary_state_dist(SwitchRates(1e6, 1.0))
     assert p[0] == pytest.approx(0.0, abs=2e-6) and p[1] == pytest.approx(1.0, abs=2e-6)
+    limit = limiting_sde(ScalingSpec(ScalingKind.FAST_SWITCHING, nu=3.0, base=BASE))
+    assert (limit.drift_const, limit.drift_lin, limit.additive_noise) == (1.5, 2.5, 1.0)
 
 
 def test_case_a_additive_quadrature():
@@ -191,34 +205,33 @@ def test_scaled_cases_move_the_right_coefficients():
 
 
 def test_ou_moments_limits():
-    mean0, var0 = ou_moments(0.0, 0.7, 1.0, 2.0, 0.5)
-    assert (mean0, var0) == (0.7, 0.0)
-    mean_inf, var_inf = ou_moments(25.0, 0.7, 1.0, 2.0, 0.5)
+    # a Gaussian limit's moments at t = 0, at stationarity and with no reversion
+    limit = LimitSde(1.0, 2.0, 0.5, 0.0)
+    assert limit_moments(limit, 0.0, 0.7) == (0.7, 0.0)
+    mean_inf, var_inf = limit_moments(limit, 25.0, 0.7)
     assert mean_inf == pytest.approx(0.5, abs=1e-10)
     assert var_inf == pytest.approx(0.25 / 4.0, abs=1e-10)
-    mean_lin, var_lin = ou_moments(2.0, 0.0, 0.3, 0.0, 0.5)
-    assert (mean_lin, var_lin) == (0.6, 0.5)
+    assert limit_moments(LimitSde(0.3, 0.0, 0.5, 0.0), 2.0, 0.0) == (0.6, 0.5)
 
 
 def test_limit_moment_odes_match_gaussian_case():
-    limit = LimitSde(1.0, 2.0, 0.8, 0.0)
-    m, s = limit_moment_odes(limit, 1.3, 0.4)
-    mean, var = ou_moments(1.3, 0.4, 1.0, 2.0, 0.8)
-    assert m == pytest.approx(mean, abs=1e-10)
-    assert s - m * m == pytest.approx(var, abs=1e-9)
+    mean, var = limit_moments(LimitSde(1.0, 2.0, 0.8, 0.0), 1.3, 0.4)
+    want_mean, want_var = _ou_exact(1.3, 0.4, 1.0, 2.0, 0.8)
+    assert mean == pytest.approx(want_mean, rel=1e-14)
+    assert var == pytest.approx(want_var, rel=1e-14)
 
 
 def test_limit_moment_odes_martingale_growth():
     limit = LimitSde(0.0, 0.0, 0.6, 0.0, noise_offset=0.8)
-    m, s = limit_moment_odes(limit, 2.0, 0.3)
-    assert m == pytest.approx(0.3, abs=1e-12)
-    assert s == pytest.approx(0.3**2 + (0.6**2 + 0.8**2) * 2.0, abs=1e-9)
+    mean, var = limit_moments(limit, 2.0, 0.3)
+    assert mean == pytest.approx(0.3, rel=1e-14)
+    assert var == pytest.approx((0.6**2 + 0.8**2) * 2.0, rel=1e-14)
 
 
 def test_limit_moment_odes_step_refinement():
     limit = LimitSde(0.5, 1.5, 0.4, 0.9, noise_offset=0.2)
-    ref = limit_moment_odes(limit, 1.0, 0.1)
-    again = limit_moment_odes(limit, 1.0, 0.1)
+    ref = limit_moments(limit, 1.0, 0.1)
+    again = limit_moments(limit, 1.0, 0.1)
     assert ref == again  # deterministic
 
 
@@ -226,9 +239,10 @@ def test_stiff_limit_moments_refine_past_overflowing_passes():
     # t * 2 * drift_lin is 1e4, far too stiff for an explicit step; the
     # moments have reached their stationary values
     limit = LimitSde(0.3, 50.0, 0.2, 0.5, noise_offset=0.1)
-    m, s = limit_moment_odes(limit, 100.0, 0.4)
+    m, v = limit_moments(limit, 100.0, 0.4)
     assert m == pytest.approx(0.3 / 50.0, rel=1e-12)
-    assert s == pytest.approx((0.6 * m - 0.1 * m + 0.01 + 0.04) / 99.75, rel=1e-12)
+    # the stationary second moment (2 (c - sg off) m + off^2 + add^2) / (2 l - sg^2)
+    assert v == pytest.approx((0.6 * m - 0.1 * m + 0.01 + 0.04) / 99.75 - m * m, rel=1e-12)
     spec = ScalingSpec(ScalingKind.CASE_B, nu=1.0, base=BASE, reversion=ScaledPair(0.5, 50.0))
     (row,) = convergence_check(spec, 100.0, [100], 500, seed=2, x0=0.4)
     assert math.isfinite(row.limit_mean) and row.limit_var > 0.0
@@ -241,11 +255,12 @@ def test_stiff_limit_moments_refine_past_overflowing_passes():
 def test_moments_beyond_double_range_raise_without_refining(limit, t):
     # s grows like exp(100 t) here, or its rate overflows
     with pytest.raises(DoubleRangeError):
-        limit_moment_odes(limit, t, 0.4)
+        limit_moments(limit, t, 0.4)
 
 
 def _explicit_moments(limit, t, x0):
-    """The moment equations solved by hand at 50 digits: with m_inf = c / l,
+    """Mean and variance s - m^2 from the moment equations solved by hand at
+    50 digits: with m_inf = c / l, the second moment is
     s(t) = x0^2 e^{rt} + (k m_inf + d)(e^{rt} - 1) / r
            + k (x0 - m_inf)(e^{rt} - e^{-lt}) / (r + l)."""
     with mpmath.workdps(50):
@@ -258,7 +273,7 @@ def _explicit_moments(limit, t, x0):
         m = m_inf + (x0 - m_inf) * mpmath.exp(-l * t)
         s = (x0 * x0 * mpmath.exp(r * t) + (k * m_inf + d) * mpmath.expm1(r * t) / r
              + k * (x0 - m_inf) * (mpmath.exp(r * t) - mpmath.exp(-l * t)) / (r + l))
-        return float(m), float(s)
+        return float(m), float(s - m * m)
 
 
 @pytest.mark.parametrize("x0", [0.3, 1e3, 1e4])
@@ -274,15 +289,32 @@ def _explicit_moments(limit, t, x0):
     ],
 )
 def test_limit_moments_match_the_explicit_solution(limit, t, x0):
-    m, s = limit_moment_odes(limit, t, x0)
-    want_m, want_s = _explicit_moments(limit, t, x0)
+    m, v = limit_moments(limit, t, x0)
+    want_m, want_v = _explicit_moments(limit, t, x0)
     assert m == pytest.approx(want_m, rel=1e-12)
-    assert s == pytest.approx(want_s, rel=1e-12)
+    assert v == pytest.approx(want_v, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "limit, t, x0, exact",
+    [
+        (LimitSde(0.5, 1e-9, 0.7, 0.0), 1.0, 1000.0, _ou_exact),  # 1 - e^{-2 gamma t} cancels
+        (LimitSde(1.0, 2.0, 0.8, 0.0), 1e-6, 0.4, _ou_exact),  # a short horizon
+        (LimitSde(0.2, 1.0, 0.3, 0.1, 0.4), 1.0, 300.0, _explicit_moments),  # s - m^2 cancels
+        (LimitSde(1.0, 2.0, 0.8, 0.0), 1.0, 1e200, _ou_exact),  # x0^2 overflows
+    ],
+)
+def test_limit_moments_are_accurate_where_differences_cancel(limit, t, x0, exact):
+    if exact is _ou_exact:
+        want = _ou_exact(t, x0, limit.drift_const, limit.drift_lin, limit.additive_noise)
+    else:
+        want = _explicit_moments(limit, t, x0)
+    assert limit_moments(limit, t, x0) == pytest.approx(want, rel=1e-14)
 
 
 def test_identically_zero_moments_stay_zero():
-    # r t = 880 puts e^{rt} past double range, but nothing drives m or s
-    assert limit_moment_odes(LimitSde(0.0, 0.1, 0.0, 3.0), 100.0, 0.0) == (0.0, 0.0)
+    # r t = 880 puts e^{rt} past double range, but nothing drives m or v
+    assert limit_moments(LimitSde(0.0, 0.1, 0.0, 3.0), 100.0, 0.0) == (0.0, 0.0)
 
 
 # --- convergence tables --------------------------------------------------------------
@@ -331,7 +363,7 @@ def test_case_b_moments_match_stratonovich_limit():
     assert row.var_gap <= 4.0 * row.var_stderr + 3e-2
     # the uncorrected (Ito-read) moments are decisively different
     limit = limiting_sde(spec)
-    ito_mean, ito_s = limit_moment_odes(limit, 1.0, 0.3)
+    ito_mean, _ = limit_moments(limit, 1.0, 0.3)
     assert abs(row.emp_mean - ito_mean) > 10.0 * row.mean_stderr
     corrected = stratonovich_adjusted(limit)
     assert corrected.drift_lin == pytest.approx(limit.drift_lin - 0.5)
@@ -346,7 +378,7 @@ def test_case_a_variance_quadrature_law():
     rows = convergence_check(spec, 1.0, [1000], 40_000, seed=9, x0=0.2)
     row = rows[0]
     sigma_a = sigma_combine(0.8, 0.8)
-    _, var_ref = ou_moments(1.0, 0.2, 0.4, 2.0, math.hypot(sigma_a, 1.0))
+    _, var_ref = _ou_exact(1.0, 0.2, 0.4, 2.0, math.hypot(sigma_a, 1.0))
     assert row.limit_var == pytest.approx(var_ref, rel=1e-12)
     assert row.var_gap <= 3.0 * row.var_stderr + 2e-3
     assert row.mean_gap <= 3.0 * row.mean_stderr + 1e-3
@@ -356,6 +388,14 @@ def test_convergence_check_requires_increasing_n():
     spec = ScalingSpec(ScalingKind.FAST_SWITCHING, nu=1.0, base=BASE)
     with pytest.raises(ParameterError):
         convergence_check(spec, 1.0, [100, 10], 1_000, seed=0)
+
+
+@pytest.mark.parametrize("n_paths", [1, 0])
+def test_convergence_check_needs_two_paths(n_paths):
+    # one draw has no sample variance
+    spec = ScalingSpec(ScalingKind.FAST_SWITCHING, nu=1.0, base=BASE)
+    with pytest.raises(ParameterError, match="n_paths"):
+        convergence_check(spec, 1.0, [10], n_paths, seed=0)
 
 
 def test_stderr_scaling_with_path_count():
@@ -381,7 +421,7 @@ def test_ou_moments_match_exact_simulator_recursion():
 
     model = KacOuModel.from_values(1.0, 1.0, 0.7, 0.0, 0.6, 0.0, 1.3, 1.0)
     for t in (0.2, 1.0, 4.0):
-        mean_ref, var_ref = ou_moments(t, 0.4, 0.7, 1.3, 0.6)
+        mean_ref, var_ref = _ou_exact(t, 0.4, 0.7, 1.3, 0.6)
         assert pattern_phi(0, t, 0.4, model) == pytest.approx(mean_ref, rel=1e-14)
         assert interval_variance(0, t, model) == pytest.approx(var_ref, rel=1e-14)
 
