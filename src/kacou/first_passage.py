@@ -276,9 +276,61 @@ def _relative_quad_rule():
 _QUAD_X, _QUAD_W = _relative_quad_rule()
 
 
+def _cell_lookup(nodes, core_lo, h, center):
+    """cell(p) == np.searchsorted(nodes, p, side="right") - 1, bitwise, for
+    an array p, read from a bucket table instead of searching the grid.
+
+    A monotone bucket map f sends [core_lo, inf) to buckets of width h
+    centred on the core nodes, and (-inf, core_lo) to geometric buckets in
+    d = center - p > 0, cut from the bit pattern of d, which is monotone in
+    d and piecewise linear in log2(d).  Monotone means f(n) < f(p) implies
+    n < p and f(n) > f(p) implies n > p, so the nodes in earlier buckets
+    lie below p, and p's own bucket decides the rest: one node there is
+    compared with p, and points in buckets holding more nodes (a dense
+    tail inside the core) are searched.  How well f fits the grid changes
+    speed, never a value.
+    """
+    n_core, n_tail = ORACLE_CORE_NODES, 2 * ORACLE_TAIL_NODES
+    inv_h = 1.0 / h
+    bits0 = np.float64(center - core_lo).view(np.int64)
+    width = (np.float64(center - nodes[0]).view(np.int64) - bits0) // n_tail + 1
+
+    def bucket(p):
+        with np.errstate(over="ignore"):  # far positions go to the end buckets
+            f = p - core_lo
+            f *= inv_h
+            f += n_tail + 0.5
+            np.clip(f, n_tail, n_tail + n_core, out=f)
+            b = f.astype(np.intp)
+            low = p < core_lo
+            if low.any():
+                k = ((center - p[low]).view(np.int64) - bits0) // width
+                b[low] = n_tail - 1 - np.minimum(k, n_tail - 1)
+        return b
+
+    counts = np.bincount(bucket(nodes), minlength=n_tail + n_core + 1)
+    below = np.cumsum(counts) - counts - 1  # the last node of earlier buckets
+    crowded = counts > 1
+    # the node of a one-node bucket; nan (never <= p) marks an empty one
+    one = counts == 1
+    single = np.full(counts.size, np.nan)
+    single[one] = nodes[below[one] + 1]
+
+    def cell(p):
+        b = bucket(p)
+        idx = below.take(b) + (single.take(b) <= p)
+        many = crowded.take(b)
+        if many.any():
+            idx[many] = np.searchsorted(nodes, p[many], side="right") - 1
+        return idx
+
+    return cell
+
+
 def _oracle_nodes(model, q, y, lo_needed):
     """Node set on (-inf, y): uniform core plus geometric tails along any
-    exponentially escaping flow.
+    exponentially escaping flow, and the set's cell lookup (see
+    _cell_lookup), as (nodes, cell).
 
     A repelling level below y is an unstable fixed point of its flow (and a
     kink of the transforms, since the no-switch hit time jumps to infinity
@@ -311,20 +363,26 @@ def _oracle_nodes(model, q, y, lo_needed):
             d_hi = min(max(rho - core_lo, scale) * ratio, _TAIL_RATIO_CAP * scale)
             tail = rho - np.geomspace(d_lo, d_hi, ORACLE_TAIL_NODES)
             nodes.append(tail[tail < top])
-    return np.unique(np.concatenate(nodes))
+    nodes = np.unique(np.concatenate(nodes))
+    # the tail buckets are cut in the distance below the first repelling level
+    center = next((a[i] / g[i] for i in range(2) if g[i] < 0.0), core_lo)
+    h = (top - core_lo) / (ORACLE_CORE_NODES - 1)
+    return nodes, _cell_lookup(nodes, core_lo, h, center)
 
 
-def _oracle_operator(model, q, y, nodes, state):
+def _oracle_operator(model, q, y, nodes, cell, state):
     """One state's renewal equation as ell = first + A ell_other, with the
     first-passage terms and the quadrature operator A built once per call.
 
     Row i of A integrates the other state's transform at the flowed
     positions of nodes[i], each interpolated linearly between the two grid
-    nodes around it.  The flow is monotone in tau, so the quadrature points
-    of a row that land in one grid cell are consecutive, and each such run
-    is stored once: its cell's two end nodes with the run's summed weights
-    (a cell met twice would only make a second run).  Rows are built
-    _ORACLE_BLOCK_ROWS at a time.
+    nodes around it (cell finds them, as from _oracle_nodes).  The flow is
+    monotone in tau, so the quadrature points of a row that land in one
+    grid cell are consecutive, and each such run is stored once: its cell's
+    two end nodes with the run's summed weights (a cell met twice would
+    only make a second run).  Rows are built _ORACLE_BLOCK_ROWS at a time;
+    in a block whose rows all integrate up to tau_max, the quadrature
+    times, weights and flow factors are one row shared by all.
 
     Returns (first, cols, weights, starts): (A ell)[i] is the sum of
     weights[k] * ell[cols[k]] for k from starts[i] up to the next row's start.
@@ -338,13 +396,15 @@ def _oracle_operator(model, q, y, nodes, state):
         x = nodes[lo : lo + _ORACLE_BLOCK_ROWS]
         t_hit = hitting_time(state, x, y, model)
         T = np.minimum(t_hit, tau_max)
+        if (T == tau_max).all():
+            T = T[:1]
         first = np.where(np.isfinite(t_hit), np.exp(-(q + lam) * np.minimum(t_hit, 700.0)), 0.0)
 
         tau = T[:, None] * _QUAD_X[None, :]
         weight = T[:, None] * _QUAD_W[None, :] * lam * np.exp(-(q + lam) * tau)
         pos = pattern_phi(state, tau, x[:, None], model)
 
-        idx = np.searchsorted(nodes, pos, side="right") - 1
+        idx = cell(pos)
         np.clip(idx, 0, nodes.size - 2, out=idx)
         frac = np.clip((pos - nodes.take(idx)) / gaps.take(idx), 0.0, 1.0)
         # positions that escaped below the grid contribute the far-field closure 0
@@ -398,9 +458,9 @@ def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs, tol: float = 1e-
         # invariant under x -> -x
         return fpt_oracle_curve(rescale(model, -1.0), q, -y, -xs, tol)
 
-    nodes = _oracle_nodes(model, q, y, float(np.min(xs)))
-    op0 = _oracle_operator(model, q, y, nodes, 0)
-    op1 = _oracle_operator(model, q, y, nodes, 1)
+    nodes, cell = _oracle_nodes(model, q, y, float(np.min(xs)))
+    op0 = _oracle_operator(model, q, y, nodes, cell, 0)
+    op1 = _oracle_operator(model, q, y, nodes, cell, 1)
 
     ell0 = np.zeros(nodes.size)
     ell1 = np.zeros(nodes.size)

@@ -45,6 +45,14 @@ RHO_EQUAL_RTOL = 1e-12
 # Largest exponent fed to math.exp before we short-circuit to 0.
 _EXP_MAX = 700.0
 
+# Below this |gamma| t the level forms rho + (x - rho) exp(-gamma t) and
+# b^2 (1 - f^2) / (2 gamma) lose about eps / (gamma t) to cancellation (all
+# of it once exp(-gamma t) rounds to 1), and rho = a / gamma overflows for a
+# subnormal gamma.  There a slow state's flow is a t phi(gamma t) +
+# x exp(-gamma t) (see pattern_map), and a terminal draw's variance grows by
+# the series b^2 dt (1 - gamma dt), within (2/3) (gamma t)^2 < 2e-11 of exact.
+_SERIES_GT = 5e-6
+
 
 @dataclass(frozen=True)
 class SwitchRates:
@@ -226,20 +234,32 @@ def pattern_map(state, t, model: KacOuModel):
     pattern_phi(state, t, x) == base + (x - shift) * factor for every x.
 
     The map is (rho, rho, exp(-gamma t)) when gamma != 0, (a t, 0, 1) when
-    gamma = 0, and the exact identity (-0.0, 0, 1) at t = 0.  A factor of
+    gamma = 0, and the exact identity (-0.0, 0, 1) at t = 0.  A slow state,
+    one whose |gamma| / lambda is below _SERIES_GT (it relaxes by less than
+    that over a mean holding time, so rho lies over 2e5 mean drifts away or
+    past double range), takes (a t phi(gamma t), 0, exp(-gamma t)) where
+    |gamma| t < _SERIES_GT, with phi as in interval_variance.  A factor of
     inf marks repelling growth beyond double range, which pattern_phi
     resolves from x.  state and t are scalars or broadcastable arrays.
     """
     # levels and rates per state, so each lane costs one gather apiece
     a_s, g_s = model.a_vec, model.gamma_vec
     lin_s = g_s == 0.0
+    slow_s = [0.0 < abs(c.gamma) < _SERIES_GT * model.rates.rate(i) for i, c in enumerate(model.coeffs)]
     t = np.asarray(t, dtype=float)
     t_min = t.min() if t.size else 0.0
     if t_min < 0.0:
         raise ParameterError(f"pattern time must be >= 0, got {t_min}")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # a slow state's rho may overflow
         factor = np.exp((-g_s)[state] * t)
-    base = shift = (a_s / np.where(lin_s, 1.0, g_s))[state]
+        base = shift = (a_s / np.where(lin_s, 1.0, g_s))[state]
+    if any(slow_s) and (slow := np.array(slow_s)[state]).any():
+        gt = g_s[state] * t
+        series = slow & (np.abs(gt) < _SERIES_GT)
+        with np.errstate(invalid="ignore"):  # phi's 0/0 is replaced by 1
+            phi = np.where(gt == 0.0, 1.0, -np.expm1(-gt) / gt)
+        base = np.where(series, a_s[state] * t * phi, base)
+        shift = np.where(series, 0.0, shift)
     if lin_s.any() and (lin := lin_s[state]).any():
         base = np.where(lin, a_s[state] * t, base)
         shift = np.where(lin, 0.0, shift)
@@ -315,17 +335,20 @@ def interval_variance(state, t, model: KacOuModel):
     from a fixed point: b^2 t phi(2 gamma t), with phi(x) = (1 - exp(-x))/x
     and phi(0) = 1.
 
-    Repelling growth beyond double range gives inf; b = 0 gives 0.  state
-    and t are scalars (a float is returned) or broadcastable arrays.
+    Repelling growth beyond double range gives inf, and relaxation with
+    2 gamma t past double range the level b^2 / (2 gamma); b = 0 gives 0.
+    state and t are scalars (a float is returned) or broadcastable arrays.
     """
     b, g = model.b_vec[state], model.gamma_vec[state]
     t = np.asarray(t, dtype=float)
     bad = t[~((t >= 0.0) & (t < math.inf))]
     if bad.size:
         raise ParameterError(f"interval time must be finite and >= 0, got {bad[0]}")
-    with np.errstate(over="ignore", invalid="ignore"):  # phi's 0/0 is replaced by 1
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # phi's 0/0 is replaced by 1
         x = 2.0 * g * t
         var = b * b * t * np.where(x == 0.0, 1.0, -np.expm1(-x) / x)
+        if np.isinf(x).any():  # phi(inf) = 0 and phi(-inf) = nan
+            var = np.where(x == math.inf, 0.5 * b * b / g, np.where(x == -math.inf, math.inf, var))
     if (b == 0.0).any():
         var = np.where(b == 0.0, 0.0, var)
     return _result(var, state, t)

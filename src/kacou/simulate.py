@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DoubleRangeError, ParameterError
 from .model import (
+    _SERIES_GT,
     KacOuModel,
     SwitchRates,
     hitting_time,
@@ -49,13 +50,6 @@ __all__ = [
 ]
 
 CHUNK = 1 << 14
-
-# Below this |gamma| t a terminal draw grows a state's variance by the series
-# b^2 dt (1 - gamma dt), within (2/3) (gamma t)^2 < 2e-11 of exact.  The level
-# form b^2 (1 - f^2) / (2 gamma) loses about eps / (gamma t) to cancellation
-# there, all of it once f^2 rounds to 1, and b^2 / (2 gamma) overflows for a
-# subnormal gamma.
-_SERIES_GT = 5e-6
 
 CENSOR_NONE = 0
 CENSOR_HORIZON = 1

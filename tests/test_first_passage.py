@@ -156,7 +156,7 @@ def reference_oracle_curve(model, q, y, xs, tol):
     xs = np.asarray(xs, dtype=float)
     if np.all(xs > y):
         return reference_oracle_curve(rescale(model, -1.0), q, -y, -xs, tol)
-    nodes = fp._oracle_nodes(model, q, y, float(np.min(xs)))
+    nodes, _ = fp._oracle_nodes(model, q, y, float(np.min(xs)))
     f0, w0, i0, fr0 = _reference_state_setup(model, q, y, nodes, 0)
     f1, w1, i1, fr1 = _reference_state_setup(model, q, y, nodes, 1)
     ell0 = np.zeros(nodes.size)
@@ -239,6 +239,79 @@ def test_oracle_operator_matches_reference_on_drawn_models(rates, gammas, levels
     model = KacOuModel.from_values(*rates, *a, 0.0, 0.0, *gammas)
     x = y + d if above else y - d
     assert_oracle_matches_reference(model, q, y, [x, x + 0.5 * (y - x)])
+
+
+# --- the grid's cell lookup and the shared far rows ---------------------------
+
+
+@st.composite
+def oracle_grids(draw):
+    """A model, rate, threshold and lowest query point for _oracle_nodes,
+    with both states repelling, a zero-reversion state drifting down and
+    equal levels drawn on purpose besides free draws."""
+    kind = draw(st.sampled_from(["free", "both_repelling", "non_strict_down", "equal_levels"]))
+    rates = draw(st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0)))
+    gammas = list(draw(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))))
+    levels = list(draw(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))))
+    if kind == "both_repelling":
+        gammas = [-0.1 - abs(g) for g in gammas]
+    elif kind == "non_strict_down":
+        gammas[0], levels[0] = 0.0, -0.1 - abs(levels[0])
+    elif kind == "equal_levels":
+        gammas = [g if g != 0.0 else 1.0 for g in gammas]
+        levels[1] = levels[0]
+    a = [lv if g == 0.0 else lv * g for lv, g in zip(levels, gammas)]
+    model = KacOuModel.from_values(*rates, *a, 0.0, 0.0, *gammas)
+    y = draw(st.floats(-2.0, 2.0))
+    return model, draw(st.floats(0.3, 30.0)), y, y - draw(st.floats(1e-6, 2.0))
+
+
+@given(
+    grid=oracle_grids(),
+    picks=st.lists(st.integers(0, 10**9), min_size=1, max_size=40),
+    u=st.floats(0.0, 1.0),
+)
+@example(grid=(AR_NODE_BELOW_Y, 0.8, 0.9, -0.2), picks=[0, 5, 10**9], u=0.5)
+@example(grid=(REPELLING, 1.5, 0.2, -0.5), picks=[1, 2], u=0.25)
+@settings(max_examples=60, deadline=None)
+def test_cell_lookup_equals_searchsorted(grid, picks, u):
+    nodes, cell = fp._oracle_nodes(*grid)
+    at = nodes[[p % nodes.size for p in picks]]
+    inside = nodes[:-1] + u * np.diff(nodes)  # one point in every cell
+    g = grid[0].gamma_vec
+    # geometric steps on both sides of each repelling level, through its dense tail
+    levels = [grid[0].a_vec[i] / g[i] for i in range(2) if g[i] < 0.0]
+    near = [lv + s * np.geomspace(1e-13, 10.0, 80) * max(1.0, abs(lv)) for lv in levels for s in (-1.0, 1.0)]
+    beyond = [nodes[0] - 1.0, nodes[0] - 1e300, nodes[-1] + 1e-12, grid[2], 1e300, -math.inf, math.inf]
+    pos = np.concatenate(
+        [at, np.nextafter(at, -math.inf), np.nextafter(at, math.inf), inside, *near, beyond]
+    )
+    want = np.searchsorted(nodes, pos, side="right") - 1
+    assert np.array_equal(cell(pos), want)
+    # the operator looks up rows x points blocks
+    cut = pos.size - pos.size % 3
+    assert np.array_equal(cell(pos[:cut].reshape(3, -1)), want[:cut].reshape(3, -1))
+
+
+@pytest.mark.parametrize(
+    "model, q, y, lo",
+    [(ATTRACTING, 1.0, 0.75, 0.25), (AR_NODE_BELOW_Y, 3.0, -0.4, -1.5), (PAST_THE_TAIL, 0.3, 1.0, -3.0)],
+)
+def test_shared_far_rows_equal_a_row_by_row_build(model, q, y, lo, monkeypatch):
+    nodes, cell = fp._oracle_nodes(model, q, y, lo)
+    shared = [fp._oracle_operator(model, q, y, nodes, cell, s) for s in (0, 1)]
+    # the build must have met a block whose rows all run to tau_max
+    rows = fp._ORACLE_BLOCK_ROWS
+    assert any(
+        (hitting_time(s, nodes[b : b + rows], y, model) >= fp.KERNEL_CUT / (q + model.rates.rate(s))).all()
+        for s in (0, 1)
+        for b in range(0, nodes.size, rows)
+    )
+    monkeypatch.setattr(fp, "_ORACLE_BLOCK_ROWS", 1)  # every row its own block
+    for s in (0, 1):
+        rowwise = fp._oracle_operator(model, q, y, nodes, cell, s)
+        for got, want in zip(shared[s], rowwise):
+            assert np.array_equal(got, want)
 
 
 # --- dispatch errors ----------------------------------------------------------

@@ -199,6 +199,60 @@ def test_interval_variance_rejects_negative_and_infinite_times(t):
         interval_variance(0, t, make(b0=1.0))
 
 
+def _mp_interval_variance(gamma, t):
+    with mpmath.workdps(50):
+        x = 2 * mpmath.mpf(gamma) * mpmath.mpf(t)
+        return float(mpmath.mpf(t) * -mpmath.expm1(-x) / x)
+
+
+@pytest.mark.parametrize("gamma", [1e300, -1e300])
+@pytest.mark.parametrize("t", [1e10, 1e8, 1.0])
+def test_interval_variance_where_2_gamma_t_overflows(gamma, t):
+    # 2 gamma t = +inf gave 0.0 for b^2 / (2 gamma) = 5e-301, and -inf gave
+    # nan for repelling growth past double range
+    m = make(b0=1.0, b1=1.0, gamma0=gamma)
+    want = _mp_interval_variance(gamma, t)
+    got = interval_variance(0, t, m)
+    if math.isinf(want):
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+    lanes = interval_variance(np.array([0, 1, 0]), np.array([t, t, 1e-3]), m)
+    assert lanes[0] == got
+    assert np.array_equal(lanes[1:], [interval_variance(1, t, m), interval_variance(0, 1e-3, m)])
+
+
+def _mp_flow(a, gamma, t, x):
+    """x exp(-gamma t) + (a / gamma)(1 - exp(-gamma t)), to 50 digits."""
+    with mpmath.workdps(50):
+        a, g, t, x = map(mpmath.mpf, (a, gamma, t, x))
+        return float(x * mpmath.exp(-g * t) - a * mpmath.expm1(-g * t) / g)
+
+
+@pytest.mark.parametrize("gamma", [1e-310, 1e-17, 1e-12, 1e-8, -1e-12, -1e-310])
+def test_pattern_phi_keeps_the_drift_at_tiny_reversion(gamma):
+    # rho = a / gamma lost the drift: 2.3 came out nan at 1e-310, 0.0 at
+    # 1e-17 and 2.300048828125 at 1e-12
+    m = make(a0=1.0, a1=-0.5, b0=1.0, b1=1.0, gamma0=gamma, gamma1=gamma)
+    assert pattern_phi(0, 2.0, 0.3, m) == pytest.approx(_mp_flow(1.0, gamma, 2.0, 0.3), rel=1e-14, abs=0.0)
+    states = np.array([0, 1, 0, 1, 0])
+    ts = np.array([1e-300, 1e-6, 2.0, 50.0, 0.0])
+    xs = np.array([-1.0, 0.0, 0.3, 2.0, 0.7])
+    lanes = pattern_phi(states, ts, xs, m)
+    for s, t, x, got in zip(states, ts, xs, lanes):
+        assert got == pattern_phi(int(s), float(t), float(x), m)
+        assert got == pytest.approx(_mp_flow(m.coeffs[s].a, gamma, t, x), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("gamma, t", [(1.0, 1e-7), (1.0, 2.0), (-0.7, 1e-9), (1e-8, 1e3), (-1e-8, 1e4)])
+def test_pattern_phi_keeps_the_level_form(gamma, t):
+    # a state that relaxes within its holding times, and any state past
+    # |gamma| t = 5e-6, flows through its level exactly as before
+    m = make(a0=0.4, gamma0=gamma)
+    rho = 0.4 / gamma
+    assert pattern_phi(0, t, 0.3, m) == rho + (0.3 - rho) * np.exp(-gamma * t)
+
+
 # --- chain algebra ---------------------------------------------------------
 
 
