@@ -390,15 +390,20 @@ def _oracle_operator(model, q, y, nodes, cell, state):
     lam = model.rates.rate(state)
     tau_max = KERNEL_CUT / (q + lam)
     gaps = np.diff(nodes)
-    parts = []
+    # a row has at most one run per quadrature point, two entries a run
+    first = np.empty(nodes.size)
+    starts = np.empty(nodes.size, dtype=np.intp)
+    cols = np.empty(2 * _QUAD_X.size * nodes.size, dtype=np.intp)
+    weights = np.empty(cols.size)
     offset = 0
     for lo in range(0, nodes.size, _ORACLE_BLOCK_ROWS):
         x = nodes[lo : lo + _ORACLE_BLOCK_ROWS]
+        rows = slice(lo, lo + x.size)
         t_hit = hitting_time(state, x, y, model)
         T = np.minimum(t_hit, tau_max)
         if (T == tau_max).all():
             T = T[:1]
-        first = np.where(np.isfinite(t_hit), np.exp(-(q + lam) * np.minimum(t_hit, 700.0)), 0.0)
+        first[rows] = np.where(np.isfinite(t_hit), np.exp(-(q + lam) * np.minimum(t_hit, 700.0)), 0.0)
 
         tau = T[:, None] * _QUAD_X[None, :]
         weight = T[:, None] * _QUAD_W[None, :] * lam * np.exp(-(q + lam) * tau)
@@ -415,17 +420,15 @@ def _oracle_operator(model, q, y, nodes, cell, state):
         opens[:, 0] = True
         np.not_equal(idx[:, 1:], idx[:, :-1], out=opens[:, 1:])
         run = np.flatnonzero(opens)
-        cols = np.empty(2 * run.size, dtype=np.intp)
-        cols[0::2] = idx.take(run)
-        cols[1::2] = cols[0::2] + 1
-        weights = np.empty(2 * run.size)
-        weights[0::2] = np.add.reduceat((weight * (1.0 - frac)).ravel(), run)
-        weights[1::2] = np.add.reduceat((weight * frac).ravel(), run)
+        block = slice(offset, offset + 2 * run.size)
+        cols[block][0::2] = idx.take(run)
+        cols[block][1::2] = cols[block][0::2] + 1
+        weights[block][0::2] = np.add.reduceat((weight * (1.0 - frac)).ravel(), run)
+        weights[block][1::2] = np.add.reduceat((weight * frac).ravel(), run)
         runs_per_row = np.count_nonzero(opens, axis=1)
-        starts = offset + 2 * (np.cumsum(runs_per_row) - runs_per_row)
-        offset += cols.size
-        parts.append((first, cols, weights, starts))
-    return tuple(np.concatenate(field) for field in zip(*parts))
+        starts[rows] = offset + 2 * (np.cumsum(runs_per_row) - runs_per_row)
+        offset += 2 * run.size
+    return first, cols[:offset], weights[:offset], starts
 
 
 def _apply_operator(op, values):

@@ -229,6 +229,12 @@ def _result(value, *inputs):
     return float(value) if all(np.ndim(v) == 0 for v in inputs) else value
 
 
+def _slow_states(model: KacOuModel) -> list[bool]:
+    """Per state, whether |gamma| / lambda is below _SERIES_GT (gamma = 0 is
+    not slow): the flow and the hitting time then avoid rho = a / gamma."""
+    return [0.0 < abs(c.gamma) < _SERIES_GT * model.rates.rate(i) for i, c in enumerate(model.coeffs)]
+
+
 def pattern_map(state, t, model: KacOuModel):
     """The state's flow over time t as an affine map (base, shift, factor):
     pattern_phi(state, t, x) == base + (x - shift) * factor for every x.
@@ -245,7 +251,7 @@ def pattern_map(state, t, model: KacOuModel):
     # levels and rates per state, so each lane costs one gather apiece
     a_s, g_s = model.a_vec, model.gamma_vec
     lin_s = g_s == 0.0
-    slow_s = [0.0 < abs(c.gamma) < _SERIES_GT * model.rates.rate(i) for i, c in enumerate(model.coeffs)]
+    slow_s = _slow_states(model)
     t = np.asarray(t, dtype=float)
     t_min = t.min() if t.size else 0.0
     if t_min < 0.0:
@@ -307,8 +313,11 @@ def hitting_time(state, x, y, model: KacOuModel):
     half-line branch of the renewal integral equations), never an overflow.
     Scalar x == y raises ParameterError; in arrays an entry already at y
     gets 0, so a Monte Carlo lane that lands on its target hits at once.
+    A slow state (as in pattern_map) takes t = v log1p(u) / u with
+    v = (y - x) / (a - gamma y) and u = gamma v, which never forms rho.
     state, x and y are scalars (a float is returned) or broadcastable arrays.
     """
+    slow_s = _slow_states(model)
     a, g = model.a_vec[state], model.gamma_vec[state]
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -327,6 +336,13 @@ def hitting_time(state, x, y, model: KacOuModel):
     # away from a repeller
     reached = ~lin & (curved > 0.0)
     t = np.where(reached, curved, np.where(lin & (a != 0.0) & (straight > 0.0), straight, np.inf))
+    if any(slow_s) and (slow := np.array(slow_s)[state]).any():
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            v = (y - x) / (a - g * y)
+            u = g * v
+            # log((a - gamma x) / (a - gamma y)) / gamma, real only for u > -1
+            slow_t = v * np.where(u == 0.0, 1.0, np.log1p(np.where(u > -1.0, u, 0.0)) / u)
+        t = np.where(slow, np.where((u > -1.0) & (slow_t > 0.0), slow_t, np.inf), t)
     return _result(np.where(x == y, 0.0, t), state, x, y)
 
 

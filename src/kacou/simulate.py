@@ -10,9 +10,11 @@ and a terminal draw carries its variance given the switch path and draws
 one normal at the end.
 
 Monte Carlo runs are split into fixed-size chunks; each chunk owns its own
-counter-based stream (see :mod:`kacou.rng`), and the chunks run in index
-order in the calling thread, so estimates are bit-identical for a given
-seed.
+counter-based stream (see :mod:`kacou.rng`), and everything runs in the
+calling thread, so estimates are bit-identical for a given seed.  Terminal
+chunks run one after another in index order.  First-passage chunks share
+one pool of lanes in one chain state per round, and each chunk draws from
+its own stream exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -50,6 +52,9 @@ __all__ = [
 ]
 
 CHUNK = 1 << 14
+# lanes the first-passage driver advances together, not a knob: sixteen
+# chunks' worth ran slower (the round's arrays leave the cache)
+_FPT_POOL = 4 * CHUNK
 
 CENSOR_NONE = 0
 CENSOR_HORIZON = 1
@@ -223,58 +228,87 @@ def sample_m_path(
 # ---------------------------------------------------------------------------
 
 
-def _fpt_chunk(model, x, y, state, size, rng, caps):
-    """First-passage draws for one chunk.  Each round advances every live lane
-    across one holding time; a pattern is monotone, so a lane can reach y in
-    that time only if x - y changed sign or reached 0, and hitting_time runs
-    on those lanes alone."""
-    lam = model.lam_vec
-    times = np.full(size, np.nan)
-    censored = np.zeros(size, dtype=bool)
-    reason = np.zeros(size, dtype=np.uint8)
+def _fpt_pool(model, x, y, state, n, seed, purpose, caps):
+    """First-passage draws for n lanes, split into chunks of CHUNK lanes that
+    each draw from their own stream, exactly as if every chunk ran alone.
 
-    idx = np.arange(size)
-    xs = np.full(size, float(x))
-    ss = np.full(size, int(state), dtype=np.int64)
-    ts = np.zeros(size)
-    nsw = 0
-    while idx.size:
-        dt = rng.standard_exponential(idx.size) / lam[ss]
+    Up to _FPT_POOL lanes of several chunks advance together, oldest chunk
+    first.  Each round advances every live lane across one holding time,
+    and each chunk draws one holding time per live lane of its own.  Every
+    lane starts in `state` and every round switches every lane, so a chunk
+    joins only when the pool is in `state` (or empty) and the pool holds one
+    state per round.  A pattern is monotone, so a lane can reach y in a
+    holding time only if x - y changed sign or reached 0, and hitting_time
+    runs on those lanes alone.  Each chunk counts its own switches for
+    max_switches from the round it joined.
+    """
+    if n < 1:
+        raise ParameterError(f"need at least one sample, got n = {n}")
+    times = np.full(n, np.nan)
+    censored = np.zeros(n, dtype=bool)
+    reason = np.zeros(n, dtype=np.uint8)
+
+    idx = np.arange(0)
+    xs = ts = np.zeros(0)
+    pool = []  # (stream, live lanes, round it joined) per chunk, in chunk order
+    s = state
+    joined = rounds = 0
+    while True:
+        if not pool:
+            s = state
+        while s == state and joined < n and idx.size + min(CHUNK, n - joined) <= _FPT_POOL:
+            size = min(CHUNK, n - joined)
+            pool.append((stream(seed, purpose, replicate=joined // CHUNK), size, rounds))
+            idx = np.concatenate([idx, np.arange(joined, joined + size)])
+            xs = np.concatenate([xs, np.full(size, float(x))])
+            ts = np.concatenate([ts, np.zeros(size)])
+            joined += size
+        if not pool:
+            break
+
+        dt = np.concatenate([rng.standard_exponential(live) for rng, live, _ in pool]) / model.rates.rate(s)
         rem = caps.horizon - ts
-        nxt = pattern_phi(ss, dt, xs, model)
+        nxt = pattern_phi(s, dt, xs, model)
         with np.errstate(invalid="ignore"):
             # nan (0 * inf) counts as a crossing: such a lane is checked exactly
             crossed = np.flatnonzero(~((nxt - y) * (xs - y) > 0.0))
-        th = hitting_time(ss[crossed], xs[crossed], y, model)
-        hit = th < dt[crossed]
+        th = hitting_time(s, xs.take(crossed), y, model)
+        dt_crossed = dt.take(crossed)
+        hit = th < dt_crossed
 
         # censored: the lane meets neither y nor a switch before the horizon,
         # which needs at least a holding time that outlasts it
         over = dt >= rem
-        if np.any(over):
-            over[crossed] = np.minimum(th, dt[crossed]) >= rem[crossed]
-            hit &= ~over[crossed]
+        if over.any():
+            over[crossed] = np.minimum(th, dt_crossed) >= rem.take(crossed)
+            hit &= ~over.take(crossed)
             oi = idx[over]
             times[oi] = caps.horizon
             censored[oi] = True
             reason[oi] = CENSOR_HORIZON
 
         hits = crossed[hit]
-        times[idx[hits]] = ts[hits] + th[hit]
+        times[idx.take(hits)] = ts.take(hits) + th[hit]
 
-        keep = ~over
-        keep[hits] = False
-        idx, xs, ss, ts, dt = idx[keep], nxt[keep], ss[keep], ts[keep], dt[keep]
-        if idx.size == 0:
-            break
-        ts = ts + dt
-        ss = 1 - ss
-        nsw += 1
-        if nsw >= caps.max_switches:
-            times[idx] = ts
-            censored[idx] = True
-            reason[idx] = CENSOR_SWITCH_CAP
-            break
+        over[hits] = True  # now marks every finished lane
+        kept = np.flatnonzero(~over)
+        if kept.size < idx.size:
+            ends = np.cumsum([live for _, live, _ in pool])
+            lives = np.diff(np.searchsorted(kept, ends), prepend=0).tolist()
+            pool = [(rng, live, start) for (rng, _, start), live in zip(pool, lives) if live]
+            idx, xs, ts = idx.take(kept), nxt.take(kept), ts.take(kept) + dt.take(kept)
+        else:  # common in the first rounds, and the takes would only copy
+            xs, ts = nxt, ts + dt
+        s = 1 - s
+        rounds += 1
+        # the chunks at their switch cap joined first, so their lanes lead
+        cut = sum(live for _, live, start in pool if rounds - start >= caps.max_switches)
+        if cut:
+            times[idx[:cut]] = ts[:cut]
+            censored[idx[:cut]] = True
+            reason[idx[:cut]] = CENSOR_SWITCH_CAP
+            pool = [(rng, live, start) for rng, live, start in pool if rounds - start < caps.max_switches]
+            idx, xs, ts = idx[cut:], xs[cut:], ts[cut:]
     return times, censored, reason
 
 
@@ -385,9 +419,7 @@ def fpt_samples(
         raise ParameterError(f"initial_state must be 0 or 1, got {initial_state!r}")
     if x == y:
         raise ParameterError("first passage requires x != y")
-    return FptSampleBatch(*_run_chunks(
-        n, seed, purpose, lambda sz, rng: _fpt_chunk(model, x, y, initial_state, sz, rng, caps)
-    ))
+    return FptSampleBatch(*_fpt_pool(model, x, y, initial_state, n, seed, purpose, caps))
 
 
 def terminal_values(

@@ -244,6 +244,50 @@ def test_pattern_phi_keeps_the_drift_at_tiny_reversion(gamma):
         assert got == pytest.approx(_mp_flow(m.coeffs[s].a, gamma, t, x), rel=1e-14, abs=0.0)
 
 
+def _mp_hitting_time(a, gamma, x, y):
+    """log((a - gamma x) / (a - gamma y)) / gamma when positive, else inf,
+    to 50 digits: the ratio is 1 + O(gamma), so it carries 350 more."""
+    with mpmath.workdps(400):
+        a, g, x, y = map(mpmath.mpf, (a, gamma, x, y))
+        ratio = (a - g * x) / (a - g * y)
+        t = mpmath.log(ratio) / g if ratio > 0 else mpmath.inf
+        return float(t) if t > 0 else math.inf
+
+
+@pytest.mark.parametrize("gamma", [1e-310, 1e-17, 1e-12, 1e-8, -1e-8, -1e-12, -1e-310])
+def test_hitting_time_keeps_the_drift_at_tiny_reversion(gamma):
+    # rho = a / gamma lost the drift: the hit from 0 to 1 at a = 1 came out
+    # 1.0000889 at gamma = 1e-12 and inf at 1e-17 and 1e-310
+    m = make(a0=1.0, a1=-0.5, gamma0=gamma, gamma1=gamma)
+    assert hitting_time(0, 0.0, 1.0, m) == pytest.approx(_mp_hitting_time(1.0, gamma, 0.0, 1.0), rel=1e-13, abs=0.0)
+    states = np.array([0, 0, 1, 1, 0, 1])
+    xs = np.array([0.3, 1.0, 1.0, -2.0, 2.3, 0.5])
+    ys = np.array([2.3, 0.0, -2.0, 1.0, 2.3, 0.5 - 1e-9])
+    lanes = hitting_time(states, xs, ys, m)
+    for s, x, y, got in zip(states, xs, ys, lanes):
+        want = 0.0 if x == y else _mp_hitting_time(m.coeffs[s].a, gamma, x, y)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        if x != y:
+            assert got == hitting_time(int(s), float(x), float(y), m)
+
+
+@pytest.mark.parametrize("gamma, x, y", [(1e-8, 1.0, 0.5), (-1e-8, 0.5, 1.0), (1e-12, 3.0, 1e-6), (1e-12, -1.0, -0.5)])
+def test_hitting_time_at_tiny_reversion_without_drift(gamma, x, y):
+    # with a = 0 the slow state still relaxes toward 0, over times near 1 / gamma
+    m = make(a0=0.0, gamma0=gamma)
+    assert hitting_time(0, x, y, m) == pytest.approx(_mp_hitting_time(0.0, gamma, x, y), rel=1e-13, abs=0.0)
+
+
+def test_hitting_time_of_a_fast_state_beside_a_slow_one_keeps_its_log_form():
+    m = make(a0=1.0, gamma0=1e-12, a1=0.4, gamma1=1.3)
+    rho = 0.4 / 1.3
+    xs = np.array([2.0, -1.0, 0.9])
+    ys = np.array([0.5, 0.0, 0.31])
+    want = np.log((xs - rho) / (ys - rho)) / 1.3
+    assert np.array_equal(hitting_time(1, xs, ys, m), want)
+    assert np.array_equal(hitting_time(np.array([1, 0, 1]), xs, ys, m)[::2], want[::2])
+
+
 @pytest.mark.parametrize("gamma, t", [(1.0, 1e-7), (1.0, 2.0), (-0.7, 1e-9), (1e-8, 1e3), (-1e-8, 1e4)])
 def test_pattern_phi_keeps_the_level_form(gamma, t):
     # a state that relaxes within its holding times, and any state past

@@ -540,9 +540,68 @@ def test_fpt_samples_match_reference_bitwise(name, x, y):
     for state in (0, 1):
         got = fpt_samples(model, x, y, state, 20_000, seed=11, caps=caps)
         want = run_reference(20_000, 11, "fpt", lambda sz, rng: reference_fpt_chunk(model, x, y, state, sz, rng, caps))
-        assert np.array_equal(got.times, want[0], equal_nan=True)
-        assert np.array_equal(got.censored, want[1])
-        assert np.array_equal(got.reason, want[2])
+        _assert_same_batch(got, want)
+
+
+def _assert_same_batch(got, want):
+    assert np.array_equal(got.times, want[0], equal_nan=True)
+    assert np.array_equal(got.censored, want[1])
+    assert np.array_equal(got.reason, want[2])
+
+
+POOL_CAPS = {
+    "one_switch": SimCaps(max_switches=1),  # the pool empties on an odd round
+    "two_switches": SimCaps(max_switches=2),
+    "three_switches": SimCaps(max_switches=3),
+    "short_horizon": SimCaps(horizon=0.3),  # censors most lanes
+    "running": SimCaps(horizon=20.0, max_switches=40),  # chunks join a running pool
+}
+
+
+@pytest.mark.parametrize("name", ["repelling", "non_strict"])
+@pytest.mark.parametrize("n", [1, CHUNK, 5 * CHUNK + 123])
+@pytest.mark.parametrize("caps_name", sorted(POOL_CAPS))
+def test_pooled_fpt_samples_match_per_chunk_reference_bitwise(name, n, caps_name):
+    # chunks share one pool of lanes, yet each keeps its own stream and its
+    # own switch count: the draws match chunks run one at a time
+    model, caps = KERNEL_MODELS[name], POOL_CAPS[caps_name]
+    for state in (0, 1):
+        got = fpt_samples(model, 0.2, 0.8, state, n, seed=13, caps=caps, purpose="pool")
+        want = run_reference(n, 13, "pool", lambda sz, rng: reference_fpt_chunk(model, 0.2, 0.8, state, sz, rng, caps))
+        _assert_same_batch(got, want)
+        if caps_name == "short_horizon" and n > 1:
+            assert np.mean(got.reason == CENSOR_HORIZON) > 0.5
+
+
+class _CountingStream:
+    """A chunk's stream that counts its holding-time draws, one per round."""
+
+    def __init__(self, rng, rounds):
+        self.rng, self.rounds = rng, rounds
+
+    def standard_exponential(self, size):
+        self.rounds[0] += 1
+        return self.rng.standard_exponential(size)
+
+
+def test_fpt_rounds_are_pooled_across_chunks(monkeypatch):
+    calls = [0]
+    original = kacou.simulate.pattern_phi
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(kacou.simulate, "pattern_phi", counted)
+    model, n, caps = KERNEL_MODELS["attracting"], 8 * CHUNK, SimCaps()
+    got = fpt_samples(model, 0.2, 0.5, 0, n, seed=17, caps=caps, purpose="rounds")
+    rounds = [0]
+    want = run_reference(
+        n, 17, "rounds", lambda sz, rng: reference_fpt_chunk(model, 0.2, 0.5, 0, sz, _CountingStream(rng, rounds), caps)
+    )
+    _assert_same_batch(got, want)
+    # one flow call per pooled round, which advances several chunks at once
+    assert calls[0] < rounds[0]
 
 
 def test_fpt_lane_landing_on_target_matches_reference():
