@@ -246,16 +246,29 @@ def pattern_map(state, t, model: KacOuModel):
     past double range), takes (a t phi(gamma t), 0, exp(-gamma t)) where
     |gamma| t < _SERIES_GT, with phi as in interval_variance.  A factor of
     inf marks repelling growth beyond double range, which pattern_phi
-    resolves from x.  state and t are scalars or broadcastable arrays.
+    resolves from x.  state and t are scalars or broadcastable arrays, and
+    the three outputs broadcast against them.
+
+    A Python int state that is not slow, with every t > 0 and no growth
+    near double range, takes a scalar path: rho and rho (or 0 when
+    gamma = 0) come back as floats, the factor (or a t) as the only array,
+    with the same bits the general path gives.
     """
-    # levels and rates per state, so each lane costs one gather apiece
-    a_s, g_s = model.a_vec, model.gamma_vec
-    lin_s = g_s == 0.0
-    slow_s = _slow_states(model)
     t = np.asarray(t, dtype=float)
     t_min = t.min() if t.size else 0.0
     if t_min < 0.0:
         raise ParameterError(f"pattern time must be >= 0, got {t_min}")
+    if type(state) is int and t_min > 0.0 and not _slow_states(model)[state]:
+        c = model.coeffs[state]
+        if c.gamma == 0.0:
+            return c.a * t, 0.0, 1.0
+        if c.gamma > 0.0 or -c.gamma * t.max() < _EXP_MAX:
+            rho = c.a / c.gamma
+            return rho, rho, np.exp(-c.gamma * t)
+    # levels and rates per state, so each lane costs one gather apiece
+    a_s, g_s = model.a_vec, model.gamma_vec
+    lin_s = g_s == 0.0
+    slow_s = _slow_states(model)
     with np.errstate(over="ignore"):  # a slow state's rho may overflow
         factor = np.exp((-g_s)[state] * t)
         base = shift = (a_s / np.where(lin_s, 1.0, g_s))[state]

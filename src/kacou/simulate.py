@@ -12,9 +12,10 @@ one normal at the end.
 Monte Carlo runs are split into fixed-size chunks; each chunk owns its own
 counter-based stream (see :mod:`kacou.rng`), and everything runs in the
 calling thread, so estimates are bit-identical for a given seed.  Terminal
-chunks run one after another in index order.  First-passage chunks share
-one pool of lanes in one chain state per round, and each chunk draws from
-its own stream exactly as it would alone.
+chunks run one after another in index order, each with one group of lanes
+per start state, so a group is in one chain state per round.  First-passage
+chunks share one pool of lanes in one chain state per round, and each chunk
+draws from its own stream exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -266,12 +267,19 @@ def _fpt_pool(model, x, y, state, n, seed, purpose, caps):
         if not pool:
             break
 
-        dt = np.concatenate([rng.standard_exponential(live) for rng, live, _ in pool]) / model.rates.rate(s)
+        draws = np.concatenate([rng.standard_exponential(live) for rng, live, _ in pool])
+        # a holding time past double range is inf, and a flat state's flow
+        # over it may be nan (0 * inf); such a lane is censored below
+        with np.errstate(over="ignore", invalid="ignore"):
+            dt = draws / model.rates.rate(s)
+            nxt = pattern_phi(s, dt, xs, model)
         rem = caps.horizon - ts
-        nxt = pattern_phi(s, dt, xs, model)
-        with np.errstate(invalid="ignore"):
-            # nan (0 * inf) counts as a crossing: such a lane is checked exactly
-            crossed = np.flatnonzero(~((nxt - y) * (xs - y) > 0.0))
+        # a lane stayed on its side of y if nxt - y has the strict sign of
+        # xs - y; scaling by that sign cannot overflow, and nan counts as a
+        # crossing, so such a lane is checked exactly
+        side = nxt - y
+        side *= np.sign(xs - y)
+        crossed = np.flatnonzero(~(side > 0.0))
         th = hitting_time(s, xs.take(crossed), y, model)
         dt_crossed = dt.take(crossed)
         hit = th < dt_crossed
@@ -320,64 +328,76 @@ def _terminal_chunk(model, x0, t, size, rng, with_noise, initial_state):
     its position given the switch path, V <- V f^2 + b^2 (1 - f^2) / (2 gamma)
     with f = exp(-gamma dt) the flow's own factor (V f^2 + b^2 dt (1 - gamma dt)
     in a state with |gamma| t < _SERIES_GT), and one normal per lane is drawn
-    at the end."""
-    lam = model.lam_vec
+    at the end.
+
+    Every round switches every lane, so the lanes that start in one state
+    share one state per round: a fixed start gives one group, a stationary
+    one two.  Each group takes its lanes' holding times out of the round's
+    draws and advances in its own state, with that state's rate, variance
+    terms and flow map as scalars."""
     if initial_state == "stationary":
         p0, _ = stationary_state_dist(model.rates)
-        ss = np.where(rng.random(size) < p0, 0, 1).astype(np.int64)
+        states = np.where(rng.random(size) < p0, 0, 1).astype(np.int64)
+        starts = [(s, np.flatnonzero(states == s)) for s in (0, 1)]
     else:
-        ss = np.full(size, int(initial_state), dtype=np.int64)
+        states = np.full(size, int(initial_state), dtype=np.int64)
+        starts = [(int(initial_state), np.arange(size))]
     values = np.full(size, float(x0))
-    states = ss.copy()
     variance = np.zeros(size)
-    g = model.gamma_vec
-    lin = np.abs(g) * t < _SERIES_GT  # gamma = 0 included: b^2 dt exactly
-    with np.errstate(over="ignore"):  # a level past double range is checked at the end
-        b2 = model.b_vec * model.b_vec
-        ou_var = np.where(lin, 0.0, b2 / (2.0 * np.where(lin, 1.0, g)))  # b^2 / (2 gamma)
-    lin_var = lin_damp = None
-    if lin.any():  # b^2 per unit time, and gamma b^2 where some such gamma is not 0
-        lin_var = np.where(lin, b2, 0.0)
-        if (g[lin] != 0.0).any():
-            lin_damp = np.where(lin, g * b2, 0.0)
-    repels = bool((g < 0.0).any())  # only then can the flow's factor overflow
+    # per state: rate, variance level b^2 / (2 gamma) (0 where |gamma| t <
+    # _SERIES_GT, gamma = 0 included), b^2 and gamma b^2 per unit time there
+    # (None where they add nothing), and whether the flow can overflow
+    per_state = []
+    for c, lam in zip(model.coeffs, (model.rates.lambda0, model.rates.lambda1)):
+        lin = abs(c.gamma) * t < _SERIES_GT
+        b2 = c.b * c.b  # past double range it is inf, checked at the end
+        level = 0.0 if lin else b2 / (2.0 * c.gamma)
+        lin_var = b2 if lin else None
+        lin_damp = c.gamma * b2 if lin and c.gamma != 0.0 else None
+        per_state.append((lam, level, lin_var, lin_damp, c.gamma < 0.0))
 
-    idx = np.arange(size) if t > 0.0 else np.arange(0)
-    xs, ss, var = values[idx], ss[idx], variance[idx]
-    rem = np.full(idx.size, float(t))
-    while idx.size:
-        draws = rng.standard_exponential(size)
-        dt = (draws if idx.size == size else draws[idx]) / lam[ss]
-        step = np.minimum(dt, rem)
-        base, shift, factor = pattern_map(ss, step, model)
-        with np.errstate(invalid="ignore", over="ignore"):
-            nxt = base + (xs - shift) * factor
-            if with_noise:
-                level = ou_var[ss]
-                gap = var - level
-                var = level + gap * (factor * factor)
-                if lin_var is not None:
-                    var += lin_var[ss] * step
-                    if lin_damp is not None:
-                        var -= lin_damp[ss] * step * step
-            if repels:  # growth beyond double range
-                grown = np.isinf(factor)
-                if grown.any():
-                    nxt[grown] = pattern_phi(ss[grown], step[grown], xs[grown], model)
-                    if with_noise:  # f^2 = inf on a lane at its level gives 0 * inf
-                        still = grown & (gap == 0.0)
-                        var[still] = level[still]
-        go = dt < rem
-        if not go.all():
-            done = ~go
-            out = idx[done]
-            values[out] = nxt[done]
-            states[out] = ss[done]
-            variance[out] = var[done]
-            idx, nxt, ss, rem, dt, var = idx[go], nxt[go], ss[go], rem[go], dt[go], var[go]
-        xs = nxt
-        ss = 1 - ss
-        rem = rem - dt
+    # per group: its state this round, its live lanes, their positions,
+    # variances and time left (none at t = 0)
+    groups = [
+        [s, idx, values[idx], variance[idx], np.full(idx.size, float(t))] for s, idx in starts if idx.size and t > 0.0
+    ]
+    # a holding time may overflow to inf, and a repelling flow's factor too
+    with np.errstate(invalid="ignore", over="ignore"):
+        while groups:
+            draws = rng.standard_exponential(size)
+            for group in groups:
+                s, idx, xs, var, rem = group
+                lam, level, lin_var, lin_damp, repels = per_state[s]
+                dt = (draws if idx.size == size else draws.take(idx)) / lam
+                step = np.minimum(dt, rem)
+                base, shift, factor = pattern_map(s, step, model)
+                nxt = base + (xs - shift) * factor
+                if with_noise:
+                    gap = var - level
+                    var = level + gap * (factor * factor)
+                    if lin_var is not None:
+                        var += lin_var * step
+                        if lin_damp is not None:
+                            var -= lin_damp * step * step
+                if repels:  # growth beyond double range
+                    grown = np.isinf(factor)
+                    if grown.any():
+                        nxt[grown] = pattern_phi(s, step[grown], xs[grown], model)
+                        if with_noise:  # f^2 = inf on a lane at its level gives 0 * inf
+                            var[grown & (gap == 0.0)] = level
+                done = dt >= rem
+                rem = rem - dt
+                if done.any():
+                    end, go = np.flatnonzero(done), np.flatnonzero(~done)
+                    out = idx.take(end)
+                    values[out] = nxt.take(end)
+                    states[out] = s
+                    idx, nxt, rem = idx.take(go), nxt.take(go), rem.take(go)
+                    if with_noise:
+                        variance[out] = var.take(end)
+                        var = var.take(go)
+                group[:] = 1 - s, idx, nxt, var, rem
+            groups = [group for group in groups if group[1].size]
     if with_noise:
         # a repelling flow or an amplitude whose square overflows can carry a
         # lane's mean or variance past double range, where m + sqrt(V) Z is

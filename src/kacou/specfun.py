@@ -45,6 +45,9 @@ SERIES_CAP = 1_000_000
 
 _RESCALE_AT = 1e280
 _RESCALE_LOG = math.log(_RESCALE_AT)
+# a term is at most _RESCALE_AT after each step's rescale test, so only a
+# term ratio past this can carry the next term beyond double range
+_FACTOR_SAFE = 1e28
 
 # Lanczos approximation, g = 7, 9 terms.  Relative accuracy on the positive
 # real axis is a few ulp, comfortably below the 1e-13 contract.
@@ -136,6 +139,10 @@ def _sum_series(c2, c1, c0, b2: float, z: float) -> LogValue:
     parameters have that sum and product; (0, 1, a) is Kummer's series
     with upper parameter a.
 
+    A term is rescaled before its multiply when the product would leave
+    double range (a ratio past _FACTOR_SAFE, such as a polynomial at
+    z = 1e30), and after it once the term or the sum passes _RESCALE_AT.
+
     A scalar loop takes the first _HEAD terms, which is all most calls
     need.  Past them, numpy blocks (``_block``) take the terms the loop
     would add without acting on them; the loop itself takes each index
@@ -158,6 +165,7 @@ def _sum_series(c2, c1, c0, b2: float, z: float) -> LogValue:
     n = 0
     stop = _HEAD
     width = _BLOCK_FIRST
+    safe_hi, safe_lo = _FACTOR_SAFE, -_FACTOR_SAFE  # locals: the loop reads them every term
     while True:
         k = float(n)  # a float counter: exact here, and cheaper than int-float arithmetic
         for n in range(n + 1, stop + 1):
@@ -165,6 +173,11 @@ def _sum_series(c2, c1, c0, b2: float, z: float) -> LogValue:
             k += 1.0
             if factor <= 0.0:
                 single_signed = False
+                if factor < safe_lo and math.isinf(term * factor):
+                    # rescale first: the product would leave double range
+                    term, total, log_scale = term / _RESCALE_AT, total / _RESCALE_AT, log_scale + _RESCALE_LOG
+            elif factor > safe_hi and math.isinf(term * factor):
+                term, total, log_scale = term / _RESCALE_AT, total / _RESCALE_AT, log_scale + _RESCALE_LOG
             term *= factor
             total += term
             if term == 0.0:

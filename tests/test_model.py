@@ -15,6 +15,7 @@ from kacou.model import (
     hitting_time,
     hyper_args,
     interval_variance,
+    pattern_map,
     pattern_phi,
     stationary_state_dist,
     transition_matrix,
@@ -295,6 +296,35 @@ def test_pattern_phi_keeps_the_level_form(gamma, t):
     m = make(a0=0.4, gamma0=gamma)
     rho = 0.4 / gamma
     assert pattern_phi(0, t, 0.3, m) == rho + (0.3 - rho) * np.exp(-gamma * t)
+
+
+# gamma = 0, slow (both signs), attracting, repelling, and repelling fast
+# enough that growth over t <= 40 leaves double range
+_MAP_GAMMAS = [0.0, 1e-12, -1e-12, 0.7, -0.7, -30.0]
+
+
+@given(
+    st.sampled_from(_MAP_GAMMAS),
+    st.sampled_from(_MAP_GAMMAS),
+    st.floats(-3.0, 3.0),
+    st.integers(0, 1),
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 40.0)), min_size=1, max_size=6),
+    st.sampled_from(["scalar", "row", "column"]),
+    st.floats(-5.0, 5.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_pattern_map_from_an_int_state_is_bitwise_the_array_state_map(g0, g1, a, state, ts, shape, x):
+    m = make(a0=a, a1=-0.5 * a, gamma0=g0, gamma1=g1)
+    t = {"scalar": np.array(ts[0]), "row": np.array(ts), "column": np.array(ts)[:, None]}[shape]
+    scalar_map = pattern_map(state, t, m)
+    array_map = pattern_map(np.full(t.shape, state), t, m)
+    for base, shift, factor in (scalar_map, array_map):
+        assert np.broadcast_shapes(np.shape(base), np.shape(shift), np.shape(factor), t.shape) == t.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = (
+            np.broadcast_to(base + (x - shift) * factor, t.shape) for base, shift, factor in (scalar_map, array_map)
+        )
+    assert got.tobytes() == want.tobytes()
 
 
 # --- chain algebra ---------------------------------------------------------

@@ -12,10 +12,12 @@ from kacou.errors import DoubleRangeError, ParameterError
 from kacou.first_passage import FptQuery, laplace_fpt
 from kacou.invariant import empirical_invariant_profile
 from kacou.model import (
+    _SERIES_GT,
     KacOuModel,
     SwitchRates,
     hitting_time,
     interval_variance,
+    pattern_map,
     pattern_phi,
     stationary_state_dist,
 )
@@ -155,6 +157,91 @@ def reference_terminal_chunk(model, x0, t, size, rng, with_noise, initial_state)
         ss = np.where(active & (dt < rem), 1 - ss, ss)
         rem = rem - dt
     return xs, ss, segments
+
+
+# The terminal kernel with one state per lane, as it was before lanes were
+# grouped by start state: every lane gathers its state's rate, variance terms
+# and flow map.  With and without noise the library kernel must reproduce it
+# bit for bit.
+
+
+def per_lane_terminal_chunk(model, x0, t, size, rng, with_noise, initial_state):
+    """Terminal draws for one chunk.  Each round draws one holding time for
+    every lane of the chunk, so the stream does not depend on which lanes are
+    still running; only the live lanes are advanced, and a lane that reaches
+    t is written out and dropped.  With noise a lane carries the variance of
+    its position given the switch path, V <- V f^2 + b^2 (1 - f^2) / (2 gamma)
+    with f = exp(-gamma dt) the flow's own factor (V f^2 + b^2 dt (1 - gamma dt)
+    in a state with |gamma| t < _SERIES_GT), and one normal per lane is drawn
+    at the end."""
+    lam = model.lam_vec
+    if initial_state == "stationary":
+        p0, _ = stationary_state_dist(model.rates)
+        ss = np.where(rng.random(size) < p0, 0, 1).astype(np.int64)
+    else:
+        ss = np.full(size, int(initial_state), dtype=np.int64)
+    values = np.full(size, float(x0))
+    states = ss.copy()
+    variance = np.zeros(size)
+    g = model.gamma_vec
+    lin = np.abs(g) * t < _SERIES_GT  # gamma = 0 included: b^2 dt exactly
+    with np.errstate(over="ignore"):  # a level past double range is checked at the end
+        b2 = model.b_vec * model.b_vec
+        ou_var = np.where(lin, 0.0, b2 / (2.0 * np.where(lin, 1.0, g)))  # b^2 / (2 gamma)
+    lin_var = lin_damp = None
+    if lin.any():  # b^2 per unit time, and gamma b^2 where some such gamma is not 0
+        lin_var = np.where(lin, b2, 0.0)
+        if (g[lin] != 0.0).any():
+            lin_damp = np.where(lin, g * b2, 0.0)
+    repels = bool((g < 0.0).any())  # only then can the flow's factor overflow
+
+    idx = np.arange(size) if t > 0.0 else np.arange(0)
+    xs, ss, var = values[idx], ss[idx], variance[idx]
+    rem = np.full(idx.size, float(t))
+    while idx.size:
+        draws = rng.standard_exponential(size)
+        dt = (draws if idx.size == size else draws[idx]) / lam[ss]
+        step = np.minimum(dt, rem)
+        base, shift, factor = pattern_map(ss, step, model)
+        with np.errstate(invalid="ignore", over="ignore"):
+            nxt = base + (xs - shift) * factor
+            if with_noise:
+                level = ou_var[ss]
+                gap = var - level
+                var = level + gap * (factor * factor)
+                if lin_var is not None:
+                    var += lin_var[ss] * step
+                    if lin_damp is not None:
+                        var -= lin_damp[ss] * step * step
+            if repels:  # growth beyond double range
+                grown = np.isinf(factor)
+                if grown.any():
+                    nxt[grown] = pattern_phi(ss[grown], step[grown], xs[grown], model)
+                    if with_noise:  # f^2 = inf on a lane at its level gives 0 * inf
+                        still = grown & (gap == 0.0)
+                        var[still] = level[still]
+        go = dt < rem
+        if not go.all():
+            done = ~go
+            out = idx[done]
+            values[out] = nxt[done]
+            states[out] = ss[done]
+            variance[out] = var[done]
+            idx, nxt, ss, rem, dt, var = idx[go], nxt[go], ss[go], rem[go], dt[go], var[go]
+        xs = nxt
+        ss = 1 - ss
+        rem = rem - dt
+    if with_noise:
+        # a repelling flow or an amplitude whose square overflows can carry a
+        # lane's mean or variance past double range, where m + sqrt(V) Z is
+        # no draw at all (inf - inf is nan)
+        if not (np.isfinite(values).all() and np.isfinite(variance).all()):
+            raise DoubleRangeError(
+                f"noisy terminal draws leave double range at t = {t} from x0 = {x0}, "
+                f"initial_state = {initial_state!r}"
+            )
+        values = values + np.sqrt(variance) * rng.standard_normal(size)
+    return values, states
 
 
 def run_reference(n, seed, purpose, chunk):
@@ -648,6 +735,55 @@ NOISY_CASES = {
 }
 
 
+# a repelling, noise-free state 0 with its level at 0 that its lanes almost
+# never leave: a lane that starts there at x0 = 0 and stays for t = 35.6
+# overflows the flow's factor (20 t > 709.8) while it sits on the level,
+# with variance 0
+OVERFLOW_AT_LEVEL = KacOuModel.from_values(1e-7, 1e-6, 0.0, 0.5, 0.0, 0.5, -20.0, 1.0)
+PER_LANE_CASES = {name: (model, x0, t) for name, (model, x0, t, _) in NOISY_CASES.items()}
+PER_LANE_CASES.update(
+    {
+        "slow": (KacOuModel.from_values(1.0, 1.0, 0.5, 1.0, 0.6, 0.9, 1e-12, -1e-12), 0.3, 2.0),
+        # gamma = 0 beside |gamma| t < _SERIES_GT: the variance takes b^2 dt
+        # in one state and b^2 dt (1 - gamma dt) in the other
+        "flat_beside_damped": (KacOuModel.from_values(1.0, 1.5, 0.3, -0.4, 0.6, 0.9, 0.0, 1e-7), 0.2, 2.0),
+        "overflow_at_level": (OVERFLOW_AT_LEVEL, 0.0, 35.6),
+    }
+)
+
+
+def _terminal_bits(draw):
+    """The bytes of a terminal sample's values and states, or the message
+    of the DoubleRangeError it raises."""
+    try:
+        values, states = draw()
+    except DoubleRangeError as exc:
+        return str(exc)
+    return values.tobytes(), states.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(PER_LANE_CASES))
+@pytest.mark.parametrize("initial_state", [0, 1, "stationary"])
+def test_noisy_terminal_values_match_per_lane_kernel_bitwise(name, initial_state):
+    model, x0, t_end = PER_LANE_CASES[name]
+    assert abs(model.coeffs[1].gamma) * t_end < _SERIES_GT or name != "flat_beside_damped"
+    n = CHUNK + 3_000  # a full chunk and a partial one
+    for t in (0.0, 1e-6, t_end):
+        got = _terminal_bits(
+            lambda: vars(
+                terminal_values(model, x0, t, n, seed=6, with_noise=True, initial_state=initial_state, purpose="lanes")
+            ).values()
+        )
+        want = _terminal_bits(
+            lambda: run_reference(
+                n, 6, "lanes", lambda sz, rng: per_lane_terminal_chunk(model, x0, t, sz, rng, True, initial_state)
+            )
+        )
+        assert got == want
+        if name == "overflow_at_level" and initial_state == 0:
+            assert not isinstance(got, str)
+
+
 @pytest.mark.parametrize("name", sorted(NOISY_CASES))
 def test_noisy_terminal_values_match_exact_moments(name):
     model, x0, t, start = NOISY_CASES[name]
@@ -703,6 +839,56 @@ def test_noisy_terminal_draws_past_double_range_raise(model, t, initial_state):
         # noise-free draws keep their +-inf lanes
         plain = terminal_values(model, 0.3, t, 2_000, seed=1, initial_state=initial_state).values
     assert np.isinf(plain).any() == (model is ESCAPES) and not np.isnan(plain).any()
+
+
+# state 1 pushes lanes away from -1 faster than state 0 pulls them back, so
+# many reach a target at +-1e300 within the default horizon
+FAR_REACHING = KacOuModel.from_values(1.0, 1.0, 0.0, 3.0, 0.0, 0.0, 1.0, -3.0)
+# a holding time in state 1 overflows to inf: a lane that gets there stays
+NEVER_LEAVES_1 = KacOuModel.from_values(1.0, 5e-324, 0.0, 1.0, 0.5, 0.5, 1.0, 1.0)
+# the same in a flat state 1 with no drift, where the flow over an infinite
+# holding time is 0 * inf
+NEVER_LEAVES_FLAT_1 = KacOuModel.from_values(1.0, 5e-324, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+
+
+def _fpt_case(model, x, y):
+    return (
+        lambda: fpt_samples(model, x, y, 0, 4_000, seed=2),
+        lambda: run_reference(4_000, 2, "fpt", lambda sz, rng: reference_fpt_chunk(model, x, y, 0, sz, rng, SimCaps())),
+    )
+
+
+WARNING_FREE_CASES = {
+    # (nxt - y) * (xs - y) overflowed here
+    "fpt_target_1e300": _fpt_case(FAR_REACHING, 0.3, 1e300),
+    "fpt_target_-1e300": _fpt_case(FAR_REACHING, -2.0, -1e300),
+    # draws / lambda1 overflowed here
+    "fpt_lambda1_5e-324": _fpt_case(NEVER_LEAVES_1, 0.3, 0.8),
+    "fpt_lambda1_5e-324_flat": _fpt_case(NEVER_LEAVES_FLAT_1, 0.3, 0.1),
+    "terminal_lambda1_5e-324": (
+        lambda: terminal_values(NEVER_LEAVES_1, 0.3, 4.0, 4_000, seed=2, with_noise=True),
+        lambda: run_reference(
+            4_000, 2, "terminal", lambda sz, rng: per_lane_terminal_chunk(NEVER_LEAVES_1, 0.3, 4.0, sz, rng, True, 0)
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WARNING_FREE_CASES))
+def test_kernels_raise_no_warning_at_extreme_inputs(name):
+    draw, reference = WARNING_FREE_CASES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = list(vars(draw()).values())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the references still warn
+        want = reference()
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(g, w, equal_nan=True)
+    if name.startswith("fpt"):
+        assert not got[1].all()  # lanes do reach the target
+    else:
+        assert (got[1] == 1).mean() > 0.9  # and stay in state 1
 
 
 def test_noise_free_model_with_noise_flag_matches_mean_path():

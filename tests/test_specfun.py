@@ -462,3 +462,33 @@ def test_kummer_whose_terms_grow_to_the_cap_raises_at_once():
     assert err.value.terms_used == specfun.SERIES_CAP
     # below the bound the series is summed as before
     assert kummer_1f1_log(0.5, 1.5, 700.0) == specfun._sum_series(0.0, 1.0, 0.5, 1.5, 700.0)
+
+
+def _mp_terminating_1f1(a, b, z):
+    """The polynomial 1F1(a; b; z), a a nonpositive integer, summed term by
+    term in 50-digit arithmetic."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        term = total = mpmath.mpf(1)
+        z = mpmath.mpf(z)
+        for k in range(-int(a)):
+            term *= (k + a) * z / ((k + b) * (k + 1))
+            total += term
+        return mpmath.log(abs(total)), int(mpmath.sign(total))
+
+
+@pytest.mark.parametrize(
+    "a, b, z",
+    [(-20000.0, 1.5, 1e30), (-30.0, 1.5, 1e30), (-10.0, 1.5, 1e40), (-20.0, 0.5, 1e300), (-7.0, -2.5, 1e100)],
+)
+def test_terminating_kummer_whose_terms_would_overflow(a, b, z):
+    # ratios past 1e28 carry a term over double range before the rescale
+    # test sees it; the loop raised at the cap, and now rescales first
+    args = (0.0, 1.0, a, b, z)
+    assert _outcome(reference_sum_series, args)[0] is SeriesConvergenceError
+    got = kummer_1f1_log(a, b, z)
+    log, sign = _mp_terminating_1f1(a, b, z)
+    assert got.sign == sign
+    assert got.log == pytest.approx(float(log), rel=1e-13)
+    assert got.terms_used == -a + 2
