@@ -240,7 +240,8 @@ def pattern_map(state, t, model: KacOuModel):
     pattern_phi(state, t, x) == base + (x - shift) * factor for every x.
 
     The map is (rho, rho, exp(-gamma t)) when gamma != 0, (a t, 0, 1) when
-    gamma = 0, and the exact identity (-0.0, 0, 1) at t = 0.  A slow state,
+    gamma = 0 (base a, a signed zero, when a = 0, at t = inf too), and the
+    exact identity (-0.0, 0, 1) at t = 0.  A slow state,
     one whose |gamma| / lambda is below _SERIES_GT (it relaxes by less than
     that over a mean holding time, so rho lies over 2e5 mean drifts away or
     past double range), takes (a t phi(gamma t), 0, exp(-gamma t)) where
@@ -260,8 +261,8 @@ def pattern_map(state, t, model: KacOuModel):
         raise ParameterError(f"pattern time must be >= 0, got {t_min}")
     if type(state) is int and t_min > 0.0 and not _slow_states(model)[state]:
         c = model.coeffs[state]
-        if c.gamma == 0.0:
-            return c.a * t, 0.0, 1.0
+        if c.gamma == 0.0:  # no drift stays put, over an infinite t too
+            return (c.a * t if c.a else np.full_like(t, c.a)), 0.0, 1.0
         if c.gamma > 0.0 or -c.gamma * t.max() < _EXP_MAX:
             rho = c.a / c.gamma
             return rho, rho, np.exp(-c.gamma * t)
@@ -269,7 +270,9 @@ def pattern_map(state, t, model: KacOuModel):
     a_s, g_s = model.a_vec, model.gamma_vec
     lin_s = g_s == 0.0
     slow_s = _slow_states(model)
-    with np.errstate(over="ignore"):  # a slow state's rho may overflow
+    # a slow state's rho may overflow, and a flat state's factor over an
+    # infinite t is nan (replaced by 1 below)
+    with np.errstate(over="ignore", invalid="ignore"):
         factor = np.exp((-g_s)[state] * t)
         base = shift = (a_s / np.where(lin_s, 1.0, g_s))[state]
     if any(slow_s) and (slow := np.array(slow_s)[state]).any():
@@ -280,7 +283,8 @@ def pattern_map(state, t, model: KacOuModel):
         base = np.where(series, a_s[state] * t * phi, base)
         shift = np.where(series, 0.0, shift)
     if lin_s.any() and (lin := lin_s[state]).any():
-        base = np.where(lin, a_s[state] * t, base)
+        a = a_s[state]
+        base = np.where(lin, a * np.where(a == 0.0, 0.0, t), base)
         shift = np.where(lin, 0.0, shift)
         factor = np.where(lin, 1.0, factor)
     if t_min == 0.0:  # the factor is exactly 1 there already

@@ -9,13 +9,12 @@ draws: a sampled path draws one normal per constant-coefficient interval,
 and a terminal draw carries its variance given the switch path and draws
 one normal at the end.
 
-Monte Carlo runs are split into fixed-size chunks; each chunk owns its own
-counter-based stream (see :mod:`kacou.rng`), and everything runs in the
-calling thread, so estimates are bit-identical for a given seed.  Terminal
-chunks run one after another in index order, each with one group of lanes
-per start state, so a group is in one chain state per round.  First-passage
-chunks share one pool of lanes in one chain state per round, and each chunk
-draws from its own stream exactly as it would alone.
+First-passage and terminal draws run through one pooled lane kernel.  A
+run is split into fixed-size chunks, each with its own counter-based stream
+(see :mod:`kacou.rng`); several chunks' lanes advance together in one chain
+state per round, and each chunk draws one holding time per live lane of its
+own, so a seeded run is bit-identical however its chunks are pooled.
+Everything runs in the calling thread.
 """
 
 from __future__ import annotations
@@ -53,9 +52,9 @@ __all__ = [
 ]
 
 CHUNK = 1 << 14
-# lanes the first-passage driver advances together, not a knob: sixteen
-# chunks' worth ran slower (the round's arrays leave the cache)
-_FPT_POOL = 4 * CHUNK
+# lanes the kernel advances together, not a knob: sixteen chunks' worth ran
+# slower (the round's arrays leave the cache)
+_POOL = 4 * CHUNK
 
 CENSOR_NONE = 0
 CENSOR_HORIZON = 1
@@ -164,6 +163,11 @@ def _check_finite(**values) -> None:
             raise ParameterError(f"{name} must be finite, got {value}")
 
 
+def _check_count(n) -> None:
+    if n < 1:
+        raise ParameterError(f"need at least one sample, got n = {n}")
+
+
 def evaluate_x(seq: SwitchSequence, x0: float, t, model: KacOuModel):
     """Exact mean path at time t, composing the patterns segment by segment.
 
@@ -225,202 +229,65 @@ def sample_m_path(
 
 
 # ---------------------------------------------------------------------------
-# Vectorized chunk kernels
+# The pooled lane kernel
 # ---------------------------------------------------------------------------
 
 
-def _fpt_pool(model, x, y, state, n, seed, purpose, caps):
-    """First-passage draws for n lanes, split into chunks of CHUNK lanes that
-    each draw from their own stream, exactly as if every chunk ran alone.
+def _lane_pool(model, n, seed, purpose, state, start, advance, p0=None, max_rounds=math.inf, chunk_done=None):
+    """Run n lanes in chunks of CHUNK, each drawing from its own stream
+    exactly as if it ran alone.  Up to _POOL lanes, oldest chunk first, take
+    one holding time per round, each chunk drawing one per live lane of its
+    own.  Every lane starts in `state` and every round switches every lane,
+    so a chunk joins only when the pool is in `state` (or empty).  With p0
+    (`state` is then 0) a joining chunk draws its lanes' starts, 0 with
+    probability p0, and a lane starting in 1 gets a zero first holding time.
 
-    Up to _FPT_POOL lanes of several chunks advance together, oldest chunk
-    first.  Each round advances every live lane across one holding time,
-    and each chunk draws one holding time per live lane of its own.  Every
-    lane starts in `state` and every round switches every lane, so a chunk
-    joins only when the pool is in `state` (or empty) and the pool holds one
-    state per round.  A pattern is monotone, so a lane can reach y in a
-    holding time only if x - y changed sign or reached 0, and hitting_time
-    runs on those lanes alone.  Each chunk counts its own switches for
-    max_switches from the round it joined.
+    A lane carries its index and one column per value of `start`.
+    `advance(s, dt, idx, cols, capped)` moves the live lanes in state s,
+    writes out those it finishes and returns (finished, new cols); the first
+    `capped` lanes belong to chunks making their max_rounds-th switch.
+    `chunk_done(rng, lanes)` runs once a chunk has no live lane.
     """
-    if n < 1:
-        raise ParameterError(f"need at least one sample, got n = {n}")
-    times = np.full(n, np.nan)
-    censored = np.zeros(n, dtype=bool)
-    reason = np.zeros(n, dtype=np.uint8)
-
     idx = np.arange(0)
-    xs = ts = np.zeros(0)
-    pool = []  # (stream, live lanes, round it joined) per chunk, in chunk order
-    s = state
+    cols = [np.zeros(0) for _ in start]
+    pool = []  # (stream, live lanes, round it joined, its lanes) per chunk, in chunk order
     joined = rounds = 0
     while True:
         if not pool:
             s = state
-        while s == state and joined < n and idx.size + min(CHUNK, n - joined) <= _FPT_POOL:
+        ones = []  # per chunk joining now, its lanes that start in state 1
+        while s == state and joined < n and idx.size + min(CHUNK, n - joined) <= _POOL:
             size = min(CHUNK, n - joined)
-            pool.append((stream(seed, purpose, replicate=joined // CHUNK), size, rounds))
+            rng = stream(seed, purpose, replicate=joined // CHUNK)
+            if p0 is not None:
+                ones.append(~(rng.random(size) < p0))
+            pool.append((rng, size, rounds, slice(joined, joined + size)))
             idx = np.concatenate([idx, np.arange(joined, joined + size)])
-            xs = np.concatenate([xs, np.full(size, float(x))])
-            ts = np.concatenate([ts, np.zeros(size)])
+            cols = [np.concatenate([c, np.full(size, v)]) for c, v in zip(cols, start)]
             joined += size
         if not pool:
             break
 
-        draws = np.concatenate([rng.standard_exponential(live) for rng, live, _ in pool])
-        # a holding time past double range is inf, and a flat state's flow
-        # over it may be nan (0 * inf); such a lane is censored below
-        with np.errstate(over="ignore", invalid="ignore"):
+        draws = np.concatenate([rng.standard_exponential(live) for rng, live, _, _ in pool])
+        with np.errstate(over="ignore"):  # a holding time past double range is inf
             dt = draws / model.rates.rate(s)
-            nxt = pattern_phi(s, dt, xs, model)
-        rem = caps.horizon - ts
-        # a lane stayed on its side of y if nxt - y has the strict sign of
-        # xs - y; scaling by that sign cannot overflow, and nan counts as a
-        # crossing, so such a lane is checked exactly
-        side = nxt - y
-        side *= np.sign(xs - y)
-        crossed = np.flatnonzero(~(side > 0.0))
-        th = hitting_time(s, xs.take(crossed), y, model)
-        dt_crossed = dt.take(crossed)
-        hit = th < dt_crossed
+        if ones:  # the chunks that just joined hold the last lanes
+            first = np.concatenate(ones)
+            dt[idx.size - first.size :][first] = 0.0
+        capped = sum(live for _, live, at, _ in pool if rounds + 1 - at >= max_rounds)
+        finished, cols = advance(s, dt, idx, cols, capped)
 
-        # censored: the lane meets neither y nor a switch before the horizon,
-        # which needs at least a holding time that outlasts it
-        over = dt >= rem
-        if over.any():
-            over[crossed] = np.minimum(th, dt_crossed) >= rem.take(crossed)
-            hit &= ~over.take(crossed)
-            oi = idx[over]
-            times[oi] = caps.horizon
-            censored[oi] = True
-            reason[oi] = CENSOR_HORIZON
-
-        hits = crossed[hit]
-        times[idx.take(hits)] = ts.take(hits) + th[hit]
-
-        over[hits] = True  # now marks every finished lane
-        kept = np.flatnonzero(~over)
-        if kept.size < idx.size:
-            ends = np.cumsum([live for _, live, _ in pool])
+        kept = np.flatnonzero(~finished)
+        if kept.size < idx.size:  # else the takes would only copy
+            ends = np.cumsum([live for _, live, _, _ in pool])
             lives = np.diff(np.searchsorted(kept, ends), prepend=0).tolist()
-            pool = [(rng, live, start) for (rng, _, start), live in zip(pool, lives) if live]
-            idx, xs, ts = idx.take(kept), nxt.take(kept), ts.take(kept) + dt.take(kept)
-        else:  # common in the first rounds, and the takes would only copy
-            xs, ts = nxt, ts + dt
+            for (rng, _, _, lanes), live in zip(pool, lives):
+                if not live and chunk_done:
+                    chunk_done(rng, lanes)
+            pool = [(rng, live, at, lanes) for (rng, _, at, lanes), live in zip(pool, lives) if live]
+            idx, cols = idx.take(kept), [c.take(kept) for c in cols]
         s = 1 - s
         rounds += 1
-        # the chunks at their switch cap joined first, so their lanes lead
-        cut = sum(live for _, live, start in pool if rounds - start >= caps.max_switches)
-        if cut:
-            times[idx[:cut]] = ts[:cut]
-            censored[idx[:cut]] = True
-            reason[idx[:cut]] = CENSOR_SWITCH_CAP
-            pool = [(rng, live, start) for rng, live, start in pool if rounds - start < caps.max_switches]
-            idx, xs, ts = idx[cut:], xs[cut:], ts[cut:]
-    return times, censored, reason
-
-
-def _terminal_chunk(model, x0, t, size, rng, with_noise, initial_state):
-    """Terminal draws for one chunk.  Each round draws one holding time for
-    every lane of the chunk, so the stream does not depend on which lanes are
-    still running; only the live lanes are advanced, and a lane that reaches
-    t is written out and dropped.  With noise a lane carries the variance of
-    its position given the switch path, V <- V f^2 + b^2 (1 - f^2) / (2 gamma)
-    with f = exp(-gamma dt) the flow's own factor (V f^2 + b^2 dt (1 - gamma dt)
-    in a state with |gamma| t < _SERIES_GT), and one normal per lane is drawn
-    at the end.
-
-    Every round switches every lane, so the lanes that start in one state
-    share one state per round: a fixed start gives one group, a stationary
-    one two.  Each group takes its lanes' holding times out of the round's
-    draws and advances in its own state, with that state's rate, variance
-    terms and flow map as scalars."""
-    if initial_state == "stationary":
-        p0, _ = stationary_state_dist(model.rates)
-        states = np.where(rng.random(size) < p0, 0, 1).astype(np.int64)
-        starts = [(s, np.flatnonzero(states == s)) for s in (0, 1)]
-    else:
-        states = np.full(size, int(initial_state), dtype=np.int64)
-        starts = [(int(initial_state), np.arange(size))]
-    values = np.full(size, float(x0))
-    variance = np.zeros(size)
-    # per state: rate, variance level b^2 / (2 gamma) (0 where |gamma| t <
-    # _SERIES_GT, gamma = 0 included), b^2 and gamma b^2 per unit time there
-    # (None where they add nothing), and whether the flow can overflow
-    per_state = []
-    for c, lam in zip(model.coeffs, (model.rates.lambda0, model.rates.lambda1)):
-        lin = abs(c.gamma) * t < _SERIES_GT
-        b2 = c.b * c.b  # past double range it is inf, checked at the end
-        level = 0.0 if lin else b2 / (2.0 * c.gamma)
-        lin_var = b2 if lin else None
-        lin_damp = c.gamma * b2 if lin and c.gamma != 0.0 else None
-        per_state.append((lam, level, lin_var, lin_damp, c.gamma < 0.0))
-
-    # per group: its state this round, its live lanes, their positions,
-    # variances and time left (none at t = 0)
-    groups = [
-        [s, idx, values[idx], variance[idx], np.full(idx.size, float(t))] for s, idx in starts if idx.size and t > 0.0
-    ]
-    # a holding time may overflow to inf, and a repelling flow's factor too
-    with np.errstate(invalid="ignore", over="ignore"):
-        while groups:
-            draws = rng.standard_exponential(size)
-            for group in groups:
-                s, idx, xs, var, rem = group
-                lam, level, lin_var, lin_damp, repels = per_state[s]
-                dt = (draws if idx.size == size else draws.take(idx)) / lam
-                step = np.minimum(dt, rem)
-                base, shift, factor = pattern_map(s, step, model)
-                nxt = base + (xs - shift) * factor
-                if with_noise:
-                    gap = var - level
-                    var = level + gap * (factor * factor)
-                    if lin_var is not None:
-                        var += lin_var * step
-                        if lin_damp is not None:
-                            var -= lin_damp * step * step
-                if repels:  # growth beyond double range
-                    grown = np.isinf(factor)
-                    if grown.any():
-                        nxt[grown] = pattern_phi(s, step[grown], xs[grown], model)
-                        if with_noise:  # f^2 = inf on a lane at its level gives 0 * inf
-                            var[grown & (gap == 0.0)] = level
-                done = dt >= rem
-                rem = rem - dt
-                if done.any():
-                    end, go = np.flatnonzero(done), np.flatnonzero(~done)
-                    out = idx.take(end)
-                    values[out] = nxt.take(end)
-                    states[out] = s
-                    idx, nxt, rem = idx.take(go), nxt.take(go), rem.take(go)
-                    if with_noise:
-                        variance[out] = var.take(end)
-                        var = var.take(go)
-                group[:] = 1 - s, idx, nxt, var, rem
-            groups = [group for group in groups if group[1].size]
-    if with_noise:
-        # a repelling flow or an amplitude whose square overflows can carry a
-        # lane's mean or variance past double range, where m + sqrt(V) Z is
-        # no draw at all (inf - inf is nan)
-        if not (np.isfinite(values).all() and np.isfinite(variance).all()):
-            raise DoubleRangeError(
-                f"noisy terminal draws leave double range at t = {t} from x0 = {x0}, "
-                f"initial_state = {initial_state!r}"
-            )
-        values = values + np.sqrt(variance) * rng.standard_normal(size)
-    return values, states
-
-
-def _run_chunks(n, seed, purpose, worker):
-    """Run `worker(size, rng)` over fixed-size chunks; each of the arrays a
-    worker returns is concatenated over the chunks in index order."""
-    if n < 1:
-        raise ParameterError(f"need at least one sample, got n = {n}")
-    sizes = [CHUNK] * (n // CHUNK)
-    if n % CHUNK:
-        sizes.append(n % CHUNK)
-    results = [worker(sz, stream(seed, purpose, replicate=i)) for i, sz in enumerate(sizes)]
-    return [np.concatenate(field) for field in zip(*results)]
 
 
 def fpt_samples(
@@ -439,7 +306,47 @@ def fpt_samples(
         raise ParameterError(f"initial_state must be 0 or 1, got {initial_state!r}")
     if x == y:
         raise ParameterError("first passage requires x != y")
-    return FptSampleBatch(*_fpt_pool(model, x, y, initial_state, n, seed, purpose, caps))
+    _check_count(n)
+    times = np.full(n, np.nan)
+    censored = np.zeros(n, dtype=bool)
+    reason = np.zeros(n, dtype=np.uint8)
+
+    def advance(s, dt, idx, cols, capped):
+        xs, ts = cols  # position and elapsed time
+        nxt = pattern_phi(s, dt, xs, model)
+        rem = caps.horizon - ts
+        # a pattern is monotone, so a lane can reach y only where nxt - y
+        # lacks the strict sign of xs - y; scaling by that sign cannot
+        # overflow, and nan counts as a crossing, so such a lane is checked
+        side = nxt - y
+        side *= np.sign(xs - y)
+        crossed = np.flatnonzero(~(side > 0.0))
+        th = hitting_time(s, xs.take(crossed), y, model)
+        dt_crossed = dt.take(crossed)
+        hit = th < dt_crossed
+
+        # censored: the lane meets neither y nor a switch before the horizon,
+        # which needs at least a holding time that outlasts it
+        over = dt >= rem
+        if over.any():
+            over[crossed] = np.minimum(th, dt_crossed) >= rem.take(crossed)
+            hit &= ~over.take(crossed)
+            oi = idx[over]
+            times[oi], censored[oi], reason[oi] = caps.horizon, True, CENSOR_HORIZON
+
+        hits = crossed[hit]
+        times[idx.take(hits)] = ts.take(hits) + th[hit]
+        over[hits] = True  # now marks every finished lane
+        ts += dt
+        if capped:  # the lanes still running at their chunk's switch cap
+            cut = np.flatnonzero(~over[:capped])
+            ci = idx.take(cut)
+            times[ci], censored[ci], reason[ci] = ts.take(cut), True, CENSOR_SWITCH_CAP
+            over[:capped] = True
+        return over, (nxt, ts)
+
+    _lane_pool(model, n, seed, purpose, initial_state, (float(x), 0.0), advance, max_rounds=caps.max_switches)
+    return FptSampleBatch(times, censored, reason)
 
 
 def terminal_values(
@@ -456,15 +363,76 @@ def terminal_values(
     with_noise) at time t; initial_state may be 0, 1 or "stationary".
     t must be finite and >= 0, and x0 finite.  A repelling flow may carry a
     noise-free draw to +-inf; with noise, a mean or variance past double
-    range raises DoubleRangeError."""
+    range raises DoubleRangeError.
+
+    A lane carries its position and time left, and is written out in the
+    round whose holding time ends after t.  With noise it also carries its
+    variance given the switch path, V <- V f^2 + b^2 (1 - f^2) / (2 gamma),
+    f = exp(-gamma dt) (V f^2 + b^2 dt (1 - gamma dt) where |gamma| t <
+    _SERIES_GT), and a chunk then draws one normal per lane.
+    """
     _check_finite(x0=x0, t=t)
     if t < 0.0:
         raise ParameterError(f"t must be >= 0, got {t}")
     if initial_state not in (0, 1, "stationary"):
         raise ParameterError(f'initial_state must be 0, 1 or "stationary", got {initial_state!r}')
-    return TerminalSample(*_run_chunks(
-        n, seed, purpose, lambda sz, rng: _terminal_chunk(model, x0, t, sz, rng, with_noise, initial_state)
-    ))
+    _check_count(n)
+    noisy = with_noise and t > 0.0  # at t = 0 a draw is its start
+    values, states, variance = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n)
+    # per state: variance level b^2 / (2 gamma) (0 where |gamma| t < _SERIES_GT), b^2 and
+    # gamma b^2 per unit time there (None where they add nothing), and whether the flow can overflow
+    per_state = []
+    for c in model.coeffs:
+        lin = abs(c.gamma) * t < _SERIES_GT
+        b2 = c.b * c.b  # past double range it is inf, checked at the end
+        level = 0.0 if lin else b2 / (2.0 * c.gamma)
+        per_state.append((level, b2 if lin else None, c.gamma * b2 if lin and c.gamma else None, c.gamma < 0.0))
+
+    def advance(s, dt, idx, cols, capped):
+        level, lin_var, lin_damp, repels = per_state[s]
+        xs, rem = cols[:2]
+        step = np.minimum(dt, rem)
+        # a repelling flow's factor may overflow, and then f^2 on a lane at
+        # its level gives 0 * inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            base, shift, factor = pattern_map(s, step, model)
+            nxt = base + (xs - shift) * factor
+            if repels and (grown := np.isinf(factor)).any():  # growth beyond double range
+                nxt[grown] = pattern_phi(s, step[grown], xs[grown], model)
+            if noisy:
+                f2 = factor * factor
+                gap = cols[2] - level
+                var = level + gap * f2
+                if lin_var is not None:
+                    var += lin_var * step
+                    if lin_damp is not None:
+                        var -= lin_damp * step * step
+                if repels:
+                    var[np.isinf(f2) & (gap == 0.0)] = level
+        done = dt > rem
+        end = np.flatnonzero(done)
+        out = idx.take(end)
+        values[out], states[out] = nxt.take(end), s
+        rem -= dt
+        if not noisy:
+            return done, (nxt, rem)
+        variance[out] = var.take(end)
+        return done, (nxt, rem, var)
+
+    def chunk_done(rng, lanes):
+        # a repelling flow or an amplitude whose square overflows can carry a lane's
+        # mean or variance past double range, where m + sqrt(V) Z is no draw (inf - inf is nan)
+        if not (np.isfinite(values[lanes]).all() and np.isfinite(variance[lanes]).all()):
+            raise DoubleRangeError(
+                f"noisy terminal draws leave double range at t = {t} from x0 = {x0}, initial_state = {initial_state!r}"
+            )
+        values[lanes] += np.sqrt(variance[lanes]) * rng.standard_normal(lanes.stop - lanes.start)
+
+    p0 = stationary_state_dist(model.rates)[0] if initial_state == "stationary" else None
+    start = (float(x0), float(t)) + ((0.0,) if noisy else ())
+    state = initial_state if p0 is None else 0
+    _lane_pool(model, n, seed, purpose, state, start, advance, p0, chunk_done=chunk_done if noisy else None)
+    return TerminalSample(values, states)
 
 
 def mc_laplace_fpt(query, model: KacOuModel, n: int, seed: int, caps: SimCaps = SimCaps()) -> McEstimate:

@@ -142,6 +142,14 @@ def test_pattern_phi_contract():
     assert interval_variance(1, 800.0, rep) == 0.0
 
 
+def test_flat_state_without_drift_stays_put_over_an_infinite_time():
+    # a t would be 0 * inf = nan
+    flat = KacOuModel.from_values(1, 1, 0, 0, 0, 0, 1, 0)
+    assert pattern_phi(1, math.inf, 0.3, flat) == 0.3
+    assert np.array_equal(pattern_phi(np.array([1, 1]), np.array([2.0, math.inf]), 0.3, flat), [0.3, 0.3])
+    assert np.array_equal(pattern_phi(1, np.array([2.0, math.inf]), 0.3, flat), [0.3, 0.3])
+
+
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 

@@ -135,26 +135,36 @@ def reference_fpt_chunk(model, x, y, state, size, rng, caps):
 
 
 def reference_terminal_chunk(model, x0, t, size, rng, with_noise, initial_state):
-    """Also returns, per lane, the segments it crossed (its switches plus one)."""
+    """Also returns, per lane, the segments it crossed (its switches plus one).
+    Each round draws one holding time per live lane; a lane is done in the
+    round whose holding time ends after t.  A stationary start spends the
+    first draw of a lane that starts in state 1 without moving it."""
     lam = model.lam_vec
     if initial_state == "stationary":
         p0, _ = stationary_state_dist(model.rates)
         ss = np.where(rng.random(size) < p0, 0, 1).astype(np.int64)
     else:
         ss = np.full(size, int(initial_state), dtype=np.int64)
+    idle = (ss == 1) if initial_state == "stationary" else np.zeros(size, dtype=bool)
     xs = np.full(size, float(x0))
     rem = np.full(size, float(t))
     segments = np.zeros(size, dtype=np.int64)
-    while np.any(rem > 0.0):
-        dt = rng.standard_exponential(size) / lam[ss]
+    live = np.ones(size, dtype=bool)
+    while np.any(live):
+        dt = np.zeros(size)
+        dt[live] = rng.standard_exponential(np.count_nonzero(live)) / lam[ss[live]]
+        dt[idle] = 0.0
+        active = live & ~idle
         step = np.clip(np.minimum(dt, rem), 0.0, None)
         nxt = pattern_phi(ss, step, xs, model)
         if with_noise:
             nxt = nxt + np.sqrt(interval_variance(ss, step, model)) * rng.standard_normal(size)
-        active = rem > 0.0
         segments += active
         xs = np.where(active, nxt, xs)
-        ss = np.where(active & (dt < rem), 1 - ss, ss)
+        done = active & (dt > rem)
+        ss = np.where(active & ~done, 1 - ss, ss)
+        live &= ~done
+        idle[:] = False
         rem = rem - dt
     return xs, ss, segments
 
@@ -166,10 +176,11 @@ def reference_terminal_chunk(model, x0, t, size, rng, with_noise, initial_state)
 
 
 def per_lane_terminal_chunk(model, x0, t, size, rng, with_noise, initial_state):
-    """Terminal draws for one chunk.  Each round draws one holding time for
-    every lane of the chunk, so the stream does not depend on which lanes are
-    still running; only the live lanes are advanced, and a lane that reaches
-    t is written out and dropped.  With noise a lane carries the variance of
+    """Terminal draws for one chunk.  Each round draws one holding time per
+    live lane and advances it; a lane whose holding time ends after t is
+    written out and dropped.  A stationary start runs every lane from state
+    0, and a lane that starts in state 1 gets a zero first holding time
+    there.  With noise a lane carries the variance of
     its position given the switch path, V <- V f^2 + b^2 (1 - f^2) / (2 gamma)
     with f = exp(-gamma dt) the flow's own factor (V f^2 + b^2 dt (1 - gamma dt)
     in a state with |gamma| t < _SERIES_GT), and one normal per lane is drawn
@@ -197,10 +208,15 @@ def per_lane_terminal_chunk(model, x0, t, size, rng, with_noise, initial_state):
 
     idx = np.arange(size) if t > 0.0 else np.arange(0)
     xs, ss, var = values[idx], ss[idx], variance[idx]
+    first = None
+    if initial_state == "stationary":
+        first, ss = ss == 1, np.zeros_like(ss)
     rem = np.full(idx.size, float(t))
     while idx.size:
-        draws = rng.standard_exponential(size)
-        dt = (draws if idx.size == size else draws[idx]) / lam[ss]
+        dt = rng.standard_exponential(idx.size) / lam[ss]
+        if first is not None:
+            dt[first] = 0.0
+            first = None
         step = np.minimum(dt, rem)
         base, shift, factor = pattern_map(ss, step, model)
         with np.errstate(invalid="ignore", over="ignore"):
@@ -208,19 +224,20 @@ def per_lane_terminal_chunk(model, x0, t, size, rng, with_noise, initial_state):
             if with_noise:
                 level = ou_var[ss]
                 gap = var - level
-                var = level + gap * (factor * factor)
+                f2 = factor * factor
+                var = level + gap * f2
                 if lin_var is not None:
                     var += lin_var[ss] * step
                     if lin_damp is not None:
                         var -= lin_damp[ss] * step * step
+                if repels:  # f^2 = inf on a lane at its level gives 0 * inf
+                    still = np.isinf(f2) & (gap == 0.0)
+                    var[still] = level[still]
             if repels:  # growth beyond double range
                 grown = np.isinf(factor)
                 if grown.any():
                     nxt[grown] = pattern_phi(ss[grown], step[grown], xs[grown], model)
-                    if with_noise:  # f^2 = inf on a lane at its level gives 0 * inf
-                        still = grown & (gap == 0.0)
-                        var[still] = level[still]
-        go = dt < rem
+        go = dt <= rem
         if not go.all():
             done = ~go
             out = idx[done]
@@ -716,8 +733,44 @@ def test_terminal_chunk_never_advances_a_finished_lane(monkeypatch):
     segments = run_reference(
         5_000, 8, "count", lambda sz, rng: reference_terminal_chunk(model, 0.4, 3.0, sz, rng, False, "stationary")
     )[2]
-    # each lane is advanced once per segment it crosses before t, no more
-    assert elements[0] == int(segments.sum())
+    # each lane is advanced once per segment it crosses before t, no more,
+    # plus one zero-length step in state 0 if it starts in state 1
+    assert elements[0] == int(segments.sum()) + _stationary_ones(model, 5_000, 8, "count")
+
+
+def _stationary_ones(model, n, seed, purpose):
+    """How many of n lanes a stationary start puts in state 1."""
+    p0, _ = stationary_state_dist(model.rates)
+    return int(run_reference(n, seed, purpose, lambda sz, rng: [~(rng.random(sz) < p0)])[0].sum())
+
+
+class _DrawCountingStream:
+    """A chunk's stream that counts its holding-time draws, lane by lane."""
+
+    def __init__(self, rng, draws):
+        self.rng, self.draws = rng, draws
+
+    def standard_exponential(self, size):
+        self.draws[0] += size
+        return self.rng.standard_exponential(size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("initial_state", [1, "stationary"])
+def test_terminal_draws_no_holding_time_for_a_finished_lane(monkeypatch, initial_state):
+    draws = [0]
+    monkeypatch.setattr(kacou.simulate, "stream", lambda *args, **kw: _DrawCountingStream(stream(*args, **kw), draws))
+    model, x0, t, _ = NOISY_CASES["attracting"]
+    n = 2 * CHUNK + 500  # pooled chunks and a partial one
+    terminal_values(model, x0, t, n, seed=8, with_noise=True, initial_state=initial_state, purpose="draws")
+    # the normals come after the last holding time, so noise-free segments count
+    segments = run_reference(
+        n, 8, "draws", lambda sz, rng: reference_terminal_chunk(model, x0, t, sz, rng, False, initial_state)
+    )[2]
+    ones = _stationary_ones(model, n, 8, "draws") if initial_state == "stationary" else 0
+    assert draws[0] == int(segments.sum()) + ones
 
 
 CASE_B_SPEC = ScalingSpec(
@@ -889,6 +942,27 @@ def test_kernels_raise_no_warning_at_extreme_inputs(name):
         assert not got[1].all()  # lanes do reach the target
     else:
         assert (got[1] == 1).mean() > 0.9  # and stay in state 1
+
+
+def test_noisy_terminal_lanes_on_a_repelling_level_stay_there():
+    # state 0 repels from rho0 = x0 = 0 with b0 = 0: a lane that never leaves
+    # it stays at 0 with variance 0, also over a holding time where the flow's
+    # factor f is finite and f^2 overflows
+    model = KacOuModel.from_values(1e-3, 1e-6, 0.0, 0.5, 0.0, 0.5, -20.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sample = terminal_values(model, 0.0, 35.6, 19_384, seed=6, with_noise=True, purpose="lanes")
+    assert np.isfinite(sample.values).all()
+    assert np.all(sample.values[sample.states == 0] == 0.0)
+
+
+def test_stationary_start_at_time_zero_keeps_the_start():
+    model = KacOuModel.from_values(1, 3, 0, 1, 0, 0, 1, 1)
+    n = 100_000
+    sample = terminal_values(model, 0.3, 0.0, n, seed=1, initial_state="stationary")
+    assert np.all(sample.values == 0.3)
+    # state 1 with probability lambda0 / (lambda0 + lambda1) = 0.25
+    assert abs(sample.states.mean() - 0.25) < 5.0 * math.sqrt(0.25 * 0.75 / n)
 
 
 def test_noise_free_model_with_noise_flag_matches_mean_path():
