@@ -49,6 +49,21 @@ from .simulate import (
 )
 
 
+# the most lane-segments (one path across one holding time) a `kacou
+# simulate` or `kacou scaling` run may expect to draw, some ten minutes of
+# Monte Carlo, where the README and benchmark configs expect at most 3e8
+MAX_LANE_SEGMENTS = 1e11
+
+
+def _check_work(segments: float, keys: str) -> None:
+    """Refuse a run expecting more than MAX_LANE_SEGMENTS lane-segments up
+    front, naming the keys that set them."""
+    if not segments <= MAX_LANE_SEGMENTS:
+        raise ConfigError(
+            keys, f"the run expects {segments:.3g} lane-segments, above the {MAX_LANE_SEGMENTS:.3g} a run may draw"
+        )
+
+
 def _fmt(x) -> str:
     if x is None:
         return ""
@@ -176,8 +191,10 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     reasons = (CENSOR_HORIZON, CENSOR_SWITCH_CAP)
     extra = {"censoring": {REASON_NAMES[code]: 0 for code in reasons}}
 
+    rate = max(cfg.model.rates.lambda0, cfg.model.rates.lambda1)
     if mode == "path":
         horizon = _positive(cfg, "simulate", "horizon", 10.0)
+        _check_work(n_paths * (1.0 + rate * horizon), "simulate.n_paths, simulate.horizon and the [model] rates")
         with_noise = cfg.get("simulate", "with_noise", default=False, cast=bool)
         n_eval = _count(cfg, "simulate", "eval_points", 201)
         grid = np.linspace(0.0, horizon, n_eval)
@@ -209,6 +226,11 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         caps = SimCaps(
             horizon=_positive(cfg, "simulate", "cap_horizon", 1e3),
             max_switches=_count(cfg, "simulate", "cap_switches", 10_000_000),
+        )
+        # the caps bound a path's switches
+        _check_work(
+            n_paths * min(1.0 + rate * caps.horizon, caps.max_switches),
+            "simulate.n_paths, simulate.cap_horizon, simulate.cap_switches and the [model] rates",
         )
         batch = fpt_samples(cfg.model, x, y, state0, n_paths, cfg.seed, caps=caps)
         columns = [
@@ -317,15 +339,16 @@ def _cmd_scaling(cfg: RunConfig) -> int:
         for name, _, _ in SCALED_PAIRS[kind]
     }
     spec = ScalingSpec(kind, nu, base=cfg.model, **pairs)
+    t = _positive(cfg, "scaling", "t", 1.0)
+    n_list = _numbers(cfg, "scaling", "n_list", default=[10, 100, 1000], count=True)
+    n_paths = _count(cfg, "scaling", "n_paths", 100_000, least=2)
+    # the chain at scale index n switches at rates nu n and n
+    _check_work(
+        sum(n_paths * (1.0 + max(nu, 1.0) * n * t) for n in n_list),
+        "scaling.n_paths, scaling.t, scaling.n_list and scaling.nu",
+    )
     try:
-        rows = convergence_check(
-            spec,
-            _positive(cfg, "scaling", "t", 1.0),
-            _numbers(cfg, "scaling", "n_list", default=[10, 100, 1000], count=True),
-            _count(cfg, "scaling", "n_paths", 100_000, least=2),
-            seed=cfg.seed,
-            x0=_finite(cfg, "scaling", "x0", default=0.0),
-        )
+        rows = convergence_check(spec, t, n_list, n_paths, seed=cfg.seed, x0=_finite(cfg, "scaling", "x0", default=0.0))
     except DoubleRangeError as exc:
         # t, x0, the model and the amplitudes (times sqrt(nu*n)) set the
         # moments together; no one key is to blame

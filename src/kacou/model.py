@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DoubleRangeError, ParameterError
 
 __all__ = [
     "SwitchRates",
@@ -265,7 +265,8 @@ def pattern_map(state, t, model: KacOuModel):
             return (c.a * t if c.a else np.full_like(t, c.a)), 0.0, 1.0
         if c.gamma > 0.0 or -c.gamma * t.max() < _EXP_MAX:
             rho = c.a / c.gamma
-            return rho, rho, np.exp(-c.gamma * t)
+            factor = -c.gamma * t  # exponentiated in place where it is an array
+            return rho, rho, np.exp(factor, out=factor) if t.ndim else np.exp(factor)
     # levels and rates per state, so each lane costs one gather apiece
     a_s, g_s = model.a_vec, model.gamma_vec
     lin_s = g_s == 0.0
@@ -300,13 +301,16 @@ def pattern_phi(state, t, x, model: KacOuModel):
     Exponential relaxation toward rho when gamma != 0, a straight line when
     gamma = 0.  Satisfies phi(t+s, x) = phi(t, phi(s, x)).  t = 0 returns x
     exactly and t < 0 raises ParameterError.  Repelling growth beyond
-    double range gives +-inf, while x = rho stays at rho.  state, t and x
-    are scalars (a float is returned) or broadcastable arrays.
+    double range gives +-inf, while x = rho stays at rho, and x = +-inf
+    stays where it is (a factor that underflows to 0 gives no inf * 0).
+    state, t and x are scalars (a float is returned) or broadcastable arrays.
     """
     base, shift, factor = pattern_map(state, t, model)
     x = np.asarray(x, dtype=float)
     with np.errstate(invalid="ignore", over="ignore"):
         out = base + (x - shift) * factor
+    if (far := np.isinf(x)).any():
+        out = np.where(far, x, out)
     repels = model.coeffs[0].gamma < 0.0 or model.coeffs[1].gamma < 0.0
     if repels and np.isinf(factor).any():
         # grow in log magnitude: finite where the result is, and no 0 * inf
@@ -456,6 +460,24 @@ def hyper_args(q: float, model: KacOuModel) -> HyperParams:
     # for q >= 0 the discriminant is at least (beta0_0 + beta1_0)^2 when the
     # gammas have opposite signs, and 4 beta0_0 beta1_0 > 0 is added when they
     # agree, so only rounding could take it below 0
-    disc = max((beta0 - beta1) ** 2 + 4.0 * beta0_0 * beta1_0, 0.0)
-    root = math.sqrt(disc)
-    return HyperParams(beta0, beta1, 0.5 * (s + root), 0.5 * (s - root))
+    try:
+        disc = (beta0 - beta1) ** 2 + 4.0 * beta0_0 * beta1_0
+    except OverflowError:  # float ** raises where the square leaves double range
+        disc = math.inf
+    if math.isfinite(disc):
+        root = math.sqrt(max(disc, 0.0))
+        return HyperParams(beta0, beta1, 0.5 * (s + root), 0.5 * (s - root))
+    # the discriminant left double range: form it scaled by the larger |beta|,
+    # take the root of larger magnitude without cancellation and the other
+    # from their product
+    m = max(abs(beta0), abs(beta1))
+    u0, u1, w0, w1 = beta0 / m, beta1 / m, beta0_0 / m, beta1_0 / m
+    half = 0.5 * (u0 + u1)
+    big = half + math.copysign(0.5 * math.sqrt(max((u0 - u1) ** 2 + 4.0 * w0 * w1, 0.0)), half)
+    small = (u0 * u1 - w0 * w1) / big if big else 0.0
+    upper, lower = m * max(big, small), m * min(big, small)
+    if not (math.isfinite(upper) and math.isfinite(lower)):
+        raise DoubleRangeError(
+            f"upper parameters leave double range at q = {q}: beta0 = {beta0}, beta1 = {beta1}"
+        )
+    return HyperParams(beta0, beta1, upper, lower)

@@ -1,9 +1,10 @@
-"""Counter-based random streams.
+"""Keyed random streams.
 
 Every consumer of randomness asks for a stream keyed by
-(master seed, purpose tag, replicate index).  Streams are Philox
+(master seed, purpose tag, replicate index).  Streams are SFC64
 generators seeded through a SeedSequence over that triple, so results never
-depend on scheduling, thread count, or call order.
+depend on scheduling, thread count, or call order.  A stream is only ever
+read from its start, so no counter-based random access is needed.
 """
 
 from __future__ import annotations
@@ -27,4 +28,4 @@ def stream(seed: int, purpose: str, replicate: int = 0) -> np.random.Generator:
     ss = np.random.SeedSequence(
         entropy=(int(seed) & _MASK64, purpose_code(purpose), int(replicate) & _MASK64)
     )
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))

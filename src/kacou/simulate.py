@@ -10,11 +10,12 @@ and a terminal draw carries its variance given the switch path and draws
 one normal at the end.
 
 First-passage and terminal draws run through one pooled lane kernel.  A
-run is split into fixed-size chunks, each with its own counter-based stream
-(see :mod:`kacou.rng`); several chunks' lanes advance together in one chain
+run is split into fixed-size chunks, each with its own keyed stream (see
+:mod:`kacou.rng`); several chunks' lanes advance together in one chain
 state per round, and each chunk draws one holding time per live lane of its
-own, so a seeded run is bit-identical however its chunks are pooled.
-Everything runs in the calling thread.
+own, so a seeded run is bit-identical however its chunks are pooled.  The
+lanes live in buffers kept for the whole run.  Everything runs in the
+calling thread.
 """
 
 from __future__ import annotations
@@ -244,50 +245,95 @@ def _lane_pool(model, n, seed, purpose, state, start, advance, p0=None, max_roun
 
     A lane carries its index and one column per value of `start`.
     `advance(s, dt, idx, cols, capped)` moves the live lanes in state s,
-    writes out those it finishes and returns (finished, new cols); the first
-    `capped` lanes belong to chunks making their max_rounds-th switch.
-    `chunk_done(rng, lanes)` runs once a chunk has no live lane.
+    updating the columns in place, writes out those it finishes and returns
+    the mask of finished lanes; the first `capped` lanes belong to chunks
+    making their max_rounds-th switch.  `chunk_done(rng, lanes)` runs once a
+    chunk has no live lane.
+
+    The lanes live in buffers kept for the run: one of holding times, each
+    chunk drawing straight into its slice, and two of the index and of each
+    column, a round that finishes lanes gathering the live ones from one
+    into the other.
     """
-    idx = np.arange(0)
-    cols = [np.zeros(0) for _ in start]
+    room = min(n, _POOL)  # the most lanes the pool holds
+    draws = np.empty(room)
+    idx_bufs = np.empty((2, room), dtype=np.intp)
+    col_bufs = np.empty((2, len(start), room))
+    side = m = 0  # the pool's m lanes fill the first m entries of side `side`
     pool = []  # (stream, live lanes, round it joined, its lanes) per chunk, in chunk order
     joined = rounds = 0
     while True:
         if not pool:
             s = state
         ones = []  # per chunk joining now, its lanes that start in state 1
-        while s == state and joined < n and idx.size + min(CHUNK, n - joined) <= _POOL:
+        while s == state and joined < n and m + min(CHUNK, n - joined) <= _POOL:
             size = min(CHUNK, n - joined)
             rng = stream(seed, purpose, replicate=joined // CHUNK)
             if p0 is not None:
                 ones.append(~(rng.random(size) < p0))
             pool.append((rng, size, rounds, slice(joined, joined + size)))
-            idx = np.concatenate([idx, np.arange(joined, joined + size)])
-            cols = [np.concatenate([c, np.full(size, v)]) for c, v in zip(cols, start)]
+            idx_bufs[side, m : m + size] = np.arange(joined, joined + size)
+            for buf, v in zip(col_bufs[side], start):
+                buf[m : m + size] = v
             joined += size
+            m += size
         if not pool:
             break
 
-        draws = np.concatenate([rng.standard_exponential(live) for rng, live, _, _ in pool])
+        dt = draws[:m]
+        lo = 0
+        for rng, live, _, _ in pool:
+            rng.standard_exponential(out=dt[lo : lo + live])
+            lo += live
         with np.errstate(over="ignore"):  # a holding time past double range is inf
-            dt = draws / model.rates.rate(s)
+            dt /= model.rates.rate(s)
         if ones:  # the chunks that just joined hold the last lanes
             first = np.concatenate(ones)
-            dt[idx.size - first.size :][first] = 0.0
+            dt[m - first.size :][first] = 0.0
         capped = sum(live for _, live, at, _ in pool if rounds + 1 - at >= max_rounds)
-        finished, cols = advance(s, dt, idx, cols, capped)
+        idx, cols = idx_bufs[side, :m], col_bufs[side, :, :m]
+        finished = advance(s, dt, idx, list(cols), capped)
 
-        kept = np.flatnonzero(~finished)
-        if kept.size < idx.size:  # else the takes would only copy
+        if finished.any():
+            kept = np.flatnonzero(~finished)
             ends = np.cumsum([live for _, live, _, _ in pool])
             lives = np.diff(np.searchsorted(kept, ends), prepend=0).tolist()
             for (rng, _, _, lanes), live in zip(pool, lives):
                 if not live and chunk_done:
                     chunk_done(rng, lanes)
             pool = [(rng, live, at, lanes) for (rng, _, at, lanes), live in zip(pool, lives) if live]
-            idx, cols = idx.take(kept), [c.take(kept) for c in cols]
+            # gather the live lanes into the other side; the indices are in
+            # range, and mode="clip" spares take the copy it makes under "raise"
+            side, m = 1 - side, kept.size
+            idx.take(kept, out=idx_bufs[side, :m], mode="clip")
+            for c, buf in zip(cols, col_bufs[side]):
+                c.take(kept, out=buf[:m], mode="clip")
         s = 1 - s
         rounds += 1
+
+
+def _flow(s, dt, xs, out, model):
+    """pattern_phi(s, dt, xs, model) for the pool's one state s, written into
+    out (which may be xs); returns the flow map's factor.  The lanes that
+    left double range go through pattern_phi itself: in a repelling state
+    those whose factor overflowed, and in an attracting state, whose factor
+    may underflow to 0, the lanes at +-inf, which only a state that does not
+    attract can have carried there."""
+    base, shift, factor = pattern_map(s, dt, model)
+    gamma = model.coeffs[s].gamma
+    far = None
+    if gamma < 0.0:
+        far = np.isinf(factor)
+    elif gamma > 0.0 and model.coeffs[1 - s].gamma <= 0.0:
+        far = np.isinf(xs)
+    moved = pattern_phi(s, dt[far], xs[far], model) if far is not None and far.any() else None
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.subtract(xs, shift, out=out)
+        out *= factor
+        out += base
+    if moved is not None:
+        out[far] = moved
+    return factor
 
 
 def fpt_samples(
@@ -311,16 +357,21 @@ def fpt_samples(
     censored = np.zeros(n, dtype=bool)
     reason = np.zeros(n, dtype=np.uint8)
 
+    work = np.empty((3, min(n, _POOL)))  # per round: next positions, time left, crossing test
+
     def advance(s, dt, idx, cols, capped):
         xs, ts = cols  # position and elapsed time
-        nxt = pattern_phi(s, dt, xs, model)
-        rem = caps.horizon - ts
+        nxt, rem, side = work[:, : xs.size]  # xs is needed until the lanes are checked
+        _flow(s, dt, xs, nxt, model)
         # a pattern is monotone, so a lane can reach y only where nxt - y
         # lacks the strict sign of xs - y; scaling by that sign cannot
         # overflow, and nan counts as a crossing, so such a lane is checked
-        side = nxt - y
-        side *= np.sign(xs - y)
+        np.subtract(xs, y, out=rem)
+        np.sign(rem, out=rem)
+        np.subtract(nxt, y, out=side)
+        side *= rem
         crossed = np.flatnonzero(~(side > 0.0))
+        np.subtract(caps.horizon, ts, out=rem)
         th = hitting_time(s, xs.take(crossed), y, model)
         dt_crossed = dt.take(crossed)
         hit = th < dt_crossed
@@ -343,7 +394,8 @@ def fpt_samples(
             ci = idx.take(cut)
             times[ci], censored[ci], reason[ci] = ts.take(cut), True, CENSOR_SWITCH_CAP
             over[:capped] = True
-        return over, (nxt, ts)
+        np.copyto(xs, nxt)
+        return over
 
     _lane_pool(model, n, seed, purpose, initial_state, (float(x), 0.0), advance, max_rounds=caps.max_switches)
     return FptSampleBatch(times, censored, reason)
@@ -388,36 +440,42 @@ def terminal_values(
         level = 0.0 if lin else b2 / (2.0 * c.gamma)
         per_state.append((level, b2 if lin else None, c.gamma * b2 if lin and c.gamma else None, c.gamma < 0.0))
 
+    work = np.empty((3 if noisy else 1, min(n, _POOL)))  # per round: step, f^2, a product
+
     def advance(s, dt, idx, cols, capped):
         level, lin_var, lin_damp, repels = per_state[s]
         xs, rem = cols[:2]
-        step = np.minimum(dt, rem)
-        # a repelling flow's factor may overflow, and then f^2 on a lane at
-        # its level gives 0 * inf
-        with np.errstate(invalid="ignore", over="ignore"):
-            base, shift, factor = pattern_map(s, step, model)
-            nxt = base + (xs - shift) * factor
-            if repels and (grown := np.isinf(factor)).any():  # growth beyond double range
-                nxt[grown] = pattern_phi(s, step[grown], xs[grown], model)
-            if noisy:
-                f2 = factor * factor
-                gap = cols[2] - level
-                var = level + gap * f2
-                if lin_var is not None:
-                    var += lin_var * step
-                    if lin_damp is not None:
-                        var -= lin_damp * step * step
+        step = work[0, : xs.size]
+        np.minimum(dt, rem, out=step)
+        factor = _flow(s, step, xs, xs, model)
+        if noisy:
+            var, (square, prod) = cols[2], work[1:, : xs.size]
+            # a repelling flow's factor may overflow, and then f^2 on a lane at
+            # its level gives 0 * inf
+            with np.errstate(invalid="ignore", over="ignore"):
+                # a flat state's factor is the float 1.0
+                f2 = np.multiply(factor, factor, out=square) if np.ndim(factor) else factor * factor
+                var -= level  # the gap to the level
                 if repels:
-                    var[np.isinf(f2) & (gap == 0.0)] = level
+                    still = np.isinf(f2) & (var == 0.0)
+                var *= f2
+                var += level
+                if lin_var is not None:
+                    var += np.multiply(step, lin_var, out=prod)
+                    if lin_damp is not None:
+                        np.multiply(step, lin_damp, out=prod)
+                        var -= np.multiply(prod, step, out=prod)
+                if repels:
+                    var[still] = level
         done = dt > rem
-        end = np.flatnonzero(done)
-        out = idx.take(end)
-        values[out], states[out] = nxt.take(end), s
+        if done.any():
+            end = np.flatnonzero(done)
+            out = idx.take(end)
+            values[out], states[out] = xs.take(end), s
+            if noisy:
+                variance[out] = cols[2].take(end)
         rem -= dt
-        if not noisy:
-            return done, (nxt, rem)
-        variance[out] = var.take(end)
-        return done, (nxt, rem, var)
+        return done
 
     def chunk_done(rng, lanes):
         # a repelling flow or an amplitude whose square overflows can carry a lane's

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import time
 import warnings
 
 import numpy as np
@@ -413,6 +414,47 @@ def test_scaling_moments_beyond_double_range_exit_2(tmp_path, capsys, kind, key,
     assert "out of double range" in err
     assert "scaling.t, scaling.x0" in err and key in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "command, overrides, keys",
+    [
+        # about 1e10 switches a path: this ran for minutes
+        ("scaling", ["scaling.t=1e9"], "scaling.n_paths, scaling.t, scaling.n_list and scaling.nu"),
+        ("scaling", ["scaling.n_list=1e9"], "scaling.n_paths, scaling.t, scaling.n_list and scaling.nu"),
+        ("simulate", ["simulate.mode=path", "simulate.horizon=1e12"], "simulate.n_paths, simulate.horizon"),
+        (
+            "simulate",
+            ["model.lambda0=1e12", "simulate.cap_horizon=1e9", "simulate.n_paths=1e5"],
+            "simulate.n_paths, simulate.cap_horizon, simulate.cap_switches",
+        ),
+    ],
+)
+def test_runaway_monte_carlo_is_refused_up_front(tmp_path, capsys, command, overrides, keys):
+    path, out = write_cfg(tmp_path)
+    argv = [command, "--config", path]
+    for item in overrides:
+        argv += ["--set", item]
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and keys in err and "lane-segments" in err
+    assert not os.path.exists(out)
+
+
+def test_fpt_with_upper_parameters_past_double_range_runs(tmp_path, capsys):
+    # hyper_args raised a bare OverflowError here, a traceback
+    path, out = write_cfg(tmp_path)
+    argv = ["fpt", "--config", path, "--set", "model.lambda0=1e300", "--set", "fpt.x=5e-324"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    rows = [line.split(",") for line in open(os.path.join(out, "fpt.csv")).read().splitlines()[1:]]
+    assert len(rows) == 2
+    for row in rows:
+        closed, oracle = float(row[4]), float(row[5])
+        assert math.isfinite(closed) and abs(closed - oracle) < 1e-5
 
 
 def test_scaling_parameter_errors_keep_exit_1(tmp_path, capsys):

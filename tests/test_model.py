@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kacou.errors import ParameterError
+from kacou.errors import DoubleRangeError, ParameterError
 from kacou.model import (
     KacOuModel,
     RegimeTag,
@@ -420,6 +420,46 @@ def test_hyper_args_vieta():
 def test_hyper_args_rejects_zero_gamma():
     with pytest.raises(ParameterError):
         hyper_args(1.0, make(gamma1=0.0))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        make(lambda0=1e300, a0=0.0, a1=1.0),  # (beta0 - beta1)^2 overflows
+        make(lambda0=1e300, lambda1=1e300, gamma1=-1.0),  # beta0 - beta1 overflows
+        make(lambda0=1e200, lambda1=2e200, gamma1=2.0),  # beta0 = beta1, and 4 beta0(0) beta1(0) overflows
+        make(lambda0=1e300, lambda1=0.7, gamma1=-0.5),  # opposite signs
+    ],
+)
+def test_hyper_args_past_double_range_matches_mpmath(model):
+    # float ** raised OverflowError here; the discriminant is now formed
+    # scaled by the larger |beta|
+    hp = hyper_args(0.5, model)
+    mpmath.mp.dps = 50
+    (l0, l1), (g0, g1) = (model.rates.lambda0, model.rates.lambda1), (model.coeffs[0].gamma, model.coeffs[1].gamma)
+    b0, b1 = (mpmath.mpf(0.5) + l0) / g0, (mpmath.mpf(0.5) + l1) / g1
+    root = mpmath.sqrt((b0 - b1) ** 2 + 4 * (mpmath.mpf(l0) / g0) * (mpmath.mpf(l1) / g1))
+    want = ((b0 + b1 + root) / 2, (b0 + b1 - root) / 2)
+    size = max(abs(b0), abs(b1))
+    for got, exact in zip((hp.b0, hp.b1), want):
+        assert math.isfinite(got)
+        assert abs(got - exact) <= 1e-14 * size
+
+
+def test_hyper_args_past_double_range_small_root_keeps_relative_accuracy():
+    # the root of smaller magnitude comes from the roots' product, not from a
+    # difference that cancels
+    hp = hyper_args(0.5, make(lambda0=1e300))
+    mpmath.mp.dps = 50
+    b0, b1, alpha = mpmath.mpf(hp.beta0), mpmath.mpf(hp.beta1), mpmath.mpf(1e300)  # alpha = beta0(0) beta1(0)
+    exact = (b0 * b1 - alpha) / ((b0 + b1 + mpmath.sqrt((b0 - b1) ** 2 + 4 * alpha)) / 2)
+    assert abs(hp.b1 - exact) <= 1e-14 * abs(exact)
+
+
+def test_hyper_args_upper_parameters_beyond_double_range_raise():
+    # beta0 itself is inf: a typed error, not OverflowError or an inf root
+    with pytest.raises(DoubleRangeError):
+        hyper_args(0.5, make(lambda0=1e300, gamma0=1e-10))
 
 
 # --- affine coordinates -----------------------------------------------------

@@ -750,9 +750,9 @@ class _DrawCountingStream:
     def __init__(self, rng, draws):
         self.rng, self.draws = rng, draws
 
-    def standard_exponential(self, size):
-        self.draws[0] += size
-        return self.rng.standard_exponential(size)
+    def standard_exponential(self, size=None, out=None):
+        self.draws[0] += size if out is None else out.size
+        return self.rng.standard_exponential(size, out=out)
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
@@ -892,6 +892,23 @@ def test_noisy_terminal_draws_past_double_range_raise(model, t, initial_state):
         # noise-free draws keep their +-inf lanes
         plain = terminal_values(model, 0.3, t, 2_000, seed=1, initial_state=initial_state).values
     assert np.isinf(plain).any() == (model is ESCAPES) and not np.isnan(plain).any()
+
+
+# state 0 attracts so fast that its flow's factor underflows to 0 over most
+# holding times, and state 1 repels as fast: a lane that state 1 carries to
+# +inf then meets that factor of 0
+INF_MEETS_ZERO = KacOuModel.from_values(1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1000.0, -1000.0)
+
+
+def test_noise_free_lanes_at_inf_stay_there_through_an_attracting_state():
+    # a lane at +inf times a factor of 0 is no nan
+    assert pattern_phi(0, 1.0, math.inf, INF_MEETS_ZERO) == math.inf
+    assert pattern_phi(0, 1.0, -math.inf, INF_MEETS_ZERO) == -math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sample = terminal_values(INF_MEETS_ZERO, 0.3, 5.0, 2_000, seed=1)
+    assert not np.isnan(sample.values).any()
+    assert ((sample.values == math.inf) & (sample.states == 0)).any()
 
 
 # state 1 pushes lanes away from -1 faster than state 0 pulls them back, so
