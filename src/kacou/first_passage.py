@@ -61,6 +61,11 @@ _TAIL_RATIO_CAP = 1e13
 _QUAD_PANELS = 18
 _QUAD_ORDER = 6
 _ORACLE_BLOCK_ROWS = 256  # rows per setup block: each rows x points temporary stays in L2
+# nearest an attracting target may come to the attractor it approaches, as
+# a share of the gap: sqrt(eps), where one rounding of its coordinate moves
+# the transform by beta sqrt(eps) relative (the direct series could not
+# settle nearer either)
+_TARGET_CLEARANCE = 2.0**-26
 
 
 @dataclass(frozen=True)
@@ -132,12 +137,22 @@ def _attracting_value(model, q, frame, state):
     l0, l1 = model.rates.lambda0, model.rates.lambda1
     hp = hyper_args(q, model)
     x, y = frame.x, frame.y
+    # the series at y is singular at the attractor y approaches, like
+    # (1 - z)^-beta, and one rounding of z moves the transform by about
+    # beta eps / (1 - z) relative; a target nearer than _TARGET_CLEARANCE of
+    # the gap (or than the rounding y, rho0 and rho1 carry) is refused
+    tie = max(_TARGET_CLEARANCE * (r1 - r0), 4.0 * math.ulp(1.0) * (abs(y) + abs(r0) + abs(r1)))
     if x < y:
         frame.require("y", "the threshold between the attractors", r0, r1, lo_closed=True)
+        frame.require("y", "a threshold clear of the attractor", hi=r1 - tie)
         frame.require("x", "series radius", lo=2.0 * r0 - r1)
-        return _regular_branch(hp, hp.beta0, l0, q, xi0(x, r0, r1), xi0(y, r0, r1), 1, state)
+        # z = 1 - (r1 - .)/(r1 - r0), formed from the distance to the
+        # attractor y approaches as the x > y branch forms it, so that a
+        # query and its mirror image round z alike
+        return _regular_branch(hp, hp.beta0, l0, q, xi1(x, r1, r0), xi1(y, r1, r0), 1, state)
     # x > y: mirrored series in xi1
     frame.require("y", "the threshold between the attractors", r0, r1, hi_closed=True)
+    frame.require("y", "a threshold clear of the attractor", lo=r0 + tie)
     frame.require("x", "series radius", hi=2.0 * r1 - r0)
     return _regular_branch(hp, hp.beta1, l1, q, xi1(x, r0, r1), xi1(y, r0, r1), 0, state)
 
@@ -145,21 +160,27 @@ def _attracting_value(model, q, frame, state):
 def _ar_decaying_pair(hp, z):
     """The solution branch of the transform ODE system that decays toward
     -infinity, evaluated through the hypergeometric solution at the point at
-    infinity (argument 1/(1-z), inside the unit interval for every z < 1).
+    infinity (argument u = 1/(1-z), inside the unit interval for every z < 1).
 
     Returns log-scaled (G, H) with ell0 proportional to G/beta1(0) and ell1
-    to H.
+    to H, where, with c3 = b0 - b1 + 1 and the prefactor (1 - z)^-b0,
+
+        H = F(b0, beta0 - b1; c3; u),
+        G = (beta1 - b0) F(b0, beta0 - b1; c3; u) - u d/du F(b0, beta0 - b1; c3; u)
+          = -(beta0 - b1) F(b0, beta0 - b1 + 1; c3; u).
+
+    The two lines of G agree because beta1 - b0 = b1 - beta0 (the roots sum
+    to beta0 + beta1) and (u d/du + b) F(a, b; c; u) = b F(a, b + 1; c; u)
+    (DLMF 15.5): the single series has no cancellation between two.
     """
     b0, b1 = hp.b0, hp.b1
     c3 = b0 - b1 + 1.0
     u = 1.0 / (1.0 - z)
-    f1 = gauss_2f1_log(b0, hp.beta0 - b1, c3, u)
-    f2 = gauss_2f1_log(b0 + 1.0, hp.beta0 - b1 + 1.0, c3 + 1.0, u)
-    kappa = b0 * (hp.beta0 - b1) / c3
     log_pref = -b0 * math.log1p(-z)
-    g_val = f1.scaled(hp.beta1 - b0).add(f2.scaled(-kappa * u))
-    g_val = LogValue(g_val.log + log_pref, g_val.sign, g_val.terms_used)
-    h_val = LogValue(f1.log + log_pref, f1.sign, f1.terms_used)
+    f = gauss_2f1_log(b0, hp.beta0 - b1, c3, u)
+    g = gauss_2f1_log(b0, hp.beta0 - b1 + 1.0, c3, u).scaled(-(hp.beta0 - b1))
+    g_val = LogValue(g.log + log_pref, g.sign, g.terms_used)
+    h_val = LogValue(f.log + log_pref, f.sign, f.terms_used)
     return g_val, h_val
 
 

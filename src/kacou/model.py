@@ -465,11 +465,12 @@ def hyper_args(q: float, model: KacOuModel) -> HyperParams:
     except OverflowError:  # float ** raises where the square leaves double range
         disc = math.inf
     if math.isfinite(disc):
-        root = math.sqrt(max(disc, 0.0))
-        return HyperParams(beta0, beta1, 0.5 * (s + root), 0.5 * (s - root))
-    # the discriminant left double range: form it scaled by the larger |beta|,
-    # take the root of larger magnitude without cancellation and the other
-    # from their product
+        # the root of larger magnitude without cancellation, the other from
+        # their product
+        big = 0.5 * (s + math.copysign(math.sqrt(max(disc, 0.0)), s))
+        small = p / big if big else 0.0
+        return HyperParams(beta0, beta1, max(big, small), min(big, small))
+    # the discriminant left double range: form it scaled by the larger |beta|
     m = max(abs(beta0), abs(beta1))
     u0, u1, w0, w1 = beta0 / m, beta1 / m, beta0_0 / m, beta1_0 / m
     half = 0.5 * (u0 + u1)

@@ -420,6 +420,23 @@ def _outcome(model, q, x, y, state):
     kind="attracting", rates=(1.0, 1.0), gammas=(0.3, 1.0), rhos=(0.93, 0.3),
     drift_down=False, q=1.0, x=0.0, y=0.93, state=0,
 )
+# y one rounding below rho1 = 0.27 / 0.3: z is 1 - 2.2e-16 on one side and
+# 1 - 1.1e-16 in the mirror (or exactly 1), where the 1 - z connection gives
+# values 10 times apart; such a target is refused on both sides
+@example(
+    kind="attracting", rates=(1.0, 0.5), gammas=(1.0, 0.3), rhos=(-0.25, 0.9),
+    drift_down=False, q=0.5, x=0.0, y=0.9, state=0,
+)
+@example(
+    kind="attracting", rates=(1.0, 0.5), gammas=(1.0, 0.3), rhos=(-1.0, 0.875),
+    drift_down=False, q=0.5, x=0.0, y=0.875, state=0,
+)
+# y 1e-6 from the attractor it approaches: the two branches formed z by
+# different roundings, and the values were 2.2e-10 apart
+@example(
+    kind="attracting", rates=(1.0, 1.0), gammas=(1.0, 1.0), rhos=(1e-06, -1.0),
+    drift_down=False, q=1.0, x=-1.0, y=0.0, state=0,
+)
 @settings(max_examples=300, deadline=None)
 def test_relabelling_and_reflection_preserve_transforms(kind, rates, gammas, rhos, drift_down, q, x, y, state):
     assume(x != y)
@@ -528,3 +545,95 @@ def test_oracle_degenerate_mixed_signs_matches_mc():
         oracle = fpt_integral_oracle(q, dg, tol=1e-7)
         est = mc_laplace_fpt(q, dg, 60_000, seed=55)
         assert abs(oracle - est.mean) <= max(3.5 * est.stderr, 1e-3)
+
+
+# --- the mpmath referee -----------------------------------------------------------
+
+
+def _mp_log_value(value):
+    import mpmath
+
+    from kacou.specfun import LogValue
+
+    return LogValue(float(mpmath.log(abs(value))), float(mpmath.sign(value)))
+
+
+def referee_laplace_fpt(query, model):
+    """``laplace_fpt`` through the same frame and formulas, with every Gauss
+    and Kummer function taken from mpmath at 50 digits instead of specfun."""
+    import mpmath
+    from unittest import mock
+
+    def gauss(a, b, c, z):
+        with mpmath.workdps(50):
+            return _mp_log_value(mpmath.hyp2f1(a, b, c, z))
+
+    def kummer(a, b, z):
+        with mpmath.workdps(50):
+            return _mp_log_value(mpmath.hyp1f1(a, b, z))
+
+    with mock.patch.object(fp, "gauss_2f1_log", gauss), mock.patch.object(fp, "kummer_1f1_log", kummer):
+        return laplace_fpt(query, model)
+
+
+def _oriented(params, x, y, state, swap, reflect):
+    """A canonical model's query with the state labels swapped and space
+    reflected on request: the same first-passage time."""
+    lam0, lam1, a0, a1, b0, b1, g0, g1 = params
+    if swap:
+        params, state = [lam1, lam0, a1, a0, b1, b0, g1, g0], 1 - state
+    if reflect:
+        params = list(params)
+        params[2], params[3] = -params[2], -params[3]
+        x, y = -x, -y
+    return KacOuModel.from_values(*params), FptQuery(0.0, x, y, state)
+
+
+def _assert_matches_referee(params, q, x, y, state, swap=False, reflect=False):
+    model, query = _oriented(params, x, y, state, swap, reflect)
+    query = FptQuery(q, query.x, query.y, query.initial_state)
+    ref = referee_laplace_fpt(query, model)
+    assert ref > 0.0
+    assert laplace_fpt(query, model) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+# attracting rho0 = 0.2, repelling rho1 = 1.3; gamma1 < 0 makes b1 about
+# -q/|gamma1|, where the direct series F(b0, b1; beta0; z) alternates
+AR_CANONICAL = [0.9, 1.4, 0.2, 1.3 * -0.8, 0.0, 0.0, 1.0, -0.8]
+
+
+@pytest.mark.parametrize("q", [0.5, 5.0, 20.0, 50.0, 100.0])
+@pytest.mark.parametrize("swap, reflect", [(False, False), (True, False), (False, True), (True, True)])
+def test_attraction_repulsion_above_the_target_matches_referee(q, swap, reflect):
+    # x > y below the attractor: the branch regular at rho0, summed by
+    # Euler's and Pfaff's forms with single-signed terms
+    y = 0.2 - 0.1 * 1.1
+    for x in (0.15, 0.5, 1.0, 1.25):
+        for state in (0, 1):
+            _assert_matches_referee(AR_CANONICAL, q, x, y, state, swap, reflect)
+
+
+ATTRACTING_CANONICAL = [0.8, 1.7, -0.4, 0.7 * 1.3, 0.0, 0.0, 1.0, 1.3]
+
+
+@pytest.mark.parametrize("q", [0.1, 1.0, 10.0, 50.0])
+@pytest.mark.parametrize("d", [1e-3, 1e-2])
+@pytest.mark.parametrize("branch", ["attracting up", "attracting down", "attraction-repulsion up"])
+def test_targets_next_to_the_attractor_match_referee(branch, d, q):
+    # the target sits d of the gap from an attractor, so a series argument
+    # lies next to 1, where the 1 - z connection takes over
+    if branch == "attracting up":
+        params, gap = ATTRACTING_CANONICAL, 1.1
+        y = 0.7 - d * gap
+        xs = (y - 0.05 * gap, y - 0.5 * gap, -0.9)
+    elif branch == "attracting down":
+        params, gap = ATTRACTING_CANONICAL, 1.1
+        y = -0.4 + d * gap
+        xs = (y + 0.05 * gap, y + 0.5 * gap, 1.4)
+    else:
+        params, gap = AR_CANONICAL, 1.1
+        y = 0.2 - d * gap
+        xs = (y - 0.05 * gap, y - 0.5 * gap, y - gap)
+    for x in xs:
+        for state in (0, 1):
+            _assert_matches_referee(params, q, x, y, state)

@@ -462,6 +462,30 @@ def test_hyper_args_upper_parameters_beyond_double_range_raise():
         hyper_args(0.5, make(lambda0=1e300, gamma0=1e-10))
 
 
+@pytest.mark.parametrize("lambda0", [1.2345e8, 1.2345e12])
+def test_hyper_args_small_root_keeps_relative_accuracy(lambda0):
+    # |beta0| >> |beta1| on the ordinary path: 0.5 (s - root) cancelled and
+    # lost 1.5e-8 and 9.6e-5 of b1; it now comes from the roots' product
+    model = KacOuModel.from_values(lambda0, 0.7, 0.0, 1.0, 0.0, 0.0, 1.3, 0.9)
+    hp = hyper_args(0.37, model)
+    with mpmath.workdps(60):
+        q, l0, l1, g0, g1 = map(mpmath.mpf, (0.37, lambda0, 0.7, 1.3, 0.9))
+        s = (q + l0) / g0 + (q + l1) / g1
+        p = (q + l0) / g0 * (q + l1) / g1 - l0 / g0 * l1 / g1
+        exact = (s - mpmath.sqrt(s * s - 4 * p)) / 2
+        assert abs(hp.b1 - exact) <= 1e-14 * abs(exact)
+
+
+def test_hyper_args_small_root_next_to_a_huge_rate_gives_the_oracle_transform():
+    # b1 came out 0.0 for a true 0.5, and the closed form returned 1.0
+    from kacou.first_passage import FptQuery, fpt_integral_oracle, laplace_fpt
+
+    model = KacOuModel.from_values(1e100, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0)
+    assert hyper_args(0.5, model).b1 == pytest.approx(0.5, rel=1e-14)
+    query = FptQuery(0.5, 0.25, 0.75, 1)
+    assert laplace_fpt(query, model) == pytest.approx(fpt_integral_oracle(query, model), abs=1e-6)
+
+
 # --- affine coordinates -----------------------------------------------------
 
 

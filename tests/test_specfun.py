@@ -132,9 +132,31 @@ def test_gauss_2f1_unit_divergence_is_error():
 @pytest.mark.parametrize("z", [1.0 - 2.0**-53, 1.0 - 1e-9])
 def test_gauss_2f1_divergent_series_next_to_unit_fails_at_once(z):
     # closer to 1 than one over the whole term budget the series cannot
-    # settle; it used to sum 65M terms before giving up
-    with pytest.raises(OutOfDomainError, match="diverges at z = 1"):
-        gauss_2f1_log(0.5, 0.9, 0.7, z)
+    # settle; it used to sum 65M terms before giving up.  With b2 - b0 - b1
+    # = -1 an integer, no connection formula applies, so only the series is
+    # left, and it must fail before summing a term
+    with mock.patch.object(specfun, "_sum_series", side_effect=AssertionError("summed")):
+        with pytest.raises(OutOfDomainError, match="diverges at z = 1"):
+            gauss_2f1_log(0.5, 1.5, 1.0, z)
+
+
+@pytest.mark.parametrize("z", [1.0 - 2.0**-53, 1.0 - 1e-9])
+def test_gauss_2f1_divergent_series_next_to_unit_by_connection(z):
+    # b2 - b0 - b1 = -0.7: the 1 - z connection reaches the value the direct
+    # series never settles on
+    got = gauss_2f1_log(0.5, 0.9, 0.7, z)
+    assert got.terms_used <= 100
+    assert got.sign * math.exp(got.log - _mp_log_2f1(0.5, 0.9, 0.7, z)) == pytest.approx(1.0, rel=1e-13)
+
+
+def _mp_log_2f1(a, b, c, z):
+    """log F(a, b; c; z) at 50 digits, for a positive F."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        value = mpmath.hyp2f1(a, b, c, z)
+        assert value > 0
+        return float(mpmath.log(value))
 
 
 # --- Kummer series -----------------------------------------------------------
@@ -230,6 +252,8 @@ def reference_sum_series(c2, c1, c0, b2, z):
     log_scale = 0.0
     small_run = 0
     single_signed = z > 0.0
+    floor = specfun._stop_floor(c2, c1, c0, b2, z)
+    rtol = specfun.SERIES_RTOL * (1.0 - abs(z)) if c2 and abs(z) < 1.0 else specfun.SERIES_RTOL
     k = 0.0
     for n in range(1, specfun.SERIES_CAP + 1):
         factor = (c2 * k * k + c1 * k + c0) * z / ((b2 + k) * (k + 1.0))
@@ -246,7 +270,7 @@ def reference_sum_series(c2, c1, c0, b2, z):
             total /= specfun._RESCALE_AT
             log_scale += specfun._RESCALE_LOG
             mag = abs(term)
-        if mag <= specfun.SERIES_RTOL * abs(total) + specfun.SERIES_FLOOR:
+        if mag <= rtol * abs(total) + specfun.SERIES_FLOOR and n > floor:
             small_run += 1
             if small_run >= 2:
                 return specfun._finish(total, log_scale, n + 1)
@@ -260,9 +284,10 @@ def reference_sum_series(c2, c1, c0, b2, z):
     )
 
 
-def reference_block(c2, c1, c0, b2, z, n, m, term, total, small_run, single_signed):
+def reference_block(c2, c1, c0, b2, z, n, m, term, total, small_run, single_signed, floor, rtol):
     """The loop's state after terms n+1 .. n+m, stopping short of the first
-    index where it acts (a zero term, a rescale or a second small term)."""
+    index where it acts (a zero term, a rescale or a second small term past
+    the floor)."""
     k = float(n)
     for used in range(m):
         factor = (c2 * k * k + c1 * k + c0) * z / ((b2 + k) * (k + 1.0))
@@ -270,7 +295,7 @@ def reference_block(c2, c1, c0, b2, z, n, m, term, total, small_run, single_sign
         new_term = term * factor
         new_total = total + new_term
         mag = abs(new_term)
-        small = mag <= specfun.SERIES_RTOL * abs(new_total) + specfun.SERIES_FLOOR
+        small = mag <= rtol * abs(new_total) + specfun.SERIES_FLOOR and n + used + 1 > floor
         big = mag > specfun._RESCALE_AT or abs(new_total) > specfun._RESCALE_AT
         if new_term == 0.0 or big or (small and small_run):
             return used, term, total, small_run, single_signed
@@ -492,3 +517,97 @@ def test_terminating_kummer_whose_terms_would_overflow(a, b, z):
     assert got.sign == sign
     assert got.log == pytest.approx(float(log), rel=1e-13)
     assert got.terms_used == -a + 2
+
+
+# --- the form selector ------------------------------------------------------------
+
+
+def _mp_2f1(a, b, c, z):
+    import mpmath
+
+    with mpmath.workdps(50):
+        return mpmath.hyp2f1(a, b, c, z)
+
+
+def _assert_near_mpmath(value, ref, rel):
+    import mpmath
+
+    with mpmath.workdps(50):
+        got = value.sign * mpmath.exp(value.log)
+        assert abs(got - ref) <= rel * abs(ref), (got, ref)
+
+
+# (a, b, c, z) per form: every one within 1e-10 of 50-digit mpmath
+FORMS = {
+    # the last one after Euler's form, preferred by sign, missed its bound
+    "direct": [(0.3, 1.7, 2.2, 0.3), (12.5, 12.5, 9.1, 0.3), (-0.4, 0.3, -5.5, 0.3), (1.0, 1.0, 2.0, 0.9), (-7.3, -2.6, 9.1, 0.97)],
+    # the direct terms change sign over the first 7 (a = -6.7), Euler's share one sign
+    "euler": [(-6.7, 4.2, 9.1, 0.3), (0.7, -5.3, 3.1, 0.4), (-3.4, 2.5, 1.2, 0.4)],
+    "pfaff a": [(1.3, 0.7, 2.1, -0.7), (0.3, 1.7, 2.2, -0.6), (1.0, 1.0, 2.0, -5.0)],
+    "pfaff b": [(-0.4, 4.2, 2.2, -0.6), (-7.3, 12.5, 0.6, -0.6), (-7.3, 4.2, -5.5, -3.0)],
+    "connection": [(0.5, 0.7, 2.0, 1.0 - 1e-5), (0.3, 4.2, 2.2, 0.8), (-0.4, 12.5, -5.5, 0.97), (1.7, -2.6, 0.6, 0.97)],
+    "pfaff connection": [(-0.4, 1.7, 2.2, -3.0), (0.3, 1.7, -5.5, -3.0), (-0.4, 12.5, -5.5, -3.0)],
+    # no form passes its bound, and the value is still right to 1e-10
+    "fallback": [(-2.6, -2.6, 2.2, -3.0), (-7.3, -2.6, 2.2, -3.0), (2.3, -1.4, 0.6, 0.9)],
+}
+
+
+@pytest.mark.parametrize("form, args", [(f, a) for f, cases in FORMS.items() for a in cases])
+def test_selector_reaches_every_form(form, args):
+    name, value = specfun._selected(*args)
+    assert name == form
+    _assert_near_mpmath(value, _mp_2f1(*args), 1e-10)
+    assert gauss_2f1_log(*args) == value
+
+
+def test_connection_next_to_unit_in_few_terms():
+    # the direct series took 683,826 terms here and ended 8.1e-10 off
+    got = gauss_2f1_log(0.5, 0.7, 2.0, 1.0 - 1e-5)
+    assert got.terms_used <= 100
+    _assert_near_mpmath(got, _mp_2f1(0.5, 0.7, 2.0, 1.0 - 1e-5), 1e-13)
+
+
+def test_connection_bound_catches_a_sign_changing_inner_series():
+    # c - a - b = -41.8: the second inner series F(c - a, c - b; -40.8; s)
+    # has a negative lower parameter, its terms change sign and the two
+    # parts cancel; the bound sends the value to the direct series
+    args = (48.20198117453452, 41.759216058139856, 48.128409256944735, 1.0 - 0.4545559290877732)
+    _, bound = specfun._connection(*args[:3], 1.0 - args[3], 0.0, math.inf)
+    assert bound > specfun._FORM_RTOL
+    name, value = specfun._selected(*args)
+    assert name == "direct"
+    _assert_near_mpmath(value, _mp_2f1(*args), 1e-12)
+
+
+def test_terms_that_dip_and_grow_again_are_all_summed():
+    # the terms fall below 1e-14 of the sum inside the first 40, then grow
+    # past 1e4 once c + k > 0; the stop used to come in the dip and return
+    # 1.005 for 12549.7
+    a, b, c, z = -0.07357191758978132, 6.369193198804879, -40.83278797572964, 0.4545559290877732
+    got = specfun._sum_series(1.0, a + b, a * b, c, z)
+    assert got.terms_used > 42
+    _assert_near_mpmath(got, _mp_2f1(a, b, c, z), 1e-11)
+
+
+def test_slow_tail_next_to_unit_is_summed_to_the_tolerance():
+    # terms fall off like 0.97^k: a term of 1e-14 of the sum leaves a tail 33
+    # times larger unless the stop scales with 1 - z
+    args = (12.5, 12.5, 0.6, 0.97)
+    got = specfun._sum_series(1.0, 25.0, 156.25, 0.6, 0.97)
+    _assert_near_mpmath(got, _mp_2f1(*args), 5e-14)
+
+
+@pytest.mark.parametrize("x", [1e-6, 1e-8, 1e-12, 1e-300, 5e-324])
+def test_log_gamma_near_zero_matches_mpmath(x):
+    import mpmath
+
+    with mpmath.workdps(40):
+        ref = float(mpmath.loggamma(x))
+    assert log_gamma(x) == pytest.approx(ref, rel=1e-14)
+
+
+def test_log_gamma_past_double_range_is_typed():
+    from kacou.errors import DoubleRangeError
+
+    with pytest.raises(DoubleRangeError):
+        log_gamma(1e306)
