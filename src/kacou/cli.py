@@ -55,6 +55,13 @@ from .simulate import (
 MAX_LANE_SEGMENTS = 1e11
 
 
+# the most points `invariant.grid_points` or `simulate.eval_points` may ask
+# for: each is a CSV row (a path's row in simulate), and the arrays behind
+# them are allocated before any is written; the README and benchmark configs
+# use at most 401
+MAX_GRID_POINTS = 1e6
+
+
 def _check_work(segments: float, keys: str) -> None:
     """Refuse a run expecting more than MAX_LANE_SEGMENTS lane-segments up
     front, naming the keys that set them."""
@@ -118,11 +125,13 @@ def _write_csv(path: str, header: list[str], columns) -> None:
     _atomic_write(path, _csv_blocks(header, columns))
 
 
-def _count(cfg: RunConfig, section: str, key: str, default: int, least: int = 1) -> int:
-    """A count entry (truncated to an integer) that must be at least `least`."""
+def _count(cfg: RunConfig, section: str, key: str, default: int, least: int = 1, most: float = math.inf) -> int:
+    """A count entry (truncated to an integer) from `least` to `most`."""
     value = cfg.get(section, key, default=default)
     if not least <= value < math.inf:
         raise ConfigError(f"{section}.{key}", f"must be a count of at least {least}, got {value}")
+    if value > most:
+        raise ConfigError(f"{section}.{key}", f"must be a count of at most {most:.3g}, got {value:.3g}")
     return int(value)
 
 
@@ -196,7 +205,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         horizon = _positive(cfg, "simulate", "horizon", 10.0)
         _check_work(n_paths * (1.0 + rate * horizon), "simulate.n_paths, simulate.horizon and the [model] rates")
         with_noise = cfg.get("simulate", "with_noise", default=False, cast=bool)
-        n_eval = _count(cfg, "simulate", "eval_points", 201)
+        n_eval = _count(cfg, "simulate", "eval_points", 201, most=MAX_GRID_POINTS)
         grid = np.linspace(0.0, horizon, n_eval)
         per_path = []
         for path_id in range(n_paths):
@@ -280,7 +289,7 @@ def _cmd_fpt(cfg: RunConfig) -> int:
 def _cmd_invariant(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     exists, support = invariant_exists(cfg.model)
-    grid_points = _count(cfg, "invariant", "grid_points", 401)
+    grid_points = _count(cfg, "invariant", "grid_points", 401, most=MAX_GRID_POINTS)
 
     out_csv = os.path.join(cfg.out_dir, "invariant.csv")
     summary = {"exists": exists, "support": None}

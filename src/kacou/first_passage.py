@@ -16,6 +16,7 @@ drift), read as x / scale.  Domain errors quote the query's coordinates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,7 +43,7 @@ from .model import (
 )
 from .quadrature import gauss_legendre
 from .specfun import LogValue, gauss_2f1_log, kummer_1f1_log
-from .specfun import gauss_2f1_pair_log  # noqa: F401  (bench/tracing.py wraps it here; ROADMAP item 6)
+from .specfun import gauss_2f1_pair_log  # noqa: F401  (bench/tracing.py wraps it here; ROADMAP item 5)
 
 __all__ = [
     "FptQuery",
@@ -66,6 +67,9 @@ _ORACLE_BLOCK_ROWS = 256  # rows per setup block: each rows x points temporary s
 # the transform by beta sqrt(eps) relative (the direct series could not
 # settle nearer either)
 _TARGET_CLEARANCE = 2.0**-26
+# targets whose side of the transform ratio is kept (see _target): a caller
+# sweeping start points for one target at a time needs one entry
+_TARGET_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -114,29 +118,59 @@ class _Frame:
         )
 
 
-def _hyper_ratio(hp, b2_num: float, z_num: float, b2_den: float, z_den: float) -> float:
-    """F(b0,b1;b2_num;z_num) / F(b0,b1;b2_den;z_den), formed in log space so
-    large-parameter evaluations (big q) stay finite."""
-    return gauss_2f1_log(hp.b0, hp.b1, b2_num, z_num).ratio(gauss_2f1_log(hp.b0, hp.b1, b2_den, z_den))
+class _Target:
+    """One memo entry: hyper_args(q, model) (None in the non-strict branch)
+    and the branch's target-side value, None until it is first evaluated
+    without raising."""
+
+    __slots__ = ("hp", "den")
+
+    def __init__(self, hp):
+        self.hp, self.den = hp, None
+
+    def denominator(self, evaluate, *args):
+        """The target-side value, from evaluate(*args) on first use."""
+        if self.den is None:
+            self.den = evaluate(*args)
+        return self.den
 
 
-def _regular_branch(hp, beta, lam, q, zx, zy, toward, state):
+@functools.lru_cache(maxsize=_TARGET_MEMO_SIZE)
+def _target(branch: str, model: KacOuModel, q: float, y: float) -> _Target:
+    """The memo entry of one target: a transform's denominator depends only
+    on its branch, the canonical model, q and the canonical y, so queries
+    that differ only in the start (or start state) share it.
+
+    An entry is filled where a query without the memo would compute each
+    value, through this module's globals at that time: hyper_args when the
+    entry is made, the denominator at its place in the branch (after the
+    start-side series in the Gauss branches, before it in the non-strict
+    one).  So a query raises what it would raise without the memo, and a
+    denominator that raises is not kept and raises again on the next query.
+    """
+    return _Target(None if branch == "non-strict" else hyper_args(q, model))
+
+
+def _regular_branch(target, beta, lam, q, zx, zy, toward, state):
     """The series branch regular at the attractor the coordinate z is
     measured from: F(beta;zx)/F(beta;zy) for the state `toward` whose
     pattern heads for the threshold, and lam/(q+lam) F(1+beta;zx)/F(beta;zy)
     for the other state (beta and lam are the other state's), which has to
-    switch first."""
-    if state == toward:
-        return _hyper_ratio(hp, beta, zx, beta, zy)
-    return lam / (q + lam) * _hyper_ratio(hp, 1.0 + beta, zx, beta, zy)
+    switch first.  Ratios are formed in log space, so large-parameter
+    evaluations (big q) stay finite."""
+    hp = target.hp
+    num = gauss_2f1_log(hp.b0, hp.b1, beta if state == toward else 1.0 + beta, zx)
+    ratio = num.ratio(target.denominator(gauss_2f1_log, hp.b0, hp.b1, beta, zy))
+    return ratio if state == toward else lam / (q + lam) * ratio
 
 
 def _attracting_value(model, q, frame, state):
     # canonical: rho0 < rho1
     r0, r1 = model.coeffs[0].rho, model.coeffs[1].rho
     l0, l1 = model.rates.lambda0, model.rates.lambda1
-    hp = hyper_args(q, model)
     x, y = frame.x, frame.y
+    target = _target("attracting below" if x < y else "attracting above", model, q, y)
+    hp = target.hp
     # the series at y is singular at the attractor y approaches, like
     # (1 - z)^-beta, and one rounding of z moves the transform by about
     # beta eps / (1 - z) relative; a target nearer than _TARGET_CLEARANCE of
@@ -149,21 +183,22 @@ def _attracting_value(model, q, frame, state):
         # z = 1 - (r1 - .)/(r1 - r0), formed from the distance to the
         # attractor y approaches as the x > y branch forms it, so that a
         # query and its mirror image round z alike
-        return _regular_branch(hp, hp.beta0, l0, q, xi1(x, r1, r0), xi1(y, r1, r0), 1, state)
+        return _regular_branch(target, hp.beta0, l0, q, xi1(x, r1, r0), xi1(y, r1, r0), 1, state)
     # x > y: mirrored series in xi1
     frame.require("y", "the threshold between the attractors", r0, r1, hi_closed=True)
     frame.require("y", "a threshold clear of the attractor", lo=r0 + tie)
     frame.require("x", "series radius", hi=2.0 * r1 - r0)
-    return _regular_branch(hp, hp.beta1, l1, q, xi1(x, r0, r1), xi1(y, r0, r1), 0, state)
+    return _regular_branch(target, hp.beta1, l1, q, xi1(x, r0, r1), xi1(y, r0, r1), 0, state)
 
 
-def _ar_decaying_pair(hp, z):
+def _ar_decaying(hp, z, state):
     """The solution branch of the transform ODE system that decays toward
     -infinity, evaluated through the hypergeometric solution at the point at
     infinity (argument u = 1/(1-z), inside the unit interval for every z < 1).
 
-    Returns log-scaled (G, H) with ell0 proportional to G/beta1(0) and ell1
-    to H, where, with c3 = b0 - b1 + 1 and the prefactor (1 - z)^-b0,
+    Returns log-scaled G for state 0 and H for state 1, with ell0
+    proportional to G/beta1(0) and ell1 to H, where, with c3 = b0 - b1 + 1
+    and the prefactor (1 - z)^-b0,
 
         H = F(b0, beta0 - b1; c3; u),
         G = (beta1 - b0) F(b0, beta0 - b1; c3; u) - u d/du F(b0, beta0 - b1; c3; u)
@@ -177,11 +212,11 @@ def _ar_decaying_pair(hp, z):
     c3 = b0 - b1 + 1.0
     u = 1.0 / (1.0 - z)
     log_pref = -b0 * math.log1p(-z)
-    f = gauss_2f1_log(b0, hp.beta0 - b1, c3, u)
-    g = gauss_2f1_log(b0, hp.beta0 - b1 + 1.0, c3, u).scaled(-(hp.beta0 - b1))
-    g_val = LogValue(g.log + log_pref, g.sign, g.terms_used)
-    h_val = LogValue(f.log + log_pref, f.sign, f.terms_used)
-    return g_val, h_val
+    if state == 0:
+        f = gauss_2f1_log(b0, hp.beta0 - b1 + 1.0, c3, u).scaled(-(hp.beta0 - b1))
+    else:
+        f = gauss_2f1_log(b0, hp.beta0 - b1, c3, u)
+    return LogValue(f.log + log_pref, f.sign, f.terms_used)
 
 
 def _attraction_repulsion_value(model, q, frame, state):
@@ -190,19 +225,20 @@ def _attraction_repulsion_value(model, q, frame, state):
     l0, l1 = model.rates.lambda0, model.rates.lambda1
     x, y = frame.x, frame.y
     frame.require("y", "the threshold past the attractor, away from the repelling level", hi=r0)
-    hp = hyper_args(q, model)
+    target = _target("attraction-repulsion below" if x < y else "attraction-repulsion above", model, q, y)
+    hp = target.hp
     if x < y:
-        gx, hx = _ar_decaying_pair(hp, xi0(x, r0, r1))
-        gy, _ = _ar_decaying_pair(hp, xi0(y, r0, r1))
-        if state == 0:
-            return gx.ratio(gy)
-        return hx.scaled(l1 / model.coeffs[1].gamma).ratio(gy)
+        # both states are normalized by G at y
+        num = _ar_decaying(hp, xi0(x, r0, r1), state)
+        if state == 1:
+            num = num.scaled(l1 / model.coeffs[1].gamma)
+        return num.ratio(target.denominator(_ar_decaying, hp, xi0(y, r0, r1), 0))
     # x > y: the transforms are smooth across rho0 (the no-switch hit time is
     # infinite on both sides), which selects the series branch regular there,
     # normalized by ell1 -> 1 as x decreases to y.
     frame.require("y", "series radius", lo=2.0 * r0 - r1)
     frame.require("x", "the start on the attractor's side of the repelling level", hi=r1)
-    return _regular_branch(hp, hp.beta0, l0, q, xi0(x, r0, r1), xi0(y, r0, r1), 1, state)
+    return _regular_branch(target, hp.beta0, l0, q, xi0(x, r0, r1), xi0(y, r0, r1), 1, state)
 
 
 def _non_strict_value(model, q, frame, state):
@@ -220,7 +256,7 @@ def _non_strict_value(model, q, frame, state):
     delta = ((q + l0) * (q + l1) - l0 * l1) / (c0.gamma * (q + l1))
     ux = (x - rho) * (q + l1)
     uy = (y - rho) * (q + l1)
-    den = kummer_1f1_log(delta, beta0, uy)
+    den = _target("non-strict", model, q, y).denominator(kummer_1f1_log, delta, beta0, uy)
     if state == 1:
         return kummer_1f1_log(delta, beta0, ux).ratio(den)
     return l0 / (q + l0) * kummer_1f1_log(delta, 1.0 + beta0, ux).ratio(den)

@@ -132,7 +132,12 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("simulate", "simulate.n_paths", "inf"),
         ("simulate", "simulate.n_paths", "nan"),
         ("simulate", "simulate.eval_points", "-3"),
+        # grid counts past MAX_GRID_POINTS are refused before any allocation
+        ("simulate", "simulate.eval_points", "1e9"),
+        ("simulate", "simulate.eval_points", "1e300"),
         ("invariant", "invariant.grid_points", "0"),
+        ("invariant", "invariant.grid_points", "1e9"),
+        ("invariant", "invariant.grid_points", "1e300"),
         ("scaling", "scaling.n_paths", "-1"),
         ("scaling", "scaling.n_list", "0.5"),
         ("scaling", "scaling.n_list", "10, 0"),

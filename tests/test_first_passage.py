@@ -12,6 +12,7 @@ from kacou.errors import (
     OracleError,
     OutOfDomainError,
     ParameterError,
+    SeriesConvergenceError,
     UnsupportedRegimeError,
 )
 from kacou.first_passage import (
@@ -572,8 +573,14 @@ def referee_laplace_fpt(query, model):
         with mpmath.workdps(50):
             return _mp_log_value(mpmath.hyp1f1(a, b, z))
 
-    with mock.patch.object(fp, "gauss_2f1_log", gauss), mock.patch.object(fp, "kummer_1f1_log", kummer):
-        return laplace_fpt(query, model)
+    # no target side summed by specfun serves the referee, and none of the
+    # referee's serves a later laplace_fpt
+    fp._target.cache_clear()
+    try:
+        with mock.patch.object(fp, "gauss_2f1_log", gauss), mock.patch.object(fp, "kummer_1f1_log", kummer):
+            return laplace_fpt(query, model)
+    finally:
+        fp._target.cache_clear()
 
 
 def _oriented(params, x, y, state, swap, reflect):
@@ -637,3 +644,158 @@ def test_targets_next_to_the_attractor_match_referee(branch, d, q):
     for x in xs:
         for state in (0, 1):
             _assert_matches_referee(params, q, x, y, state)
+
+
+# --- the target memo ----------------------------------------------------------------
+
+
+def _bits(model, q, x, y, state):
+    """laplace_fpt's value as its bit pattern, or its error's type and message."""
+    try:
+        return laplace_fpt(FptQuery(q, x, y, state), model).hex()
+    except (KacOuError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _cold_bits(model, q, x, y, state):
+    fp._target.cache_clear()
+    return _bits(model, q, x, y, state)
+
+
+@st.composite
+def interleaved_targets(draw):
+    """A model of one regime, possibly relabelled and reflected, and queries
+    on a few targets in drawn order, on both sides of each and from both
+    states; levels are drawn in units of the gap between the drift levels."""
+    kind = draw(st.sampled_from(["attracting", "attraction_repulsion", "non_strict"]))
+    l0, l1 = draw(st.floats(0.3, 3.0)), draw(st.floats(0.3, 3.0))
+    g0, g1 = draw(st.floats(0.3, 3.0)), draw(st.floats(0.3, 3.0))
+    r0 = draw(st.floats(-2.0, 2.0))
+    gap = draw(st.floats(0.1, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    a0, a1 = r0 * g0, (r0 + gap) * g1
+    if kind == "attraction_repulsion":
+        g1, a1 = -g1, -a1
+    elif kind == "non_strict":
+        g1, a1 = 0.0, gap
+    model = KacOuModel.from_values(l0, l1, a0, a1, 0.0, 0.0, g0, g1)
+    if draw(st.booleans()):
+        model = swap_states(model)
+    scale = -1.0 if draw(st.booleans()) else 1.0
+    model = rescale(model, scale)
+    ys = draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=3, unique=True))
+    picks = st.tuples(st.integers(0, len(ys) - 1), st.floats(-1.2, 2.2), st.sampled_from([0, 1]))
+    queries = []
+    for k, t, state in draw(st.lists(picks, min_size=4, max_size=12)):
+        x, y = (r0 + t * gap) / scale, (r0 + ys[k] * gap) / scale
+        if x != y:
+            queries.append((x, y, state))
+    return model, draw(st.floats(0.0, 60.0)), queries
+
+
+@given(case=interleaved_targets())
+@settings(max_examples=150, deadline=None)
+def test_target_memo_changes_no_value_or_error(case):
+    model, q, queries = case
+    fp._target.cache_clear()
+    warm = [_bits(model, q, x, y, state) for x, y, state in queries]
+    assert warm == [_cold_bits(model, q, x, y, state) for x, y, state in queries]
+
+
+SIGNED_ZERO_CASES = [
+    "attracting target", "attracting level",
+    "attraction-repulsion target", "attraction-repulsion level",
+    "non-strict target", "non-strict level",
+]
+
+
+def _signed_zero_case(case, zero):
+    """(model parameters, target, starts) with the target or a drift level
+    the signed zero `zero`."""
+    return {
+        "attracting target": ((1.0, 1.0, -0.5, 0.5, 0.0, 0.0, 1.0, 1.0), zero, (-0.3, 0.3)),
+        "attracting level": ((1.0, 1.0, zero, 1.0, 0.0, 0.0, 1.0, 1.0), 0.5, (0.0, 0.2, 0.8)),
+        "attraction-repulsion target": (AR_CANONICAL, zero, (-0.5, 0.1, 0.5)),
+        "attraction-repulsion level": ((0.3, 1.0, zero, -1.0, 0.0, 0.0, 1.0, -1.0), -0.3, (-0.9, -0.1, 0.0, 0.5)),
+        "non-strict target": ((1.0, 1.0, -0.5, 1.0, 0.0, 0.0, 1.0, 0.0), zero, (-1.0, -0.3)),
+        "non-strict level": ((1.0, 1.0, zero, 1.0, 0.0, 0.0, 1.0, 0.0), 0.5, (-0.5, 0.0, 0.2)),
+    }[case]
+
+
+@pytest.mark.parametrize("case", SIGNED_ZERO_CASES)
+@pytest.mark.parametrize("first", [0.0, -0.0])
+@pytest.mark.parametrize("scale", [1.0, -1.0])
+def test_target_memo_keys_ignore_the_sign_of_zero(case, first, scale):
+    # 0.0 == -0.0, so both signs share a memo entry: that is exact only if
+    # no target side depends on the sign
+    def queries(zero):
+        params, y, starts = _signed_zero_case(case, zero)
+        model = rescale(KacOuModel.from_values(*params), scale)
+        return [(model, 2.0, x / scale, y / scale, state) for x in starts for state in (0, 1)]
+
+    signs = (first, -first)
+    cold = {zero: [_cold_bits(*args) for args in queries(zero)] for zero in signs}
+    assert all(isinstance(bits, str) for bits in cold[first])  # every query is in its domain
+    fp._target.cache_clear()
+    for zero in signs:
+        assert [_bits(*args) for args in queries(zero)] == cold[zero]
+
+
+def test_target_memo_is_bounded():
+    fp._target.cache_clear()
+    n = 3 * fp._TARGET_MEMO_SIZE
+    for k in range(n):
+        laplace_fpt(FptQuery(1.0, 0.1, 0.2 + 0.5 * k / n, k % 2), ATTRACTING)
+        assert fp._target.cache_info().currsize <= fp._TARGET_MEMO_SIZE
+    assert fp._target.cache_info().currsize == fp._TARGET_MEMO_SIZE
+
+
+def _counted(monkeypatch, name):
+    """Record the arguments of every call made through fp.<name>."""
+    calls = []
+    real = getattr(fp, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fp, name, counted)
+    return calls
+
+
+def test_raising_target_side_is_not_cached(monkeypatch):
+    # Kummer's series at (y - rho)(q + lambda1) = 3e6 cannot settle within
+    # the term cap, so the denominator raises before the start side is summed
+    calls = _counted(monkeypatch, "kummer_1f1_log")
+    fp._target.cache_clear()
+    errors = []
+    for x, state in ((0.5, 1), (0.5, 1), (0.25, 0)):
+        with pytest.raises(SeriesConvergenceError) as info:
+            laplace_fpt(FptQuery(3e6, x, 1.0, state), NON_STRICT)
+        errors.append(str(info.value))
+        assert len(calls) == len(errors)  # the denominator is summed again every time
+    assert len(set(errors)) == 1
+
+
+@pytest.mark.parametrize(
+    "model, y, starts",
+    [
+        (ATTRACTING, 0.75, (0.25, 0.5, -0.3)),
+        (ATTRACTING, 0.25, (0.5, 0.9, 1.3)),
+        (ATTRACT_REPEL, -0.3, (-1.5, -0.9, -0.45)),
+        (ATTRACT_REPEL, -0.3, (-0.1, 0.4, 0.8)),
+        (NON_STRICT, 0.8, (-0.4, 0.2, 0.65)),
+    ],
+)
+def test_repeated_target_sums_only_the_start_side(monkeypatch, model, y, starts):
+    gauss = _counted(monkeypatch, "gauss_2f1_log")
+    kummer = _counted(monkeypatch, "kummer_1f1_log")
+    fp._target.cache_clear()
+    counts = []
+    for x in starts:
+        for state in (0, 1):
+            before = len(gauss) + len(kummer)
+            laplace_fpt(FptQuery(1.0, x, y, state), model)
+            counts.append(len(gauss) + len(kummer) - before)
+    # one start-side series a query, and the target's once; below an
+    # attraction-repulsion target that is G at x or H at x, and G at y
+    assert counts == [2] + [1] * (len(counts) - 1)
