@@ -53,6 +53,11 @@ _EXP_MAX = 700.0
 # the series b^2 dt (1 - gamma dt), within (2/3) (gamma t)^2 < 2e-11 of exact.
 _SERIES_GT = 5e-6
 
+# log of the smallest normal double: a ratio (x - rho) / (y - rho) whose log
+# lies below this was rounded in the subnormal range, so hitting_time takes
+# its log as a difference of logs instead.
+_LOG_TINY = math.log(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True)
 class SwitchRates:
@@ -348,10 +353,20 @@ def hitting_time(state, x, y, model: KacOuModel):
     g_safe = np.where(lin, 1.0, g)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rho = a / g_safe
+        dx, dy = x - rho, y - rho
         # y = rho gives r = +-inf: the level is reached only in the limit;
         # a time past double range (a tiny gamma or drift) is inf too
-        r = (x - rho) / (y - rho)
-        curved = np.log(np.where(r > 0.0, r, 1.0)) / g_safe
+        r = dx / dy
+        # r = +-0 (x = rho, or an underflow) gives -inf, a time of inf either way
+        log_r = np.log(np.where(r >= 0.0, r, 1.0))
+        # a ratio that under- or overflows (a subnormal x - rho, say) lost its
+        # digits: the log of each finite, nonzero difference of one sign keeps
+        # them, and the differences are exact where they are subnormal
+        if (lost := np.abs(log_r) > -_LOG_TINY).any():
+            lost = lost & np.isfinite(dx) & np.isfinite(dy) & (dx != 0.0) & (dy != 0.0)
+            lost = lost & (np.signbit(dx) == np.signbit(dy))
+            log_r = np.where(lost, np.log(np.abs(dx)) - np.log(np.abs(dy)), log_r)
+        curved = log_r / g_safe
         straight = (y - x) / np.where(a == 0.0, 1.0, a)
     # a positive log-ratio time is reached: r > 1 toward an attractor, 0 < r < 1
     # away from a repeller

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kacou.errors import DoubleRangeError, ParameterError
@@ -114,6 +114,7 @@ def test_hitting_time_examples():
     st.floats(-4.0, 4.0),
 )
 @settings(max_examples=300, deadline=None)
+@example(coeff=(0.0, -0.9), x=-5e-324, y=-0.75)
 def test_hitting_time_consistency(coeff, x, y):
     a, g = coeff
     if x == y:
@@ -122,6 +123,23 @@ def test_hitting_time_consistency(coeff, x, y):
     t = hitting_time(0, x, y, m)
     if math.isfinite(t):
         assert pattern_phi(0, t, x, m) == pytest.approx(y, abs=1e-10, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "gamma, x, y",
+    [
+        (-0.9, -5e-324, -0.75),  # (x - rho) / (y - rho) is subnormal
+        (-0.9, 5e-324, 4.0),  # ... and underflows to +0
+        (-0.9, 1e-310, 1e-300),
+        (0.9, 1.0, 5e-324),  # ... and overflows
+        (0.9, 1e300, 1e-300),
+    ],
+)
+def test_hitting_time_keeps_a_ratio_outside_the_normal_range(gamma, x, y):
+    m = make(a0=0.0, gamma0=gamma)  # rho = 0
+    want = float((mpmath.log(abs(mpmath.mpf(x))) - mpmath.log(abs(mpmath.mpf(y)))) / gamma)
+    assert hitting_time(0, x, y, m) == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert hitting_time(np.array([0, 0]), np.array([x, 2.0 * x]), y, m)[0] == hitting_time(0, x, y, m)
 
 
 def test_pattern_phi_contract():
