@@ -112,17 +112,21 @@ def _atomic_write(path: str, parts) -> None:
 _CSV_BLOCK = 1 << 14
 
 
-def _csv_blocks(header: list[str], columns):
+def _csv_blocks(header: list[str], blocks):
+    """The header line, then the rows of each block of equal-length columns
+    in turn, one row per index.  `blocks` may be a generator, so that each
+    block is made only as the writer reaches it."""
     yield ",".join(header) + "\n"
-    n = len(columns[0]) if columns else 0
-    for lo in range(0, n, _CSV_BLOCK):
-        fields = [_column_text(c[lo : lo + _CSV_BLOCK]) for c in columns]
-        yield "\n".join(map(",".join, zip(*fields))) + "\n"
+    for columns in blocks:
+        n = len(columns[0]) if columns else 0
+        for lo in range(0, n, _CSV_BLOCK):
+            fields = [_column_text(c[lo : lo + _CSV_BLOCK]) for c in columns]
+            yield "\n".join(map(",".join, zip(*fields))) + "\n"
 
 
 def _write_csv(path: str, header: list[str], columns) -> None:
     """Write equal-length columns under the header, one row per index."""
-    _atomic_write(path, _csv_blocks(header, columns))
+    _atomic_write(path, _csv_blocks(header, [columns]))
 
 
 def _count(cfg: RunConfig, section: str, key: str, default: int, least: int = 1, most: float = math.inf) -> int:
@@ -207,26 +211,29 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         with_noise = cfg.get("simulate", "with_noise", default=False, cast=bool)
         n_eval = _count(cfg, "simulate", "eval_points", 201, most=MAX_GRID_POINTS)
         grid = np.linspace(0.0, horizon, n_eval)
-        per_path = []
-        for path_id in range(n_paths):
-            seq = sample_switch_sequence(
-                cfg.model.rates, state0, horizon, stream(cfg.seed, "path-switches", path_id)
-            )
-            times = np.unique(np.concatenate([grid, seq.switch_times]))
-            columns = [
-                np.full(times.size, path_id),
-                times,
-                seq.state_at(times),
-                evaluate_x(seq, x0, times, cfg.model),
-            ]
-            if with_noise:
-                columns.append(
-                    sample_m_path(seq, x0, times, cfg.model, stream(cfg.seed, "path-noise", path_id))
+
+        def path_blocks():
+            # one path's rows at a time, made as the writer reaches them
+            for path_id in range(n_paths):
+                seq = sample_switch_sequence(
+                    cfg.model.rates, state0, horizon, stream(cfg.seed, "path-switches", path_id)
                 )
-            per_path.append(columns)
+                times = np.unique(np.concatenate([grid, seq.switch_times]))
+                columns = [
+                    np.full(times.size, path_id),
+                    times,
+                    seq.state_at(times),
+                    evaluate_x(seq, x0, times, cfg.model),
+                ]
+                if with_noise:
+                    columns.append(
+                        sample_m_path(seq, x0, times, cfg.model, stream(cfg.seed, "path-noise", path_id))
+                    )
+                yield columns
+
         header = ["path", "t", "state", "x"] + (["m"] if with_noise else [])
         out = os.path.join(cfg.out_dir, "paths.csv")
-        _write_csv(out, header, [np.concatenate(c) for c in zip(*per_path)])
+        _atomic_write(out, _csv_blocks(header, path_blocks()))
     else:
         if mode != "fpt":
             raise ConfigError("simulate.mode", f"unknown mode {mode!r}")

@@ -14,7 +14,9 @@ class DoubleRangeError(ParameterError):
 
 
 class SeriesConvergenceError(KacOuError):
-    """A hypergeometric series failed to converge within the term cap."""
+    """A hypergeometric value could not be summed: its series failed to
+    converge within the term cap, or no summation form keeps its rounding
+    bound."""
 
     def __init__(self, message, terms_used):
         super().__init__(message)

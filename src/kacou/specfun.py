@@ -7,13 +7,9 @@ c_{n+1} = c_n * (n^2 + n*sum + product), which keeps all arithmetic real even
 for a complex-conjugate pair (``gauss_2f1_pair_log``); Kummer's series uses
 the same loop with the numerator n + a.
 
-That loop sums a scalar head (the first 256 terms, one at a time), then
-numpy blocks (512 terms at first, doubling to at most 65,536).  A block forms
-its terms and partial sums with sequential ``accumulate`` calls, so they are
-bitwise the values of term-by-term summation; the indices where the loop
-acts (a zero term, a rescale, the stop) are found with array masks and
-taken by the scalar loop itself.  Results, term counts and errors are those
-of the plain loop; past the head a term costs about a seventh as much.
+That loop is scalar: it takes one term at a time, up to SERIES_CAP terms.
+The form selector keeps almost every series to a few hundred terms, so the
+rare long ones do not pay for a second, vectorized summation routine.
 
 A small term ends the sum only past the point where the terms keep
 shrinking (``_stop_floor``: past every zero and pole of the term ratio and
@@ -27,7 +23,8 @@ transformations and the 1 - z connection formula (A&S 15.3.3-15.3.6; DLMF
 15.8.1, 15.8.4), one whose terms share one sign and whose argument is at
 most 1/2, and uses it only when a first-order rounding bound, which counts
 cancellation inside each series and between the connection's two parts,
-keeps about 13 digits.
+keeps about 13 digits.  When no form does, the one with the smaller bound
+is used if it keeps about 10; else the value is a SeriesConvergenceError.
 
 Summation carries a separate log scale so that large-parameter evaluations
 (e.g. killing rates of 1e6, where the function value overflows any double)
@@ -117,15 +114,6 @@ def _check_lower_param(b2: float, name: str = "b2") -> None:
         raise ParameterError(f"{name} = {b2} is a pole of the Pochhammer denominator")
 
 
-# terms the scalar loop takes before numpy blocks start (the median call
-# sums about 70), the first and largest block widths, and the narrowest
-# block worth its fixed cost (a block call costs about 90 loop terms)
-_HEAD = 256
-_BLOCK_FIRST = 512
-_BLOCK_MAX = 65_536
-_BLOCK_MIN = 128
-
-
 def _largest_root(lead: float, mid: float, low: float) -> float:
     """The largest real root of lead k^2 + mid k + low, lead != 0, or -inf
     when there is none.  The coefficients are scaled to at most 1 first, so
@@ -177,15 +165,6 @@ def _sum_series(c2, c1, c0, b2: float, z: float) -> LogValue:
     double range (a ratio past _FACTOR_SAFE, such as a polynomial at
     z = 1e30), and after it once the term or the sum passes _RESCALE_AT.
 
-    A scalar loop takes the first _HEAD terms, which is all most calls
-    need.  Past them, numpy blocks (``_block``) take the terms the loop
-    would add without acting on them; the loop itself takes each index
-    where it acts (a zero term, a rescale or the stop).  A block cut short
-    is followed by one twice as wide as the terms it used (at least
-    _BLOCK_MIN), and a cut within _BLOCK_MIN terms means acts come densely,
-    so the loop takes another _HEAD terms first.  Every term and partial sum
-    is bitwise the one-at-a-time loop's.
-
     If the Gauss series reaches the term cap while every summand has stayed
     positive (no cancellation is possible), summation continues in
     vectorized log space; this is what large-parameter evaluations (killing
@@ -200,53 +179,34 @@ def _sum_series(c2, c1, c0, b2: float, z: float) -> LogValue:
     # past the floor the Gauss terms fall off about like |z|^k, so a term
     # below (1 - |z|) SERIES_RTOL of the sum leaves a tail of about SERIES_RTOL
     rtol = SERIES_RTOL * (1.0 - abs(z)) if c2 and abs(z) < 1.0 else SERIES_RTOL
-    n = 0
-    stop = _HEAD
-    width = _BLOCK_FIRST
     safe_hi, safe_lo = _FACTOR_SAFE, -_FACTOR_SAFE  # locals: the loop reads them every term
-    while True:
-        k = float(n)  # a float counter: exact here, and cheaper than int-float arithmetic
-        for n in range(n + 1, stop + 1):
-            factor = (c2 * k * k + c1 * k + c0) * z / ((b2 + k) * (k + 1.0))
-            k += 1.0
-            if factor <= 0.0:
-                single_signed = False
-                if factor < safe_lo and math.isinf(term * factor):
-                    # rescale first: the product would leave double range
-                    term, total, log_scale = term / _RESCALE_AT, total / _RESCALE_AT, log_scale + _RESCALE_LOG
-            elif factor > safe_hi and math.isinf(term * factor):
+    k = 0.0  # a float counter: exact here, and cheaper than int-float arithmetic
+    for n in range(1, SERIES_CAP + 1):
+        factor = (c2 * k * k + c1 * k + c0) * z / ((b2 + k) * (k + 1.0))
+        k += 1.0
+        if factor <= 0.0:
+            single_signed = False
+            if factor < safe_lo and math.isinf(term * factor):
+                # rescale first: the product would leave double range
                 term, total, log_scale = term / _RESCALE_AT, total / _RESCALE_AT, log_scale + _RESCALE_LOG
-            term *= factor
-            total += term
-            if term == 0.0:
-                return _finish(total, log_scale, n + 1)
+        elif factor > safe_hi and math.isinf(term * factor):
+            term, total, log_scale = term / _RESCALE_AT, total / _RESCALE_AT, log_scale + _RESCALE_LOG
+        term *= factor
+        total += term
+        if term == 0.0:
+            return _finish(total, log_scale, n + 1)
+        mag = abs(term)
+        if mag > _RESCALE_AT or abs(total) > _RESCALE_AT:
+            term /= _RESCALE_AT
+            total /= _RESCALE_AT
+            log_scale += _RESCALE_LOG
             mag = abs(term)
-            if mag > _RESCALE_AT or abs(total) > _RESCALE_AT:
-                term /= _RESCALE_AT
-                total /= _RESCALE_AT
-                log_scale += _RESCALE_LOG
-                mag = abs(term)
-            if mag <= rtol * abs(total) + SERIES_FLOOR and n > floor:
-                small_run += 1
-                if small_run >= 2:
-                    return _finish(total, log_scale, n + 1)
-            else:
-                small_run = 0
-        while n < SERIES_CAP:
-            m = min(width, SERIES_CAP - n)
-            used, term, total, small_run, single_signed = _block(
-                c2, c1, c0, b2, z, n, m, term, total, small_run, single_signed, floor, rtol
-            )
-            n += used
-            if used < m:
-                break
-            width = min(2 * width, _BLOCK_MAX)
-        if n == SERIES_CAP:
-            break
-        # the loop takes the index where the blocks stopped, and _HEAD more
-        # terms when they stopped within _BLOCK_MIN
-        stop = min(n + (1 if used >= _BLOCK_MIN else _HEAD), SERIES_CAP)
-        width = min(max(2 * used, _BLOCK_MIN), _BLOCK_MAX)
+        if mag <= rtol * abs(total) + SERIES_FLOOR and n > floor:
+            small_run += 1
+            if small_run >= 2:
+                return _finish(total, log_scale, n + 1)
+        else:
+            small_run = 0
     # the log-space continuation is the Gauss series' large-parameter path;
     # Kummer's series (c2 = 0) reports the cap
     if c2 and single_signed and total > 0.0 and term > 0.0:
@@ -255,47 +215,6 @@ def _sum_series(c2, c1, c0, b2: float, z: float) -> LogValue:
         f"hypergeometric series did not converge in {SERIES_CAP} terms (z={z})",
         terms_used=SERIES_CAP,
     )
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _block(c2, c1, c0, b2, z, n, m, term, total, small_run, single_signed, floor, rtol):
-    """Terms n+1 .. n+m of ``_sum_series`` in one numpy pass.
-
-    Returns how many of them the loop adds before the first index where it
-    acts, with the term, total, small-term run and single-signed flag after
-    those.  The ratios are the loop's expression, and both accumulations run
-    in sequence from the loop's term and total, so each value is bitwise the
-    loop's; values past the first such index may overflow and are dropped.
-    """
-    k = np.arange(n, n + m, dtype=float)
-    terms = np.empty(m + 1)
-    terms[0] = term
-    factors = terms[1:]
-    np.divide((c2 * k * k + c1 * k + c0) * z, (b2 + k) * (k + 1.0), out=factors)
-    if single_signed:
-        nonpositive = factors <= 0.0
-    np.multiply.accumulate(terms, out=terms)
-    totals = terms.copy()
-    totals[0] = total
-    np.add.accumulate(totals, out=totals)
-    terms, totals = terms[1:], totals[1:]
-    mag = np.abs(terms)
-    size = np.abs(totals)
-    small = mag <= rtol * size + SERIES_FLOOR
-    if floor > n:
-        small[: floor - n] = False
-    acts = (terms == 0.0) | (mag > _RESCALE_AT) | (size > _RESCALE_AT)
-    acts[1:] |= small[1:] & small[:-1]
-    acts[0] |= small_run > 0 and small[0]
-    used = int(acts.argmax())
-    if not acts[used]:
-        used = m
-    if used == 0:
-        return 0, term, total, small_run, single_signed
-    if single_signed:
-        single_signed = not nonpositive[:used].any()
-    last = used - 1
-    return used, float(terms[last]), float(totals[last]), int(small[last]), single_signed
 
 
 _LONG_BLOCK = 1_000_000
@@ -352,6 +271,10 @@ _EPS = 2.0**-53
 _SUM_ERR = SERIES_RTOL + 8.0 * _EPS
 # a form is used when its rounding bound is at most this, about 13 digits
 _FORM_RTOL = 1e-13
+# the largest bound a fallback value may carry, past one roundoff per term
+# summed: that part grows with the terms alone (millions in an all-positive
+# series at killing rates near 1e6), not with cancellation
+_FALLBACK_RTOL = 1e-10
 # most leading terms of a sign-changing series that its bound will scan
 _SIGN_HEAD_MAX = 4096
 
@@ -547,10 +470,12 @@ def _selected(a: float, b: float, c: float, z: float) -> tuple[str, LogValue]:
     - for z < 0, Pfaff's (1 - z)^-a F(a, c - b; c; w), w = z / (z - 1) in
       (0, 1), or the same with a and b swapped, again chosen by sign.
     When none passes ("fallback"), the candidate with the smaller bound is
-    used: a form that narrowly misses the bound is still far better than
-    the direct series whose terms it was chosen to avoid.  A candidate whose
-    bound is ruled out before summing (``_connection``'s coefficients, the
-    least terms of ``_series``) is not summed.  Terms summed for a
+    used if that bound, less a roundoff per term summed, is at most
+    _FALLBACK_RTOL: a form that narrowly misses the bound is still far
+    better than the direct series whose terms it was chosen to avoid.  Past
+    that it raises SeriesConvergenceError naming the bound.  A candidate
+    whose bound is ruled out before summing (``_connection``'s coefficients,
+    the least terms of ``_series``) is not summed.  Terms summed for a
     candidate not used count in terms_used.
     """
     if z > 0.0:
@@ -564,14 +489,17 @@ def _selected(a: float, b: float, c: float, z: float) -> tuple[str, LogValue]:
     if conn is not None and conn[1] <= tol:
         return ("connection" if z > 0.0 else "pfaff connection"), _prefixed(conn[0], log_pre, 0)
     same = _same_argument(a, b, c, t, tol, math.inf if conn is None else conn[1])
-    if same is None:
-        return "fallback", _prefixed(conn[0], log_pre, 0)
-    form, value, bound = same
-    spent = 0 if conn is None else conn[0].terms_used
-    if bound <= tol:
-        return names[form], _prefixed(value, log_pre, spent)
-    if conn is not None and conn[1] < bound:
-        return "fallback", _prefixed(conn[0], log_pre, value.terms_used)
+    if same is not None and same[2] <= tol:
+        return names[same[0]], _prefixed(same[1], log_pre, 0 if conn is None else conn[0].terms_used)
+    if same is None or (conn is not None and conn[1] < same[2]):
+        (value, bound), spent = conn, 0 if same is None else same[1].terms_used
+    else:
+        (_, value, bound), spent = same, 0 if conn is None else conn[0].terms_used
+    if not bound <= _FALLBACK_RTOL + _EPS * value.terms_used:
+        raise SeriesConvergenceError(
+            f"no summation form keeps 10 digits at z={z}: the best rounding bound is {bound:.3g}",
+            terms_used=value.terms_used + spent,
+        )
     return "fallback", _prefixed(value, log_pre, spent)
 
 
@@ -591,7 +519,8 @@ def gauss_2f1_log(b0: float, b1: float, b2: float, z: float) -> LogValue:
     1/2.  A form is used when its rounding bound keeps about 13 digits (at
     most 1e-13); when none does, the candidate with the smaller bound is,
     which is the direct series (Pfaff's for z < 0) where no transformation
-    was tried.
+    was tried, unless that bound also misses about 10 digits
+    (SeriesConvergenceError).
     At z = 1 the Gauss closed form is used when its Gamma arguments are
     positive, and the series under the classical convergence conditions.
     Terminating cases (an upper parameter a nonpositive integer) are summed
@@ -672,4 +601,7 @@ def beta_fn(p: float, r: float) -> float:
     """Euler beta B(p, r) for positive arguments."""
     if not (p > 0.0 and r > 0.0):
         raise ParameterError(f"beta_fn requires positive arguments, got ({p}, {r})")
-    return math.exp(log_gamma(p) + log_gamma(r) - log_gamma(p + r))
+    try:
+        return math.exp(log_gamma(p) + log_gamma(r) - log_gamma(p + r))
+    except OverflowError:
+        raise DoubleRangeError(f"beta_fn({p}, {r}) leaves double range") from None

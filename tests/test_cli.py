@@ -324,6 +324,39 @@ def test_path_csv_with_noise(tmp_path):
     assert set(vals[:, 0]) == {0.0, 1.0}
 
 
+def test_path_rows_reach_the_writer_one_path_at_a_time(tmp_path, monkeypatch):
+    # each path's rows are written as that path is made, so no block holds
+    # more than one path and memory does not grow with n_paths
+    import kacou.cli as cli
+
+    path, out = write_cfg(tmp_path)
+    made, written = [], []
+    sample, write = cli.sample_switch_sequence, cli._atomic_write
+
+    def counted_sample(*args):
+        made.append(args)
+        return sample(*args)
+
+    def recording_write(target, parts):
+        def seen():
+            for part in parts:
+                if target.endswith("paths.csv"):
+                    written.append((part, len(made)))
+                yield part
+
+        write(target, seen())
+
+    monkeypatch.setattr(cli, "sample_switch_sequence", counted_sample)
+    monkeypatch.setattr(cli, "_atomic_write", recording_write)
+    argv = ["simulate", "--config", path, "--set", "simulate.mode=path", "--set", "simulate.n_paths=20"]
+    assert main(argv + ["--set", "simulate.eval_points=11"]) == 0
+    assert written[0] == ("path,t,state,x\n", 0)
+    assert len(written) == 21
+    for path_id, (part, paths_made) in enumerate(written[1:]):
+        assert {line.split(",")[0] for line in part.splitlines()} == {str(path_id)}
+        assert paths_made == path_id + 1
+
+
 def test_typed_columns_format_like_single_fields():
     floats = np.array([0.1, -0.0, 1e-300, 2.5e17, math.pi, math.inf, -math.inf, math.nan])
     ints = np.array([0, 7, -3, 2**40])
@@ -354,6 +387,15 @@ def test_invariant_nonexistent(tmp_path):
     assert code == 0
     summary = json.load(open(os.path.join(out, "invariant_summary.json")))
     assert summary["exists"] is False
+
+
+def test_invariant_beta_past_double_range_exits_1(tmp_path, capsys):
+    # subnormal rates and a tiny gap make B(a_lo, a_hi + 1) overflow
+    path, out = write_cfg(tmp_path)
+    argv = ["invariant", "--config", path, "--set", "model.lambda0=5e-324", "--set", "model.lambda1=5e-324"]
+    assert main(argv + ["--set", "model.a0=1e-300"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: beta_fn(") and "double range" in err and err.count("\n") == 1
 
 
 def test_scaling_csv(tmp_path):
