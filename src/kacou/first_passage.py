@@ -61,7 +61,10 @@ ORACLE_MAX_ITER = 10_000
 _TAIL_RATIO_CAP = 1e13
 _QUAD_PANELS = 18
 _QUAD_ORDER = 6
-_ORACLE_BLOCK_ROWS = 256  # rows per setup block: each rows x points temporary stays in L2
+# rows per operator-setup block: each block's rows x points temporaries
+# (positions, cells, fractions, weights) stay in L2; hitting times and the
+# shared far row are made once per state, outside the blocks
+_ORACLE_BLOCK_ROWS = 256
 # nearest an attracting target may come to the attractor it approaches, as
 # a share of the gap: sqrt(eps), where one rounding of its coordinate moves
 # the transform by beta sqrt(eps) relative (the direct series could not
@@ -436,61 +439,79 @@ def _oracle_operator(model, q, y, nodes, cell, state):
     nodes around it (cell finds them, as from _oracle_nodes).  The flow is
     monotone in tau, so the quadrature points of a row that land in one
     grid cell are consecutive, and each such run is stored once: its cell's
-    two end nodes with the run's summed weights (a cell met twice would
-    only make a second run).  Rows are built _ORACLE_BLOCK_ROWS at a time;
-    in a block whose rows all integrate up to tau_max, the quadrature
-    times, weights and flow factors are one row shared by all.
+    lower node with the run's summed weights on that node and the next (a
+    cell met twice would only make a second run).  The hitting times are
+    found for every node at once; rows are then built _ORACLE_BLOCK_ROWS at
+    a time, and a block whose rows all integrate up to tau_max shares one
+    row of quadrature times, weights and flow factors, made once per call.
 
-    Returns (first, cols, weights, starts): (A ell)[i] is the sum of
-    weights[k] * ell[cols[k]] for k from starts[i] up to the next row's start.
+    Returns (first, cols, weights, starts), one entry of cols and two of
+    weights per run: (A ell)[i] is the sum of weights[2k] * ell[cols[k]] +
+    weights[2k + 1] * ell[cols[k] + 1] over the runs k of row i, whose
+    weights begin at weights[starts[i]].
     """
     lam = model.rates.rate(state)
     tau_max = KERNEL_CUT / (q + lam)
     gaps = np.diff(nodes)
-    # a row has at most one run per quadrature point, two entries a run
-    first = np.empty(nodes.size)
+    t_hit = hitting_time(state, nodes, y, model)
+    T = np.minimum(t_hit, tau_max)
+    far = T == tau_max
+    first = np.where(np.isfinite(t_hit), np.exp(-(q + lam) * np.minimum(t_hit, 700.0)), 0.0)
+
+    def kernel(T):
+        """Quadrature times and weights of rows that integrate up to T."""
+        tau = T[:, None] * _QUAD_X[None, :]
+        return tau, T[:, None] * _QUAD_W[None, :] * lam * np.exp(-(q + lam) * tau)
+
+    far_kernel = kernel(np.array([tau_max]))
+    # a row has at most one run per quadrature point
     starts = np.empty(nodes.size, dtype=np.intp)
-    cols = np.empty(2 * _QUAD_X.size * nodes.size, dtype=np.intp)
-    weights = np.empty(cols.size)
+    cols = np.empty(_QUAD_X.size * nodes.size, dtype=np.intp)
+    weights = np.empty(2 * cols.size)
+    lower, upper = weights[0::2], weights[1::2]
     offset = 0
     for lo in range(0, nodes.size, _ORACLE_BLOCK_ROWS):
-        x = nodes[lo : lo + _ORACLE_BLOCK_ROWS]
-        rows = slice(lo, lo + x.size)
-        t_hit = hitting_time(state, x, y, model)
-        T = np.minimum(t_hit, tau_max)
-        if (T == tau_max).all():
-            T = T[:1]
-        first[rows] = np.where(np.isfinite(t_hit), np.exp(-(q + lam) * np.minimum(t_hit, 700.0)), 0.0)
-
-        tau = T[:, None] * _QUAD_X[None, :]
-        weight = T[:, None] * _QUAD_W[None, :] * lam * np.exp(-(q + lam) * tau)
-        pos = pattern_phi(state, tau, x[:, None], model)
+        rows = slice(lo, lo + _ORACLE_BLOCK_ROWS)
+        tau, weight = far_kernel if far[rows].all() else kernel(T[rows])
+        pos = pattern_phi(state, tau, nodes[rows, None], model)
 
         idx = cell(pos)
+        # positions that escaped below the grid (cell -1) contribute the
+        # far-field closure 0
+        if idx.min() < 0:
+            weight = np.where(idx < 0, 0.0, weight)
         np.clip(idx, 0, nodes.size - 2, out=idx)
-        frac = np.clip((pos - nodes.take(idx)) / gaps.take(idx), 0.0, 1.0)
-        # positions that escaped below the grid contribute the far-field closure 0
-        weight = np.where(pos < nodes[0], 0.0, weight)
+        frac = np.subtract(pos, nodes.take(idx), out=pos)
+        frac /= gaps.take(idx)
+        np.clip(frac, 0.0, 1.0, out=frac)
 
         # a run starts at each row's first point and wherever the cell changes
         opens = np.empty(idx.shape, dtype=bool)
         opens[:, 0] = True
         np.not_equal(idx[:, 1:], idx[:, :-1], out=opens[:, 1:])
         run = np.flatnonzero(opens)
-        block = slice(offset, offset + 2 * run.size)
-        cols[block][0::2] = idx.take(run)
-        cols[block][1::2] = cols[block][0::2] + 1
-        weights[block][0::2] = np.add.reduceat((weight * (1.0 - frac)).ravel(), run)
-        weights[block][1::2] = np.add.reduceat((weight * frac).ravel(), run)
-        runs_per_row = np.count_nonzero(opens, axis=1)
-        starts[rows] = offset + 2 * (np.cumsum(runs_per_row) - runs_per_row)
-        offset += 2 * run.size
-    return first, cols[:offset], weights[:offset], starts
+        block = slice(offset, offset + run.size)
+        idx.take(run, out=cols[block], mode="clip")
+        np.add.reduceat((weight * frac).ravel(), run, out=upper[block])
+        np.multiply(np.subtract(1.0, frac, out=frac), weight, out=frac)
+        np.add.reduceat(frac.ravel(), run, out=lower[block])
+        starts[rows] = 2 * (offset + np.searchsorted(run, np.arange(0, idx.size, idx.shape[1])))
+        offset += run.size
+    return first, cols[:offset], weights[: 2 * offset], starts
 
 
-def _apply_operator(op, values):
+def _apply_operator(op, values, buf):
+    """first + A values for op from _oracle_operator; buf, at least as long
+    as op's weights, is the gather buffer and is overwritten."""
     first, cols, weights, starts = op
-    return first + np.add.reduceat(weights * values.take(cols), starts)
+    out = buf[: weights.size]
+    pairs = np.empty((values.size - 1, 2))  # row c is (values[c], values[c + 1])
+    pairs[:, 0], pairs[:, 1] = values[:-1], values[1:]
+    pairs.take(cols, axis=0, out=out.reshape(-1, 2), mode="clip")
+    out *= weights
+    sums = np.add.reduceat(out, starts)
+    sums += first
+    return sums
 
 
 def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs, tol: float = 1e-6):
@@ -502,6 +523,8 @@ def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs, tol: float = 1e-
     them, and interpolates the query points.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if xs.size == 0:
+        raise ParameterError("oracle queries require at least one x")
     if not 0.0 < q < math.inf:
         raise ParameterError(f"the integral oracle requires a finite q > 0, got {q}")
     if not 0.0 < tol < math.inf:
@@ -521,13 +544,16 @@ def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs, tol: float = 1e-
     nodes, cell = _oracle_nodes(model, q, y, float(np.min(xs)))
     op0 = _oracle_operator(model, q, y, nodes, cell, 0)
     op1 = _oracle_operator(model, q, y, nodes, cell, 1)
+    buf = np.empty(max(op0[2].size, op1[2].size))
 
     ell0 = np.zeros(nodes.size)
     ell1 = np.zeros(nodes.size)
     inner_tol = 0.1 * tol
-    for _ in range(ORACLE_MAX_ITER):
-        new0 = _apply_operator(op0, ell1)
-        new1 = _apply_operator(op1, new0)
+    for sweep in range(ORACLE_MAX_ITER):
+        # ell1 is 0 before the first sweep: every weight is finite and >= 0,
+        # so A ell1 sums +0.0s and first + A ell1 is first exactly
+        new0 = _apply_operator(op0, ell1, buf) if sweep else op0[0]
+        new1 = _apply_operator(op1, new0, buf)
         delta = max(np.max(np.abs(new0 - ell0)), np.max(np.abs(new1 - ell1)))
         ell0, ell1 = new0, new1
         if delta < inner_tol:

@@ -193,24 +193,25 @@ NON_STRICT_DOWN = KacOuModel.from_values(2.0, 1.0, -3.0, 0.0, 0.0, 0.0, 0.0, 1.0
 PAST_THE_TAIL = KacOuModel.from_values(1.0, 1.0, 6.0, -3.0, 0.0, 0.0, 3.0, -2.0)
 
 
-@pytest.mark.parametrize(
-    "model, q, y, below, above",
-    [
-        # the five closed-form branches, each solved on both sides of y
-        (ATTRACTING, 1.0, 0.75, [0.25, 0.5, 0.7], [0.9, 1.4]),
-        (ATTRACTING, 0.5, 0.4, [-0.3, 0.1], [0.6, 0.9]),
-        (ATTRACT_REPEL, 0.7, -0.5, [-0.9, -0.6], [0.4, 0.9]),
-        (NON_STRICT, 0.7, 0.8, [0.2, 0.5], [1.1, 2.0]),
-        (NON_STRICT_DOWN, 0.9, -0.2, [-1.0, -0.5], [0.5, 1.5]),
-        (AR_NODE_BELOW_Y, 0.8, 0.9, [-0.2, 0.4], [1.3, 2.0]),
-        (AR_NODE_BELOW_Y, 3.0, -0.4, [-1.5, -0.6], [0.1, 0.45, 0.7]),
-        (DEGENERATE, 1.0, 0.75, [0.25], [0.95]),
-        (DEGENERATE_MIXED, 0.9, 1.3, [0.5, 1.0], [1.8]),
-        (DEGENERATE_MIXED, 0.9, 2.5, [1.2], [3.0]),
-        (REPELLING, 1.5, 0.2, [-0.5], [0.4, 0.9]),
-        (PAST_THE_TAIL, 0.3, 1.0, [-3.0, 0.0], [1.2, 1.4]),
-    ],
-)
+# the five closed-form branches, each solved on both sides of y, and grids
+# with a node at a repelling level, equal levels and positions past the tail
+OPERATOR_CASES = [
+    (ATTRACTING, 1.0, 0.75, [0.25, 0.5, 0.7], [0.9, 1.4]),
+    (ATTRACTING, 0.5, 0.4, [-0.3, 0.1], [0.6, 0.9]),
+    (ATTRACT_REPEL, 0.7, -0.5, [-0.9, -0.6], [0.4, 0.9]),
+    (NON_STRICT, 0.7, 0.8, [0.2, 0.5], [1.1, 2.0]),
+    (NON_STRICT_DOWN, 0.9, -0.2, [-1.0, -0.5], [0.5, 1.5]),
+    (AR_NODE_BELOW_Y, 0.8, 0.9, [-0.2, 0.4], [1.3, 2.0]),
+    (AR_NODE_BELOW_Y, 3.0, -0.4, [-1.5, -0.6], [0.1, 0.45, 0.7]),
+    (DEGENERATE, 1.0, 0.75, [0.25], [0.95]),
+    (DEGENERATE_MIXED, 0.9, 1.3, [0.5, 1.0], [1.8]),
+    (DEGENERATE_MIXED, 0.9, 2.5, [1.2], [3.0]),
+    (REPELLING, 1.5, 0.2, [-0.5], [0.4, 0.9]),
+    (PAST_THE_TAIL, 0.3, 1.0, [-3.0, 0.0], [1.2, 1.4]),
+]
+
+
+@pytest.mark.parametrize("model, q, y, below, above", OPERATOR_CASES)
 def test_oracle_operator_matches_element_by_element_reference(model, q, y, below, above):
     assert_oracle_matches_reference(model, q, y, below)
     assert_oracle_matches_reference(model, q, y, above, tol=1e-7)
@@ -313,6 +314,33 @@ def test_shared_far_rows_equal_a_row_by_row_build(model, q, y, lo, monkeypatch):
         rowwise = fp._oracle_operator(model, q, y, nodes, cell, s)
         for got, want in zip(shared[s], rowwise):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("model, q, y, below, above", OPERATOR_CASES)
+def test_pair_gather_equals_two_entries_per_run(model, q, y, below, above):
+    # the operator keeps each run's lower node; its upper node is that + 1
+    for m, y_side, lo in ((model, y, min(below)), (rescale(model, -1.0), -y, -max(above))):
+        nodes, cell = fp._oracle_nodes(m, q, y_side, lo)
+        values = stream(7, "oracle-values", 0).random(nodes.size)
+        for s in (0, 1):
+            op = fp._oracle_operator(m, q, y_side, nodes, cell, s)
+            first, cols, weights, starts = op
+            assert weights.size == 2 * cols.size
+            both = np.stack([cols, cols + 1], axis=1).ravel()
+            want = first + np.add.reduceat(weights * values.take(both), starts)
+            got = fp._apply_operator(op, values, np.empty_like(weights))
+            assert got.tobytes() == want.tobytes()
+            # the first sweep applies state 0's operator to ell1 = 0, which
+            # the sweep skips: first is that application's value exactly
+            zero = fp._apply_operator(op, np.zeros(nodes.size), np.empty_like(weights))
+            assert zero.tobytes() == first.tobytes()
+
+
+def test_oracle_rejects_an_empty_query_set():
+    # np.all of no points is True, so the x > y reflection called itself
+    # until the recursion limit
+    with pytest.raises(ParameterError, match="at least one x"):
+        fpt_oracle_curve(ATTRACTING, 1.0, 0.6, [])
 
 
 # --- dispatch errors ----------------------------------------------------------

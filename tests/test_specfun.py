@@ -246,9 +246,9 @@ def test_gauss_2f1_log_matches_mpmath_at_large_parameters():
 
 def reference_sum_series(c2, c1, c0, b2, z):
     """The one-term-at-a-time loop, written out apart from ``_sum_series``:
-    the bitwise referee for every term count and result where no term ratio
-    passes _FACTOR_SAFE.  It has no rescale before a multiply; the mpmath
-    tests of terminating Kummer series cover that."""
+    the bitwise referee for every term count and result.  A multiply that
+    would carry the term past double range is preceded by a rescale, found
+    by trying the product itself rather than by a bound on the ratio."""
     total = 1.0
     term = 1.0
     log_scale = 0.0
@@ -262,6 +262,10 @@ def reference_sum_series(c2, c1, c0, b2, z):
         k += 1.0
         if factor <= 0.0:
             single_signed = False
+        if math.isinf(term * factor):
+            term /= specfun._RESCALE_AT
+            total /= specfun._RESCALE_AT
+            log_scale += specfun._RESCALE_LOG
         term *= factor
         total += term
         if term == 0.0:
@@ -389,6 +393,7 @@ CAP_AND_TAIL = [
     (0.0, 1.0, 0.5, 1.5, 1e30),  # a rescale every ten terms, up to the cap
     (0.0, 1.0, -2000.0, 1.5, 1e30),  # a rescale every ten terms, then a zero term
     (1.0, 2e6 + 2.0, 1e6 * (1e6 + 2.0), 1e6 + 1.0, 0.6),  # q = 1e6: the long tail
+    (0.0, 1.0, -20000.0, 1.5, 1e30),  # ratios past 1e28: a rescale before the multiply
 ]
 
 
@@ -452,9 +457,10 @@ def _mp_terminating_1f1(a, b, z):
 )
 def test_terminating_kummer_whose_terms_would_overflow(a, b, z):
     # ratios past 1e28 carry a term over double range before the rescale
-    # test sees it; the loop raised at the cap, and now rescales first
+    # test sees it; a loop without a rescale before the multiply raised at
+    # the cap, and the referee, which has one, gives the same bits
     args = (0.0, 1.0, a, b, z)
-    assert _outcome(reference_sum_series, args)[0] is SeriesConvergenceError
+    assert _outcome(reference_sum_series, args) == _outcome(specfun._sum_series, args)
     got = kummer_1f1_log(a, b, z)
     log, sign = _mp_terminating_1f1(a, b, z)
     assert got.sign == sign
