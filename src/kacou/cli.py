@@ -17,6 +17,7 @@ import sys
 import tempfile
 import time
 import dataclasses
+from itertools import chain
 
 import numpy as np
 
@@ -62,6 +63,14 @@ MAX_LANE_SEGMENTS = 1e11
 MAX_GRID_POINTS = 1e6
 
 
+# the most rows one `kacou simulate` path may expect, eval_points + 1 +
+# lambda * horizon: a path is walked by scalar code and held whole while it
+# is written, at about 4.5 us and 200 bytes a row on a 2-vCPU host (7.7 us
+# and 580 bytes with noise), so some 9 s and 400 MB; the README and
+# benchmark configs expect at most about 2,200
+MAX_PATH_ROWS = 2e6
+
+
 def _check_work(segments: float, keys: str) -> None:
     """Refuse a run expecting more than MAX_LANE_SEGMENTS lane-segments up
     front, naming the keys that set them."""
@@ -81,16 +90,20 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _column_text(column) -> list[str]:
-    """One CSV column's fields.  A numpy column is formatted once by its
-    dtype: floats to 17 significant digits, integers in decimal, text as
-    given.  Any other sequence goes field by field, None as an empty field."""
-    if isinstance(column, np.ndarray) and column.dtype.kind in "fiuU":
-        items = column.tolist()
-        if column.dtype.kind == "f":
-            return [format(v, ".17g") for v in items]
-        return list(map(str, items))
-    return [_fmt(v) for v in column]
+# the `%` conversion of a numpy column, by dtype kind: floats to 17
+# significant digits, integers in decimal, text as given
+_CONVERSIONS = {"f": "%.17g", "i": "%d", "u": "%d", "U": "%s"}
+
+
+def _conversion(column) -> tuple[str, list]:
+    """One CSV column's `%` conversion and the values it takes.  A numpy
+    column is converted by its dtype (``_CONVERSIONS``); any other sequence,
+    or another dtype, goes through ``_fmt`` field by field, None as an empty
+    field."""
+    conv = _CONVERSIONS.get(column.dtype.kind) if isinstance(column, np.ndarray) else None
+    if conv is None:
+        return "%s", [_fmt(v) for v in column]
+    return conv, column.tolist()
 
 
 def _atomic_write(path: str, parts) -> None:
@@ -120,8 +133,11 @@ def _csv_blocks(header: list[str], blocks):
     for columns in blocks:
         n = len(columns[0]) if columns else 0
         for lo in range(0, n, _CSV_BLOCK):
-            fields = [_column_text(c[lo : lo + _CSV_BLOCK]) for c in columns]
-            yield "\n".join(map(",".join, zip(*fields))) + "\n"
+            # one `%` formats the whole block: a row of conversions repeated
+            # once per row, over the values taken row by row
+            convs, values = zip(*(_conversion(c[lo : lo + _CSV_BLOCK]) for c in columns))
+            fields = tuple(chain.from_iterable(zip(*values)))
+            yield (",".join(convs) + "\n") * (len(fields) // len(convs)) % fields
 
 
 def _write_csv(path: str, header: list[str], columns) -> None:
@@ -210,6 +226,12 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         _check_work(n_paths * (1.0 + rate * horizon), "simulate.n_paths, simulate.horizon and the [model] rates")
         with_noise = cfg.get("simulate", "with_noise", default=False, cast=bool)
         n_eval = _count(cfg, "simulate", "eval_points", 201, most=MAX_GRID_POINTS)
+        rows = n_eval + 1.0 + rate * horizon
+        if not rows <= MAX_PATH_ROWS:
+            raise ConfigError(
+                "simulate.horizon, simulate.eval_points and the [model] rates",
+                f"a path expects {rows:.3g} rows, above the {MAX_PATH_ROWS:.3g} one path may write",
+            )
         grid = np.linspace(0.0, horizon, n_eval)
 
         def path_blocks():

@@ -479,13 +479,14 @@ def hyper_args(q: float, model: KacOuModel) -> HyperParams:
         disc = (beta0 - beta1) ** 2 + 4.0 * beta0_0 * beta1_0
     except OverflowError:  # float ** raises where the square leaves double range
         disc = math.inf
-    if math.isfinite(disc):
+    if math.isfinite(disc) and math.isfinite(s) and math.isfinite(p):
         # the root of larger magnitude without cancellation, the other from
         # their product
         big = 0.5 * (s + math.copysign(math.sqrt(max(disc, 0.0)), s))
         small = p / big if big else 0.0
         return HyperParams(beta0, beta1, max(big, small), min(big, small))
-    # the discriminant left double range: form it scaled by the larger |beta|
+    # the discriminant, the sum or the product left double range: form them
+    # scaled by the larger |beta|
     m = max(abs(beta0), abs(beta1))
     u0, u1, w0, w1 = beta0 / m, beta1 / m, beta0_0 / m, beta1_0 / m
     half = 0.5 * (u0 + u1)

@@ -15,7 +15,9 @@ A small term ends the sum only past the point where the terms keep
 shrinking (``_stop_floor``: past every zero and pole of the term ratio and
 the last place its size crosses 1), since terms can dip there and grow
 again; and a Gauss term must be below (1 - |z|) SERIES_RTOL of the sum, so
-that the geometric tail it leaves stays below SERIES_RTOL.
+that the geometric tail it leaves stays below SERIES_RTOL.  A series whose
+stop floor lies past the terms the summation may spend, and which no zero
+of its numerator ends, is refused before summing.
 
 ``gauss_2f1_log`` does not always sum its own series.  A form selector
 (``_selected``) picks, among the direct series, Euler's and Pfaff's
@@ -105,6 +107,13 @@ class LogValue:
         return LogValue(hi.log + math.log(abs(total)), hi.sign * math.copysign(1.0, total), n)
 
 
+def _check_range(x: float, y: float, z: float) -> None:
+    """Raise DoubleRangeError when a series parameter, or the sum or product
+    the series is summed from, left double range."""
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        raise DoubleRangeError(f"hypergeometric parameters leave double range: {(x, y, z)}")
+
+
 def _is_nonpositive_int(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
 
@@ -130,7 +139,7 @@ def _largest_root(lead: float, mid: float, low: float) -> float:
     return max(q / lead, low / q) if q else 0.0
 
 
-def _stop_floor(c2, c1, c0, b2: float, z: float) -> int:
+def _stop_floor(c2, c1, c0, b2: float, z: float) -> float:
     """The last term index at which ``_sum_series`` may not stop.
 
     A small term ends the sum only where the terms after it keep shrinking.
@@ -140,15 +149,16 @@ def _stop_floor(c2, c1, c0, b2: float, z: float) -> int:
     terms can dip and grow again (a lower parameter near -k, an upper one
     near -k), so a run of small terms there proves nothing.  For |z| >= 1
     (c2 = 1) the ratio never falls below 1 for good and that root is left out.
+    The floor is not capped: it may pass SERIES_CAP, or be inf.
     """
     last = max(-b2, _largest_root(c2, c1, c0) if c2 else -c0)
     # |ratio| = 1 past those zeros: (c2 |z| - 1) k^2 + (c1 |z| - b2 - 1) k + c0 |z| - b2 = 0
     lead = c2 * abs(z) - 1.0
     if lead < 0.0:
         last = max(last, _largest_root(lead, c1 * abs(z) - b2 - 1.0, c0 * abs(z) - b2))
-    if not last < SERIES_CAP:  # including nan, from parameters past double range
-        return 0 if math.isnan(last) else SERIES_CAP
-    return max(0, math.ceil(last))
+    if math.isnan(last):  # from an argument past double range
+        return 0
+    return max(0, math.ceil(last)) if last < math.inf else math.inf
 
 
 def _sum_series(c2, c1, c0, b2: float, z: float) -> LogValue:
@@ -169,13 +179,26 @@ def _sum_series(c2, c1, c0, b2: float, z: float) -> LogValue:
     positive (no cancellation is possible), summation continues in
     vectorized log space; this is what large-parameter evaluations (killing
     rates around 1e6, where millions of terms precede the peak) fall back to.
+
+    A parameter, sum or product past double range raises DoubleRangeError.
+    A series that cannot stop within _TERM_BUDGET terms is refused before
+    any term is summed: its numerator has no zero at k >= 0 to end it, and
+    its stop floor lies past the budget, so the cap and the long tail would
+    only grind to the same SeriesConvergenceError.
     """
+    _check_range(c1, c0, b2)
+    floor = _stop_floor(c2, c1, c0, b2, z)
+    if floor >= _TERM_BUDGET and (_largest_root(c2, c1, c0) if c2 else -c0) < 0.0:
+        raise SeriesConvergenceError(
+            f"hypergeometric series cannot stop within {_TERM_BUDGET} terms: its terms "
+            f"may grow again up to term {floor:.3g} (z={z})",
+            terms_used=0,
+        )
     total = 1.0
     term = 1.0
     log_scale = 0.0
     small_run = 0
     single_signed = z > 0.0
-    floor = _stop_floor(c2, c1, c0, b2, z)
     # past the floor the Gauss terms fall off about like |z|^k, so a term
     # below (1 - |z|) SERIES_RTOL of the sum leaves a tail of about SERIES_RTOL
     rtol = SERIES_RTOL * (1.0 - abs(z)) if c2 and abs(z) < 1.0 else SERIES_RTOL
@@ -524,9 +547,11 @@ def gauss_2f1_log(b0: float, b1: float, b2: float, z: float) -> LogValue:
     At z = 1 the Gauss closed form is used when its Gamma arguments are
     positive, and the series under the classical convergence conditions.
     Terminating cases (an upper parameter a nonpositive integer) are summed
-    exactly for any z.
+    exactly for any z.  A parameter past double range, or a series whose
+    sum or product of upper parameters is, raises DoubleRangeError.
     """
     _check_lower_param(b2)
+    _check_range(b0, b1, b2)
     if z == 0.0:
         return LogValue(0.0, 1.0, 1)
 

@@ -6,8 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kacou.cli import _column_text, _fmt, main
+from kacou.cli import _CSV_BLOCK, _conversion, _csv_blocks, _fmt, main
 from kacou.config import ConfigError, config_hash, load_config
 
 BASE_CFG = """
@@ -360,10 +362,93 @@ def test_path_rows_reach_the_writer_one_path_at_a_time(tmp_path, monkeypatch):
 def test_typed_columns_format_like_single_fields():
     floats = np.array([0.1, -0.0, 1e-300, 2.5e17, math.pi, math.inf, -math.inf, math.nan])
     ints = np.array([0, 7, -3, 2**40])
+    small = np.array([0, 255], dtype=np.uint8)
     texts = np.array(["hit", "censored", ""])
-    for column in (floats, ints, texts):
-        assert _column_text(column) == [_fmt(v) for v in column]
-    assert _column_text([3, 0.5, None, "x"]) == ["3", "0.5", "", "x"]
+    for column, conv in ((floats, "%.17g"), (ints, "%d"), (small, "%d"), (texts, "%s")):
+        got, values = _conversion(column)
+        assert got == conv and len(values) == len(column)
+        assert [conv % v for v in values] == [_fmt(v) for v in column]
+    # any other sequence or dtype goes field by field through _fmt
+    assert _conversion([3, 0.5, None, "x"]) == ("%s", ["3", "0.5", "", "x"])
+    assert _conversion(np.array([True, False])) == ("%s", ["1", "0"])
+
+
+def _reference_fields(column):
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiuU":
+        items = column.tolist()
+        if column.dtype.kind == "f":
+            return [format(v, ".17g") for v in items]
+        return list(map(str, items))
+    return [_fmt(v) for v in column]
+
+
+def reference_csv_blocks(header, blocks):
+    """The writer's referee: each field formatted on its own by its column's
+    dtype (floats by format(v, ".17g"), any other sequence through _fmt),
+    and each part's rows joined field by field, _CSV_BLOCK rows a part."""
+    yield ",".join(header) + "\n"
+    for columns in blocks:
+        n = len(columns[0]) if columns else 0
+        for lo in range(0, n, _CSV_BLOCK):
+            fields = [_reference_fields(c[lo : lo + _CSV_BLOCK]) for c in columns]
+            yield "\n".join(map(",".join, zip(*fields))) + "\n"
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1e-300, -1e-300]
+INT64_MAX = 2**63 - 1
+BLOCK_ROWS = [0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1]
+
+_POOLS = {
+    "float": (st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()), float),
+    "int64": (st.one_of(st.sampled_from([INT64_MAX, -INT64_MAX, 0]), st.integers(-INT64_MAX, INT64_MAX)), np.int64),
+    "uint8": (st.integers(0, 255), np.uint8),
+    "bool": (st.booleans(), bool),
+    "text": (st.one_of(st.sampled_from(["", "hit", "censored"]), st.text(max_size=5)), str),
+    "list": (st.one_of(st.none(), st.integers(-INT64_MAX, INT64_MAX), st.floats(), st.text(max_size=5)), None),
+}
+
+
+@st.composite
+def csv_column(draw, rows):
+    """A column of `rows` fields: an array of one dtype, or a list that may
+    hold None, cycling through a few drawn values."""
+    values, dtype = _POOLS[draw(st.sampled_from(sorted(_POOLS)))]
+    pool = draw(st.lists(values, min_size=1, max_size=6))
+    items = [pool[i % len(pool)] for i in range(rows)]
+    return items if dtype is None else np.array(items, dtype=dtype)
+
+
+@st.composite
+def csv_blocks(draw):
+    width = draw(st.integers(1, 4))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = draw(st.sampled_from(BLOCK_ROWS + [2, 7]))
+        blocks.append([draw(csv_column(rows)) for _ in range(width)])
+    return [f"c{i}" for i in range(width)], blocks
+
+
+@given(csv_blocks())
+@settings(max_examples=25, deadline=None)
+def test_csv_blocks_match_the_per_field_referee(case):
+    header, blocks = case
+    got = list(_csv_blocks(header, (columns for columns in blocks)))
+    assert got == list(reference_csv_blocks(header, iter(blocks)))
+
+
+@pytest.mark.parametrize("rows", BLOCK_ROWS)
+def test_csv_blocks_match_the_referee_at_block_edges(rows):
+    floats = np.resize(np.array(EDGE_FLOATS + [0.1, math.pi]), rows)
+    columns = [
+        np.arange(rows),
+        floats,
+        np.resize(np.array([INT64_MAX, -INT64_MAX]), rows),
+        np.resize(np.array(["hit", "", "censored"]), rows),
+        [None if i % 3 else float(i) for i in range(rows)],
+    ]
+    header = ["i", "f", "big", "text", "list"]
+    blocks = [columns, [c[: rows // 2] for c in columns]]
+    assert list(_csv_blocks(header, iter(blocks))) == list(reference_csv_blocks(header, iter(blocks)))
 
 
 def test_invariant_summary(tmp_path):
@@ -488,6 +573,30 @@ def test_runaway_monte_carlo_is_refused_up_front(tmp_path, capsys, command, over
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and keys in err and "lane-segments" in err
     assert not os.path.exists(out)
+
+
+def test_path_mode_rows_are_refused_up_front(tmp_path, capsys):
+    # one path at rate 1 expects horizon + eval_points + 1 rows, walked by
+    # scalar code and held whole: 1e9 was accepted and allocated until killed
+    path, out = write_cfg(tmp_path)
+    argv = ["simulate", "--config", path, "--set", "simulate.mode=path", "--set", "simulate.n_paths=1"]
+    t0 = time.perf_counter()
+    assert main(argv + ["--set", "simulate.horizon=1e9"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "simulate.horizon, simulate.eval_points and the [model] rates" in err
+    assert "rows" in err
+    assert not os.path.exists(out)
+
+
+def test_fpt_killing_rate_past_double_range_exits_1(tmp_path, capsys):
+    # hyper_args returned an inf root at q = 1e300 and the series selector
+    # died in math.ceil(-inf): a traceback
+    path, out = write_cfg(tmp_path)
+    assert main(["fpt", "--config", path, "--set", "fpt.q_grid=1e300"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "double range" in err and err.count("\n") == 1
+    assert not os.path.exists(os.path.join(out, "fpt.csv"))
 
 
 def test_fpt_with_upper_parameters_past_double_range_runs(tmp_path, capsys):

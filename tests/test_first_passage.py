@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from kacou import first_passage as fp
 from kacou.errors import (
     DegenerateModelError,
+    DoubleRangeError,
     KacOuError,
     OracleError,
     OutOfDomainError,
@@ -508,6 +510,23 @@ def test_running_extremum_equals_laplace():
 
 def test_running_extremum_vanishes_for_fast_killing():
     assert running_extremum_prob(1e6, 0.25, 0.75, 1, ATTRACTING) < 1e-6
+
+
+@pytest.mark.parametrize("q", [1e9, 1e12])
+def test_killing_rate_whose_series_cannot_stop_fails_fast(q):
+    # the first series' terms grow up to term q / 3: it summed 6.5e7 terms
+    # for 2.5-2.9 s before raising the same error
+    t0 = time.perf_counter()
+    with pytest.raises(SeriesConvergenceError) as err:
+        laplace_fpt(FptQuery(q, 0.25, 0.75, 1), ATTRACTING)
+    assert err.value.terms_used == 0
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_killing_rate_past_double_range_raises_a_typed_error():
+    # beta0 beta1 = 1e600: the selector died in math.ceil(-inf) with OverflowError
+    with pytest.raises(DoubleRangeError):
+        laplace_fpt(FptQuery(1e300, 0.25, 0.75, 1), ATTRACTING)
 
 
 def test_running_extremum_monte_carlo():

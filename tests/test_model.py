@@ -474,6 +474,13 @@ def test_hyper_args_past_double_range_small_root_keeps_relative_accuracy():
     assert abs(hp.b1 - exact) <= 1e-14 * abs(exact)
 
 
+def test_hyper_args_product_past_double_range_keeps_finite_roots():
+    # beta0 beta1 overflows while the discriminant stays finite: the smaller
+    # root came out as inf / 1e200 = inf; the true roots are 1e200 +- 1
+    hp = hyper_args(1e200, make())
+    assert (hp.b0, hp.b1) == (1e200, 1e200)
+
+
 def test_hyper_args_upper_parameters_beyond_double_range_raise():
     # beta0 itself is inf: a typed error, not OverflowError or an inf root
     with pytest.raises(DoubleRangeError):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kacou import specfun
-from kacou.errors import OutOfDomainError, ParameterError, SeriesConvergenceError
+from kacou.errors import DoubleRangeError, OutOfDomainError, ParameterError, SeriesConvergenceError
 from kacou.specfun import (
     beta_fn,
     gauss_2f1_log,
@@ -231,6 +231,36 @@ def test_log_scaled_series_survives_huge_parameters():
     assert big.sign == 1.0 and big.log > 709.0  # value itself overflows double
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (1e200, 1e200, 1e200, 0.25),  # the product 1e400: it returned log = inf after 3 terms
+        (1.0, 2.0, math.inf, 1.0),  # the Gamma closed form at z = 1
+        (-1.0, math.inf, 2.0, 0.5),  # a terminating series
+    ],
+)
+def test_parameters_past_double_range_raise_a_typed_error(args):
+    with pytest.raises(DoubleRangeError):
+        gauss_2f1_log(*args)
+
+
+def test_kummer_parameter_past_double_range_raises_a_typed_error():
+    with pytest.raises(DoubleRangeError):
+        kummer_1f1_log(math.inf, 1.5, 0.5)
+
+
+def test_series_whose_terms_grow_past_the_budget_is_refused_before_summing():
+    # at q = 1e9 the terms of F(b0, b1; beta1 + 1; 1/4) grow up to term
+    # 3.3e8, past the 6.5e7 the cap and the long tail may sum: that ground
+    # for 2.5 s before the same error
+    q = 1e9
+    args = (1.0, 2.0 * q + 2.0, q * (q + 2.0), q + 1.0, 0.25)
+    assert specfun._stop_floor(*args) >= specfun._TERM_BUDGET
+    with pytest.raises(SeriesConvergenceError) as err:
+        specfun._sum_series(*args)
+    assert err.value.terms_used == 0
+
+
 def test_gauss_2f1_log_matches_mpmath_at_large_parameters():
     import mpmath
 
@@ -248,13 +278,21 @@ def reference_sum_series(c2, c1, c0, b2, z):
     """The one-term-at-a-time loop, written out apart from ``_sum_series``:
     the bitwise referee for every term count and result.  A multiply that
     would carry the term past double range is preceded by a rescale, found
-    by trying the product itself rather than by a bound on the ratio."""
+    by trying the product itself rather than by a bound on the ratio.  A
+    series whose numerator has no zero at k >= 0 and whose stop floor is
+    past the term budget is refused before any term."""
+    floor = specfun._stop_floor(c2, c1, c0, b2, z)
+    if floor >= specfun._TERM_BUDGET and (specfun._largest_root(c2, c1, c0) if c2 else -c0) < 0.0:
+        raise SeriesConvergenceError(
+            f"hypergeometric series cannot stop within {specfun._TERM_BUDGET} terms: its terms "
+            f"may grow again up to term {floor:.3g} (z={z})",
+            terms_used=0,
+        )
     total = 1.0
     term = 1.0
     log_scale = 0.0
     small_run = 0
     single_signed = z > 0.0
-    floor = specfun._stop_floor(c2, c1, c0, b2, z)
     rtol = specfun.SERIES_RTOL * (1.0 - abs(z)) if c2 and abs(z) < 1.0 else specfun.SERIES_RTOL
     k = 0.0
     for n in range(1, specfun.SERIES_CAP + 1):
@@ -390,10 +428,11 @@ def test_ratio_sign_past_a_cut_block_is_not_read():
 
 CAP_AND_TAIL = [
     (1.0, 0.7, -4.94, 0.9, 1.0),  # Gauss at z = 1 that never settles: the cap
-    (0.0, 1.0, 0.5, 1.5, 1e30),  # a rescale every ten terms, up to the cap
+    (0.0, 1.0, 0.5, 1.5, 1e30),  # terms that grow up to k = 1e30: refused before summing
     (0.0, 1.0, -2000.0, 1.5, 1e30),  # a rescale every ten terms, then a zero term
     (1.0, 2e6 + 2.0, 1e6 * (1e6 + 2.0), 1e6 + 1.0, 0.6),  # q = 1e6: the long tail
     (0.0, 1.0, -20000.0, 1.5, 1e30),  # ratios past 1e28: a rescale before the multiply
+    (0.0, 1.0, -2e6 - 0.5, 1.5, 1e30),  # a rescale every eight to eleven terms, up to the cap
 ]
 
 
@@ -403,8 +442,9 @@ def test_cap_and_long_tail_match_the_loop(args):
 
 
 def test_blocks_after_dense_rescales_stay_narrow():
-    # a rescale every ten terms, up to the cap
-    args = (0.0, 1.0, 0.5, 1.5, 1e30)
+    # a rescale every eight to eleven terms, up to the cap: the numerator's
+    # zero near k = 2e6 keeps the series from being refused up front
+    args = (0.0, 1.0, -2e6 - 0.5, 1.5, 1e30)
     got = _outcome(specfun._sum_series, args)
     assert got == _outcome(reference_sum_series, args)
     assert got[2] == specfun.SERIES_CAP
@@ -425,14 +465,15 @@ def test_no_warning_escapes_the_blocks():
 def test_kummer_whose_terms_grow_to_the_cap_raises_at_once():
     # a, b > 0 and z > 2 * SERIES_CAP * max(1, b/a): every ratio before the
     # cap exceeds 2, so the loop could only sum to the cap (a million terms
-    # at z = 1e30) or overflow (at z = 1e300 it returned log = inf)
-    expected = _outcome(reference_sum_series, (0.0, 1.0, 0.5, 1.5, 1e30))
+    # at z = 1e7) or overflow (at z = 1e300 it returned log = inf)
+    expected = _outcome(reference_sum_series, (0.0, 1.0, 0.5, 1.5, 1e7))
     assert expected[0] is SeriesConvergenceError
     with mock.patch.object(specfun, "_sum_series", side_effect=AssertionError("summed")):
-        assert _outcome(kummer_1f1_log, (0.5, 1.5, 1e30)) == expected
-        with pytest.raises(SeriesConvergenceError) as err:
-            kummer_1f1_log(0.5, 1.5, 1e300)
-    assert err.value.terms_used == specfun.SERIES_CAP
+        assert _outcome(kummer_1f1_log, (0.5, 1.5, 1e7)) == expected
+        for z in (1e30, 1e300):
+            with pytest.raises(SeriesConvergenceError) as err:
+                kummer_1f1_log(0.5, 1.5, z)
+            assert err.value.terms_used == specfun.SERIES_CAP
     # below the bound the series is summed as before
     assert kummer_1f1_log(0.5, 1.5, 700.0) == specfun._sum_series(0.0, 1.0, 0.5, 1.5, 700.0)
 
