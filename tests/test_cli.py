@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 import time
 import warnings
 
@@ -324,6 +325,40 @@ def test_path_csv_with_noise(tmp_path):
     vals = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
     assert np.all(np.isfinite(vals))
     assert set(vals[:, 0]) == {0.0, 1.0}
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+def test_outputs_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    # the writer's temporary becomes the output, so it must be created as a
+    # plain open would create it, not private to its owner
+    path, out = write_cfg(tmp_path)
+    report = str(tmp_path / "report.json")
+    argv = ["simulate", "--config", path, "--set", "simulate.mode=path", "--set", "simulate.n_paths=2"]
+    old = os.umask(umask)
+    try:
+        assert main(argv + ["--set", "simulate.eval_points=11"]) == 0
+        assert main(["validate", "--only", "1", "--report", report]) == 0
+    finally:
+        os.umask(old)
+    assert sorted(os.listdir(out)) == ["paths.csv", "simulate_manifest.json"]
+    for name in (os.path.join(out, "paths.csv"), os.path.join(out, "simulate_manifest.json"), report):
+        assert stat.S_IMODE(os.stat(name).st_mode) == mode
+
+
+def test_failed_write_leaves_the_old_output(tmp_path):
+    import kacou.cli as cli
+
+    target = str(tmp_path / "out.csv")
+    cli._atomic_write(target, ["old\n"])
+
+    def parts():
+        yield "new\n"
+        raise RuntimeError("writer failed")
+
+    with pytest.raises(RuntimeError, match="writer failed"):
+        cli._atomic_write(target, parts())
+    assert os.listdir(tmp_path) == ["out.csv"]
+    assert open(target).read() == "old\n"
 
 
 def test_path_rows_reach_the_writer_one_path_at_a_time(tmp_path, monkeypatch):

@@ -153,35 +153,105 @@ def _interp_rows(values, idx, frac):
     return values[idx] * (1.0 - frac) + values[idx + 1] * frac
 
 
-def reference_oracle_curve(model, q, y, xs, tol):
-    """``fpt_oracle_curve`` with each sweep interpolating every quadrature
-    point element by element: the referee for the merged-run operator."""
+def _reference_apply(setup, values):
+    """first + A values, every quadrature point interpolated on its own."""
+    first, weight, idx, frac = setup
+    return first + np.sum(weight * _interp_rows(values, idx, frac), axis=1)
+
+
+def _oriented_grid(model, q, y, xs):
+    """The (model, y, lowest point) the oracle solves xs on: the reflected
+    problem when they lie above y."""
     xs = np.asarray(xs, dtype=float)
     if np.all(xs > y):
-        return reference_oracle_curve(rescale(model, -1.0), q, -y, -xs, tol)
-    nodes, _ = fp._oracle_nodes(model, q, y, float(np.min(xs)))
-    f0, w0, i0, fr0 = _reference_state_setup(model, q, y, nodes, 0)
-    f1, w1, i1, fr1 = _reference_state_setup(model, q, y, nodes, 1)
-    ell0 = np.zeros(nodes.size)
-    ell1 = np.zeros(nodes.size)
+        return rescale(model, -1.0), -y, float(np.min(-xs))
+    return model, y, float(np.min(xs))
+
+
+def assert_operator_matches_reference(model, q, y, xs):
+    """_apply_operator against the element-by-element referee, both states,
+    on every iterate of the referee's plain Gauss-Seidel sweeps and on
+    random vectors in [0, 1]."""
+    m, y_side, lo = _oriented_grid(model, q, y, xs)
+    nodes, cell = fp._oracle_nodes(m, q, y_side, lo)
+    ops = [fp._oracle_operator(m, q, y_side, nodes, cell, s) for s in (0, 1)]
+    refs = [_reference_state_setup(m, q, y_side, nodes, s) for s in (0, 1)]
+    buf = np.empty(max(op[2].size for op in ops))
+
+    def check(state, values):
+        want = _reference_apply(refs[state], values)
+        np.testing.assert_allclose(fp._apply_operator(ops[state], values, buf), want, rtol=0.0, atol=1e-14)
+        return want
+
+    ell0 = ell1 = np.zeros(nodes.size)
     for _ in range(fp.ORACLE_MAX_ITER):
-        new0 = f0 + np.sum(w0 * _interp_rows(ell1, i0, fr0), axis=1)
-        new1 = f1 + np.sum(w1 * _interp_rows(new0, i1, fr1), axis=1)
+        new0 = check(0, ell1)
+        new1 = check(1, new0)
+        delta = max(np.max(np.abs(new0 - ell0)), np.max(np.abs(new1 - ell1)))
+        ell0, ell1 = new0, new1
+        if delta < 1e-7:
+            break
+    else:
+        raise OracleError("reference did not contract")
+    rng = stream(11, "oracle-operator", nodes.size)
+    for _ in range(3):
+        for s in (0, 1):
+            check(s, rng.random(nodes.size))
+
+
+class _Applications:
+    """Counts the oracle's operator applications while in a with block."""
+
+    def __enter__(self):
+        self.count, self._apply = 0, fp._apply_operator
+
+        def counted(*args):
+            self.count += 1
+            return self._apply(*args)
+
+        fp._apply_operator = counted
+        return self
+
+    def __exit__(self, *exc):
+        fp._apply_operator = self._apply
+
+
+def plain_sweep_curve(model, q, y, xs, tol):
+    """``fpt_oracle_curve``'s grid and operators, solved by plain
+    Gauss-Seidel sweeps from ell1 = 0 until no value changes by 0.1 * tol;
+    returns the curve and the applications used (the first sweep's is free:
+    first + A 0 is first)."""
+    m, y_side, lo = _oriented_grid(model, q, y, xs)
+    xs = np.asarray(xs, dtype=float) * (1.0 if m is model else -1.0)
+    nodes, cell = fp._oracle_nodes(m, q, y_side, lo)
+    op0, op1 = (fp._oracle_operator(m, q, y_side, nodes, cell, s) for s in (0, 1))
+    buf = np.empty(max(op0[2].size, op1[2].size))
+    ell0 = ell1 = np.zeros(nodes.size)
+    applications = -1
+    for _ in range(fp.ORACLE_MAX_ITER):
+        new0 = fp._apply_operator(op0, ell1, buf)
+        new1 = fp._apply_operator(op1, new0, buf)
+        applications += 2
         delta = max(np.max(np.abs(new0 - ell0)), np.max(np.abs(new1 - ell1)))
         ell0, ell1 = new0, new1
         if delta < 0.1 * tol:
             break
     else:
-        raise OracleError("reference did not contract")
-    return np.interp(xs, nodes, ell0), np.interp(xs, nodes, ell1)
+        raise OracleError("plain sweeps did not contract")
+    return (np.interp(xs, nodes, ell0), np.interp(xs, nodes, ell1)), applications
 
 
-def assert_oracle_matches_reference(model, q, y, xs, tol=1e-6):
-    # 1e-14 is far below any one sweep's change, so the sweep counts agree too
-    got = fpt_oracle_curve(model, q, y, np.asarray(xs, dtype=float), tol)
-    ref = reference_oracle_curve(model, q, y, xs, tol)
-    for g, r in zip(got, ref):
-        np.testing.assert_allclose(g, r, rtol=0.0, atol=1e-14)
+def assert_solve_matches_plain_sweeps(model, q, y, xs, tol=1e-12):
+    """The accelerated solve against plain sweeps of the same operators,
+    both at tol: equal curves within 1e-11, in [0, 1], and no more operator
+    applications."""
+    with _Applications() as used:
+        got = fpt_oracle_curve(model, q, y, np.asarray(xs, dtype=float), tol)
+    want, plain = plain_sweep_curve(model, q, y, xs, tol)
+    assert used.count <= plain
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-11)
+        assert np.all((0.0 <= g) & (g <= 1.0))
 
 
 # a repelling level below the threshold: its own node and a geometric tail
@@ -215,15 +285,22 @@ OPERATOR_CASES = [
 
 @pytest.mark.parametrize("model, q, y, below, above", OPERATOR_CASES)
 def test_oracle_operator_matches_element_by_element_reference(model, q, y, below, above):
-    assert_oracle_matches_reference(model, q, y, below)
-    assert_oracle_matches_reference(model, q, y, above, tol=1e-7)
+    assert_operator_matches_reference(model, q, y, below)
+    assert_operator_matches_reference(model, q, y, above)
+
+
+@pytest.mark.parametrize("model, q, y, below, above", OPERATOR_CASES)
+def test_oracle_solve_matches_plain_sweeps(model, q, y, below, above):
+    assert_solve_matches_plain_sweeps(model, q, y, below)
+    assert_solve_matches_plain_sweeps(model, q, y, above)
 
 
 @pytest.mark.parametrize("model", [ATTRACTING, ATTRACT_REPEL, NON_STRICT, DEGENERATE_MIXED])
 def test_oracle_operator_next_to_the_threshold(model):
     for y in (-0.5, 0.75):
-        assert_oracle_matches_reference(model, 1.0, y, [y - 1e-8, y - 1e-3])
-        assert_oracle_matches_reference(model, 1.0, y, [y + 1e-8])
+        for xs in ([y - 1e-8, y - 1e-3], [y + 1e-8]):
+            assert_operator_matches_reference(model, 1.0, y, xs)
+            assert_solve_matches_plain_sweeps(model, 1.0, y, xs)
 
 
 @given(
@@ -242,7 +319,34 @@ def test_oracle_operator_matches_reference_on_drawn_models(rates, gammas, levels
     a = [lv if g == 0.0 else lv * g for lv, g in zip(levels, gammas)]
     model = KacOuModel.from_values(*rates, *a, 0.0, 0.0, *gammas)
     x = y + d if above else y - d
-    assert_oracle_matches_reference(model, q, y, [x, x + 0.5 * (y - x)])
+    assert_operator_matches_reference(model, q, y, [x, x + 0.5 * (y - x)])
+    assert_solve_matches_plain_sweeps(model, q, y, [x, x + 0.5 * (y - x)])
+
+
+def test_accelerated_solve_halves_slow_sweeps():
+    # at small q plain sweeps contract slowly (about 0.5-0.8 a sweep); the
+    # accelerated solve must need at most half their applications in all
+    used = plain = 0
+    for model, y, x in ((ATTRACTING, 0.75, 0.25), (ATTRACTING, 0.4, 0.9), (ATTRACT_REPEL, -0.5, -0.9), (NON_STRICT, 0.8, 0.2)):
+        with _Applications() as counted:
+            fpt_oracle_curve(model, 0.1, y, np.array([x]))
+        used += counted.count
+        plain += plain_sweep_curve(model, 0.1, y, [x], 1e-6)[1]
+    assert used <= 0.5 * plain
+
+
+def test_oracle_error_names_the_sweeps_spent(monkeypatch):
+    monkeypatch.setattr(fp, "ORACLE_MAX_ITER", 2)
+    with pytest.raises(OracleError, match=r"did not contract below 1e-08 in 2 sweeps \(last change "):
+        fpt_oracle_curve(ATTRACTING, 0.2, 0.75, np.array([0.25]), tol=1e-7)
+
+
+def test_anderson_step_on_a_repeated_difference_falls_back_to_plain(monkeypatch):
+    # x -> x + 0.5 repeats its residual, so every difference is 0 and the
+    # normal equations are singular: each step is plain until the sweeps run out
+    monkeypatch.setattr(fp, "ORACLE_MAX_ITER", 5)
+    with pytest.raises(OracleError, match=r"in 5 sweeps \(last change 0\.5\)"):
+        fp._anderson_solve(lambda x: x + 0.5, np.zeros(4), np.full(4, 0.5), 1e-8)
 
 
 # --- the grid's cell lookup and the shared far rows ---------------------------

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from kacou import invariant as inv
+from kacou import quadrature
 from kacou.errors import NoInvariantMeasureError, ParameterError
 from kacou.invariant import (
     empirical_invariant_profile,
@@ -257,3 +259,89 @@ def test_empirical_profile_mirrored_half_line():
     fit = empirical_invariant_profile(ATTRACT_REPEL_10, 100_000, 30.0, 50, seed=31)
     assert fit.pooled < 0.02
     assert fit.per_state is not None and max(fit.per_state) < 0.02
+
+
+# --- the edge search and the quadrature's node tables ------------------------------
+
+HALF_LINE = [(name, model) for name, model, _ in ALL_EXISTING if not inv._require(model).bounded]
+
+
+def reference_search_edge(inside, inner, outer, cap, rel_tol, max_iter):
+    """_search_edge before it stopped at a bracket of adjacent doubles."""
+    while outer < cap and inside(outer):
+        inner, outer = outer, 2.0 * outer
+    for _ in range(max_iter):
+        mid = 0.5 * (inner + outer)
+        if inside(mid):
+            inner = mid
+        else:
+            outer = mid
+        if outer - inner <= rel_tol * outer:
+            break
+    return inner, outer
+
+
+@pytest.mark.parametrize("name, model", HALF_LINE)
+def test_search_edge_stops_at_adjacent_doubles_with_the_same_bracket(name, model, monkeypatch):
+    search = inv._search_edge
+    calls = []
+
+    def compared(inside, *args):
+        new, old = [], []
+        got = search(lambda d: new.append(d) or inside(d), *args)
+        want = reference_search_edge(lambda d: old.append(d) or inside(d), *args)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        # the same points in the same order, only fewer
+        assert new == old[: len(new)]
+        calls.append((args[3], len(new), len(old)))
+        return got
+
+    monkeypatch.setattr(inv, "_search_edge", compared)
+    support_cutoff(model)
+    inv._histogram_range(inv._require(model))
+    empirical_invariant_profile(model, 100, 1.0, 4, seed=3)
+    assert [rel_tol for rel_tol, _, _ in calls] == [1e-9, 1e-3, 1e-3, 0.0]
+    # rel_tol = 0 bisects until the ends are adjacent doubles, then stopped
+    # spending midpoints that rounded to an end
+    _, new, old = calls[-1]
+    assert new < old
+
+
+def reference_level_nodes(h, only_odd):
+    """quadrature._level_nodes before its tables were built once."""
+    k = np.arange(1, int(quadrature._DE_TMAX / h) + 1)
+    if only_odd:
+        k = k[k % 2 == 1]
+    t = k * h
+    u = 0.5 * math.pi * np.sinh(t)
+    e = np.exp(-2.0 * u)
+    dist = 0.5 * 2.0 * e / (1.0 + e)
+    w = 0.5 * math.pi * np.cosh(t) * 4.0 * e / (1.0 + e) ** 2
+    keep = dist > 0.0
+    return dist[keep], w[keep]
+
+
+def _integrals(model):
+    cf = inv._require(model)
+    lo, hi = support_cutoff(model)
+    edges = np.linspace(max(lo, -6.0), min(hi, 6.0), 7)
+    out = [invariant_mass(model), *inv._bin_masses(cf, edges)]
+    if not cf.bounded:
+        out.append(inv._tail_mass(cf, 0.5 * cf.scale))
+    return [float(v).hex() for v in out]
+
+
+@pytest.mark.parametrize("name, model, xs", ALL_EXISTING)
+def test_shared_node_tables_change_no_integral(name, model, xs, monkeypatch):
+    shared = _integrals(model)
+    monkeypatch.setattr(quadrature, "_level_nodes", reference_level_nodes)
+    assert shared == _integrals(model)
+
+
+def test_node_tables_are_read_only():
+    for h, only_odd in ((1.0, False), (0.5, True), (2.0**-12, True)):
+        dist, w = quadrature._level_nodes(h, only_odd)
+        assert quadrature._level_nodes(h, only_odd)[0] is dist
+        for table in (dist, w):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
