@@ -33,15 +33,12 @@ from .model import (
     KacOuModel,
     RegimeTag,
     classify_regime,
-    hitting_time,
     hyper_args,
-    pattern_phi,
     rescale,
     swap_states,
     xi0,
     xi1,
 )
-from .quadrature import gauss_legendre
 from .specfun import LogValue, gauss_2f1_log, kummer_1f1_log
 from .specfun import gauss_2f1_pair_log  # noqa: F401  (bench/tracing.py wraps it here; ROADMAP item 5)
 
@@ -54,17 +51,18 @@ __all__ = [
     "fpt_ode_residual",
 ]
 
-KERNEL_CUT = 16.0 * math.log(10.0)  # integrate until exp(-(q+lam)*tau) < 1e-16
-ORACLE_CORE_NODES = 2001
-ORACLE_TAIL_NODES = 2000
+# nodes of the coarse grid's uniform core and of each geometric tail; the
+# fine grid halves every cell
+ORACLE_CORE_NODES = 1501
+ORACLE_TAIL_NODES = 750
 ORACLE_MAX_ITER = 10_000
+# the grid's tails reach where a row has e^-_TAIL_REACH (1e-16) of its weight
+# left, or this ratio of distances to a repelling level
+_TAIL_REACH = 16.0 * math.log(10.0)
 _TAIL_RATIO_CAP = 1e13
-_QUAD_PANELS = 18
-_QUAD_ORDER = 6
-# rows per operator-setup block: each block's rows x points temporaries
-# (positions, cells, fractions, weights) stay in L2; hitting times and the
-# shared far row are made once per state, outside the blocks
-_ORACLE_BLOCK_ROWS = 256
+# largest log of the range of scales inside one block of the oracle's
+# running sum (a block's terms are scaled by up to e^_SCAN_SPAN)
+_SCAN_SPAN = 600.0
 # residual differences the oracle's Anderson-accelerated solve fits per step
 _ORACLE_ANDERSON_DEPTH = 3
 # nearest an attracting target may come to the attractor it approaches, as
@@ -324,194 +322,178 @@ def running_extremum_prob(q: float, x: float, y: float, initial_state: int, mode
 # ---------------------------------------------------------------------------
 
 
-def _relative_quad_rule():
-    """Composite Gauss-Legendre nodes on (0,1) clustered toward 0."""
-    breaks = [0.0] + [2.0 ** (-k) for k in range(_QUAD_PANELS, -1, -1)]
-    xs, ws = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        x, w = gauss_legendre(_QUAD_ORDER, a, b)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
-_QUAD_X, _QUAD_W = _relative_quad_rule()
-
-
-def _cell_lookup(nodes, core_lo, h, center):
-    """cell(p) == np.searchsorted(nodes, p, side="right") - 1, bitwise, for
-    an array p, read from a bucket table instead of searching the grid.
-
-    A monotone bucket map f sends [core_lo, inf) to buckets of width h
-    centred on the core nodes, and (-inf, core_lo) to geometric buckets in
-    d = center - p > 0, cut from the bit pattern of d, which is monotone in
-    d and piecewise linear in log2(d).  Monotone means f(n) < f(p) implies
-    n < p and f(n) > f(p) implies n > p, so the nodes in earlier buckets
-    lie below p, and p's own bucket decides the rest: one node there is
-    compared with p, and points in buckets holding more nodes (a dense
-    tail inside the core) are searched.  How well f fits the grid changes
-    speed, never a value.
-    """
-    n_core, n_tail = ORACLE_CORE_NODES, 2 * ORACLE_TAIL_NODES
-    inv_h = 1.0 / h
-    bits0 = np.float64(center - core_lo).view(np.int64)
-    width = (np.float64(center - nodes[0]).view(np.int64) - bits0) // n_tail + 1
-
-    def bucket(p):
-        with np.errstate(over="ignore"):  # far positions go to the end buckets
-            f = p - core_lo
-            f *= inv_h
-            f += n_tail + 0.5
-            np.clip(f, n_tail, n_tail + n_core, out=f)
-            b = f.astype(np.intp)
-            low = p < core_lo
-            if low.any():
-                k = ((center - p[low]).view(np.int64) - bits0) // width
-                b[low] = n_tail - 1 - np.minimum(k, n_tail - 1)
-        return b
-
-    counts = np.bincount(bucket(nodes), minlength=n_tail + n_core + 1)
-    below = np.cumsum(counts) - counts - 1  # the last node of earlier buckets
-    crowded = counts > 1
-    # the node of a one-node bucket; nan (never <= p) marks an empty one
-    one = counts == 1
-    single = np.full(counts.size, np.nan)
-    single[one] = nodes[below[one] + 1]
-
-    def cell(p):
-        b = bucket(p)
-        idx = below.take(b) + (single.take(b) <= p)
-        many = crowded.take(b)
-        if many.any():
-            idx[many] = np.searchsorted(nodes, p[many], side="right") - 1
-        return idx
-
-    return cell
-
-
-def _oracle_nodes(model, q, y, lo_needed):
-    """Node set on (-inf, y): uniform core plus geometric tails along any
-    exponentially escaping flow, and the set's cell lookup (see
-    _cell_lookup), as (nodes, cell).
-
-    A repelling level below y is an unstable fixed point of its flow (and a
-    kink of the transforms, since the no-switch hit time jumps to infinity
-    across it); it gets its own node and a geometric tail beneath it.
-    """
-    a, g, lam = model.a_vec, model.gamma_vec, model.lam_vec
-    core_lo = lo_needed
-    for i in range(2):
-        if g[i] != 0.0 and a[i] / g[i] < y:
-            core_lo = min(core_lo, a[i] / g[i])
-        elif g[i] == 0.0 and a[i] < 0.0:
-            tau_max = KERNEL_CUT / (q + lam[i])
-            core_lo = min(core_lo, lo_needed + 3.0 * a[i] * tau_max)
-    span = max(abs(y - core_lo), abs(y - lo_needed), 1e-6 * max(1.0, abs(y)))
+def _oracle_nodes(model, q, y, xs):
+    """Coarse node set on (-inf, y], ending at y: a uniform core from below
+    the lowest query point and every level under y, those points and levels
+    (no cell straddles a fixed point of a flow, and a repelling level is a
+    kink of the transforms), and geometric tails where a flow leaves the
+    core downward, each to where a row has e^-_TAIL_REACH of its weight
+    left or to a distance ratio of _TAIL_RATIO_CAP."""
+    lam = model.lam_vec
+    levels = [c.a / c.gamma if c.gamma != 0.0 else math.nan for c in model.coeffs]
+    below = [r for r in levels if math.isfinite(r) and r < y]
+    core_lo = min([float(np.min(xs)), *below])
+    span = max(y - core_lo, 1e-6 * max(1.0, abs(y)))
     core_lo -= 0.05 * span
-    top = y - 1e-9 * max(1.0, abs(y))
-    nodes = [np.linspace(core_lo, top, ORACLE_CORE_NODES)]
-
-    for i in range(2):
-        if g[i] < 0.0:
-            rho = a[i] / g[i]
-            tau_max = KERNEL_CUT / (q + lam[i])
-            ratio = min(math.exp(min(-g[i] * tau_max, 700.0)), _TAIL_RATIO_CAP)
+    parts = [np.linspace(core_lo, y, ORACLE_CORE_NODES), xs, below]
+    for (a, g), rho, k in zip(((c.a, c.gamma) for c in model.coeffs), levels, q + lam):
+        if g < 0.0 and math.isfinite(rho):
+            ratio = min(math.exp(min(-g * _TAIL_REACH / k, 700.0)), _TAIL_RATIO_CAP)
             scale = max(abs(y - rho), abs(rho - core_lo), 1e-3 * max(1.0, abs(y)))
-            if rho >= y:
-                d_lo = rho - core_lo
-            else:
-                nodes.append(np.array([rho]))
-                d_lo = 1e-9 * scale
+            d_lo = rho - core_lo if rho >= y else 1e-9 * scale
             d_hi = min(max(rho - core_lo, scale) * ratio, _TAIL_RATIO_CAP * scale)
-            tail = rho - np.geomspace(d_lo, d_hi, ORACLE_TAIL_NODES)
-            nodes.append(tail[tail < top])
-    nodes = np.unique(np.concatenate(nodes))
-    # the tail buckets are cut in the distance below the first repelling level
-    center = next((a[i] / g[i] for i in range(2) if g[i] < 0.0), core_lo)
-    h = (top - core_lo) / (ORACLE_CORE_NODES - 1)
-    return nodes, _cell_lookup(nodes, core_lo, h, center)
+            # (a first node at core_lo would round to a second one beside it)
+            parts.append(rho - np.geomspace(d_lo, d_hi, ORACLE_TAIL_NODES)[int(rho >= y) :])
+        elif g > 0.0 and 0.0 <= rho - y < span:
+            # graded toward a level that pulls the flow up into y: the hit
+            # time, and the transforms' log, change with log |rho - x|
+            d_lo = max(rho - y, 1e-9 * span)
+            parts.append(rho - np.geomspace(d_lo, rho - core_lo, ORACLE_TAIL_NODES)[1:-1])
+        elif (drop := g * core_lo - a) > 0.0:  # drifts down out of the core
+            step = span / (ORACLE_CORE_NODES - 1)
+            parts.append(core_lo - np.geomspace(step, max(_TAIL_REACH * drop / k, step), ORACLE_TAIL_NODES))
+    return np.unique(np.concatenate(parts))
 
 
-def _oracle_operator(model, q, y, nodes, cell, state):
-    """One state's renewal equation as ell = first + A ell_other, with the
-    first-passage terms and the quadrature operator A built once per call.
+def _halved(nodes):
+    """nodes with the midpoint of every cell added."""
+    return np.unique(np.concatenate([nodes, 0.5 * nodes[:-1] + 0.5 * nodes[1:]]))
 
-    Row i of A integrates the other state's transform at the flowed
-    positions of nodes[i], each interpolated linearly between the two grid
-    nodes around it (cell finds them, as from _oracle_nodes).  The flow is
-    monotone in tau, so the quadrature points of a row that land in one
-    grid cell are consecutive, and each such run is stored once: its cell's
-    lower node with the run's summed weights on that node and the next (a
-    cell met twice would only make a second run).  The hitting times are
-    found for every node at once; rows are then built _ORACLE_BLOCK_ROWS at
-    a time, and a block whose rows all integrate up to tau_max shares one
-    row of quadrature times, weights and flow factors, made once per call.
 
-    Returns (first, cols, weights, starts), one entry of cols and two of
-    weights per run: (A ell)[i] is the sum of weights[2k] * ell[cols[k]] +
-    weights[2k + 1] * ell[cols[k] + 1] over the runs k of row i, whose
-    weights begin at weights[starts[i]].
+def _b(x):
+    """x / (1 - e^-x), 1 at x = 0."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        return np.where(x == 0.0, 1.0, x / -np.expm1(-x))
+
+
+def _far_share(kap, eps):
+    """Share of a cell's weight that falls on its downstream node.
+
+    A flow crosses a cell in time T with kap = (q + lam) T and eps = gamma T.
+    At a share s of T it has covered w(s) = expm1(-eps s) / expm1(-eps) of
+    the cell, the weight of the linear interpolant on the downstream node,
+    and the share is the mean of w under the density of e^-kap s on [0, 1]:
+    the divided difference (B(eps) - B(-kap)) / (kap + eps) of
+    B(x) = x / (1 - e^-x).  Where |kap + eps| < 1e-5 (a tiny cell, or a
+    repelling state with beta near -1) it is B' at the midpoint.
     """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        share = (_b(eps) - _b(-kap)) / (kap + eps)
+    near = np.abs(kap + eps) < 1e-5
+    if near.any():
+        m = 0.5 * (eps[near] - kap[near])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            slope = (np.expm1(m) - m) / (np.expm1(m) * -np.expm1(-m))
+        # B'(m) = 1/2 + m/6 - m^3/180 + ... where the closed form cancels
+        share[near] = np.where(np.abs(m) < 1e-2, 0.5 + m / 6.0 - m**3 / 180.0, slope)
+    # a crossing time past double range leaves all the weight where it starts
+    return np.where(kap < math.inf, share, 0.0)
+
+
+def _crossing(start, end, vel, g, rho, k):
+    """k times the time for the flow dz/dt = a - g z, at drift vel at start,
+    to reach end (inf for a drift too slow), and the log of the ratio of the
+    distances to rho at end and start: k v log1p(x) / x and log1p(x) with
+    v = (end - start) / vel and x = -g v, or the log of the ratio itself
+    where that is below 1/2 and rho is finite."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v = (end - start) / vel
+        x = -g * np.where(v < math.inf, v, 0.0)
+        log_ratio = np.log1p(np.maximum(x, -0.5))
+        if math.isfinite(rho) and (x < -0.5).any():
+            log_ratio = np.where(x < -0.5, np.log((end - rho) / (start - rho)), log_ratio)
+        return k * v * np.where(x == 0.0, 1.0, log_ratio / x), log_ratio
+
+
+def _oracle_operator(model, q, y, nodes, state):
+    """One state's renewal equation on the grid as ell = first + A ell_other.
+
+    Row x of A integrates lam e^-(q+lam) tau ell(phi_tau(x)) over the
+    holding times tau before the flow from x reaches y, with ell linear
+    between nodes.  The grid splits into runs of nodes whose flow moves the
+    same way, and a node's integral is its own cell's term plus e^-(q+lam)T
+    (T the crossing time) times its downstream node's: a running sum
+    S_j = r_j S_(j-1) + c_j from each run's downstream end, its head.  In
+    the landing point z = phi_tau(x) the weight is
+    (lam / |gamma|) |x - rho|^-beta |z - rho|^(beta-1) dz with
+    beta = (q + lam) / gamma (an exponential when gamma = 0), so a cell's
+    two node weights are closed-form moments of it (see _far_share).  A
+    head hits y (S = 0; the first-passage term is
+    ((y - rho)/(x - rho))^beta), moves into an attracting level (r = 0), or
+    is the lowest node, past which ell is held at its value: that lies in
+    [0, 1], so the closure is off by at most the weight left past the tail.
+    A node at a level stays: its term is lam / (q + lam) ell(level).
+
+    The sum restarts a block wherever the log of the carried products moves
+    by _SCAN_SPAN, and drops the carry at a head or where r < e^-_SCAN_SPAN.
+    Returns (first, down, near, far, scale, blocks): node i's cell term is
+    near[i] ell[i] + far[i] ell[down[i]], over scale[i]; sums[sl] runs
+    through a block (sl, carry, src) in summation order, summed with carry
+    times sums[src] added; then every sum is times scale.
+    """
+    c = model.coeffs[state]
+    a, g = c.a, c.gamma
     lam = model.rates.rate(state)
-    tau_max = KERNEL_CUT / (q + lam)
-    gaps = np.diff(nodes)
-    t_hit = hitting_time(state, nodes, y, model)
-    T = np.minimum(t_hit, tau_max)
-    far = T == tau_max
-    first = np.where(np.isfinite(t_hit), np.exp(-(q + lam) * np.minimum(t_hit, 700.0)), 0.0)
+    k = q + lam
+    n = nodes.size
+    rho = a / g if g != 0.0 else math.inf
+    # the drift at each node, from the distance to a finite level so that it
+    # keeps its digits next to the level
+    vel = -g * (nodes - rho) if math.isfinite(rho) else a - g * nodes
+    step = np.sign(vel).astype(np.intp)
+    down = np.clip(np.arange(n) + step, 0, n - 1)
+    kap, log_ratio = _crossing(nodes, nodes[down], vel, g, rho, k)  # nan where nodes stay
+    total = (lam / k) * -np.expm1(-kap)
+    share = _far_share(kap, -log_ratio)
+    near, far = total * (1.0 - share), total * share
+    r = np.exp(-kap)
+    r[~(kap <= _SCAN_SPAN)] = 0.0
 
-    def kernel(T):
-        """Quadrature times and weights of rows that integrate up to T."""
-        tau = T[:, None] * _QUAD_X[None, :]
-        return tau, T[:, None] * _QUAD_W[None, :] * lam * np.exp(-(q + lam) * tau)
-
-    far_kernel = kernel(np.array([tau_max]))
-    # a row has at most one run per quadrature point
-    starts = np.empty(nodes.size, dtype=np.intp)
-    cols = np.empty(_QUAD_X.size * nodes.size, dtype=np.intp)
-    weights = np.empty(2 * cols.size)
-    lower, upper = weights[0::2], weights[1::2]
-    offset = 0
-    for lo in range(0, nodes.size, _ORACLE_BLOCK_ROWS):
-        rows = slice(lo, lo + _ORACLE_BLOCK_ROWS)
-        tau, weight = far_kernel if far[rows].all() else kernel(T[rows])
-        pos = pattern_phi(state, tau, nodes[rows, None], model)
-
-        idx = cell(pos)
-        # positions that escaped below the grid (cell -1) contribute the
-        # far-field closure 0
-        if idx.min() < 0:
-            weight = np.where(idx < 0, 0.0, weight)
-        np.clip(idx, 0, nodes.size - 2, out=idx)
-        frac = np.subtract(pos, nodes.take(idx), out=pos)
-        frac /= gaps.take(idx)
-        np.clip(frac, 0.0, 1.0, out=frac)
-
-        # a run starts at each row's first point and wherever the cell changes
-        opens = np.empty(idx.shape, dtype=bool)
-        opens[:, 0] = True
-        np.not_equal(idx[:, 1:], idx[:, :-1], out=opens[:, 1:])
-        run = np.flatnonzero(opens)
-        block = slice(offset, offset + run.size)
-        idx.take(run, out=cols[block], mode="clip")
-        np.add.reduceat((weight * frac).ravel(), run, out=upper[block])
-        np.multiply(np.subtract(1.0, frac, out=frac), weight, out=frac)
-        np.add.reduceat(frac.ravel(), run, out=lower[block])
-        starts[rows] = 2 * (offset + np.searchsorted(run, np.arange(0, idx.size, idx.shape[1])))
-        offset += run.size
-    return first, cols[:offset], weights[: 2 * offset], starts
+    first, scale, blocks = np.zeros(n), np.ones(n), []
+    bounds = np.flatnonzero(np.diff(step)) + 1
+    for lo, hi in zip(np.concatenate(([0], bounds)), np.concatenate((bounds, [n]))):
+        move = step[lo]
+        if move == 0:  # nodes at a level
+            near[lo:hi], far[lo:hi], r[lo:hi] = lam / k, 0.0, 0.0
+            continue
+        head = hi - 1 if move > 0 else lo
+        if move > 0 and hi == n:  # the run hits y
+            near[head] = far[head] = 0.0
+            first[lo:hi] = np.exp(-_crossing(nodes[lo:hi], y, vel[lo:hi], g, rho, k)[0])
+        elif move < 0 and lo == 0:  # into the tail
+            near[head], far[head] = lam / k, 0.0
+        else:  # into an attracting level
+            near[head], far[head] = lam / (k + g), lam * g / (k * (k + g))
+        r[head] = 0.0
+        # the run in summation order, from its head
+        run = slice(lo, hi) if move < 0 else slice(hi - 1, lo - 1 if lo else None, -1)
+        kr, rr, sc = kap[run], r[run], scale[run]
+        restart = rr == 0.0
+        level = np.floor(np.cumsum(np.where(restart, _SCAN_SPAN, kr)) / _SCAN_SPAN)
+        starts = np.flatnonzero(restart | (np.diff(level, prepend=-1.0) != 0.0))
+        for b0, b1 in zip(starts, np.append(starts[1:], hi - lo)):
+            if b1 - b0 == 1 and not rr[b0]:
+                continue
+            sc[b0 + 1 : b1] = np.exp(-np.cumsum(kr[b0 + 1 : b1]))
+            if move < 0:
+                sl, src = slice(lo + b0, lo + b1), lo + b0 - 1
+            else:
+                sl, src = slice(hi - 1 - b0, hi - 1 - b1 if hi > b1 else None, -1), hi - b0
+            blocks.append((sl, rr[b0] * scale[src] if rr[b0] else 0.0, src))
+    return first, down, near / scale, far / scale, scale, blocks
 
 
-def _apply_operator(op, values, buf):
-    """first + A values for op from _oracle_operator; buf, at least as long
-    as op's weights, is the gather buffer and is overwritten."""
-    first, cols, weights, starts = op
-    out = buf[: weights.size]
-    pairs = np.empty((values.size - 1, 2))  # row c is (values[c], values[c + 1])
-    pairs[:, 0], pairs[:, 1] = values[:-1], values[1:]
-    pairs.take(cols, axis=0, out=out.reshape(-1, 2), mode="clip")
-    out *= weights
-    sums = np.add.reduceat(out, starts)
+def _apply_operator(op, values):
+    """first + A values for op from _oracle_operator."""
+    first, down, near, far, scale, blocks = op
+    sums = near * values
+    sums += far * values.take(down)
+    for sl, carry, src in blocks:
+        run = sums[sl]
+        np.cumsum(run, out=run)
+        if carry:
+            run += carry * sums[src]
+    sums *= scale
     sums += first
     return sums
 
@@ -520,16 +502,20 @@ def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs, tol: float = 1e-
     """Solve the coupled renewal integral equations on the side of y that
     contains every query point; returns (ell0, ell1) at xs.
 
-    Independent of the hypergeometric route: builds a grid and each state's
-    quadrature operator once, solves the integral system with them and
-    interpolates the query points.  The solve is numpy alone: after one
-    plain sweep from ell1 = 0, Anderson acceleration (see _anderson_solve)
-    finds the fixed point of one sweep, ell0 -> f0 + A0 (f1 + A1 ell0),
-    until a sweep moves no node value by 0.1 * tol; then ell1 = f1 + A1 ell0.
-    (A sweep's change to ell1 is A1 times its change to ell0, and no row of
-    A1 sums its weights >= 0 above 1, so the stop bounds both changes.)  On the `transforms` benchmark curves this takes about 11 operator
-    applications a curve where plain sweeps took about 20: about 18 (plain
-    43) for q < 1 and 8 (plain 8.5) for q >= 1.
+    Independent of the hypergeometric route: numpy and the model's flows
+    alone.  The equations are solved on a coarse grid (see _oracle_nodes)
+    whose nodes include y, every level and every query point, and on the
+    fine grid that halves each of its cells, with each state's operator in
+    the landing point (see _oracle_operator).  Both are O(h^2) off, so the
+    curve is the Richardson value ell_h + (ell_h - ell_2h) / 3, clipped to
+    [0, 1], and |ell_h - ell_2h| / 3 estimates the error of ell_h.
+
+    tol is each grid's fixed-point stop, relative to the values.  From
+    ell1 = 0, Anderson acceleration (see _anderson_solve) finds the fixed
+    point of one Gauss-Seidel sweep, ell1 -> f1 + A1 (f0 + A0 ell1), until
+    a sweep moves no node value by 0.1 * tol of itself, and ell0 comes from
+    the last sweep.  (Its change is A0 times the last change to ell1, and A0
+    has weights >= 0 while ell0 >= A0 ell1, so the stop bounds it too.)
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.size == 0:
@@ -549,38 +535,51 @@ def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs, tol: float = 1e-
         # solve the reflected problem below -y; first-passage laws are
         # invariant under x -> -x
         return fpt_oracle_curve(rescale(model, -1.0), q, -y, -xs, tol)
+    fine, coarse = _oracle_grid_curves(model, q, y, xs, tol)
+    return tuple(np.clip(f + (f - c) / 3.0, 0.0, 1.0) for f, c in zip(fine, coarse))
 
-    nodes, cell = _oracle_nodes(model, q, y, float(np.min(xs)))
-    op0 = _oracle_operator(model, q, y, nodes, cell, 0)
-    op1 = _oracle_operator(model, q, y, nodes, cell, 1)
-    buf = np.empty(max(op0[2].size, op1[2].size))
-    inner_tol = 0.1 * tol
-    # the first sweep from ell1 = 0: every weight is finite and >= 0, so
-    # A0 ell1 sums +0.0s and ell0 = first exactly
+
+def _oracle_grid_curves(model, q, y, xs, tol):
+    """[ell0, ell1] at xs < y on the fine grid and on the coarse grid."""
+    coarse = _oracle_nodes(model, q, y, xs)
+    curves = []
+    for nodes in (_halved(coarse), coarse):
+        ops = [_oracle_operator(model, q, y, nodes, s) for s in (0, 1)]
+        curves.append([np.interp(xs, nodes, ell) for ell in _oracle_solve(*ops, 0.1 * tol)])
+    return curves
+
+
+def _oracle_solve(op0, op1, inner_tol):
+    """Node values (ell0, ell1) of one grid's renewal equations, by the
+    solve described in fpt_oracle_curve."""
+    # the first sweep from ell1 = 0: every weight is finite and >= 0, so A0
+    # ell1 sums +0.0s and ell0 = first exactly
     ell0 = op0[0]
-    ell1 = _apply_operator(op1, ell0, buf)
-    if max(np.max(np.abs(ell0)), np.max(np.abs(ell1))) >= inner_tol:
 
-        def sweep(x):
-            return _apply_operator(op0, _apply_operator(op1, x, buf), buf)
+    def sweep(ell1):
+        nonlocal ell0
+        ell0 = _apply_operator(op0, ell1)
+        return _apply_operator(op1, ell0)
 
-        ell0 = _anderson_solve(sweep, ell0, _apply_operator(op0, ell1, buf), inner_tol)
-        ell1 = _apply_operator(op1, ell0, buf)
-    return np.interp(xs, nodes, ell0), np.interp(xs, nodes, ell1)
+    ell1 = _anderson_solve(sweep, np.zeros(ell0.size), _apply_operator(op1, ell0), inner_tol)
+    return ell0, ell1
 
 
 def _anderson_solve(sweep, x, g, inner_tol):
     """Fixed point of the map sweep, from x and its image g = sweep(x), by
     Anderson acceleration: returns the last plain image sweep(x) once it
-    moves no value of x by inner_tol or more.
+    moves no value of x by inner_tol of the image's value or more.  The stop
+    is relative because values reach 1e-250 and below; below 1e-280, where
+    the terms that make a value reach the subnormal range, it is absolute.
 
     Each step fits the residual r = sweep(x) - x by the differences of the
     last _ORACLE_ANDERSON_DEPTH residuals (least squares, by the normal
     equations) and takes the plain image minus the same combination of
     image differences.  When an accelerated step does not lower the
-    residual's 2-norm, the history is dropped and the next step is plain.
-    The fixed point is a probability, so each step is clipped to [0, 1],
-    where the sweep's terms are all >= 0.
+    residual's 2-norm, the history is dropped and the next step is plain,
+    as it is when the normal equations are singular.  The fixed point is a
+    probability, so each step is clipped to [0, 1], where the sweep's terms
+    are all >= 0.
     """
     depth = _ORACLE_ANDERSON_DEPTH
     # ring buffers of residual and image differences, one row per step
@@ -591,7 +590,7 @@ def _anderson_solve(sweep, x, g, inner_tol):
         if k:
             g = sweep(x)
         r = g - x
-        delta = np.max(np.abs(r))
+        delta = np.max(np.abs(r) / np.maximum(np.abs(g), 1e-280))
         if delta < inner_tol:
             return g
         norm = r @ r
@@ -603,12 +602,16 @@ def _anderson_solve(sweep, x, g, inner_tol):
             held = min(held + 1, depth)
         r_prev, g_prev, norm_prev = r, g, norm
         x, accelerated = g, False
-        if held:
+        # once the residual is at rounding level (its 2-norm below 1e-14 of
+        # the image's) a fit sees only noise, and the steps are plain
+        if held and norm > 1e-28 * (g @ g):
             rows = [(k - i) % depth for i in range(held)]
             gram = d_r @ d_r.T
             try:
                 coef = np.linalg.solve(gram[np.ix_(rows, rows)], (d_r @ r)[rows])
             except np.linalg.LinAlgError:  # a repeated difference: step plainly
+                coef = None
+            if coef is None or not np.isfinite(coef).all():  # or so near singular it overflowed
                 held = 0
                 continue
             mix = np.zeros(depth)

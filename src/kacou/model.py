@@ -467,18 +467,21 @@ def hyper_args(q: float, model: KacOuModel) -> HyperParams:
     beta0_0 = l0 / c0.gamma
     beta1_0 = l1 / c1.gamma
     s = beta0 + beta1
-    # Written so the product vanishes exactly at q = 0 (same rounding on both
-    # factors), which makes the q=0 degeneracy of the transforms exact.
-    p = beta0 * beta1 - beta0_0 * beta1_0
+    # beta0 beta1 - beta0(0) beta1(0), formed without subtracting the two
+    # products: it is of order q where they are of order 1, and it is
+    # exactly 0 at q = 0, which makes the q=0 degeneracy of the transforms
+    # exact
+    p = q * (q + l0 + l1) / c0.gamma / c1.gamma
     if p == 0.0:  # q = 0 collapse: the roots are exactly {0, sum}
         return HyperParams(beta0, beta1, max(s, 0.0), min(s, 0.0))
-    # for q >= 0 the discriminant is at least (beta0_0 + beta1_0)^2 when the
-    # gammas have opposite signs, and 4 beta0_0 beta1_0 > 0 is added when they
-    # agree, so only rounding could take it below 0
-    try:
-        disc = (beta0 - beta1) ** 2 + 4.0 * beta0_0 * beta1_0
-    except OverflowError:  # float ** raises where the square leaves double range
-        disc = math.inf
+    # the discriminant s^2 - 4p = (beta0 - beta1)^2 + 4 beta0(0) beta1(0) as a
+    # sum of two terms >= 0: s^2 - 4p when the gammas have opposite signs
+    # (p < 0; the second form cancels where it vanishes at q = 0), the
+    # second form when they agree (s^2 - 4p cancels at large q)
+    if p < 0.0:
+        disc = s * s - 4.0 * p
+    else:
+        disc = (beta0 - beta1) * (beta0 - beta1) + 4.0 * beta0_0 * beta1_0
     if math.isfinite(disc) and math.isfinite(s) and math.isfinite(p):
         # the root of larger magnitude without cancellation, the other from
         # their product

@@ -1,5 +1,4 @@
-"""Small quadrature toolkit shared by the invariant-measure checks and the
-first-passage oracle.
+"""Small quadrature toolkit for the invariant-measure checks.
 
 The core rule is tanh-sinh (double-exponential): an open rule whose nodes
 crowd toward the endpoints fast enough to absorb integrable power-law
@@ -24,7 +23,6 @@ from .errors import ParameterError
 __all__ = [
     "integrate_de_offsets",
     "integrate_half_line_offsets",
-    "gauss_legendre",
 ]
 
 _DE_TMAX = 6.7  # exp(-2u) underflows and node weights vanish well before this
@@ -104,9 +102,3 @@ def integrate_half_line_offsets(f1, scale: float = 1.0, tol: float = 1e-12) -> f
 
     return integrate_de_offsets(g2, 0.0, 1.0, tol=tol)
 
-
-def gauss_legendre(n: int, a: float = 0.0, b: float = 1.0):
-    """Gauss-Legendre nodes and weights mapped to [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w

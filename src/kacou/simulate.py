@@ -57,10 +57,9 @@ CHUNK = 1 << 14
 # slower (the round's arrays leave the cache)
 _POOL = 4 * CHUNK
 
-CENSOR_NONE = 0
 CENSOR_HORIZON = 1
 CENSOR_SWITCH_CAP = 2
-# censoring reason names, indexed by the codes above
+# censoring reason names, indexed by the codes above (0: not censored)
 REASON_NAMES = ("", "horizon", "switch_cap")
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import time
 
@@ -25,7 +26,7 @@ from kacou.first_passage import (
     laplace_fpt,
     running_extremum_prob,
 )
-from kacou.model import KacOuModel, hitting_time, pattern_phi, rescale, swap_states
+from kacou.model import KacOuModel, hitting_time, rescale, swap_states
 from kacou.rng import stream
 from kacou.simulate import SimCaps, fpt_samples
 
@@ -125,78 +126,146 @@ def test_oracle_rejects_straddling_queries():
         fpt_oracle_curve(ATTRACTING, 1.0, 0.5, np.array([0.25, 0.75]))
 
 
-# --- the oracle's operator against the per-element reference ---------------------
+# --- the oracle's operator against a quadrature referee in tau ---------------
 
 
-def _reference_state_setup(model, q, y, nodes, state):
-    """Every quadrature point of every row kept on its own: positions,
-    weights and the cell each point is interpolated in."""
-    lam = model.rates.rate(state)
-    t_hit = hitting_time(state, nodes, y, model)
-    tau_max = fp.KERNEL_CUT / (q + lam)
-    T = np.minimum(t_hit, tau_max)
-    first = np.where(np.isfinite(t_hit), np.exp(-(q + lam) * np.minimum(t_hit, 700.0)), 0.0)
-
-    tau = T[:, None] * fp._QUAD_X[None, :]
-    weight = T[:, None] * fp._QUAD_W[None, :] * lam * np.exp(-(q + lam) * tau)
-    pos = pattern_phi(state, tau, nodes[:, None], model)
-
-    idx = np.searchsorted(nodes, pos, side="right") - 1
-    np.clip(idx, 0, nodes.size - 2, out=idx)
-    gap = nodes[idx + 1] - nodes[idx]
-    frac = np.clip((pos - nodes[idx]) / gap, 0.0, 1.0)
-    weight = np.where(pos < nodes[0], 0.0, weight)
-    return first, weight, idx, frac
-
-
-def _interp_rows(values, idx, frac):
-    return values[idx] * (1.0 - frac) + values[idx + 1] * frac
-
-
-def _reference_apply(setup, values):
-    """first + A values, every quadrature point interpolated on its own."""
-    first, weight, idx, frac = setup
-    return first + np.sum(weight * _interp_rows(values, idx, frac), axis=1)
-
-
-def _oriented_grid(model, q, y, xs):
-    """The (model, y, lowest point) the oracle solves xs on: the reflected
+def _oracle_side(model, q, y, xs):
+    """The (model, y, query points) the oracle solves xs on: the reflected
     problem when they lie above y."""
     xs = np.asarray(xs, dtype=float)
     if np.all(xs > y):
-        return rescale(model, -1.0), -y, float(np.min(-xs))
-    return model, y, float(np.min(xs))
+        return rescale(model, -1.0), -y, -xs
+    return model, y, xs
+
+
+def _grids(model, q, y, xs):
+    """The oracle's coarse grid and the fine grid halving it, for oriented
+    query points."""
+    coarse = fp._oracle_nodes(model, q, y, xs)
+    return coarse, fp._halved(coarse)
+
+
+def _drift(model, state, x):
+    """-1, 0 or +1: the direction the state's flow moves x."""
+    c = model.coeffs[state]
+    if c.gamma == 0.0:
+        return np.sign(c.a)
+    rho = c.a / c.gamma
+    return np.sign(-c.gamma * (x - rho) if math.isfinite(rho) else c.a - c.gamma * x)
+
+
+def _displacement(model, state):
+    """(s, z) -> phi_s(z) - z for the state's flow dz/dt = a - gamma z, in a
+    form that keeps its digits: from the distance to a finite level, which
+    is exact next to it, and from the drift where there is none."""
+    c = model.coeffs[state]
+    rho = c.a / c.gamma if c.gamma != 0.0 else math.inf
+    if math.isfinite(rho):
+        return lambda s, z: (z - rho) * math.expm1(-c.gamma * s)
+    # z (e^-gamma s - 1) + a s (1 - e^-gamma s) / (gamma s)
+    return lambda s, z: z * math.expm1(-c.gamma * s) + c.a * s * (-math.expm1(-c.gamma * s) / (c.gamma * s) if c.gamma * s else 1.0)
+
+
+def _flow_times(model, state, x, zs):
+    """Times for the state's flow from x to reach zs (inf where it never
+    does): the inverse of z - rho = (x - rho) e^-gamma t, by log1p of the
+    distance ratio less 1, which keeps a target a few ulps from x apart
+    from x (model.hitting_time rounds the log of that ratio to 0 and calls
+    the target unreached), and by the log of the ratio where it is below
+    1/2; the model's hitting time where there is no finite level."""
+    c = model.coeffs[state]
+    rho = c.a / c.gamma if c.gamma != 0.0 else math.inf
+    if not math.isfinite(rho):
+        return hitting_time(state, x, zs, model)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        u = (zs - x) / (x - rho)  # the distance ratio less 1
+        t = -np.where(u < -0.5, np.log((zs - rho) / (x - rho)), np.log1p(u)) / c.gamma
+    return np.where(t > 0.0, t, math.inf)
+
+
+def _reference_value(model, q, y, nodes, state, i, values):
+    """first + (A values) at nodes[i] by scipy.integrate.quad in tau.
+
+    The flow from the node crosses the nodes downstream of it at the model's
+    hitting times; between two crossings the integrand
+    lam e^-(q+lam) tau ell(phi_tau(x)) is smooth, with ell linear between
+    the two nodes, and each piece is one quad.  The flow ends at y (its
+    hit time gives the first-passage term), at a level it approaches
+    forever, or past the lowest node, where ell is held at that node's value.
+    """
+    from scipy.integrate import quad
+
+    lam = model.rates.rate(state)
+    k = q + lam
+    x = nodes[i]
+    direction = _drift(model, state, x)
+    if direction == 0:  # at a level, ell stays at the node's value
+        return quad(lambda t: lam * math.exp(-k * t) * values[i], 0.0, math.inf, epsabs=1e-15, epsrel=1e-12)[0]
+    ahead = np.arange(i + 1, nodes.size) if direction > 0 else np.arange(i - 1, -1, -1)
+    times = _flow_times(model, state, x, nodes[ahead])
+    reached = np.isfinite(times)
+    # a level ends the flow at the first node it never reaches
+    stop = int(np.argmin(reached)) + 1 if not reached.all() else ahead.size
+    path, times = np.concatenate([[i], ahead[:stop]]), np.concatenate([[0.0], times[:stop]])
+    moved = _displacement(model, state)
+
+    total = 0.0
+    for (a, b), (ta, tb) in zip(zip(path[:-1], path[1:]), zip(times[:-1], times[1:])):
+        za, gap, va, vb = nodes[a], nodes[b] - nodes[a], values[a], values[b]
+
+        def piece(t):
+            # the hit times bound the piece to about 2^-52 of themselves, so
+            # in a cell of a few ulps the share covered is held to [0, 1]
+            share = min(max(moved(t - ta, za) / gap, 0.0), 1.0)
+            return lam * math.exp(-k * t) * (va + (vb - va) * share)
+
+        # past 40 / (q + lam) the piece holds e^-40 of the weight left
+        total += quad(piece, ta, min(tb, ta + 40.0 / k), epsabs=1e-15, epsrel=1e-12)[0]
+    first = 0.0
+    if direction > 0 and path[-1] == nodes.size - 1 and math.isfinite(times[-1]):
+        first = math.exp(-k * float(times[-1]))  # the flow hits y
+    elif direction < 0 and path[-1] == 0 and math.isfinite(times[-1]):
+        # past the lowest node ell is held at its value
+        total += quad(lambda t: lam * math.exp(-k * t) * values[0], times[-1], math.inf, epsabs=1e-15, epsrel=1e-12)[0]
+    return first + total
+
+
+def _checked_nodes(nodes, xs, levels, rng):
+    """Indices the referee checks: both ends of the grid, the query points,
+    the nodes around every level and a few random ones."""
+    picks = [0, 1, nodes.size - 2, nodes.size - 1, *np.searchsorted(nodes, xs)]
+    picks += [j for lv in levels for j in np.searchsorted(nodes, lv) + np.arange(-2, 2)]
+    picks += list(rng.integers(0, nodes.size, 4))
+    return sorted({int(np.clip(p, 0, nodes.size - 1)) for p in picks})
+
+
+@contextlib.contextmanager
+def _small_grids():
+    """The oracle's grids with few nodes, so that the referee can integrate
+    a node's whole flow cell by cell."""
+    saved = fp.ORACLE_CORE_NODES, fp.ORACLE_TAIL_NODES
+    fp.ORACLE_CORE_NODES, fp.ORACLE_TAIL_NODES = 31, 16
+    try:
+        yield
+    finally:
+        fp.ORACLE_CORE_NODES, fp.ORACLE_TAIL_NODES = saved
 
 
 def assert_operator_matches_reference(model, q, y, xs):
-    """_apply_operator against the element-by-element referee, both states,
-    on every iterate of the referee's plain Gauss-Seidel sweeps and on
-    random vectors in [0, 1]."""
-    m, y_side, lo = _oriented_grid(model, q, y, xs)
-    nodes, cell = fp._oracle_nodes(m, q, y_side, lo)
-    ops = [fp._oracle_operator(m, q, y_side, nodes, cell, s) for s in (0, 1)]
-    refs = [_reference_state_setup(m, q, y_side, nodes, s) for s in (0, 1)]
-    buf = np.empty(max(op[2].size for op in ops))
-
-    def check(state, values):
-        want = _reference_apply(refs[state], values)
-        np.testing.assert_allclose(fp._apply_operator(ops[state], values, buf), want, rtol=0.0, atol=1e-14)
-        return want
-
-    ell0 = ell1 = np.zeros(nodes.size)
-    for _ in range(fp.ORACLE_MAX_ITER):
-        new0 = check(0, ell1)
-        new1 = check(1, new0)
-        delta = max(np.max(np.abs(new0 - ell0)), np.max(np.abs(new1 - ell1)))
-        ell0, ell1 = new0, new1
-        if delta < 1e-7:
-            break
-    else:
-        raise OracleError("reference did not contract")
-    rng = stream(11, "oracle-operator", nodes.size)
-    for _ in range(3):
+    """_apply_operator against the quadrature referee, both states, on both
+    grids of small size, on a random vector in [0, 1] at the checked nodes."""
+    m, y_side, xs = _oracle_side(model, q, y, xs)
+    with _small_grids():
+        grids = _grids(m, q, y_side, xs)
+    rng = stream(11, "oracle-operator", 0)
+    levels = [c.a / c.gamma for c in m.coeffs if c.gamma != 0.0 and math.isfinite(c.a / c.gamma)]
+    for nodes in grids:
+        values = rng.random(nodes.size)
         for s in (0, 1):
-            check(s, rng.random(nodes.size))
+            got = fp._apply_operator(fp._oracle_operator(m, q, y_side, nodes, s), values)
+            for i in _checked_nodes(nodes, xs, levels, rng):
+                want = _reference_value(m, q, y_side, nodes, s, i, values)
+                assert got[i] == pytest.approx(want, rel=1e-11, abs=1e-14), (s, i, nodes[i])
 
 
 class _Applications:
@@ -217,28 +286,31 @@ class _Applications:
 
 
 def plain_sweep_curve(model, q, y, xs, tol):
-    """``fpt_oracle_curve``'s grid and operators, solved by plain
-    Gauss-Seidel sweeps from ell1 = 0 until no value changes by 0.1 * tol;
-    returns the curve and the applications used (the first sweep's is free:
-    first + A 0 is first)."""
-    m, y_side, lo = _oriented_grid(model, q, y, xs)
-    xs = np.asarray(xs, dtype=float) * (1.0 if m is model else -1.0)
-    nodes, cell = fp._oracle_nodes(m, q, y_side, lo)
-    op0, op1 = (fp._oracle_operator(m, q, y_side, nodes, cell, s) for s in (0, 1))
-    buf = np.empty(max(op0[2].size, op1[2].size))
-    ell0 = ell1 = np.zeros(nodes.size)
-    applications = -1
-    for _ in range(fp.ORACLE_MAX_ITER):
-        new0 = fp._apply_operator(op0, ell1, buf)
-        new1 = fp._apply_operator(op1, new0, buf)
-        applications += 2
-        delta = max(np.max(np.abs(new0 - ell0)), np.max(np.abs(new1 - ell1)))
-        ell0, ell1 = new0, new1
-        if delta < 0.1 * tol:
-            break
-    else:
-        raise OracleError("plain sweeps did not contract")
-    return (np.interp(xs, nodes, ell0), np.interp(xs, nodes, ell1)), applications
+    """``fpt_oracle_curve``'s grids and operators, each grid solved by plain
+    Gauss-Seidel sweeps from ell1 = 0 until no value changes by 0.1 * tol
+    of itself,
+    and the two combined as the curve combines them; returns the curve and
+    the applications used (each first sweep's first is free: first + A 0
+    is first)."""
+    m, y_side, xs = _oracle_side(model, q, y, xs)
+    curves, applications = [], 0
+    for nodes in _grids(m, q, y_side, xs):
+        op0, op1 = (fp._oracle_operator(m, q, y_side, nodes, s) for s in (0, 1))
+        ell0 = ell1 = np.zeros(nodes.size)
+        applications -= 1
+        for _ in range(fp.ORACLE_MAX_ITER):
+            new0 = fp._apply_operator(op0, ell1)
+            new1 = fp._apply_operator(op1, new0)
+            applications += 2
+            delta = max(np.max(np.abs(n - o) / np.maximum(n, 1e-300)) for n, o in ((new0, ell0), (new1, ell1)))
+            ell0, ell1 = new0, new1
+            if delta < 0.1 * tol:
+                break
+        else:
+            raise OracleError("plain sweeps did not contract")
+        curves.append([np.interp(xs, nodes, ell0), np.interp(xs, nodes, ell1)])
+    (c0, c1), (f0, f1) = curves
+    return tuple(np.clip(f + (f - c) / 3.0, 0.0, 1.0) for f, c in ((f0, c0), (f1, c1))), applications
 
 
 def assert_solve_matches_plain_sweeps(model, q, y, xs, tol=1e-12):
@@ -258,10 +330,10 @@ def assert_solve_matches_plain_sweeps(model, q, y, xs, tol=1e-12):
 AR_NODE_BELOW_Y = KacOuModel.from_values(0.6, 1.2, 0.5, 1.0, 0.0, 0.0, 1.0, -2.0)
 # equal levels, one attracting and one repelling state
 DEGENERATE_MIXED = KacOuModel.from_values(1.0, 0.8, 2.0, -1.0, 0.0, 0.0, 2.0, -1.0)
-# the zero-reversion state drifts down: the core grid reaches further below
+# the zero-reversion state drifts down: a geometric tail below the core
 NON_STRICT_DOWN = KacOuModel.from_values(2.0, 1.0, -3.0, 0.0, 0.0, 0.0, 0.0, 1.0)
 # pulled up to 2 and pushed down from 1.5: below y = 1 the repelling state
-# carries positions past the grid's geometric tail, onto the far-field zero
+# carries positions past the grid's geometric tail, onto the closed tail
 PAST_THE_TAIL = KacOuModel.from_values(1.0, 1.0, 6.0, -3.0, 0.0, 0.0, 3.0, -2.0)
 
 
@@ -343,103 +415,104 @@ def test_oracle_error_names_the_sweeps_spent(monkeypatch):
 
 def test_anderson_step_on_a_repeated_difference_falls_back_to_plain(monkeypatch):
     # x -> x + 0.5 repeats its residual, so every difference is 0 and the
-    # normal equations are singular: each step is plain until the sweeps run out
+    # normal equations are singular: each step is plain until the sweeps run
+    # out, the last moving 2.0 to 2.5, by 0.2 of its value
     monkeypatch.setattr(fp, "ORACLE_MAX_ITER", 5)
-    with pytest.raises(OracleError, match=r"in 5 sweeps \(last change 0\.5\)"):
+    with pytest.raises(OracleError, match=r"in 5 sweeps \(last change 0\.2\)"):
         fp._anderson_solve(lambda x: x + 0.5, np.zeros(4), np.full(4, 0.5), 1e-8)
 
 
-# --- the grid's cell lookup and the shared far rows ---------------------------
+# --- the blocked running sum ----------------------------------------------------
 
 
-@st.composite
-def oracle_grids(draw):
-    """A model, rate, threshold and lowest query point for _oracle_nodes,
-    with both states repelling, a zero-reversion state drifting down and
-    equal levels drawn on purpose besides free draws."""
-    kind = draw(st.sampled_from(["free", "both_repelling", "non_strict_down", "equal_levels"]))
-    rates = draw(st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0)))
-    gammas = list(draw(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))))
-    levels = list(draw(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))))
-    if kind == "both_repelling":
-        gammas = [-0.1 - abs(g) for g in gammas]
-    elif kind == "non_strict_down":
-        gammas[0], levels[0] = 0.0, -0.1 - abs(levels[0])
-    elif kind == "equal_levels":
-        gammas = [g if g != 0.0 else 1.0 for g in gammas]
-        levels[1] = levels[0]
-    a = [lv if g == 0.0 else lv * g for lv, g in zip(levels, gammas)]
-    model = KacOuModel.from_values(*rates, *a, 0.0, 0.0, *gammas)
-    y = draw(st.floats(-2.0, 2.0))
-    return model, draw(st.floats(0.3, 30.0)), y, y - draw(st.floats(1e-6, 2.0))
-
-
-@given(
-    grid=oracle_grids(),
-    picks=st.lists(st.integers(0, 10**9), min_size=1, max_size=40),
-    u=st.floats(0.0, 1.0),
-)
-@example(grid=(AR_NODE_BELOW_Y, 0.8, 0.9, -0.2), picks=[0, 5, 10**9], u=0.5)
-@example(grid=(REPELLING, 1.5, 0.2, -0.5), picks=[1, 2], u=0.25)
-@settings(max_examples=60, deadline=None)
-def test_cell_lookup_equals_searchsorted(grid, picks, u):
-    nodes, cell = fp._oracle_nodes(*grid)
-    at = nodes[[p % nodes.size for p in picks]]
-    inside = nodes[:-1] + u * np.diff(nodes)  # one point in every cell
-    g = grid[0].gamma_vec
-    # geometric steps on both sides of each repelling level, through its dense tail
-    levels = [grid[0].a_vec[i] / g[i] for i in range(2) if g[i] < 0.0]
-    near = [lv + s * np.geomspace(1e-13, 10.0, 80) * max(1.0, abs(lv)) for lv in levels for s in (-1.0, 1.0)]
-    beyond = [nodes[0] - 1.0, nodes[0] - 1e300, nodes[-1] + 1e-12, grid[2], 1e300, -math.inf, math.inf]
-    pos = np.concatenate(
-        [at, np.nextafter(at, -math.inf), np.nextafter(at, math.inf), inside, *near, beyond]
-    )
-    want = np.searchsorted(nodes, pos, side="right") - 1
-    assert np.array_equal(cell(pos), want)
-    # the operator looks up rows x points blocks
-    cut = pos.size - pos.size % 3
-    assert np.array_equal(cell(pos[:cut].reshape(3, -1)), want[:cut].reshape(3, -1))
-
-
-@pytest.mark.parametrize(
-    "model, q, y, lo",
-    [(ATTRACTING, 1.0, 0.75, 0.25), (AR_NODE_BELOW_Y, 3.0, -0.4, -1.5), (PAST_THE_TAIL, 0.3, 1.0, -3.0)],
-)
-def test_shared_far_rows_equal_a_row_by_row_build(model, q, y, lo, monkeypatch):
-    nodes, cell = fp._oracle_nodes(model, q, y, lo)
-    shared = [fp._oracle_operator(model, q, y, nodes, cell, s) for s in (0, 1)]
-    # the build must have met a block whose rows all run to tau_max
-    rows = fp._ORACLE_BLOCK_ROWS
-    assert any(
-        (hitting_time(s, nodes[b : b + rows], y, model) >= fp.KERNEL_CUT / (q + model.rates.rate(s))).all()
-        for s in (0, 1)
-        for b in range(0, nodes.size, rows)
-    )
-    monkeypatch.setattr(fp, "_ORACLE_BLOCK_ROWS", 1)  # every row its own block
-    for s in (0, 1):
-        rowwise = fp._oracle_operator(model, q, y, nodes, cell, s)
-        for got, want in zip(shared[s], rowwise):
-            assert np.array_equal(got, want)
+def _running_sum(op, values):
+    """first + A values from op's coefficients by the plain recurrence
+    S = r S_prev + c, one node at a time along each block, where c gathers
+    the pair (the node's value, its downstream node's value) of its cell."""
+    first, down, near, far, scale, blocks = op
+    c = (near * values + far * values[down]) * scale
+    sums = c.copy()  # a node in no block drops its carry: S = c
+    for sl, carry, src in blocks:
+        walk = np.arange(values.size)[sl]
+        prev, r = (sums[src], carry / scale[src]) if carry else (0.0, 0.0)
+        for j, i in enumerate(walk):
+            if j:  # the product carried into node i
+                r = scale[i] / scale[walk[j - 1]]
+            prev = sums[i] = r * prev + c[i]
+    return sums + first
 
 
 @pytest.mark.parametrize("model, q, y, below, above", OPERATOR_CASES)
 def test_pair_gather_equals_two_entries_per_run(model, q, y, below, above):
-    # the operator keeps each run's lower node; its upper node is that + 1
-    for m, y_side, lo in ((model, y, min(below)), (rescale(model, -1.0), -y, -max(above))):
-        nodes, cell = fp._oracle_nodes(m, q, y_side, lo)
-        values = stream(7, "oracle-values", 0).random(nodes.size)
-        for s in (0, 1):
-            op = fp._oracle_operator(m, q, y_side, nodes, cell, s)
-            first, cols, weights, starts = op
-            assert weights.size == 2 * cols.size
-            both = np.stack([cols, cols + 1], axis=1).ravel()
-            want = first + np.add.reduceat(weights * values.take(both), starts)
-            got = fp._apply_operator(op, values, np.empty_like(weights))
-            assert got.tobytes() == want.tobytes()
-            # the first sweep applies state 0's operator to ell1 = 0, which
-            # the sweep skips: first is that application's value exactly
-            zero = fp._apply_operator(op, np.zeros(nodes.size), np.empty_like(weights))
-            assert zero.tobytes() == first.tobytes()
+    # each position's cell gathers two entries, its node's value and its
+    # downstream node's; the blocked sum equals their plain running sum
+    for xs in (below, above):
+        m, y_side, xs = _oracle_side(model, q, y, xs)
+        for nodes in _grids(m, q, y_side, xs):
+            values = stream(7, "oracle-values", 0).random(nodes.size)
+            for s in (0, 1):
+                op = fp._oracle_operator(m, q, y_side, nodes, s)
+                np.testing.assert_allclose(fp._apply_operator(op, values), _running_sum(op, values), rtol=1e-13, atol=1e-300)
+                # the first sweep applies state 0's operator to ell1 = 0, which
+                # the sweep skips: first is that application's value exactly
+                zero = fp._apply_operator(op, np.zeros(nodes.size))
+                assert zero.tobytes() == op[0].tobytes()
+
+
+@pytest.mark.parametrize("q, rate", [(100.0, 1.0), (1e4, 1.0), (0.5, 1e100)])
+def test_running_sum_restarts_where_its_scale_moves_by_the_span(q, rate):
+    # at large q (or a huge rate) the products a run carries leave double
+    # range: its sum restarts a block wherever their log moves by the span,
+    # and drops the carry where one cell's product is below e^-span
+    model = KacOuModel.from_values(rate, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0)
+    nodes = fp._oracle_nodes(model, q, 0.75, np.array([0.05, 0.25]))
+    values = stream(7, "oracle-values", 1).random(nodes.size)
+    ops = [fp._oracle_operator(model, q, 0.75, nodes, s) for s in (0, 1)]
+    for op in ops:
+        assert np.all(np.isfinite(op[2])) and np.all(np.isfinite(op[3]))
+        np.testing.assert_allclose(fp._apply_operator(op, values), _running_sum(op, values), rtol=1e-13, atol=1e-300)
+    # state 0 pulls toward 0 from both sides of it, a run each
+    blocks = ops[0][5]
+    if rate > 1.0:  # every cell drops the carry: nothing is summed
+        assert blocks == []
+    else:
+        assert len(blocks) > 2 and any(carry > 0.0 for _, carry, _ in blocks)
+
+
+# --- the oracle's accuracy against the closed forms ---------------------------------
+
+
+@pytest.mark.parametrize("q", [0.5, 10.0, 37.4, 100.0])
+@pytest.mark.parametrize(
+    "model, y, xs",
+    [
+        (ATTRACTING, 0.75, [0.05, 0.25, 0.5, 0.7]),
+        (ATTRACT_REPEL, -0.5, [-1.4, -0.9, -0.7, -0.55]),
+        (NON_STRICT, 0.8, [-0.5, 0.2, 0.5, 0.75]),
+    ],
+    ids=["attracting", "attraction-repulsion", "non-strict"],
+)
+def test_oracle_is_relatively_accurate(model, y, xs, q):
+    # the README model's values reach 2.6e-61 at q = 100; an absolute
+    # tolerance would pass any curve there
+    curve = fpt_oracle_curve(model, q, y, np.array(xs))
+    for state in (0, 1):
+        closed = np.array([laplace_fpt(FptQuery(q, x, y, state), model) for x in xs])
+        np.testing.assert_allclose(curve[state], closed, rtol=1e-4, atol=0.0)
+
+
+@pytest.mark.parametrize("q", [10.0, 37.4, 100.0])
+@pytest.mark.parametrize("y, xs", [(0.75, [0.05, 0.25, 0.5]), (0.4, [0.6, 0.9])])
+def test_grid_difference_estimates_the_fine_grid_error(y, xs, q):
+    # ell_h and ell_2h are both O(h^2) off, so (ell_h - ell_2h) / 3 is
+    # ell_h's error to leading order
+    m, y_side, oriented = _oracle_side(ATTRACTING, q, y, xs)
+    fine, coarse = fp._oracle_grid_curves(m, q, y_side, oriented, 1e-12)
+    for state in (0, 1):
+        closed = np.array([laplace_fpt(FptQuery(q, x, y, state), ATTRACTING) for x in xs])
+        estimate = np.abs(fine[state] - coarse[state]) / 3.0
+        error = np.abs(fine[state] - closed)
+        assert np.all((0.5 * error <= estimate) & (estimate <= 2.0 * error)), (estimate / error)
 
 
 def test_oracle_rejects_an_empty_query_set():
