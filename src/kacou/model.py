@@ -342,6 +342,8 @@ def hitting_time(state, x, y, model: KacOuModel):
     A slow state (as in pattern_map) takes t = v log1p(u) / u with
     v = (y - x) / (a - gamma y) and u = gamma v, which never forms rho.
     state, x and y are scalars (a float is returned) or broadcastable arrays.
+    A Python int state works out only its own branch; an array of states
+    works out each branch its states take and picks per entry.
     """
     slow_s = _slow_states(model)
     a, g = model.a_vec[state], model.gamma_vec[state]
@@ -349,37 +351,65 @@ def hitting_time(state, x, y, model: KacOuModel):
     y = np.asarray(y, dtype=float)
     if np.ndim(state) == 0 and x.ndim == 0 and y.ndim == 0 and x == y:
         raise ParameterError("hitting_time requires x != y")
-    lin = g == 0.0
-    g_safe = np.where(lin, 1.0, g)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rho = a / g_safe
-        dx, dy = x - rho, y - rho
-        # y = rho gives r = +-inf: the level is reached only in the limit;
-        # a time past double range (a tiny gamma or drift) is inf too
-        r = dx / dy
-        # r = +-0 (x = rho, or an underflow) gives -inf, a time of inf either way
-        log_r = np.log(np.where(r >= 0.0, r, 1.0))
-        # a ratio that under- or overflows (a subnormal x - rho, say) lost its
-        # digits: the log of each finite, nonzero difference of one sign keeps
-        # them, and the differences are exact where they are subnormal
-        if (lost := np.abs(log_r) > -_LOG_TINY).any():
-            lost = lost & np.isfinite(dx) & np.isfinite(dy) & (dx != 0.0) & (dy != 0.0)
-            lost = lost & (np.signbit(dx) == np.signbit(dy))
-            log_r = np.where(lost, np.log(np.abs(dx)) - np.log(np.abs(dy)), log_r)
-        curved = log_r / g_safe
-        straight = (y - x) / np.where(a == 0.0, 1.0, a)
+        if type(state) is int:
+            if slow_s[state]:
+                t = _series_time(a, g, x, y)
+            elif g == 0.0:
+                t = _straight_time(a, x, y)
+            else:
+                t = _log_ratio_time(a, g, x, y)
+        else:
+            lin = g == 0.0
+            t = np.where(lin, _straight_time(a, x, y), _log_ratio_time(a, np.where(lin, 1.0, g), x, y))
+            if any(slow_s) and (slow := np.array(slow_s)[state]).any():
+                t = np.where(slow, _series_time(a, g, x, y), t)
+        if (on := x == y).any():
+            t = np.where(on, 0.0, t)
+    return _result(t, state, x, y)
+
+
+# The branches of hitting_time, each for states that take it (scalars or
+# arrays alike) and each returning inf where its flow never reaches y; the
+# caller holds the floating-point error state.
+
+
+def _log_ratio_time(a, g, x, y):
+    """log((x - rho) / (y - rho)) / gamma for gamma != 0."""
+    rho = a / g
+    dx, dy = x - rho, y - rho
+    # y = rho gives r = +-inf: the level is reached only in the limit;
+    # a time past double range (a tiny gamma or drift) is inf too.  r = +-0
+    # (x = rho, or an underflow) gives a log of -inf and r < 0 a nan: a time
+    # of inf either way
+    log_r = np.log(dx / dy)
+    # a ratio that under- or overflows (a subnormal x - rho, say) lost its
+    # digits: the log of each finite, nonzero difference of one sign keeps
+    # them, and the differences are exact where they are subnormal
+    if (lost := np.abs(log_r) > -_LOG_TINY).any():
+        lost = lost & np.isfinite(dx) & np.isfinite(dy) & (dx != 0.0) & (dy != 0.0)
+        lost = lost & (np.signbit(dx) == np.signbit(dy))
+        log_r = np.where(lost, np.log(np.abs(dx)) - np.log(np.abs(dy)), log_r)
+    curved = log_r / g
     # a positive log-ratio time is reached: r > 1 toward an attractor, 0 < r < 1
     # away from a repeller
-    reached = ~lin & (curved > 0.0)
-    t = np.where(reached, curved, np.where(lin & (a != 0.0) & (straight > 0.0), straight, np.inf))
-    if any(slow_s) and (slow := np.array(slow_s)[state]).any():
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            v = (y - x) / (a - g * y)
-            u = g * v
-            # log((a - gamma x) / (a - gamma y)) / gamma, real only for u > -1
-            slow_t = v * np.where(u == 0.0, 1.0, np.log1p(np.where(u > -1.0, u, 0.0)) / u)
-        t = np.where(slow, np.where((u > -1.0) & (slow_t > 0.0), slow_t, np.inf), t)
-    return _result(np.where(x == y, 0.0, t), state, x, y)
+    return np.where(curved > 0.0, curved, np.inf)
+
+
+def _straight_time(a, x, y):
+    """(y - x) / a for gamma = 0; a = 0 never moves."""
+    straight = (y - x) / np.where(a == 0.0, 1.0, a)
+    return np.where((a != 0.0) & (straight > 0.0), straight, np.inf)
+
+
+def _series_time(a, g, x, y):
+    """v log1p(u) / u for a slow state, with v = (y - x) / (a - gamma y) and
+    u = gamma v."""
+    v = (y - x) / (a - g * y)
+    u = g * v
+    # log((a - gamma x) / (a - gamma y)) / gamma, real only for u > -1
+    slow_t = v * np.where(u == 0.0, 1.0, np.log1p(np.where(u > -1.0, u, 0.0)) / u)
+    return np.where((u > -1.0) & (slow_t > 0.0), slow_t, np.inf)
 
 
 def interval_variance(state, t, model: KacOuModel):

@@ -315,6 +315,38 @@ def test_hitting_time_of_a_fast_state_beside_a_slow_one_keeps_its_log_form():
     assert np.array_equal(hitting_time(np.array([1, 0, 1]), xs, ys, m)[::2], want[::2])
 
 
+# attracting, repelling, flat, slow (both signs) and subnormal reversion
+_HIT_GAMMAS = [0.9, -0.9, 0.0, 1e-12, -1e-12, 1e-310]
+# starts and targets near the levels, on them, subnormal, huge, and a pair
+# next to each other, where the log-ratio loses its digits
+_HIT_POINTS = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1.0, 1.0 + 2.0**-52, 0.5 / 0.9]),
+)
+
+
+@given(
+    st.sampled_from(_HIT_GAMMAS),
+    st.sampled_from(_HIT_GAMMAS),
+    st.sampled_from([0.0, 0.5, -1.0, 1e-300]),
+    st.integers(0, 1),
+    st.lists(_HIT_POINTS, min_size=1, max_size=6),
+    _HIT_POINTS,
+)
+@settings(max_examples=300, deadline=None)
+@example(g0=0.9, g1=0.0, a=0.5, state=0, xs=[5e-324, 1.0], y=-5e-324)  # the lost-digit rescue
+@example(g0=0.0, g1=0.9, a=0.0, state=0, xs=[1.0, 0.0], y=2.0)  # flat and still
+def test_hitting_time_from_an_int_state_is_bitwise_the_array_state_time(g0, g1, a, state, xs, y):
+    m = make(a0=a, a1=-0.5 * a, gamma0=g0, gamma1=g1)
+    xs = np.array(xs)
+    scalar = hitting_time(state, xs, y, m)
+    lanes = hitting_time(np.full(xs.shape, state), xs, y, m)
+    assert scalar.tobytes() == lanes.tobytes()
+    for x, t in zip(xs.tolist(), scalar.tolist()):
+        if x != y:  # and one point at a time
+            assert np.float64(hitting_time(state, x, y, m)).tobytes() == np.float64(t).tobytes()
+
+
 @pytest.mark.parametrize("gamma, t", [(1.0, 1e-7), (1.0, 2.0), (-0.7, 1e-9), (1e-8, 1e3), (-1e-8, 1e4)])
 def test_pattern_phi_keeps_the_level_form(gamma, t):
     # a state that relaxes within its holding times, and any state past
