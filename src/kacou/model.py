@@ -58,6 +58,10 @@ _SERIES_GT = 5e-6
 # its log as a difference of logs instead.
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
+# hitting_time takes the log of a ratio (x - rho) / (y - rho) whose log is
+# below this (the ratio within about 0.67 to 1.5) as log1p((x - y) / (y - rho))
+_NEAR_LOG = 0.4
+
 
 @dataclass(frozen=True)
 class SwitchRates:
@@ -383,17 +387,23 @@ def _log_ratio_time(a, g, x, y):
     # (x = rho, or an underflow) gives a log of -inf and r < 0 a nan: a time
     # of inf either way
     log_r = np.log(dx / dy)
+    size = np.abs(log_r)
+    # next to the target r = 1 + (x - y) / (y - rho) rounds away the digits
+    # of x - y (a time of 1e-16 came out inf), which its log1p keeps
+    if (near := size < _NEAR_LOG).any():
+        log_r = np.where(near, np.log1p((x - y) / dy), log_r)
     # a ratio that under- or overflows (a subnormal x - rho, say) lost its
     # digits: the log of each finite, nonzero difference of one sign keeps
     # them, and the differences are exact where they are subnormal
-    if (lost := np.abs(log_r) > -_LOG_TINY).any():
+    if (lost := size > -_LOG_TINY).any():
         lost = lost & np.isfinite(dx) & np.isfinite(dy) & (dx != 0.0) & (dy != 0.0)
         lost = lost & (np.signbit(dx) == np.signbit(dy))
         log_r = np.where(lost, np.log(np.abs(dx)) - np.log(np.abs(dy)), log_r)
     curved = log_r / g
     # a positive log-ratio time is reached: r > 1 toward an attractor, 0 < r < 1
     # away from a repeller
-    return np.where(curved > 0.0, curved, np.inf)
+    t = np.where(curved > 0.0, curved, np.inf)
+    return t
 
 
 def _straight_time(a, x, y):
@@ -403,13 +413,14 @@ def _straight_time(a, x, y):
 
 
 def _series_time(a, g, x, y):
-    """v log1p(u) / u for a slow state, with v = (y - x) / (a - gamma y) and
-    u = gamma v."""
+    """v log1p(u) / u with v = (y - x) / (a - gamma y) and u = gamma v: the
+    log-ratio time log((a - gamma x) / (a - gamma y)) / gamma without
+    forming rho."""
     v = (y - x) / (a - g * y)
     u = g * v
-    # log((a - gamma x) / (a - gamma y)) / gamma, real only for u > -1
-    slow_t = v * np.where(u == 0.0, 1.0, np.log1p(np.where(u > -1.0, u, 0.0)) / u)
-    return np.where((u > -1.0) & (slow_t > 0.0), slow_t, np.inf)
+    # real only for u > -1
+    t = v * np.where(u == 0.0, 1.0, np.log1p(np.where(u > -1.0, u, 0.0)) / u)
+    return np.where((u > -1.0) & (t > 0.0), t, np.inf)
 
 
 def interval_variance(state, t, model: KacOuModel):

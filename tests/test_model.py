@@ -298,6 +298,29 @@ def test_hitting_time_keeps_the_drift_at_tiny_reversion(gamma):
             assert got == hitting_time(int(s), float(x), float(y), m)
 
 
+@pytest.mark.parametrize("a, gamma", [(1.0, 1.0), (0.3, 2.5), (-0.5, -0.9), (1e-3, 1e-4)])
+@pytest.mark.parametrize("offset", [1e-300, 1e-16, 1e-12, 1e-5, 0.3])
+@pytest.mark.parametrize("y", [0.0, 0.1, -0.7])
+def test_hitting_time_next_to_the_target_keeps_its_digits(a, gamma, offset, y):
+    # log((x - rho) / (y - rho)) rounded the ratio to 1 where x - y is below
+    # eps |y - rho|: from x = -1e-16 to 0 under a = gamma = 1 the time was
+    # inf, and from -1e-15 it was 11% off
+    m = make(a0=a, gamma0=gamma)
+    gap = a / gamma - y
+    # a start the flow carries to y, offset times the gap to rho away (at
+    # least one ulp): beyond y from an attractor, short of it from a repeller
+    toward = math.copysign(math.inf, -gap if gamma > 0.0 else gap)
+    x = y + math.copysign(offset * abs(gap), toward)
+    if x == y:
+        x = math.nextafter(y, toward)
+    want = _mp_hitting_time(a, gamma, x, y)
+    assert math.isfinite(want)
+    assert hitting_time(0, x, y, m) == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert hitting_time(np.array([0, 0]), np.array([x, 2.0 * x]), y, m)[0] == hitting_time(0, x, y, m)
+    assert hitting_time(0, -1e-16, 0.0, make(a0=1.0)) == pytest.approx(1e-16, rel=1e-14)
+    assert hitting_time(0, -1e-15, 0.0, make(a0=1.0)) == pytest.approx(1e-15, rel=1e-14)
+
+
 @pytest.mark.parametrize("gamma, x, y", [(1e-8, 1.0, 0.5), (-1e-8, 0.5, 1.0), (1e-12, 3.0, 1e-6), (1e-12, -1.0, -0.5)])
 def test_hitting_time_at_tiny_reversion_without_drift(gamma, x, y):
     # with a = 0 the slow state still relaxes toward 0, over times near 1 / gamma
