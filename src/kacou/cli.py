@@ -35,12 +35,21 @@ from .invariant import (
 )
 from .model import classify_regime
 from .rng import stream
-from .scaling import SCALED_PAIRS, ConvergenceRow, ScaledPair, ScalingKind, ScalingSpec, convergence_check
+from .scaling import (
+    SCALED_PAIRS,
+    ConvergenceRow,
+    ScaledPair,
+    ScalingKind,
+    ScalingSpec,
+    convergence_check,
+    scaled_model,
+)
 from .simulate import (
     CENSOR_HORIZON,
     CENSOR_SWITCH_CAP,
     REASON_NAMES,
     SimCaps,
+    _is_telegraph,
     evaluate_x,
     fpt_samples,
     mc_laplace_fpt,
@@ -51,7 +60,8 @@ from .simulate import (
 
 # the most lane-segments (one path across one holding time) a `kacou
 # simulate` or `kacou scaling` run may expect to draw, some ten minutes of
-# Monte Carlo, where the README and benchmark configs expect at most 3e8
+# Monte Carlo, where the README and benchmark configs expect at most 3e8; an
+# equal-rate telegraph path, drawn in one step, counts as one
 MAX_LANE_SEGMENTS = 1e11
 
 
@@ -64,8 +74,8 @@ MAX_GRID_POINTS = 1e6
 
 # the most rows one `kacou simulate` path may expect, eval_points + 1 +
 # lambda * horizon: a path is walked by scalar code and held whole while it
-# is written, at about 4.5 us and 200 bytes a row on a 2-vCPU host (7.7 us
-# and 580 bytes with noise), so some 9 s and 400 MB; the README and
+# is written, at about 4.5 us and 200 bytes a row on a 2-vCPU host (about 7 us
+# and 550 bytes with noise), so some 9 s and 400 MB; the README and
 # benchmark configs expect at most about 2,200
 MAX_PATH_ROWS = 2e6
 
@@ -382,9 +392,10 @@ def _cmd_scaling(cfg: RunConfig) -> int:
     t = _positive(cfg, "scaling", "t", 1.0)
     n_list = _numbers(cfg, "scaling", "n_list", default=[10, 100, 1000], count=True)
     n_paths = _count(cfg, "scaling", "n_paths", 100_000, least=2)
-    # the chain at scale index n switches at rates nu n and n
+    # the chain at scale index n switches at rates nu n and n; an equal-rate
+    # telegraph integral draws each path in one step, whatever it switches
     _check_work(
-        sum(n_paths * (1.0 + max(nu, 1.0) * n * t) for n in n_list),
+        sum(n_paths * (1.0 if _is_telegraph(scaled_model(spec, n)) else 1.0 + max(nu, 1.0) * n * t) for n in n_list),
         "scaling.n_paths, scaling.t, scaling.n_list and scaling.nu",
     )
     try:

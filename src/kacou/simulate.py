@@ -7,21 +7,25 @@ exponential pattern exactly and the diffusion transition is the exact
 Gaussian one-step law.  The only randomness is in holding times and normal
 draws: a sampled path draws one normal per constant-coefficient interval,
 and a terminal draw carries its variance given the switch path and draws
-one normal at the end.
+one normal at the end.  (An equal-rate telegraph integral draws its switch
+counts and occupation shares instead; see below.)
 
-First-passage and terminal draws run through one pooled lane kernel.  A
-run is split into fixed-size chunks, each with its own keyed stream (see
-:mod:`kacou.rng`); several chunks' lanes advance together in one chain
-state per round, and each chunk draws one holding time per live lane of its
-own, so a seeded run is bit-identical however its chunks are pooled.  The
-lanes live in buffers kept for the whole run.  Everything runs in the
-calling thread.
+A run is split into fixed-size chunks, each with its own keyed stream (see
+:mod:`kacou.rng`).  First-passage and terminal draws run through one pooled
+lane kernel: several chunks' lanes advance together in one chain state per
+round, and each chunk draws one holding time per live lane of its own, so a
+seeded run is bit-identical however its chunks are pooled.  The lanes live
+in buffers kept for the whole run.  The one exception is a terminal draw of
+an equal-rate telegraph integral, which each chunk takes in one step per
+lane from its exact law, whatever the number of switches.  Everything runs
+in the calling thread.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -137,22 +141,23 @@ def sample_switch_sequence(
     return SwitchSequence(initial_state, np.asarray(times, dtype=float), horizon)
 
 
-def _walk(x, states, dts, model: KacOuModel, noise: dict) -> list[float]:
+def _walk(x, states, dts, model: KacOuModel, kicks=None) -> list[float]:
     """Carry x through consecutive flows: the value after each step
-    phi(states[k], dts[k], .), plus noise[k] for the steps noise holds.
+    phi(states[k], dts[k], .), plus kicks[k] where kicks is given and holds
+    a number there (None where the step draws no normal).
 
     The affine maps of all steps come from one kernel call; a step whose
     growth overflowed the map goes through pattern_phi itself.
     """
     maps = [np.broadcast_to(c, dts.shape).tolist() for c in pattern_map(states, dts, model)]
     out = []
-    for k, (base, shift, factor) in enumerate(zip(*maps)):
+    for k, (base, shift, factor, kick) in enumerate(zip(*maps, kicks or repeat(None))):
         if factor < math.inf:
             x = base + (x - shift) * factor
         else:
             x = pattern_phi(states[k], dts[k], x, model)
-        if k in noise:
-            x = x + noise[k]
+        if kick is not None:
+            x = x + kick
         out.append(x)
     return out
 
@@ -189,7 +194,7 @@ def evaluate_x(seq: SwitchSequence, x0: float, t, model: KacOuModel):
     n_seg = int(seg[-1]) if flat.size else 0
     starts = np.concatenate([[0.0], seq.switch_times[:n_seg]])
     states = (seq.initial_state + np.arange(n_seg + 1)) % 2
-    x_start = np.array([x0] + _walk(x0, states[:-1], np.diff(starts), model, {}))
+    x_start = np.array([x0] + _walk(x0, states[:-1], np.diff(starts), model))
     out = pattern_phi(states[seg], flat - starts[seg], x_start[seg], model)
     return float(out[0]) if times.ndim == 0 else out
 
@@ -223,9 +228,12 @@ def sample_m_path(
     states = (seq.initial_state + np.cumsum(at_switch) - at_switch) % 2
     var = interval_variance(states, dts, model)
     drawn = np.flatnonzero((dts > 0.0) & (var > 0.0))
-    kicks = np.sqrt(var[drawn]) * rng.standard_normal(drawn.size)
-    noise = dict(zip(drawn.tolist(), kicks.tolist()))
-    return np.array(_walk(x0, states, dts, model, noise))[~at_switch]
+    # per step its normal kick, None where none is drawn: a list of slots
+    # holds the kicks in about a third of the memory a dict by step took
+    kicks = [None] * dts.size if drawn.size else None
+    for k, kick in zip(drawn.tolist(), (np.sqrt(var[drawn]) * rng.standard_normal(drawn.size)).tolist()):
+        kicks[k] = kick
+    return np.array(_walk(x0, states, dts, model, kicks))[~at_switch]
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +422,8 @@ def terminal_values(
     with_noise) at time t; initial_state may be 0, 1 or "stationary".
     t must be finite and >= 0, and x0 finite.  A repelling flow may carry a
     noise-free draw to +-inf; with noise, a mean or variance past double
-    range raises DoubleRangeError.
+    range raises DoubleRangeError.  An equal-rate telegraph integral is
+    drawn from its exact law instead (see _telegraph_values).
 
     A lane carries its position and time left, and is written out in the
     round whose holding time ends after t.  With noise it also carries its
@@ -486,9 +495,63 @@ def terminal_values(
         values[lanes] += np.sqrt(variance[lanes]) * rng.standard_normal(lanes.stop - lanes.start)
 
     p0 = stationary_state_dist(model.rates)[0] if initial_state == "stationary" else None
+    if t > 0.0 and _is_telegraph(model):
+        return _telegraph_values(model, float(x0), float(t), n, seed, initial_state, p0, purpose)
     start = (float(x0), float(t)) + ((0.0,) if noisy else ())
     state = initial_state if p0 is None else 0
     _lane_pool(model, n, seed, purpose, state, start, advance, p0, chunk_done=chunk_done if noisy else None)
+    return TerminalSample(values, states)
+
+
+def _is_telegraph(model: KacOuModel) -> bool:
+    """Whether the model is an equal-rate telegraph integral: no reversion
+    and no noise in either state, and lambda0 == lambda1.  terminal_values
+    then draws each lane in O(1), whatever the number of switches."""
+    return model.rates.lambda0 == model.rates.lambda1 and all(c.gamma == 0.0 and c.b == 0.0 for c in model.coeffs)
+
+
+# numpy's Poisson sampler refuses a mean above this (its POISSON_LAM_MAX)
+_POISSON_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
+
+def _telegraph_values(model, x0, t, n, seed, initial_state, p0, purpose) -> TerminalSample:
+    """Terminal draws of an equal-rate telegraph integral at t > 0.
+
+    At equal rates the switches form a Poisson process whatever the state,
+    so a lane's N ~ Poisson(lambda t) switches split [0, t] into N + 1
+    intervals whose lengths are uniform spacings.  The k0 of them spent in
+    state 0 (alternating from the start state) then add up to
+    T0 = t Beta(k0, N + 1 - k0), exactly 0 or t when k0 is 0 or N + 1
+    (Kac 1974), and the lane ends at x0 + t (a0 f + a1 (1 - f)) with
+    f = T0 / t, in state start + N mod 2.  Each chunk draws from its own
+    stream: the starts (0 with probability p0), the switch counts, then the
+    Beta fractions of the lanes that visit both states.
+    """
+    lam_t = model.rates.lambda0 * t
+    if not lam_t <= _POISSON_MAX:
+        raise ParameterError(
+            f"the telegraph draw expects lambda t = {lam_t:.3g} switches, past the {_POISSON_MAX:.3g} its Poisson sampler takes"
+        )
+    a0, a1 = model.coeffs[0].a, model.coeffs[1].a
+    values, states = np.empty(n), np.empty(n, dtype=np.int64)
+    for lo in range(0, n, CHUNK):
+        size = min(CHUNK, n - lo)
+        rng = stream(seed, purpose, replicate=lo // CHUNK)
+        start = (rng.random(size) >= p0).astype(np.int64) if p0 is not None else np.full(size, initial_state)
+        switches = rng.poisson(lam_t, size)
+        k0 = (switches + 2 - start) // 2  # ceil((N + 1) / 2) from state 0, floor from state 1
+        k1 = switches + 1 - k0
+        frac = (k1 == 0).astype(float)
+        both = np.flatnonzero((k0 > 0) & (k1 > 0))
+        frac[both] = rng.beta(k0[both], k1[both])
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            x = x0 + t * (a0 * frac + a1 * (1.0 - frac))
+        if not np.isfinite(x).all():
+            raise DoubleRangeError(
+                f"telegraph draws leave double range at t = {t} from x0 = {x0}, initial_state = {initial_state!r}"
+            )
+        values[lo : lo + size] = x
+        states[lo : lo + size] = (start + switches) % 2
     return TerminalSample(values, states)
 
 

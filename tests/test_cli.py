@@ -586,9 +586,10 @@ def test_scaling_moments_beyond_double_range_exit_2(tmp_path, capsys, kind, key,
 @pytest.mark.parametrize(
     "command, overrides, keys",
     [
-        # about 1e10 switches a path: this ran for minutes
-        ("scaling", ["scaling.t=1e9"], "scaling.n_paths, scaling.t, scaling.n_list and scaling.nu"),
-        ("scaling", ["scaling.n_list=1e9"], "scaling.n_paths, scaling.t, scaling.n_list and scaling.nu"),
+        # about 1e10 switches a path: this ran for minutes (at nu = 2, since
+        # an equal-rate telegraph integral draws each path in one step)
+        ("scaling", ["scaling.nu=2", "scaling.t=1e9"], "scaling.n_paths, scaling.t, scaling.n_list and scaling.nu"),
+        ("scaling", ["scaling.nu=2", "scaling.n_list=1e9"], "scaling.n_paths, scaling.t, scaling.n_list and scaling.nu"),
         ("simulate", ["simulate.mode=path", "simulate.horizon=1e12"], "simulate.n_paths, simulate.horizon"),
         (
             "simulate",
@@ -608,6 +609,36 @@ def test_runaway_monte_carlo_is_refused_up_front(tmp_path, capsys, command, over
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and keys in err and "lane-segments" in err
     assert not os.path.exists(out)
+
+
+TELEGRAPH_LONG = ["scaling.kind=kac_classic", "scaling.delta=0", "scaling.t=1e9", "scaling.n_list=10, 1000"]
+
+
+def test_equal_rate_telegraph_scaling_counts_one_lane_segment_a_path(tmp_path):
+    # about 1e12 switches a path at n = 1000: refused as 1e16 lane-segments
+    # while the telegraph integral was walked switch by switch
+    path, out = write_cfg(tmp_path)
+    argv = ["scaling", "--config", path]
+    for item in TELEGRAPH_LONG:
+        argv += ["--set", item]
+    t0 = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - t0 < 10.0
+    rows = [line.split(",") for line in open(os.path.join(out, "scaling.csv")).read().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["10", "1000"]
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+def test_telegraph_switch_count_past_the_poisson_sampler_exits_1(tmp_path, capsys):
+    # lambda t = 1e20 switches: numpy's Poisson sampler raised a bare ValueError
+    path, out = write_cfg(tmp_path)
+    argv = ["scaling", "--config", path]
+    for item in TELEGRAPH_LONG[:-2] + ["scaling.t=1e17", "scaling.n_list=1000"]:
+        argv += ["--set", item]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Poisson" in err and err.count("\n") == 1
+    assert not os.path.exists(os.path.join(out, "scaling.csv"))
 
 
 def test_path_mode_rows_are_refused_up_front(tmp_path, capsys):

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.stats import ks_2samp
+from scipy.special import betainc
+from scipy.stats import ks_2samp, kstwo, poisson
 
 import kacou.simulate
 from kacou.errors import DoubleRangeError, ParameterError
@@ -1033,3 +1035,129 @@ def test_samplers_need_a_known_initial_state(state):
         fpt_samples(ATTRACTING, 0.2, 0.8, state, 10, seed=1)
     with pytest.raises(ParameterError, match="initial_state"):
         fpt_samples(ATTRACTING, 0.2, 0.8, "stationary", 10, seed=1)
+
+
+# --- equal-rate telegraph integrals -------------------------------------------------
+#
+# With gamma = b = 0 in both states and lambda0 == lambda1, terminal_values
+# draws each lane from the exact law instead of walking its switches.  The
+# referee is that law's CDF: the switch count N is Poisson(lambda t), the
+# state-0 share f of [0, t] is Beta(k0, N + 1 - k0) given N (a point mass at
+# 0 or 1 where one state holds all N + 1 intervals), and X_t = x0 + t (a1 +
+# (a0 - a1) f).  The parameters put both point masses on exact doubles:
+# x0 + t a1 = -1 and x0 + t a0 = 3.5.
+
+TELEGRAPH_X0, TELEGRAPH_T = 0.5, 2.0
+TELEGRAPH_A = (1.5, -0.75)
+
+
+def _telegraph_model(lam):
+    return KacOuModel.from_values(lam, lam, *TELEGRAPH_A, 0.0, 0.0, 0.0, 0.0)
+
+
+def telegraph_cdf(lam, initial_state, xs):
+    """P(X_t <= x) and P(X_t < x) at each x, for a start state of 0, 1 or
+    "stationary" (each with probability 1/2 at equal rates)."""
+    if initial_state == "stationary":
+        parts = [telegraph_cdf(lam, s, xs) for s in (0, 1)]
+        return tuple(0.5 * (p + q) for p, q in zip(*parts))
+    a0, a1 = TELEGRAPH_A
+    u = (np.asarray(xs) - TELEGRAPH_X0 - TELEGRAPH_T * a1) / (TELEGRAPH_T * (a0 - a1))
+    mean = lam * TELEGRAPH_T
+    at, below = np.zeros(u.size), np.zeros(u.size)
+    for n_sw in range(int(mean + 20.0 * math.sqrt(mean)) + 30):  # the rest weighs below 1e-20
+        w = poisson.pmf(n_sw, mean)
+        k0 = (n_sw + 2 - initial_state) // 2
+        k1 = n_sw + 1 - k0
+        if k0 == 0 or k1 == 0:  # the point mass at f = 0 or f = 1
+            edge = 0.0 if k0 == 0 else 1.0
+            at += w * (u >= edge)
+            below += w * (u > edge)
+        else:
+            part = betainc(k0, k1, np.clip(u, 0.0, 1.0))
+            at += w * part
+            below += w * part
+    return at, below
+
+
+def ks_pvalue_with_atoms(values, initial_state, lam):
+    """Kolmogorov p-value of a sample against telegraph_cdf.  The distance is
+    taken on both sides of each sample point, so point masses count exactly;
+    the continuous law's p-value is then conservative."""
+    xs, counts = np.unique(values, return_counts=True)
+    upto = np.cumsum(counts) / values.size
+    at, below = telegraph_cdf(lam, initial_state, xs)
+    d = max(np.abs(upto - at).max(), np.abs(upto - counts / values.size - below).max())
+    return kstwo.sf(d, values.size)
+
+
+@pytest.mark.parametrize("lam", [1.5, 1e-3])  # lambda t = 3, and 2e-3 where N = 0 almost always
+@pytest.mark.parametrize("initial_state", [0, 1, "stationary"])
+def test_telegraph_draws_match_the_exact_law(lam, initial_state):
+    model = _telegraph_model(lam)
+    n = CHUNK + 3_000
+    got = terminal_values(model, TELEGRAPH_X0, TELEGRAPH_T, n, seed=12, initial_state=initial_state, purpose="law")
+    assert ks_pvalue_with_atoms(got.values, initial_state, lam) > 1e-3
+    # the end state follows the switch count, whose parity the position also carries
+    want = run_reference(
+        n,
+        13,
+        "law",
+        lambda sz, rng: reference_terminal_chunk(model, TELEGRAPH_X0, TELEGRAPH_T, sz, rng, False, initial_state),
+    )
+    assert ks_pvalue_with_atoms(want[0], initial_state, lam) > 1e-3
+    assert ks_2samp(got.values, want[0]).pvalue > 1e-3
+    for s in (0, 1):
+        assert ks_2samp(got.values[got.states == s], want[0][want[1] == s]).pvalue > 1e-3
+    if lam == 1e-3:  # a lane with no switch ends exactly at x0 + t a_start, in its start state
+        still = got.values == (3.5 if initial_state == 0 else -1.0)
+        assert initial_state == "stationary" or still.mean() > 0.99
+        assert np.all(got.states[got.values == 3.5] == 0) and np.all(got.states[got.values == -1.0] == 1)
+
+
+def test_telegraph_draws_skip_the_lane_pool(monkeypatch):
+    # one step per lane: 1e8 switches a path would take the pool for ever
+    def refuse(*args, **kwargs):
+        raise AssertionError("walked the switches")
+
+    monkeypatch.setattr(kacou.simulate, "_lane_pool", refuse)
+    sample = terminal_values(_telegraph_model(1e8), 0.0, 1.0, 2 * CHUNK + 5, seed=3, initial_state="stationary")
+    mean, var = exact_moments(_telegraph_model(1e8), 0.0, 1.0, "stationary")
+    assert abs(sample.values.mean() - mean) < 5.0 * math.sqrt(var / sample.values.size)
+    again = terminal_values(_telegraph_model(1e8), 0.0, 1.0, 2 * CHUNK + 5, seed=3, initial_state="stationary")
+    assert sample.values.tobytes() == again.values.tobytes() and sample.states.tobytes() == again.states.tobytes()
+    # each chunk keeps its own stream: the first chunk's lanes do not depend on n
+    head = terminal_values(_telegraph_model(1e8), 0.0, 1.0, CHUNK, seed=3, initial_state="stationary")
+    assert head.values.tobytes() == sample.values[:CHUNK].tobytes()
+
+
+def test_telegraph_switch_count_past_the_poisson_sampler_raises():
+    with pytest.raises(ParameterError, match="Poisson"):
+        terminal_values(_telegraph_model(1e10), 0.0, 1e9, 10, seed=1)
+
+
+def test_telegraph_draws_past_double_range_raise():
+    model = KacOuModel.from_values(1.0, 1.0, 1e308, -1e308, 0.0, 0.0, 0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # the mean velocity stays within +-1e308, so over t = 1 every draw is a double
+        assert np.isfinite(terminal_values(model, 0.0, 1.0, 2_000, seed=1).values).all()
+        with pytest.raises(DoubleRangeError, match=r"t = 3\.0 from x0 = 0\.0"):
+            terminal_values(model, 0.0, 3.0, 2_000, seed=1)
+
+
+def test_noisy_path_memory_stays_near_the_noise_free_path():
+    # the kicks were kept in a dict by step: 1.74 times the noise-free peak
+    # per row, where a list of slots takes about 1.2
+    peaks = []
+    for b in (0.0, 0.5):
+        model = KacOuModel.from_values(1.0, 1.0, 0.0, 1.0, b, b, 1.0, 1.0)
+        seq = sample_switch_sequence(model.rates, 0, 100.0, stream(1, "memory"))
+        times = np.linspace(0.0, 100.0, 20_001)
+        tracemalloc.start()
+        try:
+            sample_m_path(seq, 0.2, times, model, stream(2, "memory-noise"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.35 * peaks[0]
