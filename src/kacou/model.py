@@ -389,7 +389,8 @@ def _log_ratio_time(a, g, x, y):
     log_r = np.log(dx / dy)
     size = np.abs(log_r)
     # next to the target r = 1 + (x - y) / (y - rho) rounds away the digits
-    # of x - y (a time of 1e-16 came out inf), which its log1p keeps
+    # of x - y, which its log1p keeps (a start 1e-16 from y must not read as
+    # a time of 0, which counts as unreached)
     if (near := size < _NEAR_LOG).any():
         log_r = np.where(near, np.log1p((x - y) / dy), log_r)
     # a ratio that under- or overflows (a subnormal x - rho, say) lost its
@@ -402,8 +403,7 @@ def _log_ratio_time(a, g, x, y):
     curved = log_r / g
     # a positive log-ratio time is reached: r > 1 toward an attractor, 0 < r < 1
     # away from a repeller
-    t = np.where(curved > 0.0, curved, np.inf)
-    return t
+    return np.where(curved > 0.0, curved, np.inf)
 
 
 def _straight_time(a, x, y):

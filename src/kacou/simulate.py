@@ -229,7 +229,7 @@ def sample_m_path(
     var = interval_variance(states, dts, model)
     drawn = np.flatnonzero((dts > 0.0) & (var > 0.0))
     # per step its normal kick, None where none is drawn: a list of slots
-    # holds the kicks in about a third of the memory a dict by step took
+    # keeps a noisy path's memory near a noise-free one's
     kicks = [None] * dts.size if drawn.size else None
     for k, kick in zip(drawn.tolist(), (np.sqrt(var[drawn]) * rng.standard_normal(drawn.size)).tolist()):
         kicks[k] = kick
@@ -530,7 +530,8 @@ def _telegraph_values(model, x0, t, n, seed, initial_state, p0, purpose) -> Term
     lam_t = model.rates.lambda0 * t
     if not lam_t <= _POISSON_MAX:
         raise ParameterError(
-            f"the telegraph draw expects lambda t = {lam_t:.3g} switches, past the {_POISSON_MAX:.3g} its Poisson sampler takes"
+            f"the telegraph draw expects lambda t = {lam_t:.3g} switches, "
+            f"past the {_POISSON_MAX:.3g} its Poisson sampler takes"
         )
     a0, a1 = model.coeffs[0].a, model.coeffs[1].a
     values, states = np.empty(n), np.empty(n, dtype=np.int64)

@@ -583,13 +583,16 @@ def test_scaling_moments_beyond_double_range_exit_2(tmp_path, capsys, kind, key,
     assert not os.path.exists(out)
 
 
+SCALING_WORK_KEYS = "scaling.n_paths, scaling.t, scaling.n_list and scaling.nu"
+
+
 @pytest.mark.parametrize(
     "command, overrides, keys",
     [
         # about 1e10 switches a path: this ran for minutes (at nu = 2, since
         # an equal-rate telegraph integral draws each path in one step)
-        ("scaling", ["scaling.nu=2", "scaling.t=1e9"], "scaling.n_paths, scaling.t, scaling.n_list and scaling.nu"),
-        ("scaling", ["scaling.nu=2", "scaling.n_list=1e9"], "scaling.n_paths, scaling.t, scaling.n_list and scaling.nu"),
+        ("scaling", ["scaling.nu=2", "scaling.t=1e9"], SCALING_WORK_KEYS),
+        ("scaling", ["scaling.nu=2", "scaling.n_list=1e9"], SCALING_WORK_KEYS),
         ("simulate", ["simulate.mode=path", "simulate.horizon=1e12"], "simulate.n_paths, simulate.horizon"),
         (
             "simulate",
