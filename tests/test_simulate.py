@@ -1098,7 +1098,6 @@ def test_telegraph_draws_match_the_exact_law(lam, initial_state):
     n = CHUNK + 3_000
     got = terminal_values(model, TELEGRAPH_X0, TELEGRAPH_T, n, seed=12, initial_state=initial_state, purpose="law")
     assert ks_pvalue_with_atoms(got.values, initial_state, lam) > 1e-3
-    # the end state follows the switch count, whose parity the position also carries
     want = run_reference(
         n,
         13,
@@ -1107,12 +1106,12 @@ def test_telegraph_draws_match_the_exact_law(lam, initial_state):
     )
     assert ks_pvalue_with_atoms(want[0], initial_state, lam) > 1e-3
     assert ks_2samp(got.values, want[0]).pvalue > 1e-3
-    for s in (0, 1):
+    for s in (0, 1):  # and jointly with the end state
         assert ks_2samp(got.values[got.states == s], want[0][want[1] == s]).pvalue > 1e-3
-    if lam == 1e-3:  # a lane with no switch ends exactly at x0 + t a_start, in its start state
-        still = got.values == (3.5 if initial_state == 0 else -1.0)
-        assert initial_state == "stationary" or still.mean() > 0.99
-        assert np.all(got.states[got.values == 3.5] == 0) and np.all(got.states[got.values == -1.0] == 1)
+    if lam == 1e-3 and initial_state != "stationary":
+        # a lane with no switch ends exactly at x0 + t a_start, in its start state
+        at_start = got.values == (3.5 if initial_state == 0 else -1.0)
+        assert at_start.mean() > 0.99 and np.all(got.states[at_start] == initial_state)
 
 
 def test_telegraph_draws_skip_the_lane_pool(monkeypatch):
