@@ -63,8 +63,10 @@ _TAIL_RATIO_CAP = 1e13
 # largest log of the range of scales inside one block of the oracle's
 # running sum (a block's terms are scaled by up to e^_SCAN_SPAN)
 _SCAN_SPAN = 600.0
-# residual differences the oracle's Anderson-accelerated solve fits per step
-_ORACLE_ANDERSON_DEPTH = 3
+# residual differences the oracle's Anderson-accelerated solve fits per step:
+# a window of 3 forgets too fast where plain sweeps speed up as they go (a
+# state that cannot move, flows that carry every node toward y)
+_ORACLE_ANDERSON_DEPTH = 8
 # nearest an attracting target may come to the attractor it approaches, as
 # a share of the gap: sqrt(eps), where one rounding of its coordinate moves
 # the transform by beta sqrt(eps) relative (the direct series could not
@@ -575,9 +577,11 @@ def _anderson_solve(sweep, x, g, inner_tol):
     Each step fits the residual r = sweep(x) - x by the differences of the
     last _ORACLE_ANDERSON_DEPTH residuals (least squares, by the normal
     equations) and takes the plain image minus the same combination of
-    image differences.  When an accelerated step does not lower the
-    residual's 2-norm, the history is dropped and the next step is plain,
-    as it is when the normal equations are singular.  The fixed point is a
+    image differences.  When an accelerated step shrinks the residual's
+    2-norm by no more than the last plain step did, the history is dropped
+    and the next step is plain, as it is when the normal equations are
+    singular: where plain sweeps converge faster than geometrically, a fit
+    to older differences falls behind them.  The fixed point is a
     probability, so each step is clipped to [0, 1], where the sweep's terms
     are all >= 0.
     """
@@ -585,7 +589,8 @@ def _anderson_solve(sweep, x, g, inner_tol):
     # ring buffers of residual and image differences, one row per step
     d_r = np.zeros((depth, x.size))
     d_g = np.zeros((depth, x.size))
-    held, accelerated = 0, False
+    # the 2-norm ratio of the last plain step's residual to the one before
+    held, accelerated, plain_rate = 0, False, 1.0
     for k in range(ORACLE_MAX_ITER):
         if k:
             g = sweep(x)
@@ -594,7 +599,9 @@ def _anderson_solve(sweep, x, g, inner_tol):
         if delta < inner_tol:
             return g
         norm = r @ r
-        if accelerated and norm >= norm_prev:
+        if k and not accelerated and norm_prev > 0.0:
+            plain_rate = norm / norm_prev
+        if accelerated and norm >= plain_rate * norm_prev:
             held = 0
         elif k:
             np.subtract(r, r_prev, out=d_r[k % depth])
@@ -602,9 +609,11 @@ def _anderson_solve(sweep, x, g, inner_tol):
             held = min(held + 1, depth)
         r_prev, g_prev, norm_prev = r, g, norm
         x, accelerated = g, False
-        # once the residual is at rounding level (its 2-norm below 1e-14 of
-        # the image's) a fit sees only noise, and the steps are plain
-        if held and norm > 1e-28 * (g @ g):
+        # once the residual is at rounding level (its 2-norm below 1e-15, a
+        # few roundings, of the image's) a fit sees only noise, and the
+        # steps are plain; a higher floor leaves plain steps to finish a
+        # tight tol where small values still carry a relative residual
+        if held and norm > 1e-30 * (g @ g):
             rows = [(k - i) % depth for i in range(held)]
             gram = d_r @ d_r.T
             try:

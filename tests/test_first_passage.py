@@ -384,6 +384,14 @@ def test_oracle_operator_next_to_the_threshold(model):
     d=st.floats(1e-6, 2.0),
     above=st.booleans(),
 )
+# plain sweeps that speed up as they go, where a 3-deep window took more
+# applications than they did: state 0 cannot move (142 against 138)
+@example(rates=(3.0, 2.5), gammas=(0.0, 0.25), levels=(0.0, 0.0), q=0.5, y=1.0, d=1.0, above=True)
+# state 0 is pulled to y itself and state 1 barely drifts (86 against 82)
+@example(rates=(1.0, 2.0), gammas=(1.0, 0.0), levels=(0.0, 5.960464477539063e-08), q=1.0, y=0.0, d=1e-06, above=False)
+# both states are pulled to a level 1.7e-15 past y; an 8-deep window with a
+# floor on the fit at 1e-14 of the image's 2-norm took 148 against 144
+@example(rates=(1.0, 1.0), gammas=(1.0, 1.0), levels=(0.0, 0.0), q=0.375, y=-1.6992231217259597e-15, d=1.0, above=False)
 @settings(max_examples=25, deadline=None)
 def test_oracle_operator_matches_reference_on_drawn_models(rates, gammas, levels, q, y, d, above):
     # gamma = 0 draws a linear state with drift `level`; otherwise the level
