@@ -544,16 +544,19 @@ def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs, tol: float = 1e-
 def _oracle_grid_curves(model, q, y, xs, tol):
     """[ell0, ell1] at xs < y on the fine grid and on the coarse grid."""
     coarse = _oracle_nodes(model, q, y, xs)
+    fine = _halved(coarse)
+    # the two solves' Anderson histories, sized for the fine grid
+    history = np.empty((2, _ORACLE_ANDERSON_DEPTH * fine.size))
     curves = []
-    for nodes in (_halved(coarse), coarse):
+    for nodes in (fine, coarse):
         ops = [_oracle_operator(model, q, y, nodes, s) for s in (0, 1)]
-        curves.append([np.interp(xs, nodes, ell) for ell in _oracle_solve(*ops, 0.1 * tol)])
+        curves.append([np.interp(xs, nodes, ell) for ell in _oracle_solve(*ops, 0.1 * tol, history)])
     return curves
 
 
-def _oracle_solve(op0, op1, inner_tol):
+def _oracle_solve(op0, op1, inner_tol, history):
     """Node values (ell0, ell1) of one grid's renewal equations, by the
-    solve described in fpt_oracle_curve."""
+    solve described in fpt_oracle_curve; history as in _anderson_solve."""
     # the first sweep from ell1 = 0: every weight is finite and >= 0, so A0
     # ell1 sums +0.0s and ell0 = first exactly
     ell0 = op0[0]
@@ -563,11 +566,11 @@ def _oracle_solve(op0, op1, inner_tol):
         ell0 = _apply_operator(op0, ell1)
         return _apply_operator(op1, ell0)
 
-    ell1 = _anderson_solve(sweep, np.zeros(ell0.size), _apply_operator(op1, ell0), inner_tol)
+    ell1 = _anderson_solve(sweep, np.zeros(ell0.size), _apply_operator(op1, ell0), inner_tol, history)
     return ell0, ell1
 
 
-def _anderson_solve(sweep, x, g, inner_tol):
+def _anderson_solve(sweep, x, g, inner_tol, history):
     """Fixed point of the map sweep, from x and its image g = sweep(x), by
     Anderson acceleration: returns the last plain image sweep(x) once it
     moves no value of x by inner_tol of the image's value or more.  The stop
@@ -584,11 +587,16 @@ def _anderson_solve(sweep, x, g, inner_tol):
     to older differences falls behind them.  The fixed point is a
     probability, so each step is clipped to [0, 1], where the sweep's terms
     are all >= 0.
+
+    history holds at least 2 x _ORACLE_ANDERSON_DEPTH x x.size doubles, so
+    that a curve's two solves share one allocation.
     """
     depth = _ORACLE_ANDERSON_DEPTH
-    # ring buffers of residual and image differences, one row per step
-    d_r = np.zeros((depth, x.size))
-    d_g = np.zeros((depth, x.size))
+    # ring buffers of residual and image differences, one row per step; the
+    # fit reads every row, so each starts at 0
+    d_r, d_g = (h[: depth * x.size].reshape(depth, x.size) for h in history)
+    d_r.fill(0.0)
+    d_g.fill(0.0)
     # the 2-norm ratio of the last plain step's residual to the one before
     held, accelerated, plain_rate = 0, False, 1.0
     for k in range(ORACLE_MAX_ITER):

@@ -238,10 +238,22 @@ def _result(value, *inputs):
     return float(value) if all(np.ndim(v) == 0 for v in inputs) else value
 
 
-def _slow_states(model: KacOuModel) -> list[bool]:
-    """Per state, whether |gamma| / lambda is below _SERIES_GT (gamma = 0 is
-    not slow): the flow and the hitting time then avoid rho = a / gamma."""
-    return [0.0 < abs(c.gamma) < _SERIES_GT * model.rates.rate(i) for i, c in enumerate(model.coeffs)]
+def _series_bounds(model: KacOuModel) -> list[float]:
+    """Per state, the |gamma| t below which its flow takes the form
+    a t phi(gamma t) + x exp(-gamma t), which never forms rho = a / gamma:
+    inf for a state whose level a / gamma is past double range, _SERIES_GT
+    for a slow state (|gamma| / lambda below _SERIES_GT) and 0 for every
+    other state, gamma = 0 included.  hitting_time takes its rho-free form
+    in every state whose bound is above 0."""
+    bounds = []
+    for i, c in enumerate(model.coeffs):
+        if c.gamma == 0.0:
+            bounds.append(0.0)
+        elif not math.isfinite(c.a / c.gamma):
+            bounds.append(math.inf)
+        else:
+            bounds.append(_SERIES_GT if abs(c.gamma) < _SERIES_GT * model.rates.rate(i) else 0.0)
+    return bounds
 
 
 def pattern_map(state, t, model: KacOuModel):
@@ -254,12 +266,15 @@ def pattern_map(state, t, model: KacOuModel):
     one whose |gamma| / lambda is below _SERIES_GT (it relaxes by less than
     that over a mean holding time, so rho lies over 2e5 mean drifts away or
     past double range), takes (a t phi(gamma t), 0, exp(-gamma t)) where
-    |gamma| t < _SERIES_GT, with phi as in interval_variance.  A factor of
+    |gamma| t < _SERIES_GT, with phi as in interval_variance, and a state
+    whose level a / gamma is past double range takes it at every t; where
+    its a t phi(gamma t) leaves double range too, DoubleRangeError is
+    raised.  A factor of
     inf marks repelling growth beyond double range, which pattern_phi
     resolves from x.  state and t are scalars or broadcastable arrays, and
     the three outputs broadcast against them.
 
-    A Python int state that is not slow, with every t > 0 and no growth
+    A Python int state that never takes the series form, with every t > 0 and no growth
     near double range, takes a scalar path: rho and rho (or 0 when
     gamma = 0) come back as floats, the factor (or a t) as the only array,
     with the same bits the general path gives.
@@ -268,7 +283,8 @@ def pattern_map(state, t, model: KacOuModel):
     t_min = t.min() if t.size else 0.0
     if t_min < 0.0:
         raise ParameterError(f"pattern time must be >= 0, got {t_min}")
-    if type(state) is int and t_min > 0.0 and not _slow_states(model)[state]:
+    bounds = _series_bounds(model)
+    if type(state) is int and t_min > 0.0 and not bounds[state]:
         c = model.coeffs[state]
         if c.gamma == 0.0:  # no drift stays put, over an infinite t too
             return (c.a * t if c.a else np.full_like(t, c.a)), 0.0, 1.0
@@ -279,18 +295,18 @@ def pattern_map(state, t, model: KacOuModel):
     # levels and rates per state, so each lane costs one gather apiece
     a_s, g_s = model.a_vec, model.gamma_vec
     lin_s = g_s == 0.0
-    slow_s = _slow_states(model)
-    # a slow state's rho may overflow, and a flat state's factor over an
-    # infinite t is nan (replaced by 1 below)
+    # rho may overflow where the series form replaces it, and a flat
+    # state's factor over an infinite t is nan (replaced by 1 below)
     with np.errstate(over="ignore", invalid="ignore"):
         factor = np.exp((-g_s)[state] * t)
         base = shift = (a_s / np.where(lin_s, 1.0, g_s))[state]
-    if any(slow_s) and (slow := np.array(slow_s)[state]).any():
+    if any(bounds) and (bound := np.array(bounds)[state]).any():
         gt = g_s[state] * t
-        series = slow & (np.abs(gt) < _SERIES_GT)
-        with np.errstate(invalid="ignore"):  # phi's 0/0 is replaced by 1
+        series = np.abs(gt) < bound
+        # phi's 0/0 is replaced by 1; a t past double range is checked below
+        with np.errstate(invalid="ignore", over="ignore"):
             phi = np.where(gt == 0.0, 1.0, -np.expm1(-gt) / gt)
-        base = np.where(series, a_s[state] * t * phi, base)
+            base = np.where(series, a_s[state] * t * phi, base)
         shift = np.where(series, 0.0, shift)
     if lin_s.any() and (lin := lin_s[state]).any():
         a = a_s[state]
@@ -301,6 +317,13 @@ def pattern_map(state, t, model: KacOuModel):
         still = t == 0.0
         base = np.where(still, -0.0, base)
         shift = np.where(still, 0.0, shift)
+    if math.inf in bounds:  # no level to flow toward within double range
+        past = (bound == math.inf) & ~np.isfinite(base)
+        if past.any():
+            at = np.broadcast_to(t, past.shape)[past][0]
+            raise DoubleRangeError(
+                f"the flow leaves double range at t = {at}: its level a / gamma is past double range"
+            )
     return base, shift, factor
 
 
@@ -343,67 +366,100 @@ def hitting_time(state, x, y, model: KacOuModel):
     half-line branch of the renewal integral equations), never an overflow.
     Scalar x == y raises ParameterError; in arrays an entry already at y
     gets 0, so a Monte Carlo lane that lands on its target hits at once.
-    A slow state (as in pattern_map) takes t = v log1p(u) / u with
-    v = (y - x) / (a - gamma y) and u = gamma v, which never forms rho.
+    A state whose flow takes its rho-free form (see pattern_map) takes
+    t = v log1p(u) / u with v = (y - x) / (a - gamma y) and u = gamma v,
+    which never forms rho.  Any other state with gamma != 0 takes
+    log((x - rho) / (y - rho)) / gamma, with log1p((x - y) / (y - rho))
+    for the log next to the target; where that ratio underflows to 0 with
+    x != y (x - y below about 2e-308 |y - rho|), the rho-free form keeps
+    the time.
     state, x and y are scalars (a float is returned) or broadcastable arrays.
-    A Python int state works out only its own branch; an array of states
-    works out each branch its states take and picks per entry.
+    A Python int state works out only its own branch, in one array of its
+    own, with y - rho a scalar where y is; an array of states works out
+    each branch its states take and picks per entry, with the same bits.
     """
-    slow_s = _slow_states(model)
-    a, g = model.a_vec[state], model.gamma_vec[state]
+    series_s = _series_bounds(model)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.ndim(state) == 0 and x.ndim == 0 and y.ndim == 0 and x == y:
         raise ParameterError("hitting_time requires x != y")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if type(state) is int:
-            if slow_s[state]:
-                t = _series_time(a, g, x, y)
-            elif g == 0.0:
-                t = _straight_time(a, x, y)
+            c = model.coeffs[state]
+            y_s = float(y) if y.ndim == 0 else y  # a scalar target stays a Python float
+            if series_s[state]:
+                t = _series_time(c.a, c.gamma, x, y_s)
+            elif c.gamma == 0.0:
+                t = _straight_time(c.a, x, y_s)
             else:
-                t = _log_ratio_time(a, g, x, y)
+                t = _log_ratio_time(c.a, c.gamma, x, y_s)
         else:
-            lin = g == 0.0
-            t = np.where(lin, _straight_time(a, x, y), _log_ratio_time(a, np.where(lin, 1.0, g), x, y))
-            if any(slow_s) and (slow := np.array(slow_s)[state]).any():
-                t = np.where(slow, _series_time(a, g, x, y), t)
+            a, g = model.a_vec[state], model.gamma_vec[state]
+            t = _log_ratio_time(a, np.where(g == 0.0, 1.0, g), x, y)
+            if (lin := g == 0.0).any():
+                np.copyto(t, _straight_time(a, x, y), where=lin)
+            if any(series_s) and (slow := np.array(series_s)[state] > 0.0).any():
+                np.copyto(t, _series_time(a, g, x, y), where=slow)
         if (on := x == y).any():
-            t = np.where(on, 0.0, t)
+            np.copyto(t, 0.0, where=on)
     return _result(t, state, x, y)
 
 
 # The branches of hitting_time, each for states that take it (scalars or
-# arrays alike) and each returning inf where its flow never reaches y; the
-# caller holds the floating-point error state.
+# arrays alike) and each returning a fresh array, inf where its flow never
+# reaches y; the caller holds the floating-point error state.
+
+
+def _entries(v, shape, at):
+    """v's entries at the flat indices `at` of `shape`, or v itself if a scalar."""
+    return v if np.ndim(v) == 0 else np.broadcast_to(v, shape).reshape(-1).take(at)
 
 
 def _log_ratio_time(a, g, x, y):
-    """log((x - rho) / (y - rho)) / gamma for gamma != 0."""
+    """log((x - rho) / (y - rho)) / gamma for gamma != 0, worked out in its
+    output array and one scratch array; log1p, the lost-digit rescue and
+    the rho-free form run only on the entries that need them."""
     rho = a / g
-    dx, dy = x - rho, y - rho
+    dy = y - rho
+    t = np.subtract(x, rho, out=np.empty(np.broadcast_shapes(np.shape(x), np.shape(dy))))
     # y = rho gives r = +-inf: the level is reached only in the limit;
     # a time past double range (a tiny gamma or drift) is inf too.  r = +-0
     # (x = rho, or an underflow) gives a log of -inf and r < 0 a nan: a time
     # of inf either way
-    log_r = np.log(dx / dy)
-    size = np.abs(log_r)
-    # next to the target r = 1 + (x - y) / (y - rho) rounds away the digits
-    # of x - y, which its log1p keeps (a start 1e-16 from y must not read as
-    # a time of 0, which counts as unreached)
-    if (near := size < _NEAR_LOG).any():
-        log_r = np.where(near, np.log1p((x - y) / dy), log_r)
+    t /= dy
+    np.log(t, out=t)
+    size = np.abs(t, out=np.empty_like(t))
+    near = np.less(size, _NEAR_LOG, out=np.empty(t.shape, dtype=bool))
     # a ratio that under- or overflows (a subnormal x - rho, say) lost its
-    # digits: the log of each finite, nonzero difference of one sign keeps
-    # them, and the differences are exact where they are subnormal
-    if (lost := size > -_LOG_TINY).any():
-        lost = lost & np.isfinite(dx) & np.isfinite(dy) & (dx != 0.0) & (dy != 0.0)
-        lost = lost & (np.signbit(dx) == np.signbit(dy))
-        log_r = np.where(lost, np.log(np.abs(dx)) - np.log(np.abs(dy)), log_r)
-    curved = log_r / g
+    # digits (a nan size is looked at too, and never matches)
+    lost = None if size.max(initial=0.0) <= -_LOG_TINY else np.flatnonzero(size > -_LOG_TINY)
+    under = None
+    if near.any():
+        # next to the target r = 1 + (x - y) / (y - rho) rounds away the
+        # digits of x - y, which its log1p keeps (a start 1e-16 from y must
+        # not read as a time of 0, which counts as unreached)
+        u = np.subtract(x, y, out=size)
+        u /= dy
+        np.log1p(u, out=t, where=near)
+        # past that u underflows to 0, which reads as unreached; the
+        # rho-free form below keeps the time
+        if not u.all():
+            under = np.flatnonzero((u == 0.0) & near & (x != y))
+    if lost is not None:
+        # the log of each finite, nonzero difference of one sign keeps the
+        # digits, and the differences are exact where they are subnormal
+        dx_l = np.broadcast_to(_entries(x, t.shape, lost) - _entries(rho, t.shape, lost), lost.shape)
+        dy_l = np.broadcast_to(_entries(dy, t.shape, lost), lost.shape)
+        keep = np.isfinite(dx_l) & np.isfinite(dy_l) & (dx_l != 0.0) & (dy_l != 0.0)
+        keep &= np.signbit(dx_l) == np.signbit(dy_l)
+        t.reshape(-1)[lost[keep]] = np.log(np.abs(dx_l[keep])) - np.log(np.abs(dy_l[keep]))
+    t /= g
     # a positive log-ratio time is reached: r > 1 toward an attractor, 0 < r < 1
     # away from a repeller
-    return np.where(curved > 0.0, curved, np.inf)
+    np.copyto(t, np.inf, where=np.logical_not(np.greater(t, 0.0, out=near), out=near))
+    if under is not None and under.size:
+        t.reshape(-1)[under] = _series_time(*(_entries(v, t.shape, under) for v in (a, g, x, y)))
+    return t
 
 
 def _straight_time(a, x, y):

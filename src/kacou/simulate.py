@@ -19,6 +19,13 @@ in buffers kept for the whole run.  The one exception is a terminal draw of
 an equal-rate telegraph integral, which each chunk takes in one step per
 lane from its exact law, whatever the number of switches.  Everything runs
 in the calling thread.
+
+A first-passage round does only the work its lanes need.  Where every live
+lane starts and ends strictly on the start side of the target (two
+reductions tell), no lane can have met it, and the crossing test, the hit
+times and their bookkeeping are skipped.  The hit times of the lanes that
+may have crossed come from model.hitting_time, which works them out in one
+array of its own; this module takes no logarithm itself.
 """
 
 from __future__ import annotations
@@ -353,7 +360,13 @@ def fpt_samples(
     caps: SimCaps = SimCaps(),
     purpose: str = "fpt",
 ) -> FptSampleBatch:
-    """n independent first-passage draws (vectorized, chunked, reproducible)."""
+    """n independent first-passage draws (vectorized, chunked, reproducible).
+
+    Each round moves the live lanes across a holding time, takes the hit
+    times of those that may have met y from hitting_time, and censors lanes
+    at the horizon and at the switch cap; see the module docstring for the
+    rounds that skip the crossing work.
+    """
     _check_finite(x=x, y=y)
     if initial_state not in (0, 1):
         raise ParameterError(f"initial_state must be 0 or 1, got {initial_state!r}")
@@ -364,37 +377,64 @@ def fpt_samples(
     censored = np.zeros(n, dtype=bool)
     reason = np.zeros(n, dtype=np.uint8)
 
-    work = np.empty((3, min(n, _POOL)))  # per round: next positions, time left, crossing test
+    # per round: next positions, time left and the crossing test, and the
+    # flags of lanes that cannot have met y and of finished lanes
+    work = np.empty((3, min(n, _POOL)))
+    flags = np.empty((2, min(n, _POOL)), dtype=bool)
+    below = x < y  # the side of y every live lane starts on
 
     def advance(s, dt, idx, cols, capped):
         xs, ts = cols  # position and elapsed time
         nxt, rem, side = work[:, : xs.size]  # xs is needed until the lanes are checked
+        stays, over = flags[:, : xs.size]
         _flow(s, dt, xs, nxt, model)
-        # a pattern is monotone, so a lane can reach y only where nxt - y
-        # lacks the strict sign of xs - y; scaling by that sign cannot
-        # overflow, and nan counts as a crossing, so such a lane is checked
-        np.subtract(xs, y, out=rem)
-        np.sign(rem, out=rem)
-        np.subtract(nxt, y, out=side)
-        side *= rem
-        crossed = np.flatnonzero(~(side > 0.0))
-        np.subtract(caps.horizon, ts, out=rem)
-        th = hitting_time(s, xs.take(crossed), y, model)
-        dt_crossed = dt.take(crossed)
-        hit = th < dt_crossed
+        # a pattern is monotone, so a lane that starts and ends strictly on
+        # the start side of y has not met it, and where every lane does, no
+        # lane is checked; a nan, an inf past y or a lane on y rules that out
+        if below:
+            start = xs.max() < y
+            away = start and nxt.max() < y
+        else:
+            start = xs.min() > y
+            away = start and nxt.min() > y
+        if not away:
+            if start:  # a lane stays where nxt is strictly on the start side
+                (np.less if below else np.greater)(nxt, y, out=stays)
+            else:
+                # a lane stays where nxt - y has the strict sign of xs - y;
+                # scaling by that sign cannot overflow, and nan counts as a
+                # crossing, so such a lane is checked
+                np.subtract(xs, y, out=rem)
+                np.sign(rem, out=rem)
+                np.subtract(nxt, y, out=side)
+                side *= rem
+                np.greater(side, 0.0, out=stays)
+            crossed = np.flatnonzero(np.logical_not(stays, out=stays))
+            th = hitting_time(s, xs.take(crossed), y, model)
+            dt_crossed = dt.take(crossed)
+            hit = th < dt_crossed
 
         # censored: the lane meets neither y nor a switch before the horizon,
-        # which needs at least a holding time that outlasts it
-        over = dt >= rem
-        if over.any():
-            over[crossed] = np.minimum(th, dt_crossed) >= rem.take(crossed)
-            hit &= ~over.take(crossed)
-            oi = idx[over]
-            times[oi], censored[oi], reason[oi] = caps.horizon, True, CENSOR_HORIZON
+        # which needs at least a holding time that outlasts it; no lane can
+        # while the longest holding time ends before the oldest lane's horizon
+        if dt.max() < caps.horizon - ts.max():
+            over.fill(False)
+        else:
+            np.subtract(caps.horizon, ts, out=rem)
+            if np.greater_equal(dt, rem, out=over).any():
+                if not away:
+                    over[crossed] = np.minimum(th, dt_crossed) >= rem.take(crossed)
+                    hit &= ~over.take(crossed)
+                oi = idx[over]
+                times[oi], censored[oi], reason[oi] = caps.horizon, True, CENSOR_HORIZON
 
-        hits = crossed[hit]
-        times[idx.take(hits)] = ts.take(hits) + th[hit]
-        over[hits] = True  # now marks every finished lane
+        if not away:
+            if hit.all():  # every crossed lane hit: no compression
+                hits = crossed
+            else:
+                hits, th = crossed[hit], th[hit]
+            times[idx.take(hits)] = ts.take(hits) + th
+            over[hits] = True  # now marks every finished lane
         ts += dt
         if capped:  # the lanes still running at their chunk's switch cap
             cut = np.flatnonzero(~over[:capped])

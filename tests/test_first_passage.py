@@ -427,7 +427,8 @@ def test_anderson_step_on_a_repeated_difference_falls_back_to_plain(monkeypatch)
     # out, the last moving 2.0 to 2.5, by 0.2 of its value
     monkeypatch.setattr(fp, "ORACLE_MAX_ITER", 5)
     with pytest.raises(OracleError, match=r"in 5 sweeps \(last change 0\.2\)"):
-        fp._anderson_solve(lambda x: x + 0.5, np.zeros(4), np.full(4, 0.5), 1e-8)
+        history = np.full((2, fp._ORACLE_ANDERSON_DEPTH * 4), np.nan)
+        fp._anderson_solve(lambda x: x + 0.5, np.zeros(4), np.full(4, 0.5), 1e-8, history)
 
 
 # --- the blocked running sum ----------------------------------------------------

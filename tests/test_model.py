@@ -321,6 +321,24 @@ def test_hitting_time_next_to_the_target_keeps_its_digits(a, gamma, offset, y):
     assert hitting_time(0, -1e-15, 0.0, make(a0=1.0)) == pytest.approx(1e-15, rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "a, gamma, x, y",
+    [(1e-3, 1e-4, -5e-324, 0.0), (-1e-3, -1e-4, 5e-324, 0.0), (2e-3, 1e-4, -1.5e-323, 5e-324), (5e-3, 1e-3, -1e-323, 0.0)],
+)
+def test_hitting_time_from_a_start_whose_ratio_to_the_target_underflows(a, gamma, x, y):
+    # (x - y) / (y - rho) underflowed to 0 before its log1p, so the time read
+    # as inf: from -5e-324 to 0 under a = 1e-3, gamma = 1e-4 the flow takes
+    # 4.94e-321.  The time is subnormal, so it is right to the last subnormal
+    m = make(a0=a, gamma0=gamma)
+    want = _mp_hitting_time(a, gamma, x, y)
+    assert 0.0 < want < math.inf
+    assert hitting_time(0, x, y, m) == pytest.approx(want, rel=1e-14, abs=5e-324)
+    lanes = hitting_time(np.array([0, 0, 0]), np.array([x, y, 1.0]), y, m)
+    assert lanes[0] == hitting_time(0, x, y, m)
+    assert lanes[1] == 0.0
+    assert hitting_time(0, np.array([x, y]), y, m).tobytes() == lanes[:2].tobytes()
+
+
 @pytest.mark.parametrize("gamma, x, y", [(1e-8, 1.0, 0.5), (-1e-8, 0.5, 1.0), (1e-12, 3.0, 1e-6), (1e-12, -1.0, -0.5)])
 def test_hitting_time_at_tiny_reversion_without_drift(gamma, x, y):
     # with a = 0 the slow state still relaxes toward 0, over times near 1 / gamma
@@ -359,6 +377,7 @@ _HIT_POINTS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @example(g0=0.9, g1=0.0, a=0.5, state=0, xs=[5e-324, 1.0], y=-5e-324)  # the lost-digit rescue
 @example(g0=0.0, g1=0.9, a=0.0, state=0, xs=[1.0, 0.0], y=2.0)  # flat and still
+@example(g0=1e-4, g1=0.9, a=1e-3, state=0, xs=[-5e-324, 1.0], y=0.0)  # (x - y) / (y - rho) underflows
 def test_hitting_time_from_an_int_state_is_bitwise_the_array_state_time(g0, g1, a, state, xs, y):
     m = make(a0=a, a1=-0.5 * a, gamma0=g0, gamma1=g1)
     xs = np.array(xs)
@@ -368,6 +387,38 @@ def test_hitting_time_from_an_int_state_is_bitwise_the_array_state_time(g0, g1, 
     for x, t in zip(xs.tolist(), scalar.tolist()):
         if x != y:  # and one point at a time
             assert np.float64(hitting_time(state, x, y, m)).tobytes() == np.float64(t).tobytes()
+
+
+# a state that is not slow (its rate is tinier still) with rho = a / gamma
+# past double range, beside an ordinary one
+LEVEL_PAST_RANGE = {
+    "attracting": KacOuModel.from_values(1e-300, 1.0, 1e300, 0.0, 0.0, 0.0, 1e-10, 1.0),
+    "repelling": KacOuModel.from_values(1e-300, 1.0, -1e300, 0.0, 0.0, 0.0, -1e-10, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_PAST_RANGE))
+def test_flow_of_a_state_whose_level_is_past_double_range(name):
+    # rho = +-inf gave nan: pattern_phi(0, 1.0, 0.0) on the attracting model
+    # was nan where the flow reaches about 1e300
+    m = LEVEL_PAST_RANGE[name]
+    a, gamma = m.coeffs[0].a, m.coeffs[0].gamma
+    for t in (1e-300, 1e-6, 1.0, 1e3, 1e8):
+        for x in (0.0, 2.5, -1e299, 1e299):
+            want = _mp_flow(a, gamma, t, x)
+            assert pattern_phi(0, t, x, m) == pytest.approx(want, rel=1e-14, abs=0.0)
+            assert pattern_phi(np.array([0, 1]), t, x, m)[0] == pattern_phi(0, t, x, m)
+    assert pattern_phi(1, 1.0, 0.0, m) == 0.0  # the other state keeps its level form
+    # past double range the flow itself is no number
+    for t in (1e9, math.inf):
+        with pytest.raises(DoubleRangeError, match="leaves double range"):
+            pattern_phi(0, t, 0.0, m)
+        with pytest.raises(DoubleRangeError, match="leaves double range"):
+            pattern_map(np.array([1, 0]), t, m)
+    # and the hitting time avoids rho too
+    y = math.copysign(1e299, a)
+    assert hitting_time(0, 0.0, y, m) == pytest.approx(_mp_hitting_time(a, gamma, 0.0, y), rel=1e-13, abs=0.0)
+    assert hitting_time(np.array([0]), np.array([0.0]), y, m)[0] == hitting_time(0, 0.0, y, m)
 
 
 @pytest.mark.parametrize("gamma, t", [(1.0, 1e-7), (1.0, 2.0), (-0.7, 1e-9), (1e-8, 1e3), (-1e-8, 1e4)])

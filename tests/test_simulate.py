@@ -664,19 +664,59 @@ POOL_CAPS = {
 }
 
 
-@pytest.mark.parametrize("name", ["repelling", "non_strict"])
+# levels 0 and 1, both repelling, with long holding times: a lane that starts
+# between them grows past double range, to -inf in state 1 and to +inf in
+# state 0, within a holding time of about 36, and takes 0.73 to reach 1e6
+# or -1e6 the other way
+REPELLING_TO_INFS = KacOuModel.from_values(0.05, 0.05, 0.0, -20.0, 0.0, 0.0, -20.0, -20.0)
+# (model, x, y, start states) per case.  The attracting model's state 0 has
+# its level 0 below the start 0.2 and the target 0.8, so no lane can cross
+# in its first round, which is skipped; the lanes that reach -inf below y
+# (or +inf above it) are away from y, and their rounds are skipped too
+POOL_CASES = {
+    "repelling": (REPELLING, 0.2, 0.8, (0, 1)),
+    "non_strict": (NON_STRICT, 0.2, 0.8, (0, 1)),
+    "attracting_from_the_far_level": (KERNEL_MODELS["attracting"], 0.2, 0.8, (0,)),
+    "repelling_to_minus_inf": (REPELLING_TO_INFS, 0.5, 1e6, (0, 1)),
+    "repelling_to_plus_inf": (REPELLING_TO_INFS, 0.5, -1e6, (0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(POOL_CASES))
 @pytest.mark.parametrize("n", [1, CHUNK, 5 * CHUNK + 123])
 @pytest.mark.parametrize("caps_name", sorted(POOL_CAPS))
-def test_pooled_fpt_samples_match_per_chunk_reference_bitwise(name, n, caps_name):
+def test_pooled_fpt_samples_match_per_chunk_reference_bitwise(name, n, caps_name, monkeypatch):
     # chunks share one pool of lanes, yet each keeps its own stream and its
     # own switch count: the draws match chunks run one at a time
-    model, caps = KERNEL_MODELS[name], POOL_CAPS[caps_name]
-    for state in (0, 1):
-        got = fpt_samples(model, 0.2, 0.8, state, n, seed=13, caps=caps, purpose="pool")
-        want = run_reference(n, 13, "pool", lambda sz, rng: reference_fpt_chunk(model, 0.2, 0.8, state, sz, rng, caps))
+    model, x, y, states = POOL_CASES[name]
+    caps = POOL_CAPS[caps_name]
+    flows, crossing_checks = [], [0]
+    flow, hitting = kacou.simulate._flow, kacou.simulate.hitting_time
+
+    def recorded_flow(s, dt, xs, out, model):
+        factor = flow(s, dt, xs, out, model)
+        flows.append(np.isinf(out).any())
+        return factor
+
+    def counted_hitting_time(*args):
+        crossing_checks[0] += 1
+        return hitting(*args)
+
+    monkeypatch.setattr(kacou.simulate, "_flow", recorded_flow)
+    monkeypatch.setattr(kacou.simulate, "hitting_time", counted_hitting_time)
+    for state in states:
+        got = fpt_samples(model, x, y, state, n, seed=13, caps=caps, purpose="pool")
+        want = run_reference(n, 13, "pool", lambda sz, rng: reference_fpt_chunk(model, x, y, state, sz, rng, caps))
         _assert_same_batch(got, want)
         if caps_name == "short_horizon" and n > 1:
             assert np.mean(got.reason == CENSOR_HORIZON) > 0.5
+    if name == "attracting_from_the_far_level" and caps_name == "one_switch":
+        # the one round cannot cross, so it is skipped and every lane is
+        # censored at its switch cap
+        assert crossing_checks[0] == 0
+        assert np.all(got.reason == CENSOR_SWITCH_CAP)
+    if name.startswith("repelling_to") and n > 1 and caps_name != "short_horizon":
+        assert any(flows)
 
 
 class _CountingStream:
@@ -894,6 +934,21 @@ def test_noisy_terminal_draws_past_double_range_raise(model, t, initial_state):
         # noise-free draws keep their +-inf lanes
         plain = terminal_values(model, 0.3, t, 2_000, seed=1, initial_state=initial_state).values
     assert np.isinf(plain).any() == (model is ESCAPES) and not np.isnan(plain).any()
+
+
+def test_terminal_draws_where_a_level_is_past_double_range():
+    # rho0 = a0 / gamma0 = inf made every draw nan where the flow reaches
+    # about 1e300; holding times near 1e300 keep every lane in state 0
+    m = KacOuModel.from_values(1e-300, 1.0, 1e300, 0.0, 0.0, 0.0, 1e-10, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = terminal_values(m, 0.0, 1.0, 10, seed=1)
+        assert np.all(got.states == 0)
+        assert np.all(got.values == pattern_phi(0, 1.0, 0.0, m))
+        assert got.values[0] == pytest.approx(1e300 * -math.expm1(-1e-10) / 1e-10, rel=1e-14, abs=0.0)
+        # where the flow itself leaves double range there is no draw
+        with pytest.raises(DoubleRangeError, match="leaves double range"):
+            terminal_values(m, 0.0, 1e9, 10, seed=1)
 
 
 # state 0 attracts so fast that its flow's factor underflows to 0 over most
