@@ -488,8 +488,9 @@ def _oracle_operator(model, q, y, nodes, state):
 def _apply_operator(op, values):
     """first + A values for op from _oracle_operator."""
     first, down, near, far, scale, blocks = op
-    sums = near * values
-    sums += far * values.take(down)
+    sums = values.take(down)
+    sums *= far
+    sums += near * values
     for sl, carry, src in blocks:
         run = sums[sl]
         np.cumsum(run, out=run)
@@ -512,12 +513,22 @@ def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs, tol: float = 1e-
     curve is the Richardson value ell_h + (ell_h - ell_2h) / 3, clipped to
     [0, 1], and |ell_h - ell_2h| / 3 estimates the error of ell_h.
 
-    tol is each grid's fixed-point stop, relative to the values.  From
-    ell1 = 0, Anderson acceleration (see _anderson_solve) finds the fixed
-    point of one Gauss-Seidel sweep, ell1 -> f1 + A1 (f0 + A0 ell1), until
-    a sweep moves no node value by 0.1 * tol of itself, and ell0 comes from
-    the last sweep.  (Its change is A0 times the last change to ell1, and A0
-    has weights >= 0 while ell0 >= A0 ell1, so the stop bounds it too.)
+    tol is each grid's fixed-point stop, relative to the values.  Anderson
+    acceleration (see _anderson_solve) finds the fixed point of one
+    Gauss-Seidel sweep, ell1 -> f1 + A1 (f0 + A0 ell1), until a sweep moves
+    no node value by 0.1 * tol of itself, and ell0 comes from the last
+    sweep.  (Its change is A0 times the last change to ell1, and A0 has
+    weights >= 0 while ell0 >= A0 ell1, so the stop bounds it too.)
+
+    The fine grid is solved first, from ell1 = 0.  The coarse solve starts
+    from the fine ell0 at its nodes, through ell1 = f1 + A1 ell0: nested
+    iteration from the fine grid down, which saves the coarse solve most of
+    its sweeps.  The other way up, a start interpolated from the coarse
+    solution can sit orders of magnitude above the fine values where a
+    curve falls steeply within a coarse cell, and the relative stop then
+    takes hundreds of sweeps to bring them down.  In the cases seen, the
+    fine values lie below the coarse ones there, on the side from which
+    sweeps from 0 come.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.size == 0:
@@ -547,26 +558,37 @@ def _oracle_grid_curves(model, q, y, xs, tol):
     fine = _halved(coarse)
     # the two solves' Anderson histories, sized for the fine grid
     history = np.empty((2, _ORACLE_ANDERSON_DEPTH * fine.size))
-    curves = []
-    for nodes in (fine, coarse):
-        ops = [_oracle_operator(model, q, y, nodes, s) for s in (0, 1)]
-        curves.append([np.interp(xs, nodes, ell) for ell in _oracle_solve(*ops, 0.1 * tol, history)])
+    ops = [_oracle_operator(model, q, y, fine, s) for s in (0, 1)]
+    ells = _oracle_solve(*ops, None, 0.1 * tol, history)
+    curves = [[np.interp(xs, fine, ell) for ell in ells]]
+    # every coarse node is a fine node: the fine ell0 there starts the
+    # coarse solve
+    ops = [_oracle_operator(model, q, y, coarse, s) for s in (0, 1)]
+    ells = _oracle_solve(*ops, np.interp(coarse, fine, ells[0]), 0.1 * tol, history)
+    curves.append([np.interp(xs, coarse, ell) for ell in ells])
     return curves
 
 
-def _oracle_solve(op0, op1, inner_tol, history):
+def _oracle_solve(op0, op1, ell0, inner_tol, history):
     """Node values (ell0, ell1) of one grid's renewal equations, by the
-    solve described in fpt_oracle_curve; history as in _anderson_solve."""
-    # the first sweep from ell1 = 0: every weight is finite and >= 0, so A0
-    # ell1 sums +0.0s and ell0 = first exactly
-    ell0 = op0[0]
+    solve described in fpt_oracle_curve, from ell1 = 0 or, given a start
+    ell0 that is not all 0, from ell1 = f1 + A1 ell0; history as in
+    _anderson_solve."""
 
     def sweep(ell1):
         nonlocal ell0
         ell0 = _apply_operator(op0, ell1)
         return _apply_operator(op1, ell0)
 
-    ell1 = _anderson_solve(sweep, np.zeros(ell0.size), _apply_operator(op1, ell0), inner_tol, history)
+    if ell0 is None or not ell0.any():
+        # the first sweep from ell1 = 0: every weight is finite and >= 0, so
+        # A0 ell1 sums +0.0s and ell0 = first exactly
+        ell0 = op0[0]
+        x, g = np.zeros(ell0.size), _apply_operator(op1, ell0)
+    else:
+        x = _apply_operator(op1, ell0)
+        g = sweep(x)
+    ell1 = _anderson_solve(sweep, x, g, inner_tol, history)
     return ell0, ell1
 
 
@@ -588,52 +610,67 @@ def _anderson_solve(sweep, x, g, inner_tol, history):
     probability, so each step is clipped to [0, 1], where the sweep's terms
     are all >= 0.
 
-    history holds at least 2 x _ORACLE_ANDERSON_DEPTH x x.size doubles, so
-    that a curve's two solves share one allocation.
+    The differences stored since the history was last dropped fill rows
+    0, 1, ... of a ring buffer and then wrap round it.  The Gram matrix of
+    the residual rows is kept: storing row j rewrites its row and column j,
+    one dot product per row, and the fit solves on the leading block of the
+    rows in use (the whole matrix once the window is full).  history holds
+    at least 2 x _ORACLE_ANDERSON_DEPTH x x.size doubles, so that a curve's
+    two solves share one allocation.
     """
     depth = _ORACLE_ANDERSON_DEPTH
-    # ring buffers of residual and image differences, one row per step; the
-    # fit reads every row, so each starts at 0
-    d_r, d_g = (h[: depth * x.size].reshape(depth, x.size) for h in history)
+    n = x.size
+    # ring buffers of residual and image differences, one row per step, and
+    # the Gram matrix of the residual rows, kept as they are written: they
+    # start at 0, so that its entry (i, j) is d_r[i] @ d_r[j] throughout
+    d_r, d_g = (h[: depth * n].reshape(depth, n) for h in history)
     d_r.fill(0.0)
-    d_g.fill(0.0)
-    # the 2-norm ratio of the last plain step's residual to the one before
-    held, accelerated, plain_rate = 0, False, 1.0
+    gram = np.zeros((depth, depth))
+    # the residual and the last one, and the stop test's and the mixed
+    # step's working rows
+    r, r_prev, scale, step = np.empty((4, n))
+    # differences stored since the history was last dropped, and the 2-norm
+    # ratio of the last plain step's residual to the one before
+    stored, accelerated, plain_rate = 0, False, 1.0
     for k in range(ORACLE_MAX_ITER):
         if k:
             g = sweep(x)
-        r = g - x
-        delta = np.max(np.abs(r) / np.maximum(np.abs(g), 1e-280))
+        r, r_prev = r_prev, r
+        np.subtract(g, x, out=r)
+        np.abs(g, out=scale)
+        np.maximum(scale, 1e-280, out=scale)
+        np.abs(r, out=step)
+        delta = np.max(np.divide(step, scale, out=step))
         if delta < inner_tol:
             return g
         norm = r @ r
         if k and not accelerated and norm_prev > 0.0:
             plain_rate = norm / norm_prev
         if accelerated and norm >= plain_rate * norm_prev:
-            held = 0
+            stored = 0
         elif k:
-            np.subtract(r, r_prev, out=d_r[k % depth])
-            np.subtract(g, g_prev, out=d_g[k % depth])
-            held = min(held + 1, depth)
-        r_prev, g_prev, norm_prev = r, g, norm
+            j = stored % depth
+            np.subtract(r, r_prev, out=d_r[j])
+            np.subtract(g, g_prev, out=d_g[j])
+            gram[j] = gram[:, j] = d_r @ d_r[j]
+            stored += 1
+        held = min(stored, depth)
+        g_prev, norm_prev = g, norm
         x, accelerated = g, False
         # once the residual is at rounding level (its 2-norm below 1e-15, a
         # few roundings, of the image's) a fit sees only noise, and the
         # steps are plain; a higher floor leaves plain steps to finish a
         # tight tol where small values still carry a relative residual
         if held and norm > 1e-30 * (g @ g):
-            rows = [(k - i) % depth for i in range(held)]
-            gram = d_r @ d_r.T
             try:
-                coef = np.linalg.solve(gram[np.ix_(rows, rows)], (d_r @ r)[rows])
+                coef = np.linalg.solve(gram[:held, :held], d_r[:held] @ r)
             except np.linalg.LinAlgError:  # a repeated difference: step plainly
                 coef = None
             if coef is None or not np.isfinite(coef).all():  # or so near singular it overflowed
-                held = 0
+                stored = 0
                 continue
-            mix = np.zeros(depth)
-            mix[rows] = coef
-            x = np.clip(g - mix @ d_g, 0.0, 1.0)
+            np.matmul(coef, d_g[:held], out=step)
+            x = np.clip(np.subtract(g, step, out=step), 0.0, 1.0, out=step)
             accelerated = True
     raise OracleError(
         f"fixed-point iteration did not contract below {inner_tol} in "

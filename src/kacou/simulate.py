@@ -373,7 +373,7 @@ def fpt_samples(
     if x == y:
         raise ParameterError("first passage requires x != y")
     _check_count(n)
-    times = np.full(n, np.nan)
+    times = np.empty(n)  # every lane is written when it hits or is censored
     censored = np.zeros(n, dtype=bool)
     reason = np.zeros(n, dtype=np.uint8)
 
@@ -387,7 +387,17 @@ def fpt_samples(
         xs, ts = cols  # position and elapsed time
         nxt, rem, side = work[:, : xs.size]  # xs is needed until the lanes are checked
         stays, over = flags[:, : xs.size]
-        _flow(s, dt, xs, nxt, model)
+        try:
+            _flow(s, dt, xs, nxt, model)
+        except DoubleRangeError:
+            # a flow that leaves double range within a holding time may
+            # still meet y first: those lanes land on y, and only the others
+            # flow, which may raise again
+            hit = hitting_time(s, xs, y, model) < dt
+            rest = ~hit
+            moved = xs[rest]
+            _flow(s, dt[rest], moved, moved, model)
+            nxt[hit], nxt[rest] = y, moved
         # a pattern is monotone, so a lane that starts and ends strictly on
         # the start side of y has not met it, and where every lane does, no
         # lane is checked; a nan, an inf past y or a lane on y rules that out

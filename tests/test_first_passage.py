@@ -392,6 +392,10 @@ def test_oracle_operator_next_to_the_threshold(model):
 # both states are pulled to a level 1.7e-15 past y; an 8-deep window with a
 # floor on the fit at 1e-14 of the image's 2-norm took 148 against 144
 @example(rates=(1.0, 1.0), gammas=(1.0, 1.0), levels=(0.0, 0.0), q=0.375, y=-1.6992231217259597e-15, d=1.0, above=False)
+# state 0 cannot move and state 1 drifts up at 1.4e-32: toward y the fine
+# values fall by 1e-29 a node, the coarse ones by 1e-30 a coarse cell, so a
+# fine solve started from the coarse solution took 573 against 186
+@example(rates=(1.0, 1.0), gammas=(0.0, 0.0), levels=(0.0, 1.3550003943498644e-32), q=1.0, y=0.0, d=1.0, above=False)
 @settings(max_examples=25, deadline=None)
 def test_oracle_operator_matches_reference_on_drawn_models(rates, gammas, levels, q, y, d, above):
     # gamma = 0 draws a linear state with drift `level`; otherwise the level
@@ -429,6 +433,149 @@ def test_anderson_step_on_a_repeated_difference_falls_back_to_plain(monkeypatch)
     with pytest.raises(OracleError, match=r"in 5 sweeps \(last change 0\.2\)"):
         history = np.full((2, fp._ORACLE_ANDERSON_DEPTH * 4), np.nan)
         fp._anderson_solve(lambda x: x + 0.5, np.zeros(4), np.full(4, 0.5), 1e-8, history)
+
+
+def _anderson_referee(sweep, x, g, inner_tol):
+    """_anderson_solve's steps with every stored difference kept in ring
+    order by step number and the whole Gram matrix rebuilt at each fit;
+    returns the fixed point, the window of each fit and the history drops."""
+    depth = fp._ORACLE_ANDERSON_DEPTH
+    d_r, d_g = np.zeros((depth, x.size)), np.zeros((depth, x.size))
+    held, accelerated, plain_rate, windows, drops = 0, False, 1.0, [], 0
+    for k in range(fp.ORACLE_MAX_ITER):
+        if k:
+            g = sweep(x)
+        r = g - x
+        if np.max(np.abs(r) / np.maximum(np.abs(g), 1e-280)) < inner_tol:
+            return g, windows, drops
+        norm = r @ r
+        if k and not accelerated and norm_prev > 0.0:
+            plain_rate = norm / norm_prev
+        if accelerated and norm >= plain_rate * norm_prev:
+            held, drops = 0, drops + 1
+        elif k:
+            d_r[k % depth], d_g[k % depth] = r - r_prev, g - g_prev
+            held = min(held + 1, depth)
+        r_prev, g_prev, norm_prev = r, g, norm
+        x, accelerated = g, False
+        if held and norm > 1e-30 * (g @ g):
+            rows = [(k - i) % depth for i in range(held)]
+            gram = d_r @ d_r.T
+            coef = np.linalg.solve(gram[np.ix_(rows, rows)], (d_r @ r)[rows])
+            windows.append(held)
+            x = np.clip(g - coef @ d_g[rows], 0.0, 1.0)
+            accelerated = True
+    raise OracleError("the referee did not converge")
+
+
+def _contraction(n):
+    """x -> m x + b with m >= 0, rows summing to 0.95, and b in [0, 0.05]:
+    it maps [0, 1] into itself; returns the map and its fixed point."""
+    rng = np.random.default_rng(1)
+    m = rng.random((n, n)) ** 4
+    m *= 0.95 / m.sum(axis=1, keepdims=True)
+    b = 0.05 * rng.random(n)
+    return (lambda x: m @ x + b), np.linalg.solve(np.eye(n) - m, b)
+
+
+@contextlib.contextmanager
+def _kept_gram_checked(history, n):
+    """Checks at each fit of _anderson_solve, for a solve of n values, that
+    it solves on the leading block of the Gram matrix it keeps, and that the
+    whole kept matrix is d_r @ d_r.T of the residual differences in history,
+    within 1e-12 of sqrt(G_ii G_jj); yields the window of each fit."""
+    depth = fp._ORACLE_ANDERSON_DEPTH
+    solve, windows = np.linalg.solve, []
+
+    def checked(a, b):
+        kept = a.base
+        assert kept.shape == (depth, depth) and a.ctypes.data == kept.ctypes.data
+        d_r = history[0][: depth * n].reshape(depth, n)
+        want = d_r @ d_r.T
+        bound = 1e-12 * np.sqrt(np.outer(np.diag(want), np.diag(want)))
+        assert np.all(np.abs(kept - want) <= bound), np.max(np.abs(kept - want) - bound)
+        windows.append(a.shape[0])
+        return solve(a, b)
+
+    np.linalg.solve = checked
+    try:
+        yield windows
+    finally:
+        np.linalg.solve = solve
+
+
+def test_anderson_solve_takes_the_steps_of_a_referee_that_rebuilds_the_gram_matrix():
+    # the first accelerated step falls behind the plain rate and drops the
+    # history; the window then fills row by row and wraps round the ring
+    depth = fp._ORACLE_ANDERSON_DEPTH
+    sweep, fixed = _contraction(12)
+    steps = {"referee": [], "kept": []}
+
+    def recorded(name):
+        def step(x):
+            steps[name].append(x.copy())
+            return sweep(x)
+
+        return step
+
+    x = np.zeros(12)
+    want, windows, drops = _anderson_referee(recorded("referee"), x, sweep(x), 1e-12)
+    assert drops and windows.count(1) > 1 and windows.count(depth) > 1
+    history = np.empty((2, depth * 12))
+    with _kept_gram_checked(history, 12) as kept_windows:
+        got = fp._anderson_solve(recorded("kept"), x, sweep(x), 1e-12, history)
+    assert kept_windows == windows
+    assert len(steps["kept"]) == len(steps["referee"])
+    for a, b in zip(steps["kept"], steps["referee"]):
+        np.testing.assert_allclose(a, b, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(got, fixed, rtol=1e-10, atol=0.0)
+
+
+def test_kept_gram_matrix_after_a_drop_from_a_full_window():
+    # an oracle solve whose full, wrapped window drops its history: the rows
+    # refill from 0 over stale ones, and the kept matrix stays d_r @ d_r.T
+    depth = fp._ORACLE_ANDERSON_DEPTH
+    m, y_side, xs = _oracle_side(AR_NODE_BELOW_Y, 0.3, 0.9, [1.3, 2.0])
+    refilled = False
+    for nodes in _grids(m, 0.3, y_side, xs):
+        ops = [fp._oracle_operator(m, 0.3, y_side, nodes, s) for s in (0, 1)]
+        history = np.empty((2, depth * nodes.size))
+        with _kept_gram_checked(history, nodes.size) as windows:
+            fp._oracle_solve(*ops, None, 1e-7, history)
+        if depth in windows:
+            refilled |= any(w < depth for w in windows[windows.index(depth) :])
+    assert refilled
+
+
+@pytest.mark.parametrize("model, q, y, below, above", OPERATOR_CASES)
+def test_coarse_solve_from_the_fine_solution_matches_a_cold_solve(model, q, y, below, above):
+    # the fine solve runs from 0 as before; the coarse one, started from the
+    # fine ell0, reaches the cold coarse solve's values in fewer
+    # applications, except where the fine ell0 is 0 throughout (state 0
+    # never meets y from that side) and the coarse solve is the cold one
+    for xs in (below, above):
+        m, y_side, xs = _oracle_side(model, q, y, xs)
+        with _Applications() as warm:
+            fine, coarse = fp._oracle_grid_curves(m, q, y_side, xs, 1e-12)
+        cold, curves, starts = [], [], []
+        for nodes in _grids(m, q, y_side, xs):
+            ops = [fp._oracle_operator(m, q, y_side, nodes, s) for s in (0, 1)]
+            history = np.empty((2, fp._ORACLE_ANDERSON_DEPTH * nodes.size))
+            with _Applications() as used:
+                ells = fp._oracle_solve(*ops, None, 1e-13, history)
+            cold.append(used.count)
+            curves.append([np.interp(xs, nodes, ell) for ell in ells])
+            starts.append(ells[0])
+        cold_coarse, cold_fine = curves
+        for got, want in zip(fine, cold_fine):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(coarse, cold_coarse):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11)
+        if starts[1].any():
+            assert warm.count < sum(cold)
+        else:
+            assert warm.count == sum(cold)
 
 
 # --- the blocked running sum ----------------------------------------------------

@@ -951,6 +951,35 @@ def test_terminal_draws_where_a_level_is_past_double_range():
             terminal_values(m, 0.0, 1e9, 10, seed=1)
 
 
+def test_first_passage_met_before_the_flow_leaves_double_range():
+    # holding times near 1e300 carry state 0's flow past double range, but
+    # on the way every lane meets y = 1e299, at t = 0.1
+    m = KacOuModel.from_values(1e-300, 1.0, 1e300, 0.0, 0.0, 0.0, 1e-10, 1.0)
+    got = fpt_samples(m, 0.0, 1e299, 0, 1000, seed=1)
+    assert not got.censored.any()
+    assert np.all(got.times == hitting_time(0, 0.0, 1e299, m))
+    # a lane moving away from y flows, and past double range there is no draw
+    with pytest.raises(DoubleRangeError, match="leaves double range"):
+        fpt_samples(m, 0.0, -1e299, 0, 10, seed=1)
+
+
+def test_first_passage_round_with_hits_and_flows_where_a_flow_leaves_double_range():
+    # state 0's flow leaves double range after t = 1.8e3, its mean holding
+    # time is 1e3, and it meets y at t = 1: in the first round the lanes whose
+    # holding time outlasts that hit, and the few others flow on, into state
+    # 1, which pulls them back toward 0, and meet y in a later state-0 round
+    m = KacOuModel.from_values(1e-3, 1.0, 1e305, 0.0, 0.0, 0.0, 1e-10, 1.0)
+    n, th = 20_000, hitting_time(0, 0.0, 1e305, m)
+    got = fpt_samples(m, 0.0, 1e305, 0, n, seed=1)
+    assert not got.censored.any()
+    first = got.times == th
+    assert np.all(got.times[~first] > th)
+    # the first holding time outlasts th with probability e^-(lam0 th)
+    p = math.exp(-1e-3 * th)
+    assert abs(first.sum() - n * p) < 5.0 * math.sqrt(n * p * (1.0 - p))
+    assert (~first).sum() > 0
+
+
 # state 0 attracts so fast that its flow's factor underflows to 0 over most
 # holding times, and state 1 repels as fast: a lane that state 1 carries to
 # +inf then meets that factor of 0
