@@ -16,7 +16,6 @@ import os
 import sys
 import time
 import dataclasses
-from itertools import chain
 
 import numpy as np
 
@@ -74,8 +73,8 @@ MAX_GRID_POINTS = 1e6
 
 # the most rows one `kacou simulate` path may expect, eval_points + 1 +
 # lambda * horizon: a path is walked by scalar code and held whole while it
-# is written, at about 4.5 us and 200 bytes a row on a 2-vCPU host (about 7 us
-# and 550 bytes with noise), so some 9 s and 400 MB; the README and
+# is written, at about 2.3 us and 250 bytes a row on a 2-vCPU host (about
+# 4.5 us and 580 bytes with noise), so some 5 s and 500 MB; the README and
 # benchmark configs expect at most about 2,200
 MAX_PATH_ROWS = 2e6
 
@@ -99,22 +98,6 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-# the `%` conversion of a numpy column, by dtype kind: floats to 17
-# significant digits, integers in decimal, text as given
-_CONVERSIONS = {"f": "%.17g", "i": "%d", "u": "%d", "U": "%s"}
-
-
-def _conversion(column) -> tuple[str, list]:
-    """One CSV column's `%` conversion and the values it takes.  A numpy
-    column is converted by its dtype (``_CONVERSIONS``); any other sequence,
-    or another dtype, goes through ``_fmt`` field by field, None as an empty
-    field."""
-    conv = _CONVERSIONS.get(column.dtype.kind) if isinstance(column, np.ndarray) else None
-    if conv is None:
-        return "%s", [_fmt(v) for v in column]
-    return conv, column.tolist()
-
-
 def _atomic_write(path: str, parts) -> None:
     """Write the strings of `parts` to `path`, replacing it only once all are written."""
     directory = os.path.dirname(path) or "."
@@ -136,20 +119,224 @@ def _atomic_write(path: str, parts) -> None:
 # rows per formatted block: a large CSV is never held in memory as text whole
 _CSV_BLOCK = 1 << 14
 
+# A block is written as one byte matrix, a row per CSV row, in which each
+# column's cells have one width.  A cell shorter than its width is padded
+# with _PAD, a byte no UTF-8 text holds, and the block's text is the
+# matrix's bytes with every _PAD deleted, so a pad may sit anywhere in a cell.
+_PAD = 0xFF
+# or-ed onto a digit's value, 0 to 9, it gives the digit's ASCII byte
+_DIGIT = ord("0")
+
+
+def _pad_table(width: int, keep: int) -> np.ndarray:
+    """(width + 1, width) bytes whose row n is `keep` before column n and
+    _PAD from column n on: or-ed onto cells by a row per cell, it pads each
+    cell from its own length on."""
+    table = np.full((width + 1, width), _PAD, np.uint8)
+    table[np.tri(width + 1, width, -1, dtype=bool)] = keep
+    return table
+
+
+def _decimal(x, out) -> None:
+    """Write the last out.shape[1] decimal digits of the non-negative
+    integers x into the rows of out, a digit's value (0 to 9) a byte,
+    zero-filled on the left.  Nine digits at a time are split off in x's own
+    dtype and taken apart in int32, where division by a constant is cheapest."""
+    j = out.shape[1]
+    while j > 0:
+        if j > 9:
+            q = x // 10**9
+            part, x, count = (x - q * 10**9).astype(np.int32), q, 9
+        else:
+            part, count = x.astype(np.int32), j
+        for _ in range(count):
+            q = part // 10
+            j -= 1
+            out[:, j] = part - q * 10
+            part = q
+
+
+# 10^k for k = 0 to 22, each an exact double, and its halves by _halves
+_POW10 = 10.0 ** np.arange(23)
+
+
+def _halves(x):
+    """Dekker's split of doubles into a high part of at most 26 significant
+    bits and the exact rest, so that products of halves are exact."""
+    c = 134217729.0 * x  # 2^27 + 1
+    high = c - (c - x)
+    return high, x - high
+
+
+_POW10_HIGH, _POW10_LOW = _halves(_POW10)
+
+
+def _scaled(a, k):
+    """a * 10^k rounded to a double p, and the exact error a * 10^k - p, by
+    Dekker's two-product (numpy has no fused multiply-add)."""
+    p = a * _POW10.take(k)
+    a_high, a_low = _halves(a)
+    high, low = _POW10_HIGH.take(k), _POW10_LOW.take(k)
+    return p, ((a_high * high - p) + a_high * low + a_low * high) + a_low * low
+
+
+# A float cell holds the sign; "0." and up to three zeros, for a decimal
+# exponent X from -4 to -1; then the 17 significant digits, each in a
+# little-endian uint16 whose high byte is a slot for the point, which
+# follows digit X when X >= 0 and digits are left after it.
+_FLOAT_WIDTH = 6 + 2 * 17
+# [X + 4, negative]: the sign, then "0." and -1 - X zeros for X < 0
+_HEADS = np.frombuffer(
+    b"".join(
+        sign + (b"0." + b"0" * (-1 - x) if x < 0 else b"").ljust(5, b"\xff")
+        for x in range(-4, 17)
+        for sign in (b"\xff", b"-")
+    ),
+    np.uint8,
+).reshape(42, 6)
+# [digits kept, digit the point follows (17 for none)]: or-ed onto the
+# digits' values, the ASCII digits kept, the point and pads elsewhere
+_TAILS = (
+    np.where(np.arange(17) < np.arange(18)[:, None, None], _DIGIT, _PAD)
+    | np.where(np.arange(17) == np.arange(18)[:, None], ord("."), _PAD) << 8
+).astype("<u2").reshape(18 * 18, 17)
+
+
+def _float_cells(column):
+    """Width and writer of `%.17g` cells, _FLOAT_WIDTH bytes each.
+
+    For |v| in [1e-4, 1e17) the digits are exact.  With E = floor(log10|v|),
+    k = 16 - E is at most 20, so 10^k is an exact double, and |v| * 10^k is
+    p + e exactly.  p >= 1e16 > 2^53 is an even integer, so the 17 digits,
+    rounded half to even as Python's `%` rounds them, are those of
+    p + rint(e).  They never round up to 10^17: no double below a power of
+    ten lies within 5e-18 of it.  `%g` writes these exponents in fixed
+    notation, without the fraction's trailing zeros.  Zero, inf, nan and
+    every other magnitude go through Python's `%` one by one.
+    """
+    v = column.astype(np.float64, copy=False)
+    a = np.abs(v)
+    exact = (a >= 1e-4) & (a < 1e17)
+    a = np.where(exact, a, 1.0)
+    # log10 may be one off next to a power of ten: the product shows it
+    e10 = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
+    p, err = _scaled(a, 16 - e10)
+    low = (p < 1e16) | ((p == 1e16) & (err < 0.0))
+    high = (p > 1e17) | ((p == 1e17) & (err >= 0.0))
+    e10 += high
+    e10 -= low
+    moved = np.flatnonzero(low | high)
+    if moved.size:
+        p[moved], err[moved] = _scaled(a[moved], 16 - e10[moved])
+    n = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    rest = np.flatnonzero(~exact)
+
+    def write(out):
+        digits = out[:, 6:].view("<u2")
+        _decimal(n, digits)
+        # %g drops the fraction's trailing zeros, and the point with them
+        kept = np.full(len(v), 17)
+        zeros = np.flatnonzero(digits[:, -1] == 0)
+        if zeros.size:
+            kept[zeros] -= np.argmax(digits[zeros, ::-1] != 0, axis=1)
+        kept = np.maximum(kept, e10 + 1)
+        point = np.where((e10 >= 0) & (e10 < kept - 1), e10, 17)
+        digits |= _TAILS.take(18 * kept + point, axis=0)
+        out[:, :6] = _HEADS.take(2 * e10 + 8 + (v < 0.0), axis=0)
+        if rest.size:
+            text = np.array(["%.17g" % x for x in v[rest].tolist()], "S").view(np.uint8).reshape(rest.size, -1)
+            text[text == 0] = _PAD
+            out[rest, : text.shape[1]] = text
+            out[rest, text.shape[1] :] = _PAD
+
+    return _FLOAT_WIDTH, write
+
+
+# 10^k for k = 0 to 19 as uint64: every uint64 has at most 20 digits
+_TENS = 10 ** np.arange(20, dtype=np.uint64)
+_SIGN = np.array([_PAD, ord("-")], np.uint8)  # [negative]
+
+
+def _integer_cells(column):
+    """Width and writer of integer cells: the decimal digits, after a sign
+    slot where some value is negative."""
+    values = column.astype(np.int64 if column.dtype.kind == "i" else np.uint64)
+    negative = values < 0
+    signs = int(negative.any())
+    size = values.view(np.uint64)
+    if signs:
+        # int64's least value has no int64 negation, but has a uint64 one
+        size = np.where(negative, np.negative(size), size)
+    count = len(str(int(size.max())))
+
+    def write(out):
+        if signs:
+            out[:, 0] = _SIGN.take(negative.view(np.uint8))
+        digits = out[:, signs:]
+        _decimal(size, digits)
+        lengths = np.searchsorted(_TENS[1:count], size, side="right") + 1
+        digits |= _pad_table(count, _DIGIT).take(lengths, axis=0)[:, ::-1]
+
+    return signs + count, write
+
+
+def _text_cells(raw, lengths):
+    """Width and writer of cells holding byte strings: the rows of the
+    (rows, at least width) uint8 array `raw`, of the given lengths."""
+    width = int(lengths.max())
+
+    def write(out):
+        out[...] = raw[:, :width]
+        out |= _pad_table(width, 0).take(lengths, axis=0)
+
+    return width, write
+
+
+def _cells(column):
+    """Width and writer of one block of a column: writer(out) fills a
+    (rows, width) byte view with the column's fields.  A numpy column is
+    written by its dtype kind: floats as `%.17g`, integers in decimal and
+    text as given.  Any other sequence or dtype goes through `_fmt` field
+    by field, None as an empty field."""
+    if isinstance(column, np.ndarray):
+        kind = column.dtype.kind
+        if kind == "f":
+            return _float_cells(column)
+        if kind in "iu":
+            return _integer_cells(column)
+        if kind == "U" and column.dtype.itemsize:
+            # an ASCII column's code points are its bytes
+            codes = np.ascontiguousarray(column).view(np.uint32).reshape(len(column), -1)
+            if codes.max() < 128:
+                return _text_cells(codes, np.char.str_len(column))
+    raw = [_fmt(v).encode() for v in column]
+    lengths = np.fromiter(map(len, raw), np.intp, len(raw))
+    return _text_cells(np.array(raw, "S").view(np.uint8).reshape(len(raw), -1), lengths)
+
 
 def _csv_blocks(header: list[str], blocks):
     """The header line, then the rows of each block of equal-length columns
     in turn, one row per index.  `blocks` may be a generator, so that each
     block is made only as the writer reaches it."""
     yield ",".join(header) + "\n"
+    # the byte matrix's memory, kept from block to block and grown as needed
+    memory = np.empty(0, np.uint8)
     for columns in blocks:
         n = len(columns[0]) if columns else 0
         for lo in range(0, n, _CSV_BLOCK):
-            # one `%` formats the whole block: a row of conversions repeated
-            # once per row, over the values taken row by row
-            convs, values = zip(*(_conversion(c[lo : lo + _CSV_BLOCK]) for c in columns))
-            fields = tuple(chain.from_iterable(zip(*values)))
-            yield (",".join(convs) + "\n") * (len(fields) // len(convs)) % fields
+            cells = [_cells(c[lo : lo + _CSV_BLOCK]) for c in columns]
+            rows = min(n - lo, _CSV_BLOCK)
+            size = rows * sum(width + 1 for width, _ in cells)
+            if memory.size < size:
+                memory = np.empty(size, np.uint8)
+            matrix = memory[:size].reshape(rows, -1)
+            end = 0
+            for width, write in cells:
+                write(matrix[:, end : end + width])
+                matrix[:, end + width] = ord(",")
+                end += width + 1
+            matrix[:, -1] = ord("\n")
+            yield matrix.tobytes().translate(None, bytes([_PAD])).decode()
 
 
 def _write_csv(path: str, header: list[str], columns) -> None:
@@ -317,11 +504,9 @@ def _cmd_fpt(cfg: RunConfig) -> int:
         censored += mc.censored
         rows.append((q, x, y, state, closed, oracle, mc.mean, mc.stderr))
     out = os.path.join(cfg.out_dir, "fpt.csv")
-    _write_csv(
-        out,
-        ["q", "x", "y", "state", "closed_form", "oracle", "mc_mean", "mc_stderr"],
-        list(zip(*rows)),
-    )
+    header = ["q", "x", "y", "state", "closed_form", "oracle", "mc_mean", "mc_stderr"]
+    columns = [np.array(c, dtype=np.int64 if name == "state" else np.float64) for name, c in zip(header, zip(*rows))]
+    _write_csv(out, header, columns)
     manifest = _manifest(cfg, "fpt", [out], t0, {"censoring": {"count": censored}})
     print(manifest)
     return 0

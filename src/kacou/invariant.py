@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoInvariantMeasureError, ParameterError
+from .errors import DoubleRangeError, NoInvariantMeasureError, ParameterError
 from .model import KacOuModel, RegimeTag, classify_regime, stationary_state_dist
 from .quadrature import integrate_de_offsets, integrate_half_line_offsets
 from .simulate import terminal_values
@@ -117,8 +117,30 @@ def _by_state(state: int, mine, other):
     return (mine, other) if state == 0 else (other, mine)
 
 
+def _exponent(rate, speed, name: str) -> float:
+    """An endpoint exponent rate / speed of an invariant density, which
+    must be finite for the density to have a descriptor."""
+    with np.errstate(over="ignore"):
+        value = rate / speed
+    if not math.isfinite(value):
+        raise DoubleRangeError(f"the invariant density's exponent {name} = {rate} / {speed} leaves double range")
+    return value
+
+
+def _level(model: KacOuModel, state: int) -> float:
+    """State's level rho = a / gamma, an end of the invariant density's
+    support, which must be finite for the density to have a descriptor."""
+    rho = model.coeffs[state].rho
+    if not math.isfinite(rho):
+        c = model.coeffs[state]
+        raise DoubleRangeError(f"the level a{state} / gamma{state} = {c.a} / {c.gamma} leaves double range")
+    return rho
+
+
 def _closed_form(model: KacOuModel) -> _ClosedForm | None:
-    """The regime's closed form, or None when no invariant density exists."""
+    """The regime's closed form, or None when no invariant density exists.
+    A density whose exponents or support ends leave double range has no
+    finite descriptor: DoubleRangeError."""
     regime = classify_regime(model)
     tag = regime.tag
     lam = model.lam_vec
@@ -127,9 +149,9 @@ def _closed_form(model: KacOuModel) -> _ClosedForm | None:
     if tag is RegimeTag.ATTRACTING_STRICT:
         lo_state = 0 if model.coeffs[0].rho <= model.coeffs[1].rho else 1
         hi_state = 1 - lo_state
-        rho_lo, rho_hi = model.coeffs[lo_state].rho, model.coeffs[hi_state].rho
-        a_lo = lam[lo_state] / g[lo_state]
-        a_hi = lam[hi_state] / g[hi_state]
+        rho_lo, rho_hi = _level(model, lo_state), _level(model, hi_state)
+        a_lo = _exponent(lam[lo_state], g[lo_state], f"lambda{lo_state} / gamma{lo_state}")
+        a_hi = _exponent(lam[hi_state], g[hi_state], f"lambda{hi_state} / gamma{hi_state}")
         width = rho_hi - rho_lo
         c = 1.0 / (
             width ** (a_lo + a_hi)
@@ -141,14 +163,14 @@ def _closed_form(model: KacOuModel) -> _ClosedForm | None:
         return _ClosedForm(desc, rho_lo, 1.0, rho_hi, -1.0, width)
 
     if tag in (RegimeTag.ATTRACTION_REPULSION_01, RegimeTag.ATTRACTION_REPULSION_10):
-        if lam[0] / g[0] + lam[1] / g[1] >= 0.0:
-            return None
+        with np.errstate(over="ignore"):
+            if lam[0] / g[0] + lam[1] / g[1] >= 0.0:
+                return None
         s_a = 0 if g[0] > 0.0 else 1
         s_r = 1 - s_a
-        rho_a = model.coeffs[s_a].rho
-        rho_r = model.coeffs[s_r].rho
-        a_a = lam[s_a] / g[s_a]
-        a_r = lam[s_r] / g[s_r]
+        rho_a, rho_r = _level(model, s_a), _level(model, s_r)
+        a_a = _exponent(lam[s_a], g[s_a], f"lambda{s_a} / gamma{s_a}")
+        a_r = _exponent(lam[s_r], g[s_r], f"lambda{s_r} / gamma{s_r}")
         width = abs(rho_r - rho_a)
         sgn = -1.0 if rho_a < rho_r else 1.0  # support direction away from the repeller
         c = 1.0 / (
@@ -171,9 +193,9 @@ def _closed_form(model: KacOuModel) -> _ClosedForm | None:
     zero = regime.zero_state
     other = 1 - zero
     az = model.coeffs[zero].a
-    rho = model.coeffs[other].rho
-    alpha = lam[other] / g[other]
-    k = lam[zero] / abs(az)
+    rho = _level(model, other)
+    alpha = _exponent(lam[other], g[other], f"lambda{other} / gamma{other}")
+    k = _exponent(lam[zero], abs(az), f"lambda{zero} / |a{zero}|")
     sgn = 1.0 if az > 0.0 else -1.0
     log_c = alpha * math.log(k) + math.log(lam[zero] / (lam[zero] + lam[other])) - log_gamma(alpha)
     c = math.exp(log_c)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kacou.cli import _CSV_BLOCK, _conversion, _csv_blocks, _fmt, main
+from kacou.cli import _CSV_BLOCK, _csv_blocks, _fmt, main
 from kacou.config import ConfigError, config_hash, load_config
 
 BASE_CFG = """
@@ -394,18 +394,63 @@ def test_path_rows_reach_the_writer_one_path_at_a_time(tmp_path, monkeypatch):
         assert paths_made == path_id + 1
 
 
+def _written_fields(column):
+    """The writer's fields of a one-column CSV, one per row."""
+    return "".join(_csv_blocks(["c"], [[column]])).split("\n")[1:-1]
+
+
 def test_typed_columns_format_like_single_fields():
     floats = np.array([0.1, -0.0, 1e-300, 2.5e17, math.pi, math.inf, -math.inf, math.nan])
     ints = np.array([0, 7, -3, 2**40])
     small = np.array([0, 255], dtype=np.uint8)
     texts = np.array(["hit", "censored", ""])
-    for column, conv in ((floats, "%.17g"), (ints, "%d"), (small, "%d"), (texts, "%s")):
-        got, values = _conversion(column)
-        assert got == conv and len(values) == len(column)
-        assert [conv % v for v in values] == [_fmt(v) for v in column]
+    for column in (floats, ints, small, texts):
+        assert _written_fields(column) == [_fmt(v) for v in column]
     # any other sequence or dtype goes field by field through _fmt
-    assert _conversion([3, 0.5, None, "x"]) == ("%s", ["3", "0.5", "", "x"])
-    assert _conversion(np.array([True, False])) == ("%s", ["1", "0"])
+    assert _written_fields([3, 0.5, None, "x"]) == ["3", "0.5", "", "x"]
+    assert _written_fields(np.array([True, False])) == ["1", "0"]
+
+
+def _exact_ties(rng, per_exponent):
+    """Doubles a * 2^-(k+1), a odd, whose 17-digit scaling a * 5^k / 2 lies
+    in [1e16, 1e17): each is halfway between two 17-digit decimals."""
+    ties = []
+    for k in range(1, 21):
+        lo, hi = -(-2 * 10**16 // 5**k), min(2 * 10**17 // 5**k, 2**53)
+        odd = rng.integers(lo // 2, hi // 2, per_exponent) * 2 + 1
+        ties.append(odd.astype(np.float64) * 2.0 ** -(k + 1))
+    return np.concatenate(ties)
+
+
+def test_float_and_integer_cells_match_python_formatting():
+    # the float cells' digits come from an exact numpy kernel on [1e-4, 1e17)
+    # and from Python's % elsewhere; each must be format(v, ".17g")
+    rng = np.random.default_rng(20261019)
+    tens = 10.0 ** np.arange(-7, 19)
+    edges = np.array([1e-4, 1e17])
+    near_2_53 = 2.0**53 + np.arange(-4.0, 5.0)
+    odd = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310])
+    chosen = np.concatenate(
+        [
+            *(np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, math.inf)]) for x in (tens, edges)),
+            near_2_53,
+            _exact_ties(rng, 50),
+            odd,
+        ]
+    )
+    floats = np.concatenate(
+        [
+            rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64),
+            10.0 ** rng.uniform(-4.5, 17.5, 20_000) * rng.choice([-1.0, 1.0], 20_000),
+            chosen,
+            -chosen,
+        ]
+    )
+    assert _written_fields(floats) == [format(v, ".17g") for v in floats.tolist()]
+    signed = np.concatenate([rng.integers(-(2**63), 2**63, 10_000, dtype=np.int64), [-(2**63), 2**63 - 1, 0, -1, 9, -10]])
+    unsigned = np.concatenate([rng.integers(0, 2**64, 10_000, dtype=np.uint64), np.array([2**64 - 1, 0, 10**19], np.uint64)])
+    for column in (signed, unsigned, np.arange(100_001)):
+        assert _written_fields(column) == list(map(str, column.tolist()))
 
 
 def _reference_fields(column):
@@ -516,6 +561,20 @@ def test_invariant_beta_past_double_range_exits_1(tmp_path, capsys):
     assert main(argv + ["--set", "model.a0=1e-300"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: beta_fn(") and "double range" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("overrides", [["model.gamma1=5e-324"], ["model.a0=-1e300", "model.gamma0=1e-300"]])
+def test_invariant_without_finite_descriptor_exits_1(tmp_path, capsys, overrides):
+    # an exponent lambda / gamma or a level a / gamma past double range: each
+    # exited 0 and wrote nan rows
+    path, out = write_cfg(tmp_path)
+    argv = ["invariant", "--config", path]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "double range" in err and err.count("\n") == 1
+    assert not os.path.exists(os.path.join(out, "invariant.csv"))
 
 
 def test_scaling_csv(tmp_path):

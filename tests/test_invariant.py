@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from kacou import invariant as inv
 from kacou import quadrature
-from kacou.errors import NoInvariantMeasureError, ParameterError
+from kacou.errors import DoubleRangeError, NoInvariantMeasureError, ParameterError
 from kacou.invariant import (
     empirical_invariant_profile,
     invariant_density,
@@ -105,6 +106,28 @@ def test_density_takes_only_chain_states(state):
 
 def test_nonexistent_description_kind():
     assert invariant_description(REPULSION).kind == "None"
+
+
+@pytest.mark.parametrize(
+    "values, part",
+    [
+        # lambda1 / gamma1 and the level 1 / gamma1 overflow: this wrote nan rows
+        ((1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 5e-324), "level a1 / gamma1"),
+        # an infinite anchor rho0 = a0 / gamma0: this wrote nan rows
+        ((1.0, 1.0, -1e300, 1.0, 0.0, 0.0, 1e-300, 1.0), "level a0 / gamma0"),
+        # an exponent past double range between finite levels
+        ((1.0, 1e300, 0.0, 1e-100, 0.0, 0.0, 1.0, 1e-100), "exponent lambda1 / gamma1"),
+        # a repelling state's exponent, in a density that exists
+        ((1.0, 1.0, 1.0, -1e-300, 0.0, 0.0, 1.0, -5e-324), "exponent lambda1 / gamma1"),
+        # a gamma-like density's exponential rate
+        ((1.0, 1.0, 5e-324, 1.0, 0.0, 0.0, 0.0, 1.0), "exponent lambda0 / |a0|"),
+    ],
+)
+def test_descriptor_past_double_range_raises(values, part):
+    model = KacOuModel.from_values(*values)
+    for query in (invariant_exists, invariant_description):
+        with pytest.raises(DoubleRangeError, match=re.escape(part)):
+            query(model)
 
 
 def test_general_drift_scaling_consistency():
