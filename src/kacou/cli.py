@@ -49,9 +49,9 @@ from .simulate import (
     REASON_NAMES,
     SimCaps,
     _is_telegraph,
+    _laplace_estimates,
     evaluate_x,
     fpt_samples,
-    mc_laplace_fpt,
     sample_m_path,
     sample_switch_sequence,
 )
@@ -494,20 +494,27 @@ def _cmd_fpt(cfg: RunConfig) -> int:
     n_mc = _count(cfg, "fpt", "mc_samples", 200_000, least=1_000)
     tol = _positive(cfg, "fpt", "oracle_tol", 1e-6)
 
+    # the default caps bound a path's switches; a path alternates its states,
+    # so it switches at the stationary rate 2 / (1/lambda0 + 1/lambda1), which
+    # one fast state cannot raise past twice the slow state's rate
+    caps = SimCaps()
+    rate = 2.0 / (1.0 / cfg.model.rates.lambda0 + 1.0 / cfg.model.rates.lambda1)
+    _check_work(n_mc * min(1.0 + rate * caps.horizon, caps.max_switches), "fpt.mc_samples and the [model] rates")
+
+    queries = [FptQuery(q, x, y, state) for q in qs]
+    # the law of T does not depend on q, so one batch serves the whole grid
+    batch = fpt_samples(cfg.model, x, y, state, n_mc, cfg.seed)
+    estimates = _laplace_estimates(batch, qs, np.empty(n_mc))
     rows = []
-    censored = 0
-    for i, q in enumerate(qs):
-        query = FptQuery(q, x, y, state)
+    for query, (mc_mean, mc_stderr) in zip(queries, estimates):
         closed = laplace_fpt(query, cfg.model)
         oracle = fpt_integral_oracle(query, cfg.model, tol)
-        mc = mc_laplace_fpt(query, cfg.model, n_mc, seed=cfg.seed + i)
-        censored += mc.censored
-        rows.append((q, x, y, state, closed, oracle, mc.mean, mc.stderr))
+        rows.append((query.q, x, y, state, closed, oracle, mc_mean, mc_stderr))
     out = os.path.join(cfg.out_dir, "fpt.csv")
     header = ["q", "x", "y", "state", "closed_form", "oracle", "mc_mean", "mc_stderr"]
     columns = [np.array(c, dtype=np.int64 if name == "state" else np.float64) for name, c in zip(header, zip(*rows))]
     _write_csv(out, header, columns)
-    manifest = _manifest(cfg, "fpt", [out], t0, {"censoring": {"count": censored}})
+    manifest = _manifest(cfg, "fpt", [out], t0, {"censoring": {"count": int(np.count_nonzero(batch.censored))}})
     print(manifest)
     return 0
 

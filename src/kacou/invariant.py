@@ -137,10 +137,20 @@ def _level(model: KacOuModel, state: int) -> float:
     return rho
 
 
+def _gap(rho_a: float, rho_b: float) -> float:
+    """|rho_b - rho_a|, the width between the invariant density's two
+    levels, which must be finite for the density to have a descriptor
+    (two finite levels of opposite sign can be more than a double apart)."""
+    width = abs(rho_b - rho_a)
+    if not math.isfinite(width):
+        raise DoubleRangeError(f"the gap between the levels {rho_a} and {rho_b} leaves double range")
+    return width
+
+
 def _closed_form(model: KacOuModel) -> _ClosedForm | None:
     """The regime's closed form, or None when no invariant density exists.
-    A density whose exponents or support ends leave double range has no
-    finite descriptor: DoubleRangeError."""
+    A density whose exponents, support ends or width leave double range has
+    no finite descriptor: DoubleRangeError."""
     regime = classify_regime(model)
     tag = regime.tag
     lam = model.lam_vec
@@ -152,7 +162,7 @@ def _closed_form(model: KacOuModel) -> _ClosedForm | None:
         rho_lo, rho_hi = _level(model, lo_state), _level(model, hi_state)
         a_lo = _exponent(lam[lo_state], g[lo_state], f"lambda{lo_state} / gamma{lo_state}")
         a_hi = _exponent(lam[hi_state], g[hi_state], f"lambda{hi_state} / gamma{hi_state}")
-        width = rho_hi - rho_lo
+        width = _gap(rho_lo, rho_hi)
         c = 1.0 / (
             width ** (a_lo + a_hi)
             * (beta_fn(a_lo, a_hi + 1.0) / g[lo_state] + beta_fn(a_lo + 1.0, a_hi) / g[hi_state])
@@ -171,7 +181,7 @@ def _closed_form(model: KacOuModel) -> _ClosedForm | None:
         rho_a, rho_r = _level(model, s_a), _level(model, s_r)
         a_a = _exponent(lam[s_a], g[s_a], f"lambda{s_a} / gamma{s_a}")
         a_r = _exponent(lam[s_r], g[s_r], f"lambda{s_r} / gamma{s_r}")
-        width = abs(rho_r - rho_a)
+        width = _gap(rho_a, rho_r)
         sgn = -1.0 if rho_a < rho_r else 1.0  # support direction away from the repeller
         c = 1.0 / (
             width ** (a_a + a_r)

@@ -616,16 +616,31 @@ def mc_laplace_fpt(query, model: KacOuModel, n: int, seed: int, caps: SimCaps = 
     if n < 1_000:
         raise ParameterError(f"mc_laplace_fpt needs n >= 1000, got {n}")
     batch = fpt_samples(model, query.x, query.y, query.initial_state, n, seed, caps)
-    # the batch is not returned, so its times become the contributions in
-    # place; mean and stderr take numpy's own steps for np.mean and
-    # np.std(ddof=1), which they equal bit for bit
-    contrib = batch.times
-    with np.errstate(invalid="ignore"):  # q = 0 at an infinite horizon
-        contrib *= -query.q
-    np.exp(contrib, out=contrib)
-    contrib[batch.censored] = 0.0
-    mean = contrib.sum() / n
-    contrib -= mean
-    contrib *= contrib
-    stderr = float(np.sqrt(contrib.sum() / (n - 1)) / math.sqrt(n))
-    return McEstimate(float(mean), stderr, n, int(np.count_nonzero(batch.censored)))
+    # the batch is not returned, so its times become the contributions in place
+    ((mean, stderr),) = _laplace_estimates(batch, [query.q], batch.times)
+    return McEstimate(mean, stderr, n, int(np.count_nonzero(batch.censored)))
+
+
+def _laplace_estimates(batch: FptSampleBatch, qs, work: np.ndarray) -> list[tuple[float, float]]:
+    """(mean, stderr) of exp(-q T) over the batch at each q, censored paths
+    contributing 0.  One batch serves every q, since the law of T does not
+    depend on q (common random numbers), so the estimates' errors are
+    correlated across q.
+
+    The contributions are formed in `work`, an array of the batch's size,
+    which may be batch.times itself for a single q.  Mean and stderr take
+    numpy's own steps for np.mean and np.std(ddof=1), which they equal bit
+    for bit.
+    """
+    n = batch.times.size
+    out = []
+    for q in qs:
+        with np.errstate(invalid="ignore"):  # q = 0 at an infinite horizon
+            np.multiply(batch.times, -q, out=work)
+        np.exp(work, out=work)
+        work[batch.censored] = 0.0
+        mean = work.sum() / n
+        work -= mean
+        work *= work
+        out.append((float(mean), float(np.sqrt(work.sum() / (n - 1)) / math.sqrt(n))))
+    return out

@@ -10,8 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kacou.cli
 from kacou.cli import _CSV_BLOCK, _csv_blocks, _fmt, main
 from kacou.config import ConfigError, config_hash, load_config
+from kacou.first_passage import FptQuery
+from kacou.simulate import fpt_samples, mc_laplace_fpt
 
 BASE_CFG = """
 [model]
@@ -260,6 +263,43 @@ def test_fpt_csv_contract(tmp_path):
     for line in lines[1:]:
         for tok in line.split(","):
             assert math.isfinite(float(tok))
+
+
+def _fpt_rows(out):
+    return [[float(v) for v in line.split(",")] for line in open(os.path.join(out, "fpt.csv")).read().splitlines()[1:]]
+
+
+def test_fpt_draws_one_batch_for_its_q_grid(tmp_path, monkeypatch):
+    # one batch seeded by run.seed serves every q: each row's Monte Carlo
+    # columns are the estimator's at that q on that batch, bit for bit
+    path, out = write_cfg(tmp_path)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fpt_samples(*args, **kwargs)
+
+    monkeypatch.setattr(kacou.cli, "fpt_samples", counted)
+    assert main(["fpt", "--config", path, "--set", "fpt.q_grid=0.25, 1, 3"]) == 0
+    assert len(calls) == 1
+    cfg = load_config(path)
+    rows = _fpt_rows(out)
+    assert [row[0] for row in rows] == [0.25, 1.0, 3.0]
+    for q, _, _, _, _, _, mc_mean, mc_stderr in rows:
+        want = mc_laplace_fpt(FptQuery(q, 0.25, 0.75, 1), cfg.model, 20_000, seed=cfg.seed)
+        assert (mc_mean, mc_stderr) == (want.mean, want.stderr)
+
+
+def test_fpt_manifest_counts_the_censored_paths_of_its_batch(tmp_path):
+    # y next to state 1's level: most paths are censored at the horizon; the
+    # count used to sum one batch a q
+    path, out = write_cfg(tmp_path)
+    argv = ["fpt", "--config", path, "--set", "fpt.y=0.9999", "--set", "fpt.mc_samples=1000"]
+    assert main(argv) == 0
+    cfg = load_config(path)
+    batch = fpt_samples(cfg.model, 0.25, 0.9999, 1, 1000, cfg.seed)
+    censored = json.load(open(os.path.join(out, "fpt_manifest.json")))["censoring"]["count"]
+    assert censored == int(batch.censored.sum()) > 0
 
 
 def test_outputs_byte_identical_across_runs_and_threads(tmp_path):
@@ -563,10 +603,13 @@ def test_invariant_beta_past_double_range_exits_1(tmp_path, capsys):
     assert err.startswith("error: beta_fn(") and "double range" in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("overrides", [["model.gamma1=5e-324"], ["model.a0=-1e300", "model.gamma0=1e-300"]])
+@pytest.mark.parametrize(
+    "overrides",
+    [["model.gamma1=5e-324"], ["model.a0=-1e300", "model.gamma0=1e-300"], ["model.a0=-1e308", "model.a1=1e308"]],
+)
 def test_invariant_without_finite_descriptor_exits_1(tmp_path, capsys, overrides):
-    # an exponent lambda / gamma or a level a / gamma past double range: each
-    # exited 0 and wrote nan rows
+    # an exponent lambda / gamma, a level a / gamma or the gap between two
+    # finite levels past double range: each exited 0 and wrote nan rows
     path, out = write_cfg(tmp_path)
     argv = ["invariant", "--config", path]
     for item in overrides:
@@ -658,6 +701,8 @@ SCALING_WORK_KEYS = "scaling.n_paths, scaling.t, scaling.n_list and scaling.nu"
             ["model.lambda0=1e12", "simulate.cap_horizon=1e9", "simulate.n_paths=1e5"],
             "simulate.n_paths, simulate.cap_horizon, simulate.cap_switches",
         ),
+        # ran the closed forms and the oracle, then died allocating 8e15 bytes
+        ("fpt", ["fpt.mc_samples=1e15"], "fpt.mc_samples and the [model] rates"),
     ],
 )
 def test_runaway_monte_carlo_is_refused_up_front(tmp_path, capsys, command, overrides, keys):

@@ -154,16 +154,33 @@ def _drift(model, state, x):
     return np.sign(-c.gamma * (x - rho) if math.isfinite(rho) else c.a - c.gamma * x)
 
 
-def _displacement(model, state):
-    """(s, z) -> phi_s(z) - z for the state's flow dz/dt = a - gamma z, in a
-    form that keeps its digits: from the distance to a finite level, which
-    is exact next to it, and from the drift where there is none."""
+def _share(model, state):
+    """(s, z_a, z_b) -> (phi_s(z_a) - z_a) / (z_b - z_a), the share of the
+    cell from z_a to z_b that the state's flow dz/dt = a - gamma z covers in
+    time s, in a form that keeps its digits.  Where the level rho is finite
+    it is -expm1(-gamma s) times the ratio (z_a - rho) / (z_a - z_b), formed
+    first: next to the level both distances can be subnormal, where their
+    product with expm1 would round.  The ratio is a Python float, inf for a
+    cell far narrower than its distance to rho (the caller holds the share
+    to [0, 1]), and no time covers none of the cell.  Where there is no
+    level, it is the displacement from the drift over the cell's width."""
     c = model.coeffs[state]
     rho = c.a / c.gamma if c.gamma != 0.0 else math.inf
     if math.isfinite(rho):
-        return lambda s, z: (z - rho) * math.expm1(-c.gamma * s)
-    # z (e^-gamma s - 1) + a s (1 - e^-gamma s) / (gamma s)
-    return lambda s, z: z * math.expm1(-c.gamma * s) + c.a * s * (-math.expm1(-c.gamma * s) / (c.gamma * s) if c.gamma * s else 1.0)
+
+        def share(s, za, zb):
+            grown = -math.expm1(-c.gamma * s)
+            return grown * (float(za - rho) / float(za - zb)) if grown else 0.0
+
+        return share
+
+    def share(s, za, zb):
+        # z (e^-gamma s - 1) + a s (1 - e^-gamma s) / (gamma s)
+        gs = c.gamma * s
+        moved = za * math.expm1(-gs) + c.a * s * (-math.expm1(-gs) / gs if gs else 1.0)
+        return moved / (zb - za)
+
+    return share
 
 
 def _flow_times(model, state, x, zs):
@@ -207,16 +224,16 @@ def _reference_value(model, q, y, nodes, state, i, values):
     # a level ends the flow at the first node it never reaches
     stop = int(np.argmin(reached)) + 1 if not reached.all() else ahead.size
     path, times = np.concatenate([[i], ahead[:stop]]), np.concatenate([[0.0], times[:stop]])
-    moved = _displacement(model, state)
+    share_of = _share(model, state)
 
     total = 0.0
     for (a, b), (ta, tb) in zip(zip(path[:-1], path[1:]), zip(times[:-1], times[1:])):
-        za, gap, va, vb = nodes[a], nodes[b] - nodes[a], values[a], values[b]
+        za, zb, va, vb = nodes[a], nodes[b], values[a], values[b]
 
         def piece(t):
             # the hit times bound the piece to about 2^-52 of themselves, so
             # in a cell of a few ulps the share covered is held to [0, 1]
-            share = min(max(moved(t - ta, za) / gap, 0.0), 1.0)
+            share = min(max(share_of(t - ta, za, zb), 0.0), 1.0)
             return lam * math.exp(-k * t) * (va + (vb - va) * share)
 
         # past 40 / (q + lam) the piece holds e^-40 of the weight left
@@ -396,6 +413,12 @@ def test_oracle_operator_next_to_the_threshold(model):
 # values fall by 1e-29 a node, the coarse ones by 1e-30 a coarse cell, so a
 # fine solve started from the coarse solution took 573 against 186
 @example(rates=(1.0, 1.0), gammas=(0.0, 0.0), levels=(0.0, 1.3550003943498644e-32), q=1.0, y=0.0, d=1.0, above=False)
+# y is one subnormal ulp above state 1's level 0: the referee's share of the
+# cell at y rounded in the subnormal range unless it forms its ratio first
+@example(rates=(1.0, 1.0), gammas=(0.0, 1.0), levels=(0.0, 0.0), q=1.0, y=5e-324, d=1.0, above=False)
+# the cell from y to the level 0 is subnormal, so its distance ratio from the
+# other level 1 overflows: the referee's share must hold it to [0, 1]
+@example(rates=(1.0, 1.0), gammas=(1.0, 1.0), levels=(0.0, 1.0), q=1.0, y=-2.225073858507203e-309, d=1.0, above=True)
 @settings(max_examples=25, deadline=None)
 def test_oracle_operator_matches_reference_on_drawn_models(rates, gammas, levels, q, y, d, above):
     # gamma = 0 draws a linear state with drift `level`; otherwise the level

@@ -121,6 +121,10 @@ def test_nonexistent_description_kind():
         ((1.0, 1.0, 1.0, -1e-300, 0.0, 0.0, 1.0, -5e-324), "exponent lambda1 / gamma1"),
         # a gamma-like density's exponential rate
         ((1.0, 1.0, 5e-324, 1.0, 0.0, 0.0, 0.0, 1.0), "exponent lambda0 / |a0|"),
+        # finite levels whose gap overflows: this wrote nan rows
+        ((1.0, 1.0, -1e308, 1e308, 0.0, 0.0, 1.0, 1.0), "gap between the levels"),
+        # the same gap between an attracting and a repelling level
+        ((0.3, 1.0, -1e308, -1e308, 0.0, 0.0, 1.0, -1.0), "gap between the levels"),
     ],
 )
 def test_descriptor_past_double_range_raises(values, part):

@@ -559,6 +559,52 @@ def test_mc_estimate_counts_censored_paths():
     assert 0 < est.censored == int(batch.censored.sum())
 
 
+def reference_laplace_estimate(batch, q):
+    """mc_laplace_fpt's estimator as it stood before it was shared across q,
+    the bitwise referee: (mean, stderr, censored) of exp(-q T) formed in
+    place in the batch's times."""
+    n = batch.times.size
+    contrib = batch.times
+    with np.errstate(invalid="ignore"):  # q = 0 at an infinite horizon
+        contrib *= -q
+    np.exp(contrib, out=contrib)
+    contrib[batch.censored] = 0.0
+    mean = contrib.sum() / n
+    contrib -= mean
+    contrib *= contrib
+    stderr = float(np.sqrt(contrib.sum() / (n - 1)) / math.sqrt(n))
+    return float(mean), stderr, int(np.count_nonzero(batch.censored))
+
+
+@pytest.mark.parametrize(
+    "caps",
+    [SimCaps(), SimCaps(horizon=0.5), SimCaps(horizon=math.inf, max_switches=3)],
+    ids=["default", "short-horizon", "infinite-horizon"],
+)
+@pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 7.0])
+def test_mc_laplace_fpt_matches_in_place_referee_bitwise(q, caps):
+    got = mc_laplace_fpt(FptQuery(q, 0.2, 0.8, 0), ATTRACTING, 3_000, seed=21, caps=caps)
+    want = reference_laplace_estimate(fpt_samples(ATTRACTING, 0.2, 0.8, 0, 3_000, seed=21, caps=caps), q)
+    assert (got.mean, got.stderr, got.censored) == want
+
+
+def test_mc_laplace_fpt_keeps_no_second_batch_sized_array(monkeypatch):
+    # the estimate works in the batch's own times: beyond the batch, the
+    # peak holds far less than one more array of n doubles
+    n = 200_000
+    batch = fpt_samples(ATTRACTING, 0.2, 0.8, 0, n, seed=5)
+    want = reference_laplace_estimate(fpt_samples(ATTRACTING, 0.2, 0.8, 0, n, seed=5), 1.0)
+    monkeypatch.setattr(kacou.simulate, "fpt_samples", lambda *args: batch)
+    tracemalloc.start()
+    try:
+        got = mc_laplace_fpt(FptQuery(1.0, 0.2, 0.8, 0), ATTRACTING, n, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got.mean, got.stderr, got.censored) == want
+    assert peak < 0.25 * 8 * n
+
+
 def test_fpt_censoring_vanishes_in_attracting_regime():
     batch = fpt_samples(ATTRACTING, 0.2, 0.8, 0, 20_000, seed=13, caps=SimCaps(horizon=1e3))
     assert batch.censored_fraction <= 1e-3
