@@ -78,7 +78,7 @@ def criterion_1():
     return worst <= 1e-10, f"max |l(0)-1| = {worst:.2e} over 100 queries (tol 1e-10)"
 
 
-def _oracle_grid_gap(model, qs, ys, xs, tol=1e-6):
+def _oracle_grid_gap(model, qs, ys, xs):
     worst = 0.0
     for q in qs:
         for y in ys:
@@ -86,7 +86,7 @@ def _oracle_grid_gap(model, qs, ys, xs, tol=1e-6):
                 sub = np.array([x for x in xs if (x - y) * side > 0])
                 if sub.size == 0:
                     continue
-                e0, e1 = fpt_oracle_curve(model, q, y, sub, tol)
+                e0, e1 = fpt_oracle_curve(model, q, y, sub)
                 for i, x in enumerate(sub):
                     for state, oracle in ((0, e0[i]), (1, e1[i])):
                         closed = laplace_fpt(FptQuery(q, x, y, state), model)

@@ -488,11 +488,13 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 def _cmd_fpt(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     qs = _numbers(cfg, "fpt", "q_grid")
+    for q in qs:
+        if not q > 0.0:  # the integral oracle needs it
+            raise ConfigError("fpt.q_grid", f"every entry must be finite and positive, got {q}")
     x = _finite(cfg, "fpt", "x")
     y = _finite(cfg, "fpt", "y")
     state = _state(cfg, "fpt", "state")
     n_mc = _count(cfg, "fpt", "mc_samples", 200_000, least=1_000)
-    tol = _positive(cfg, "fpt", "oracle_tol", 1e-6)
 
     # the default caps bound a path's switches; a path alternates its states,
     # so it switches at the stationary rate 2 / (1/lambda0 + 1/lambda1), which
@@ -508,7 +510,7 @@ def _cmd_fpt(cfg: RunConfig) -> int:
     rows = []
     for query, (mc_mean, mc_stderr) in zip(queries, estimates):
         closed = laplace_fpt(query, cfg.model)
-        oracle = fpt_integral_oracle(query, cfg.model, tol)
+        oracle = fpt_integral_oracle(query, cfg.model)
         rows.append((query.q, x, y, state, closed, oracle, mc_mean, mc_stderr))
     out = os.path.join(cfg.out_dir, "fpt.csv")
     header = ["q", "x", "y", "state", "closed_form", "oracle", "mc_mean", "mc_stderr"]

@@ -40,4 +40,5 @@ class NoInvariantMeasureError(KacOuError):
 
 
 class OracleError(KacOuError):
-    """The integral-equation oracle failed to converge or cover the domain."""
+    """The integral-equation oracle's equations are singular in double
+    precision: a pivot of their solve fell below the normal range."""

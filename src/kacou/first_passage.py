@@ -4,8 +4,8 @@ integral-equation oracle, and an ODE-residual checker.
 The closed forms are hypergeometric ratios valid on the domains where the
 underlying power series converge.  Queries outside those domains raise
 :class:`OutOfDomainError` instead of extrapolating; the renewal-equation
-oracle covers every regime (for q > 0) and is the cross-check for all of
-them.
+oracle, whose discretised equations are solved exactly by cyclic reduction,
+covers every regime (for q > 0) and is the cross-check for all of them.
 
 One frame for dispatch: relabelling the chain states and rescaling space
 preserve first-passage times, so each regime picks a state swap and a scale
@@ -55,18 +55,10 @@ __all__ = [
 # fine grid halves every cell
 ORACLE_CORE_NODES = 1501
 ORACLE_TAIL_NODES = 750
-ORACLE_MAX_ITER = 10_000
 # the grid's tails reach where a row has e^-_TAIL_REACH (1e-16) of its weight
 # left, or this ratio of distances to a repelling level
 _TAIL_REACH = 16.0 * math.log(10.0)
 _TAIL_RATIO_CAP = 1e13
-# largest log of the range of scales inside one block of the oracle's
-# running sum (a block's terms are scaled by up to e^_SCAN_SPAN)
-_SCAN_SPAN = 600.0
-# residual differences the oracle's Anderson-accelerated solve fits per step:
-# a window of 3 forgets too fast where plain sweeps speed up as they go (a
-# state that cannot move, flows that carry every node toward y)
-_ORACLE_ANDERSON_DEPTH = 8
 # nearest an attracting target may come to the attractor it approaches, as
 # a share of the gap: sqrt(eps), where one rounding of its coordinate moves
 # the transform by beta sqrt(eps) relative (the direct series could not
@@ -407,136 +399,178 @@ def _crossing(start, end, vel, g, rho, k):
         return k * v * np.where(x == 0.0, 1.0, log_ratio / x), log_ratio
 
 
-def _oracle_operator(model, q, y, nodes, state):
-    """One state's renewal equation on the grid as ell = first + A ell_other.
+def _oracle_rows(model, q, nodes, lo, hi, state):
+    """One state's renewal equation at nodes concatenating grids that end
+    at y, node j's grid spanning indices lo[j] to hi[j].
 
-    Row x of A integrates lam e^-(q+lam) tau ell(phi_tau(x)) over the
-    holding times tau before the flow from x reaches y, with ell linear
-    between nodes.  The grid splits into runs of nodes whose flow moves the
-    same way, and a node's integral is its own cell's term plus e^-(q+lam)T
-    (T the crossing time) times its downstream node's: a running sum
-    S_j = r_j S_(j-1) + c_j from each run's downstream end, its head.  In
-    the landing point z = phi_tau(x) the weight is
-    (lam / |gamma|) |x - rho|^-beta |z - rho|^(beta-1) dz with
-    beta = (q + lam) / gamma (an exponential when gamma = 0), so a cell's
-    two node weights are closed-form moments of it (see _far_share).  A
-    head hits y (S = 0; the first-passage term is
-    ((y - rho)/(x - rho))^beta), moves into an attracting level (r = 0), or
-    is the lowest node, past which ell is held at its value: that lies in
-    [0, 1], so the closure is off by at most the weight left past the tail.
-    A node at a level stays: its term is lam / (q + lam) ell(level).
+    Until the flow from node j reaches its downstream node d, in time T,
+    the state switches at rate lam (to o, with ell_o linear between nodes);
+    if it has not switched, it starts afresh at d.  So with r = e^-kap and
+    kap = (q + lam) T the row reads
 
-    The sum restarts a block wherever the log of the carried products moves
-    by _SCAN_SPAN, and drops the carry at a head or where r < e^-_SCAN_SPAN.
-    Returns (first, down, near, far, scale, blocks): node i's cell term is
-    near[i] ell[i] + far[i] ell[down[i]], over scale[i]; sums[sl] runs
-    through a block (sl, carry, src) in summation order, summed with carry
-    times sums[src] added; then every sum is times scale.
+        ell[j] - r ell[d] - near ell_o[j] - far ell_o[d] = [j in hit].
+
+    In the landing point z = phi_tau(x) the switching weight is
+    (lam / |gamma|) |x - rho|^-beta |z - rho|^(beta-1) dz, beta = (q + lam)
+    / gamma (an exponential when gamma = 0), so near and far are its
+    closed-form moments (see _far_share).  r = 0 where a flow moves into an
+    attracting level or would leave its grid: past the lowest node ell is
+    held at its value, in [0, 1], so the closure is off by at most the
+    weight left past the tail; at y the flow hits.  At a level a node
+    stays: its term is lam / (q + lam) ell_o(level).
+
+    Returns (down, r, near, far, defect, hit), defect the row sum
+    1 - r - near - far in closed form, without cancellation:
+    (1 - e^-kap) q / (q + lam) in a cell, q / (q + lam) where r = 0, and 1
+    at y.
     """
     c = model.coeffs[state]
     a, g = c.a, c.gamma
     lam = model.rates.rate(state)
     k = q + lam
-    n = nodes.size
+    idx = np.arange(nodes.size)
     rho = a / g if g != 0.0 else math.inf
     # the drift at each node, from the distance to a finite level so that it
     # keeps its digits next to the level
     vel = -g * (nodes - rho) if math.isfinite(rho) else a - g * nodes
     step = np.sign(vel).astype(np.intp)
-    down = np.clip(np.arange(n) + step, 0, n - 1)
+    down = np.clip(idx + step, lo, hi)
     kap, log_ratio = _crossing(nodes, nodes[down], vel, g, rho, k)  # nan where nodes stay
-    total = (lam / k) * -np.expm1(-kap)
+    grown = -np.expm1(-kap)
+    total = (lam / k) * grown
     share = _far_share(kap, -log_ratio)
     near, far = total * (1.0 - share), total * share
-    r = np.exp(-kap)
-    r[~(kap <= _SCAN_SPAN)] = 0.0
-
-    first, scale, blocks = np.zeros(n), np.ones(n), []
-    bounds = np.flatnonzero(np.diff(step)) + 1
-    for lo, hi in zip(np.concatenate(([0], bounds)), np.concatenate((bounds, [n]))):
-        move = step[lo]
-        if move == 0:  # nodes at a level
-            near[lo:hi], far[lo:hi], r[lo:hi] = lam / k, 0.0, 0.0
-            continue
-        head = hi - 1 if move > 0 else lo
-        if move > 0 and hi == n:  # the run hits y
-            near[head] = far[head] = 0.0
-            first[lo:hi] = np.exp(-_crossing(nodes[lo:hi], y, vel[lo:hi], g, rho, k)[0])
-        elif move < 0 and lo == 0:  # into the tail
-            near[head], far[head] = lam / k, 0.0
-        else:  # into an attracting level
-            near[head], far[head] = lam / (k + g), lam * g / (k * (k + g))
-        r[head] = 0.0
-        # the run in summation order, from its head
-        run = slice(lo, hi) if move < 0 else slice(hi - 1, lo - 1 if lo else None, -1)
-        kr, rr, sc = kap[run], r[run], scale[run]
-        restart = rr == 0.0
-        level = np.floor(np.cumsum(np.where(restart, _SCAN_SPAN, kr)) / _SCAN_SPAN)
-        starts = np.flatnonzero(restart | (np.diff(level, prepend=-1.0) != 0.0))
-        for b0, b1 in zip(starts, np.append(starts[1:], hi - lo)):
-            if b1 - b0 == 1 and not rr[b0]:
-                continue
-            sc[b0 + 1 : b1] = np.exp(-np.cumsum(kr[b0 + 1 : b1]))
-            if move < 0:
-                sl, src = slice(lo + b0, lo + b1), lo + b0 - 1
-            else:
-                sl, src = slice(hi - 1 - b0, hi - 1 - b1 if hi > b1 else None, -1), hi - b0
-            blocks.append((sl, rr[b0] * scale[src] if rr[b0] else 0.0, src))
-    return first, down, near / scale, far / scale, scale, blocks
+    r, defect = np.exp(-kap), grown * (q / k)
+    # (kap is inf where a flow moves into a level, so r and defect are
+    # right there) a node stays at a level or at a grid end
+    stay = np.flatnonzero(down == idx)
+    r[stay], defect[stay], near[stay], far[stay] = 0.0, q / k, lam / k, 0.0
+    into = np.flatnonzero(step[down] != step)
+    if into.size:  # only an attracting state has these: k + g > 0
+        near[into], far[into] = lam / (k + g), lam * g / (k * (k + g))
+    hit = stay[step[stay] > 0]
+    near[hit], defect[hit] = 0.0, 1.0
+    return down, r, near, far, defect, hit
 
 
-def _apply_operator(op, values):
-    """first + A values for op from _oracle_operator."""
-    first, down, near, far, scale, blocks = op
-    sums = values.take(down)
-    sums *= far
-    sums += near * values
-    for sl, carry, src in blocks:
-        run = sums[sl]
-        np.cumsum(run, out=run)
-        if carry:
-            run += carry * sums[src]
-    sums *= scale
-    sums += first
-    return sums
+def _oracle_system(model, q, grids):
+    """Both states' rows on the grids (see _oracle_rows) as one block
+    tridiagonal system in the pairs (ell0[j], ell1[j]) at their
+    concatenated nodes: (blocks, pair) as _cyclic_reduction takes them.  No
+    row reaches past its grid's ends, so the grids' systems stay apart."""
+    nodes = np.concatenate(grids)
+    sizes = [g.size for g in grids]
+    lo = np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)
+    hi = np.repeat(np.cumsum(sizes) - 1, sizes)
+    idx = np.arange(nodes.size)
+    blocks, pair = np.zeros((2, 6, nodes.size)), np.empty((2, nodes.size))
+    for s in (0, 1):
+        down, r, near, far, defect, hit = _oracle_rows(model, q, nodes, lo, hi, s)
+        for col, toward in ((0, down < idx), (2, down > idx)):
+            np.copyto(blocks[s, col + s], r, where=toward)
+            np.copyto(blocks[s, col + 1 - s], far, where=toward)
+        blocks[s, 4, hit], blocks[s, 5], pair[s] = 1.0, defect, near
+    return blocks, pair
 
 
-def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs, tol: float = 1e-6):
+def _inverse(blocks, pair, out):
+    """D_j^-1 into out[:, :, j] at every node j (see _cyclic_reduction).
+
+    D_j's diagonal is t + pair, t its row sums, so its determinant
+    t0 t1 + t0 p10 + p01 t1 and its adjugate, whose entries are at most 1,
+    are sums of terms >= 0 (Grassmann, Taksar & Heyman 1985).  Dividing by
+    a determinant of at least the least normal double cannot overflow; a
+    smaller one (or nan), where defects underflow, raises OracleError.
+    """
+    t = np.add.reduce(blocks[:, :4], axis=1)
+    t += blocks[:, 5]
+    # the adjugate [[t1 + p10, p01], [p10, t0 + p01]]
+    out[...] = pair[::-1]
+    out[0, 0] += t[1]
+    out[1, 1] += t[0]
+    det = t[0] * out[0, 0]
+    det += pair[0] * t[1]
+    if not det.min() >= 2.0**-1022:
+        raise OracleError(f"a pivot of {det.min():.3g} is below the normal range: q is too small for doubles")
+    out /= det
+
+
+def _cyclic_reduction(blocks, pair):
+    """Solve a block tridiagonal M-matrix system with 2 x 2 blocks; returns
+    the solution, shape (2, n).  Overwrites blocks and pair.
+
+    Node j's rows read D_j x_j - L_j x_(j-1) - U_j x_(j+1) = b_j, with the
+    magnitudes of L_j, U_j and b_j in blocks[:, 0:2, j], blocks[:, 2:4, j]
+    and blocks[:, 4, j], and of D_j's off-diagonal in pair[:, j];
+    blocks[:, 5, j] holds the rows' sums, from which D_j's diagonal is
+    formed (see _inverse).  Odd-even reduction (Buzbee, Golub & Nielson
+    1970): each level solves the odd nodes' rows for their own values and
+    takes those into the even nodes' rows, a system of the same kind on
+    half the nodes.  The row sums go through the same updates as b, so no
+    step subtracts and back-substitution adds terms >= 0: every value keeps
+    its relative accuracy however small it is.
+    """
+    n = blocks.shape[2]
+    # an odd node's value is rows[:, 4] + rows[:, 0:2] x_(j-1) +
+    # rows[:, 2:4] x_(j+1); the levels' rows are packed between nodes of 0s,
+    # the neighbours the first and last even nodes lack
+    solved, levels, at, stride = np.zeros((2, 6, n + n.bit_length() + 1)), [], 0, 1
+    inverse, product = np.empty((2, 2, n // 2)), np.empty((2, 6, (n + 1) // 2))
+    # the reduced systems alternate between the given arrays and these
+    spare = np.empty((2, 6, (n + 1) // 2)), np.empty((2, (n + 1) // 2))
+    while stride < n:
+        even, odd = blocks[:, :, ::2], blocks[:, :, 1::2]
+        ne, no = even.shape[2], odd.shape[2]
+        inv, rows = inverse[:, :, :no], solved[:, :, at : at + no + 2]
+        _inverse(odd, pair[:, 1::2], inv)
+        np.einsum("ikm,kjm->ijm", inv, odd, out=rows[:, :, 1:-1])
+        # each even node takes in its odd neighbours' rows, which also couple
+        # its states
+        reduced, coupled, taken = spare[0][:, :, :ne], spare[1][:, :ne], product[:, :, :ne]
+        np.einsum("ikm,kjm->ijm", even[:, 0:2], rows[:, :, :ne], out=taken)
+        reduced[:, 0:2] = taken[:, 0:2]
+        np.add(even[:, 4:], taken[:, 4:], out=reduced[:, 4:])
+        np.add(pair[:, ::2], taken[(0, 1), (3, 2)], out=coupled)
+        np.einsum("ikm,kjm->ijm", even[:, 2:4], rows[:, :, 1 : ne + 1], out=taken)
+        reduced[:, 2:4] = taken[:, 2:4]
+        reduced[:, 4:] += taken[:, 4:]
+        coupled += taken[(0, 1), (1, 0)]
+        levels.append((stride, rows[:, :5, 1:-1]))
+        at, stride = at + no + 1, 2 * stride
+        spare, blocks, pair = (blocks, pair), reduced, coupled
+    # x has 0s past the last node, for a last odd node without a right
+    # neighbour; terms holds what rows multiply: x_(j-1), x_(j+1) and 1
+    x, terms = np.zeros((2, 2 * n)), np.ones((5, n // 2))
+    _inverse(blocks, pair, inverse[:, :, :1])
+    np.einsum("ikm,km->im", inverse[:, :, :1], blocks[:, 4], out=x[:, :1])
+    for stride, rows in reversed(levels):
+        even, odd = x[:, :: 2 * stride], x[:, stride : n : 2 * stride]
+        no = odd.shape[1]
+        terms[0:2, :no], terms[2:4, :no] = even[:, :no], even[:, 1 : no + 1]
+        np.einsum("ikm,km->im", rows, terms[:, :no], out=odd)
+    return x[:, :n]
+
+
+def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs):
     """Solve the coupled renewal integral equations on the side of y that
     contains every query point; returns (ell0, ell1) at xs.
 
     Independent of the hypergeometric route: numpy and the model's flows
-    alone.  The equations are solved on a coarse grid (see _oracle_nodes)
-    whose nodes include y, every level and every query point, and on the
-    fine grid that halves each of its cells, with each state's operator in
-    the landing point (see _oracle_operator).  Both are O(h^2) off, so the
-    curve is the Richardson value ell_h + (ell_h - ell_2h) / 3, clipped to
-    [0, 1], and |ell_h - ell_2h| / 3 estimates the error of ell_h.
-
-    tol is each grid's fixed-point stop, relative to the values.  Anderson
-    acceleration (see _anderson_solve) finds the fixed point of one
-    Gauss-Seidel sweep, ell1 -> f1 + A1 (f0 + A0 ell1), until a sweep moves
-    no node value by 0.1 * tol of itself, and ell0 comes from the last
-    sweep.  (Its change is A0 times the last change to ell1, and A0 has
-    weights >= 0 while ell0 >= A0 ell1, so the stop bounds it too.)
-
-    The fine grid is solved first, from ell1 = 0.  The coarse solve starts
-    from the fine ell0 at its nodes, through ell1 = f1 + A1 ell0: nested
-    iteration from the fine grid down, which saves the coarse solve most of
-    its sweeps.  The other way up, a start interpolated from the coarse
-    solution can sit orders of magnitude above the fine values where a
-    curve falls steeply within a coarse cell, and the relative stop then
-    takes hundreds of sweeps to bring them down.  In the cases seen, the
-    fine values lie below the coarse ones there, on the side from which
-    sweeps from 0 come.
+    alone.  The equations are written (see _oracle_rows) on a coarse grid
+    (see _oracle_nodes) whose nodes include y, every level and every query
+    point, and on the fine grid that halves each of its cells, and both
+    are solved exactly, as one linear system (see _cyclic_reduction).  Both
+    are O(h^2) off, so the curve is the Richardson value
+    ell_h + (ell_h - ell_2h) / 3, clipped to [0, 1], and
+    |ell_h - ell_2h| / 3 estimates the error of ell_h.  Raises OracleError
+    where q is so small against the rates that the equations are singular
+    in double precision.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.size == 0:
         raise ParameterError("oracle queries require at least one x")
     if not 0.0 < q < math.inf:
         raise ParameterError(f"the integral oracle requires a finite q > 0, got {q}")
-    if not 0.0 < tol < math.inf:
-        raise ParameterError(f"the oracle tolerance must be finite and > 0, got {tol}")
     if not (math.isfinite(y) and np.isfinite(xs).all()):
         raise ParameterError("oracle queries require finite x and y")
     if np.any(xs == y):
@@ -547,140 +581,26 @@ def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs, tol: float = 1e-
     if np.all(xs > y):
         # solve the reflected problem below -y; first-passage laws are
         # invariant under x -> -x
-        return fpt_oracle_curve(rescale(model, -1.0), q, -y, -xs, tol)
-    fine, coarse = _oracle_grid_curves(model, q, y, xs, tol)
+        return fpt_oracle_curve(rescale(model, -1.0), q, -y, -xs)
+    fine, coarse = _oracle_grid_curves(model, q, y, xs)
     return tuple(np.clip(f + (f - c) / 3.0, 0.0, 1.0) for f, c in zip(fine, coarse))
 
 
-def _oracle_grid_curves(model, q, y, xs, tol):
+def _oracle_grid_curves(model, q, y, xs):
     """[ell0, ell1] at xs < y on the fine grid and on the coarse grid."""
     coarse = _oracle_nodes(model, q, y, xs)
     fine = _halved(coarse)
-    # the two solves' Anderson histories, sized for the fine grid
-    history = np.empty((2, _ORACLE_ANDERSON_DEPTH * fine.size))
-    ops = [_oracle_operator(model, q, y, fine, s) for s in (0, 1)]
-    ells = _oracle_solve(*ops, None, 0.1 * tol, history)
-    curves = [[np.interp(xs, fine, ell) for ell in ells]]
-    # every coarse node is a fine node: the fine ell0 there starts the
-    # coarse solve
-    ops = [_oracle_operator(model, q, y, coarse, s) for s in (0, 1)]
-    ells = _oracle_solve(*ops, np.interp(coarse, fine, ells[0]), 0.1 * tol, history)
-    curves.append([np.interp(xs, coarse, ell) for ell in ells])
-    return curves
+    blocks, pair = _oracle_system(model, q, (fine, coarse))
+    # where no flow enters y the transforms are 0
+    ells = _cyclic_reduction(blocks, pair) if blocks[:, 4].any() else np.zeros(pair.shape)
+    grids = ((fine, ells[:, : fine.size]), (coarse, ells[:, fine.size :]))
+    return [[np.interp(xs, nodes, ell) for ell in part] for nodes, part in grids]
 
 
-def _oracle_solve(op0, op1, ell0, inner_tol, history):
-    """Node values (ell0, ell1) of one grid's renewal equations, by the
-    solve described in fpt_oracle_curve, from ell1 = 0 or, given a start
-    ell0 that is not all 0, from ell1 = f1 + A1 ell0; history as in
-    _anderson_solve."""
-
-    def sweep(ell1):
-        nonlocal ell0
-        ell0 = _apply_operator(op0, ell1)
-        return _apply_operator(op1, ell0)
-
-    if ell0 is None or not ell0.any():
-        # the first sweep from ell1 = 0: every weight is finite and >= 0, so
-        # A0 ell1 sums +0.0s and ell0 = first exactly
-        ell0 = op0[0]
-        x, g = np.zeros(ell0.size), _apply_operator(op1, ell0)
-    else:
-        x = _apply_operator(op1, ell0)
-        g = sweep(x)
-    ell1 = _anderson_solve(sweep, x, g, inner_tol, history)
-    return ell0, ell1
-
-
-def _anderson_solve(sweep, x, g, inner_tol, history):
-    """Fixed point of the map sweep, from x and its image g = sweep(x), by
-    Anderson acceleration: returns the last plain image sweep(x) once it
-    moves no value of x by inner_tol of the image's value or more.  The stop
-    is relative because values reach 1e-250 and below; below 1e-280, where
-    the terms that make a value reach the subnormal range, it is absolute.
-
-    Each step fits the residual r = sweep(x) - x by the differences of the
-    last _ORACLE_ANDERSON_DEPTH residuals (least squares, by the normal
-    equations) and takes the plain image minus the same combination of
-    image differences.  When an accelerated step shrinks the residual's
-    2-norm by no more than the last plain step did, the history is dropped
-    and the next step is plain, as it is when the normal equations are
-    singular: where plain sweeps converge faster than geometrically, a fit
-    to older differences falls behind them.  The fixed point is a
-    probability, so each step is clipped to [0, 1], where the sweep's terms
-    are all >= 0.
-
-    The differences stored since the history was last dropped fill rows
-    0, 1, ... of a ring buffer and then wrap round it.  The Gram matrix of
-    the residual rows is kept: storing row j rewrites its row and column j,
-    one dot product per row, and the fit solves on the leading block of the
-    rows in use (the whole matrix once the window is full).  history holds
-    at least 2 x _ORACLE_ANDERSON_DEPTH x x.size doubles, so that a curve's
-    two solves share one allocation.
-    """
-    depth = _ORACLE_ANDERSON_DEPTH
-    n = x.size
-    # ring buffers of residual and image differences, one row per step, and
-    # the Gram matrix of the residual rows, kept as they are written: they
-    # start at 0, so that its entry (i, j) is d_r[i] @ d_r[j] throughout
-    d_r, d_g = (h[: depth * n].reshape(depth, n) for h in history)
-    d_r.fill(0.0)
-    gram = np.zeros((depth, depth))
-    # the residual and the last one, and the stop test's and the mixed
-    # step's working rows
-    r, r_prev, scale, step = np.empty((4, n))
-    # differences stored since the history was last dropped, and the 2-norm
-    # ratio of the last plain step's residual to the one before
-    stored, accelerated, plain_rate = 0, False, 1.0
-    for k in range(ORACLE_MAX_ITER):
-        if k:
-            g = sweep(x)
-        r, r_prev = r_prev, r
-        np.subtract(g, x, out=r)
-        np.abs(g, out=scale)
-        np.maximum(scale, 1e-280, out=scale)
-        np.abs(r, out=step)
-        delta = np.max(np.divide(step, scale, out=step))
-        if delta < inner_tol:
-            return g
-        norm = r @ r
-        if k and not accelerated and norm_prev > 0.0:
-            plain_rate = norm / norm_prev
-        if accelerated and norm >= plain_rate * norm_prev:
-            stored = 0
-        elif k:
-            j = stored % depth
-            np.subtract(r, r_prev, out=d_r[j])
-            np.subtract(g, g_prev, out=d_g[j])
-            gram[j] = gram[:, j] = d_r @ d_r[j]
-            stored += 1
-        held = min(stored, depth)
-        g_prev, norm_prev = g, norm
-        x, accelerated = g, False
-        # once the residual is at rounding level (its 2-norm below 1e-15, a
-        # few roundings, of the image's) a fit sees only noise, and the
-        # steps are plain; a higher floor leaves plain steps to finish a
-        # tight tol where small values still carry a relative residual
-        if held and norm > 1e-30 * (g @ g):
-            try:
-                coef = np.linalg.solve(gram[:held, :held], d_r[:held] @ r)
-            except np.linalg.LinAlgError:  # a repeated difference: step plainly
-                coef = None
-            if coef is None or not np.isfinite(coef).all():  # or so near singular it overflowed
-                stored = 0
-                continue
-            np.matmul(coef, d_g[:held], out=step)
-            x = np.clip(np.subtract(g, step, out=step), 0.0, 1.0, out=step)
-            accelerated = True
-    raise OracleError(
-        f"fixed-point iteration did not contract below {inner_tol} in "
-        f"{ORACLE_MAX_ITER} sweeps (last change {delta})"
-    )
-
-
-def fpt_integral_oracle(query: FptQuery, model: KacOuModel, tol: float = 1e-6) -> float:
-    """Renewal-equation value of E[exp(-q T)]; works in every regime, q > 0."""
-    e0, e1 = fpt_oracle_curve(model, query.q, query.y, np.array([query.x]), tol)
+def fpt_integral_oracle(query: FptQuery, model: KacOuModel) -> float:
+    """Renewal-equation value of E[exp(-q T)] (see fpt_oracle_curve); works
+    in every regime, q > 0."""
+    e0, e1 = fpt_oracle_curve(model, query.q, query.y, np.array([query.x]))
     value = float(e0[0] if query.initial_state == 0 else e1[0])
     return min(max(value, 0.0), 1.0)
 

@@ -169,7 +169,6 @@ def test_counts_below_minimum_exit_2(tmp_path, capsys, command, key, value):
         ("simulate", "simulate.horizon", "0", "path"),
         ("simulate", "simulate.cap_horizon", "nan", "fpt"),
         ("simulate", "simulate.cap_horizon", "-1", "fpt"),
-        ("fpt", "fpt.oracle_tol", "0", None),
         ("scaling", "scaling.nu", "0", None),
         ("scaling", "scaling.nu", "inf", None),
         ("scaling", "scaling.nu", "nan", None),
@@ -216,6 +215,7 @@ def test_chain_state_must_be_0_or_1(tmp_path, capsys, command, key, value, mode)
         ("fpt", "fpt.x", "nan", None),
         ("fpt", "fpt.y", "-inf", None),
         ("fpt", "fpt.q_grid", "0.5, nan", None),
+        ("fpt", "fpt.q_grid", "0.5, inf", None),
         ("scaling", "scaling.t", "inf", None),
         ("scaling", "scaling.t", "nan", None),
         ("scaling", "scaling.t", "-1", None),
@@ -759,6 +759,18 @@ def test_path_mode_rows_are_refused_up_front(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "simulate.horizon, simulate.eval_points and the [model] rates" in err
     assert "rows" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("q_grid", ["0, 1", "1, -0.5", "-0, 2"])
+def test_fpt_refuses_a_q_of_0_or_less_up_front(tmp_path, capsys, monkeypatch, q_grid):
+    # the integral oracle needs q > 0: a q of 0 ran the whole Monte Carlo
+    # batch and then exited 1 from the oracle
+    path, out = write_cfg(tmp_path)
+    monkeypatch.setattr(kacou.cli, "fpt_samples", None)  # no batch is drawn
+    assert main(["fpt", "--config", path, "--set", f"fpt.q_grid={q_grid}"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "fpt.q_grid" in err and "positive" in err
     assert not os.path.exists(out)
 
 

@@ -78,12 +78,12 @@ def test_boundary_attainment():
 def test_closed_form_matches_integral_oracle(model, q, x, y):
     for state in (0, 1):
         closed = laplace_fpt(FptQuery(q, x, y, state), model)
-        oracle = fpt_integral_oracle(FptQuery(q, x, y, state), model, tol=1e-7)
+        oracle = fpt_integral_oracle(FptQuery(q, x, y, state), model)
         assert closed == pytest.approx(oracle, abs=1e-4)
 
 
 def test_oracle_reproduces_boundary():
-    e0, e1 = fpt_oracle_curve(ATTRACTING, 1.0, 0.75, np.array([0.75 - 1e-8]), tol=1e-7)
+    e0, e1 = fpt_oracle_curve(ATTRACTING, 1.0, 0.75, np.array([0.75 - 1e-8]))
     assert e1[0] == pytest.approx(1.0, abs=1e-5)
 
 
@@ -95,7 +95,7 @@ def test_oracle_monotone_in_q():
 
 def test_oracle_handles_degenerate_and_matches_mc():
     q = FptQuery(1.0, 2.0, 1.5, 0)
-    oracle = fpt_integral_oracle(q, DEGENERATE, tol=1e-7)
+    oracle = fpt_integral_oracle(q, DEGENERATE)
     from kacou.simulate import mc_laplace_fpt
 
     est = mc_laplace_fpt(q, DEGENERATE, 100_000, seed=42)
@@ -105,20 +105,16 @@ def test_oracle_handles_degenerate_and_matches_mc():
 def test_oracle_requires_positive_q():
     with pytest.raises(ParameterError):
         fpt_integral_oracle(FptQuery(0.0, 0.25, 0.75, 1), ATTRACTING)
-    # non-finite rates, points and tolerances fail at once instead of running
-    # every sweep
-    for q, y, xs, tol in [
-        (math.nan, 0.75, [0.25], 1e-6),
-        (math.inf, 0.75, [0.25], 1e-6),
-        (1.0, 0.75, [0.25], 0.0),
-        (1.0, 0.75, [0.25], math.nan),
-        (1.0, 0.75, [0.25], math.inf),
-        (1.0, math.nan, [0.25], 1e-6),
-        (1.0, 0.75, [-math.inf], 1e-6),
-        (1.0, 0.75, [math.inf], 1e-6),
+    # non-finite rates and points fail at once
+    for q, y, xs in [
+        (math.nan, 0.75, [0.25]),
+        (math.inf, 0.75, [0.25]),
+        (1.0, math.nan, [0.25]),
+        (1.0, 0.75, [-math.inf]),
+        (1.0, 0.75, [math.inf]),
     ]:
         with pytest.raises(ParameterError):
-            fpt_oracle_curve(ATTRACTING, q, y, np.array(xs), tol)
+            fpt_oracle_curve(ATTRACTING, q, y, np.array(xs))
 
 
 def test_oracle_rejects_straddling_queries():
@@ -189,9 +185,15 @@ def _flow_times(model, state, x, zs):
     distance ratio less 1, which keeps a target a few ulps from x apart
     from x (model.hitting_time rounds the log of that ratio to 0 and calls
     the target unreached), and by the log of the ratio where it is below
-    1/2; the model's hitting time where there is no finite level."""
+    1/2; the distance over the drift where gamma = 0, and the model's
+    hitting time where the level overflows."""
     c = model.coeffs[state]
-    rho = c.a / c.gamma if c.gamma != 0.0 else math.inf
+    if c.gamma == 0.0:
+        # a constant drift reaches every node ahead: in a cell of one
+        # subnormal ulp model.hitting_time rounds the time to 0 and calls the
+        # node unreached
+        return (zs - x) / c.a
+    rho = c.a / c.gamma
     if not math.isfinite(rho):
         return hitting_time(state, x, zs, model)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -269,78 +271,20 @@ def _small_grids():
 
 
 def assert_operator_matches_reference(model, q, y, xs):
-    """_apply_operator against the quadrature referee, both states, on both
-    grids of small size, on a random vector in [0, 1] at the checked nodes."""
+    """The oracle's solution on both grids of small size against the
+    quadrature referee: at the checked nodes each state's value is what the
+    referee's first + A values gives for the other state's values."""
     m, y_side, xs = _oracle_side(model, q, y, xs)
     with _small_grids():
         grids = _grids(m, q, y_side, xs)
+    ells = fp._cyclic_reduction(*fp._oracle_system(m, q, grids))
     rng = stream(11, "oracle-operator", 0)
     levels = [c.a / c.gamma for c in m.coeffs if c.gamma != 0.0 and math.isfinite(c.a / c.gamma)]
-    for nodes in grids:
-        values = rng.random(nodes.size)
+    for nodes, ell in zip(grids, np.split(ells, [grids[0].size], axis=1)):
         for s in (0, 1):
-            got = fp._apply_operator(fp._oracle_operator(m, q, y_side, nodes, s), values)
             for i in _checked_nodes(nodes, xs, levels, rng):
-                want = _reference_value(m, q, y_side, nodes, s, i, values)
-                assert got[i] == pytest.approx(want, rel=1e-11, abs=1e-14), (s, i, nodes[i])
-
-
-class _Applications:
-    """Counts the oracle's operator applications while in a with block."""
-
-    def __enter__(self):
-        self.count, self._apply = 0, fp._apply_operator
-
-        def counted(*args):
-            self.count += 1
-            return self._apply(*args)
-
-        fp._apply_operator = counted
-        return self
-
-    def __exit__(self, *exc):
-        fp._apply_operator = self._apply
-
-
-def plain_sweep_curve(model, q, y, xs, tol):
-    """``fpt_oracle_curve``'s grids and operators, each grid solved by plain
-    Gauss-Seidel sweeps from ell1 = 0 until no value changes by 0.1 * tol
-    of itself,
-    and the two combined as the curve combines them; returns the curve and
-    the applications used (each first sweep's first is free: first + A 0
-    is first)."""
-    m, y_side, xs = _oracle_side(model, q, y, xs)
-    curves, applications = [], 0
-    for nodes in _grids(m, q, y_side, xs):
-        op0, op1 = (fp._oracle_operator(m, q, y_side, nodes, s) for s in (0, 1))
-        ell0 = ell1 = np.zeros(nodes.size)
-        applications -= 1
-        for _ in range(fp.ORACLE_MAX_ITER):
-            new0 = fp._apply_operator(op0, ell1)
-            new1 = fp._apply_operator(op1, new0)
-            applications += 2
-            delta = max(np.max(np.abs(n - o) / np.maximum(n, 1e-300)) for n, o in ((new0, ell0), (new1, ell1)))
-            ell0, ell1 = new0, new1
-            if delta < 0.1 * tol:
-                break
-        else:
-            raise OracleError("plain sweeps did not contract")
-        curves.append([np.interp(xs, nodes, ell0), np.interp(xs, nodes, ell1)])
-    (c0, c1), (f0, f1) = curves
-    return tuple(np.clip(f + (f - c) / 3.0, 0.0, 1.0) for f, c in ((f0, c0), (f1, c1))), applications
-
-
-def assert_solve_matches_plain_sweeps(model, q, y, xs, tol=1e-12):
-    """The accelerated solve against plain sweeps of the same operators,
-    both at tol: equal curves within 1e-11, in [0, 1], and no more operator
-    applications."""
-    with _Applications() as used:
-        got = fpt_oracle_curve(model, q, y, np.asarray(xs, dtype=float), tol)
-    want, plain = plain_sweep_curve(model, q, y, xs, tol)
-    assert used.count <= plain
-    for g, w in zip(got, want):
-        np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-11)
-        assert np.all((0.0 <= g) & (g <= 1.0))
+                want = _reference_value(m, q, y_side, nodes, s, i, ell[1 - s])
+                assert ell[s][i] == pytest.approx(want, rel=1e-11, abs=1e-14), (s, i, nodes[i])
 
 
 # a repelling level below the threshold: its own node and a geometric tail
@@ -378,18 +322,11 @@ def test_oracle_operator_matches_element_by_element_reference(model, q, y, below
     assert_operator_matches_reference(model, q, y, above)
 
 
-@pytest.mark.parametrize("model, q, y, below, above", OPERATOR_CASES)
-def test_oracle_solve_matches_plain_sweeps(model, q, y, below, above):
-    assert_solve_matches_plain_sweeps(model, q, y, below)
-    assert_solve_matches_plain_sweeps(model, q, y, above)
-
-
 @pytest.mark.parametrize("model", [ATTRACTING, ATTRACT_REPEL, NON_STRICT, DEGENERATE_MIXED])
 def test_oracle_operator_next_to_the_threshold(model):
     for y in (-0.5, 0.75):
         for xs in ([y - 1e-8, y - 1e-3], [y + 1e-8]):
             assert_operator_matches_reference(model, 1.0, y, xs)
-            assert_solve_matches_plain_sweeps(model, 1.0, y, xs)
 
 
 @given(
@@ -401,17 +338,14 @@ def test_oracle_operator_next_to_the_threshold(model):
     d=st.floats(1e-6, 2.0),
     above=st.booleans(),
 )
-# plain sweeps that speed up as they go, where a 3-deep window took more
-# applications than they did: state 0 cannot move (142 against 138)
+# state 0 cannot move
 @example(rates=(3.0, 2.5), gammas=(0.0, 0.25), levels=(0.0, 0.0), q=0.5, y=1.0, d=1.0, above=True)
-# state 0 is pulled to y itself and state 1 barely drifts (86 against 82)
+# state 0 is pulled to y itself and state 1 barely drifts
 @example(rates=(1.0, 2.0), gammas=(1.0, 0.0), levels=(0.0, 5.960464477539063e-08), q=1.0, y=0.0, d=1e-06, above=False)
-# both states are pulled to a level 1.7e-15 past y; an 8-deep window with a
-# floor on the fit at 1e-14 of the image's 2-norm took 148 against 144
+# both states are pulled to a level 1.7e-15 past y
 @example(rates=(1.0, 1.0), gammas=(1.0, 1.0), levels=(0.0, 0.0), q=0.375, y=-1.6992231217259597e-15, d=1.0, above=False)
 # state 0 cannot move and state 1 drifts up at 1.4e-32: toward y the fine
-# values fall by 1e-29 a node, the coarse ones by 1e-30 a coarse cell, so a
-# fine solve started from the coarse solution took 573 against 186
+# values fall by 1e-29 a node, the coarse ones by 1e-30 a coarse cell
 @example(rates=(1.0, 1.0), gammas=(0.0, 0.0), levels=(0.0, 1.3550003943498644e-32), q=1.0, y=0.0, d=1.0, above=False)
 # y is one subnormal ulp above state 1's level 0: the referee's share of the
 # cell at y rounded in the subnormal range unless it forms its ratio first
@@ -419,6 +353,10 @@ def test_oracle_operator_next_to_the_threshold(model):
 # the cell from y to the level 0 is subnormal, so its distance ratio from the
 # other level 1 overflows: the referee's share must hold it to [0, 1]
 @example(rates=(1.0, 1.0), gammas=(1.0, 1.0), levels=(0.0, 1.0), q=1.0, y=-2.225073858507203e-309, d=1.0, above=True)
+# reflected, state 0 drifts down at speed 2 from y = 5e-324, and the first
+# cell, from y to -0.0, is one subnormal ulp wide: the referee must count
+# its node as reached
+@example(rates=(1.0, 1.0), gammas=(0.0, 1.0), levels=(2.0, 0.0), q=1.0, y=-5e-324, d=1.0, above=True)
 @settings(max_examples=25, deadline=None)
 def test_oracle_operator_matches_reference_on_drawn_models(rates, gammas, levels, q, y, d, above):
     # gamma = 0 draws a linear state with drift `level`; otherwise the level
@@ -427,235 +365,101 @@ def test_oracle_operator_matches_reference_on_drawn_models(rates, gammas, levels
     model = KacOuModel.from_values(*rates, *a, 0.0, 0.0, *gammas)
     x = y + d if above else y - d
     assert_operator_matches_reference(model, q, y, [x, x + 0.5 * (y - x)])
-    assert_solve_matches_plain_sweeps(model, q, y, [x, x + 0.5 * (y - x)])
 
 
-def test_accelerated_solve_halves_slow_sweeps():
-    # at small q plain sweeps contract slowly (about 0.5-0.8 a sweep); the
-    # accelerated solve must need at most half their applications in all
-    used = plain = 0
-    for model, y, x in ((ATTRACTING, 0.75, 0.25), (ATTRACTING, 0.4, 0.9), (ATTRACT_REPEL, -0.5, -0.9), (NON_STRICT, 0.8, 0.2)):
-        with _Applications() as counted:
-            fpt_oracle_curve(model, 0.1, y, np.array([x]))
-        used += counted.count
-        plain += plain_sweep_curve(model, 0.1, y, [x], 1e-6)[1]
-    assert used <= 0.5 * plain
+def _sparse_solution(blocks, pair):
+    """The system _cyclic_reduction takes, with the unit diagonal of the
+    renewal rows in place of the defects, by scipy's sparse LU."""
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import spsolve
+
+    n = blocks.shape[2]
+    j = np.arange(n)
+    rows, cols, vals = [np.arange(2 * n)], [np.arange(2 * n)], [np.ones(2 * n)]
+    for s in (0, 1):
+        for o in (0, 1):  # L_j and U_j couple node j to nodes j - 1 and j + 1
+            rows += [s * n + j[1:], s * n + j[:-1]]
+            cols += [o * n + j[:-1], o * n + j[1:]]
+            vals += [-blocks[s, o, 1:], -blocks[s, 2 + o, :-1]]
+        rows.append(s * n + j)
+        cols.append((1 - s) * n + j)
+        vals.append(-pair[s])
+    a = csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(2 * n, 2 * n))
+    return spsolve(a, blocks[:, 4].ravel()).reshape(2, n)
 
 
-def test_oracle_error_names_the_sweeps_spent(monkeypatch):
-    monkeypatch.setattr(fp, "ORACLE_MAX_ITER", 2)
-    with pytest.raises(OracleError, match=r"did not contract below 1e-08 in 2 sweeps \(last change "):
-        fpt_oracle_curve(ATTRACTING, 0.2, 0.75, np.array([0.25]), tol=1e-7)
+def _sparse_cases():
+    for model, q, y, below, above in OPERATOR_CASES:
+        yield model, q, y, below
+        yield model, q, y, above
+    # at large q (or a huge rate) a run's products of r leave double range
+    for q, rate in [(100.0, 1.0), (1e4, 1.0), (0.5, 1e100)]:
+        yield KacOuModel.from_values(rate, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0), q, 0.75, [0.05, 0.25]
 
 
-def test_anderson_step_on_a_repeated_difference_falls_back_to_plain(monkeypatch):
-    # x -> x + 0.5 repeats its residual, so every difference is 0 and the
-    # normal equations are singular: each step is plain until the sweeps run
-    # out, the last moving 2.0 to 2.5, by 0.2 of its value
-    monkeypatch.setattr(fp, "ORACLE_MAX_ITER", 5)
-    with pytest.raises(OracleError, match=r"in 5 sweeps \(last change 0\.2\)"):
-        history = np.full((2, fp._ORACLE_ANDERSON_DEPTH * 4), np.nan)
-        fp._anderson_solve(lambda x: x + 0.5, np.zeros(4), np.full(4, 0.5), 1e-8, history)
-
-
-def _anderson_referee(sweep, x, g, inner_tol):
-    """_anderson_solve's steps with every stored difference kept in ring
-    order by step number and the whole Gram matrix rebuilt at each fit;
-    returns the fixed point, the window of each fit and the history drops."""
-    depth = fp._ORACLE_ANDERSON_DEPTH
-    d_r, d_g = np.zeros((depth, x.size)), np.zeros((depth, x.size))
-    held, accelerated, plain_rate, windows, drops = 0, False, 1.0, [], 0
-    for k in range(fp.ORACLE_MAX_ITER):
-        if k:
-            g = sweep(x)
-        r = g - x
-        if np.max(np.abs(r) / np.maximum(np.abs(g), 1e-280)) < inner_tol:
-            return g, windows, drops
-        norm = r @ r
-        if k and not accelerated and norm_prev > 0.0:
-            plain_rate = norm / norm_prev
-        if accelerated and norm >= plain_rate * norm_prev:
-            held, drops = 0, drops + 1
-        elif k:
-            d_r[k % depth], d_g[k % depth] = r - r_prev, g - g_prev
-            held = min(held + 1, depth)
-        r_prev, g_prev, norm_prev = r, g, norm
-        x, accelerated = g, False
-        if held and norm > 1e-30 * (g @ g):
-            rows = [(k - i) % depth for i in range(held)]
-            gram = d_r @ d_r.T
-            coef = np.linalg.solve(gram[np.ix_(rows, rows)], (d_r @ r)[rows])
-            windows.append(held)
-            x = np.clip(g - coef @ d_g[rows], 0.0, 1.0)
-            accelerated = True
-    raise OracleError("the referee did not converge")
-
-
-def _contraction(n):
-    """x -> m x + b with m >= 0, rows summing to 0.95, and b in [0, 0.05]:
-    it maps [0, 1] into itself; returns the map and its fixed point."""
-    rng = np.random.default_rng(1)
-    m = rng.random((n, n)) ** 4
-    m *= 0.95 / m.sum(axis=1, keepdims=True)
-    b = 0.05 * rng.random(n)
-    return (lambda x: m @ x + b), np.linalg.solve(np.eye(n) - m, b)
-
-
-@contextlib.contextmanager
-def _kept_gram_checked(history, n):
-    """Checks at each fit of _anderson_solve, for a solve of n values, that
-    it solves on the leading block of the Gram matrix it keeps, and that the
-    whole kept matrix is d_r @ d_r.T of the residual differences in history,
-    within 1e-12 of sqrt(G_ii G_jj); yields the window of each fit."""
-    depth = fp._ORACLE_ANDERSON_DEPTH
-    solve, windows = np.linalg.solve, []
-
-    def checked(a, b):
-        kept = a.base
-        assert kept.shape == (depth, depth) and a.ctypes.data == kept.ctypes.data
-        d_r = history[0][: depth * n].reshape(depth, n)
-        want = d_r @ d_r.T
-        bound = 1e-12 * np.sqrt(np.outer(np.diag(want), np.diag(want)))
-        assert np.all(np.abs(kept - want) <= bound), np.max(np.abs(kept - want) - bound)
-        windows.append(a.shape[0])
-        return solve(a, b)
-
-    np.linalg.solve = checked
-    try:
-        yield windows
-    finally:
-        np.linalg.solve = solve
-
-
-def test_anderson_solve_takes_the_steps_of_a_referee_that_rebuilds_the_gram_matrix():
-    # the first accelerated step falls behind the plain rate and drops the
-    # history; the window then fills row by row and wraps round the ring
-    depth = fp._ORACLE_ANDERSON_DEPTH
-    sweep, fixed = _contraction(12)
-    steps = {"referee": [], "kept": []}
-
-    def recorded(name):
-        def step(x):
-            steps[name].append(x.copy())
-            return sweep(x)
-
-        return step
-
-    x = np.zeros(12)
-    want, windows, drops = _anderson_referee(recorded("referee"), x, sweep(x), 1e-12)
-    assert drops and windows.count(1) > 1 and windows.count(depth) > 1
-    history = np.empty((2, depth * 12))
-    with _kept_gram_checked(history, 12) as kept_windows:
-        got = fp._anderson_solve(recorded("kept"), x, sweep(x), 1e-12, history)
-    assert kept_windows == windows
-    assert len(steps["kept"]) == len(steps["referee"])
-    for a, b in zip(steps["kept"], steps["referee"]):
-        np.testing.assert_allclose(a, b, rtol=1e-9, atol=0.0)
-    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
-    np.testing.assert_allclose(got, fixed, rtol=1e-10, atol=0.0)
-
-
-def test_kept_gram_matrix_after_a_drop_from_a_full_window():
-    # an oracle solve whose full, wrapped window drops its history: the rows
-    # refill from 0 over stale ones, and the kept matrix stays d_r @ d_r.T
-    depth = fp._ORACLE_ANDERSON_DEPTH
-    m, y_side, xs = _oracle_side(AR_NODE_BELOW_Y, 0.3, 0.9, [1.3, 2.0])
-    refilled = False
-    for nodes in _grids(m, 0.3, y_side, xs):
-        ops = [fp._oracle_operator(m, 0.3, y_side, nodes, s) for s in (0, 1)]
-        history = np.empty((2, depth * nodes.size))
-        with _kept_gram_checked(history, nodes.size) as windows:
-            fp._oracle_solve(*ops, None, 1e-7, history)
-        if depth in windows:
-            refilled |= any(w < depth for w in windows[windows.index(depth) :])
-    assert refilled
+@pytest.mark.parametrize("model, q, y, xs", list(_sparse_cases()))
+def test_cyclic_reduction_matches_sparse_lu(model, q, y, xs):
+    # both grids' systems, solved together, against a general sparse solve
+    m, y_side, xs = _oracle_side(model, q, y, xs)
+    blocks, pair = fp._oracle_system(m, q, _grids(m, q, y_side, xs))
+    assert not blocks[:, 0:2, 0].any() and not blocks[:, 2:4, -1].any()
+    want = _sparse_solution(blocks, pair)
+    got = fp._cyclic_reduction(blocks, pair)
+    assert np.isfinite(got).all() and np.isfinite(want).all()
+    kept = want >= 1e-250
+    np.testing.assert_allclose(got[kept], want[kept], rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("model, q, y, below, above", OPERATOR_CASES)
-def test_coarse_solve_from_the_fine_solution_matches_a_cold_solve(model, q, y, below, above):
-    # the fine solve runs from 0 as before; the coarse one, started from the
-    # fine ell0, reaches the cold coarse solve's values in fewer
-    # applications, except where the fine ell0 is 0 throughout (state 0
-    # never meets y from that side) and the coarse solve is the cold one
+def test_joint_solve_keeps_the_grids_apart(model, q, y, below, above):
+    # the fine and coarse grids, solved as one system, give what each gives
+    # solved alone: no row couples one grid to the other
     for xs in (below, above):
         m, y_side, xs = _oracle_side(model, q, y, xs)
-        with _Applications() as warm:
-            fine, coarse = fp._oracle_grid_curves(m, q, y_side, xs, 1e-12)
-        cold, curves, starts = [], [], []
-        for nodes in _grids(m, q, y_side, xs):
-            ops = [fp._oracle_operator(m, q, y_side, nodes, s) for s in (0, 1)]
-            history = np.empty((2, fp._ORACLE_ANDERSON_DEPTH * nodes.size))
-            with _Applications() as used:
-                ells = fp._oracle_solve(*ops, None, 1e-13, history)
-            cold.append(used.count)
-            curves.append([np.interp(xs, nodes, ell) for ell in ells])
-            starts.append(ells[0])
-        cold_coarse, cold_fine = curves
-        for got, want in zip(fine, cold_fine):
-            assert got.tobytes() == want.tobytes()
-        for got, want in zip(coarse, cold_coarse):
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11)
-        if starts[1].any():
-            assert warm.count < sum(cold)
-        else:
-            assert warm.count == sum(cold)
+        grids = _grids(m, q, y_side, xs)
+        joint = np.split(fp._cyclic_reduction(*fp._oracle_system(m, q, grids)), [grids[0].size], axis=1)
+        for nodes, got in zip(grids, joint):
+            want = fp._cyclic_reduction(*fp._oracle_system(m, q, (nodes,)))
+            kept = want >= 1e-250
+            np.testing.assert_allclose(got[kept], want[kept], rtol=1e-12, atol=0.0)
 
 
-# --- the blocked running sum ----------------------------------------------------
+# linear drifts -1 and +0.5 at rates 1: the telegraph process, whose
+# transforms are exponential in x - y
+TELEGRAPH = KacOuModel.from_values(1.0, 1.0, -1.0, 0.5, 0.0, 0.0, 0.0, 0.0)
 
 
-def _running_sum(op, values):
-    """first + A values from op's coefficients by the plain recurrence
-    S = r S_prev + c, one node at a time along each block, where c gathers
-    the pair (the node's value, its downstream node's value) of its cell."""
-    first, down, near, far, scale, blocks = op
-    c = (near * values + far * values[down]) * scale
-    sums = c.copy()  # a node in no block drops its carry: S = c
-    for sl, carry, src in blocks:
-        walk = np.arange(values.size)[sl]
-        prev, r = (sums[src], carry / scale[src]) if carry else (0.0, 0.0)
-        for j, i in enumerate(walk):
-            if j:  # the product carried into node i
-                r = scale[i] / scale[walk[j - 1]]
-            prev = sums[i] = r * prev + c[i]
-    return sums + first
+@pytest.mark.parametrize("q", [0.1, 1e-3, 1e-6, 1e-9])
+def test_oracle_at_small_q_matches_the_telegraph_transform(q):
+    # ell_s = v_s e^(theta (x - y)), theta > 0 the root of
+    # theta^2 - (1 + q) theta - 2 q (2 + q) = 0, v_1 = 1 (state 1 hits y)
+    # and v_0 = 1 / (1 + q + theta); an iterated solve crawled here and
+    # gave up below q = 1e-4
+    y, xs = 0.75, np.array([-1.0, 0.25, 0.7])
+    theta = 0.5 * (1.0 + q + math.sqrt((1.0 + q) ** 2 + 8.0 * q * (2.0 + q)))
+    e1 = np.exp(theta * (xs - y))
+    t0 = time.perf_counter()
+    got0, got1 = fpt_oracle_curve(TELEGRAPH, q, y, xs)
+    assert time.perf_counter() - t0 < 1.0
+    np.testing.assert_allclose(got0, e1 / (1.0 + q + theta), rtol=1e-7, atol=0.0)
+    np.testing.assert_allclose(got1, e1, rtol=1e-7, atol=0.0)
 
 
-@pytest.mark.parametrize("model, q, y, below, above", OPERATOR_CASES)
-def test_pair_gather_equals_two_entries_per_run(model, q, y, below, above):
-    # each position's cell gathers two entries, its node's value and its
-    # downstream node's; the blocked sum equals their plain running sum
-    for xs in (below, above):
-        m, y_side, xs = _oracle_side(model, q, y, xs)
-        for nodes in _grids(m, q, y_side, xs):
-            values = stream(7, "oracle-values", 0).random(nodes.size)
-            for s in (0, 1):
-                op = fp._oracle_operator(m, q, y_side, nodes, s)
-                np.testing.assert_allclose(fp._apply_operator(op, values), _running_sum(op, values), rtol=1e-13, atol=1e-300)
-                # the first sweep applies state 0's operator to ell1 = 0, which
-                # the sweep skips: first is that application's value exactly
-                zero = fp._apply_operator(op, np.zeros(nodes.size))
-                assert zero.tobytes() == op[0].tobytes()
+def test_oracle_gives_0_without_a_solve_where_no_flow_enters_y(monkeypatch):
+    # both states drift down, away from y above them
+    monkeypatch.setattr(fp, "_cyclic_reduction", None)
+    model = KacOuModel.from_values(1.0, 1.0, -1.0, -0.5, 0.0, 0.0, 0.0, 0.0)
+    for ell in fpt_oracle_curve(model, 1.0, 0.75, np.array([0.25, -1.0])):
+        assert np.array_equal(ell, [0.0, 0.0])
 
 
-@pytest.mark.parametrize("q, rate", [(100.0, 1.0), (1e4, 1.0), (0.5, 1e100)])
-def test_running_sum_restarts_where_its_scale_moves_by_the_span(q, rate):
-    # at large q (or a huge rate) the products a run carries leave double
-    # range: its sum restarts a block wherever their log moves by the span,
-    # and drops the carry where one cell's product is below e^-span
-    model = KacOuModel.from_values(rate, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0)
-    nodes = fp._oracle_nodes(model, q, 0.75, np.array([0.05, 0.25]))
-    values = stream(7, "oracle-values", 1).random(nodes.size)
-    ops = [fp._oracle_operator(model, q, 0.75, nodes, s) for s in (0, 1)]
-    for op in ops:
-        assert np.all(np.isfinite(op[2])) and np.all(np.isfinite(op[3]))
-        np.testing.assert_allclose(fp._apply_operator(op, values), _running_sum(op, values), rtol=1e-13, atol=1e-300)
-    # state 0 pulls toward 0 from both sides of it, a run each
-    blocks = ops[0][5]
-    if rate > 1.0:  # every cell drops the carry: nothing is summed
-        assert blocks == []
-    else:
-        assert len(blocks) > 2 and any(carry > 0.0 for _, carry, _ in blocks)
+def test_pivot_guard_raises_at_once():
+    # q / (q + lam) is subnormal, and so is a pivot: the division would
+    # overflow
+    t0 = time.perf_counter()
+    with pytest.raises(OracleError, match="normal range"):
+        fpt_oracle_curve(REPELLING, 5e-324, 0.2, np.array([-0.5]))
+    assert time.perf_counter() - t0 < 1.0
 
 
 # --- the oracle's accuracy against the closed forms ---------------------------------
@@ -686,7 +490,7 @@ def test_grid_difference_estimates_the_fine_grid_error(y, xs, q):
     # ell_h and ell_2h are both O(h^2) off, so (ell_h - ell_2h) / 3 is
     # ell_h's error to leading order
     m, y_side, oriented = _oracle_side(ATTRACTING, q, y, xs)
-    fine, coarse = fp._oracle_grid_curves(m, q, y_side, oriented, 1e-12)
+    fine, coarse = fp._oracle_grid_curves(m, q, y_side, oriented)
     for state in (0, 1):
         closed = np.array([laplace_fpt(FptQuery(q, x, y, state), ATTRACTING) for x in xs])
         estimate = np.abs(fine[state] - coarse[state]) / 3.0
@@ -749,7 +553,7 @@ def test_non_strict_side_restriction():
     with pytest.raises(OutOfDomainError, match=r"needs -inf < y < -2\.0 .*got y=-2\.0;.*fpt_integral_oracle"):
         laplace_fpt(FptQuery(0.7, -1.0, -2.0, 0), ns_down)
     # ... but the oracle covers both
-    val = fpt_integral_oracle(FptQuery(0.7, -2.0, -1.0, 1), NON_STRICT, tol=1e-6)
+    val = fpt_integral_oracle(FptQuery(0.7, -2.0, -1.0, 1), NON_STRICT)
     assert 0.0 < val <= 1.0
 
 
@@ -779,7 +583,7 @@ def test_mirrored_orientations_agree_with_oracle():
     ns_neg = KacOuModel.from_values(2.0, 1.0, -3.0, 0.0, 0.0, 0.0, 0.0, 1.0)
     q2 = FptQuery(0.9, 0.5, -0.2, 0)
     closed = laplace_fpt(q2, ns_neg)
-    oracle = fpt_integral_oracle(q2, ns_neg, tol=1e-7)
+    oracle = fpt_integral_oracle(q2, ns_neg)
     assert closed == pytest.approx(oracle, abs=1e-4)
 
 
@@ -946,7 +750,7 @@ def test_oracle_degenerate_mixed_signs_matches_mc():
     dg = KacOuModel.from_values(1.0, 0.8, 2.0, -1.0, 0.0, 0.0, 2.0, -1.0)
     for x, y, s in [(1.8, 1.3, 0), (1.2, 2.5, 1)]:
         q = FptQuery(0.9, x, y, s)
-        oracle = fpt_integral_oracle(q, dg, tol=1e-7)
+        oracle = fpt_integral_oracle(q, dg)
         est = mc_laplace_fpt(q, dg, 60_000, seed=55)
         assert abs(oracle - est.mean) <= max(3.5 * est.stderr, 1e-3)
 
