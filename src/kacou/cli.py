@@ -410,8 +410,7 @@ def _manifest(cfg: RunConfig, command: str, outputs: list[str], t0: float, extra
     return path
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
+def _cmd_simulate(cfg: RunConfig):
     mode = cfg.get("simulate", "mode", default="path", cast=str)
     n_paths = _count(cfg, "simulate", "n_paths", 1)
     x0 = _finite(cfg, "simulate", "x0", default=0.0)
@@ -480,13 +479,10 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         _write_csv(out, ["sample", "outcome", "time", "reason"], columns)
         extra["censoring"] = {REASON_NAMES[code]: int(np.sum(batch.reason == code)) for code in reasons}
 
-    manifest = _manifest(cfg, "simulate", [out], t0, extra)
-    print(manifest)
-    return 0
+    return [out], extra
 
 
-def _cmd_fpt(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
+def _cmd_fpt(cfg: RunConfig):
     qs = _numbers(cfg, "fpt", "q_grid")
     for q in qs:
         if not q > 0.0:  # the integral oracle needs it
@@ -516,13 +512,10 @@ def _cmd_fpt(cfg: RunConfig) -> int:
     header = ["q", "x", "y", "state", "closed_form", "oracle", "mc_mean", "mc_stderr"]
     columns = [np.array(c, dtype=np.int64 if name == "state" else np.float64) for name, c in zip(header, zip(*rows))]
     _write_csv(out, header, columns)
-    manifest = _manifest(cfg, "fpt", [out], t0, {"censoring": {"count": int(np.count_nonzero(batch.censored))}})
-    print(manifest)
-    return 0
+    return [out], {"censoring": {"count": int(np.count_nonzero(batch.censored))}}
 
 
-def _cmd_invariant(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
+def _cmd_invariant(cfg: RunConfig):
     exists, support = invariant_exists(cfg.model)
     grid_points = _count(cfg, "invariant", "grid_points", 401, most=MAX_GRID_POINTS)
 
@@ -549,9 +542,7 @@ def _cmd_invariant(cfg: RunConfig) -> int:
         _write_csv(out_csv, ["x", "pi0", "pi1"], [])
     out_json = os.path.join(cfg.out_dir, "invariant_summary.json")
     _atomic_write(out_json, [json.dumps(summary, indent=2, sort_keys=True, default=float) + "\n"])
-    manifest = _manifest(cfg, "invariant", [out_csv, out_json], t0)
-    print(manifest)
-    return 0
+    return [out_csv, out_json], None
 
 
 _SCALING_KINDS = {
@@ -568,8 +559,7 @@ _SCALING_KINDS = {
 _PAIR_SUFFIX = {"velocity": "", "drift": "_a", "reversion": "_g"}
 
 
-def _cmd_scaling(cfg: RunConfig) -> int:
-    t0 = time.perf_counter()
+def _cmd_scaling(cfg: RunConfig):
     kind_name = cfg.get("scaling", "kind", cast=str)
     if kind_name not in _SCALING_KINDS:
         raise ConfigError("scaling.kind", f"unknown kind {kind_name!r}")
@@ -602,9 +592,7 @@ def _cmd_scaling(cfg: RunConfig) -> int:
     out = os.path.join(cfg.out_dir, "scaling.csv")
     header = [f.name for f in dataclasses.fields(ConvergenceRow)]
     _write_csv(out, header, [[getattr(r, k) for r in rows] for k in header])
-    manifest = _manifest(cfg, "scaling", [out], t0)
-    print(manifest)
-    return 0
+    return [out], None
 
 
 def _criterion_indices(text: str) -> set[int]:
@@ -659,7 +647,11 @@ def main(argv=None) -> int:
             "invariant": _cmd_invariant,
             "scaling": _cmd_scaling,
         }[args.command]
-        return handler(cfg)
+        # each command returns its outputs and its manifest's extra keys
+        t0 = time.perf_counter()
+        outputs, extra = handler(cfg)
+        print(_manifest(cfg, args.command, outputs, t0, extra))
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -64,8 +64,9 @@ _TAIL_RATIO_CAP = 1e13
 # the transform by beta sqrt(eps) relative (the direct series could not
 # settle nearer either)
 _TARGET_CLEARANCE = 2.0**-26
-# targets whose side of the transform ratio is kept (see _target): a caller
-# sweeping start points for one target at a time needs one entry
+# target-side values kept (see _target_side): a target takes two, its
+# hyper_args and its denominator, so a caller sweeping start points for one
+# target at a time needs two entries
 _TARGET_MEMO_SIZE = 64
 
 
@@ -115,49 +116,27 @@ class _Frame:
         )
 
 
-class _Target:
-    """One memo entry: hyper_args(q, model) (None in the non-strict branch)
-    and the branch's target-side value, None until it is first evaluated
-    without raising."""
-
-    __slots__ = ("hp", "den")
-
-    def __init__(self, hp):
-        self.hp, self.den = hp, None
-
-    def denominator(self, evaluate, *args):
-        """The target-side value, from evaluate(*args) on first use."""
-        if self.den is None:
-            self.den = evaluate(*args)
-        return self.den
-
-
 @functools.lru_cache(maxsize=_TARGET_MEMO_SIZE)
-def _target(branch: str, model: KacOuModel, q: float, y: float) -> _Target:
-    """The memo entry of one target: a transform's denominator depends only
-    on its branch, the canonical model, q and the canonical y, so queries
-    that differ only in the start (or start state) share it.
-
-    An entry is filled where a query without the memo would compute each
-    value, through this module's globals at that time: hyper_args when the
-    entry is made, the denominator at its place in the branch (after the
-    start-side series in the Gauss branches, before it in the non-strict
-    one).  So a query raises what it would raise without the memo, and a
-    denominator that raises is not kept and raises again on the next query.
-    """
-    return _Target(None if branch == "non-strict" else hyper_args(q, model))
+def _target_side(evaluate, *args):
+    """evaluate(*args), kept: the target side of a transform ratio (its
+    denominator, or hyper_args(q, model)) depends only on its arguments, so
+    queries that differ only in the start (or start state) share it.  The
+    key holds the function object, so a patched or traced Gauss or Kummer
+    function never meets another's entry (G at y is kept under
+    _ar_decaying, which calls the Gauss function inside it), and a call
+    that raises is not kept."""
+    return evaluate(*args)
 
 
-def _regular_branch(target, beta, lam, q, zx, zy, toward, state):
+def _regular_branch(hp, beta, lam, q, zx, zy, toward, state):
     """The series branch regular at the attractor the coordinate z is
     measured from: F(beta;zx)/F(beta;zy) for the state `toward` whose
     pattern heads for the threshold, and lam/(q+lam) F(1+beta;zx)/F(beta;zy)
     for the other state (beta and lam are the other state's), which has to
     switch first.  Ratios are formed in log space, so large-parameter
     evaluations (big q) stay finite."""
-    hp = target.hp
     num = gauss_2f1_log(hp.b0, hp.b1, beta if state == toward else 1.0 + beta, zx)
-    ratio = num.ratio(target.denominator(gauss_2f1_log, hp.b0, hp.b1, beta, zy))
+    ratio = num.ratio(_target_side(gauss_2f1_log, hp.b0, hp.b1, beta, zy))
     return ratio if state == toward else lam / (q + lam) * ratio
 
 
@@ -166,8 +145,7 @@ def _attracting_value(model, q, frame, state):
     r0, r1 = model.coeffs[0].rho, model.coeffs[1].rho
     l0, l1 = model.rates.lambda0, model.rates.lambda1
     x, y = frame.x, frame.y
-    target = _target("attracting below" if x < y else "attracting above", model, q, y)
-    hp = target.hp
+    hp = _target_side(hyper_args, q, model)
     # the series at y is singular at the attractor y approaches, like
     # (1 - z)^-beta, and one rounding of z moves the transform by about
     # beta eps / (1 - z) relative; a target nearer than _TARGET_CLEARANCE of
@@ -180,12 +158,12 @@ def _attracting_value(model, q, frame, state):
         # z = 1 - (r1 - .)/(r1 - r0), formed from the distance to the
         # attractor y approaches as the x > y branch forms it, so that a
         # query and its mirror image round z alike
-        return _regular_branch(target, hp.beta0, l0, q, xi1(x, r1, r0), xi1(y, r1, r0), 1, state)
+        return _regular_branch(hp, hp.beta0, l0, q, xi1(x, r1, r0), xi1(y, r1, r0), 1, state)
     # x > y: mirrored series in xi1
     frame.require("y", "the threshold between the attractors", r0, r1, hi_closed=True)
     frame.require("y", "a threshold clear of the attractor", lo=r0 + tie)
     frame.require("x", "series radius", hi=2.0 * r1 - r0)
-    return _regular_branch(target, hp.beta1, l1, q, xi1(x, r0, r1), xi1(y, r0, r1), 0, state)
+    return _regular_branch(hp, hp.beta1, l1, q, xi1(x, r0, r1), xi1(y, r0, r1), 0, state)
 
 
 def _ar_decaying(hp, z, state):
@@ -222,20 +200,19 @@ def _attraction_repulsion_value(model, q, frame, state):
     l0, l1 = model.rates.lambda0, model.rates.lambda1
     x, y = frame.x, frame.y
     frame.require("y", "the threshold past the attractor, away from the repelling level", hi=r0)
-    target = _target("attraction-repulsion below" if x < y else "attraction-repulsion above", model, q, y)
-    hp = target.hp
+    hp = _target_side(hyper_args, q, model)
     if x < y:
         # both states are normalized by G at y
         num = _ar_decaying(hp, xi0(x, r0, r1), state)
         if state == 1:
             num = num.scaled(l1 / model.coeffs[1].gamma)
-        return num.ratio(target.denominator(_ar_decaying, hp, xi0(y, r0, r1), 0))
+        return num.ratio(_target_side(_ar_decaying, hp, xi0(y, r0, r1), 0))
     # x > y: the transforms are smooth across rho0 (the no-switch hit time is
     # infinite on both sides), which selects the series branch regular there,
     # normalized by ell1 -> 1 as x decreases to y.
     frame.require("y", "series radius", lo=2.0 * r0 - r1)
     frame.require("x", "the start on the attractor's side of the repelling level", hi=r1)
-    return _regular_branch(target, hp.beta0, l0, q, xi0(x, r0, r1), xi0(y, r0, r1), 1, state)
+    return _regular_branch(hp, hp.beta0, l0, q, xi0(x, r0, r1), xi0(y, r0, r1), 1, state)
 
 
 def _non_strict_value(model, q, frame, state):
@@ -253,7 +230,7 @@ def _non_strict_value(model, q, frame, state):
     delta = ((q + l0) * (q + l1) - l0 * l1) / (c0.gamma * (q + l1))
     ux = (x - rho) * (q + l1)
     uy = (y - rho) * (q + l1)
-    den = _target("non-strict", model, q, y).denominator(kummer_1f1_log, delta, beta0, uy)
+    den = _target_side(kummer_1f1_log, delta, beta0, uy)
     if state == 1:
         return kummer_1f1_log(delta, beta0, ux).ratio(den)
     return l0 / (q + l0) * kummer_1f1_log(delta, 1.0 + beta0, ux).ratio(den)

@@ -437,7 +437,7 @@ def _log_ratio_time(a, g, x, y):
     if near.any():
         # next to the target r = 1 + (x - y) / (y - rho) rounds away the
         # digits of x - y, which its log1p keeps (a start 1e-16 from y must
-        # not read as a time of 0, which counts as unreached)
+        # not read as a log ratio of 0, which counts as unreached)
         u = np.subtract(x, y, out=size)
         u /= dy
         np.log1p(u, out=t, where=near)
@@ -453,30 +453,35 @@ def _log_ratio_time(a, g, x, y):
         keep = np.isfinite(dx_l) & np.isfinite(dy_l) & (dx_l != 0.0) & (dy_l != 0.0)
         keep &= np.signbit(dx_l) == np.signbit(dy_l)
         t.reshape(-1)[lost[keep]] = np.log(np.abs(dx_l[keep])) - np.log(np.abs(dy_l[keep]))
+    # y is reached where the log ratio has gamma's sign: r > 1 toward an
+    # attractor, 0 < r < 1 away from a repeller.  The sign is read before
+    # the division, which may round a reached time to 0
+    reached = np.greater(np.multiply(t, np.sign(g), out=size), 0.0, out=near)
     t /= g
-    # a positive log-ratio time is reached: r > 1 toward an attractor, 0 < r < 1
-    # away from a repeller
-    np.copyto(t, np.inf, where=np.logical_not(np.greater(t, 0.0, out=near), out=near))
+    np.copyto(t, np.inf, where=np.logical_not(reached, out=reached))
     if under is not None and under.size:
         t.reshape(-1)[under] = _series_time(*(_entries(v, t.shape, under) for v in (a, g, x, y)))
     return t
 
 
 def _straight_time(a, x, y):
-    """(y - x) / a for gamma = 0; a = 0 never moves."""
-    straight = (y - x) / np.where(a == 0.0, 1.0, a)
-    return np.where((a != 0.0) & (straight > 0.0), straight, np.inf)
+    """(y - x) / a for gamma = 0; a = 0 never moves.  Reached where y - x
+    has a's sign, which the quotient may round to 0."""
+    d = y - x
+    return np.where(d * np.sign(a) > 0.0, d / np.where(a == 0.0, 1.0, a), np.inf)
 
 
 def _series_time(a, g, x, y):
     """v log1p(u) / u with v = (y - x) / (a - gamma y) and u = gamma v: the
     log-ratio time log((a - gamma x) / (a - gamma y)) / gamma without
-    forming rho."""
-    v = (y - x) / (a - g * y)
+    forming rho.  Reached where y - x has the sign of the drift at y,
+    a - gamma y, which v may round to 0, and u > -1."""
+    d, w = y - x, a - g * y
+    v = d / w
     u = g * v
-    # real only for u > -1
     t = v * np.where(u == 0.0, 1.0, np.log1p(np.where(u > -1.0, u, 0.0)) / u)
-    return np.where((u > -1.0) & (t > 0.0), t, np.inf)
+    # (a v past double range gives a nan t, read as never)
+    return np.where((u > -1.0) & (d * np.sign(w) > 0.0) & (t >= 0.0), t, np.inf)
 
 
 def interval_variance(state, t, model: KacOuModel):

@@ -208,7 +208,7 @@ def evaluate_x(seq: SwitchSequence, x0: float, t, model: KacOuModel):
 
 def sample_m_path(
     seq: SwitchSequence,
-    x0: float,
+    x0,
     eval_times,
     model: KacOuModel,
     rng: np.random.Generator,
@@ -216,15 +216,22 @@ def sample_m_path(
     """Draw the modulated diffusion at the requested times, one exact Gaussian
     step per constant-coefficient interval (switch boundaries always included;
     ties resolve switch-first).  No normal is drawn for an interval of zero
-    length or zero variance."""
-    _check_finite(x0=x0)
+    length or zero variance.
+
+    x0 is a float, or an array of starts that each take their own normals
+    on the same switch sequence, drawn start by start as separate calls
+    would draw them; the result has shape (len(eval_times),) + x0's shape.
+    """
+    starts = np.asarray(x0, dtype=float)
+    if not np.isfinite(starts).all():
+        raise ParameterError(f"x0 must be finite, got {x0}")
     eval_times = np.asarray(eval_times, dtype=float)
     if eval_times.size and np.any(np.diff(eval_times) < 0.0):
         raise ParameterError("eval_times must be sorted")
     if eval_times.size and eval_times[-1] > seq.horizon:
         raise ParameterError("eval_times must lie within the horizon")
     if eval_times.size == 0:
-        return np.empty(0)
+        return np.empty((0,) + starts.shape)
 
     # one interval ends at each switch up to the last time and at each time
     sw = seq.switch_times[: np.searchsorted(seq.switch_times, eval_times[-1], side="right")]
@@ -235,12 +242,15 @@ def sample_m_path(
     states = (seq.initial_state + np.cumsum(at_switch) - at_switch) % 2
     var = interval_variance(states, dts, model)
     drawn = np.flatnonzero((dts > 0.0) & (var > 0.0))
-    # per step its normal kick, None where none is drawn: a list of slots
-    # keeps a noisy path's memory near a noise-free one's
+    noise = np.sqrt(var[drawn]) * rng.standard_normal(starts.shape + (drawn.size,))
+    # per step its normal kick (a float, or one per start), None where none
+    # is drawn: a list of slots keeps a noisy path's memory near a
+    # noise-free one's
     kicks = [None] * dts.size if drawn.size else None
-    for k, kick in zip(drawn.tolist(), (np.sqrt(var[drawn]) * rng.standard_normal(drawn.size)).tolist()):
+    for k, kick in zip(drawn.tolist(), noise.tolist() if starts.ndim == 0 else noise.reshape(starts.size, drawn.size).T):
         kicks[k] = kick
-    return np.array(_walk(x0, states, dts, model, kicks))[~at_switch]
+    x = float(starts) if starts.ndim == 0 else starts.reshape(-1)
+    return np.array(_walk(x, states, dts, model, kicks))[~at_switch].reshape((-1,) + starts.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -782,12 +782,12 @@ def referee_laplace_fpt(query, model):
 
     # no target side summed by specfun serves the referee, and none of the
     # referee's serves a later laplace_fpt
-    fp._target.cache_clear()
+    fp._target_side.cache_clear()
     try:
         with mock.patch.object(fp, "gauss_2f1_log", gauss), mock.patch.object(fp, "kummer_1f1_log", kummer):
             return laplace_fpt(query, model)
     finally:
-        fp._target.cache_clear()
+        fp._target_side.cache_clear()
 
 
 def _oriented(params, x, y, state, swap, reflect):
@@ -865,7 +865,7 @@ def _bits(model, q, x, y, state):
 
 
 def _cold_bits(model, q, x, y, state):
-    fp._target.cache_clear()
+    fp._target_side.cache_clear()
     return _bits(model, q, x, y, state)
 
 
@@ -903,7 +903,7 @@ def interleaved_targets(draw):
 @settings(max_examples=150, deadline=None)
 def test_target_memo_changes_no_value_or_error(case):
     model, q, queries = case
-    fp._target.cache_clear()
+    fp._target_side.cache_clear()
     warm = [_bits(model, q, x, y, state) for x, y, state in queries]
     assert warm == [_cold_bits(model, q, x, y, state) for x, y, state in queries]
 
@@ -942,18 +942,18 @@ def test_target_memo_keys_ignore_the_sign_of_zero(case, first, scale):
     signs = (first, -first)
     cold = {zero: [_cold_bits(*args) for args in queries(zero)] for zero in signs}
     assert all(isinstance(bits, str) for bits in cold[first])  # every query is in its domain
-    fp._target.cache_clear()
+    fp._target_side.cache_clear()
     for zero in signs:
         assert [_bits(*args) for args in queries(zero)] == cold[zero]
 
 
 def test_target_memo_is_bounded():
-    fp._target.cache_clear()
+    fp._target_side.cache_clear()
     n = 3 * fp._TARGET_MEMO_SIZE
     for k in range(n):
         laplace_fpt(FptQuery(1.0, 0.1, 0.2 + 0.5 * k / n, k % 2), ATTRACTING)
-        assert fp._target.cache_info().currsize <= fp._TARGET_MEMO_SIZE
-    assert fp._target.cache_info().currsize == fp._TARGET_MEMO_SIZE
+        assert fp._target_side.cache_info().currsize <= fp._TARGET_MEMO_SIZE
+    assert fp._target_side.cache_info().currsize == fp._TARGET_MEMO_SIZE
 
 
 def _counted(monkeypatch, name):
@@ -973,7 +973,7 @@ def test_raising_target_side_is_not_cached(monkeypatch):
     # Kummer's series at (y - rho)(q + lambda1) = 3e6 cannot settle within
     # the term cap, so the denominator raises before the start side is summed
     calls = _counted(monkeypatch, "kummer_1f1_log")
-    fp._target.cache_clear()
+    fp._target_side.cache_clear()
     errors = []
     for x, state in ((0.5, 1), (0.5, 1), (0.25, 0)):
         with pytest.raises(SeriesConvergenceError) as info:
@@ -996,7 +996,7 @@ def test_raising_target_side_is_not_cached(monkeypatch):
 def test_repeated_target_sums_only_the_start_side(monkeypatch, model, y, starts):
     gauss = _counted(monkeypatch, "gauss_2f1_log")
     kummer = _counted(monkeypatch, "kummer_1f1_log")
-    fp._target.cache_clear()
+    fp._target_side.cache_clear()
     counts = []
     for x in starts:
         for state in (0, 1):

@@ -339,6 +339,25 @@ def test_hitting_time_from_a_start_whose_ratio_to_the_target_underflows(a, gamma
     assert hitting_time(0, np.array([x, y]), y, m).tobytes() == lanes[:2].tobytes()
 
 
+@pytest.mark.parametrize(
+    "model, ahead",
+    [(make(a0=2.0, gamma0=0.0), 1.0), (make(a0=-3.0, gamma0=1.0), -1.0), (KacOuModel.from_values(1, 1, -3, 1, 0, 0, 1e-7, 1), -1.0)],
+    ids=["straight", "log ratio", "slow series"],
+)
+def test_hitting_time_reaches_a_target_one_subnormal_ahead(model, ahead):
+    # the time to a target 5e-324 ahead rounds to 0, which each branch read
+    # as never; reachability comes from signs, so it is reached at once, and
+    # a target 5e-324 behind is still never reached
+    y = ahead * 5e-324
+    assert 0.0 <= hitting_time(0, 0.0, y, model) < 1e-300
+    assert hitting_time(0, 0.0, -y, model) == math.inf
+    ys = np.array([y, -y, 1e3 * y])
+    for states in (0, np.zeros(3, dtype=int)):
+        lanes = hitting_time(states, np.zeros(3), ys, model)
+        assert 0.0 <= lanes[0] < 1e-300 and lanes[1] == math.inf
+        assert lanes[0] == hitting_time(0, 0.0, y, model)
+
+
 @pytest.mark.parametrize("gamma, x, y", [(1e-8, 1.0, 0.5), (-1e-8, 0.5, 1.0), (1e-12, 3.0, 1e-6), (1e-12, -1.0, -0.5)])
 def test_hitting_time_at_tiny_reversion_without_drift(gamma, x, y):
     # with a = 0 the slow state still relaxes toward 0, over times near 1 / gamma

@@ -476,8 +476,8 @@ def test_m_ensemble_mean_tracks_conditional_mean():
 def test_m_path_conditional_normality():
     seq = sample_switch_sequence(SwitchRates(1.0, 1.0), 0, 3.0, stream(33, "norm"))
     n = 100_000
-    rng = stream(34, "norm-draws")
-    draws = np.array([sample_m_path(seq, 0.0, [3.0], NOISY, rng)[0] for _ in range(n)])
+    # n starts in one call draw what n calls of one start each would
+    draws = sample_m_path(seq, np.zeros(n), [3.0], NOISY, stream(34, "norm-draws"))[0]
     segs = path_segments(seq, 0.0, NOISY)
     last = segs[-1]
     c = NOISY.coeff(last.state)
@@ -493,6 +493,22 @@ def test_m_path_conditional_normality():
     assert abs(np.var(z, ddof=1) - 1.0) < 5.0 * math.sqrt(2.0 / n)
     assert abs(skew) < 5.0 * math.sqrt(6.0 / n)
     assert abs(kurt) < 5.0 * math.sqrt(24.0 / n)
+
+
+def test_m_path_starts_draw_as_separate_calls():
+    seq = sample_switch_sequence(SwitchRates(1.0, 1.0), 0, 3.0, stream(33, "norm"))
+    times = np.linspace(0.0, 3.0, 7)
+    starts = np.array([[0.1, -2.0, 3.0], [0.5, 1.0, 2.0]])
+    rng = stream(5, "starts")
+    one_each = np.stack([sample_m_path(seq, x, times, NOISY, rng) for x in starts.reshape(-1)], axis=-1)
+    together = sample_m_path(seq, starts, times, NOISY, stream(5, "starts"))
+    assert together.shape == (7, 2, 3)
+    assert together.tobytes() == one_each.reshape(together.shape).tobytes()
+    assert sample_m_path(seq, starts, [], NOISY, rng).shape == (0, 2, 3)
+    noise_free = [sample_m_path(seq, x, times, ATTRACTING, rng) for x in starts.reshape(-1)]
+    assert sample_m_path(seq, starts, times, ATTRACTING, rng).tobytes() == np.stack(noise_free, axis=-1).tobytes()
+    with pytest.raises(ParameterError):
+        sample_m_path(seq, np.array([0.0, math.nan]), times, NOISY, rng)
 
 
 def test_m_path_rejects_unsorted_times():
@@ -550,6 +566,14 @@ def test_lane_on_target_hits_at_once():
     assert lanes[0] == 0.0 and lanes[1] == hitting_time(1, 0.2, 0.8, ATTRACTING)
     with pytest.raises(ParameterError):
         hitting_time(0, 0.8, 0.8, ATTRACTING)
+
+
+def test_lane_one_subnormal_short_of_the_target_hits_at_once():
+    # the hit time rounds to 0, which read as never: the lanes stepped past y
+    model = KacOuModel.from_values(1, 1, 2, -3, 0, 0, 0, 1)
+    for x, state in ((-5e-324, 0), (5e-324, 1)):
+        batch = fpt_samples(model, x, 0.0, state, 2_000, 1)
+        assert not batch.censored.any() and not batch.times.any()
 
 
 def test_mc_estimate_counts_censored_paths():
