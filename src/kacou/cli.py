@@ -88,16 +88,6 @@ def _check_work(segments: float, keys: str) -> None:
         )
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
 def _atomic_write(path: str, parts) -> None:
     """Write the strings of `parts` to `path`, replacing it only once all are written."""
     directory = os.path.dirname(path) or "."
@@ -294,24 +284,20 @@ def _text_cells(raw, lengths):
 
 def _cells(column):
     """Width and writer of one block of a column: writer(out) fills a
-    (rows, width) byte view with the column's fields.  A numpy column is
-    written by its dtype kind: floats as `%.17g`, integers in decimal and
-    text as given.  Any other sequence or dtype goes through `_fmt` field
-    by field, None as an empty field."""
-    if isinstance(column, np.ndarray):
-        kind = column.dtype.kind
-        if kind == "f":
-            return _float_cells(column)
-        if kind in "iu":
-            return _integer_cells(column)
-        if kind == "U" and column.dtype.itemsize:
-            # an ASCII column's code points are its bytes
-            codes = np.ascontiguousarray(column).view(np.uint32).reshape(len(column), -1)
-            if codes.max() < 128:
-                return _text_cells(codes, np.char.str_len(column))
-    raw = [_fmt(v).encode() for v in column]
-    lengths = np.fromiter(map(len, raw), np.intp, len(raw))
-    return _text_cells(np.array(raw, "S").view(np.uint8).reshape(len(raw), -1), lengths)
+    (rows, width) byte view with the column's fields.  A column is a numpy
+    array written by its dtype kind: floats as `%.17g`, integers in decimal
+    and ASCII text as given; anything else raises TypeError."""
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
+    if kind == "f":
+        return _float_cells(column)
+    if kind in ("i", "u"):
+        return _integer_cells(column)
+    if kind == "U" and column.dtype.itemsize:
+        # an ASCII column's code points are its bytes
+        codes = np.ascontiguousarray(column).view(np.uint32).reshape(len(column), -1)
+        if codes.max() < 128:
+            return _text_cells(codes, np.char.str_len(column))
+    raise TypeError(f"a CSV column must be a float, integer or ASCII text array, got {column!r:.60}")
 
 
 def _csv_blocks(header: list[str], blocks):
@@ -591,7 +577,15 @@ def _cmd_scaling(cfg: RunConfig):
         raise ConfigError("scaling", f"{exc}; see scaling.t, scaling.x0{amplitudes} and [model]") from exc
     out = os.path.join(cfg.out_dir, "scaling.csv")
     header = [f.name for f in dataclasses.fields(ConvergenceRow)]
-    _write_csv(out, header, [[getattr(r, k) for r in rows] for k in header])
+    # n as decimal text, since a count may pass int64; a limit of zero
+    # variance has no Kolmogorov distance, and its field is empty
+    cdf = [r.cdf_dist for r in rows]
+    columns = [
+        np.array([str(r.n) for r in rows], str),
+        *(np.array([getattr(r, k) for r in rows], np.float64) for k in header[1:-1]),
+        np.full(len(rows), "") if None in cdf else np.array(cdf, np.float64),
+    ]
+    _write_csv(out, header, columns)
     return [out], None
 
 

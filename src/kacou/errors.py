@@ -40,5 +40,7 @@ class NoInvariantMeasureError(KacOuError):
 
 
 class OracleError(KacOuError):
-    """The integral-equation oracle's equations are singular in double
-    precision: a pivot of their solve fell below the normal range."""
+    """The integral-equation oracle cannot solve its equations in double
+    precision: q is below 1e-10 of the rate of a state whose flow leaves
+    its grid, where rounding outweighs the killing of the paths that leave,
+    or a pivot of the solve fell below the normal range."""

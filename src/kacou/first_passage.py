@@ -450,8 +450,8 @@ def _oracle_system(model, q, grids):
     return blocks, pair
 
 
-def _inverse(blocks, pair, out):
-    """D_j^-1 into out[:, :, j] at every node j (see _cyclic_reduction).
+def _inverse(blocks, pair):
+    """D_j^-1 at every node j, shape (2, 2, n) (see _cyclic_reduction).
 
     D_j's diagonal is t + pair, t its row sums, so its determinant
     t0 t1 + t0 p10 + p01 t1 and its adjugate, whose entries are at most 1,
@@ -462,69 +462,57 @@ def _inverse(blocks, pair, out):
     t = np.add.reduce(blocks[:, :4], axis=1)
     t += blocks[:, 5]
     # the adjugate [[t1 + p10, p01], [p10, t0 + p01]]
-    out[...] = pair[::-1]
-    out[0, 0] += t[1]
-    out[1, 1] += t[0]
-    det = t[0] * out[0, 0]
+    inverse = np.array([pair[::-1], pair[::-1]])
+    inverse[0, 0] += t[1]
+    inverse[1, 1] += t[0]
+    det = t[0] * inverse[0, 0]
     det += pair[0] * t[1]
     if not det.min() >= 2.0**-1022:
         raise OracleError(f"a pivot of {det.min():.3g} is below the normal range: q is too small for doubles")
-    out /= det
+    inverse /= det
+    return inverse
 
 
 def _cyclic_reduction(blocks, pair):
     """Solve a block tridiagonal M-matrix system with 2 x 2 blocks; returns
-    the solution, shape (2, n).  Overwrites blocks and pair.
+    the solution, shape (2, n).
 
     Node j's rows read D_j x_j - L_j x_(j-1) - U_j x_(j+1) = b_j, with the
     magnitudes of L_j, U_j and b_j in blocks[:, 0:2, j], blocks[:, 2:4, j]
     and blocks[:, 4, j], and of D_j's off-diagonal in pair[:, j];
     blocks[:, 5, j] holds the rows' sums, from which D_j's diagonal is
     formed (see _inverse).  Odd-even reduction (Buzbee, Golub & Nielson
-    1970): each level solves the odd nodes' rows for their own values and
-    takes those into the even nodes' rows, a system of the same kind on
-    half the nodes.  The row sums go through the same updates as b, so no
-    step subtracts and back-substitution adds terms >= 0: every value keeps
-    its relative accuracy however small it is.
+    1970): the odd nodes' rows, solved for their own values, are taken
+    into the even nodes' rows, a system of the same kind on half the nodes,
+    whose solution gives the odd nodes' values.  The row sums go through
+    the same updates as b, so no step subtracts and back-substitution adds
+    terms >= 0: every value keeps its relative accuracy however small it is.
     """
-    n = blocks.shape[2]
+    n, no = blocks.shape[2], blocks.shape[2] // 2
+    if n == 1:
+        return np.einsum("ikm,km->im", _inverse(blocks, pair), blocks[:, 4])
+    even, odd = blocks[:, :, ::2], blocks[:, :, 1::2]
     # an odd node's value is rows[:, 4] + rows[:, 0:2] x_(j-1) +
-    # rows[:, 2:4] x_(j+1); the levels' rows are packed between nodes of 0s,
-    # the neighbours the first and last even nodes lack
-    solved, levels, at, stride = np.zeros((2, 6, n + n.bit_length() + 1)), [], 0, 1
-    inverse, product = np.empty((2, 2, n // 2)), np.empty((2, 6, (n + 1) // 2))
-    # the reduced systems alternate between the given arrays and these
-    spare = np.empty((2, 6, (n + 1) // 2)), np.empty((2, (n + 1) // 2))
-    while stride < n:
-        even, odd = blocks[:, :, ::2], blocks[:, :, 1::2]
-        ne, no = even.shape[2], odd.shape[2]
-        inv, rows = inverse[:, :, :no], solved[:, :, at : at + no + 2]
-        _inverse(odd, pair[:, 1::2], inv)
-        np.einsum("ikm,kjm->ijm", inv, odd, out=rows[:, :, 1:-1])
-        # each even node takes in its odd neighbours' rows, which also couple
-        # its states
-        reduced, coupled, taken = spare[0][:, :, :ne], spare[1][:, :ne], product[:, :, :ne]
-        np.einsum("ikm,kjm->ijm", even[:, 0:2], rows[:, :, :ne], out=taken)
-        reduced[:, 0:2] = taken[:, 0:2]
-        np.add(even[:, 4:], taken[:, 4:], out=reduced[:, 4:])
-        np.add(pair[:, ::2], taken[(0, 1), (3, 2)], out=coupled)
-        np.einsum("ikm,kjm->ijm", even[:, 2:4], rows[:, :, 1 : ne + 1], out=taken)
-        reduced[:, 2:4] = taken[:, 2:4]
-        reduced[:, 4:] += taken[:, 4:]
-        coupled += taken[(0, 1), (1, 0)]
-        levels.append((stride, rows[:, :5, 1:-1]))
-        at, stride = at + no + 1, 2 * stride
-        spare, blocks, pair = (blocks, pair), reduced, coupled
-    # x has 0s past the last node, for a last odd node without a right
-    # neighbour; terms holds what rows multiply: x_(j-1), x_(j+1) and 1
-    x, terms = np.zeros((2, 2 * n)), np.ones((5, n // 2))
-    _inverse(blocks, pair, inverse[:, :, :1])
-    np.einsum("ikm,km->im", inverse[:, :, :1], blocks[:, 4], out=x[:, :1])
-    for stride, rows in reversed(levels):
-        even, odd = x[:, :: 2 * stride], x[:, stride : n : 2 * stride]
-        no = odd.shape[1]
-        terms[0:2, :no], terms[2:4, :no] = even[:, :no], even[:, 1 : no + 1]
-        np.einsum("ikm,km->im", rows, terms[:, :no], out=odd)
+    # rows[:, 2:4] x_(j+1), between nodes of 0s: the neighbours the first
+    # and last even nodes lack
+    rows = np.zeros((2, 6, n - no + 1))
+    np.einsum("ikm,kjm->ijm", _inverse(odd, pair[:, 1::2]), odd, out=rows[:, :, 1 : no + 1])
+    # each even node takes in its odd neighbours' rows, which also couple
+    # its states
+    reduced = np.einsum("ikm,kjm->ijm", even[:, 0:2], rows[:, :, :-1])
+    reduced[:, 4:] += even[:, 4:]
+    coupled = pair[:, ::2] + reduced[(0, 1), (3, 2)]
+    right = np.einsum("ikm,kjm->ijm", even[:, 2:4], rows[:, :, 1:])
+    reduced[:, 2:4] = right[:, 2:4]
+    reduced[:, 4:] += right[:, 4:]
+    coupled += right[(0, 1), (1, 0)]
+    del right  # not kept through the half-size solve
+    solved = _cyclic_reduction(reduced, coupled)
+    x = np.zeros((2, n + 1))  # a 0 past the last node, for a last odd node
+    x[:, :n:2] = solved
+    # what an odd node's row multiplies: x_(j-1), x_(j+1) and 1
+    terms = np.concatenate((x[:, 0 : 2 * no : 2], x[:, 2 : 2 * no + 1 : 2], np.ones((1, no))))
+    x[:, 1:n:2] = np.einsum("ikm,km->im", rows[:, :5, 1 : no + 1], terms)
     return x[:, :n]
 
 
@@ -539,9 +527,9 @@ def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs):
     are solved exactly, as one linear system (see _cyclic_reduction).  Both
     are O(h^2) off, so the curve is the Richardson value
     ell_h + (ell_h - ell_2h) / 3, clipped to [0, 1], and
-    |ell_h - ell_2h| / 3 estimates the error of ell_h.  Raises OracleError
-    where q is so small against the rates that the equations are singular
-    in double precision.
+    |ell_h - ell_2h| / 3 estimates the error of ell_h.  Raises OracleError,
+    before any grid is built, where q is below 1e-10 of the rate of a state
+    whose flow leaves the grid away from y.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.size == 0:
@@ -559,6 +547,14 @@ def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs):
         # solve the reflected problem below -y; first-passage laws are
         # invariant under x -> -x
         return fpt_oracle_curve(rescale(model, -1.0), q, -y, -xs)
+    for s, c in enumerate(model.coeffs):
+        # a state whose flow leaves the grid is held at its last node, where
+        # only q / (q + lam) kills the paths that leave; below 1e-10 lam the
+        # rounding of the row's other terms outweighs that, and they come
+        # back (an error of 1.7e-17 lam / q on a telegraph process)
+        lam = model.rates.rate(s)
+        if (c.gamma < 0.0 or (c.gamma == 0.0 and c.a < 0.0)) and q < 1e-10 * lam:
+            raise OracleError(f"q = {q:.3g} is below 1e-10 of the rate {lam:.3g} of state {s}, leaving the grid")
     fine, coarse = _oracle_grid_curves(model, q, y, xs)
     return tuple(np.clip(f + (f - c) / 3.0, 0.0, 1.0) for f, c in zip(fine, coarse))
 

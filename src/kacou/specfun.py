@@ -8,8 +8,10 @@ for a complex-conjugate pair (``gauss_2f1_pair_log``); Kummer's series uses
 the same loop with the numerator n + a.
 
 That loop is scalar: it takes one term at a time, up to SERIES_CAP terms.
-The form selector keeps almost every series to a few hundred terms, so the
-rare long ones do not pay for a second, vectorized summation routine.
+An all-positive Gauss series that reaches the cap continues in numpy blocks
+summed in log space (``_long_tail_positive``); Kummer's series and a Gauss
+series of mixed signs raise SeriesConvergenceError there.  The form selector keeps almost every
+series to a few hundred terms.
 
 A small term ends the sum only past the point where the terms keep
 shrinking (``_stop_floor``: past every zero and pole of the term ratio and

@@ -404,10 +404,29 @@ def test_cyclic_reduction_matches_sparse_lu(model, q, y, xs):
     blocks, pair = fp._oracle_system(m, q, _grids(m, q, y_side, xs))
     assert not blocks[:, 0:2, 0].any() and not blocks[:, 2:4, -1].any()
     want = _sparse_solution(blocks, pair)
+    before = blocks.copy(), pair.copy()
     got = fp._cyclic_reduction(blocks, pair)
+    # the solve leaves its system as it was given
+    assert np.array_equal(blocks, before[0]) and np.array_equal(pair, before[1])
     assert np.isfinite(got).all() and np.isfinite(want).all()
     kept = want >= 1e-250
     np.testing.assert_allclose(got[kept], want[kept], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n", range(1, 71))
+def test_cyclic_reduction_solves_every_size(n):
+    # a random diagonally dominant system of each size, every level's odd
+    # and even node counts included: each row's couplings, off-diagonal and
+    # defect are magnitudes that add up to its unit diagonal
+    rng = np.random.default_rng(n)
+    blocks, pair = rng.uniform(0.0, 1.0, (2, 6, n)), rng.uniform(0.0, 1.0, (2, n))
+    blocks[:, 0:2, 0] = blocks[:, 2:4, -1] = 0.0
+    blocks[:, 5] += 0.05
+    total = blocks[:, :4].sum(axis=1) + blocks[:, 5] + pair
+    blocks[:, :4] /= total[:, None]
+    blocks[:, 5] /= total
+    pair /= total
+    np.testing.assert_allclose(fp._cyclic_reduction(blocks, pair), _sparse_solution(blocks, pair), rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("model, q, y, below, above", OPERATOR_CASES)
@@ -456,10 +475,24 @@ def test_oracle_gives_0_without_a_solve_where_no_flow_enters_y(monkeypatch):
 def test_pivot_guard_raises_at_once():
     # q / (q + lam) is subnormal, and so is a pivot: the division would
     # overflow
+    q, y, xs = 5e-324, 0.2, np.array([-0.5])
+    blocks, pair = fp._oracle_system(REPELLING, q, _grids(REPELLING, q, y, xs))
     t0 = time.perf_counter()
     with pytest.raises(OracleError, match="normal range"):
-        fpt_oracle_curve(REPELLING, 5e-324, 0.2, np.array([-0.5]))
+        fp._cyclic_reduction(blocks, pair)
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("q", [1e-16, 1e-50, 5e-324])
+def test_oracle_refuses_a_tiny_q_at_once(q):
+    # past the lowest node ell is held at its value; where q / (q + lam) is
+    # below the rounding of the other row terms nothing kills the paths that
+    # leave the grid, and unrefused, state 0 would read 0.342 at q = 1e-16
+    # and 1.0 at 1e-50, for a hit probability of 0.303
+    t0 = time.perf_counter()
+    with pytest.raises(OracleError, match="below 1e-10 of the rate 1 of state 0"):
+        fpt_oracle_curve(TELEGRAPH, q, 0.75, np.array([0.25]))
+    assert time.perf_counter() - t0 < 0.1
 
 
 # --- the oracle's accuracy against the closed forms ---------------------------------
