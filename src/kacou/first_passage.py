@@ -574,8 +574,7 @@ def fpt_integral_oracle(query: FptQuery, model: KacOuModel) -> float:
     """Renewal-equation value of E[exp(-q T)] (see fpt_oracle_curve); works
     in every regime, q > 0."""
     e0, e1 = fpt_oracle_curve(model, query.q, query.y, np.array([query.x]))
-    value = float(e0[0] if query.initial_state == 0 else e1[0])
-    return min(max(value, 0.0), 1.0)
+    return float(e0[0] if query.initial_state == 0 else e1[0])
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,11 @@ coordinate transforms are needed at evaluation time:
 * one rate zero with nonzero drift, the other attracting: gamma-like
   density on the half-line in the drift direction.
 
+`invariant_description` returns the one descriptor, :class:`InvariantDensity`,
+that every density, derivative, mass, tail and bin integral is evaluated
+from: support, exponents, constants, and the offset frame of its anchor,
+far level and scale.
+
 Mass and bin integrals evaluate the densities from exact distances to the
 support endpoints (see :mod:`kacou.quadrature`), which keeps the integrable
 endpoint singularities at full double precision.
@@ -48,30 +53,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InvariantDensity:
-    """Closed-form descriptor: support, per-state endpoint exponents and
-    multiplicative constants, and the qualitative family tag."""
+    """Closed-form descriptor of one invariant family: its tag, support,
+    per-state endpoint exponents and multiplicative constants, and the
+    offset frame its densities are evaluated in (all None for kind "None").
+
+    u = direction * (x - anchor) is the distance into the support from its
+    finite end; v = far_sign * (x - far) is the distance from a second
+    level: the closing end of a bounded support, or the repelling level
+    behind a Pareto-like anchor (unused by GammaLike).  State i has density
+    c_i u^p_i v^s_i, or c_i u^p_i e^(-s_i u) for GammaLike, with
+    (p_i, s_i) = exponents[i] and c_i = constants[i]."""
 
     kind: str  # "BetaLike" | "ParetoLike" | "GammaLike" | "None"
     support: tuple[float, float] | None
     exponents: tuple[tuple[float, float], tuple[float, float]] | None
     constants: tuple[float, float] | None
-
-
-@dataclass(frozen=True)
-class _ClosedForm:
-    """One family in an offset frame.  u = direction * (x - anchor) is the
-    distance into the support from its finite end; v = far_sign * (x - far)
-    is the distance from a second level: the closing end of a bounded
-    support, or the repelling level behind a Pareto-like anchor (unused by
-    GammaLike).  State i has density c_i u^p_i v^s_i, or c_i u^p_i e^(-s_i u)
-    for GammaLike, with (p_i, s_i) and c_i from the public descriptor."""
-
-    desc: InvariantDensity
-    anchor: float
-    direction: float  # +1: support extends above the anchor
-    far: float
-    far_sign: float  # dv/dx
-    scale: float  # characteristic width for the half-line rational map
+    anchor: float | None = None
+    direction: float | None = None  # +1: support extends above the anchor
+    far: float | None = None
+    far_sign: float | None = None  # dv/dx
+    scale: float | None = None  # characteristic width for the half-line rational map
 
     @property
     def bounded(self) -> bool:
@@ -81,9 +82,9 @@ class _ClosedForm:
         """One state's density, or the mixture for None, at offsets (u, v)."""
         if state is None:
             return self.density(u, v, 0) + self.density(u, v, 1)
-        c = self.desc.constants[state]
-        p, s = self.desc.exponents[state]
-        if self.desc.kind == "GammaLike":
+        c = self.constants[state]
+        p, s = self.exponents[state]
+        if self.kind == "GammaLike":
             return c * u**p * np.exp(-s * u)
         return c * u**p * v**s
 
@@ -92,8 +93,8 @@ class _ClosedForm:
         return self.density(u, self.far_sign * (self.anchor - self.far) + u, state)
 
     def _log_slope(self, u, v, state: int):
-        p, s = self.desc.exponents[state]
-        if self.desc.kind == "GammaLike":
+        p, s = self.exponents[state]
+        if self.kind == "GammaLike":
             return self.direction * p / u - self.direction * s
         return self.direction * p / u + self.far_sign * s / v
 
@@ -110,11 +111,6 @@ class _ClosedForm:
             p = [np.where(inside, self.density(us, vs, i), 0.0) for i in (0, 1)]
             d = [np.where(inside, p[i] * self._log_slope(us, vs, i), 0.0) for i in (0, 1)]
         return p[0], p[1], d[0], d[1]
-
-
-def _by_state(state: int, mine, other):
-    """(value of state 0, value of state 1) from `state`'s value and the other's."""
-    return (mine, other) if state == 0 else (other, mine)
 
 
 def _exponent(rate, speed, name: str) -> float:
@@ -137,88 +133,70 @@ def _level(model: KacOuModel, state: int) -> float:
     return rho
 
 
-def _gap(rho_a: float, rho_b: float) -> float:
-    """|rho_b - rho_a|, the width between the invariant density's two
-    levels, which must be finite for the density to have a descriptor
-    (two finite levels of opposite sign can be more than a double apart)."""
-    width = abs(rho_b - rho_a)
-    if not math.isfinite(width):
-        raise DoubleRangeError(f"the gap between the levels {rho_a} and {rho_b} leaves double range")
-    return width
+def invariant_description(model: KacOuModel) -> InvariantDensity:
+    """The regime's closed form, from which every density, derivative and
+    integral of the invariant measure is evaluated; kind "None" when no
+    invariant density exists.  A density whose exponents, support ends or
+    width leave double range has no finite descriptor: DoubleRangeError.
 
-
-def _closed_form(model: KacOuModel) -> _ClosedForm | None:
-    """The regime's closed form, or None when no invariant density exists.
-    A density whose exponents, support ends or width leave double range has
-    no finite descriptor: DoubleRangeError."""
+    Exponents and constants are laid out for the anchor state s first and
+    swapped when s = 1."""
     regime = classify_regime(model)
     tag = regime.tag
     lam = model.lam_vec
     g = model.gamma_vec
 
-    if tag is RegimeTag.ATTRACTING_STRICT:
-        lo_state = 0 if model.coeffs[0].rho <= model.coeffs[1].rho else 1
-        hi_state = 1 - lo_state
-        rho_lo, rho_hi = _level(model, lo_state), _level(model, hi_state)
-        a_lo = _exponent(lam[lo_state], g[lo_state], f"lambda{lo_state} / gamma{lo_state}")
-        a_hi = _exponent(lam[hi_state], g[hi_state], f"lambda{hi_state} / gamma{hi_state}")
-        width = _gap(rho_lo, rho_hi)
-        c = 1.0 / (
-            width ** (a_lo + a_hi)
-            * (beta_fn(a_lo, a_hi + 1.0) / g[lo_state] + beta_fn(a_lo + 1.0, a_hi) / g[hi_state])
-        )
-        exps = _by_state(lo_state, (a_lo - 1.0, a_hi), (a_lo, a_hi - 1.0))
-        consts = _by_state(lo_state, c / g[lo_state], c / g[hi_state])
-        desc = InvariantDensity("BetaLike", (rho_lo, rho_hi), exps, consts)
-        return _ClosedForm(desc, rho_lo, 1.0, rho_hi, -1.0, width)
-
-    if tag in (RegimeTag.ATTRACTION_REPULSION_01, RegimeTag.ATTRACTION_REPULSION_10):
-        with np.errstate(over="ignore"):
-            if lam[0] / g[0] + lam[1] / g[1] >= 0.0:
-                return None
-        s_a = 0 if g[0] > 0.0 else 1
-        s_r = 1 - s_a
-        rho_a, rho_r = _level(model, s_a), _level(model, s_r)
-        a_a = _exponent(lam[s_a], g[s_a], f"lambda{s_a} / gamma{s_a}")
-        a_r = _exponent(lam[s_r], g[s_r], f"lambda{s_r} / gamma{s_r}")
-        width = _gap(rho_a, rho_r)
-        sgn = -1.0 if rho_a < rho_r else 1.0  # support direction away from the repeller
-        c = 1.0 / (
-            width ** (a_a + a_r)
-            * (
-                beta_fn(-a_a - a_r, a_a) / g[s_a]
-                - beta_fn(-a_a - a_r, 1.0 + a_a) / g[s_r]
-            )
-        )
-        exps = _by_state(s_a, (a_a - 1.0, a_r), (a_a, a_r - 1.0))
-        consts = _by_state(s_a, c / g[s_a], c / abs(g[s_r]))
-        support = (-math.inf, rho_a) if sgn < 0.0 else (rho_a, math.inf)
-        desc = InvariantDensity("ParetoLike", support, exps, consts)
-        return _ClosedForm(desc, rho_a, sgn, rho_r, sgn, width)
-
-    if tag is not RegimeTag.NON_STRICT_ATTRACTING:
-        # repulsion-only, null non-strict, degenerate levels, and the unnamed
-        # zero-gamma corners: no invariant probability density
-        return None
-    zero = regime.zero_state
-    other = 1 - zero
-    az = model.coeffs[zero].a
-    rho = _level(model, other)
-    alpha = _exponent(lam[other], g[other], f"lambda{other} / gamma{other}")
-    k = _exponent(lam[zero], abs(az), f"lambda{zero} / |a{zero}|")
-    sgn = 1.0 if az > 0.0 else -1.0
-    log_c = alpha * math.log(k) + math.log(lam[zero] / (lam[zero] + lam[other])) - log_gamma(alpha)
-    c = math.exp(log_c)
-    exps = _by_state(other, (alpha - 1.0, k), (alpha, k))
-    consts = _by_state(other, c, g[other] / abs(az) * c)
-    support = (rho, math.inf) if sgn > 0.0 else (-math.inf, rho)
-    desc = InvariantDensity("GammaLike", support, exps, consts)
-    return _ClosedForm(desc, rho, sgn, rho, sgn, 1.0 / k)
+    if tag is RegimeTag.NON_STRICT_ATTRACTING:
+        zero = regime.zero_state
+        s = 1 - zero
+        az = model.coeffs[zero].a
+        rho = _level(model, s)
+        alpha = _exponent(lam[s], g[s], f"lambda{s} / gamma{s}")
+        k = _exponent(lam[zero], abs(az), f"lambda{zero} / |a{zero}|")
+        sgn = 1.0 if az > 0.0 else -1.0
+        log_c = alpha * math.log(k) + math.log(lam[zero] / (lam[zero] + lam[s])) - log_gamma(alpha)
+        c = math.exp(log_c)
+        exps, consts = ((alpha - 1.0, k), (alpha, k)), (c, g[s] / abs(az) * c)
+        kind, support = "GammaLike", (rho, math.inf) if sgn > 0.0 else (-math.inf, rho)
+        frame = (rho, sgn, rho, sgn, 1.0 / k)
+    else:
+        if tag is RegimeTag.ATTRACTING_STRICT:
+            s = 0 if model.coeffs[0].rho <= model.coeffs[1].rho else 1  # the lower level
+        elif tag in (RegimeTag.ATTRACTION_REPULSION_01, RegimeTag.ATTRACTION_REPULSION_10):
+            with np.errstate(over="ignore"):
+                if lam[0] / g[0] + lam[1] / g[1] >= 0.0:
+                    return InvariantDensity("None", None, None, None)
+            s = 0 if g[0] > 0.0 else 1  # the attracting level
+        else:
+            # repulsion-only, null non-strict, degenerate levels, and the
+            # unnamed zero-gamma corners: no invariant probability density
+            return InvariantDensity("None", None, None, None)
+        o = 1 - s
+        rho_s, rho_o = _level(model, s), _level(model, o)
+        a_s = _exponent(lam[s], g[s], f"lambda{s} / gamma{s}")
+        a_o = _exponent(lam[o], g[o], f"lambda{o} / gamma{o}")
+        # two finite levels of opposite sign can be more than a double apart
+        width = abs(rho_o - rho_s)
+        if not math.isfinite(width):
+            raise DoubleRangeError(f"the gap between the levels {rho_s} and {rho_o} leaves double range")
+        power = width ** (a_s + a_o)
+        if tag is RegimeTag.ATTRACTING_STRICT:
+            c = 1.0 / (power * (beta_fn(a_s, a_o + 1.0) / g[s] + beta_fn(a_s + 1.0, a_o) / g[o]))
+            kind, support, sgn, far_sign = "BetaLike", (rho_s, rho_o), 1.0, -1.0
+        else:
+            c = 1.0 / (power * (beta_fn(-a_s - a_o, a_s) / g[s] - beta_fn(-a_s - a_o, 1.0 + a_s) / g[o]))
+            sgn = far_sign = -1.0 if rho_s < rho_o else 1.0  # away from the repeller
+            kind, support = "ParetoLike", (-math.inf, rho_s) if sgn < 0.0 else (rho_s, math.inf)
+        exps, consts = ((a_s - 1.0, a_o), (a_s, a_o - 1.0)), (c / g[s], c / abs(g[o]))
+        frame = (rho_s, sgn, rho_o, far_sign, width)
+    if s == 1:
+        exps, consts = exps[::-1], consts[::-1]
+    return InvariantDensity(kind, support, exps, consts, *frame)
 
 
-def _require(model: KacOuModel) -> _ClosedForm:
-    cf = _closed_form(model)
-    if cf is None:
+def _require(model: KacOuModel) -> InvariantDensity:
+    cf = invariant_description(model)
+    if cf.kind == "None":
         raise NoInvariantMeasureError(
             f"no invariant density in regime {classify_regime(model).tag.value}"
         )
@@ -227,13 +205,8 @@ def _require(model: KacOuModel) -> _ClosedForm:
 
 def invariant_exists(model: KacOuModel) -> tuple[bool, tuple[float, float] | None]:
     """Whether an invariant probability density exists, and its support."""
-    cf = _closed_form(model)
-    return (False, None) if cf is None else (True, cf.desc.support)
-
-
-def invariant_description(model: KacOuModel) -> InvariantDensity:
-    cf = _closed_form(model)
-    return InvariantDensity("None", None, None, None) if cf is None else cf.desc
+    cf = invariant_description(model)
+    return cf.kind != "None", cf.support
 
 
 def invariant_density(x, state: int, model: KacOuModel):
@@ -292,7 +265,7 @@ def invariant_mass(model: KacOuModel, tol: float = 1e-11) -> float:
     return integrate_half_line_offsets(cf.anchored, scale=cf.scale, tol=tol)
 
 
-def _tail_mass(cf: _ClosedForm, dist: float) -> float:
+def _tail_mass(cf: InvariantDensity, dist: float) -> float:
     """Mass beyond distance `dist` from the finite anchor (half-line kinds)."""
     return integrate_half_line_offsets(lambda d: cf.anchored(dist + d), scale=cf.scale, tol=1e-9)
 
@@ -325,7 +298,7 @@ def support_cutoff(model: KacOuModel, floor: float = 1e-16) -> tuple[float, floa
     doubling-and-bisection; for bounded supports it is the support itself.
     """
     cf = _require(model)
-    lo, hi = cf.desc.support
+    lo, hi = cf.support
     if cf.bounded:
         return lo, hi
 
@@ -342,10 +315,10 @@ def support_cutoff(model: KacOuModel, floor: float = 1e-16) -> tuple[float, floa
     return (lo, far) if math.isfinite(lo) else (far, hi)
 
 
-def _histogram_range(cf: _ClosedForm, tail_mass: float = 5e-4) -> tuple[float, float]:
+def _histogram_range(cf: InvariantDensity, tail_mass: float = 5e-4) -> tuple[float, float]:
     """Finite binning window; on half-line supports it leaves `tail_mass`
     outside (that mass is charged to the L1 distance explicitly)."""
-    lo, hi = cf.desc.support
+    lo, hi = cf.support
     if cf.bounded:
         return lo, hi
 
@@ -358,7 +331,7 @@ def _histogram_range(cf: _ClosedForm, tail_mass: float = 5e-4) -> tuple[float, f
     return (lo, far) if math.isfinite(lo) else (far, hi)
 
 
-def _bin_masses(cf: _ClosedForm, edges: np.ndarray, state: int | None = None) -> np.ndarray:
+def _bin_masses(cf: InvariantDensity, edges: np.ndarray, state: int | None = None) -> np.ndarray:
     """Expected mass per bin (mixture, or one state's density), endpoint
     singularities included."""
     out = np.empty(edges.size - 1)

@@ -125,9 +125,6 @@ class KacOuModel:
             ),
         )
 
-    def coeff(self, state: int) -> StateCoeffs:
-        return self.coeffs[state]
-
     @property
     def a_vec(self) -> np.ndarray:
         return np.array([self.coeffs[0].a, self.coeffs[1].a])

@@ -27,8 +27,10 @@ transformations and the 1 - z connection formula (A&S 15.3.3-15.3.6; DLMF
 15.8.1, 15.8.4), one whose terms share one sign and whose argument is at
 most 1/2, and uses it only when a first-order rounding bound, which counts
 cancellation inside each series and between the connection's two parts,
-keeps about 13 digits.  When no form does, the one with the smaller bound
-is used if it keeps about 10; else the value is a SeriesConvergenceError.
+and the rounding the connection's inner lower parameters 1 - d and 1 + d
+inherit from d = c - a - b, keeps about 13 digits.  When no form does, the
+one with the smaller bound is used if it keeps about 10; else the value is
+a SeriesConvergenceError.
 
 Summation carries a separate log scale so that large-parameter evaluations
 (e.g. killing rates of 1e6, where the function value overflows any double)
@@ -439,8 +441,10 @@ def _connection(a: float, b: float, c: float, s: float, b_err: float, tol: float
 
     Returns the value and its rounding bound: each part's bound (its inner
     series', its Gamma values' and its power's, with the rounding that
-    forms their arguments) weighted by the part's size over the sum's, so
-    cancellation between the parts counts.  Since those weights sum to at
+    forms their arguments, and the rounding the inner lower parameter
+    1 -+ d inherits from d, which a 1 -+ d near 0 magnifies) weighted by
+    the part's size over the sum's, so cancellation between the parts
+    counts.  Since those weights sum to at
     least 1, the bound is at least the smallest part's coefficient bound;
     when that alone exceeds tol (large parameters), no inner series is
     summed and the result is None, as it is for an integer d, where the
@@ -463,6 +467,9 @@ def _connection(a: float, b: float, c: float, s: float, b_err: float, tol: float
             continue  # 1/Gamma vanishes there, and the part with it
         log, sign = power * log_s, 1.0
         err = 2.0 * abs(log) + (d_err * abs(log_s) if power else 0.0)
+        # the inner series' bound does not count its lower parameter's
+        # inherited rounding, d_err + |1 -+ d| roundoffs of 1 -+ d
+        err += (d_err + abs(inner[2])) / abs(inner[2])
         for i, (x, x_err) in enumerate(gammas):
             lg, sg = _signed_log_gamma(x)
             log, sign = (log + lg, sign * sg) if i < 2 else (log - lg, sign * sg)

@@ -886,6 +886,18 @@ def test_targets_next_to_the_attractor_match_referee(branch, d, q):
             _assert_matches_referee(params, q, x, y, state)
 
 
+@pytest.mark.parametrize("q", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15])
+def test_small_q_on_two_attracting_states_matches_referee(q):
+    # 1 + d = 1 + (c - a - b) is about -q in the connection formula's second
+    # inner series, so the rounding it inherits from d is magnified 1 / q
+    model = KacOuModel.from_values(1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0)
+    for x, y in ((0.1, 0.75), (0.9, 0.25)):
+        for state in (0, 1):
+            query = FptQuery(q, x, y, state)
+            ref = referee_laplace_fpt(query, model)
+            assert laplace_fpt(query, model) == pytest.approx(ref, rel=0.0, abs=1e-14)
+
+
 # --- the target memo ----------------------------------------------------------------
 
 

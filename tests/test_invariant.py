@@ -180,6 +180,16 @@ def test_mass_normalization(name, model, xs):
     assert abs(invariant_mass(model) - 1.0) <= 1e-8
 
 
+@pytest.mark.parametrize("name, model, xs", ALL_EXISTING)
+def test_description_is_the_descriptor_the_densities_evaluate(name, model, xs):
+    desc = invariant_description(model)
+    grid = np.linspace(xs[0] - 1.0, xs[-1] + 1.0, 201)  # lanes outside the support too
+    for got, ref in zip(desc.evaluate(grid), invariant_density_with_derivative(grid, model)):
+        assert got.tobytes() == ref.tobytes()
+    assert desc.support == invariant_exists(model)[1]
+    assert desc.bounded == (desc.kind == "BetaLike")
+
+
 def test_mass_against_scipy_quadrature():
     from scipy.integrate import quad
 

@@ -74,7 +74,7 @@ def path_segments(seq, x0: float, model: KacOuModel) -> list[PathSegment]:
     for ts in seq.switch_times:
         out.append(PathSegment(prev, s, x, x, v))
         dt = ts - prev
-        c = model.coeff(s)
+        c = model.coeffs[s]
         decay2 = math.exp(-2.0 * c.gamma * dt) if -2.0 * c.gamma * dt < 700.0 else math.inf
         v = v * decay2 + _interval_var(c.b, c.gamma, dt)
         x = pattern_phi(s, dt, x, model)
@@ -480,7 +480,7 @@ def test_m_path_conditional_normality():
     draws = sample_m_path(seq, np.zeros(n), [3.0], NOISY, stream(34, "norm-draws"))[0]
     segs = path_segments(seq, 0.0, NOISY)
     last = segs[-1]
-    c = NOISY.coeff(last.state)
+    c = NOISY.coeffs[last.state]
     dt = 3.0 - last.t_start
     mean = pattern_phi(last.state, dt, last.m_mean, NOISY)
     var = last.m_var * math.exp(-2.0 * c.gamma * dt) + c.b**2 * (
