@@ -118,12 +118,12 @@ _PAD = 0xFF
 _DIGIT = ord("0")
 
 
-def _pad_table(width: int, keep: int) -> np.ndarray:
-    """(width + 1, width) bytes whose row n is `keep` before column n and
-    _PAD from column n on: or-ed onto cells by a row per cell, it pads each
-    cell from its own length on."""
+def _pad_table(width: int) -> np.ndarray:
+    """(width + 1, width) bytes whose row n is _DIGIT before column n and
+    _PAD from column n on: or-ed onto digits' values, a row per cell taken
+    by its length, it keeps that many digits as ASCII and pads the rest."""
     table = np.full((width + 1, width), _PAD, np.uint8)
-    table[np.tri(width + 1, width, -1, dtype=bool)] = keep
+    table[np.tri(width + 1, width, -1, dtype=bool)] = _DIGIT
     return table
 
 
@@ -265,39 +265,58 @@ def _integer_cells(column):
         digits = out[:, signs:]
         _decimal(size, digits)
         lengths = np.searchsorted(_TENS[1:count], size, side="right") + 1
-        digits |= _pad_table(count, _DIGIT).take(lengths, axis=0)[:, ::-1]
+        digits |= _pad_table(count).take(lengths, axis=0)[:, ::-1]
 
     return signs + count, write
 
 
-def _text_cells(raw, lengths):
-    """Width and writer of cells holding byte strings: the rows of the
-    (rows, at least width) uint8 array `raw`, of the given lengths."""
-    width = int(lengths.max())
+@dataclasses.dataclass(frozen=True)
+class Labels:
+    """A text column held as codes: row i reads names[codes[i]].  The names
+    are a few ASCII strings, and a slice slices the codes only."""
+
+    codes: np.ndarray
+    names: tuple
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index) -> "Labels":
+        return Labels(self.codes[index], self.names)
+
+
+def _label_cells(column: Labels):
+    """Width and writer of label cells: one take of a (names, width) byte
+    table, each name padded to the longest name the block uses."""
+    names = [name.encode("ascii") for name in column.names]
+    width = int(np.array([len(name) for name in names]).take(column.codes).max())
+    pad = bytes([_PAD])
+    table = np.frombuffer(b"".join(name[:width].ljust(width, pad) for name in names), np.uint8)
+    table = table.reshape(len(names), width)
 
     def write(out):
-        out[...] = raw[:, :width]
-        out |= _pad_table(width, 0).take(lengths, axis=0)
+        out[...] = table.take(column.codes, axis=0)
 
     return width, write
 
 
 def _cells(column):
     """Width and writer of one block of a column: writer(out) fills a
-    (rows, width) byte view with the column's fields.  A column is a numpy
-    array written by its dtype kind: floats as `%.17g`, integers in decimal
-    and ASCII text as given; anything else raises TypeError."""
+    (rows, width) byte view with the column's fields.  A column is Labels or
+    a numpy array written by its dtype kind: floats as `%.17g`, integers in
+    decimal and ASCII text as given, through its unique values as labels;
+    anything else raises TypeError."""
     kind = column.dtype.kind if isinstance(column, np.ndarray) else None
     if kind == "f":
         return _float_cells(column)
     if kind in ("i", "u"):
         return _integer_cells(column)
-    if kind == "U" and column.dtype.itemsize:
-        # an ASCII column's code points are its bytes
-        codes = np.ascontiguousarray(column).view(np.uint32).reshape(len(column), -1)
-        if codes.max() < 128:
-            return _text_cells(codes, np.char.str_len(column))
-    raise TypeError(f"a CSV column must be a float, integer or ASCII text array, got {column!r:.60}")
+    if kind == "U":
+        names, codes = np.unique(column, return_inverse=True)
+        column = Labels(codes, tuple(names.tolist()))
+    if isinstance(column, Labels) and all(name.isascii() for name in column.names):
+        return _label_cells(column)
+    raise TypeError(f"a CSV column must be a float, integer or ASCII text array, or Labels, got {column!r:.60}")
 
 
 def _csv_blocks(header: list[str], blocks):
@@ -457,9 +476,9 @@ def _cmd_simulate(cfg: RunConfig):
         batch = fpt_samples(cfg.model, x, y, state0, n_paths, cfg.seed, caps=caps)
         columns = [
             np.arange(batch.times.size),
-            np.where(batch.censored, "censored", "hit"),
+            Labels(batch.censored.view(np.uint8), ("hit", "censored")),
             batch.times,
-            np.array(REASON_NAMES)[batch.reason],
+            Labels(batch.reason, REASON_NAMES),
         ]
         out = os.path.join(cfg.out_dir, "fpt_samples.csv")
         _write_csv(out, ["sample", "outcome", "time", "reason"], columns)

@@ -45,7 +45,6 @@ from .specfun import gauss_2f1_pair_log  # noqa: F401  (bench/tracing.py wraps i
 __all__ = [
     "FptQuery",
     "laplace_fpt",
-    "running_extremum_prob",
     "fpt_integral_oracle",
     "fpt_oracle_curve",
     "fpt_ode_residual",
@@ -239,6 +238,10 @@ def _non_strict_value(model, q, frame, state):
 def laplace_fpt(query: FptQuery, model: KacOuModel) -> float:
     """Closed-form E[exp(-q T(x,y))] for the query's regime and branch.
 
+    For q > 0 this is P{T(x,y) < e_q}, e_q an independent Exp(q) time: the
+    law of the running extremum at e_q, P{min_{t <= e_q} X_t <= y} when
+    x > y and P{max_{t <= e_q} X_t >= y} when x < y.
+
     Raises OutOfDomainError when (x, y) leaves the stated validity domain,
     DegenerateModelError when the attractor levels coincide, and
     UnsupportedRegimeError when no closed form exists; those cases belong to
@@ -274,18 +277,6 @@ def laplace_fpt(query: FptQuery, model: KacOuModel) -> float:
     if not math.isfinite(value) or value < 0.0 or value > 1.0 + 1e-9:
         raise OutOfDomainError(f"closed form produced out-of-range weight {value}")
     return min(value, 1.0)
-
-
-def running_extremum_prob(q: float, x: float, y: float, initial_state: int, model: KacOuModel) -> float:
-    """P{T(x,y) < e_q} for an independent Exp(q) time e_q.
-
-    Equals the Laplace transform at q; read it as the CDF of the running
-    minimum at e_q when x > y and the complementary CDF of the running
-    maximum when x < y.
-    """
-    if q <= 0.0:
-        raise ParameterError(f"running_extremum_prob requires q > 0, got {q}")
-    return laplace_fpt(FptQuery(q, x, y, initial_state), model)
 
 
 # ---------------------------------------------------------------------------

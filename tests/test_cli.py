@@ -3,6 +3,7 @@ import math
 import os
 import stat
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kacou.cli
-from kacou.cli import _CSV_BLOCK, _csv_blocks, main
+from kacou.cli import _CSV_BLOCK, Labels, _csv_blocks, main
 from kacou.config import ConfigError, config_hash, load_config
 from kacou.first_passage import FptQuery
 from kacou.simulate import fpt_samples, mc_laplace_fpt
@@ -336,6 +337,26 @@ def test_simulate_fpt_samples_finite(tmp_path):
         assert math.isfinite(float(time_field))
 
 
+def test_sample_file_writer_holds_no_more_than_the_sampler(tmp_path):
+    # the outcome and reason columns are written from the batch's codes: no
+    # array of the batch's length holds their text, so the command's traced
+    # peak is the sampler's own (at 200,000 rows the str arrays took 12 MiB)
+    path, out = write_cfg(tmp_path)
+    argv = ["simulate", "--config", path, "--set", "simulate.n_paths=200000"]
+    cfg = load_config(path)
+    assert main(argv[:3]) == 0  # warm caches and lazy imports untraced
+    tracemalloc.start()
+    try:
+        fpt_samples(cfg.model, 0.25, 0.75, 1, 200_000, cfg.seed)
+        _, sampler = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        assert main(argv) == 0
+        _, command = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert command <= sampler + 2 * 2**20
+
+
 def test_path_csv_with_noise(tmp_path):
     path, out = write_cfg(tmp_path)
     code = main(
@@ -445,10 +466,12 @@ def test_typed_columns_format_like_single_fields():
     small = np.array([0, 255], dtype=np.uint8)
     texts = np.array(["hit", "censored", ""])
     assert _written_fields(floats) == [format(v, ".17g") for v in floats.tolist()]
-    for column in (ints, small, texts):
+    for column in (ints, small, texts, np.array(["", ""])):
         assert _written_fields(column) == list(map(str, column.tolist()))
-    # a column is a float, integer or ASCII text array
-    for column in ([3, 0.5], np.array([True, False]), np.array(["\u00e9"]), np.array([None])):
+    assert _written_fields(Labels(np.array([2, 0, 2], np.uint8), ("hit", "unused", ""))) == ["", "hit", ""]
+    # a column is a float, integer or ASCII text array, or Labels with ASCII names
+    non_ascii = [np.array(["\u00e9"]), Labels(np.zeros(2, np.uint8), ("hit", "\u00e9"))]
+    for column in ([3, 0.5], np.array([True, False]), np.array([None]), *non_ascii):
         with pytest.raises(TypeError, match="CSV column"):
             _written_fields(column)
 
@@ -496,6 +519,8 @@ def test_float_and_integer_cells_match_python_formatting():
 
 
 def _reference_fields(column):
+    if isinstance(column, Labels):
+        return [column.names[code] for code in column.codes.tolist()]
     items = column.tolist()
     if column.dtype.kind == "f":
         return [format(v, ".17g") for v in items]
@@ -504,7 +529,8 @@ def _reference_fields(column):
 
 def reference_csv_blocks(header, blocks):
     """The writer's referee: each field formatted on its own by its column's
-    dtype (floats by format(v, ".17g"), integers and text by str), and each
+    dtype (floats by format(v, ".17g"), integers and text by str, labels by
+    their names), and each
     part's rows joined field by field, _CSV_BLOCK rows a part."""
     yield ",".join(header) + "\n"
     for columns in blocks:
@@ -517,22 +543,28 @@ def reference_csv_blocks(header, blocks):
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1e-300, -1e-300]
 INT64_MAX = 2**63 - 1
 BLOCK_ROWS = [0, 1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1]
+LABEL_NAMES = ("", "hit", "censored", "a name longer than any used")
 
 _POOLS = {
     "float": (st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()), float),
     "int64": (st.one_of(st.sampled_from([INT64_MAX, -INT64_MAX, 0]), st.integers(-INT64_MAX, INT64_MAX)), np.int64),
     "uint8": (st.integers(0, 255), np.uint8),
     "text": (st.one_of(st.sampled_from(["", "hit", "censored"]), st.text(st.characters(max_codepoint=127), max_size=5)), str),
+    # the codes of a label column, whose names are drawn apart
+    "labels": (st.integers(0, 3), np.uint8),
 }
+ASCII_NAMES = st.lists(st.text(st.characters(max_codepoint=127), max_size=9), min_size=4, max_size=4)
 
 
 @st.composite
 def csv_column(draw, rows):
     """A column of `rows` fields: an array of one dtype, cycling through a
     few drawn values."""
-    values, dtype = _POOLS[draw(st.sampled_from(sorted(_POOLS)))]
+    kind = draw(st.sampled_from(sorted(_POOLS)))
+    values, dtype = _POOLS[kind]
     pool = draw(st.lists(values, min_size=1, max_size=6))
-    return np.array([pool[i % len(pool)] for i in range(rows)], dtype=dtype)
+    column = np.array([pool[i % len(pool)] for i in range(rows)], dtype=dtype)
+    return Labels(column, tuple(draw(ASCII_NAMES))) if kind == "labels" else column
 
 
 @st.composite
@@ -561,8 +593,11 @@ def test_csv_blocks_match_the_referee_at_block_edges(rows):
         floats,
         np.resize(np.array([INT64_MAX, -INT64_MAX]), rows),
         np.resize(np.array(["hit", "", "censored"]), rows),
+        # no row uses the longest name, and the rows past the first block
+        # use only the empty one, a block of width 0
+        Labels(np.where(np.arange(rows) < _CSV_BLOCK, np.arange(rows) % 3, 0).astype(np.uint8), LABEL_NAMES),
     ]
-    header = ["i", "f", "big", "text"]
+    header = ["i", "f", "big", "text", "label"]
     blocks = [columns, [c[: rows // 2] for c in columns]]
     assert list(_csv_blocks(header, iter(blocks))) == list(reference_csv_blocks(header, iter(blocks)))
 

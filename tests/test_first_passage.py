@@ -24,7 +24,6 @@ from kacou.first_passage import (
     fpt_ode_residual,
     fpt_oracle_curve,
     laplace_fpt,
-    running_extremum_prob,
 )
 from kacou.model import KacOuModel, hitting_time, rescale, swap_states
 from kacou.rng import stream
@@ -694,15 +693,8 @@ def test_rho_ordering_swap_in_attracting():
 # --- running extremum -----------------------------------------------------------
 
 
-def test_running_extremum_equals_laplace():
-    v = running_extremum_prob(1.0, 0.25, 0.75, 1, ATTRACTING)
-    assert v == laplace_fpt(FptQuery(1.0, 0.25, 0.75, 1), ATTRACTING)
-    with pytest.raises(ParameterError):
-        running_extremum_prob(0.0, 0.25, 0.75, 1, ATTRACTING)
-
-
 def test_running_extremum_vanishes_for_fast_killing():
-    assert running_extremum_prob(1e6, 0.25, 0.75, 1, ATTRACTING) < 1e-6
+    assert laplace_fpt(FptQuery(1e6, 0.25, 0.75, 1), ATTRACTING) < 1e-6
 
 
 @pytest.mark.parametrize("q", [1e9, 1e12])
@@ -731,7 +723,7 @@ def test_running_extremum_monte_carlo():
     hit_before_clock = (~batch.censored) & (batch.times < clocks)
     p_hat = float(np.mean(hit_before_clock))
     se = math.sqrt(p_hat * (1.0 - p_hat) / n)
-    assert abs(p_hat - running_extremum_prob(q, x, y, state, ATTRACTING)) < 3.0 * se
+    assert abs(p_hat - laplace_fpt(FptQuery(q, x, y, state), ATTRACTING)) < 3.0 * se
 
 
 # --- ODE residuals ---------------------------------------------------------------
