@@ -9,9 +9,11 @@ covers every regime (for q > 0) and is the cross-check for all of them.
 
 One frame for dispatch: relabelling the chain states and rescaling space
 preserve first-passage times, so each regime picks a state swap and a scale
-that carry a query onto its formula's orientation (rho0 < rho1 with the
-attracting state first; the zero-reversion state last with unit positive
-drift), read as x / scale.  Domain errors quote the query's coordinates.
+that carry a query onto its formula's orientation, read as x / scale: x < y
+and rho0 < rho1 for two attracting states (the scale -1 carries x > y onto
+it, so a query, its relabelling and its mirror image give the same bits),
+rho0 < rho1 with the attracting state first, and the zero-reversion state
+last with unit positive drift.  Domain errors quote the query's coordinates.
 """
 
 from __future__ import annotations
@@ -63,9 +65,9 @@ _TAIL_RATIO_CAP = 1e13
 # the transform by beta sqrt(eps) relative (the direct series could not
 # settle nearer either)
 _TARGET_CLEARANCE = 2.0**-26
-# target-side values kept (see _target_side): a target takes two, its
-# hyper_args and its denominator, so a caller sweeping start points for one
-# target at a time needs two entries
+# target-side values kept (see _target_side): a target takes its hyper_args,
+# its denominator and, in a relabelled or rescaled frame, the frame's model
+# (one a step), so a caller sweeping start points for one target needs four
 _TARGET_MEMO_SIZE = 64
 
 
@@ -97,15 +99,15 @@ class _Frame:
         self.regime, self.scale, self.query = regime, scale, query
         self.x, self.y = query.x / scale, query.y / scale
 
-    def require(self, name, what, lo=-math.inf, hi=math.inf, lo_closed=False, hi_closed=False):
+    def require(self, name, what, lo=-math.inf, hi=math.inf, lo_closed=False):
         """Raise OutOfDomainError unless lo < x_c < hi (y_c when name is "y";
-        a closed end admits equality).  The message maps the interval back
-        through scale and quotes the query's own x or y."""
+        a closed lower end admits equality).  The message maps the interval
+        back through scale and quotes the query's own x or y."""
         v = getattr(self, name)
-        if (lo <= v if lo_closed else lo < v) and (v <= hi if hi_closed else v < hi):
+        if (lo <= v if lo_closed else lo < v) and v < hi:
             return
         ends = [lo * self.scale, hi * self.scale]
-        ops = ["<=" if lo_closed else "<", "<=" if hi_closed else "<"]
+        ops = ["<=" if lo_closed else "<", "<"]
         if self.scale < 0.0:  # the ends swap
             ends.reverse()
             ops.reverse()
@@ -127,22 +129,21 @@ def _target_side(evaluate, *args):
     return evaluate(*args)
 
 
-def _regular_branch(hp, beta, lam, q, zx, zy, toward, state):
+def _regular_branch(model, hp, q, zx, zy, state):
     """The series branch regular at the attractor the coordinate z is
-    measured from: F(beta;zx)/F(beta;zy) for the state `toward` whose
-    pattern heads for the threshold, and lam/(q+lam) F(1+beta;zx)/F(beta;zy)
-    for the other state (beta and lam are the other state's), which has to
-    switch first.  Ratios are formed in log space, so large-parameter
-    evaluations (big q) stay finite."""
-    num = gauss_2f1_log(hp.b0, hp.b1, beta if state == toward else 1.0 + beta, zx)
-    ratio = num.ratio(_target_side(gauss_2f1_log, hp.b0, hp.b1, beta, zy))
-    return ratio if state == toward else lam / (q + lam) * ratio
+    measured from: F(beta0;zx)/F(beta0;zy) for state 1, whose pattern heads
+    for the threshold, and lam0/(q+lam0) F(1+beta0;zx)/F(beta0;zy) for
+    state 0, which has to switch first.  Ratios are formed in log space, so
+    large-parameter evaluations (big q) stay finite."""
+    num = gauss_2f1_log(hp.b0, hp.b1, hp.beta0 if state == 1 else 1.0 + hp.beta0, zx)
+    ratio = num.ratio(_target_side(gauss_2f1_log, hp.b0, hp.b1, hp.beta0, zy))
+    lam = model.rates.lambda0
+    return ratio if state == 1 else lam / (q + lam) * ratio
 
 
 def _attracting_value(model, q, frame, state):
-    # canonical: rho0 < rho1
+    # canonical: rho0 < rho1 and x < y
     r0, r1 = model.coeffs[0].rho, model.coeffs[1].rho
-    l0, l1 = model.rates.lambda0, model.rates.lambda1
     x, y = frame.x, frame.y
     hp = _target_side(hyper_args, q, model)
     # the series at y is singular at the attractor y approaches, like
@@ -150,19 +151,10 @@ def _attracting_value(model, q, frame, state):
     # beta eps / (1 - z) relative; a target nearer than _TARGET_CLEARANCE of
     # the gap (or than the rounding y, rho0 and rho1 carry) is refused
     tie = max(_TARGET_CLEARANCE * (r1 - r0), 4.0 * math.ulp(1.0) * (abs(y) + abs(r0) + abs(r1)))
-    if x < y:
-        frame.require("y", "the threshold between the attractors", r0, r1, lo_closed=True)
-        frame.require("y", "a threshold clear of the attractor", hi=r1 - tie)
-        frame.require("x", "series radius", lo=2.0 * r0 - r1)
-        # z = 1 - (r1 - .)/(r1 - r0), formed from the distance to the
-        # attractor y approaches as the x > y branch forms it, so that a
-        # query and its mirror image round z alike
-        return _regular_branch(hp, hp.beta0, l0, q, xi1(x, r1, r0), xi1(y, r1, r0), 1, state)
-    # x > y: mirrored series in xi1
-    frame.require("y", "the threshold between the attractors", r0, r1, hi_closed=True)
-    frame.require("y", "a threshold clear of the attractor", lo=r0 + tie)
-    frame.require("x", "series radius", hi=2.0 * r1 - r0)
-    return _regular_branch(hp, hp.beta1, l1, q, xi1(x, r0, r1), xi1(y, r0, r1), 0, state)
+    frame.require("y", "the threshold between the attractors", r0, r1, lo_closed=True)
+    frame.require("y", "a threshold clear of the attractor", hi=r1 - tie)
+    frame.require("x", "series radius", lo=2.0 * r0 - r1)
+    return _regular_branch(model, hp, q, xi1(x, r1, r0), xi1(y, r1, r0), state)
 
 
 def _ar_decaying(hp, z, state):
@@ -196,7 +188,6 @@ def _ar_decaying(hp, z, state):
 def _attraction_repulsion_value(model, q, frame, state):
     # canonical: gamma0 > 0 > gamma1 and rho0 < rho1
     r0, r1 = model.coeffs[0].rho, model.coeffs[1].rho
-    l0, l1 = model.rates.lambda0, model.rates.lambda1
     x, y = frame.x, frame.y
     frame.require("y", "the threshold past the attractor, away from the repelling level", hi=r0)
     hp = _target_side(hyper_args, q, model)
@@ -204,14 +195,14 @@ def _attraction_repulsion_value(model, q, frame, state):
         # both states are normalized by G at y
         num = _ar_decaying(hp, xi0(x, r0, r1), state)
         if state == 1:
-            num = num.scaled(l1 / model.coeffs[1].gamma)
+            num = num.scaled(model.rates.lambda1 / model.coeffs[1].gamma)
         return num.ratio(_target_side(_ar_decaying, hp, xi0(y, r0, r1), 0))
     # x > y: the transforms are smooth across rho0 (the no-switch hit time is
     # infinite on both sides), which selects the series branch regular there,
     # normalized by ell1 -> 1 as x decreases to y.
     frame.require("y", "series radius", lo=2.0 * r0 - r1)
     frame.require("x", "the start on the attractor's side of the repelling level", hi=r1)
-    return _regular_branch(hp, hp.beta0, l0, q, xi0(x, r0, r1), xi0(y, r0, r1), 1, state)
+    return _regular_branch(model, hp, q, xi0(x, r0, r1), xi0(y, r0, r1), state)
 
 
 def _non_strict_value(model, q, frame, state):
@@ -254,7 +245,11 @@ def laplace_fpt(query: FptQuery, model: KacOuModel) -> float:
             "equal attractor levels: no hypergeometric closed form, use fpt_integral_oracle"
         )
     if tag is RegimeTag.ATTRACTING_STRICT:
-        formula, swap, scale = _attracting_value, model.coeffs[0].rho > model.coeffs[1].rho, 1.0
+        # the formula takes x < y and rho0 < rho1: the scale -1 reflects
+        # x > y, which reverses the levels' order, and a swap puts the lower first
+        upward = query.x < query.y
+        formula, scale = _attracting_value, 1.0 if upward else -1.0
+        swap = (model.coeffs[0].rho > model.coeffs[1].rho) == upward
     elif tag in (RegimeTag.ATTRACTION_REPULSION_01, RegimeTag.ATTRACTION_REPULSION_10):
         swap = tag is RegimeTag.ATTRACTION_REPULSION_10
         attract, repel = model.coeffs[::-1] if swap else model.coeffs
@@ -269,9 +264,9 @@ def laplace_fpt(query: FptQuery, model: KacOuModel) -> float:
         )
     state = query.initial_state
     if swap:
-        model, state = swap_states(model), 1 - state
+        model, state = _target_side(swap_states, model), 1 - state
     if scale != 1.0:
-        model = rescale(model, scale)
+        model = _target_side(rescale, model, scale)
     value = formula(model, query.q, _Frame(tag.value, scale, query), state)
     # 0.0 is reachable only by underflow at extreme killing rates
     if not math.isfinite(value) or value < 0.0 or value > 1.0 + 1e-9:
@@ -399,8 +394,10 @@ def _oracle_rows(model, q, nodes, lo, hi, state):
     idx = np.arange(nodes.size)
     rho = a / g if g != 0.0 else math.inf
     # the drift at each node, from the distance to a finite level so that it
-    # keeps its digits next to the level
-    vel = -g * (nodes - rho) if math.isfinite(rho) else a - g * nodes
+    # keeps its digits next to the level; a drift past double range crosses
+    # its cell at once, which _crossing reads as kap = 0
+    with np.errstate(over="ignore"):
+        vel = -g * (nodes - rho) if math.isfinite(rho) else a - g * nodes
     step = np.sign(vel).astype(np.intp)
     down = np.clip(idx + step, lo, hi)
     kap, log_ratio = _crossing(nodes, nodes[down], vel, g, rho, k)  # nan where nodes stay
@@ -585,8 +582,7 @@ def fpt_ode_residual(q: float, x: float, y: float, model: KacOuModel, h: float):
         ders.append((above - below) / (2.0 * h))
 
     out = []
-    for i in (0, 1):
-        c = model.coeffs[i]
+    for i, c in enumerate(model.coeffs):
         lam = model.rates.rate(i)
         other = ells[1 - i]
         if c.gamma != 0.0:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DoubleRangeError, NoInvariantMeasureError, ParameterError
-from .model import KacOuModel, RegimeTag, classify_regime, stationary_state_dist
+from .model import KacOuModel, RegimeTag, _check_state, classify_regime, stationary_state_dist
 from .quadrature import integrate_de_offsets, integrate_half_line_offsets
 from .simulate import terminal_values
 from .specfun import beta_fn, log_gamma
@@ -211,10 +211,8 @@ def invariant_exists(model: KacOuModel) -> tuple[bool, tuple[float, float] | Non
 
 def invariant_density(x, state: int, model: KacOuModel):
     """Closed-form stationary density of (X, state) at x (0 outside support)."""
-    if state not in (0, 1):
-        raise ParameterError(f"state must be 0 or 1, got {state}")
-    p0, p1, _, _ = _require(model).evaluate(x)
-    out = p0 if state == 0 else p1
+    _check_state(state)
+    out = _require(model).evaluate(x)[state]
     return out if np.ndim(x) else float(out)
 
 
@@ -229,31 +227,23 @@ def stationarity_residual(x, model: KacOuModel):
     The closed forms and their product-rule derivatives make both equations
     vanish up to roundoff.
     """
-    p0, p1, d0, d1 = invariant_density_with_derivative(x, model)
+    pi = invariant_density_with_derivative(x, model)  # (pi0, pi1, dpi0/dx, dpi1/dx)
     x = np.asarray(x, dtype=float)
-    a0, a1 = model.coeffs[0].a, model.coeffs[1].a
-    g0, g1 = model.coeffs[0].gamma, model.coeffs[1].gamma
-    l0, l1 = model.rates.lambda0, model.rates.lambda1
-
-    t11 = (g0 * x - a0) * d0
-    t12 = (l0 - g0) * p0
-    t13 = l1 * p1
-    r1 = t11 - t12 + t13
-    s1 = np.maximum(np.maximum(np.abs(t11), np.abs(t12)), np.maximum(np.abs(t13), 1e-300))
-
-    t21 = (g1 * x - a1) * d1
-    t22 = l0 * p0
-    t23 = (l1 - g1) * p1
-    r2 = t21 + t22 - t23
-    s2 = np.maximum(np.maximum(np.abs(t21), np.abs(t22)), np.maximum(np.abs(t23), 1e-300))
-
-    rel1, rel2 = r1 / s1, r2 / s2
+    rel = []
+    for i, c in enumerate(model.coeffs):
+        # state i's flow term, its outflow less its reversion, and the other
+        # state's inflow
+        flow = (c.gamma * x - c.a) * pi[2 + i]
+        own = (model.rates.rate(i) - c.gamma) * pi[i]
+        inflow = model.rates.rate(1 - i) * pi[1 - i]
+        size = np.maximum(np.maximum(np.abs(flow), np.abs(own)), np.maximum(np.abs(inflow), 1e-300))
+        rel.append((flow - own + inflow) / size)
     if np.ndim(x):
-        return rel1, rel2
-    return float(rel1), float(rel2)
+        return tuple(rel)
+    return float(rel[0]), float(rel[1])
 
 
-def invariant_mass(model: KacOuModel, tol: float = 1e-11) -> float:
+def invariant_mass(model: KacOuModel) -> float:
     """Quadrature check of the total mass of pi0 + pi1 (should be 1).
 
     Bounded supports integrate directly; half-lines go through the rational
@@ -261,8 +251,8 @@ def invariant_mass(model: KacOuModel, tol: float = 1e-11) -> float:
     """
     cf = _require(model)
     if cf.bounded:
-        return integrate_de_offsets(cf.density, cf.anchor, cf.far, tol=tol)
-    return integrate_half_line_offsets(cf.anchored, scale=cf.scale, tol=tol)
+        return integrate_de_offsets(cf.density, cf.anchor, cf.far, tol=1e-11)
+    return integrate_half_line_offsets(cf.anchored, scale=cf.scale, tol=1e-11)
 
 
 def _tail_mass(cf: InvariantDensity, dist: float) -> float:
@@ -315,15 +305,15 @@ def support_cutoff(model: KacOuModel, floor: float = 1e-16) -> tuple[float, floa
     return (lo, far) if math.isfinite(lo) else (far, hi)
 
 
-def _histogram_range(cf: InvariantDensity, tail_mass: float = 5e-4) -> tuple[float, float]:
-    """Finite binning window; on half-line supports it leaves `tail_mass`
+def _histogram_range(cf: InvariantDensity) -> tuple[float, float]:
+    """Finite binning window; on half-line supports it leaves a mass of 5e-4
     outside (that mass is charged to the L1 distance explicitly)."""
     lo, hi = cf.support
     if cf.bounded:
         return lo, hi
 
     def inside(d):
-        return _tail_mass(cf, d) > tail_mass
+        return _tail_mass(cf, d) > 5e-4
 
     start = 1e-3 * cf.scale
     _, outer = _search_edge(inside, start, start, 1e15 * cf.scale, 1e-3, 60)

@@ -235,6 +235,15 @@ def _result(value, *inputs):
     return float(value) if all(np.ndim(v) == 0 for v in inputs) else value
 
 
+def _check_state(state):
+    """Raise ParameterError naming a chain state other than 0 or 1 in state,
+    an int, a numpy scalar or an array (as an index, -1 would read state 1)."""
+    if type(state) is not int or state not in (0, 1):
+        bad = np.extract((np.asarray(state) != 0) & (np.asarray(state) != 1), state)
+        if bad.size:
+            raise ParameterError(f"state must be 0 or 1, got {bad[0]}")
+
+
 def _series_bounds(model: KacOuModel) -> list[float]:
     """Per state, the |gamma| t below which its flow takes the form
     a t phi(gamma t) + x exp(-gamma t), which never forms rho = a / gamma:
@@ -276,6 +285,7 @@ def pattern_map(state, t, model: KacOuModel):
     gamma = 0) come back as floats, the factor (or a t) as the only array,
     with the same bits the general path gives.
     """
+    _check_state(state)
     t = np.asarray(t, dtype=float)
     t_min = t.min() if t.size else 0.0
     if t_min < 0.0:
@@ -375,6 +385,7 @@ def hitting_time(state, x, y, model: KacOuModel):
     own, with y - rho a scalar where y is; an array of states works out
     each branch its states take and picks per entry, with the same bits.
     """
+    _check_state(state)
     series_s = _series_bounds(model)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -490,6 +501,7 @@ def interval_variance(state, t, model: KacOuModel):
     2 gamma t past double range the level b^2 / (2 gamma); b = 0 gives 0.
     state and t are scalars (a float is returned) or broadcastable arrays.
     """
+    _check_state(state)
     b, g = model.b_vec[state], model.gamma_vec[state]
     t = np.asarray(t, dtype=float)
     bad = t[~((t >= 0.0) & (t < math.inf))]

@@ -26,13 +26,14 @@ __all__ = [
 ]
 
 _DE_TMAX = 6.7  # exp(-2u) underflows and node weights vanish well before this
+_DE_MAX_LEVEL = 12  # halvings of the step h = 1: 13 levels, down to h = 2^-12
 
 
 @functools.cache
 def _level_nodes(h, only_odd):
     """Distances-from-endpoint (in units of b-a) and weights for one level,
     built once per (h, only_odd) and shared read-only: h halves from 1, so
-    there is one table per refinement level (13 at the default max_level)."""
+    there is one table per refinement level (13, see _DE_MAX_LEVEL)."""
     k = np.arange(1, int(_DE_TMAX / h) + 1)
     if only_odd:
         k = k[k % 2 == 1]
@@ -47,7 +48,7 @@ def _level_nodes(h, only_odd):
     return dist, w
 
 
-def integrate_de_offsets(f2, a: float, b: float, tol: float = 1e-12, max_level: int = 12) -> float:
+def integrate_de_offsets(f2, a: float, b: float, tol: float = 1e-12) -> float:
     """Integrate f over (a, b) where f2(d_lo, d_hi) evaluates the integrand
     from its exact distances to the endpoints (arrays).
 
@@ -69,7 +70,7 @@ def integrate_de_offsets(f2, a: float, b: float, tol: float = 1e-12, max_level: 
     acc += level_sum(dist, w)
     result = acc * h * 0.5 * width
 
-    for _ in range(max_level):
+    for _ in range(_DE_MAX_LEVEL):
         h *= 0.5
         dist, w = _level_nodes(h, only_odd=True)
         acc += level_sum(dist, w)
@@ -80,7 +81,7 @@ def integrate_de_offsets(f2, a: float, b: float, tol: float = 1e-12, max_level: 
     return result
 
 
-def integrate_half_line_offsets(f1, scale: float = 1.0, tol: float = 1e-12) -> float:
+def integrate_half_line_offsets(f1, scale: float, tol: float) -> float:
     """Integrate f over a half-line from its anchor point, where f1(d)
     evaluates the integrand from the exact distance d > 0 to the anchor.
 

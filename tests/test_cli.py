@@ -815,6 +815,20 @@ def test_fpt_killing_rate_past_double_range_exits_1(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "fpt.csv"))
 
 
+def test_fpt_with_a_drift_past_double_range_runs(tmp_path):
+    # the oracle's drift -gamma1 (x - rho1) overflowed at the grid's nodes,
+    # a RuntimeWarning (a traceback under -W error); state 1 crosses every
+    # cell at once, so a path started in it hits y at once
+    path, out = write_cfg(tmp_path)
+    argv = ["fpt", "--config", path, "--set", "model.a0=0.5", "--set", "model.gamma0=-1"]
+    argv += ["--set", "model.gamma1=1e300", "--set", "fpt.x=1e8", "--set", "fpt.y=1e-8"]
+    assert main(argv) == 0
+    rows = _fpt_rows(out)
+    assert len(rows) == 2
+    for row in rows:
+        assert row[4:7] == [1.0, 1.0, 1.0]  # closed_form, oracle and mc_mean
+
+
 def test_fpt_with_upper_parameters_past_double_range_runs(tmp_path, capsys):
     # hyper_args raised a bare OverflowError here, a traceback
     path, out = write_cfg(tmp_path)

@@ -160,6 +160,23 @@ def test_pattern_phi_contract():
     assert interval_variance(1, 800.0, rep) == 0.0
 
 
+@pytest.mark.parametrize("state", [-1, 2, np.int64(-1), np.int8(2), np.array([-1, 1]), np.array([[0, 1], [1, 2]])])
+def test_a_chain_state_other_than_0_or_1_is_refused(state):
+    # as an index, a -1 read state 1's coefficients and a 2 raised a bare
+    # IndexError
+    bad = -1 if np.any(np.asarray(state) == -1) else 2
+    model = make(b1=0.5)
+    calls = [
+        lambda: pattern_phi(state, 1.0, 0.3, model),
+        lambda: pattern_map(state, 1.0, model),
+        lambda: hitting_time(state, 0.3, 0.6, model),
+        lambda: interval_variance(state, 1.0, model),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match=f"state must be 0 or 1, got {bad}$"):
+            call()
+
+
 def test_flat_state_without_drift_stays_put_over_an_infinite_time():
     # a t would be 0 * inf = nan
     flat = KacOuModel.from_values(1, 1, 0, 0, 0, 0, 1, 0)
