@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -349,51 +348,6 @@ def _write_csv(path: str, header: list[str], columns) -> None:
     _atomic_write(path, _csv_blocks(header, [columns]))
 
 
-def _count(cfg: RunConfig, section: str, key: str, default: int, least: int = 1, most: float = math.inf) -> int:
-    """A count entry (truncated to an integer) from `least` to `most`."""
-    value = cfg.get(section, key, default=default)
-    if not least <= value < math.inf:
-        raise ConfigError(f"{section}.{key}", f"must be a count of at least {least}, got {value}")
-    if value > most:
-        raise ConfigError(f"{section}.{key}", f"must be a count of at most {most:.3g}, got {value:.3g}")
-    return int(value)
-
-
-def _positive(cfg: RunConfig, section: str, key: str, default=None) -> float:
-    """A finite entry that must be positive."""
-    value = cfg.get(section, key, default=default)
-    if not 0.0 < value < math.inf:
-        raise ConfigError(f"{section}.{key}", f"must be finite and positive, got {value}")
-    return value
-
-
-def _finite(cfg: RunConfig, section: str, key: str, default=None) -> float:
-    """A number entry that must be finite."""
-    value = cfg.get(section, key, default=default)
-    if not math.isfinite(value):
-        raise ConfigError(f"{section}.{key}", f"must be finite, got {value}")
-    return value
-
-
-def _numbers(cfg: RunConfig, section: str, key: str, default=None, count: bool = False) -> list:
-    """A list entry whose every entry must be finite, or with `count` a count
-    of at least 1 (truncated to an integer)."""
-    values = cfg.get_list(section, key, default=default)
-    need = "a finite count of at least 1" if count else "finite"
-    for value in values:
-        if not math.isfinite(value) or (count and value < 1):
-            raise ConfigError(f"{section}.{key}", f"every entry must be {need}, got {value}")
-    return [int(v) for v in values] if count else values
-
-
-def _state(cfg: RunConfig, section: str, key: str, default=None) -> int:
-    """A chain-state entry, which must be 0 or 1."""
-    value = cfg.get(section, key, default=default)
-    if value not in (0.0, 1.0):
-        raise ConfigError(f"{section}.{key}", f"must be a chain state, 0 or 1, got {value}")
-    return int(value)
-
-
 def _manifest(cfg: RunConfig, command: str, outputs: list[str], t0: float, extra=None) -> str:
     body = {
         "command": command,
@@ -417,18 +371,18 @@ def _manifest(cfg: RunConfig, command: str, outputs: list[str], t0: float, extra
 
 def _cmd_simulate(cfg: RunConfig):
     mode = cfg.get("simulate", "mode", default="path", cast=str)
-    n_paths = _count(cfg, "simulate", "n_paths", 1)
-    x0 = _finite(cfg, "simulate", "x0", default=0.0)
-    state0 = _state(cfg, "simulate", "state0", default=0)
+    n_paths = cfg.count("simulate.n_paths", 1)
+    x0 = cfg.finite("simulate.x0", 0.0)
+    state0 = cfg.state("simulate.state0", 0)
     reasons = (CENSOR_HORIZON, CENSOR_SWITCH_CAP)
     extra = {"censoring": {REASON_NAMES[code]: 0 for code in reasons}}
 
     rate = max(cfg.model.rates.lambda0, cfg.model.rates.lambda1)
     if mode == "path":
-        horizon = _positive(cfg, "simulate", "horizon", 10.0)
+        horizon = cfg.positive("simulate.horizon", 10.0)
         _check_work(n_paths * (1.0 + rate * horizon), "simulate.n_paths, simulate.horizon and the [model] rates")
         with_noise = cfg.get("simulate", "with_noise", default=False, cast=bool)
-        n_eval = _count(cfg, "simulate", "eval_points", 201, most=MAX_GRID_POINTS)
+        n_eval = cfg.count("simulate.eval_points", 201, most=MAX_GRID_POINTS)
         rows = n_eval + 1.0 + rate * horizon
         if not rows <= MAX_PATH_ROWS:
             raise ConfigError(
@@ -462,11 +416,11 @@ def _cmd_simulate(cfg: RunConfig):
     else:
         if mode != "fpt":
             raise ConfigError("simulate.mode", f"unknown mode {mode!r}")
-        x = _finite(cfg, "simulate", "x")
-        y = _finite(cfg, "simulate", "y")
+        x = cfg.finite("simulate.x")
+        y = cfg.finite("simulate.y")
         caps = SimCaps(
-            horizon=_positive(cfg, "simulate", "cap_horizon", 1e3),
-            max_switches=_count(cfg, "simulate", "cap_switches", 10_000_000),
+            horizon=cfg.positive("simulate.cap_horizon", 1e3),
+            max_switches=cfg.count("simulate.cap_switches", 10_000_000),
         )
         # the caps bound a path's switches
         _check_work(
@@ -488,14 +442,11 @@ def _cmd_simulate(cfg: RunConfig):
 
 
 def _cmd_fpt(cfg: RunConfig):
-    qs = _numbers(cfg, "fpt", "q_grid")
-    for q in qs:
-        if not q > 0.0:  # the integral oracle needs it
-            raise ConfigError("fpt.q_grid", f"every entry must be finite and positive, got {q}")
-    x = _finite(cfg, "fpt", "x")
-    y = _finite(cfg, "fpt", "y")
-    state = _state(cfg, "fpt", "state")
-    n_mc = _count(cfg, "fpt", "mc_samples", 200_000, least=1_000)
+    qs = cfg.positive("fpt.q_grid", many=True)  # the integral oracle needs q > 0
+    x = cfg.finite("fpt.x")
+    y = cfg.finite("fpt.y")
+    state = cfg.state("fpt.state")
+    n_mc = cfg.count("fpt.mc_samples", 200_000, least=1_000)
 
     # the default caps bound a path's switches; a path alternates its states,
     # so it switches at the stationary rate 2 / (1/lambda0 + 1/lambda1), which
@@ -522,7 +473,7 @@ def _cmd_fpt(cfg: RunConfig):
 
 def _cmd_invariant(cfg: RunConfig):
     exists, support = invariant_exists(cfg.model)
-    grid_points = _count(cfg, "invariant", "grid_points", 401, most=MAX_GRID_POINTS)
+    grid_points = cfg.count("invariant.grid_points", 401, most=MAX_GRID_POINTS)
 
     out_csv = os.path.join(cfg.out_dir, "invariant.csv")
     summary = {"exists": exists, "support": None}
@@ -569,18 +520,18 @@ def _cmd_scaling(cfg: RunConfig):
     if kind_name not in _SCALING_KINDS:
         raise ConfigError("scaling.kind", f"unknown kind {kind_name!r}")
     kind = _SCALING_KINDS[kind_name]
-    nu = _positive(cfg, "scaling", "nu", 1.0)
+    nu = cfg.positive("scaling.nu", 1.0)
     pairs = {
         name: ScaledPair(
-            _positive(cfg, "scaling", "sigma0" + _PAIR_SUFFIX[name]),
-            _finite(cfg, "scaling", "delta" + _PAIR_SUFFIX[name], default=0.0),
+            cfg.positive("scaling.sigma0" + _PAIR_SUFFIX[name]),
+            cfg.finite("scaling.delta" + _PAIR_SUFFIX[name], 0.0),
         )
         for name, _, _ in SCALED_PAIRS[kind]
     }
     spec = ScalingSpec(kind, nu, base=cfg.model, **pairs)
-    t = _positive(cfg, "scaling", "t", 1.0)
-    n_list = _numbers(cfg, "scaling", "n_list", default=[10, 100, 1000], count=True)
-    n_paths = _count(cfg, "scaling", "n_paths", 100_000, least=2)
+    t = cfg.positive("scaling.t", 1.0)
+    n_list = cfg.count("scaling.n_list", [10, 100, 1000], many=True)
+    n_paths = cfg.count("scaling.n_paths", 100_000, least=2)
     # the chain at scale index n switches at rates nu n and n; an equal-rate
     # telegraph integral draws each path in one step, whatever it switches
     _check_work(
@@ -588,7 +539,7 @@ def _cmd_scaling(cfg: RunConfig):
         "scaling.n_paths, scaling.t, scaling.n_list and scaling.nu",
     )
     try:
-        rows = convergence_check(spec, t, n_list, n_paths, seed=cfg.seed, x0=_finite(cfg, "scaling", "x0", default=0.0))
+        rows = convergence_check(spec, t, n_list, n_paths, seed=cfg.seed, x0=cfg.finite("scaling.x0", 0.0))
     except DoubleRangeError as exc:
         # t, x0, the model and the amplitudes (times sqrt(nu*n)) set the
         # moments together; no one key is to blame

@@ -18,9 +18,6 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "config_hash"]
 _BOOLEAN_STATES = configparser.ConfigParser.BOOLEAN_STATES
 _BOOLEAN_HINT = " as a boolean (1/true/yes/on or 0/false/no/off)"
 
-MODEL_KEYS = ("lambda0", "lambda1", "a0", "a1", "b0", "b1", "gamma0", "gamma1")
-
-
 class ConfigError(KacOuError):
     """Invalid or missing configuration entry; carries the offending key."""
 
@@ -49,6 +46,37 @@ class RunConfig:
             return [cast(tok) for tok in raw.replace(",", " ").split()]
 
         return self._parse(section, key, default, parse)
+
+    # The value readers: each reads the entry at "section.key" `name` (with
+    # `many`, the list there, every entry under the same rule), `default`
+    # when it is absent, and refuses a value outside its rule.
+
+    def finite(self, name: str, default=None, least: float = -math.inf, many: bool = False):
+        """A number that must be finite and at least `least`."""
+        need = "finite" if least == -math.inf else f"finite and >= {least:g}"
+        return self._checked(name, default, many, need, lambda v: math.isfinite(v) and v >= least)
+
+    def positive(self, name: str, default=None, many: bool = False):
+        """A number that must be finite and positive."""
+        return self._checked(name, default, many, "finite and positive", lambda v: 0.0 < v < math.inf)
+
+    def count(self, name: str, default=None, least: int = 1, most: float = math.inf, many: bool = False):
+        """A count from `least` to `most`, truncated to an integer."""
+        need = f"a count of at least {least}" + (f" and at most {most:.3g}" if most < math.inf else "")
+        value = self._checked(name, default, many, need, lambda v: least <= v <= most and v < math.inf)
+        return [int(v) for v in value] if many else int(value)
+
+    def state(self, name: str, default=None) -> int:
+        """A chain state, 0 or 1."""
+        return int(self._checked(name, default, False, "a chain state, 0 or 1", lambda v: v in (0.0, 1.0)))
+
+    def _checked(self, name: str, default, many: bool, need: str, ok):
+        section, key = name.split(".", 1)
+        value = (self.get_list if many else self.get)(section, key, default)
+        for v in value if many else (value,):
+            if not ok(v):
+                raise ConfigError(name, f"{'every entry ' if many else ''}must be {need}, got {v}")
+        return value
 
     def _parse(self, section: str, key: str, default, parse, what: str = ""):
         """`parse` applied to the entry's text, or `default` when the entry is
@@ -85,31 +113,6 @@ def _apply_overrides(parser: configparser.ConfigParser, overrides) -> None:
         parser.set(section.strip(), key.strip(), value.strip())
 
 
-def _parse_model(parser: configparser.ConfigParser) -> KacOuModel:
-    if not parser.has_section("model"):
-        raise ConfigError("model", "missing [model] section")
-    values = {}
-    for key in MODEL_KEYS:
-        if not parser.has_option("model", key):
-            raise ConfigError(f"model.{key}", "required key is missing")
-        raw = parser.get("model", key)
-        try:
-            values[key] = float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"model.{key}", f"cannot parse {raw!r}") from exc
-        if not math.isfinite(values[key]):
-            raise ConfigError(f"model.{key}", f"must be finite, got {raw!r}")
-    if values["lambda0"] <= 0.0:
-        raise ConfigError("model.lambda0", "switching rate must be positive")
-    if values["lambda1"] <= 0.0:
-        raise ConfigError("model.lambda1", "switching rate must be positive")
-    if values["b0"] < 0.0:
-        raise ConfigError("model.b0", "diffusion amplitude must be >= 0")
-    if values["b1"] < 0.0:
-        raise ConfigError("model.b1", "diffusion amplitude must be >= 0")
-    return KacOuModel.from_values(**values)
-
-
 def _canonical_text(parser: configparser.ConfigParser) -> str:
     lines = []
     for section in sorted(parser.sections()):
@@ -133,16 +136,18 @@ def load_config(path: str | None, overrides=None, text: str | None = None) -> Ru
     parser.read_string(text)
     _apply_overrides(parser, overrides)
 
-    model = _parse_model(parser)
-    canonical = _canonical_text(parser)
-
-    seed = 0
-    if parser.has_option("run", "seed"):
-        try:
-            seed = int(parser.get("run", "seed"))
-        except ValueError as exc:
-            raise ConfigError("run.seed", "seed must be an integer") from exc
-    out_dir = parser.get("run", "out_dir") if parser.has_option("run", "out_dir") else "out"
-
     sections = {s: dict(parser.items(s)) for s in parser.sections()}
-    return RunConfig(model=model, seed=seed, out_dir=out_dir, sections=sections, raw_text=canonical)
+    cfg = RunConfig(model=None, seed=0, out_dir="out", sections=sections, raw_text=_canonical_text(parser))
+    cfg.model = KacOuModel.from_values(
+        cfg.positive("model.lambda0"),
+        cfg.positive("model.lambda1"),
+        cfg.finite("model.a0"),
+        cfg.finite("model.a1"),
+        cfg.finite("model.b0", least=0.0),
+        cfg.finite("model.b1", least=0.0),
+        cfg.finite("model.gamma0"),
+        cfg.finite("model.gamma1"),
+    )
+    cfg.seed = cfg.get("run", "seed", 0, cast=int)
+    cfg.out_dir = cfg.get("run", "out_dir", "out", cast=str)
+    return cfg

@@ -106,7 +106,9 @@ class _Frame:
         v = getattr(self, name)
         if (lo <= v if lo_closed else lo < v) and v < hi:
             return
-        ends = [lo * self.scale, hi * self.scale]
+        # + 0.0 writes a zero end unsigned: the frame's model may be the memo
+        # entry of a model whose level was the other signed zero
+        ends = [lo * self.scale + 0.0, hi * self.scale + 0.0]
         ops = ["<=" if lo_closed else "<", "<"]
         if self.scale < 0.0:  # the ends swap
             ends.reverse()

@@ -115,10 +115,11 @@ class InvariantDensity:
 
 def _exponent(rate, speed, name: str) -> float:
     """An endpoint exponent rate / speed of an invariant density, which
-    must be finite for the density to have a descriptor."""
+    must be finite, and nonzero for a nonzero rate, for the density to have
+    a descriptor."""
     with np.errstate(over="ignore"):
         value = rate / speed
-    if not math.isfinite(value):
+    if not math.isfinite(value) or (value == 0.0 and rate != 0.0):
         raise DoubleRangeError(f"the invariant density's exponent {name} = {rate} / {speed} leaves double range")
     return value
 
@@ -155,7 +156,10 @@ def invariant_description(model: KacOuModel) -> InvariantDensity:
         k = _exponent(lam[zero], abs(az), f"lambda{zero} / |a{zero}|")
         sgn = 1.0 if az > 0.0 else -1.0
         log_c = alpha * math.log(k) + math.log(lam[zero] / (lam[zero] + lam[s])) - log_gamma(alpha)
-        c = math.exp(log_c)
+        try:
+            c = math.exp(log_c)
+        except OverflowError:
+            raise DoubleRangeError(f"the invariant density's constant exp({log_c:.6g}) leaves double range") from None
         exps, consts = ((alpha - 1.0, k), (alpha, k)), (c, g[s] / abs(az) * c)
         kind, support = "GammaLike", (rho, math.inf) if sgn > 0.0 else (-math.inf, rho)
         frame = (rho, sgn, rho, sgn, 1.0 / k)

@@ -48,7 +48,7 @@ def _level_nodes(h, only_odd):
     return dist, w
 
 
-def integrate_de_offsets(f2, a: float, b: float, tol: float = 1e-12) -> float:
+def integrate_de_offsets(f2, a: float, b: float, tol: float) -> float:
     """Integrate f over (a, b) where f2(d_lo, d_hi) evaluates the integrand
     from its exact distances to the endpoints (arrays).
 

@@ -114,6 +114,57 @@ def test_misspelled_boolean_exits_2(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "paths.csv"))
 
 
+@pytest.mark.parametrize(
+    "reader, options, raw",
+    [
+        ("finite", {}, "nan"),
+        ("finite", {}, "-inf"),
+        ("finite", {"least": 0.0}, "-1e-300"),
+        ("positive", {}, "0"),
+        ("positive", {}, "inf"),
+        ("count", {}, "0.5"),
+        ("count", {"least": 2}, "1"),
+        ("count", {"most": 10}, "11"),
+        ("count", {}, "inf"),
+        ("state", {}, "0.5"),
+        ("state", {}, "nan"),
+        ("finite", {"many": True}, "1, nan"),
+        ("positive", {"many": True}, "1, -0"),
+        ("count", {"many": True}, "3, 0"),
+        ("count", {"many": True}, "3, inf"),
+    ],
+)
+def test_value_readers_name_the_key_they_read(tmp_path, reader, options, raw):
+    path, _ = write_cfg(tmp_path)
+    cfg = load_config(path, overrides=[f"extra.value={raw}"])
+    with pytest.raises(ConfigError) as err:
+        getattr(cfg, reader)("extra.value", **options)
+    assert err.value.key == "extra.value" and str(err.value).startswith("extra.value: ")
+
+
+def test_value_readers_return_parsed_values_and_defaults(tmp_path):
+    path, _ = write_cfg(tmp_path)
+    cfg = load_config(path, overrides=["extra.counts=3, 7.9", "extra.state=1.0", "extra.zero=-0"])
+    assert cfg.count("extra.counts", many=True) == [3, 7]
+    assert cfg.state("extra.state") == 1 and cfg.finite("extra.zero", least=0.0) == 0.0
+    assert cfg.positive("fpt.q_grid", many=True) == [0.5, 1.0] and cfg.count("fpt.mc_samples") == 20000
+    assert cfg.count("extra.absent", 5) == 5 and cfg.positive("extra.absent", 2.5) == 2.5
+    with pytest.raises(ConfigError) as err:
+        cfg.finite("extra.absent")
+    assert err.value.key == "extra.absent"
+
+
+@pytest.mark.parametrize("key, value", [("model.b0", "-1"), ("model.b1", "-1e-300"), ("run.seed", "1.5"), ("run.seed", "x")])
+def test_model_amplitude_and_seed_refusals_exit_2(tmp_path, capsys, key, value):
+    path, out = write_cfg(tmp_path)
+    with pytest.raises(ConfigError) as err:
+        load_config(path, overrides=[f"{key}={value}"])
+    assert err.value.key == key
+    assert main(["invariant", "--config", path, "--set", f"{key}={value}"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+    assert not os.path.exists(out)
+
+
 def test_override_changes_hash(tmp_path):
     path, _ = write_cfg(tmp_path)
     a = load_config(path)
@@ -636,11 +687,20 @@ def test_invariant_beta_past_double_range_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "overrides",
-    [["model.gamma1=5e-324"], ["model.a0=-1e300", "model.gamma0=1e-300"], ["model.a0=-1e308", "model.a1=1e308"]],
+    [
+        ["model.gamma1=5e-324"],
+        ["model.a0=-1e300", "model.gamma0=1e-300"],
+        ["model.a0=-1e308", "model.a1=1e308"],
+        ["model.lambda0=1e-300", "model.lambda1=1e-300", "model.a0=1e300", "model.gamma0=0"],
+        ["model.lambda0=1e-300", "model.lambda1=1e-300", "model.a0=1e-300", "model.gamma0=1e300"],
+        ["model.lambda0=1e-300", "model.lambda1=1e300", "model.a0=1e-300", "model.gamma0=5e-324", "model.gamma1=0"],
+    ],
 )
 def test_invariant_without_finite_descriptor_exits_1(tmp_path, capsys, overrides):
     # an exponent lambda / gamma, a level a / gamma or the gap between two
-    # finite levels past double range: each exited 0 and wrote nan rows
+    # finite levels past double range: each exited 0 and wrote nan rows; an
+    # exponent that underflows to 0 or a gamma-like constant that overflows
+    # ended in a traceback or a refusal that named no input
     path, out = write_cfg(tmp_path)
     argv = ["invariant", "--config", path]
     for item in overrides:

@@ -957,15 +957,17 @@ SIGNED_ZERO_CASES = [
 
 
 def _signed_zero_case(case, zero):
-    """(model parameters, target, starts) with the target or a drift level
-    the signed zero `zero`."""
+    """(model parameters, target, starts, refused (start, target) pairs) with
+    the target or a drift level the signed zero `zero`."""
     return {
-        "attracting target": ((1.0, 1.0, -0.5, 0.5, 0.0, 0.0, 1.0, 1.0), zero, (-0.3, 0.3)),
-        "attracting level": ((1.0, 1.0, zero, 1.0, 0.0, 0.0, 1.0, 1.0), 0.5, (0.0, 0.2, 0.8)),
-        "attraction-repulsion target": (AR_CANONICAL, zero, (-0.5, 0.1, 0.5)),
-        "attraction-repulsion level": ((0.3, 1.0, zero, -1.0, 0.0, 0.0, 1.0, -1.0), -0.3, (-0.9, -0.1, 0.0, 0.5)),
-        "non-strict target": ((1.0, 1.0, -0.5, 1.0, 0.0, 0.0, 1.0, 0.0), zero, (-1.0, -0.3)),
-        "non-strict level": ((1.0, 1.0, zero, 1.0, 0.0, 0.0, 1.0, 0.0), 0.5, (-0.5, 0.0, 0.2)),
+        "attracting target": ((1.0, 1.0, -0.5, 0.5, 0.0, 0.0, 1.0, 1.0), zero, (-0.3, 0.3), ((-2.0, zero), (2.0, zero))),
+        "attracting level": ((1.0, 1.0, zero, 1.0, 0.0, 0.0, 1.0, 1.0), 0.5, (0.0, 0.2, 0.8), ((-1.0, -0.5), (2.0, 1.5))),
+        "attraction-repulsion target": (AR_CANONICAL, zero, (-0.5, 0.1, 0.5), ((2.0, zero),)),
+        "attraction-repulsion level": (
+            (0.3, 1.0, zero, -1.0, 0.0, 0.0, 1.0, -1.0), -0.3, (-0.9, -0.1, 0.0, 0.5), ((-0.2, 0.5), (2.0, 1.5))
+        ),
+        "non-strict target": ((1.0, 1.0, -0.5, 1.0, 0.0, 0.0, 1.0, 0.0), zero, (-1.0, -0.3), ((0.5, zero), (2.0, zero))),
+        "non-strict level": ((1.0, 1.0, zero, 1.0, 0.0, 0.0, 1.0, 0.0), 0.5, (-0.5, 0.0, 0.2), ((-2.0, -1.5), (-1.0, -0.5))),
     }[case]
 
 
@@ -974,18 +976,23 @@ def _signed_zero_case(case, zero):
 @pytest.mark.parametrize("scale", [1.0, -1.0])
 def test_target_memo_keys_ignore_the_sign_of_zero(case, first, scale):
     # 0.0 == -0.0, so both signs share a memo entry: that is exact only if
-    # no target side depends on the sign
+    # no target side depends on the sign, and a refusal quotes the same
+    # bounds whichever sign filled the entry
     def queries(zero):
-        params, y, starts = _signed_zero_case(case, zero)
+        params, y, starts, refused = _signed_zero_case(case, zero)
         model = rescale(KacOuModel.from_values(*params), scale)
-        return [(model, 2.0, x / scale, y / scale, state) for x in starts for state in (0, 1)]
+        pairs = [(x, y) for x in starts] + list(refused)
+        return [(model, 2.0, x / scale, y / scale, state) for x, y in pairs for state in (0, 1)]
 
     signs = (first, -first)
-    cold = {zero: [_cold_bits(*args) for args in queries(zero)] for zero in signs}
-    assert all(isinstance(bits, str) for bits in cold[first])  # every query is in its domain
+    # lists, not a dict: 0.0 and -0.0 are one key
+    cold = [[_cold_bits(*args) for args in queries(zero)] for zero in signs]
+    in_domain = 2 * len(_signed_zero_case(case, first)[2])
+    assert all(isinstance(bits, str) for bits in cold[0][:in_domain])  # every start is in its domain
+    assert all(isinstance(bits, tuple) for bits in cold[0][in_domain:])  # every refused pair is refused
     fp._target_side.cache_clear()
-    for zero in signs:
-        assert [_bits(*args) for args in queries(zero)] == cold[zero]
+    for zero, expected in zip(signs, cold):
+        assert [_bits(*args) for args in queries(zero)] == expected
 
 
 def test_target_memo_is_bounded():

@@ -125,6 +125,12 @@ def test_nonexistent_description_kind():
         ((1.0, 1.0, -1e308, 1e308, 0.0, 0.0, 1.0, 1.0), "gap between the levels"),
         # the same gap between an attracting and a repelling level
         ((0.3, 1.0, -1e308, -1e308, 0.0, 0.0, 1.0, -1.0), "gap between the levels"),
+        # exponents of a nonzero rate that underflow to 0: a math domain
+        # error in log(k), and a beta_fn refusal that named no input
+        ((1e-300, 1e-300, 1e300, 1.0, 0.0, 0.0, 0.0, 1.0), "exponent lambda0 / |a0|"),
+        ((1e-300, 1e-300, 1e-300, 1.0, 0.0, 0.0, 1e300, 1.0), "exponent lambda0 / gamma0"),
+        # a gamma-like constant exp(log c) past double range: an OverflowError
+        ((1e-300, 1e300, 1e-300, 1.0, 0.0, 0.0, 5e-324, 0.0), "constant exp("),
     ],
 )
 def test_descriptor_past_double_range_raises(values, part):
