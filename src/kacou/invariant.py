@@ -137,8 +137,8 @@ def _level(model: KacOuModel, state: int) -> float:
 def invariant_description(model: KacOuModel) -> InvariantDensity:
     """The regime's closed form, from which every density, derivative and
     integral of the invariant measure is evaluated; kind "None" when no
-    invariant density exists.  A density whose exponents, support ends or
-    width leave double range has no finite descriptor: DoubleRangeError.
+    invariant density exists.  A density whose exponents, support ends, width
+    or constants leave double range has no finite descriptor: DoubleRangeError.
 
     Exponents and constants are laid out for the anchor state s first and
     swapped when s = 1."""
@@ -160,7 +160,7 @@ def invariant_description(model: KacOuModel) -> InvariantDensity:
             c = math.exp(log_c)
         except OverflowError:
             raise DoubleRangeError(f"the invariant density's constant exp({log_c:.6g}) leaves double range") from None
-        exps, consts = ((alpha - 1.0, k), (alpha, k)), (c, g[s] / abs(az) * c)
+        exps, consts = ((alpha - 1.0, k), (alpha, k)), (c, model.coeffs[s].gamma / abs(az) * c)  # inf refused below
         kind, support = "GammaLike", (rho, math.inf) if sgn > 0.0 else (-math.inf, rho)
         frame = (rho, sgn, rho, sgn, 1.0 / k)
     else:
@@ -183,18 +183,22 @@ def invariant_description(model: KacOuModel) -> InvariantDensity:
         width = abs(rho_o - rho_s)
         if not math.isfinite(width):
             raise DoubleRangeError(f"the gap between the levels {rho_s} and {rho_o} leaves double range")
-        power = width ** (a_s + a_o)
-        if tag is RegimeTag.ATTRACTING_STRICT:
-            c = 1.0 / (power * (beta_fn(a_s, a_o + 1.0) / g[s] + beta_fn(a_s + 1.0, a_o) / g[o]))
-            kind, support, sgn, far_sign = "BetaLike", (rho_s, rho_o), 1.0, -1.0
-        else:
-            c = 1.0 / (power * (beta_fn(-a_s - a_o, a_s) / g[s] - beta_fn(-a_s - a_o, 1.0 + a_s) / g[o]))
-            sgn = far_sign = -1.0 if rho_s < rho_o else 1.0  # away from the repeller
-            kind, support = "ParetoLike", (-math.inf, rho_s) if sgn < 0.0 else (rho_s, math.inf)
-        exps, consts = ((a_s - 1.0, a_o), (a_s, a_o - 1.0)), (c / g[s], c / abs(g[o]))
+        with np.errstate(all="ignore"):  # a constant past double range is refused below
+            power = width ** (a_s + a_o)
+            if tag is RegimeTag.ATTRACTING_STRICT:
+                c = 1.0 / (power * (beta_fn(a_s, a_o + 1.0) / g[s] + beta_fn(a_s + 1.0, a_o) / g[o]))
+                kind, support, sgn, far_sign = "BetaLike", (rho_s, rho_o), 1.0, -1.0
+            else:
+                c = 1.0 / (power * (beta_fn(-a_s - a_o, a_s) / g[s] - beta_fn(-a_s - a_o, 1.0 + a_s) / g[o]))
+                sgn = far_sign = -1.0 if rho_s < rho_o else 1.0  # away from the repeller
+                kind, support = "ParetoLike", (-math.inf, rho_s) if sgn < 0.0 else (rho_s, math.inf)
+            exps, consts = ((a_s - 1.0, a_o), (a_s, a_o - 1.0)), (c / g[s], c / abs(g[o]))
         frame = (rho_s, sgn, rho_o, far_sign, width)
     if s == 1:
         exps, consts = exps[::-1], consts[::-1]
+    for i, const in enumerate(consts):
+        if not 0.0 < const < math.inf:
+            raise DoubleRangeError(f"the invariant density's constant of state {i} is {const}, past double range")
     return InvariantDensity(kind, support, exps, consts, *frame)
 
 

@@ -236,12 +236,32 @@ def _result(value, *inputs):
 
 
 def _check_state(state):
-    """Raise ParameterError naming a chain state other than 0 or 1 in state,
-    an int, a numpy scalar or an array (as an index, -1 would read state 1)."""
-    if type(state) is not int or state not in (0, 1):
-        bad = np.extract((np.asarray(state) != 0) & (np.asarray(state) != 1), state)
-        if bad.size:
-            raise ParameterError(f"state must be 0 or 1, got {bad[0]}")
+    """state (an int, a bool, a numpy scalar or an array) as an int or int array; ParameterError
+    names an entry other than 0 or 1 (as an index, -1 would read state 1, and a bool a mask)."""
+    if type(state) is int and state in (0, 1):
+        return state
+    s = np.asarray(state)
+    if not (ok := (s == 0) | (s == 1)).all():
+        raise ParameterError(f"state must be 0 or 1, got {s[~ok][0]}")
+    return int(s) if s.ndim == 0 else s.astype(int, copy=False)
+
+
+def _each_state(state, n_out, law, *args):
+    """law(state, *args), a tuple of n_out outputs, for a scalar state; for
+    an array, law(i, *entries) on the entries of args where state is i, per
+    state i that has any, scattered into arrays of the broadcast shape."""
+    if np.ndim(state) == 0:
+        return law(state, *args)
+    shape = state.shape
+    if any(np.shape(v) != shape for v in args):
+        shape = np.broadcast_shapes(shape, *map(np.shape, args))
+        state, *args = (np.broadcast_to(v, shape) for v in (state, *args))
+    outs = tuple(np.empty(shape) for _ in range(n_out))
+    for i in (0, 1):
+        if (at := np.flatnonzero(state == i)).size:
+            for out, part in zip(outs, law(i, *(v.take(at) for v in args))):
+                out.reshape(-1)[at] = part
+    return outs
 
 
 def _series_bounds(model: KacOuModel) -> list[float]:
@@ -250,7 +270,7 @@ def _series_bounds(model: KacOuModel) -> list[float]:
     inf for a state whose level a / gamma is past double range, _SERIES_GT
     for a slow state (|gamma| / lambda below _SERIES_GT) and 0 for every
     other state, gamma = 0 included.  hitting_time takes its rho-free form
-    in every state whose bound is above 0."""
+    in every state whose bound is above 0, and where gamma = 0."""
     bounds = []
     for i, c in enumerate(model.coeffs):
         if c.gamma == 0.0:
@@ -280,57 +300,43 @@ def pattern_map(state, t, model: KacOuModel):
     resolves from x.  state and t are scalars or broadcastable arrays, and
     the three outputs broadcast against them.
 
-    A Python int state that never takes the series form, with every t > 0 and no growth
-    near double range, takes a scalar path: rho and rho (or 0 when
-    gamma = 0) come back as floats, the factor (or a t) as the only array,
-    with the same bits the general path gives.
+    Each law is written once, in _state_map, for one state; an array of
+    states runs it per state on that state's own entries.
     """
-    _check_state(state)
+    state = _check_state(state)
     t = np.asarray(t, dtype=float)
     t_min = t.min() if t.size else 0.0
     if t_min < 0.0:
         raise ParameterError(f"pattern time must be >= 0, got {t_min}")
     bounds = _series_bounds(model)
-    if type(state) is int and t_min > 0.0 and not bounds[state]:
-        c = model.coeffs[state]
-        if c.gamma == 0.0:  # no drift stays put, over an infinite t too
-            return (c.a * t if c.a else np.full_like(t, c.a)), 0.0, 1.0
-        if c.gamma > 0.0 or -c.gamma * t.max() < _EXP_MAX:
-            rho = c.a / c.gamma
-            factor = -c.gamma * t  # exponentiated in place where it is an array
-            return rho, rho, np.exp(factor, out=factor) if t.ndim else np.exp(factor)
-    # levels and rates per state, so each lane costs one gather apiece
-    a_s, g_s = model.a_vec, model.gamma_vec
-    lin_s = g_s == 0.0
-    # rho may overflow where the series form replaces it, and a flat
-    # state's factor over an infinite t is nan (replaced by 1 below)
+    # growth past double range gives a factor of inf, rho may overflow where
+    # the series form replaces it, and phi's 0/0 is replaced by 1
     with np.errstate(over="ignore", invalid="ignore"):
-        factor = np.exp((-g_s)[state] * t)
-        base = shift = (a_s / np.where(lin_s, 1.0, g_s))[state]
-    if any(bounds) and (bound := np.array(bounds)[state]).any():
-        gt = g_s[state] * t
-        series = np.abs(gt) < bound
-        # phi's 0/0 is replaced by 1; a t past double range is checked below
-        with np.errstate(invalid="ignore", over="ignore"):
-            phi = np.where(gt == 0.0, 1.0, -np.expm1(-gt) / gt)
-            base = np.where(series, a_s[state] * t * phi, base)
-        shift = np.where(series, 0.0, shift)
-    if lin_s.any() and (lin := lin_s[state]).any():
-        a = a_s[state]
-        base = np.where(lin, a * np.where(a == 0.0, 0.0, t), base)
-        shift = np.where(lin, 0.0, shift)
-        factor = np.where(lin, 1.0, factor)
+        return _each_state(state, 3, lambda i, t: _state_map(model.coeffs[i], bounds[i], t, t_min), t)
+
+
+def _state_map(c, bound, t, t_min):
+    """pattern_map of one state, its coefficients c and series bound, over
+    the times t, an array of least entry t_min or above."""
+    if c.gamma == 0.0:  # no drift stays put, over an infinite t too
+        base, shift, factor = (c.a * t if c.a else np.full_like(t, c.a)), 0.0, 1.0
+    else:
+        factor = -c.gamma * t  # exponentiated in place where it is an array
+        factor = np.exp(factor, out=factor) if t.ndim else np.exp(factor)
+        base = shift = c.a / c.gamma
+        if bound:
+            gt = c.gamma * t
+            series = np.abs(gt) < bound
+            base = np.where(series, c.a * t * np.where(gt == 0.0, 1.0, -np.expm1(-gt) / gt), base)
+            shift = np.where(series, 0.0, shift)
     if t_min == 0.0:  # the factor is exactly 1 there already
         still = t == 0.0
         base = np.where(still, -0.0, base)
         shift = np.where(still, 0.0, shift)
-    if math.inf in bounds:  # no level to flow toward within double range
-        past = (bound == math.inf) & ~np.isfinite(base)
-        if past.any():
-            at = np.broadcast_to(t, past.shape)[past][0]
-            raise DoubleRangeError(
-                f"the flow leaves double range at t = {at}: its level a / gamma is past double range"
-            )
+    if bound == math.inf and not (finite := np.isfinite(base)).all():  # no level to flow toward
+        raise DoubleRangeError(
+            f"the flow leaves double range at t = {t[~finite][0]}: its level a / gamma is past double range"
+        )
     return base, shift, factor
 
 
@@ -354,7 +360,7 @@ def pattern_phi(state, t, x, model: KacOuModel):
     if repels and np.isinf(factor).any():
         # grow in log magnitude: finite where the result is, and no 0 * inf
         # at the repelling level itself
-        g = model.gamma_vec[state]
+        g = model.gamma_vec[_check_state(state)]
         out = np.array(out)
         big = np.broadcast_to(np.isinf(factor), out.shape)
         rho = np.broadcast_to(shift, out.shape)[big]
@@ -373,49 +379,39 @@ def hitting_time(state, x, y, model: KacOuModel):
     half-line branch of the renewal integral equations), never an overflow.
     Scalar x == y raises ParameterError; in arrays an entry already at y
     gets 0, so a Monte Carlo lane that lands on its target hits at once.
-    A state whose flow takes its rho-free form (see pattern_map) takes
-    t = v log1p(u) / u with v = (y - x) / (a - gamma y) and u = gamma v,
-    which never forms rho.  Any other state with gamma != 0 takes
+    A state whose flow takes its rho-free form (see pattern_map), and a
+    state with gamma = 0, takes t = v log1p(u) / u with
+    v = (y - x) / (a - gamma y) and u = gamma v, which never forms rho and
+    is exactly (y - x) / a where gamma = 0.  Any other state takes
     log((x - rho) / (y - rho)) / gamma, with log1p((x - y) / (y - rho))
     for the log next to the target; where that ratio underflows to 0 with
     x != y (x - y below about 2e-308 |y - rho|), the rho-free form keeps
     the time.
     state, x and y are scalars (a float is returned) or broadcastable arrays.
-    A Python int state works out only its own branch, in one array of its
-    own, with y - rho a scalar where y is; an array of states works out
-    each branch its states take and picks per entry, with the same bits.
+    Each branch is written once, for one state; an array of states runs
+    each state's branch on that state's own entries.
     """
-    _check_state(state)
-    series_s = _series_bounds(model)
+    state = _check_state(state)
+    series = _series_bounds(model)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.ndim(state) == 0 and x.ndim == 0 and y.ndim == 0 and x == y:
         raise ParameterError("hitting_time requires x != y")
+
+    def law(i, x, y):  # state i's branch: the rho-free form where its flow takes it, and at gamma = 0
+        c = model.coeffs[i]
+        return ((_series_time if series[i] or c.gamma == 0.0 else _log_ratio_time)(c.a, c.gamma, x, y),)
+
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if type(state) is int:
-            c = model.coeffs[state]
-            y_s = float(y) if y.ndim == 0 else y  # a scalar target stays a Python float
-            if series_s[state]:
-                t = _series_time(c.a, c.gamma, x, y_s)
-            elif c.gamma == 0.0:
-                t = _straight_time(c.a, x, y_s)
-            else:
-                t = _log_ratio_time(c.a, c.gamma, x, y_s)
-        else:
-            a, g = model.a_vec[state], model.gamma_vec[state]
-            t = _log_ratio_time(a, np.where(g == 0.0, 1.0, g), x, y)
-            if (lin := g == 0.0).any():
-                np.copyto(t, _straight_time(a, x, y), where=lin)
-            if any(series_s) and (slow := np.array(series_s)[state] > 0.0).any():
-                np.copyto(t, _series_time(a, g, x, y), where=slow)
+        (t,) = _each_state(state, 1, law, x, float(y) if y.ndim == 0 else y)  # a scalar y stays a float
         if (on := x == y).any():
             np.copyto(t, 0.0, where=on)
     return _result(t, state, x, y)
 
 
-# The branches of hitting_time, each for states that take it (scalars or
-# arrays alike) and each returning a fresh array, inf where its flow never
-# reaches y; the caller holds the floating-point error state.
+# The branches of hitting_time, each for one state's scalar a and gamma and
+# each returning a fresh array, inf where its flow never reaches y; the
+# caller holds the floating-point error state.
 
 
 def _entries(v, shape, at):
@@ -456,7 +452,7 @@ def _log_ratio_time(a, g, x, y):
     if lost is not None:
         # the log of each finite, nonzero difference of one sign keeps the
         # digits, and the differences are exact where they are subnormal
-        dx_l = np.broadcast_to(_entries(x, t.shape, lost) - _entries(rho, t.shape, lost), lost.shape)
+        dx_l = np.broadcast_to(_entries(x, t.shape, lost) - rho, lost.shape)
         dy_l = np.broadcast_to(_entries(dy, t.shape, lost), lost.shape)
         keep = np.isfinite(dx_l) & np.isfinite(dy_l) & (dx_l != 0.0) & (dy_l != 0.0)
         keep &= np.signbit(dx_l) == np.signbit(dy_l)
@@ -468,15 +464,8 @@ def _log_ratio_time(a, g, x, y):
     t /= g
     np.copyto(t, np.inf, where=np.logical_not(reached, out=reached))
     if under is not None and under.size:
-        t.reshape(-1)[under] = _series_time(*(_entries(v, t.shape, under) for v in (a, g, x, y)))
+        t.reshape(-1)[under] = _series_time(a, g, _entries(x, t.shape, under), _entries(y, t.shape, under))
     return t
-
-
-def _straight_time(a, x, y):
-    """(y - x) / a for gamma = 0; a = 0 never moves.  Reached where y - x
-    has a's sign, which the quotient may round to 0."""
-    d = y - x
-    return np.where(d * np.sign(a) > 0.0, d / np.where(a == 0.0, 1.0, a), np.inf)
 
 
 def _series_time(a, g, x, y):
@@ -501,7 +490,7 @@ def interval_variance(state, t, model: KacOuModel):
     2 gamma t past double range the level b^2 / (2 gamma); b = 0 gives 0.
     state and t are scalars (a float is returned) or broadcastable arrays.
     """
-    _check_state(state)
+    state = _check_state(state)
     b, g = model.b_vec[state], model.gamma_vec[state]
     t = np.asarray(t, dtype=float)
     bad = t[~((t >= 0.0) & (t < math.inf))]

@@ -694,13 +694,18 @@ def test_invariant_beta_past_double_range_exits_1(tmp_path, capsys):
         ["model.lambda0=1e-300", "model.lambda1=1e-300", "model.a0=1e300", "model.gamma0=0"],
         ["model.lambda0=1e-300", "model.lambda1=1e-300", "model.a0=1e-300", "model.gamma0=1e300"],
         ["model.lambda0=1e-300", "model.lambda1=1e300", "model.a0=1e-300", "model.gamma0=5e-324", "model.gamma1=0"],
+        ["model.a1=1e-300"],
+        ["model.a1=-1e-300"],
+        ["model.gamma1=-1e-300"],
+        ["model.gamma1=1e-30"],
     ],
 )
 def test_invariant_without_finite_descriptor_exits_1(tmp_path, capsys, overrides):
-    # an exponent lambda / gamma, a level a / gamma or the gap between two
-    # finite levels past double range: each exited 0 and wrote nan rows; an
-    # exponent that underflows to 0 or a gamma-like constant that overflows
-    # ended in a traceback or a refusal that named no input
+    # an exponent lambda / gamma, a level a / gamma, the gap between two
+    # finite levels or a constant past double range: each exited 0 and wrote
+    # nan or inf rows; an exponent that underflows to 0 or a gamma-like
+    # constant that overflows ended in a traceback or a refusal that named
+    # no input
     path, out = write_cfg(tmp_path)
     argv = ["invariant", "--config", path]
     for item in overrides:

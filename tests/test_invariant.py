@@ -131,6 +131,15 @@ def test_nonexistent_description_kind():
         ((1e-300, 1e-300, 1e-300, 1.0, 0.0, 0.0, 1e300, 1.0), "exponent lambda0 / gamma0"),
         # a gamma-like constant exp(log c) past double range: an OverflowError
         ((1e-300, 1e300, 1e-300, 1.0, 0.0, 0.0, 5e-324, 0.0), "constant exp("),
+        # constants past double range from finite exponents and levels: a gap
+        # of 1e-300 to the power 2, or 1e300 to the power 1 - 1e300, gave inf
+        # and 1e30 to the power 1 + 1e30 gave 0, each with a RuntimeWarning
+        ((1.0, 1.0, 0.0, 1e-300, 0.0, 0.0, 1.0, 1.0), "constant of state 0 is inf"),
+        ((1.0, 1.0, 0.0, -1e-300, 0.0, 0.0, 1.0, 1.0), "constant of state 0 is inf"),
+        ((1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, -1e-300), "constant of state 0 is inf"),
+        ((1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1e-30), "constant of state 0 is 0.0"),
+        # a gamma-like constant gamma1 / |a0| exp(log c) past double range
+        ((1.0, 1.0, 1e-300, 1.0, 0.0, 0.0, 0.0, 1e300), "constant of state 0 is inf"),
     ],
 )
 def test_descriptor_past_double_range_raises(values, part):

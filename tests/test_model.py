@@ -409,17 +409,22 @@ _HIT_POINTS = st.one_of(
     st.integers(0, 1),
     st.lists(_HIT_POINTS, min_size=1, max_size=6),
     _HIT_POINTS,
+    st.lists(st.integers(0, 1), min_size=6, max_size=6),
 )
 @settings(max_examples=300, deadline=None)
-@example(g0=0.9, g1=0.0, a=0.5, state=0, xs=[5e-324, 1.0], y=-5e-324)  # the lost-digit rescue
-@example(g0=0.0, g1=0.9, a=0.0, state=0, xs=[1.0, 0.0], y=2.0)  # flat and still
-@example(g0=1e-4, g1=0.9, a=1e-3, state=0, xs=[-5e-324, 1.0], y=0.0)  # (x - y) / (y - rho) underflows
-def test_hitting_time_from_an_int_state_is_bitwise_the_array_state_time(g0, g1, a, state, xs, y):
+@example(g0=0.9, g1=0.0, a=0.5, state=0, xs=[5e-324, 1.0], y=-5e-324, mix=[0, 1] * 3)  # the lost-digit rescue
+@example(g0=0.0, g1=0.9, a=0.0, state=0, xs=[1.0, 0.0], y=2.0, mix=[0, 1] * 3)  # flat and still
+@example(g0=1e-4, g1=0.9, a=1e-3, state=0, xs=[-5e-324, 1.0], y=0.0, mix=[0, 1] * 3)  # (x - y) / (y - rho) underflows
+def test_hitting_time_from_an_int_state_is_bitwise_the_array_state_time(g0, g1, a, state, xs, y, mix):
     m = make(a0=a, a1=-0.5 * a, gamma0=g0, gamma1=g1)
     xs = np.array(xs)
     scalar = hitting_time(state, xs, y, m)
     lanes = hitting_time(np.full(xs.shape, state), xs, y, m)
     assert scalar.tobytes() == lanes.tobytes()
+    # an array that mixes the states gives each entry its own state's time
+    states = np.array(mix[: xs.size])
+    each = np.choose(states, [hitting_time(s, xs, y, m) for s in (0, 1)])
+    assert hitting_time(states, xs, y, m).tobytes() == each.tobytes()
     for x, t in zip(xs.tolist(), scalar.tolist()):
         if x != y:  # and one point at a time
             assert np.float64(hitting_time(state, x, y, m)).tobytes() == np.float64(t).tobytes()
@@ -445,6 +450,10 @@ def test_flow_of_a_state_whose_level_is_past_double_range(name):
             assert pattern_phi(0, t, x, m) == pytest.approx(want, rel=1e-14, abs=0.0)
             assert pattern_phi(np.array([0, 1]), t, x, m)[0] == pattern_phi(0, t, x, m)
     assert pattern_phi(1, 1.0, 0.0, m) == 0.0  # the other state keeps its level form
+    # the state past double range sees only its own times, not the other state's
+    pattern_map(np.array([0, 1]), np.array([1.0, 1e9]), m)
+    with pytest.raises(DoubleRangeError, match="leaves double range"):
+        pattern_map(np.array([1, 0]), np.array([1.0, 1e9]), m)
     # past double range the flow itself is no number
     for t in (1e9, math.inf):
         with pytest.raises(DoubleRangeError, match="leaves double range"):
@@ -479,9 +488,10 @@ _MAP_GAMMAS = [0.0, 1e-12, -1e-12, 0.7, -0.7, -30.0]
     st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 40.0)), min_size=1, max_size=6),
     st.sampled_from(["scalar", "row", "column"]),
     st.floats(-5.0, 5.0),
+    st.lists(st.integers(0, 1), min_size=6, max_size=6),
 )
 @settings(max_examples=300, deadline=None)
-def test_pattern_map_from_an_int_state_is_bitwise_the_array_state_map(g0, g1, a, state, ts, shape, x):
+def test_pattern_map_from_an_int_state_is_bitwise_the_array_state_map(g0, g1, a, state, ts, shape, x, mix):
     m = make(a0=a, a1=-0.5 * a, gamma0=g0, gamma1=g1)
     t = {"scalar": np.array(ts[0]), "row": np.array(ts), "column": np.array(ts)[:, None]}[shape]
     scalar_map = pattern_map(state, t, m)
@@ -493,6 +503,39 @@ def test_pattern_map_from_an_int_state_is_bitwise_the_array_state_map(g0, g1, a,
             np.broadcast_to(base + (x - shift) * factor, t.shape) for base, shift, factor in (scalar_map, array_map)
         )
     assert got.tobytes() == want.tobytes()
+    # an array that mixes the states gives each entry its own state's map
+    states = np.array(mix[: t.size]).reshape(t.shape)
+    per_state = [pattern_map(s, t, m) for s in (0, 1)]
+    for k, part in enumerate(pattern_map(states, t, m)):
+        each = np.choose(states, [np.broadcast_to(maps[k], t.shape) for maps in per_state])
+        assert np.shape(part) == t.shape and np.asarray(part).tobytes() == each.tobytes()
+
+
+def _same_bits(got, want):
+    """Equal types, shapes and bits, entry by entry in tuples."""
+    if isinstance(want, tuple):
+        return len(got) == len(want) and all(_same_bits(g, w) for g, w in zip(got, want))
+    same_type = type(got) is type(want) and np.shape(got) == np.shape(want)
+    return same_type and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_bool_states_read_as_their_int():
+    # True == 1 passed the state check but indexed as a mask: pattern_phi,
+    # hitting_time and interval_variance raised TypeError, and pattern_map
+    # gave state 0's map in a (1, 2) array
+    m = KacOuModel.from_values(1, 1, 0, 1, 0.3, 0.2, 1, 2)
+    t, xs = np.array([0.7, 0.0]), np.array([0.2, 0.9])
+    for flag, state in ((True, 1), (False, 0), (np.array([True, False]), np.array([1, 0]))):
+        for f, args in (
+            (pattern_map, (t,)),
+            (pattern_phi, (t, xs)),
+            (pattern_phi, (0.7, 0.3)),
+            (hitting_time, (xs, 0.4)),
+            (hitting_time, (0.2, 0.4)),
+            (interval_variance, (t,)),
+            (interval_variance, (0.7,)),
+        ):
+            assert _same_bits(f(flag, *args, m), f(state, *args, m)), (f.__name__, flag, args)
 
 
 # --- chain algebra ---------------------------------------------------------

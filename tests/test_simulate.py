@@ -1191,6 +1191,21 @@ def test_samplers_need_a_known_initial_state(state):
         fpt_samples(ATTRACTING, 0.2, 0.8, "stationary", 10, seed=1)
 
 
+def test_samplers_read_a_bool_initial_state_as_its_int():
+    # True == 1 passed the state check, and the first round's flow read it
+    # as a mask: each sampler failed to broadcast a (1, 2) map over its lanes
+    m = KacOuModel.from_values(1, 1, 0, 1, 0.3, 0.2, 1, 2)
+    for flag, state in ((True, 1), (False, 0)):
+        got, want = fpt_samples(m, 0.2, 0.7, flag, 2000, 5), fpt_samples(m, 0.2, 0.7, state, 2000, 5)
+        for name in ("times", "censored", "reason"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        got = terminal_values(m, 0.2, 2.0, 2000, 5, with_noise=True, initial_state=flag)
+        want = terminal_values(m, 0.2, 2.0, 2000, 5, with_noise=True, initial_state=state)
+        assert got.values.tobytes() == want.values.tobytes() and got.states.tobytes() == want.states.tobytes()
+        estimate = mc_laplace_fpt(FptQuery(1.0, 0.25, 0.45, flag), m, 1000, 1)
+        assert estimate == mc_laplace_fpt(FptQuery(1.0, 0.25, 0.45, state), m, 1000, 1)
+
+
 # --- equal-rate telegraph integrals -------------------------------------------------
 #
 # With gamma = b = 0 in both states and lambda0 == lambda1, terminal_values
