@@ -570,7 +570,7 @@ def _criterion_indices(text: str) -> set[int]:
 
 
 def _cmd_validate(args) -> int:
-    results = run_all(indices=args.only, verbose=True)
+    results = run_all(indices=args.only)
     failed = [r for r in results if not r.passed]
     if args.report:
         body = [dataclasses.asdict(r) for r in results]

@@ -41,9 +41,9 @@ class RunConfig:
             return self._parse(section, key, default, _boolean, _BOOLEAN_HINT)
         return self._parse(section, key, default, cast)
 
-    def get_list(self, section: str, key: str, default=None, cast=float):
+    def get_list(self, section: str, key: str, default=None):
         def parse(raw):
-            return [cast(tok) for tok in raw.replace(",", " ").split()]
+            return [float(tok) for tok in raw.replace(",", " ").split()]
 
         return self._parse(section, key, default, parse)
 

@@ -34,6 +34,7 @@ from .errors import (
 from .model import (
     KacOuModel,
     RegimeTag,
+    _one_state,
     classify_regime,
     hyper_args,
     rescale,
@@ -87,8 +88,7 @@ class FptQuery:
             raise ParameterError("first-passage query requires x != y")
         if self.q < 0.0:
             raise ParameterError(f"q must be >= 0, got {self.q}")
-        if self.initial_state not in (0, 1):
-            raise ParameterError(f"initial_state must be 0 or 1, got {self.initial_state}")
+        object.__setattr__(self, "initial_state", _one_state(self.initial_state))
 
 
 class _Frame:

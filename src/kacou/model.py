@@ -1,5 +1,5 @@
 """Model parameters, regime classification, deterministic flow patterns and
-two-state Markov chain algebra.
+the chain's stationary law.
 
 A model is a pair of linear drift patterns ``dx/dt = a_i - gamma_i * x``
 (one per chain state) together with the switching rates of the underlying
@@ -30,7 +30,6 @@ __all__ = [
     "pattern_phi",
     "hitting_time",
     "interval_variance",
-    "transition_matrix",
     "stationary_state_dist",
     "hyper_args",
     "xi0",
@@ -41,9 +40,6 @@ __all__ = [
 
 # Relative tolerance for deciding a0/gamma0 == a1/gamma1 on user input.
 RHO_EQUAL_RTOL = 1e-12
-
-# Largest exponent fed to math.exp before we short-circuit to 0.
-_EXP_MAX = 700.0
 
 # Below this |gamma| t the level forms rho + (x - rho) exp(-gamma t) and
 # b^2 (1 - f^2) / (2 gamma) lose about eps / (gamma t) to cancellation (all
@@ -241,9 +237,16 @@ def _check_state(state):
     if type(state) is int and state in (0, 1):
         return state
     s = np.asarray(state)
-    if not (ok := (s == 0) | (s == 1)).all():
-        raise ParameterError(f"state must be 0 or 1, got {s[~ok][0]}")
+    if s.dtype.kind == "c" or not (ok := (s == 0) | (s == 1)).all():  # 1+0j == 1, but int() refuses it
+        raise ParameterError(f"state must be 0 or 1, got {state if s.dtype.kind == 'c' else s[~ok][0]}")
     return int(s) if s.ndim == 0 else s.astype(int, copy=False)
+
+
+def _one_state(state) -> int:
+    """A start state, 0 or 1 read as _check_state reads it, as an int; anything else, an array too, is refused."""
+    if (type(state) is int or np.ndim(state) == 0 and not np.iscomplexobj(state)) and state in (0, 1):
+        return int(state)
+    raise ParameterError(f"initial_state must be 0 or 1, got {state!r}")
 
 
 def _each_state(state, n_out, law, *args):
@@ -504,22 +507,6 @@ def interval_variance(state, t, model: KacOuModel):
     if (b == 0.0).any():
         var = np.where(b == 0.0, 0.0, var)
     return _result(var, state, t)
-
-
-def transition_matrix(t: float, rates: SwitchRates) -> np.ndarray:
-    """Closed-form matrix exponential of the two-state generator at time t,
-    a row-stochastic 2x2 array."""
-    if not t >= 0.0:
-        raise ParameterError(f"time must be >= 0, got {t}")
-    l0, l1 = rates.lambda0, rates.lambda1
-    tot = l0 + l1
-    e = math.exp(-tot * t) if tot * t < _EXP_MAX else 0.0
-    return np.array(
-        [
-            [(l1 + l0 * e) / tot, l0 * (1.0 - e) / tot],
-            [l1 * (1.0 - e) / tot, (l0 + l1 * e) / tot],
-        ]
-    )
 
 
 def stationary_state_dist(rates: SwitchRates) -> tuple[float, float]:

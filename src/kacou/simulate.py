@@ -41,6 +41,7 @@ from .model import (
     _SERIES_GT,
     KacOuModel,
     SwitchRates,
+    _one_state,
     hitting_time,
     interval_variance,
     pattern_map,
@@ -119,10 +120,6 @@ class FptSampleBatch:
     censored: np.ndarray
     reason: np.ndarray
 
-    @property
-    def censored_fraction(self) -> float:
-        return float(np.mean(self.censored))
-
 
 @dataclass(frozen=True)
 class TerminalSample:
@@ -136,6 +133,7 @@ def sample_switch_sequence(
     """Alternating exponential holding times, truncated at the horizon."""
     if not 0.0 < horizon < math.inf:
         raise ParameterError(f"horizon must be finite and positive, got {horizon}")
+    initial_state = _one_state(initial_state)
     times = []
     t = 0.0
     s = initial_state
@@ -378,8 +376,7 @@ def fpt_samples(
     rounds that skip the crossing work.
     """
     _check_finite(x=x, y=y)
-    if initial_state not in (0, 1):
-        raise ParameterError(f"initial_state must be 0 or 1, got {initial_state!r}")
+    initial_state = _one_state(initial_state)
     if x == y:
         raise ParameterError("first passage requires x != y")
     _check_count(n)
@@ -494,8 +491,8 @@ def terminal_values(
     _check_finite(x0=x0, t=t)
     if t < 0.0:
         raise ParameterError(f"t must be >= 0, got {t}")
-    if initial_state not in (0, 1, "stationary"):
-        raise ParameterError(f'initial_state must be 0, 1 or "stationary", got {initial_state!r}')
+    if not isinstance(initial_state, str) or initial_state != "stationary":
+        initial_state = _one_state(initial_state)
     _check_count(n)
     noisy = with_noise and t > 0.0  # at t = 0 a draw is its start
     values, states, variance = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n)

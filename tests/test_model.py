@@ -18,7 +18,6 @@ from kacou.model import (
     pattern_map,
     pattern_phi,
     stationary_state_dist,
-    transition_matrix,
     xi0,
     xi1,
 )
@@ -175,6 +174,17 @@ def test_a_chain_state_other_than_0_or_1_is_refused(state):
     for call in calls:
         with pytest.raises(ParameterError, match=f"state must be 0 or 1, got {bad}$"):
             call()
+
+
+@pytest.mark.parametrize("state", [1 + 0j, np.complex128(0), np.array([0, 1 + 0j])])
+def test_a_complex_chain_state_is_refused(state):
+    # 1+0j == 1 passed the check, and int() then raised a bare TypeError
+    model = make(b1=0.5)
+    for call in (pattern_map, interval_variance):
+        with pytest.raises(ParameterError, match="state must be 0 or 1, got"):
+            call(state, 1.0, model)
+    with pytest.raises(ParameterError, match="state must be 0 or 1, got"):
+        hitting_time(state, 0.3, 0.6, model)
 
 
 def test_flat_state_without_drift_stays_put_over_an_infinite_time():
@@ -538,60 +548,14 @@ def test_bool_states_read_as_their_int():
             assert _same_bits(f(flag, *args, m), f(state, *args, m)), (f.__name__, flag, args)
 
 
-# --- chain algebra ---------------------------------------------------------
-
-
-def _expm_oracle(mat, t, squarings=8):
-    """Scaling-and-squaring matrix exponential, independent of the closed form."""
-    a = mat * (t / 2.0**squarings)
-    term = np.eye(2)
-    out = np.eye(2)
-    for k in range(1, 20):
-        term = term @ a / k
-        out = out + term
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
-
-def test_transition_matrix_closed_form():
-    rates = SwitchRates(1.0, 1.0)
-    assert np.allclose(transition_matrix(0.0, rates), np.eye(2))
-    p = transition_matrix(math.log(2.0) / 2.0, rates)
-    assert p[0, 1] == pytest.approx(0.25, abs=1e-15)
-    far = transition_matrix(100.0, rates)
-    assert np.max(np.abs(far - 0.5)) < 1e-12
-    assert np.array_equal(transition_matrix(math.inf, SwitchRates(1.0, 3.0)), [[0.75, 0.25], [0.75, 0.25]])
-
-
-@pytest.mark.parametrize("rates", [SwitchRates(1.0, 1.0), SwitchRates(2.0, 5.0), SwitchRates(0.3, 4.0)])
-@pytest.mark.parametrize("t", [0.05, 0.7, 3.0])
-def test_transition_matrix_vs_expm_oracle(rates, t):
-    gen = np.array([[-rates.lambda0, rates.lambda0], [rates.lambda1, -rates.lambda1]])
-    assert np.max(np.abs(transition_matrix(t, rates) - _expm_oracle(gen, t))) < 1e-12
-
-
-@pytest.mark.parametrize("t", [-1.0, math.nan, -math.inf])
-def test_transition_matrix_rejects_times_not_at_least_0(t):
-    # nan used to return the stationary matrix
-    with pytest.raises(ParameterError, match="time must be >= 0"):
-        transition_matrix(t, SwitchRates(2.0, 5.0))
-
-
-def test_transition_matrix_chapman_kolmogorov_and_rows():
-    rates = SwitchRates(2.0, 5.0)
-    for s, t in [(0.3, 0.9), (0.01, 5.0)]:
-        lhs = transition_matrix(s + t, rates)
-        rhs = transition_matrix(s, rates) @ transition_matrix(t, rates)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-        assert np.max(np.abs(lhs.sum(axis=1) - 1.0)) < 1e-12
+# --- stationary law --------------------------------------------------------
 
 
 def test_stationary_state_dist():
     assert stationary_state_dist(SwitchRates(1.0, 1.0)) == (0.5, 0.5)
     assert stationary_state_dist(SwitchRates(1.0, 3.0)) == (0.75, 0.25)
     pi = np.array(stationary_state_dist(SwitchRates(2.0, 5.0)))
-    assert np.max(np.abs(pi @ transition_matrix(0.7, SwitchRates(2.0, 5.0)) - pi)) < 1e-12
+    assert np.max(np.abs(pi @ [[-2.0, 2.0], [5.0, -5.0]])) < 1e-15  # pi Q = 0 for the generator Q
 
 
 # --- hypergeometric arguments ----------------------------------------------

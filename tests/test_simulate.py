@@ -631,7 +631,7 @@ def test_mc_laplace_fpt_keeps_no_second_batch_sized_array(monkeypatch):
 
 def test_fpt_censoring_vanishes_in_attracting_regime():
     batch = fpt_samples(ATTRACTING, 0.2, 0.8, 0, 20_000, seed=13, caps=SimCaps(horizon=1e3))
-    assert batch.censored_fraction <= 1e-3
+    assert np.mean(batch.censored) <= 1e-3
 
 
 def test_mc_laplace_fpt_matches_closed_form():
@@ -645,7 +645,7 @@ def test_mc_laplace_q0_reports_defect():
     q = FptQuery(0.0, 0.2, 0.8, 0)
     est = mc_laplace_fpt(q, ATTRACTING, 5_000, seed=1)
     batch = fpt_samples(ATTRACTING, 0.2, 0.8, 0, 5_000, seed=1)
-    assert est.mean == pytest.approx(1.0 - batch.censored_fraction, abs=1e-12)
+    assert est.mean == pytest.approx(1.0 - np.mean(batch.censored), abs=1e-12)
 
 
 def test_mc_stderr_clt_scaling():
@@ -1204,6 +1204,46 @@ def test_samplers_read_a_bool_initial_state_as_its_int():
         assert got.values.tobytes() == want.values.tobytes() and got.states.tobytes() == want.states.tobytes()
         estimate = mc_laplace_fpt(FptQuery(1.0, 0.25, 0.45, flag), m, 1000, 1)
         assert estimate == mc_laplace_fpt(FptQuery(1.0, 0.25, 0.45, state), m, 1000, 1)
+
+
+@pytest.mark.parametrize(
+    "start, state",
+    [(1.0, 1), (np.float64(1.0), 1), (np.int64(1), 1), (0.0, 0), (np.float64(0.0), 0), (np.int64(0), 0)],
+    ids=["float", "float64", "int64", "float-0", "float64-0", "int64-0"],
+)
+def test_samplers_read_a_whole_float_initial_state_as_its_int(start, state):
+    # 1.0 == 1 passed the state check, and the pool then indexed its
+    # per-state tuples with the float: a bare TypeError
+    m = KacOuModel.from_values(1, 1, 0, 1, 0.3, 0.2, 1, 2)
+    got, want = fpt_samples(m, 0.2, 0.7, start, 2000, 5), fpt_samples(m, 0.2, 0.7, state, 2000, 5)
+    for name in ("times", "censored", "reason"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    telegraph = KacOuModel.from_values(1, 1, 1.5, -0.75, 0, 0, 0, 0)
+    for model, noise in ((m, False), (m, True), (DEGENERATE, True), (telegraph, False)):
+        got = terminal_values(model, 0.2, 2.0, 2000, 5, with_noise=noise, initial_state=start)
+        want = terminal_values(model, 0.2, 2.0, 2000, 5, with_noise=noise, initial_state=state)
+        assert got.values.tobytes() == want.values.tobytes() and got.states.tobytes() == want.states.tobytes()
+    query = FptQuery(1.0, 0.25, 0.45, start)
+    assert type(query.initial_state) is int and query.initial_state == state
+    assert mc_laplace_fpt(query, m, 1000, 1) == mc_laplace_fpt(FptQuery(1.0, 0.25, 0.45, state), m, 1000, 1)
+    got, want = (sample_switch_sequence(m.rates, s, 30.0, stream(2, "s")) for s in (start, state))
+    assert type(got.initial_state) is int and got.switch_times.tobytes() == want.switch_times.tobytes()
+
+
+@pytest.mark.parametrize(
+    "state", [2, -1, 0.5, "x", None, math.nan, 1 + 0j, np.complex128(1), np.array([0, 1]), np.array([1])]
+)
+def test_every_sampler_refuses_a_start_state_other_than_0_or_1(state):
+    # sample_switch_sequence checked nothing: a start of 2 or 0.5 drew its
+    # first holding time at lambda1 while state_at(0) read 0
+    with pytest.raises(ParameterError, match="initial_state"):
+        sample_switch_sequence(SwitchRates(100.0, 0.01), state, 1.0, stream(1, "s"))
+    with pytest.raises(ParameterError, match="initial_state"):
+        FptQuery(1.0, 0.25, 0.45, state)
+    with pytest.raises(ParameterError, match="initial_state"):
+        fpt_samples(ATTRACTING, 0.2, 0.8, state, 10, seed=1)
+    with pytest.raises(ParameterError, match="initial_state"):
+        terminal_values(ATTRACTING, 0.5, 1.0, 10, seed=1, initial_state=state)
 
 
 # --- equal-rate telegraph integrals -------------------------------------------------
