@@ -12,7 +12,6 @@ and the error classes; everything else is imported from its module.
 __version__ = "0.1.0"
 
 from .errors import (
-    DegenerateModelError,
     KacOuError,
     NoInvariantMeasureError,
     OracleError,
@@ -39,7 +38,6 @@ __all__ = [
     "KacOuError",
     "ParameterError",
     "OutOfDomainError",
-    "DegenerateModelError",
     "UnsupportedRegimeError",
     "NoInvariantMeasureError",
     "OracleError",

@@ -70,12 +70,19 @@ MAX_LANE_SEGMENTS = 1e11
 MAX_GRID_POINTS = 1e6
 
 
-# the most rows one `kacou simulate` path may expect, eval_points + 1 +
-# lambda * horizon: a path is walked by scalar code and held whole while it
+# the most rows one `kacou simulate` path may expect, eval_points + 1 + its
+# expected switches: a path is walked by scalar code and held whole while it
 # is written, at about 2.3 us and 250 bytes a row on a 2-vCPU host (about
 # 4.5 us and 580 bytes with noise), so some 5 s and 500 MB; the README and
 # benchmark configs expect at most about 2,200
 MAX_PATH_ROWS = 2e6
+
+
+def _switches(rates, horizon: float) -> float:
+    """Expected switches of a path over the horizon: a path alternates its
+    states, so it switches at the chain's stationary rate, which one fast
+    state cannot raise past twice the slow state's rate."""
+    return 2.0 / (1.0 / rates.lambda0 + 1.0 / rates.lambda1) * horizon
 
 
 def _check_work(segments: float, keys: str) -> None:
@@ -377,13 +384,13 @@ def _cmd_simulate(cfg: RunConfig):
     reasons = (CENSOR_HORIZON, CENSOR_SWITCH_CAP)
     extra = {"censoring": {REASON_NAMES[code]: 0 for code in reasons}}
 
-    rate = max(cfg.model.rates.lambda0, cfg.model.rates.lambda1)
     if mode == "path":
         horizon = cfg.positive("simulate.horizon", 10.0)
-        _check_work(n_paths * (1.0 + rate * horizon), "simulate.n_paths, simulate.horizon and the [model] rates")
+        switches = _switches(cfg.model.rates, horizon)
+        _check_work(n_paths * (1.0 + switches), "simulate.n_paths, simulate.horizon and the [model] rates")
         with_noise = cfg.get("simulate", "with_noise", default=False, cast=bool)
         n_eval = cfg.count("simulate.eval_points", 201, most=MAX_GRID_POINTS)
-        rows = n_eval + 1.0 + rate * horizon
+        rows = n_eval + 1.0 + switches
         if not rows <= MAX_PATH_ROWS:
             raise ConfigError(
                 "simulate.horizon, simulate.eval_points and the [model] rates",
@@ -424,7 +431,7 @@ def _cmd_simulate(cfg: RunConfig):
         )
         # the caps bound a path's switches
         _check_work(
-            n_paths * min(1.0 + rate * caps.horizon, caps.max_switches),
+            n_paths * min(1.0 + _switches(cfg.model.rates, caps.horizon), caps.max_switches),
             "simulate.n_paths, simulate.cap_horizon, simulate.cap_switches and the [model] rates",
         )
         batch = fpt_samples(cfg.model, x, y, state0, n_paths, cfg.seed, caps=caps)
@@ -448,12 +455,11 @@ def _cmd_fpt(cfg: RunConfig):
     state = cfg.state("fpt.state")
     n_mc = cfg.count("fpt.mc_samples", 200_000, least=1_000)
 
-    # the default caps bound a path's switches; a path alternates its states,
-    # so it switches at the stationary rate 2 / (1/lambda0 + 1/lambda1), which
-    # one fast state cannot raise past twice the slow state's rate
-    caps = SimCaps()
-    rate = 2.0 / (1.0 / cfg.model.rates.lambda0 + 1.0 / cfg.model.rates.lambda1)
-    _check_work(n_mc * min(1.0 + rate * caps.horizon, caps.max_switches), "fpt.mc_samples and the [model] rates")
+    caps = SimCaps()  # the default caps bound a path's switches
+    _check_work(
+        n_mc * min(1.0 + _switches(cfg.model.rates, caps.horizon), caps.max_switches),
+        "fpt.mc_samples and the [model] rates",
+    )
 
     queries = [FptQuery(q, x, y, state) for q in qs]
     # the law of T does not depend on q, so one batch serves the whole grid
@@ -532,10 +538,10 @@ def _cmd_scaling(cfg: RunConfig):
     t = cfg.positive("scaling.t", 1.0)
     n_list = cfg.count("scaling.n_list", [10, 100, 1000], many=True)
     n_paths = cfg.count("scaling.n_paths", 100_000, least=2)
-    # the chain at scale index n switches at rates nu n and n; an equal-rate
-    # telegraph integral draws each path in one step, whatever it switches
+    # an equal-rate telegraph integral draws each path in one step, whatever it switches
+    models = [scaled_model(spec, n) for n in n_list]
     _check_work(
-        sum(n_paths * (1.0 if _is_telegraph(scaled_model(spec, n)) else 1.0 + max(nu, 1.0) * n * t) for n in n_list),
+        sum(n_paths * (1.0 if _is_telegraph(m) else 1.0 + _switches(m.rates, t)) for m in models),
         "scaling.n_paths, scaling.t, scaling.n_list and scaling.nu",
     )
     try:

@@ -27,10 +27,6 @@ class OutOfDomainError(KacOuError):
     """Query lies outside the validity domain of a closed-form expression."""
 
 
-class DegenerateModelError(KacOuError):
-    """Both attractor levels coincide; closed forms do not apply."""
-
-
 class UnsupportedRegimeError(KacOuError):
     """No closed form exists for this regime; use the simulation or integral oracle."""
 

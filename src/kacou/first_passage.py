@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateModelError,
     OracleError,
     OutOfDomainError,
     ParameterError,
@@ -61,6 +60,9 @@ ORACLE_TAIL_NODES = 750
 # left, or this ratio of distances to a repelling level
 _TAIL_REACH = 16.0 * math.log(10.0)
 _TAIL_RATIO_CAP = 1e13
+# and never past -_TAIL_FLOOR, half the largest double, so that its nodes
+# and halved cells stay doubles; a tail with no such room is left out
+_TAIL_FLOOR = 2.0**1023
 # nearest an attracting target may come to the attractor it approaches, as
 # a share of the gap: sqrt(eps), where one rounding of its coordinate moves
 # the transform by beta sqrt(eps) relative (the direct series could not
@@ -236,16 +238,12 @@ def laplace_fpt(query: FptQuery, model: KacOuModel) -> float:
     x > y and P{max_{t <= e_q} X_t >= y} when x < y.
 
     Raises OutOfDomainError when (x, y) leaves the stated validity domain,
-    DegenerateModelError when the attractor levels coincide, and
-    UnsupportedRegimeError when no closed form exists; those cases belong to
+    and UnsupportedRegimeError when the regime has no closed form (equal
+    attractor levels among them); those cases belong to
     :func:`fpt_integral_oracle`.
     """
     regime = classify_regime(model)
     tag = regime.tag
-    if tag is RegimeTag.DEGENERATE_EQUAL_RHO:
-        raise DegenerateModelError(
-            "equal attractor levels: no hypergeometric closed form, use fpt_integral_oracle"
-        )
     if tag is RegimeTag.ATTRACTING_STRICT:
         # the formula takes x < y and rho0 < rho1: the scale -1 reflects
         # x > y, which reverses the levels' order, and a swap puts the lower first
@@ -300,9 +298,10 @@ def _oracle_nodes(model, q, y, xs):
             ratio = min(math.exp(min(-g * _TAIL_REACH / k, 700.0)), _TAIL_RATIO_CAP)
             scale = max(abs(y - rho), abs(rho - core_lo), 1e-3 * max(1.0, abs(y)))
             d_lo = rho - core_lo if rho >= y else 1e-9 * scale
-            d_hi = min(max(rho - core_lo, scale) * ratio, _TAIL_RATIO_CAP * scale)
-            # (a first node at core_lo would round to a second one beside it)
-            parts.append(rho - np.geomspace(d_lo, d_hi, ORACLE_TAIL_NODES)[int(rho >= y) :])
+            d_hi = min(max(rho - core_lo, scale) * ratio, _TAIL_RATIO_CAP * scale, _TAIL_FLOOR + rho)
+            if d_lo <= d_hi < math.inf:
+                # (a first node at core_lo would round to a second one beside it)
+                parts.append(rho - np.geomspace(d_lo, d_hi, ORACLE_TAIL_NODES)[int(rho >= y) :])
         elif g > 0.0 and 0.0 <= rho - y < span:
             # graded toward a level that pulls the flow up into y: the hit
             # time, and the transforms' log, change with log |rho - x|

@@ -368,8 +368,8 @@ def pattern_phi(state, t, x, model: KacOuModel):
         big = np.broadcast_to(np.isinf(factor), out.shape)
         rho = np.broadcast_to(shift, out.shape)[big]
         diff = np.broadcast_to(x, out.shape)[big] - rho
-        expo = np.broadcast_to(-g * np.asarray(t, dtype=float), out.shape)[big]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            expo = np.broadcast_to(-g * np.asarray(t, dtype=float), out.shape)[big]
             grown = np.copysign(np.exp(np.log(np.abs(diff)) + expo), diff)
         out[big] = np.where(diff == 0.0, rho, rho + grown)
     return _result(out, state, t, x)

@@ -858,6 +858,56 @@ def test_path_mode_rows_are_refused_up_front(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_work_bounds_count_switches_at_the_stationary_rate(tmp_path, monkeypatch):
+    # a path alternates its states, so one fast state cannot make it switch
+    # faster than twice the slow state's rate: at lambda0 = 1e8 these were
+    # refused as 1e12 lane-segments and as a path of 1e9 rows, for about 20
+    # switches a path
+    path, out = write_cfg(tmp_path)
+    for overrides in (
+        ["simulate.mode=fpt", "simulate.n_paths=100000"],
+        ["simulate.mode=path", "simulate.horizon=10", "simulate.n_paths=1"],
+    ):
+        argv = ["simulate", "--config", path, "--set", "model.lambda0=1e8"]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 0
+    # at nu = 1e6 and n = 1e4 the rates are 1e10 and 1e4: about 2e4
+    # switches a path, where the larger rate counted 1e10
+    monkeypatch.setattr(kacou.cli, "convergence_check", lambda *args, **kwargs: [])
+    assert main(["scaling", "--config", path, "--set", "scaling.nu=1e6", "--set", "scaling.n_list=1e4"]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        # -gamma0 t overflowed outside pattern_phi's errstate
+        (
+            "simulate",
+            ["simulate.n_paths=50", "simulate.x=1e-8", "simulate.y=-0.0", "simulate.state0=0"]
+            + ["model.gamma0=-1e300", "model.a1=-1e300", "model.lambda0=1e-8"],
+        ),
+        # the oracle's tail toward a level (or, reflected, a start) near
+        # 1e300 ran np.geomspace to inf, and its nodes were nan
+        ("fpt", ["model.a0=-1e300", "model.gamma0=-100", "fpt.x=0.25", "fpt.y=-1e-300"]),
+        ("fpt", ["model.a0=3", "model.gamma0=-100", "fpt.x=1e300", "fpt.y=1e8"]),
+    ],
+)
+def test_far_repelling_draws_run_without_a_warning(tmp_path, command, overrides):
+    path, out = write_cfg(tmp_path)
+    argv = [command, "--config", path]
+    for item in overrides:
+        argv += ["--set", item]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    if command == "fpt":
+        values = [v for row in _fpt_rows(out) for v in row]
+    else:
+        values = [float(line.split(",")[2]) for line in open(os.path.join(out, "fpt_samples.csv")).readlines()[1:]]
+    assert values and all(math.isfinite(v) for v in values)
+
+
 @pytest.mark.parametrize("q_grid", ["0, 1", "1, -0.5", "-0, 2"])
 def test_fpt_refuses_a_q_of_0_or_less_up_front(tmp_path, capsys, monkeypatch, q_grid):
     # the integral oracle needs q > 0: a q of 0 ran the whole Monte Carlo

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from kacou import first_passage as fp
 from kacou.errors import (
-    DegenerateModelError,
     DoubleRangeError,
     KacOuError,
     OracleError,
@@ -498,6 +497,32 @@ def test_oracle_refuses_a_tiny_q_at_once(q):
     assert time.perf_counter() - t0 < 0.1
 
 
+@pytest.mark.parametrize("a0, y, x", [(-1e300, -1e-300, 0.25), (3.0, 1e8, 1e300)])
+def test_oracle_tail_toward_a_far_repelling_level_stays_in_double_range(a0, y, x):
+    # state 0 repels at gamma0 = -100: the tail below its level (1e298, or
+    # the far start's 1e300 in the reflected frame) ran np.geomspace to inf,
+    # the nodes were nan, and the solve refused with "a pivot of nan"
+    model = KacOuModel.from_values(1.0, 1.0, a0, 1.0, 0.0, 0.0, -100.0, 1.0)
+    for q in (0.5, 2.0):
+        curve = fpt_oracle_curve(model, q, y, [x])
+        closed = [laplace_fpt(FptQuery(q, x, y, state), model) for state in (0, 1)]
+        np.testing.assert_allclose(np.concatenate(curve), closed, rtol=1e-12, atol=1e-14)
+
+
+def test_oracle_lays_no_tail_where_double_range_leaves_no_room():
+    # rho0 = -1.5e308 leaves no room for a tail below it (its far nodes
+    # overflowed); at x, state 0's drift of 1.5e298 crosses to y at once
+    model = KacOuModel.from_values(1.0, 1.0, 1.5e298, 1.0, 0.0, 0.0, -1e-10, 1.0)
+    ell0, ell1 = fpt_oracle_curve(model, 0.5, 0.75, [0.25])
+    assert ell0[0] == 1.0 and 0.0 < ell1[0] < 1.0
+    # reflected, rho0 = 1e308 lies 2.7e308 above the core's lowest node, so
+    # the tail's near end overflowed, and with warnings ignored both values
+    # read 0; a path that holds state 1 for log 1.7 reaches y
+    model = KacOuModel.from_values(1.0, 1.0, 1e300, 1.0, 0.0, 0.0, -1e-8, 1.0)
+    ell0, ell1 = fpt_oracle_curve(model, 0.5, 1e308, [1.7e308])
+    assert 0.0 < ell0[0] < ell1[0] < 1.0 and ell1[0] > 1.7**-1.5
+
+
 # --- the oracle's accuracy against the closed forms ---------------------------------
 
 
@@ -545,7 +570,9 @@ def test_oracle_rejects_an_empty_query_set():
 
 
 def test_degenerate_model_redirects_to_oracle():
-    with pytest.raises(DegenerateModelError):
+    # equal levels have no closed form yet: the one refusal names the
+    # regime and the oracle
+    with pytest.raises(UnsupportedRegimeError, match="DegenerateEqualRho.*fpt_integral_oracle"):
         laplace_fpt(FptQuery(1.0, 2.0, 1.5, 0), DEGENERATE)
 
 

@@ -157,6 +157,10 @@ def test_pattern_phi_contract():
     assert math.isfinite(grown) and math.log(grown) == pytest.approx(720.0 + math.log(1e-6), rel=1e-14)
     assert interval_variance(1, 800.0, make(b1=0.5, gamma1=-1.0)) == math.inf
     assert interval_variance(1, 800.0, rep) == 0.0
+    # growth whose exponent -gamma t itself overflows (a RuntimeWarning,
+    # which pyproject's filter makes an error here)
+    far = KacOuModel.from_values(1e-8, 1.0, 0.0, -1e300, 0.0, 0.0, -1e300, 1.0)
+    assert pattern_phi(0, np.array([1e10]), np.array([1e-8]), far).tolist() == [math.inf]
 
 
 @pytest.mark.parametrize("state", [-1, 2, np.int64(-1), np.int8(2), np.array([-1, 1]), np.array([[0, 1], [1, 2]])])

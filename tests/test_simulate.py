@@ -30,6 +30,7 @@ from kacou.simulate import (
     CENSOR_SWITCH_CAP,
     CHUNK,
     SimCaps,
+    SwitchSequence,
     evaluate_x,
     fpt_samples,
     mc_laplace_fpt,
@@ -394,6 +395,24 @@ def test_evaluate_x_array_equals_segment_composition():
     assert isinstance(evaluate_x(seq, -0.4, 1.0, ATTRACTING), float)
 
 
+def test_walk_through_an_overflowing_repelling_factor_composes_the_flows():
+    # state 0 repels from rho0 = 0 at gamma0 = -1 for 720 time units, so the
+    # walk's factor e^720 overflows and the step goes through pattern_phi:
+    # rho0 stays put, and rho0 + 1e-300 grows to about 5e12 in log magnitude
+    model = KacOuModel.from_values(1e-3, 1.0, 0.0, 1.0, 0.0, 0.0, -1.0, 1.0)
+    seq = SwitchSequence(0, np.array([720.0, 725.0]), 730.0)
+    # (the walk of sample_m_path steps from each time to the next, so only
+    # times at the switches keep its steps the reference's)
+    times = np.array([0.0, 720.0, 725.0, 730.0])
+    starts = np.array([0.0, 1e-300])
+    want = np.array([[_composed_x(seq, x0, float(t), model) for x0 in starts] for t in times])
+    assert np.isfinite(want).all() and want[1, 1] > 1e12
+    for i, x0 in enumerate(starts):
+        assert evaluate_x(seq, x0, times, model).tobytes() == want[:, i].tobytes()
+    drawn = sample_m_path(seq, starts, times, model, stream(1, "overflow-walk"))
+    assert drawn.tobytes() == want.tobytes()
+
+
 def test_evaluate_x_array_rejects_unsorted_and_beyond_horizon():
     seq = sample_switch_sequence(SwitchRates(1.0, 1.0), 0, 5.0, stream(4, "s"))
     with pytest.raises(ParameterError):
@@ -465,9 +484,8 @@ def test_m_ensemble_mean_tracks_conditional_mean():
     seq = sample_switch_sequence(SwitchRates(1.0, 1.0), 1, 3.0, stream(21, "ens"))
     t = 2.5
     n = 20000
-    draws = np.array(
-        [sample_m_path(seq, 0.1, [t], NOISY, stream(i, "ens-noise"))[0] for i in range(n)]
-    )
+    # one call with n starts draws n independent paths on the one sequence
+    draws = sample_m_path(seq, np.full(n, 0.1), [t], NOISY, stream(0, "ens-noise"))[0]
     x_t = evaluate_x(seq, 0.1, t, NOISY)
     se = draws.std(ddof=1) / math.sqrt(n)
     assert abs(draws.mean() - x_t) < 3.0 * se
