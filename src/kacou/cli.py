@@ -462,14 +462,12 @@ def _cmd_fpt(cfg: RunConfig):
     )
 
     queries = [FptQuery(q, x, y, state) for q in qs]
+    # the closed forms and the oracle refuse before the batch is drawn
+    exact = [(laplace_fpt(query, cfg.model), fpt_integral_oracle(query, cfg.model)) for query in queries]
     # the law of T does not depend on q, so one batch serves the whole grid
     batch = fpt_samples(cfg.model, x, y, state, n_mc, cfg.seed)
     estimates = _laplace_estimates(batch, qs, np.empty(n_mc))
-    rows = []
-    for query, (mc_mean, mc_stderr) in zip(queries, estimates):
-        closed = laplace_fpt(query, cfg.model)
-        oracle = fpt_integral_oracle(query, cfg.model)
-        rows.append((query.q, x, y, state, closed, oracle, mc_mean, mc_stderr))
+    rows = [(q, x, y, state, *pair, *mc) for q, pair, mc in zip(qs, exact, estimates)]
     out = os.path.join(cfg.out_dir, "fpt.csv")
     header = ["q", "x", "y", "state", "closed_form", "oracle", "mc_mean", "mc_stderr"]
     columns = [np.array(c, dtype=np.int64 if name == "state" else np.float64) for name, c in zip(header, zip(*rows))]

@@ -33,7 +33,8 @@ from .errors import (
 from .model import (
     KacOuModel,
     RegimeTag,
-    _one_state,
+    _finite,
+    _state,
     classify_regime,
     hyper_args,
     rescale,
@@ -84,13 +85,10 @@ class FptQuery:
     initial_state: int
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.q, self.x, self.y))):
-            raise ParameterError(f"q, x and y must be finite, got {self.q}, {self.x}, {self.y}")
-        if self.x == self.y:
+        _finite(self.q, "q", least=0.0)
+        if _finite(self.x, "x") == _finite(self.y, "y"):
             raise ParameterError("first-passage query requires x != y")
-        if self.q < 0.0:
-            raise ParameterError(f"q must be >= 0, got {self.q}")
-        object.__setattr__(self, "initial_state", _one_state(self.initial_state))
+        object.__setattr__(self, "initial_state", _state(self.initial_state, "initial_state"))
 
 
 class _Frame:
@@ -363,6 +361,14 @@ def _crossing(start, end, vel, g, rho, k):
         return k * v * np.where(x == 0.0, 1.0, log_ratio / x), log_ratio
 
 
+def _drift(c, z):
+    """State coefficients c's drift a - gamma z at z, from the distance to a
+    finite level so that it keeps its digits next to the level."""
+    rho = c.a / c.gamma if c.gamma != 0.0 else math.inf
+    with np.errstate(over="ignore"):
+        return -c.gamma * (z - rho) if math.isfinite(rho) else c.a - c.gamma * z
+
+
 def _oracle_rows(model, q, nodes, lo, hi, state):
     """One state's renewal equation at nodes concatenating grids that end
     at y, node j's grid spanning indices lo[j] to hi[j].
@@ -389,16 +395,12 @@ def _oracle_rows(model, q, nodes, lo, hi, state):
     at y.
     """
     c = model.coeffs[state]
-    a, g = c.a, c.gamma
+    g = c.gamma
     lam = model.rates.rate(state)
     k = q + lam
     idx = np.arange(nodes.size)
-    rho = a / g if g != 0.0 else math.inf
-    # the drift at each node, from the distance to a finite level so that it
-    # keeps its digits next to the level; a drift past double range crosses
-    # its cell at once, which _crossing reads as kap = 0
-    with np.errstate(over="ignore"):
-        vel = -g * (nodes - rho) if math.isfinite(rho) else a - g * nodes
+    rho = c.a / g if g != 0.0 else math.inf
+    vel = _drift(c, nodes)  # past double range it crosses its cell at once: kap = 0
     step = np.sign(vel).astype(np.intp)
     down = np.clip(idx + step, lo, hi)
     kap, log_ratio = _crossing(nodes, nodes[down], vel, g, rho, k)  # nan where nodes stay
@@ -516,17 +518,15 @@ def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs):
     are solved exactly, as one linear system (see _cyclic_reduction).  Both
     are O(h^2) off, so the curve is the Richardson value
     ell_h + (ell_h - ell_2h) / 3, clipped to [0, 1], and
-    |ell_h - ell_2h| / 3 estimates the error of ell_h.  Raises OracleError,
-    before any grid is built, where q is below 1e-10 of the rate of a state
-    whose flow leaves the grid away from y.
+    |ell_h - ell_2h| / 3 estimates the error of ell_h.  Before any grid is
+    built, it raises OracleError where q is below 1e-10 of the rate of a
+    state whose flow leaves the grid away from y, and gives 0 where no
+    state's flow enters y.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    xs = np.atleast_1d(_finite(xs, "xs", many=True))
     if xs.size == 0:
         raise ParameterError("oracle queries require at least one x")
-    if not 0.0 < q < math.inf:
-        raise ParameterError(f"the integral oracle requires a finite q > 0, got {q}")
-    if not (math.isfinite(y) and np.isfinite(xs).all()):
-        raise ParameterError("oracle queries require finite x and y")
+    q, y = _finite(q, "q", positive=True), _finite(y, "y")
     if np.any(xs == y):
         raise ParameterError("oracle queries require x != y")
     if np.any(xs < y) and np.any(xs > y):
@@ -544,6 +544,8 @@ def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs):
         lam = model.rates.rate(s)
         if (c.gamma < 0.0 or (c.gamma == 0.0 and c.a < 0.0)) and q < 1e-10 * lam:
             raise OracleError(f"q = {q:.3g} is below 1e-10 of the rate {lam:.3g} of state {s}, leaving the grid")
+    if not any(_drift(c, y) > 0.0 for c in model.coeffs):
+        return np.zeros(xs.shape), np.zeros(xs.shape)
     fine, coarse = _oracle_grid_curves(model, q, y, xs)
     return tuple(np.clip(f + (f - c) / 3.0, 0.0, 1.0) for f, c in zip(fine, coarse))
 
@@ -552,9 +554,7 @@ def _oracle_grid_curves(model, q, y, xs):
     """[ell0, ell1] at xs < y on the fine grid and on the coarse grid."""
     coarse = _oracle_nodes(model, q, y, xs)
     fine = _halved(coarse)
-    blocks, pair = _oracle_system(model, q, (fine, coarse))
-    # where no flow enters y the transforms are 0
-    ells = _cyclic_reduction(blocks, pair) if blocks[:, 4].any() else np.zeros(pair.shape)
+    ells = _cyclic_reduction(*_oracle_system(model, q, (fine, coarse)))
     grids = ((fine, ells[:, : fine.size]), (coarse, ells[:, fine.size :]))
     return [[np.interp(xs, nodes, ell) for ell in part] for nodes, part in grids]
 
@@ -574,8 +574,7 @@ def fpt_integral_oracle(query: FptQuery, model: KacOuModel) -> float:
 def fpt_ode_residual(q: float, x: float, y: float, model: KacOuModel, h: float):
     """Central-difference residuals of the coupled first-order system obeyed
     by the closed-form transforms; O(h^2) by construction."""
-    if h <= 0.0:
-        raise ParameterError(f"step h must be positive, got {h}")
+    h = _finite(h, "h", positive=True)
     ells, ders = [], []
     for state in (0, 1):
         below, mid, above = (laplace_fpt(FptQuery(q, xx, y, state), model) for xx in (x - h, x, x + h))

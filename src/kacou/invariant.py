@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DoubleRangeError, NoInvariantMeasureError, ParameterError
-from .model import KacOuModel, RegimeTag, _check_state, classify_regime, stationary_state_dist
+from .errors import DoubleRangeError, NoInvariantMeasureError
+from .model import KacOuModel, RegimeTag, _state, _whole, classify_regime, stationary_state_dist
 from .quadrature import integrate_de_offsets, integrate_half_line_offsets
 from .simulate import terminal_values
 from .specfun import beta_fn, log_gamma
@@ -219,7 +219,7 @@ def invariant_exists(model: KacOuModel) -> tuple[bool, tuple[float, float] | Non
 
 def invariant_density(x, state: int, model: KacOuModel):
     """Closed-form stationary density of (X, state) at x (0 outside support)."""
-    _check_state(state)
+    state = _state(state)
     out = _require(model).evaluate(x)[state]
     return out if np.ndim(x) else float(out)
 
@@ -379,8 +379,7 @@ def empirical_invariant_profile(
     only needs to wash out the spatial transient.  Mass outside the binning
     window (possible for half-line supports) counts toward the distance.
     """
-    if bins < 2 or n_paths < 100:
-        raise ParameterError("need bins >= 2 and n_paths >= 100")
+    n_paths, bins = _whole(n_paths, "n_paths", least=100), _whole(bins, "bins", least=2)
     cf = _require(model)
 
     lo, hi = _histogram_range(cf)

@@ -67,10 +67,8 @@ class SwitchRates:
     lambda1: float
 
     def __post_init__(self):
-        if not (self.lambda0 > 0.0) or not math.isfinite(self.lambda0):
-            raise ParameterError(f"lambda0 must be positive and finite, got {self.lambda0}")
-        if not (self.lambda1 > 0.0) or not math.isfinite(self.lambda1):
-            raise ParameterError(f"lambda1 must be positive and finite, got {self.lambda1}")
+        _finite(self.lambda0, "lambda0", positive=True)
+        _finite(self.lambda1, "lambda1", positive=True)
 
     def rate(self, state: int) -> float:
         return self.lambda0 if state == 0 else self.lambda1
@@ -90,11 +88,9 @@ class StateCoeffs:
     gamma: float
 
     def __post_init__(self):
-        if self.b < 0.0 or not math.isfinite(self.b):
-            raise ParameterError(f"diffusion amplitude b must be >= 0, got {self.b}")
-        for name in ("a", "gamma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
+        _finite(self.a, "a")
+        _finite(self.b, "b", least=0.0)
+        _finite(self.gamma, "gamma")
 
     @property
     def rho(self) -> float:
@@ -231,22 +227,61 @@ def _result(value, *inputs):
     return float(value) if all(np.ndim(v) == 0 for v in inputs) else value
 
 
-def _check_state(state):
-    """state (an int, a bool, a numpy scalar or an array) as an int or int array; ParameterError
-    names an entry other than 0 or 1 (as an index, -1 would read state 1, and a bool a mask)."""
+def _state(state, name: str = "state", each: bool = False):
+    """A chain state, 0 or 1, as an int (a bool, a numpy scalar or a whole
+    float reads as its int; as an index, -1 would read state 1, and a bool
+    a mask); with `each`, an array of them as an int array."""
     if type(state) is int and state in (0, 1):
         return state
     s = np.asarray(state)
-    if s.dtype.kind == "c" or not (ok := (s == 0) | (s == 1)).all():  # 1+0j == 1, but int() refuses it
-        raise ParameterError(f"state must be 0 or 1, got {state if s.dtype.kind == 'c' else s[~ok][0]}")
-    return int(s) if s.ndim == 0 else s.astype(int, copy=False)
+    if s.dtype.kind in "biuf" and (each or s.ndim == 0):
+        if (ok := (s == 0) | (s == 1)).all():
+            return int(s) if s.ndim == 0 else s.astype(int, copy=False)
+        state = s[~ok][0]
+    raise ParameterError(f"{name} must be 0 or 1, got {state}")
 
 
-def _one_state(state) -> int:
-    """A start state, 0 or 1 read as _check_state reads it, as an int; anything else, an array too, is refused."""
-    if (type(state) is int or np.ndim(state) == 0 and not np.iscomplexobj(state)) and state in (0, 1):
-        return int(state)
-    raise ParameterError(f"initial_state must be 0 or 1, got {state!r}")
+def _whole(value, name: str, least: float = -math.inf) -> int:
+    """A whole number of at least `least` as an int: an int, a numpy
+    integer, a bool or a whole float."""
+    if type(value) is int and value >= least:
+        return value
+    v = np.asarray(value)
+    if v.ndim == 0 and (v.dtype.kind in "biu" or v.dtype.kind == "f" and float(v).is_integer()) and v >= least:
+        return int(v)
+    need = "" if least == -math.inf else f" of at least {least:g}"
+    raise ParameterError(f"{name} must be a whole number{need}, got {value}")
+
+
+def _finite(value, name: str, least: float = -math.inf, positive: bool = False, many: bool = False):
+    """A finite number of at least `least` (above 0 where `positive`) as a
+    float; with `many`, an array of them, of any shape, as a float array."""
+    need = lambda: "finite and positive" if positive else "finite" if least == -math.inf else f"finite and >= {least:g}"
+    return _real(value, name, need, lambda v: (abs(v) < math.inf) & (v > 0.0 if positive else v >= least), many)
+
+
+def _time(t, name: str = "t", finite: bool = True, many: bool = False):
+    """A time >= 0, never nan, finite where `finite`: a float, or with `many` a float array."""
+    return _finite(t, name, least=0.0, many=many) if finite else _real(t, name, lambda: ">= 0", lambda v: v >= 0.0, many)
+
+
+def _real(value, name, need, ok, many):
+    """value as a float, or with `many` a float array, where `ok` holds for
+    every entry: the finite and time readers' common part.  Like _state and
+    _whole, it refuses a string, a complex, an object and, unless asked for,
+    an array, with a ParameterError naming the argument, the rule need()
+    (formed only then) and the first entry it refuses."""
+    if not many and isinstance(value, float):  # a float or a numpy double
+        if ok(value):
+            return float(value)
+    else:
+        v = np.asarray(value)
+        if v.dtype.kind in "biuf" and (many or v.ndim == 0):
+            v = v.astype(float, copy=False)
+            if (good := ok(v)).all():
+                return v if many else float(v)
+            value = v[~good][0]
+    raise ParameterError(f"{name} must be {need()}, got {value}")
 
 
 def _each_state(state, n_out, law, *args):
@@ -306,11 +341,10 @@ def pattern_map(state, t, model: KacOuModel):
     Each law is written once, in _state_map, for one state; an array of
     states runs it per state on that state's own entries.
     """
-    state = _check_state(state)
+    state = _state(state, each=True)
     t = np.asarray(t, dtype=float)
-    t_min = t.min() if t.size else 0.0
-    if t_min < 0.0:
-        raise ParameterError(f"pattern time must be >= 0, got {t_min}")
+    # one reduction reads every time: the pool's holding times may be inf
+    t_min = _time(t.min() if t.size else 0.0, finite=False)
     bounds = _series_bounds(model)
     # growth past double range gives a factor of inf, rho may overflow where
     # the series form replaces it, and phi's 0/0 is replaced by 1
@@ -363,7 +397,7 @@ def pattern_phi(state, t, x, model: KacOuModel):
     if repels and np.isinf(factor).any():
         # grow in log magnitude: finite where the result is, and no 0 * inf
         # at the repelling level itself
-        g = model.gamma_vec[_check_state(state)]
+        g = model.gamma_vec[_state(state, each=True)]
         out = np.array(out)
         big = np.broadcast_to(np.isinf(factor), out.shape)
         rho = np.broadcast_to(shift, out.shape)[big]
@@ -394,7 +428,7 @@ def hitting_time(state, x, y, model: KacOuModel):
     Each branch is written once, for one state; an array of states runs
     each state's branch on that state's own entries.
     """
-    state = _check_state(state)
+    state = _state(state, each=True)
     series = _series_bounds(model)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -493,12 +527,9 @@ def interval_variance(state, t, model: KacOuModel):
     2 gamma t past double range the level b^2 / (2 gamma); b = 0 gives 0.
     state and t are scalars (a float is returned) or broadcastable arrays.
     """
-    state = _check_state(state)
+    state = _state(state, each=True)
     b, g = model.b_vec[state], model.gamma_vec[state]
-    t = np.asarray(t, dtype=float)
-    bad = t[~((t >= 0.0) & (t < math.inf))]
-    if bad.size:
-        raise ParameterError(f"interval time must be finite and >= 0, got {bad[0]}")
+    t = _time(t, many=True)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # phi's 0/0 is replaced by 1
         x = 2.0 * g * t
         var = b * b * t * np.where(x == 0.0, 1.0, -np.expm1(-x) / x)

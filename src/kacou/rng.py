@@ -13,6 +13,8 @@ import hashlib
 
 import numpy as np
 
+from .model import _whole
+
 __all__ = ["stream", "purpose_code"]
 
 _MASK64 = (1 << 64) - 1
@@ -25,7 +27,8 @@ def purpose_code(tag: str) -> int:
 
 
 def stream(seed: int, purpose: str, replicate: int = 0) -> np.random.Generator:
+    """The stream keyed by (seed, purpose, replicate); seed and replicate, whole numbers, are taken mod 2**64."""
     ss = np.random.SeedSequence(
-        entropy=(int(seed) & _MASK64, purpose_code(purpose), int(replicate) & _MASK64)
+        entropy=(_whole(seed, "seed") & _MASK64, purpose_code(purpose), _whole(replicate, "replicate") & _MASK64)
     )
     return np.random.Generator(np.random.SFC64(ss))

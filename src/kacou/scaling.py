@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DoubleRangeError, ParameterError
-from .model import KacOuModel, StateCoeffs, SwitchRates, stationary_state_dist
+from .model import KacOuModel, StateCoeffs, SwitchRates, _finite, _time, _whole, stationary_state_dist
 from .simulate import terminal_values
 
 __all__ = [
@@ -84,13 +84,6 @@ SCALED_PAIRS = {
 }
 
 
-def _check_positive(name: str, value: float) -> None:
-    if not value > 0.0:
-        raise ParameterError(f"{name} must be positive, got {value}")
-    if value == math.inf:
-        raise ParameterError(f"{name} must be finite, got {value}")
-
-
 @dataclass(frozen=True)
 class ScaledPair:
     """Free parameters of one scaled quantity: amplitude for state 0 and the
@@ -100,9 +93,8 @@ class ScaledPair:
     delta: float
 
     def __post_init__(self):
-        _check_positive("sigma0", self.sigma0)
-        if not math.isfinite(self.delta):
-            raise ParameterError(f"delta must be finite, got {self.delta}")
+        _finite(self.sigma0, "sigma0", positive=True)
+        _finite(self.delta, "delta")
 
 
 @dataclass(frozen=True)
@@ -117,7 +109,7 @@ class ScalingSpec:
     reversion: ScaledPair | None = None
 
     def __post_init__(self):
-        _check_positive("nu", self.nu)
+        _finite(self.nu, "nu", positive=True)
         needs = [name for name, _, _ in SCALED_PAIRS[self.kind]]
         if _VELOCITY not in SCALED_PAIRS[self.kind]:
             needs.insert(0, "base")
@@ -149,9 +141,8 @@ class LimitSde:
     noise_offset: float = 0.0
 
     def __post_init__(self):
-        for amplitude in (self.additive_noise, self.multiplicative_noise):
-            if not 0.0 <= amplitude < math.inf:
-                raise ParameterError(f"noise amplitudes must be finite and nonnegative, got {amplitude}")
+        _finite(self.additive_noise, "additive_noise", least=0.0)
+        _finite(self.multiplicative_noise, "multiplicative_noise", least=0.0)
 
 
 def sigma_combine(sigma0: float, sigma1: float) -> float:
@@ -159,8 +150,7 @@ def sigma_combine(sigma0: float, sigma1: float) -> float:
 
     The amplitudes are first divided by the larger one, so no product or
     square leaves double range."""
-    if not (0.0 < sigma0 < math.inf and 0.0 < sigma1 < math.inf):
-        raise ParameterError(f"sigma_combine requires finite positive amplitudes, got ({sigma0}, {sigma1})")
+    sigma0, sigma1 = _finite(sigma0, "sigma0", positive=True), _finite(sigma1, "sigma1", positive=True)
     big = max(sigma0, sigma1)
     r0, r1 = sigma0 / big, sigma1 / big
     return big * (r0 * r1 / math.sqrt(0.5 * (r0 * r0 + r1 * r1)))
@@ -169,15 +159,14 @@ def sigma_combine(sigma0: float, sigma1: float) -> float:
 def scaled_model(spec: ScalingSpec, n: float) -> KacOuModel:
     """The model at scale index n: each scaled pair sets its coefficient to
     (u0(n), u1(n)); every other coefficient is the base's."""
-    if n < 1:
-        raise ParameterError(f"scale index must be >= 1, got {n}")
+    n = _finite(n, "n", least=1.0)
     coeffs = spec.coeffs
     for field_name, name, s0 in SCALED_PAIRS[spec.kind]:
         pair = getattr(spec, field_name)
         u0 = s0 * pair.sigma0 * math.sqrt(spec.nu * n) + pair.delta
         u1 = -s0 * spec.sigma1_of(pair) * math.sqrt(n) + pair.delta
         coeffs = (replace(coeffs[0], **{name: u0}), replace(coeffs[1], **{name: u1}))
-    return KacOuModel(rates=SwitchRates(spec.nu * n, float(n)), coeffs=coeffs)
+    return KacOuModel(rates=SwitchRates(spec.nu * n, n), coeffs=coeffs)
 
 
 def limiting_sde(spec: ScalingSpec) -> LimitSde:
@@ -224,8 +213,7 @@ def limit_moments(limit: LimitSde, t: float, x0: float):
     additive_noise^2, so (m, m^2, v, 1)(t) = exp(t G) (x0, x0^2, 0, 1).  x0^2
     reaches v only through sg^2, so a Gaussian limit (sg = 0) is fed 0 there
     and keeps finite moments from any finite x0."""
-    if t < 0.0:
-        raise ParameterError(f"t must be >= 0, got {t}")
+    t = _time(t, finite=False)  # past double range the moments raise DoubleRangeError
     if t == 0.0:
         return x0, 0.0
     c, l, sg, off = limit.drift_const, limit.drift_lin, limit.multiplicative_noise, limit.noise_offset
@@ -316,13 +304,11 @@ def convergence_check(
     The chain starts in its stationary distribution, which makes the
     weighted-drift identity hold exactly at every finite n.
     """
-    if not 0.0 <= t < math.inf:  # a ParameterError before the limit's moments see t
-        raise ParameterError(f"t must be finite and >= 0, got {t}")
+    t = _time(t)  # a ParameterError before the limit's moments see t
     n_list = list(n_list)
     if sorted(n_list) != n_list:
         raise ParameterError("n_list must be increasing")
-    if not n_paths >= 2:  # a sample variance needs two draws
-        raise ParameterError(f"n_paths must be at least 2, got {n_paths}")
+    n_paths = _whole(n_paths, "n_paths", least=2)  # a sample variance needs two draws
 
     limit = limiting_sde(spec)
     gaussian = limit.multiplicative_noise == 0.0

@@ -41,7 +41,10 @@ from .model import (
     _SERIES_GT,
     KacOuModel,
     SwitchRates,
-    _one_state,
+    _finite,
+    _state,
+    _time,
+    _whole,
     hitting_time,
     interval_variance,
     pattern_map,
@@ -85,8 +88,7 @@ class SimCaps:
     def __post_init__(self):
         if not self.horizon > 0.0:
             raise ParameterError(f"censoring horizon must be > 0, got {self.horizon}")
-        if not self.max_switches >= 1:
-            raise ParameterError(f"max_switches must be at least 1, got {self.max_switches}")
+        object.__setattr__(self, "max_switches", _whole(self.max_switches, "max_switches", least=1))
 
 
 @dataclass(frozen=True)
@@ -131,9 +133,8 @@ def sample_switch_sequence(
     rates: SwitchRates, initial_state: int, horizon: float, rng: np.random.Generator
 ) -> SwitchSequence:
     """Alternating exponential holding times, truncated at the horizon."""
-    if not 0.0 < horizon < math.inf:
-        raise ParameterError(f"horizon must be finite and positive, got {horizon}")
-    initial_state = _one_state(initial_state)
+    horizon = _finite(horizon, "horizon", positive=True)
+    initial_state = _state(initial_state, "initial_state")
     times = []
     t = 0.0
     s = initial_state
@@ -167,15 +168,12 @@ def _walk(x, states, dts, model: KacOuModel, kicks=None) -> list[float]:
     return out
 
 
-def _check_finite(**values) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ParameterError(f"{name} must be finite, got {value}")
-
-
-def _check_count(n) -> None:
-    if n < 1:
-        raise ParameterError(f"need at least one sample, got n = {n}")
+def _path_times(t, seq: SwitchSequence, name: str) -> np.ndarray:
+    """The times t of a path on seq as a flat float array: sorted, within [0, seq.horizon]."""
+    flat = _time(t, name, many=True).reshape(-1)
+    if flat.size and (np.any(np.diff(flat) < 0.0) or flat[-1] > seq.horizon):
+        raise ParameterError(f"{name} must be sorted and at most the horizon {seq.horizon}, got {t}")
+    return flat
 
 
 def evaluate_x(seq: SwitchSequence, x0: float, t, model: KacOuModel):
@@ -187,13 +185,8 @@ def evaluate_x(seq: SwitchSequence, x0: float, t, model: KacOuModel):
     closing switch, is evaluated from that segment's start, so a value is
     the same whether it is asked for alone or among others.
     """
-    _check_finite(x0=x0)
-    times = np.asarray(t, dtype=float)
-    flat = times.reshape(-1)
-    if np.any(np.diff(flat) < 0.0):
-        raise ParameterError("evaluation times must be sorted")
-    if flat.size and flat[-1] > seq.horizon:
-        raise ParameterError(f"t = {flat[-1]} beyond sequence horizon {seq.horizon}")
+    x0 = _finite(x0, "x0")
+    flat = _path_times(t, seq, "t")
     # a time equal to a switch time belongs to the segment that switch closes
     seg = np.searchsorted(seq.switch_times, flat, side="left")
     n_seg = int(seg[-1]) if flat.size else 0
@@ -201,7 +194,7 @@ def evaluate_x(seq: SwitchSequence, x0: float, t, model: KacOuModel):
     states = (seq.initial_state + np.arange(n_seg + 1)) % 2
     x_start = np.array([x0] + _walk(x0, states[:-1], np.diff(starts), model))
     out = pattern_phi(states[seg], flat - starts[seg], x_start[seg], model)
-    return float(out[0]) if times.ndim == 0 else out
+    return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def sample_m_path(
@@ -220,14 +213,8 @@ def sample_m_path(
     on the same switch sequence, drawn start by start as separate calls
     would draw them; the result has shape (len(eval_times),) + x0's shape.
     """
-    starts = np.asarray(x0, dtype=float)
-    if not np.isfinite(starts).all():
-        raise ParameterError(f"x0 must be finite, got {x0}")
-    eval_times = np.asarray(eval_times, dtype=float)
-    if eval_times.size and np.any(np.diff(eval_times) < 0.0):
-        raise ParameterError("eval_times must be sorted")
-    if eval_times.size and eval_times[-1] > seq.horizon:
-        raise ParameterError("eval_times must lie within the horizon")
+    starts = _finite(x0, "x0", many=True)
+    eval_times = _path_times(eval_times, seq, "eval_times")
     if eval_times.size == 0:
         return np.empty((0,) + starts.shape)
 
@@ -375,11 +362,11 @@ def fpt_samples(
     at the horizon and at the switch cap; see the module docstring for the
     rounds that skip the crossing work.
     """
-    _check_finite(x=x, y=y)
-    initial_state = _one_state(initial_state)
+    x, y = _finite(x, "x"), _finite(y, "y")
+    initial_state = _state(initial_state, "initial_state")
     if x == y:
         raise ParameterError("first passage requires x != y")
-    _check_count(n)
+    n = _whole(n, "n", least=1)
     times = np.empty(n)  # every lane is written when it hits or is censored
     censored = np.zeros(n, dtype=bool)
     reason = np.zeros(n, dtype=np.uint8)
@@ -461,7 +448,7 @@ def fpt_samples(
         np.copyto(xs, nxt)
         return over
 
-    _lane_pool(model, n, seed, purpose, initial_state, (float(x), 0.0), advance, max_rounds=caps.max_switches)
+    _lane_pool(model, n, seed, purpose, initial_state, (x, 0.0), advance, max_rounds=caps.max_switches)
     return FptSampleBatch(times, censored, reason)
 
 
@@ -488,12 +475,10 @@ def terminal_values(
     f = exp(-gamma dt) (V f^2 + b^2 dt (1 - gamma dt) where |gamma| t <
     _SERIES_GT), and a chunk then draws one normal per lane.
     """
-    _check_finite(x0=x0, t=t)
-    if t < 0.0:
-        raise ParameterError(f"t must be >= 0, got {t}")
+    x0, t = _finite(x0, "x0"), _time(t)
     if not isinstance(initial_state, str) or initial_state != "stationary":
-        initial_state = _one_state(initial_state)
-    _check_count(n)
+        initial_state = _state(initial_state, "initial_state")
+    n = _whole(n, "n", least=1)
     noisy = with_noise and t > 0.0  # at t = 0 a draw is its start
     values, states, variance = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n)
     # per state: variance level b^2 / (2 gamma) (0 where |gamma| t < _SERIES_GT), b^2 and
@@ -553,8 +538,8 @@ def terminal_values(
 
     p0 = stationary_state_dist(model.rates)[0] if initial_state == "stationary" else None
     if t > 0.0 and _is_telegraph(model):
-        return _telegraph_values(model, float(x0), float(t), n, seed, initial_state, p0, purpose)
-    start = (float(x0), float(t)) + ((0.0,) if noisy else ())
+        return _telegraph_values(model, x0, t, n, seed, initial_state, p0, purpose)
+    start = (x0, t) + ((0.0,) if noisy else ())
     state = initial_state if p0 is None else 0
     _lane_pool(model, n, seed, purpose, state, start, advance, p0, chunk_done=chunk_done if noisy else None)
     return TerminalSample(values, states)
@@ -620,8 +605,7 @@ def mc_laplace_fpt(query, model: KacOuModel, n: int, seed: int, caps: SimCaps = 
     (1e-16 at the default caps for q >= 0.04), and at q = 0 the estimate is
     exactly the within-horizon hit fraction, i.e. one minus the defect mass.
     """
-    if n < 1_000:
-        raise ParameterError(f"mc_laplace_fpt needs n >= 1000, got {n}")
+    n = _whole(n, "n", least=1_000)
     batch = fpt_samples(model, query.x, query.y, query.initial_state, n, seed, caps)
     # the batch is not returned, so its times become the contributions in place
     ((mean, stderr),) = _laplace_estimates(batch, [query.q], batch.times)

@@ -1,0 +1,57 @@
+"""Every library entry point reads a chain state, a whole number, a finite
+value and a time by one rule each: an argument outside its rule raises a
+ParameterError that names it, never a numpy TypeError or a nan result, and a
+whole float reads as its int."""
+
+import math
+
+import numpy as np
+import pytest
+
+from kacou.errors import ParameterError
+from kacou.first_passage import FptQuery
+from kacou.invariant import empirical_invariant_profile, invariant_density
+from kacou.model import KacOuModel, pattern_map, pattern_phi
+from kacou.rng import stream
+from kacou.scaling import ScaledPair, ScalingKind, ScalingSpec, convergence_check, scaled_model
+from kacou.simulate import SimCaps, evaluate_x, fpt_samples, mc_laplace_fpt, sample_switch_sequence, terminal_values
+
+M = KacOuModel.from_values(1, 1, 0, 1, 0.3, 0.2, 1, 1)
+SEQ = sample_switch_sequence(M.rates, 0, 5.0, stream(1, "s"))
+SPEC = ScalingSpec(ScalingKind.KAC_ASYMMETRIC, nu=1.0, velocity=ScaledPair(1.0, 0.3))
+
+# each call raised a numpy TypeError, returned nan, was accepted or named
+# another argument
+REFUSED = {
+    "fpt_samples-n": ("n", lambda: fpt_samples(M, 0.2, 0.5, 0, 2.5, 1)),
+    "terminal_values-n": ("n", lambda: terminal_values(M, 0.0, 1.0, 2.5, 1)),
+    "mc_laplace_fpt-n": ("n", lambda: mc_laplace_fpt(FptQuery(1.0, 0.2, 0.5, 0), M, 1000.5, 1)),
+    "convergence_check-n_paths": ("n_paths", lambda: convergence_check(SPEC, 1.0, [10], 2.5, 1)),
+    "empirical_invariant_profile-bins": ("bins", lambda: empirical_invariant_profile(M, 1000, 1.0, 2.5, 1)),
+    "SimCaps-max_switches": ("max_switches", lambda: SimCaps(max_switches=2.5)),
+    "stream-seed": ("seed", lambda: stream(1.5, "fpt")),
+    "invariant_density-state": ("state", lambda: invariant_density(0.3, np.array([0, 1]), M)),
+    "evaluate_x-t": ("t", lambda: evaluate_x(SEQ, 0.1, math.nan, M)),
+    "pattern_phi-t": ("t", lambda: pattern_phi(0, math.nan, 0.2, M)),
+    "pattern_map-t": ("t", lambda: pattern_map(0, math.nan, M)),
+    "evaluate_x-x0": ("x0", lambda: evaluate_x(SEQ, np.array([0.1, 0.2]), 1.0, M)),
+    "terminal_values-x0": ("x0", lambda: terminal_values(M, "1", 1.0, 3, 1)),
+    "scaled_model-n": ("n", lambda: scaled_model(SPEC, math.nan)),
+}
+
+
+@pytest.mark.parametrize("name, call", REFUSED.values(), ids=REFUSED.keys())
+def test_an_argument_outside_its_rule_raises_a_parameter_error_naming_it(name, call):
+    with pytest.raises(ParameterError, match=rf"^{name} must be "):
+        call()
+
+
+@pytest.mark.parametrize("state", [1.0, np.float64(1.0)], ids=["float", "float64"])
+def test_invariant_density_reads_a_whole_float_state_as_its_int(state):
+    assert invariant_density(0.3, state, M) == invariant_density(0.3, 1, M)
+
+
+def test_fpt_samples_reads_a_whole_float_count_as_its_int():
+    got, want = fpt_samples(M, 0.2, 0.5, 0, 3.0, 1), fpt_samples(M, 0.2, 0.5, 0, 3, 1)
+    for name in ("times", "censored", "reason"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()

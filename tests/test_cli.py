@@ -920,6 +920,20 @@ def test_fpt_refuses_a_q_of_0_or_less_up_front(tmp_path, capsys, monkeypatch, q_
     assert not os.path.exists(out)
 
 
+def test_fpt_closed_form_refuses_before_the_batch_is_drawn(tmp_path, capsys):
+    # paths from 1e-8 toward y = 1e300 switch at lambda0 = 1e8 until the
+    # horizon: the batch took 9.9 s, and then the closed form refused
+    path, out = write_cfg(tmp_path)
+    argv = ["fpt", "--config", path, "--set", "model.gamma0=3", "--set", "model.lambda0=1e8"]
+    argv += ["--set", "model.lambda1=100", "--set", "fpt.mc_samples=1000", "--set", "fpt.x=1e-8", "--set", "fpt.y=1e300"]
+    t0 = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not os.path.exists(os.path.join(out, "fpt.csv"))
+
+
 def test_fpt_killing_rate_past_double_range_exits_1(tmp_path, capsys):
     # hyper_args returned an inf root at q = 1e300 and the series selector
     # died in math.ceil(-inf): a traceback

@@ -1,6 +1,7 @@
 import contextlib
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -466,12 +467,25 @@ def test_oracle_at_small_q_matches_the_telegraph_transform(q):
     np.testing.assert_allclose(got1, e1, rtol=1e-7, atol=0.0)
 
 
-def test_oracle_gives_0_without_a_solve_where_no_flow_enters_y(monkeypatch):
-    # both states drift down, away from y above them
+@pytest.mark.parametrize(
+    "values, q, y, xs",
+    [
+        # both states drift down, away from y above them
+        ((1.0, 1.0, -1.0, -0.5, 0.0, 0.0, 0.0, 0.0), 1.0, 0.75, [0.25, -1.0]),
+        # both states head for levels far below y: the grid from -1e308 to
+        # y = 1e308 left double range (an invalid multiply) before the
+        # solve was skipped
+        ((1, 1, 0, 1, 0, 0, 1, 1), 0.5, 1e308, [-1e308]),
+    ],
+    ids=["drifts-down", "far-target"],
+)
+def test_oracle_gives_0_without_a_solve_where_no_flow_enters_y(monkeypatch, values, q, y, xs):
+    monkeypatch.setattr(fp, "_oracle_nodes", None)
     monkeypatch.setattr(fp, "_cyclic_reduction", None)
-    model = KacOuModel.from_values(1.0, 1.0, -1.0, -0.5, 0.0, 0.0, 0.0, 0.0)
-    for ell in fpt_oracle_curve(model, 1.0, 0.75, np.array([0.25, -1.0])):
-        assert np.array_equal(ell, [0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ell in fpt_oracle_curve(KacOuModel.from_values(*values), q, y, np.array(xs)):
+            assert np.array_equal(ell, np.zeros(len(xs)))
 
 
 def test_pivot_guard_raises_at_once():

@@ -253,7 +253,7 @@ def test_interval_variance_at_subnormal_gamma(t):
 @pytest.mark.parametrize("t", [-1.0, np.array([0.5, -1e-3]), math.nan, math.inf])
 def test_interval_variance_rejects_negative_and_infinite_times(t):
     # -1.0 used to give a negative variance; phi(2 gamma t) has no value at t = inf
-    with pytest.raises(ParameterError, match="interval time"):
+    with pytest.raises(ParameterError, match="t must be finite and >= 0"):
         interval_variance(0, t, make(b0=1.0))
 
 

@@ -61,9 +61,9 @@ def test_sigma_combine_extreme_amplitudes(scale):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
 def test_limit_sde_amplitudes_must_be_finite_and_nonnegative(bad):
-    with pytest.raises(ParameterError, match="noise amplitudes"):
+    with pytest.raises(ParameterError, match="additive_noise must be finite and >= 0"):
         LimitSde(0.0, 1.0, bad, 0.0)
-    with pytest.raises(ParameterError, match="noise amplitudes"):
+    with pytest.raises(ParameterError, match="multiplicative_noise must be finite and >= 0"):
         LimitSde(0.0, 1.0, 0.5, bad)
 
 
