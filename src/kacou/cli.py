@@ -426,8 +426,8 @@ def _cmd_simulate(cfg: RunConfig):
         x = cfg.finite("simulate.x")
         y = cfg.finite("simulate.y")
         caps = SimCaps(
-            horizon=cfg.positive("simulate.cap_horizon", 1e3),
-            max_switches=cfg.count("simulate.cap_switches", 10_000_000),
+            horizon=cfg.positive("simulate.cap_horizon", SimCaps.horizon),
+            max_switches=cfg.count("simulate.cap_switches", SimCaps.max_switches),
         )
         # the caps bound a path's switches
         _check_work(

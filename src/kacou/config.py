@@ -9,8 +9,8 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 
-from .errors import KacOuError
-from .model import KacOuModel
+from .errors import KacOuError, ParameterError
+from .model import KacOuModel, _finite, _state, _whole
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "config_hash"]
 
@@ -42,41 +42,36 @@ class RunConfig:
         return self._parse(section, key, default, cast)
 
     def get_list(self, section: str, key: str, default=None):
-        def parse(raw):
-            return [float(tok) for tok in raw.replace(",", " ").split()]
-
-        return self._parse(section, key, default, parse)
-
-    # The value readers: each reads the entry at "section.key" `name` (with
-    # `many`, the list there, every entry under the same rule), `default`
-    # when it is absent, and refuses a value outside its rule.
+        return self._parse(section, key, default, lambda raw: [float(tok) for tok in raw.replace(",", " ").split()])
 
     def finite(self, name: str, default=None, least: float = -math.inf, many: bool = False):
-        """A number that must be finite and at least `least`."""
-        need = "finite" if least == -math.inf else f"finite and >= {least:g}"
-        return self._checked(name, default, many, need, lambda v: math.isfinite(v) and v >= least)
+        """A finite number of at least `least`."""
+        return self._read(name, default, many, _finite, least=least)
 
     def positive(self, name: str, default=None, many: bool = False):
-        """A number that must be finite and positive."""
-        return self._checked(name, default, many, "finite and positive", lambda v: 0.0 < v < math.inf)
+        """A finite, positive number."""
+        return self._read(name, default, many, _finite, positive=True)
 
     def count(self, name: str, default=None, least: int = 1, most: float = math.inf, many: bool = False):
-        """A count from `least` to `most`, truncated to an integer."""
-        need = f"a count of at least {least}" + (f" and at most {most:.3g}" if most < math.inf else "")
-        value = self._checked(name, default, many, need, lambda v: least <= v <= most and v < math.inf)
-        return [int(v) for v in value] if many else int(value)
+        """A whole number from `least` to `most`, as an int."""
+        value = self._read(name, default, many, _whole, _integer, least=least)
+        if (top := max(value if many else [value], default=most)) > most:
+            raise ConfigError(name, f"must be at most {most:.3g}, got {top:.15g}")
+        return value
 
     def state(self, name: str, default=None) -> int:
         """A chain state, 0 or 1."""
-        return int(self._checked(name, default, False, "a chain state, 0 or 1", lambda v: v in (0.0, 1.0)))
+        return self._read(name, default, False, _state)
 
-    def _checked(self, name: str, default, many: bool, need: str, ok):
+    def _read(self, name: str, default, many: bool, reader, parse=float, **rule):
+        """The value readers' common part: kacou.model's `reader`(value, name, **rule) on the entry at
+        "section.key" `name` (on each entry of its list with `many`) or `default`, a refusal a ConfigError."""
         section, key = name.split(".", 1)
-        value = (self.get_list if many else self.get)(section, key, default)
-        for v in value if many else (value,):
-            if not ok(v):
-                raise ConfigError(name, f"{'every entry ' if many else ''}must be {need}, got {v}")
-        return value
+        value = self.get_list(section, key, default) if many else self.get(section, key, default, parse)
+        try:
+            return [reader(v, name, **rule) for v in value] if many else reader(value, name, **rule)
+        except ParameterError as exc:
+            raise ConfigError(name, str(exc).removeprefix(f"{name} ")) from exc
 
     def _parse(self, section: str, key: str, default, parse, what: str = ""):
         """`parse` applied to the entry's text, or `default` when the entry is
@@ -91,6 +86,11 @@ class RunConfig:
             return parse(raw)
         except ValueError as exc:
             raise ConfigError(f"{section}.{key}", f"cannot parse {raw!r}{what}") from exc
+
+
+def _integer(raw: str):
+    """An integer's text as an int, every digit kept (a seed's too), any other number's as a float."""
+    return int(raw) if raw.strip().lstrip("+-").isdigit() else float(raw)
 
 
 def _boolean(raw: str) -> bool:
@@ -148,6 +148,6 @@ def load_config(path: str | None, overrides=None, text: str | None = None) -> Ru
         cfg.finite("model.gamma0"),
         cfg.finite("model.gamma1"),
     )
-    cfg.seed = cfg.get("run", "seed", 0, cast=int)
+    cfg.seed = cfg.count("run.seed", 0, least=-math.inf)
     cfg.out_dir = cfg.get("run", "out_dir", "out", cast=str)
     return cfg

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DoubleRangeError,
     OracleError,
     OutOfDomainError,
     ParameterError,
@@ -287,9 +288,13 @@ def _oracle_nodes(model, q, y, xs):
     lam = model.lam_vec
     levels = [c.a / c.gamma if c.gamma != 0.0 else math.nan for c in model.coeffs]
     below = [r for r in levels if math.isfinite(r) and r < y]
-    core_lo = min([float(np.min(xs)), *below])
-    span = max(y - core_lo, 1e-6 * max(1.0, abs(y)))
-    core_lo -= 0.05 * span
+    lowest = min([float(np.min(xs)), *below])
+    span = max(y - lowest, 1e-6 * max(1.0, abs(y)))
+    core_lo = lowest - 0.05 * span
+    if not math.isfinite(y - core_lo):
+        raise DoubleRangeError(
+            f"the oracle's grid from the lowest query point or level, {lowest}, to y = {y} leaves double range"
+        )
     parts = [np.linspace(core_lo, y, ORACLE_CORE_NODES), xs, below]
     for (a, g), rho, k in zip(((c.a, c.gamma) for c in model.coeffs), levels, q + lam):
         if g < 0.0 and math.isfinite(rho):
@@ -520,8 +525,11 @@ def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs):
     ell_h + (ell_h - ell_2h) / 3, clipped to [0, 1], and
     |ell_h - ell_2h| / 3 estimates the error of ell_h.  Before any grid is
     built, it raises OracleError where q is below 1e-10 of the rate of a
-    state whose flow leaves the grid away from y, and gives 0 where no
-    state's flow enters y.
+    state whose flow leaves the grid away from y, gives 0 where no state's
+    flow enters y, and raises DoubleRangeError where y and the farthest
+    query point or level on the query side lie too far apart for the grid
+    to span them in doubles (quoted as -y and -x for a query above y,
+    which is solved mirrored).
     """
     xs = np.atleast_1d(_finite(xs, "xs", many=True))
     if xs.size == 0:

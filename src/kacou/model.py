@@ -265,12 +265,19 @@ def _time(t, name: str = "t", finite: bool = True, many: bool = False):
     return _finite(t, name, least=0.0, many=many) if finite else _real(t, name, lambda: ">= 0", lambda v: v >= 0.0, many)
 
 
+def _reals(value, name: str):
+    """A float array of any shape, its entries not looked at (a pool's
+    lanes may be +-inf or nan): _real's type test alone."""
+    return _real(value, name, lambda: "a real number or an array of them", None, True)
+
+
 def _real(value, name, need, ok, many):
     """value as a float, or with `many` a float array, where `ok` holds for
-    every entry: the finite and time readers' common part.  Like _state and
-    _whole, it refuses a string, a complex, an object and, unless asked for,
-    an array, with a ParameterError naming the argument, the rule need()
-    (formed only then) and the first entry it refuses."""
+    every entry (or, where it is None, unchecked): the finite and time
+    readers' common part.  Like _state and _whole, it refuses a string, a
+    complex, an object and, unless asked for, an array, with a
+    ParameterError naming the argument, the rule need() (formed only then)
+    and the first entry it refuses."""
     if not many and isinstance(value, float):  # a float or a numpy double
         if ok(value):
             return float(value)
@@ -278,7 +285,7 @@ def _real(value, name, need, ok, many):
         v = np.asarray(value)
         if v.dtype.kind in "biuf" and (many or v.ndim == 0):
             v = v.astype(float, copy=False)
-            if (good := ok(v)).all():
+            if ok is None or (good := ok(v)).all():
                 return v if many else float(v)
             value = v[~good][0]
     raise ParameterError(f"{name} must be {need()}, got {value}")
@@ -342,7 +349,7 @@ def pattern_map(state, t, model: KacOuModel):
     states runs it per state on that state's own entries.
     """
     state = _state(state, each=True)
-    t = np.asarray(t, dtype=float)
+    t = _reals(t, "t")
     # one reduction reads every time: the pool's holding times may be inf
     t_min = _time(t.min() if t.size else 0.0, finite=False)
     bounds = _series_bounds(model)
@@ -388,7 +395,7 @@ def pattern_phi(state, t, x, model: KacOuModel):
     state, t and x are scalars (a float is returned) or broadcastable arrays.
     """
     base, shift, factor = pattern_map(state, t, model)
-    x = np.asarray(x, dtype=float)
+    x = _reals(x, "x")
     with np.errstate(invalid="ignore", over="ignore"):
         out = base + (x - shift) * factor
     if (far := np.isinf(x)).any():
@@ -430,8 +437,7 @@ def hitting_time(state, x, y, model: KacOuModel):
     """
     state = _state(state, each=True)
     series = _series_bounds(model)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _reals(x, "x"), _reals(y, "y")
     if np.ndim(state) == 0 and x.ndim == 0 and y.ndim == 0 and x == y:
         raise ParameterError("hitting_time requires x != y")
 
@@ -574,8 +580,7 @@ class HyperParams:
 
 def hyper_args(q: float, model: KacOuModel) -> HyperParams:
     """beta_i(q) = (q + lambda_i)/gamma_i and the upper-parameter root pair."""
-    if q < 0.0:
-        raise ParameterError(f"q must be >= 0, got {q}")
+    q = _finite(q, "q", least=0.0)
     c0, c1 = model.coeffs
     if c0.gamma == 0.0 or c1.gamma == 0.0:
         raise ParameterError("hyper_args requires gamma0 != 0 and gamma1 != 0")

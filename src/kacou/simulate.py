@@ -42,6 +42,7 @@ from .model import (
     KacOuModel,
     SwitchRates,
     _finite,
+    _real,
     _state,
     _time,
     _whole,
@@ -86,8 +87,7 @@ class SimCaps:
     max_switches: int = 10_000_000
 
     def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ParameterError(f"censoring horizon must be > 0, got {self.horizon}")
+        object.__setattr__(self, "horizon", _real(self.horizon, "horizon", lambda: "> 0", lambda v: v > 0.0, False))
         object.__setattr__(self, "max_switches", _whole(self.max_switches, "max_switches", least=1))
 
 
@@ -153,12 +153,13 @@ def _walk(x, states, dts, model: KacOuModel, kicks=None) -> list[float]:
     a number there (None where the step draws no normal).
 
     The affine maps of all steps come from one kernel call; a step whose
-    growth overflowed the map goes through pattern_phi itself.
+    map left double range goes through pattern_phi itself: a factor of inf
+    (repelling growth) or of 0, which would take an x at +-inf to nan.
     """
     maps = [np.broadcast_to(c, dts.shape).tolist() for c in pattern_map(states, dts, model)]
     out = []
     for k, (base, shift, factor, kick) in enumerate(zip(*maps, kicks or repeat(None))):
-        if factor < math.inf:
+        if 0.0 < factor < math.inf:
             x = base + (x - shift) * factor
         else:
             x = pattern_phi(states[k], dts[k], x, model)

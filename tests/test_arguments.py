@@ -11,7 +11,7 @@ import pytest
 from kacou.errors import ParameterError
 from kacou.first_passage import FptQuery
 from kacou.invariant import empirical_invariant_profile, invariant_density
-from kacou.model import KacOuModel, pattern_map, pattern_phi
+from kacou.model import KacOuModel, hitting_time, hyper_args, pattern_map, pattern_phi
 from kacou.rng import stream
 from kacou.scaling import ScaledPair, ScalingKind, ScalingSpec, convergence_check, scaled_model
 from kacou.simulate import SimCaps, evaluate_x, fpt_samples, mc_laplace_fpt, sample_switch_sequence, terminal_values
@@ -37,6 +37,14 @@ REFUSED = {
     "evaluate_x-x0": ("x0", lambda: evaluate_x(SEQ, np.array([0.1, 0.2]), 1.0, M)),
     "terminal_values-x0": ("x0", lambda: terminal_values(M, "1", 1.0, 3, 1)),
     "scaled_model-n": ("n", lambda: scaled_model(SPEC, math.nan)),
+    # the flow kernel's times and points were parsed from text
+    "pattern_map-t-text": ("t", lambda: pattern_map(0, "1", M)),
+    "pattern_phi-x-text": ("x", lambda: pattern_phi(0, 1.0, "0.2", M)),
+    "hitting_time-x-text": ("x", lambda: hitting_time(0, "0.2", 0.5, M)),
+    "hitting_time-y-text": ("y", lambda: hitting_time(0, 0.2, "0.5", M)),
+    "SimCaps-horizon": ("horizon", lambda: SimCaps(horizon="5")),
+    "hyper_args-q-nan": ("q", lambda: hyper_args(math.nan, M)),
+    "hyper_args-q-inf": ("q", lambda: hyper_args(math.inf, M)),
 }
 
 
@@ -49,6 +57,14 @@ def test_an_argument_outside_its_rule_raises_a_parameter_error_naming_it(name, c
 @pytest.mark.parametrize("state", [1.0, np.float64(1.0)], ids=["float", "float64"])
 def test_invariant_density_reads_a_whole_float_state_as_its_int(state):
     assert invariant_density(0.3, state, M) == invariant_density(0.3, 1, M)
+
+
+def test_flow_kernel_keeps_a_lane_at_inf_or_nan():
+    # the kernel reads its points by type alone: a pool round's lanes may
+    # be +-inf or nan
+    x = np.array([math.inf, -math.inf, math.nan])
+    assert np.array_equal(pattern_phi(0, 1.0, x, M), x, equal_nan=True)
+    assert hitting_time(0, x, 0.5, M).shape == x.shape
 
 
 def test_fpt_samples_reads_a_whole_float_count_as_its_int():

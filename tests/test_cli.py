@@ -67,6 +67,12 @@ def write_cfg(tmp_path, name="run.cfg", out=None):
     return str(path), out
 
 
+def assert_refusal_names_once(capsys, key):
+    """The refusal is one line on stderr that names key once."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.count(key) == 1, err
+
+
 # --- config layer -------------------------------------------------------------
 
 
@@ -140,18 +146,28 @@ def test_value_readers_name_the_key_they_read(tmp_path, reader, options, raw):
     with pytest.raises(ConfigError) as err:
         getattr(cfg, reader)("extra.value", **options)
     assert err.value.key == "extra.value" and str(err.value).startswith("extra.value: ")
+    assert str(err.value).count("extra.value") == 1
 
 
 def test_value_readers_return_parsed_values_and_defaults(tmp_path):
     path, _ = write_cfg(tmp_path)
     cfg = load_config(path, overrides=["extra.counts=3, 7.9", "extra.state=1.0", "extra.zero=-0"])
-    assert cfg.count("extra.counts", many=True) == [3, 7]
+    # a count is a whole number: 7.9 is refused, not truncated to 7
+    with pytest.raises(ConfigError, match=r"^extra\.counts: must be a whole number of at least 1, got 7\.9$"):
+        cfg.count("extra.counts", many=True)
     assert cfg.state("extra.state") == 1 and cfg.finite("extra.zero", least=0.0) == 0.0
     assert cfg.positive("fpt.q_grid", many=True) == [0.5, 1.0] and cfg.count("fpt.mc_samples") == 20000
     assert cfg.count("extra.absent", 5) == 5 and cfg.positive("extra.absent", 2.5) == 2.5
     with pytest.raises(ConfigError) as err:
         cfg.finite("extra.absent")
     assert err.value.key == "extra.absent"
+
+
+@pytest.mark.parametrize("raw, seed", [("1e3", 1000), ("-5", -5), ("123456789012345678901", 123456789012345678901)])
+def test_seed_reads_as_a_whole_number_of_any_sign(tmp_path, raw, seed):
+    # an integer's text keeps every digit: no two long seeds alias
+    path, _ = write_cfg(tmp_path)
+    assert load_config(path, overrides=[f"run.seed={raw}"]).seed == seed
 
 
 @pytest.mark.parametrize("key, value", [("model.b0", "-1"), ("model.b1", "-1e-300"), ("run.seed", "1.5"), ("run.seed", "x")])
@@ -209,7 +225,20 @@ def test_counts_below_minimum_exit_2(tmp_path, capsys, command, key, value):
     if key == "simulate.eval_points":
         argv += ["--set", "simulate.mode=path"]
     assert main(argv) == 2
-    assert key in capsys.readouterr().err
+    assert_refusal_names_once(capsys, key)
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [("fpt", "fpt.mc_samples", "1000.9"), ("simulate", "simulate.n_paths", "2.5"), ("scaling", "scaling.n_list", "3, 7.9")],
+)
+def test_fractional_counts_exit_2(tmp_path, capsys, command, key, value):
+    # a count is a whole number, read by the library's rule: these were
+    # truncated to 1000, 2 and (3, 7) and ran
+    path, out = write_cfg(tmp_path)
+    assert main([command, "--config", path, "--set", f"{key}={value}"]) == 2
+    assert_refusal_names_once(capsys, key)
     assert not os.path.exists(out)
 
 
@@ -234,7 +263,7 @@ def test_horizons_and_tolerances_must_be_positive(tmp_path, capsys, command, key
     if mode:
         argv += ["--set", f"simulate.mode={mode}"]
     assert main(argv) == 2
-    assert key in capsys.readouterr().err
+    assert_refusal_names_once(capsys, key)
     assert not os.path.exists(out)
 
 
@@ -254,7 +283,7 @@ def test_chain_state_must_be_0_or_1(tmp_path, capsys, command, key, value, mode)
     if mode:
         argv += ["--set", f"simulate.mode={mode}"]
     assert main(argv) == 2
-    assert key in capsys.readouterr().err
+    assert_refusal_names_once(capsys, key)
     assert not os.path.exists(out)
 
 
@@ -289,7 +318,7 @@ def test_points_and_times_must_be_finite(tmp_path, capsys, command, key, value, 
     if mode:
         argv += ["--set", f"simulate.mode={mode}"]
     assert main(argv) == 2
-    assert key in capsys.readouterr().err
+    assert_refusal_names_once(capsys, key)
     assert not os.path.exists(out)
 
 

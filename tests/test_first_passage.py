@@ -488,6 +488,21 @@ def test_oracle_gives_0_without_a_solve_where_no_flow_enters_y(monkeypatch, valu
             assert np.array_equal(ell, np.zeros(len(xs)))
 
 
+@pytest.mark.parametrize(
+    "values",
+    [(1, 1, 1, 0, 0, 0, 0, 1), (1, 1, 0, 1, 0, 0, 1, -1)],
+    ids=["drift-up", "repeller-below"],
+)
+def test_oracle_grid_past_double_range_raises_before_any_node(values):
+    # a state's flow enters y = 1e308 from -1e308, so the curve is solved,
+    # but y - (-1e308) is inf: the grid's core was built from it (three
+    # RuntimeWarnings), and the solve ended in a misleading pivot error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DoubleRangeError, match=r"-1e\+308, to y = 1e\+308 leaves double range"):
+            fpt_oracle_curve(KacOuModel.from_values(*values), 0.5, 1e308, [-1e308])
+
+
 def test_pivot_guard_raises_at_once():
     # q / (q + lam) is subnormal, and so is a pivot: the division would
     # overflow

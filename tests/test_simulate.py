@@ -413,6 +413,23 @@ def test_walk_through_an_overflowing_repelling_factor_composes_the_flows():
     assert drawn.tobytes() == want.tobytes()
 
 
+def test_walk_keeps_a_path_at_inf_through_an_underflowing_attracting_factor():
+    # state 0 repels from 0 and carries x = 1 to inf over 800 time units;
+    # state 1 then attracts for 900, where its factor e^-900 underflows to
+    # 0: the walk's affine step gave inf * 0 = nan, the flows keep inf
+    model = KacOuModel.from_values(1, 1, 0, 0, 0, 0, -1, 1)
+    seq = SwitchSequence(0, np.array([800.0, 1700.0]), 2000.0)
+    want = _composed_x(seq, 1.0, 1800.0, model)
+    assert want == math.inf
+    assert evaluate_x(seq, 1.0, 1800.0, model) == want
+    drawn = sample_m_path(seq, np.array([1.0, -1.0, 0.5]), np.array([1800.0]), model, stream(1, "x"))
+    assert drawn.tolist() == [[want, -want, _composed_x(seq, 0.5, 1800.0, model)]]
+    # a finite x takes the same step through pattern_phi: the factor 0
+    # leaves the level, 0
+    finite = SwitchSequence(1, np.array([900.0]), 950.0)
+    assert evaluate_x(finite, 3.0, 950.0, model) == _composed_x(finite, 3.0, 950.0, model) == 0.0
+
+
 def test_evaluate_x_array_rejects_unsorted_and_beyond_horizon():
     seq = sample_switch_sequence(SwitchRates(1.0, 1.0), 0, 5.0, stream(4, "s"))
     with pytest.raises(ParameterError):
