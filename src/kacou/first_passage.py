@@ -278,13 +278,14 @@ def laplace_fpt(query: FptQuery, model: KacOuModel) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _oracle_nodes(model, q, y, xs):
+def _oracle_nodes(model, q, y, xs, mirrored=False):
     """Coarse node set on (-inf, y], ending at y: a uniform core from below
     the lowest query point and every level under y, those points and levels
     (no cell straddles a fixed point of a flow, and a repelling level is a
     kink of the transforms), and geometric tails where a flow leaves the
     core downward, each to where a row has e^-_TAIL_REACH of its weight
-    left or to a distance ratio of _TAIL_RATIO_CAP."""
+    left or to a distance ratio of _TAIL_RATIO_CAP.  A grid past double
+    range is refused in the caller's coordinates, -x for x where `mirrored`."""
     lam = model.lam_vec
     levels = [c.a / c.gamma if c.gamma != 0.0 else math.nan for c in model.coeffs]
     below = [r for r in levels if math.isfinite(r) and r < y]
@@ -292,9 +293,9 @@ def _oracle_nodes(model, q, y, xs):
     span = max(y - lowest, 1e-6 * max(1.0, abs(y)))
     core_lo = lowest - 0.05 * span
     if not math.isfinite(y - core_lo):
-        raise DoubleRangeError(
-            f"the oracle's grid from the lowest query point or level, {lowest}, to y = {y} leaves double range"
-        )
+        ends = (f"y = {-y} to the highest query point or level, {-lowest}," if mirrored
+                else f"the lowest query point or level, {lowest}, to y = {y}")
+        raise DoubleRangeError(f"the oracle's grid from {ends} leaves double range")
     parts = [np.linspace(core_lo, y, ORACLE_CORE_NODES), xs, below]
     for (a, g), rho, k in zip(((c.a, c.gamma) for c in model.coeffs), levels, q + lam):
         if g < 0.0 and math.isfinite(rho):
@@ -528,8 +529,7 @@ def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs):
     state whose flow leaves the grid away from y, gives 0 where no state's
     flow enters y, and raises DoubleRangeError where y and the farthest
     query point or level on the query side lie too far apart for the grid
-    to span them in doubles (quoted as -y and -x for a query above y,
-    which is solved mirrored).
+    to span them in doubles.  A query above y is solved mirrored below -y.
     """
     xs = np.atleast_1d(_finite(xs, "xs", many=True))
     if xs.size == 0:
@@ -540,10 +540,10 @@ def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs):
     if np.any(xs < y) and np.any(xs > y):
         raise ParameterError("oracle queries must all lie on one side of y")
 
-    if np.all(xs > y):
+    if above := bool(np.all(xs > y)):
         # solve the reflected problem below -y; first-passage laws are
         # invariant under x -> -x
-        return fpt_oracle_curve(rescale(model, -1.0), q, -y, -xs)
+        model, y, xs = rescale(model, -1.0), -y, -xs
     for s, c in enumerate(model.coeffs):
         # a state whose flow leaves the grid is held at its last node, where
         # only q / (q + lam) kills the paths that leave; below 1e-10 lam the
@@ -554,13 +554,13 @@ def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs):
             raise OracleError(f"q = {q:.3g} is below 1e-10 of the rate {lam:.3g} of state {s}, leaving the grid")
     if not any(_drift(c, y) > 0.0 for c in model.coeffs):
         return np.zeros(xs.shape), np.zeros(xs.shape)
-    fine, coarse = _oracle_grid_curves(model, q, y, xs)
+    fine, coarse = _oracle_grid_curves(model, q, y, xs, above)
     return tuple(np.clip(f + (f - c) / 3.0, 0.0, 1.0) for f, c in zip(fine, coarse))
 
 
-def _oracle_grid_curves(model, q, y, xs):
+def _oracle_grid_curves(model, q, y, xs, mirrored=False):
     """[ell0, ell1] at xs < y on the fine grid and on the coarse grid."""
-    coarse = _oracle_nodes(model, q, y, xs)
+    coarse = _oracle_nodes(model, q, y, xs, mirrored)
     fine = _halved(coarse)
     ells = _cyclic_reduction(*_oracle_system(model, q, (fine, coarse)))
     grids = ((fine, ells[:, : fine.size]), (coarse, ells[:, fine.size :]))

@@ -238,7 +238,7 @@ def _state(state, name: str = "state", each: bool = False):
         if (ok := (s == 0) | (s == 1)).all():
             return int(s) if s.ndim == 0 else s.astype(int, copy=False)
         state = s[~ok][0]
-    raise ParameterError(f"{name} must be 0 or 1, got {state}")
+    raise ParameterError(f"{name} must be 0 or 1, got {_shown(state)}")
 
 
 def _whole(value, name: str, least: float = -math.inf) -> int:
@@ -250,7 +250,7 @@ def _whole(value, name: str, least: float = -math.inf) -> int:
     if v.ndim == 0 and (v.dtype.kind in "biu" or v.dtype.kind == "f" and float(v).is_integer()) and v >= least:
         return int(v)
     need = "" if least == -math.inf else f" of at least {least:g}"
-    raise ParameterError(f"{name} must be a whole number{need}, got {value}")
+    raise ParameterError(f"{name} must be a whole number{need}, got {_shown(value)}")
 
 
 def _finite(value, name: str, least: float = -math.inf, positive: bool = False, many: bool = False):
@@ -288,25 +288,22 @@ def _real(value, name, need, ok, many):
             if ok is None or (good := ok(v)).all():
                 return v if many else float(v)
             value = v[~good][0]
-    raise ParameterError(f"{name} must be {need()}, got {value}")
+    raise ParameterError(f"{name} must be {need()}, got {_shown(value)}")
 
 
-def _each_state(state, n_out, law, *args):
-    """law(state, *args), a tuple of n_out outputs, for a scalar state; for
-    an array, law(i, *entries) on the entries of args where state is i, per
-    state i that has any, scattered into arrays of the broadcast shape."""
+def _shown(value):
+    """A refused argument as its refusal quotes it: text in quotes, so that it does not read as a number."""
+    return repr(str(value)) if isinstance(value, str) else value
+
+
+def _each_state(state, law, *args):
+    """law(state, *args), a tuple of outputs, for a scalar state; for an
+    array, both states' laws on every entry (under the caller's error
+    state), and per output np.where keeps each entry's own state's result."""
     if np.ndim(state) == 0:
         return law(state, *args)
-    shape = state.shape
-    if any(np.shape(v) != shape for v in args):
-        shape = np.broadcast_shapes(shape, *map(np.shape, args))
-        state, *args = (np.broadcast_to(v, shape) for v in (state, *args))
-    outs = tuple(np.empty(shape) for _ in range(n_out))
-    for i in (0, 1):
-        if (at := np.flatnonzero(state == i)).size:
-            for out, part in zip(outs, law(i, *(v.take(at) for v in args))):
-                out.reshape(-1)[at] = part
-    return outs
+    zero = state == 0
+    return tuple(np.where(zero, o0, o1) for o0, o1 in zip(law(0, *args), law(1, *args)))
 
 
 def _series_bounds(model: KacOuModel) -> list[float]:
@@ -333,30 +330,34 @@ def pattern_map(state, t, model: KacOuModel):
 
     The map is (rho, rho, exp(-gamma t)) when gamma != 0, (a t, 0, 1) when
     gamma = 0 (base a, a signed zero, when a = 0, at t = inf too), and the
-    exact identity (-0.0, 0, 1) at t = 0.  A slow state,
-    one whose |gamma| / lambda is below _SERIES_GT (it relaxes by less than
-    that over a mean holding time, so rho lies over 2e5 mean drifts away or
-    past double range), takes (a t phi(gamma t), 0, exp(-gamma t)) where
+    exact identity (-0.0, 0, 1) at t = 0.  A slow state, one whose
+    |gamma| / lambda is below _SERIES_GT (it relaxes by less than that over
+    a mean holding time, so rho lies over 2e5 mean drifts away or past
+    double range), takes (a t phi(gamma t), 0, exp(-gamma t)) where
     |gamma| t < _SERIES_GT, with phi as in interval_variance, and a state
     whose level a / gamma is past double range takes it at every t; where
     its a t phi(gamma t) leaves double range too, DoubleRangeError is
-    raised.  A factor of
-    inf marks repelling growth beyond double range, which pattern_phi
-    resolves from x.  state and t are scalars or broadcastable arrays, and
-    the three outputs broadcast against them.
+    raised.  A factor of inf marks repelling growth beyond double range,
+    which pattern_phi resolves from x.  state and t are scalars or
+    broadcastable arrays, and the three outputs broadcast against them.
 
-    Each law is written once, in _state_map, for one state; an array of
-    states runs it per state on that state's own entries.
+    Each law is written once, in _state_map, for one state; an array of states
+    runs both and keeps each entry's own: a state refuses only its own times.
     """
     state = _state(state, each=True)
     t = _reals(t, "t")
     # one reduction reads every time: the pool's holding times may be inf
     t_min = _time(t.min() if t.size else 0.0, finite=False)
     bounds = _series_bounds(model)
+
+    def law(i, t):
+        t = np.where(state == i, t, 0.0) if bounds[i] == math.inf else t  # refuse its own times only
+        return _state_map(model.coeffs[i], bounds[i], t, t_min)
+
     # growth past double range gives a factor of inf, rho may overflow where
     # the series form replaces it, and phi's 0/0 is replaced by 1
     with np.errstate(over="ignore", invalid="ignore"):
-        return _each_state(state, 3, lambda i, t: _state_map(model.coeffs[i], bounds[i], t, t_min), t)
+        return _each_state(state, law, t)
 
 
 def _state_map(c, bound, t, t_min):
@@ -378,9 +379,8 @@ def _state_map(c, bound, t, t_min):
         base = np.where(still, -0.0, base)
         shift = np.where(still, 0.0, shift)
     if bound == math.inf and not (finite := np.isfinite(base)).all():  # no level to flow toward
-        raise DoubleRangeError(
-            f"the flow leaves double range at t = {t[~finite][0]}: its level a / gamma is past double range"
-        )
+        raise DoubleRangeError(f"the flow leaves double range at t = {t[~finite][0]}: "
+                               "its level a / gamma is past double range")
     return base, shift, factor
 
 
@@ -430,10 +430,10 @@ def hitting_time(state, x, y, model: KacOuModel):
     log((x - rho) / (y - rho)) / gamma, with log1p((x - y) / (y - rho))
     for the log next to the target; where that ratio underflows to 0 with
     x != y (x - y below about 2e-308 |y - rho|), the rho-free form keeps
-    the time.
-    state, x and y are scalars (a float is returned) or broadcastable arrays.
-    Each branch is written once, for one state; an array of states runs
-    each state's branch on that state's own entries.
+    the time.  state, x and y are scalars (a float is returned) or
+    broadcastable arrays.  Each branch is written once, for one state; an
+    array of states runs both states' branches on every entry and keeps
+    each entry's own.
     """
     state = _state(state, each=True)
     series = _series_bounds(model)
@@ -446,7 +446,7 @@ def hitting_time(state, x, y, model: KacOuModel):
         return ((_series_time if series[i] or c.gamma == 0.0 else _log_ratio_time)(c.a, c.gamma, x, y),)
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        (t,) = _each_state(state, 1, law, x, float(y) if y.ndim == 0 else y)  # a scalar y stays a float
+        (t,) = _each_state(state, law, x, float(y) if y.ndim == 0 else y)  # a scalar y stays a float
         if (on := x == y).any():
             np.copyto(t, 0.0, where=on)
     return _result(t, state, x, y)

@@ -156,7 +156,7 @@ def _walk(x, states, dts, model: KacOuModel, kicks=None) -> list[float]:
     map left double range goes through pattern_phi itself: a factor of inf
     (repelling growth) or of 0, which would take an x at +-inf to nan.
     """
-    maps = [np.broadcast_to(c, dts.shape).tolist() for c in pattern_map(states, dts, model)]
+    maps = [c.tolist() for c in pattern_map(states, dts, model)]
     out = []
     for k, (base, shift, factor, kick) in enumerate(zip(*maps, kicks or repeat(None))):
         if 0.0 < factor < math.inf:

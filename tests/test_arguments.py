@@ -54,6 +54,27 @@ def test_an_argument_outside_its_rule_raises_a_parameter_error_naming_it(name, c
         call()
 
 
+# each printed the refused text bare, as if it were the number it spells
+QUOTED = {
+    "pattern_map-t": ("t must be a real number or an array of them, got '1'", lambda: pattern_map(0, "1", M)),
+    "SimCaps-horizon": ("horizon must be > 0, got '5'", lambda: SimCaps(horizon="5")),
+    "terminal_values-x0": ("x0 must be finite, got '1'", lambda: terminal_values(M, "1", 1.0, 3, 1)),
+    "fpt_samples-initial_state": (
+        "initial_state must be 0 or 1, got '1'",
+        lambda: fpt_samples(M, 0.2, 0.5, "1", 10, 1),
+    ),
+    "fpt_samples-n": ("n must be a whole number of at least 1, got '10'", lambda: fpt_samples(M, 0.2, 0.5, 0, "10", 1)),
+    "FptQuery-x": ("x must be finite, got 'nan'", lambda: FptQuery(1.0, "nan", 0.5, 0)),
+}
+
+
+@pytest.mark.parametrize("message, call", QUOTED.values(), ids=QUOTED.keys())
+def test_a_refusal_quotes_the_text_it_refuses(message, call):
+    with pytest.raises(ParameterError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
 @pytest.mark.parametrize("state", [1.0, np.float64(1.0)], ids=["float", "float64"])
 def test_invariant_density_reads_a_whole_float_state_as_its_int(state):
     assert invariant_density(0.3, state, M) == invariant_density(0.3, 1, M)

@@ -489,18 +489,24 @@ def test_oracle_gives_0_without_a_solve_where_no_flow_enters_y(monkeypatch, valu
 
 
 @pytest.mark.parametrize(
-    "values",
-    [(1, 1, 1, 0, 0, 0, 0, 1), (1, 1, 0, 1, 0, 0, 1, -1)],
-    ids=["drift-up", "repeller-below"],
+    "values, y, ends",
+    [
+        ((1, 1, 1, 0, 0, 0, 0, 1), 1e308, r"the lowest query point or level, -1e\+308, to y = 1e\+308"),
+        ((1, 1, 0, 1, 0, 0, 1, -1), 1e308, r"the lowest query point or level, -1e\+308, to y = 1e\+308"),
+        # the mirror images, solved reflected, name the caller's y and x
+        ((1, 1, -1, 0, 0, 0, 0, 1), -1e308, r"y = -1e\+308 to the highest query point or level, 1e\+308,"),
+        ((1, 1, 0, -1, 0, 0, 1, -1), -1e308, r"y = -1e\+308 to the highest query point or level, 1e\+308,"),
+    ],
+    ids=["drift-up", "repeller-below", "drift-down", "repeller-above"],
 )
-def test_oracle_grid_past_double_range_raises_before_any_node(values):
+def test_oracle_grid_past_double_range_raises_before_any_node(values, y, ends):
     # a state's flow enters y = 1e308 from -1e308, so the curve is solved,
     # but y - (-1e308) is inf: the grid's core was built from it (three
     # RuntimeWarnings), and the solve ended in a misleading pivot error
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DoubleRangeError, match=r"-1e\+308, to y = 1e\+308 leaves double range"):
-            fpt_oracle_curve(KacOuModel.from_values(*values), 0.5, 1e308, [-1e308])
+        with pytest.raises(DoubleRangeError, match=rf"^the oracle's grid from {ends} leaves double range$"):
+            fpt_oracle_curve(KacOuModel.from_values(*values), 0.5, y, [-y])
 
 
 def test_pivot_guard_raises_at_once():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -203,31 +204,67 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
+def _assert_entrywise(call, *args):
+    """call on arrays gives, per output, each entry of their broadcast
+    shape bit for bit as call on that entry's scalars alone."""
+    got = call(*args)
+    outs = got if isinstance(got, tuple) else (got,)
+    shape = np.broadcast_shapes(*map(np.shape, (*args, *outs)))
+    refs = [call(*entry) for entry in zip(*(np.broadcast_to(v, shape).reshape(-1).tolist() for v in args))]
+    for k, out in enumerate(outs):
+        want = [ref[k] for ref in refs] if isinstance(got, tuple) else refs
+        assert np.array_equal(_bits(np.broadcast_to(out, shape)).reshape(-1), _bits(want))
+    return got
+
+
 def test_flow_kernel_on_arrays_equals_scalar_calls():
+    # an array of states runs both states' laws on every entry and keeps
+    # each entry's own: no entry may differ from its scalar call, and no
+    # law run on the other state's entries may warn, or refuse (a state
+    # whose level is past double range beside times up to 1e9)
     rng = np.random.default_rng(5)
     models = [
         make(a0=0.4, gamma0=1.3, a1=1.0, gamma1=-0.7),  # attracting and repelling
         make(a0=0.4, gamma0=0.9, a1=-1.5, gamma1=0.0),  # attracting and straight line
+        *(LEVEL_PAST_RANGE[name] for name in sorted(LEVEL_PAST_RANGE)),
     ]
+    n = 400
+    layouts = {
+        "alternating": np.arange(n) % 2,
+        "runs": np.arange(n) // 7 % 2,
+        "all 0": np.zeros(n, dtype=int),
+        "all 1": np.ones(n, dtype=int),
+    }
     for m in models:
-        states = rng.integers(0, 2, 400)
-        ts = rng.exponential(1.0, 400)
+        past_range = not math.isfinite(m.coeffs[0].a / m.coeffs[0].gamma)
+        layouts["mixed"] = rng.integers(0, 2, n)
+        ts = rng.exponential(1.0, n)
         ts[::7] = 0.0
         ts[3::11] = 1200.0  # repelling growth past double range
-        levels = np.array([0.4 / m.coeffs[0].gamma, m.coeffs[1].rho if m.coeffs[1].gamma else 0.0])
-        xs = rng.uniform(-2.0, 2.0, 400)
-        xs[1::5] = levels[states[1::5]]  # x = rho
-        xs[2::13] = 1e-7 + levels[states[2::13]]
-        phi = pattern_phi(states, ts, xs, m)
-        ref = [pattern_phi(int(s), float(t), float(x), m) for s, t, x in zip(states, ts, xs)]
-        assert np.array_equal(_bits(phi), _bits(ref))
-        var = interval_variance(states, ts, m)
-        assert np.array_equal(_bits(var), _bits([interval_variance(int(s), float(t), m) for s, t in zip(states, ts)]))
+        levels = np.array([c.a / c.gamma if c.gamma and not past_range else 0.0 for c in m.coeffs])
+        xs = rng.uniform(-2.0, 2.0, n)
+        xs[1::5] = levels[layouts["mixed"][1::5]]  # x = rho
+        xs[2::13] = 1e-7 + levels[layouts["mixed"][2::13]]
         ys = np.where(xs == 0.7, 0.8, 0.7)
-        hit = hitting_time(states, xs, ys, m)
-        ref = [hitting_time(int(s), float(x), float(y), m) for s, x, y in zip(states, xs, ys)]
-        assert np.array_equal(_bits(hit), _bits(ref))
-        assert np.isfinite(hit).any() and np.isinf(hit).any()
+        for name, states in layouts.items():
+            # the ordinary state's times reach 1e9 beside the one past double range
+            at = np.where((states == 1) & (np.arange(n) % 3 == 0), 1e9, ts) if past_range else ts
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _assert_entrywise(lambda s, t: pattern_map(s, t, m), states, at)
+                _assert_entrywise(lambda s, t, x: pattern_phi(s, t, x, m), states, at, xs)
+                _assert_entrywise(lambda s, t: interval_variance(s, t, m), states, at)
+                hit = _assert_entrywise(lambda s, x, y: hitting_time(s, x, y, m), states, xs, ys)
+            if name == "mixed" and not past_range:
+                assert np.isfinite(hit).any() and np.isinf(hit).any()
+        # a row of states against a column of times and points
+        row, col = layouts["alternating"][:20], ts[:20, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_entrywise(lambda s, t: pattern_map(s, t, m), row, col)
+            _assert_entrywise(lambda s, t, x: pattern_phi(s, t, x, m), row, col, xs[:20])
+            _assert_entrywise(lambda s, t: interval_variance(s, t, m), row, col)
+            _assert_entrywise(lambda s, x, y: hitting_time(s, x, y, m), row, xs[:20, None], ys[:20])
 
 
 @pytest.mark.parametrize("gamma", [1e-310, 1e-17, 1e-12, 1e-8, 1.0, -1.0])
