@@ -49,6 +49,7 @@ from .simulate import (
     SimCaps,
     _is_telegraph,
     _laplace_estimates,
+    _switches,
     evaluate_x,
     fpt_samples,
     sample_m_path,
@@ -72,17 +73,10 @@ MAX_GRID_POINTS = 1e6
 
 # the most rows one `kacou simulate` path may expect, eval_points + 1 + its
 # expected switches: a path is walked by scalar code and held whole while it
-# is written, at about 2.3 us and 250 bytes a row on a 2-vCPU host (about
-# 4.5 us and 580 bytes with noise), so some 5 s and 500 MB; the README and
+# is written, at about 0.7 us and 190 bytes a row on a 2-vCPU host (about
+# 1.4 us and 430 bytes with noise), so some 1.5 s and 400 MB; the README and
 # benchmark configs expect at most about 2,200
 MAX_PATH_ROWS = 2e6
-
-
-def _switches(rates, horizon: float) -> float:
-    """Expected switches of a path over the horizon: a path alternates its
-    states, so it switches at the chain's stationary rate, which one fast
-    state cannot raise past twice the slow state's rate."""
-    return 2.0 / (1.0 / rates.lambda0 + 1.0 / rates.lambda1) * horizon
 
 
 def _check_work(segments: float, keys: str) -> None:

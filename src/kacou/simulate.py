@@ -5,10 +5,10 @@ estimators the other modules use as oracles.
 Nothing here discretizes time: between switches the mean path follows the
 exponential pattern exactly and the diffusion transition is the exact
 Gaussian one-step law.  The only randomness is in holding times and normal
-draws: a sampled path draws one normal per constant-coefficient interval,
-and a terminal draw carries its variance given the switch path and draws
-one normal at the end.  (An equal-rate telegraph integral draws its switch
-counts and occupation shares instead; see below.)
+draws: a sampled path draws its holding times in blocks, bit for bit as one
+at a time, and one normal per constant-coefficient interval; a terminal draw
+carries its variance given the switch path and draws one normal at the end.
+(An equal-rate telegraph integral draws switch counts and shares; see below.)
 
 A run is split into fixed-size chunks, each with its own keyed stream (see
 :mod:`kacou.rng`).  First-passage and terminal draws run through one pooled
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -129,43 +128,73 @@ class TerminalSample:
     states: np.ndarray
 
 
+def _switches(rates: SwitchRates, horizon: float) -> float:
+    """Expected switches of a path over the horizon, at the chain's stationary rate."""
+    return 2.0 / (1.0 / rates.lambda0 + 1.0 / rates.lambda1) * horizon
+
+
+# the most holding times one block draws: 64 KiB, below glibc's 128 KiB mmap threshold
+_HOLD_DRAWS = 1 << 13
+
+
 def sample_switch_sequence(
     rates: SwitchRates, initial_state: int, horizon: float, rng: np.random.Generator
 ) -> SwitchSequence:
-    """Alternating exponential holding times, truncated at the horizon."""
+    """Alternating exponential holding times, truncated at the horizon.
+
+    They are drawn in blocks sized from the expected switch count and summed
+    in order, so each switch time is the sum one draw at a time gives; the
+    generator is left where one draw per holding time, up to the first that
+    ends past the horizon, leaves it.
+    """
     horizon = _finite(horizon, "horizon", positive=True)
     initial_state = _state(initial_state, "initial_state")
-    times = []
-    t = 0.0
-    s = initial_state
+    size = int(min(_switches(rates, horizon) * 1.125 + 64.0, _HOLD_DRAWS))
+    blocks, t, s = [], 0.0, initial_state
     while True:
-        t += rng.standard_exponential() / rates.rate(s)
-        if t >= horizon:
-            break
-        times.append(t)
-        s = 1 - s
-    return SwitchSequence(initial_state, np.asarray(times, dtype=float), horizon)
+        saved = rng.bit_generator.state
+        times = rng.standard_exponential(size)
+        with np.errstate(over="ignore"):  # a holding time or a sum past double range is inf
+            times[0::2] /= rates.rate(s)
+            times[1::2] /= rates.rate(1 - s)
+            times[0] += t
+            np.cumsum(times, out=times)
+        n = int(np.searchsorted(times, horizon, side="left"))  # the first time >= horizon
+        blocks.append(times[:n])
+        if n < size:  # draw again only the holding times up to the one that passes the horizon
+            rng.bit_generator.state = saved
+            rng.standard_exponential(n + 1)
+            return SwitchSequence(initial_state, np.concatenate(blocks), horizon)
+        t, s = times[-1], (s + size) % 2
 
 
 def _walk(x, states, dts, model: KacOuModel, kicks=None) -> list[float]:
     """Carry x through consecutive flows: the value after each step
-    phi(states[k], dts[k], .), plus kicks[k] where kicks is given and holds
-    a number there (None where the step draws no normal).
+    phi(states[k], dts[k], .), plus kicks[k] where kicks is given.
 
     The affine maps of all steps come from one kernel call; a step whose
     map left double range goes through pattern_phi itself: a factor of inf
     (repelling growth) or of 0, which would take an x at +-inf to nan.
     """
-    maps = [c.tolist() for c in pattern_map(states, dts, model)]
+    maps = pattern_map(states, dts, model)
+    far = np.flatnonzero(~((maps[2] > 0.0) & (maps[2] < math.inf)))
+    far_steps = zip(states[far].tolist(), dts[far].tolist())  # in the order the walk meets them
+    maps = [c.tolist() for c in maps]
     out = []
-    for k, (base, shift, factor, kick) in enumerate(zip(*maps, kicks or repeat(None))):
-        if 0.0 < factor < math.inf:
-            x = base + (x - shift) * factor
-        else:
-            x = pattern_phi(states[k], dts[k], x, model)
-        if kick is not None:
-            x = x + kick
-        out.append(x)
+    if kicks is None:
+        for base, shift, factor in zip(*maps):
+            if 0.0 < factor < math.inf:
+                x = base + (x - shift) * factor
+            else:
+                x = pattern_phi(*next(far_steps), x, model)
+            out.append(x)
+    else:
+        for base, shift, factor, kick in zip(*maps, kicks):
+            if 0.0 < factor < math.inf:
+                x = base + (x - shift) * factor + kick
+            else:
+                x = pattern_phi(*next(far_steps), x, model) + kick
+            out.append(x)
     return out
 
 
@@ -229,12 +258,13 @@ def sample_m_path(
     var = interval_variance(states, dts, model)
     drawn = np.flatnonzero((dts > 0.0) & (var > 0.0))
     noise = np.sqrt(var[drawn]) * rng.standard_normal(starts.shape + (drawn.size,))
-    # per step its normal kick (a float, or one per start), None where none
-    # is drawn: a list of slots keeps a noisy path's memory near a
-    # noise-free one's
-    kicks = [None] * dts.size if drawn.size else None
-    for k, kick in zip(drawn.tolist(), noise.tolist() if starts.ndim == 0 else noise.reshape(starts.size, drawn.size).T):
-        kicks[k] = kick
+    # per step its normal kick (a float, or one per start), -0.0 where none is drawn, which adds nothing,
+    # a -0.0 included; a float start's steps share one -0.0, so its memory stays near a noise-free path's
+    kicks = None
+    if drawn.size:
+        kicks = np.full((dts.size, starts.size), -0.0, dtype=object if starts.ndim == 0 else float)
+        kicks[drawn] = noise.reshape(starts.size, drawn.size).T
+        kicks = kicks[:, 0].tolist() if starts.ndim == 0 else kicks
     x = float(starts) if starts.ndim == 0 else starts.reshape(-1)
     return np.array(_walk(x, states, dts, model, kicks))[~at_switch].reshape((-1,) + starts.shape)
 

@@ -331,6 +331,49 @@ def test_switch_sequence_determinism():
     assert not np.array_equal(a.switch_times, c.switch_times)
 
 
+def _scalar_switch_times(rates, initial_state, horizon, rng):
+    """Referee: one holding time a draw, summed as it is drawn."""
+    times = []
+    t, s = 0.0, initial_state
+    while True:
+        t += rng.standard_exponential() / rates.rate(s)
+        if t >= horizon:
+            return np.asarray(times, dtype=float)
+        times.append(t)
+        s = 1 - s
+
+
+@pytest.mark.parametrize("l0, l1", [(1e-9, 1e-9), (1.0, 1.0), (0.8, 1.25), (3.0, 0.01), (1e6, 1e5), (1e300, 1e299)])
+@pytest.mark.parametrize("initial_state", [0, 1])
+def test_switch_sequence_matches_one_draw_at_a_time(l0, l1, initial_state):
+    rates = SwitchRates(l0, l1)
+    mean_gap = (1.0 / l0 + 1.0 / l1) / 2.0
+    # the first switches on a long horizon give the horizons that end at, or
+    # just past, a holding time's end, so that each count of switches is met
+    first = _scalar_switch_times(rates, initial_state, 50.0 * mean_gap, stream(9, "blocks"))
+    assert first.size > 5
+    horizons = {
+        0: 0.5 * first[0],
+        1: 0.5 * (first[0] + first[1]),
+        2: first[2],  # a tie: the holding time that ends on the horizon passes it
+        5: np.nextafter(first[4], math.inf),
+        None: 50.0 * mean_gap,
+        "many": 1.2e5 * mean_gap,  # more than 1e5 switches: several blocks
+    }
+    for count, horizon in horizons.items():
+        want_rng, rng = stream(9, "blocks"), stream(9, "blocks")
+        want = _scalar_switch_times(rates, initial_state, horizon, want_rng)
+        seq = sample_switch_sequence(rates, initial_state, horizon, rng)
+        if isinstance(count, int):
+            assert want.size == count
+        elif count == "many":
+            assert want.size > 1e5
+        assert seq.switch_times.tobytes() == want.tobytes()
+        # the generator is where one draw per holding time leaves it
+        assert rng.standard_exponential(3).tobytes() == want_rng.standard_exponential(3).tobytes()
+        assert rng.random(2).tobytes() == want_rng.random(2).tobytes()
+
+
 # --- mean path ---------------------------------------------------------------
 
 
@@ -428,6 +471,75 @@ def test_walk_keeps_a_path_at_inf_through_an_underflowing_attracting_factor():
     # leaves the level, 0
     finite = SwitchSequence(1, np.array([900.0]), 950.0)
     assert evaluate_x(finite, 3.0, 950.0, model) == _composed_x(finite, 3.0, 950.0, model) == 0.0
+
+
+def _scalar_m_path(seq, x0, eval_times, model, rng):
+    """Referee: the path from x0, one pattern_phi and at most one normal an
+    interval, the intervals ending at each switch up to the last time and at
+    each time, switch first on a tie; the values at the times."""
+    ends = sorted([(t, 0) for t in seq.switch_times if t <= eval_times[-1]] + [(t, 1) for t in eval_times])
+    x, s, prev, out = x0, seq.initial_state, 0.0, []
+    for t, is_time in ends:
+        dt = t - prev
+        x = pattern_phi(s, dt, x, model)
+        var = interval_variance(s, dt, model)
+        if dt > 0.0 and var > 0.0:
+            x = x + math.sqrt(var) * rng.standard_normal()
+        if is_time:
+            out.append(x)
+        else:
+            s = 1 - s
+        prev = t
+    return out
+
+
+# a: state 0 repels for 720 time units, so its factor e^720 overflows;
+# b: state 0 repels 1 to inf over 800, then state 1's factor e^-900
+#    underflows to 0 on a path at inf; it draws no normal (b = 0)
+# c: state 0 holds a -0.0 path at -0.0 (a = -0.0, gamma = 0) and draws no
+#    normal (b = 0); state 1 is noisy
+EDGE_WALKS = {
+    "overflowing-factor": (
+        KacOuModel.from_values(1e-3, 1.0, 0.0, 1.0, 0.0, 0.3, -1.0, 1.0),
+        SwitchSequence(0, np.array([720.0, 725.0]), 730.0),
+        [0.0, 1e-300, -1e-300, 0.5],
+    ),
+    "path-at-inf": (
+        KacOuModel.from_values(1, 1, 0, 0, 0, 0, -1, 1),
+        SwitchSequence(0, np.array([800.0, 1700.0]), 2000.0),
+        [1.0, -1.0, 0.5, -0.0],
+    ),
+    "signed-zero": (
+        KacOuModel.from_values(1.0, 1.0, -0.0, 1.0, 0.0, 0.5, 0.0, 1.0),
+        SwitchSequence(0, np.array([1.0, 1.5, 4.0]), 5.0),
+        [-0.0, 0.0, 2.0],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_WALKS))
+def test_walk_edge_steps_match_a_scalar_walk_bitwise(name):
+    model, seq, starts = EDGE_WALKS[name]
+    sw = seq.switch_times
+    # zero-length intervals: a repeated time, a time at a switch, and t = 0
+    times = np.sort(np.concatenate([[0.0, 0.0, sw[0], sw[0], 0.5 * (sw[0] + sw[1]), seq.horizon], sw[1:]]))
+    for x0 in starts:
+        want = [_composed_x(seq, x0, float(t), model) for t in times]
+        assert evaluate_x(seq, x0, times, model).tobytes() == np.array(want).tobytes()
+        drawn = sample_m_path(seq, x0, times, model, stream(2, "edge"))
+        assert drawn.tobytes() == np.array(_scalar_m_path(seq, x0, times, model, stream(2, "edge"))).tobytes()
+    # an array of starts draws start by start, as separate calls would
+    rng = stream(2, "edge-array")
+    want = np.array([_scalar_m_path(seq, x0, times, model, rng) for x0 in starts]).T
+    assert sample_m_path(seq, np.array(starts), times, model, stream(2, "edge-array")).tobytes() == want.tobytes()
+
+
+def test_m_path_keeps_a_signed_zero_where_no_normal_is_drawn():
+    model, seq, _ = EDGE_WALKS["signed-zero"]
+    drawn = sample_m_path(seq, -0.0, [0.0, 0.0, 0.5, 1.0, 2.0], model, stream(3, "zero"))
+    # state 0 neither moves -0.0 nor draws a normal; state 1 does both
+    assert np.signbit(drawn[:4]).all() and (drawn[:4] == 0.0).all()
+    assert drawn[4] != 0.0
 
 
 def test_evaluate_x_array_rejects_unsorted_and_beyond_horizon():
