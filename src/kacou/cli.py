@@ -10,6 +10,7 @@ reruns with identical (config, seed) are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -21,7 +22,7 @@ import numpy as np
 from . import __version__
 from .acceptance import CRITERIA, run_all
 from .config import ConfigError, RunConfig, config_hash, load_config
-from .errors import DoubleRangeError, KacOuError
+from .errors import DoubleRangeError, KacOuError, WorkLimitError
 from .first_passage import FptQuery, fpt_integral_oracle, laplace_fpt
 from .invariant import (
     invariant_density_with_derivative,
@@ -40,28 +41,19 @@ from .scaling import (
     ScalingKind,
     ScalingSpec,
     convergence_check,
-    scaled_model,
 )
 from .simulate import (
     CENSOR_HORIZON,
     CENSOR_SWITCH_CAP,
     REASON_NAMES,
     SimCaps,
-    _is_telegraph,
     _laplace_estimates,
-    _switches,
+    check_work,
     evaluate_x,
     fpt_samples,
     sample_m_path,
     sample_switch_sequence,
 )
-
-
-# the most lane-segments (one path across one holding time) a `kacou
-# simulate` or `kacou scaling` run may expect to draw, some ten minutes of
-# Monte Carlo, where the README and benchmark configs expect at most 3e8; an
-# equal-rate telegraph path, drawn in one step, counts as one
-MAX_LANE_SEGMENTS = 1e11
 
 
 # the most points `invariant.grid_points` or `simulate.eval_points` may ask
@@ -79,13 +71,13 @@ MAX_GRID_POINTS = 1e6
 MAX_PATH_ROWS = 2e6
 
 
-def _check_work(segments: float, keys: str) -> None:
-    """Refuse a run expecting more than MAX_LANE_SEGMENTS lane-segments up
-    front, naming the keys that set them."""
-    if not segments <= MAX_LANE_SEGMENTS:
-        raise ConfigError(
-            keys, f"the run expects {segments:.3g} lane-segments, above the {MAX_LANE_SEGMENTS:.3g} a run may draw"
-        )
+@contextlib.contextmanager
+def _work_keys(keys: str):
+    """Map the samplers' WorkLimitError to a config error naming the keys that set the work."""
+    try:
+        yield
+    except WorkLimitError as exc:
+        raise ConfigError(keys, str(exc)) from exc
 
 
 def _atomic_write(path: str, parts) -> None:
@@ -380,11 +372,11 @@ def _cmd_simulate(cfg: RunConfig):
 
     if mode == "path":
         horizon = cfg.positive("simulate.horizon", 10.0)
-        switches = _switches(cfg.model.rates, horizon)
-        _check_work(n_paths * (1.0 + switches), "simulate.n_paths, simulate.horizon and the [model] rates")
+        with _work_keys("simulate.n_paths, simulate.horizon and the [model] rates"):
+            check_work(cfg.model.rates, horizon, n_paths, pooled=False)  # walked one by one, outside the pool
         with_noise = cfg.get("simulate", "with_noise", default=False, cast=bool)
         n_eval = cfg.count("simulate.eval_points", 201, most=MAX_GRID_POINTS)
-        rows = n_eval + 1.0 + switches
+        rows = n_eval + 1.0 + cfg.model.rates.expected_switches(horizon)
         if not rows <= MAX_PATH_ROWS:
             raise ConfigError(
                 "simulate.horizon, simulate.eval_points and the [model] rates",
@@ -423,12 +415,8 @@ def _cmd_simulate(cfg: RunConfig):
             horizon=cfg.positive("simulate.cap_horizon", SimCaps.horizon),
             max_switches=cfg.count("simulate.cap_switches", SimCaps.max_switches),
         )
-        # the caps bound a path's switches
-        _check_work(
-            n_paths * min(1.0 + _switches(cfg.model.rates, caps.horizon), caps.max_switches),
-            "simulate.n_paths, simulate.cap_horizon, simulate.cap_switches and the [model] rates",
-        )
-        batch = fpt_samples(cfg.model, x, y, state0, n_paths, cfg.seed, caps=caps)
+        with _work_keys("simulate.n_paths, simulate.cap_horizon, simulate.cap_switches and the [model] rates"):
+            batch = fpt_samples(cfg.model, x, y, state0, n_paths, cfg.seed, caps=caps)
         columns = [
             np.arange(batch.times.size),
             Labels(batch.censored.view(np.uint8), ("hit", "censored")),
@@ -448,18 +436,12 @@ def _cmd_fpt(cfg: RunConfig):
     y = cfg.finite("fpt.y")
     state = cfg.state("fpt.state")
     n_mc = cfg.count("fpt.mc_samples", 200_000, least=1_000)
-
-    caps = SimCaps()  # the default caps bound a path's switches
-    _check_work(
-        n_mc * min(1.0 + _switches(cfg.model.rates, caps.horizon), caps.max_switches),
-        "fpt.mc_samples and the [model] rates",
-    )
-
     queries = [FptQuery(q, x, y, state) for q in qs]
     # the closed forms and the oracle refuse before the batch is drawn
     exact = [(laplace_fpt(query, cfg.model), fpt_integral_oracle(query, cfg.model)) for query in queries]
     # the law of T does not depend on q, so one batch serves the whole grid
-    batch = fpt_samples(cfg.model, x, y, state, n_mc, cfg.seed)
+    with _work_keys("fpt.mc_samples and the [model] rates"):
+        batch = fpt_samples(cfg.model, x, y, state, n_mc, cfg.seed)
     estimates = _laplace_estimates(batch, qs, np.empty(n_mc))
     rows = [(q, x, y, state, *pair, *mc) for q, pair, mc in zip(qs, exact, estimates)]
     out = os.path.join(cfg.out_dir, "fpt.csv")
@@ -530,14 +512,9 @@ def _cmd_scaling(cfg: RunConfig):
     t = cfg.positive("scaling.t", 1.0)
     n_list = cfg.count("scaling.n_list", [10, 100, 1000], many=True)
     n_paths = cfg.count("scaling.n_paths", 100_000, least=2)
-    # an equal-rate telegraph integral draws each path in one step, whatever it switches
-    models = [scaled_model(spec, n) for n in n_list]
-    _check_work(
-        sum(n_paths * (1.0 if _is_telegraph(m) else 1.0 + _switches(m.rates, t)) for m in models),
-        "scaling.n_paths, scaling.t, scaling.n_list and scaling.nu",
-    )
     try:
-        rows = convergence_check(spec, t, n_list, n_paths, seed=cfg.seed, x0=cfg.finite("scaling.x0", 0.0))
+        with _work_keys("scaling.n_paths, scaling.t, scaling.n_list and scaling.nu"):
+            rows = convergence_check(spec, t, n_list, n_paths, seed=cfg.seed, x0=cfg.finite("scaling.x0", 0.0))
     except DoubleRangeError as exc:
         # t, x0, the model and the amplitudes (times sqrt(nu*n)) set the
         # moments together; no one key is to blame

@@ -13,6 +13,10 @@ class DoubleRangeError(ParameterError):
     """A result the parameters set together leaves the range of a double."""
 
 
+class WorkLimitError(ParameterError):
+    """A Monte Carlo call expects more lane-segments than simulate.MAX_LANE_SEGMENTS: refused up front."""
+
+
 class SeriesConvergenceError(KacOuError):
     """A hypergeometric value could not be summed: its series failed to
     converge within the term cap, or no summation form keeps its rounding

@@ -78,6 +78,10 @@ class SwitchRates:
         """lambda0 + lambda1 (written 2*lambda in the closed forms)."""
         return self.lambda0 + self.lambda1
 
+    def expected_switches(self, horizon: float) -> float:
+        """Expected switches of a path over the horizon, at the chain's stationary rate 2/(1/lambda0 + 1/lambda1)."""
+        return 2.0 / (1.0 / self.lambda0 + 1.0 / self.lambda1) * horizon
+
 
 @dataclass(frozen=True)
 class StateCoeffs:

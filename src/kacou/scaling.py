@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DoubleRangeError, ParameterError
 from .model import KacOuModel, StateCoeffs, SwitchRates, _finite, _time, _whole, stationary_state_dist
-from .simulate import terminal_values
+from .simulate import _one_step, check_work, terminal_values
 
 __all__ = [
     "ScalingKind",
@@ -309,6 +309,9 @@ def convergence_check(
     if sorted(n_list) != n_list:
         raise ParameterError("n_list must be increasing")
     n_paths = _whole(n_paths, "n_paths", least=2)  # a sample variance needs two draws
+    models, work = [scaled_model(spec, n) for n in n_list], 0.0
+    for model in models:  # the work rule sees every n's draw before the first
+        work = work if _one_step(model, t) else check_work(model.rates, t, n_paths, spent=work)
 
     limit = limiting_sde(spec)
     gaussian = limit.multiplicative_noise == 0.0
@@ -316,8 +319,7 @@ def convergence_check(
     _require_finite(f"the limit at t = {t}", limit_mean, limit_var)
 
     rows = []
-    for n in n_list:
-        model = scaled_model(spec, n)
+    for n, model in zip(n_list, models):
         v = terminal_values(
             model, x0, t, n_paths, seed,
             with_noise=bool(np.any(model.b_vec > 0.0)), initial_state="stationary", purpose=f"scaling-n{n}",

@@ -26,6 +26,11 @@ reductions tell), no lane can have met it, and the crossing test, the hit
 times and their bookkeeping are skipped.  The hit times of the lanes that
 may have crossed come from model.hitting_time, which works them out in one
 array of its own; this module takes no logarithm itself.
+
+One work rule, check_work, refuses a call with WorkLimitError before it
+allocates: a call may expect at most MAX_LANE_SEGMENTS lane-segments (one
+lane across one holding time), and a pool round, whose fixed cost dwarfs a
+few lanes' work, counts at least _ROUND_LANES of them.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DoubleRangeError, ParameterError
+from .errors import DoubleRangeError, ParameterError, WorkLimitError
 from .model import (
     _SERIES_GT,
     KacOuModel,
@@ -57,6 +62,7 @@ __all__ = [
     "SwitchSequence",
     "McEstimate",
     "SimCaps",
+    "check_work",
     "FptSampleBatch",
     "TerminalSample",
     "sample_switch_sequence",
@@ -76,6 +82,23 @@ CENSOR_HORIZON = 1
 CENSOR_SWITCH_CAP = 2
 # censoring reason names, indexed by the codes above (0: not censored)
 REASON_NAMES = ("", "horizon", "switch_cap")
+
+# the most lane-segments one call may expect, some twenty minutes at 12-13 ns each; and a pool
+# round's fixed cost in them, not a knob: 11-31 us a round on a 2-vCPU host
+MAX_LANE_SEGMENTS, _ROUND_LANES = 1e11, 2048
+
+
+def check_work(rates, horizon: float, lanes: int, max_rounds=math.inf, pooled=True, spent=0.0) -> float:
+    """The lane-segments `lanes` paths over the horizon expect, plus the `spent` of a call's earlier
+    draws; past MAX_LANE_SEGMENTS it raises WorkLimitError.  A plain path counts 1 + its expected
+    switches; the lane pool runs min(that, max_rounds) rounds, each counting its lanes and
+    _ROUND_LANES a pool batch."""
+    rounds = min(max_rounds, 1.0 + rates.expected_switches(horizon))  # a nan count takes the cap
+    work = spent + rounds * (lanes + (-(-lanes // _POOL) * _ROUND_LANES if pooled else 0))
+    if not work <= MAX_LANE_SEGMENTS:
+        pool = f", each round of the lane pool counting at least {_ROUND_LANES}" if pooled else ""
+        raise WorkLimitError(f"the call expects {work:.3g} lane-segments{pool}, past the bound {MAX_LANE_SEGMENTS:.3g}")
+    return work
 
 
 @dataclass(frozen=True)
@@ -128,11 +151,6 @@ class TerminalSample:
     states: np.ndarray
 
 
-def _switches(rates: SwitchRates, horizon: float) -> float:
-    """Expected switches of a path over the horizon, at the chain's stationary rate."""
-    return 2.0 / (1.0 / rates.lambda0 + 1.0 / rates.lambda1) * horizon
-
-
 # the most holding times one block draws: 64 KiB, below glibc's 128 KiB mmap threshold
 _HOLD_DRAWS = 1 << 13
 
@@ -149,7 +167,8 @@ def sample_switch_sequence(
     """
     horizon = _finite(horizon, "horizon", positive=True)
     initial_state = _state(initial_state, "initial_state")
-    size = int(min(_switches(rates, horizon) * 1.125 + 64.0, _HOLD_DRAWS))
+    check_work(rates, horizon, 1, pooled=False)
+    size = int(min(rates.expected_switches(horizon) * 1.125 + 64.0, _HOLD_DRAWS))
     blocks, t, s = [], 0.0, initial_state
     while True:
         saved = rng.bit_generator.state
@@ -248,13 +267,11 @@ def sample_m_path(
     if eval_times.size == 0:
         return np.empty((0,) + starts.shape)
 
-    # one interval ends at each switch up to the last time and at each time
+    # an interval ends at each switch up to the last time and at each other time; at[sw.size:] maps the times
     sw = seq.switch_times[: np.searchsorted(seq.switch_times, eval_times[-1], side="right")]
-    ends = np.concatenate([sw, eval_times])
-    order = np.argsort(ends, kind="stable")
-    at_switch = order < sw.size
-    dts = np.diff(ends[order], prepend=0.0)
-    states = (seq.initial_state + np.cumsum(at_switch) - at_switch) % 2
+    ends, at = np.unique(np.concatenate([sw, eval_times]), return_inverse=True)
+    dts = np.diff(ends, prepend=0.0)
+    states = (seq.initial_state + np.searchsorted(sw, ends, side="left")) % 2
     var = interval_variance(states, dts, model)
     drawn = np.flatnonzero((dts > 0.0) & (var > 0.0))
     noise = np.sqrt(var[drawn]) * rng.standard_normal(starts.shape + (drawn.size,))
@@ -266,7 +283,7 @@ def sample_m_path(
         kicks[drawn] = noise.reshape(starts.size, drawn.size).T
         kicks = kicks[:, 0].tolist() if starts.ndim == 0 else kicks
     x = float(starts) if starts.ndim == 0 else starts.reshape(-1)
-    return np.array(_walk(x, states, dts, model, kicks))[~at_switch].reshape((-1,) + starts.shape)
+    return np.array(_walk(x, states, dts, model, kicks))[at[sw.size :]].reshape((-1,) + starts.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +415,7 @@ def fpt_samples(
     if x == y:
         raise ParameterError("first passage requires x != y")
     n = _whole(n, "n", least=1)
+    check_work(model.rates, caps.horizon, n, caps.max_switches)
     times = np.empty(n)  # every lane is written when it hits or is censored
     censored = np.zeros(n, dtype=bool)
     reason = np.zeros(n, dtype=np.uint8)
@@ -510,6 +528,10 @@ def terminal_values(
     if not isinstance(initial_state, str) or initial_state != "stationary":
         initial_state = _state(initial_state, "initial_state")
     n = _whole(n, "n", least=1)
+    p0 = stationary_state_dist(model.rates)[0] if initial_state == "stationary" else None
+    if _one_step(model, t):
+        return _telegraph_values(model, x0, t, n, seed, initial_state, p0, purpose)
+    check_work(model.rates, t, n)
     noisy = with_noise and t > 0.0  # at t = 0 a draw is its start
     values, states, variance = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n)
     # per state: variance level b^2 / (2 gamma) (0 where |gamma| t < _SERIES_GT), b^2 and
@@ -567,20 +589,16 @@ def terminal_values(
             )
         values[lanes] += np.sqrt(variance[lanes]) * rng.standard_normal(lanes.stop - lanes.start)
 
-    p0 = stationary_state_dist(model.rates)[0] if initial_state == "stationary" else None
-    if t > 0.0 and _is_telegraph(model):
-        return _telegraph_values(model, x0, t, n, seed, initial_state, p0, purpose)
     start = (x0, t) + ((0.0,) if noisy else ())
     state = initial_state if p0 is None else 0
     _lane_pool(model, n, seed, purpose, state, start, advance, p0, chunk_done=chunk_done if noisy else None)
     return TerminalSample(values, states)
 
 
-def _is_telegraph(model: KacOuModel) -> bool:
-    """Whether the model is an equal-rate telegraph integral: no reversion
-    and no noise in either state, and lambda0 == lambda1.  terminal_values
-    then draws each lane in O(1), whatever the number of switches."""
-    return model.rates.lambda0 == model.rates.lambda1 and all(c.gamma == 0.0 and c.b == 0.0 for c in model.coeffs)
+def _one_step(model: KacOuModel, t: float) -> bool:
+    """Whether terminal_values draws each lane at t in one step, whatever the number of switches, as
+    it does an equal-rate telegraph integral (no reversion or noise, lambda0 == lambda1) at t > 0."""
+    return t > 0.0 and model.rates.lambda0 == model.rates.lambda1 and all(c.gamma == c.b == 0.0 for c in model.coeffs)
 
 
 # numpy's Poisson sampler refuses a mean above this (its POISSON_LAM_MAX)

@@ -828,6 +828,14 @@ SCALING_WORK_KEYS = "scaling.n_paths, scaling.t, scaling.n_list and scaling.nu"
         ),
         # ran the closed forms and the oracle, then died allocating 8e15 bytes
         ("fpt", ["fpt.mc_samples=1e15"], "fpt.mc_samples and the [model] rates"),
+        # counted as 1e10 lane-segments this was accepted, yet it takes about
+        # 1e9 rounds of the lane pool: hours
+        (
+            "simulate",
+            ["simulate.mode=fpt", "simulate.n_paths=10", "model.lambda0=1e8", "model.lambda1=1e8"]
+            + ["simulate.cap_switches=1e9", "simulate.x=0.2", "simulate.y=5"],
+            "simulate.n_paths, simulate.cap_horizon, simulate.cap_switches",
+        ),
     ],
 )
 def test_runaway_monte_carlo_is_refused_up_front(tmp_path, capsys, command, overrides, keys):

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 import warnings
 from dataclasses import dataclass
@@ -9,8 +10,9 @@ from scipy.linalg import expm
 from scipy.special import betainc
 from scipy.stats import ks_2samp, kstwo, poisson
 
+import kacou.scaling
 import kacou.simulate
-from kacou.errors import DoubleRangeError, ParameterError
+from kacou.errors import DoubleRangeError, ParameterError, WorkLimitError
 from kacou.first_passage import FptQuery, laplace_fpt
 from kacou.invariant import empirical_invariant_profile
 from kacou.model import (
@@ -656,6 +658,59 @@ def test_m_path_starts_draw_as_separate_calls():
     assert sample_m_path(seq, starts, times, ATTRACTING, rng).tobytes() == np.stack(noise_free, axis=-1).tobytes()
     with pytest.raises(ParameterError):
         sample_m_path(seq, np.array([0.0, math.nan]), times, NOISY, rng)
+
+
+def _unmerged_m_path(seq, x0, times, model, rng):
+    """sample_m_path walking every switch up to the last time as a step of
+    its own, and a time at a switch, or repeated, as a zero-length step
+    after it."""
+    starts = np.asarray(x0, dtype=float)
+    sw = seq.switch_times[: np.searchsorted(seq.switch_times, times[-1], side="right")]
+    ends = np.concatenate([sw, times])
+    order = np.argsort(ends, kind="stable")
+    at_switch = order < sw.size
+    dts = np.diff(ends[order], prepend=0.0)
+    states = (seq.initial_state + np.cumsum(at_switch) - at_switch) % 2
+    var = interval_variance(states, dts, model)
+    drawn = np.flatnonzero((dts > 0.0) & (var > 0.0))
+    noise = np.sqrt(var[drawn]) * rng.standard_normal(starts.shape + (drawn.size,))
+    kicks = None
+    if drawn.size:
+        kicks = np.full((dts.size, starts.size), -0.0, dtype=object if starts.ndim == 0 else float)
+        kicks[drawn] = noise.reshape(starts.size, drawn.size).T
+        kicks = kicks[:, 0].tolist() if starts.ndim == 0 else kicks
+    x = float(starts) if starts.ndim == 0 else starts.reshape(-1)
+    walked = kacou.simulate._walk(x, states, dts, model, kicks)
+    return np.array(walked)[~at_switch].reshape((-1,) + starts.shape)
+
+
+MERGE_MODELS = {
+    "noisy": NOISY,
+    "noise-free": ATTRACTING,
+    "slow-state": KacOuModel.from_values(5.0, 0.3, 0.5, -1.0, 0.3, 0.8, 2.0, 0.5),
+    "telegraph": KacOuModel.from_values(2.0, 2.0, 1.0, -1.0, 0.4, 0.0, 0.0, 0.0),
+    "far-level": KacOuModel.from_values(1.0, 2.0, 1e300, -1.0, 0.5, 0.2, 1.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MERGE_MODELS))
+def test_m_path_walks_each_switch_once_bitwise_as_the_unmerged_walk(name):
+    # a time at a switch was a zero-length step after it, the identity map
+    # with a -0.0 kick; merged, each switch is walked once
+    model = MERGE_MODELS[name]
+    seq = sample_switch_sequence(model.rates, 1, 12.0, stream(8, f"merge-{name}"))
+    sw = seq.switch_times
+    assert sw.size > 4
+    grid = np.linspace(0.0, 12.0, 25)
+    for times in (
+        np.unique(np.concatenate([grid, sw])),  # every switch, as path mode asks
+        np.sort(np.concatenate([grid, sw[::3], sw[:2], [0.0, grid[5]]])),  # some switches, repeated times
+        grid[3:9],  # no switch among the times
+    ):
+        for x0 in (0.3, np.array([[-2.0, 0.0], [-0.0, 1e8]])):
+            got = sample_m_path(seq, x0, times, model, stream(9, "merge-noise"))
+            want = _unmerged_m_path(seq, x0, times, model, stream(9, "merge-noise"))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_m_path_rejects_unsorted_times():
@@ -1484,6 +1539,42 @@ def test_telegraph_draws_skip_the_lane_pool(monkeypatch):
     # each chunk keeps its own stream: the first chunk's lanes do not depend on n
     head = terminal_values(_telegraph_model(1e8), 0.0, 1.0, CHUNK, seed=3, initial_state="stationary")
     assert head.values.tobytes() == sample.values[:CHUNK].tobytes()
+
+
+RUNAWAY_DRAWS = {
+    # about 2e9 switches a lane, walked in the lane pool: it ground for hours
+    "terminal": lambda: terminal_values(KacOuModel.from_values(1e9, 1e9, 0, 1, 0, 0, 1, 1), 0.2, 1.0, 10, 1),
+    # about 1e300 switches: its blocks grew until the process was killed
+    "sequence": lambda: sample_switch_sequence(SwitchRates(1e300, 1e300), 0, 1.0, stream(1, "runaway")),
+    # 1e10 lane-segments, yet 1e9 rounds of the pool: hours
+    "fpt": lambda: fpt_samples(
+        KacOuModel.from_values(1e8, 1e8, 0, 1, 0, 0, 1, 1), 0.2, 5.0, 0, 10, 1, SimCaps(max_switches=10**9)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNAWAY_DRAWS))
+def test_runaway_draws_are_refused_up_front(name):
+    assert issubclass(WorkLimitError, ParameterError)
+    t0 = time.perf_counter()
+    with pytest.raises(WorkLimitError, match=r"expects .* lane-segments.*past the bound 1e\+11"):
+        RUNAWAY_DRAWS[name]()
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_convergence_check_refuses_its_rows_together_before_its_first_draw(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew before the work rule saw every n")
+
+    monkeypatch.setattr(kacou.scaling, "terminal_values", refuse)
+    spec = ScalingSpec(ScalingKind.CASE_A, 2.0, base=NOISY, drift=ScaledPair(0.8, 0.4))
+    # a row at n counts about 4n/3 rounds of 1,000 lanes and 2,048 more:
+    # n = 1e9 alone passes the bound, and 2e7 and 2.2e7 only together
+    for n_list in ([10, 1e9], [10, 2e7, 2.2e7]):
+        with pytest.raises(WorkLimitError, match="each round of the lane pool counting at least 2048"):
+            convergence_check(spec, 1.0, n_list, 1_000, seed=1)
+    # the rounds count at the stationary rate 2/(1/lambda0 + 1/lambda1)
+    assert SwitchRates(1e8, 1.0).expected_switches(10.0) == 2.0 / (1e-8 + 1.0) * 10.0
 
 
 def test_telegraph_switch_count_past_the_poisson_sampler_raises():
