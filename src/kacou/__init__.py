@@ -12,6 +12,7 @@ and the error classes; everything else is imported from its module.
 __version__ = "0.1.0"
 
 from .errors import (
+    DoubleRangeError,
     KacOuError,
     NoInvariantMeasureError,
     OracleError,
@@ -19,6 +20,7 @@ from .errors import (
     ParameterError,
     SeriesConvergenceError,
     UnsupportedRegimeError,
+    WorkLimitError,
 )
 from .first_passage import FptQuery, fpt_integral_oracle, laplace_fpt
 from .invariant import invariant_density, invariant_mass
@@ -37,6 +39,8 @@ __all__ = [
     "pattern_phi",
     "KacOuError",
     "ParameterError",
+    "DoubleRangeError",
+    "WorkLimitError",
     "OutOfDomainError",
     "UnsupportedRegimeError",
     "NoInvariantMeasureError",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -65,8 +66,8 @@ MAX_GRID_POINTS = 1e6
 
 # the most rows one `kacou simulate` path may expect, eval_points + 1 + its
 # expected switches: a path is walked by scalar code and held whole while it
-# is written, at about 0.7 us and 190 bytes a row on a 2-vCPU host (about
-# 1.4 us and 430 bytes with noise), so some 1.5 s and 400 MB; the README and
+# is written, at about 0.8 us and 190 bytes a row on a 2-vCPU host (about
+# 1.2 us and 250 bytes with noise), so some 2.5 s and 500 MB; the README and
 # benchmark configs expect at most about 2,200
 MAX_PATH_ROWS = 2e6
 
@@ -81,7 +82,8 @@ def _work_keys(keys: str):
 
 
 def _atomic_write(path: str, parts) -> None:
-    """Write the strings of `parts` to `path`, replacing it only once all are written."""
+    """Write the strings of `parts` to `path` as UTF-8 bytes, newlines as
+    given, replacing it only once all are written."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     # a fresh name beside the target, created with mode 0666 so that the
@@ -89,8 +91,9 @@ def _atomic_write(path: str, parts) -> None:
     tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.writelines(parts)
+        with os.fdopen(fd, "wb") as fh:
+            for part in parts:
+                fh.write(part.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -311,6 +314,21 @@ def _cells(column):
     raise TypeError(f"a CSV column must be a float, integer or ASCII text array, or Labels, got {column!r:.60}")
 
 
+def _block_cells(columns):
+    """Width and writer of each column of one block, as _cells gives them;
+    two or more float columns are formatted by one _float_cells call on them
+    joined end to end, since at a few thousand rows a numpy call's fixed cost
+    outweighs its work on the values, and each writer copies its part."""
+    floats = [i for i, c in enumerate(columns) if isinstance(c, np.ndarray) and c.dtype.kind == "f"]
+    if len(floats) < 2:
+        return [_cells(c) for c in columns]
+    width, write = _float_cells(np.concatenate([columns[i] for i in floats]))
+    text = np.empty((len(floats), len(columns[0]), width), np.uint8)
+    write(text.reshape(-1, width))
+    joined = {i: (width, functools.partial(np.copyto, src=part)) for i, part in zip(floats, text)}
+    return [joined.get(i) or _cells(c) for i, c in enumerate(columns)]
+
+
 def _csv_blocks(header: list[str], blocks):
     """The header line, then the rows of each block of equal-length columns
     in turn, one row per index.  `blocks` may be a generator, so that each
@@ -321,7 +339,7 @@ def _csv_blocks(header: list[str], blocks):
     for columns in blocks:
         n = len(columns[0]) if columns else 0
         for lo in range(0, n, _CSV_BLOCK):
-            cells = [_cells(c[lo : lo + _CSV_BLOCK]) for c in columns]
+            cells = _block_cells([c[lo : lo + _CSV_BLOCK] for c in columns])
             rows = min(n - lo, _CSV_BLOCK)
             size = rows * sum(width + 1 for width, _ in cells)
             if memory.size < size:
@@ -554,7 +572,10 @@ def _cmd_validate(args) -> int:
     return 1 if failed else 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once a process: main may run many
+    times in one process, as in tests and scripts."""
     parser = argparse.ArgumentParser(prog="kacou", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -573,8 +594,11 @@ def main(argv=None) -> int:
     v = sub.add_parser("validate", help="run the acceptance cross-check suite")
     v.add_argument("--only", type=_criterion_indices, help="comma-separated criterion indices")
     v.add_argument("--report", help="write a JSON report to this path")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "validate":
         return _cmd_validate(args)
 

@@ -113,11 +113,12 @@ def _apply_overrides(parser: configparser.ConfigParser, overrides) -> None:
         parser.set(section.strip(), key.strip(), value.strip())
 
 
-def _canonical_text(parser: configparser.ConfigParser) -> str:
+def _canonical_text(sections: dict) -> str:
+    """Every entry as section.key=value, sorted by section and then key."""
     lines = []
-    for section in sorted(parser.sections()):
-        for key in sorted(parser.options(section)):
-            lines.append(f"{section}.{key}={parser.get(section, key)}")
+    for section in sorted(sections):
+        for key in sorted(sections[section]):
+            lines.append(f"{section}.{key}={sections[section][key]}")
     return "\n".join(lines) + "\n"
 
 
@@ -137,7 +138,7 @@ def load_config(path: str | None, overrides=None, text: str | None = None) -> Ru
     _apply_overrides(parser, overrides)
 
     sections = {s: dict(parser.items(s)) for s in parser.sections()}
-    cfg = RunConfig(model=None, seed=0, out_dir="out", sections=sections, raw_text=_canonical_text(parser))
+    cfg = RunConfig(model=None, seed=0, out_dir="out", sections=sections, raw_text=_canonical_text(sections))
     cfg.model = KacOuModel.from_values(
         cfg.positive("model.lambda0"),
         cfg.positive("model.lambda1"),

@@ -241,7 +241,7 @@ def evaluate_x(seq: SwitchSequence, x0: float, t, model: KacOuModel):
     n_seg = int(seg[-1]) if flat.size else 0
     starts = np.concatenate([[0.0], seq.switch_times[:n_seg]])
     states = (seq.initial_state + np.arange(n_seg + 1)) % 2
-    x_start = np.array([x0] + _walk(x0, states[:-1], np.diff(starts), model))
+    x_start = np.fromiter([x0] + _walk(x0, states[:-1], np.diff(starts), model), float, n_seg + 1)
     out = pattern_phi(states[seg], flat - starts[seg], x_start[seg], model)
     return float(out[0]) if np.ndim(t) == 0 else out
 
@@ -269,7 +269,14 @@ def sample_m_path(
 
     # an interval ends at each switch up to the last time and at each other time; at[sw.size:] maps the times
     sw = seq.switch_times[: np.searchsorted(seq.switch_times, eval_times[-1], side="right")]
-    ends, at = np.unique(np.concatenate([sw, eval_times]), return_inverse=True)
+    # np.unique(..., return_inverse=True) by a stable sort, which merges the two sorted runs in one pass
+    both = np.concatenate([sw, eval_times])
+    order = np.argsort(both, kind="stable")
+    ends = both[order]
+    new = np.concatenate([[True], ends[1:] != ends[:-1]])
+    at = np.empty(ends.size, np.intp)
+    at[order] = np.cumsum(new) - 1
+    ends = ends[new]
     dts = np.diff(ends, prepend=0.0)
     states = (seq.initial_state + np.searchsorted(sw, ends, side="left")) % 2
     var = interval_variance(states, dts, model)

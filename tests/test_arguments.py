@@ -92,3 +92,14 @@ def test_fpt_samples_reads_a_whole_float_count_as_its_int():
     got, want = fpt_samples(M, 0.2, 0.5, 0, 3.0, 1), fpt_samples(M, 0.2, 0.5, 0, 3, 1)
     for name in ("times", "censored", "reason"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_the_namespace_holds_every_error_class():
+    # a refusal is caught by the class that the package namespace names
+    import kacou
+    import kacou.errors
+
+    classes = [c for c in vars(kacou.errors).values() if isinstance(c, type) and issubclass(c, kacou.errors.KacOuError)]
+    assert {"DoubleRangeError", "WorkLimitError"} <= {c.__name__ for c in classes}
+    for c in classes:
+        assert getattr(kacou, c.__name__, None) is c and c.__name__ in kacou.__all__

@@ -669,17 +669,44 @@ def test_csv_blocks_match_the_per_field_referee(case):
 def test_csv_blocks_match_the_referee_at_block_edges(rows):
     floats = np.resize(np.array(EDGE_FLOATS + [0.1, math.pi]), rows)
     columns = [
-        np.arange(rows),
         floats,
-        np.resize(np.array([INT64_MAX, -INT64_MAX]), rows),
-        np.resize(np.array(["hit", "", "censored"]), rows),
+        np.arange(rows),
+        # a block's float columns are formatted in one pass, each here with
+        # cells that Python's % writes, and one float32 among them
+        np.roll(-floats, 5),
         # no row uses the longest name, and the rows past the first block
         # use only the empty one, a block of width 0
         Labels(np.where(np.arange(rows) < _CSV_BLOCK, np.arange(rows) % 3, 0).astype(np.uint8), LABEL_NAMES),
+        np.resize(np.array([1e300, 2.5, 0.0, math.nan, -1e-300, 1e-5, math.inf, 123456.789]), rows),
+        np.resize(np.array([0.0, 1e30, math.nan, -1e-30, 0.1, -math.inf], np.float32), rows),
+        np.resize(np.array([INT64_MAX, -INT64_MAX]), rows),
+        np.resize(np.array(["hit", "", "censored"]), rows),
     ]
-    header = ["i", "f", "big", "text", "label"]
+    header = ["f", "i", "g", "label", "h", "f32", "big", "text"]
     blocks = [columns, [c[: rows // 2] for c in columns]]
     assert list(_csv_blocks(header, iter(blocks))) == list(reference_csv_blocks(header, iter(blocks)))
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path):
+    # the parser is cached for the process: one call's --set must not reach
+    # the next, and a refused argument still exits 2
+    import kacou.cli as cli
+
+    assert cli._parser() is cli._parser()
+    path, out = write_cfg(tmp_path)
+    manifest = os.path.join(out, "simulate_manifest.json")
+
+    def simulate_hash(*overrides):
+        assert main(["simulate", "--config", path, *overrides]) == 0
+        return json.load(open(manifest))["config_hash"]
+
+    changed = simulate_hash("--set", "simulate.horizon=3")
+    plain = simulate_hash()
+    with pytest.raises(SystemExit) as refused:
+        main(["validate", "--only", "99"])
+    assert refused.value.code == 2
+    cli._parser.cache_clear()
+    assert plain == simulate_hash() == config_hash(load_config(path).raw_text) != changed
 
 
 def test_invariant_summary(tmp_path):

@@ -660,17 +660,10 @@ def test_m_path_starts_draw_as_separate_calls():
         sample_m_path(seq, np.array([0.0, math.nan]), times, NOISY, rng)
 
 
-def _unmerged_m_path(seq, x0, times, model, rng):
-    """sample_m_path walking every switch up to the last time as a step of
-    its own, and a time at a switch, or repeated, as a zero-length step
-    after it."""
+def _walked(x0, states, dts, model, rng):
+    """sample_m_path's draws and walk over the given steps: the value after
+    each step, in a row of shape x0.shape."""
     starts = np.asarray(x0, dtype=float)
-    sw = seq.switch_times[: np.searchsorted(seq.switch_times, times[-1], side="right")]
-    ends = np.concatenate([sw, times])
-    order = np.argsort(ends, kind="stable")
-    at_switch = order < sw.size
-    dts = np.diff(ends[order], prepend=0.0)
-    states = (seq.initial_state + np.cumsum(at_switch) - at_switch) % 2
     var = interval_variance(states, dts, model)
     drawn = np.flatnonzero((dts > 0.0) & (var > 0.0))
     noise = np.sqrt(var[drawn]) * rng.standard_normal(starts.shape + (drawn.size,))
@@ -680,8 +673,20 @@ def _unmerged_m_path(seq, x0, times, model, rng):
         kicks[drawn] = noise.reshape(starts.size, drawn.size).T
         kicks = kicks[:, 0].tolist() if starts.ndim == 0 else kicks
     x = float(starts) if starts.ndim == 0 else starts.reshape(-1)
-    walked = kacou.simulate._walk(x, states, dts, model, kicks)
-    return np.array(walked)[~at_switch].reshape((-1,) + starts.shape)
+    return np.array(kacou.simulate._walk(x, states, dts, model, kicks)).reshape((-1,) + starts.shape)
+
+
+def _unmerged_m_path(seq, x0, times, model, rng):
+    """sample_m_path walking every switch up to the last time as a step of
+    its own, and a time at a switch, or repeated, as a zero-length step
+    after it."""
+    sw = seq.switch_times[: np.searchsorted(seq.switch_times, times[-1], side="right")]
+    ends = np.concatenate([sw, times])
+    order = np.argsort(ends, kind="stable")
+    at_switch = order < sw.size
+    dts = np.diff(ends[order], prepend=0.0)
+    states = (seq.initial_state + np.cumsum(at_switch) - at_switch) % 2
+    return _walked(x0, states, dts, model, rng)[~at_switch]
 
 
 MERGE_MODELS = {
@@ -710,6 +715,37 @@ def test_m_path_walks_each_switch_once_bitwise_as_the_unmerged_walk(name):
         for x0 in (0.3, np.array([[-2.0, 0.0], [-0.0, 1e8]])):
             got = sample_m_path(seq, x0, times, model, stream(9, "merge-noise"))
             want = _unmerged_m_path(seq, x0, times, model, stream(9, "merge-noise"))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _unique_m_path(seq, x0, times, model, rng):
+    """sample_m_path with its ends and their inverse from np.unique(..., return_inverse=True)."""
+    sw = seq.switch_times[: np.searchsorted(seq.switch_times, times[-1], side="right")]
+    ends, at = np.unique(np.concatenate([sw, times]), return_inverse=True)
+    dts = np.diff(ends, prepend=0.0)
+    states = (seq.initial_state + np.searchsorted(sw, ends, side="left")) % 2
+    return _walked(x0, states, dts, model, rng)[at[sw.size :]]
+
+
+@pytest.mark.parametrize("name", sorted(MERGE_MODELS))
+def test_m_path_merges_its_times_bitwise_as_np_unique(name):
+    # the ends and their inverse come from a stable merge of the two sorted
+    # runs; signed zeros, repeats and times at switches keep np.unique's walk
+    model = MERGE_MODELS[name]
+    seq = sample_switch_sequence(model.rates, 1, 12.0, stream(8, f"merge-{name}"))
+    sw = seq.switch_times
+    assert sw.size > 4
+    grid = np.linspace(0.0, 12.0, 25)
+    for times in (
+        np.concatenate([[-0.0, 0.0], np.unique(np.concatenate([grid[1:], sw]))]),  # every switch
+        np.concatenate([[-0.0, -0.0, 0.0], np.sort(np.concatenate([grid[1:], sw[::2], sw[:3], grid[4:7]]))]),
+        np.concatenate([[0.0, -0.0], np.repeat(sw[:3], 3)]),  # only switches, each three times
+        np.array([-0.0]),
+        grid[3:9],  # no switch among the times
+    ):
+        for x0 in (0.3, -0.0, np.array([[-2.0, 0.0], [-0.0, 1e8]])):
+            got = sample_m_path(seq, x0, times, model, stream(11, "unique-noise"))
+            want = _unique_m_path(seq, x0, times, model, stream(11, "unique-noise"))
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
