@@ -82,8 +82,8 @@ def _work_keys(keys: str):
 
 
 def _atomic_write(path: str, parts) -> None:
-    """Write the strings of `parts` to `path` as UTF-8 bytes, newlines as
-    given, replacing it only once all are written."""
+    """Write the bytes of `parts` to `path` as given, replacing it only once
+    all are written."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     # a fresh name beside the target, created with mode 0666 so that the
@@ -93,7 +93,7 @@ def _atomic_write(path: str, parts) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             for part in parts:
-                fh.write(part.encode("utf-8"))
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -331,9 +331,9 @@ def _block_cells(columns):
 
 def _csv_blocks(header: list[str], blocks):
     """The header line, then the rows of each block of equal-length columns
-    in turn, one row per index.  `blocks` may be a generator, so that each
-    block is made only as the writer reaches it."""
-    yield ",".join(header) + "\n"
+    in turn, one row per index, each part as ASCII bytes.  `blocks` may be a
+    generator, so that each block is made only as the writer reaches it."""
+    yield (",".join(header) + "\n").encode()
     # the byte matrix's memory, kept from block to block and grown as needed
     memory = np.empty(0, np.uint8)
     for columns in blocks:
@@ -351,7 +351,7 @@ def _csv_blocks(header: list[str], blocks):
                 matrix[:, end + width] = ord(",")
                 end += width + 1
             matrix[:, -1] = ord("\n")
-            yield matrix.tobytes().translate(None, bytes([_PAD])).decode()
+            yield matrix.tobytes().translate(None, bytes([_PAD]))
 
 
 def _write_csv(path: str, header: list[str], columns) -> None:
@@ -376,7 +376,7 @@ def _manifest(cfg: RunConfig, command: str, outputs: list[str], t0: float, extra
     if extra:
         body.update(extra)
     path = os.path.join(cfg.out_dir, f"{command}_manifest.json")
-    _atomic_write(path, [json.dumps(body, indent=2, sort_keys=True) + "\n"])
+    _atomic_write(path, [(json.dumps(body, indent=2, sort_keys=True) + "\n").encode()])
     return path
 
 
@@ -495,7 +495,7 @@ def _cmd_invariant(cfg: RunConfig):
     else:
         _write_csv(out_csv, ["x", "pi0", "pi1"], [])
     out_json = os.path.join(cfg.out_dir, "invariant_summary.json")
-    _atomic_write(out_json, [json.dumps(summary, indent=2, sort_keys=True, default=float) + "\n"])
+    _atomic_write(out_json, [(json.dumps(summary, indent=2, sort_keys=True, default=float) + "\n").encode()])
     return [out_csv, out_json], None
 
 
@@ -567,7 +567,7 @@ def _cmd_validate(args) -> int:
     failed = [r for r in results if not r.passed]
     if args.report:
         body = [dataclasses.asdict(r) for r in results]
-        _atomic_write(args.report, [json.dumps(body, indent=2) + "\n"])
+        _atomic_write(args.report, [(json.dumps(body, indent=2) + "\n").encode()])
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     return 1 if failed else 0
 

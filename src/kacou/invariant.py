@@ -289,6 +289,13 @@ def _search_edge(inside, inner: float, outer: float, cap: float, rel_tol: float,
     return inner, outer
 
 
+def _window(cf: InvariantDensity, outer: float) -> tuple[float, float]:
+    """The half-line support cut at distance `outer` from the anchor."""
+    lo, hi = cf.support
+    far = cf.anchor + cf.direction * outer
+    return (lo, far) if math.isfinite(lo) else (far, hi)
+
+
 def support_cutoff(model: KacOuModel, floor: float = 1e-16) -> tuple[float, float]:
     """Finite interval outside which the mixture density is below `floor`.
 
@@ -296,9 +303,8 @@ def support_cutoff(model: KacOuModel, floor: float = 1e-16) -> tuple[float, floa
     doubling-and-bisection; for bounded supports it is the support itself.
     """
     cf = _require(model)
-    lo, hi = cf.support
     if cf.bounded:
-        return lo, hi
+        return cf.support
 
     def inside(d):
         return float(cf.anchored(np.asarray([d]))[0]) >= floor
@@ -309,24 +315,21 @@ def support_cutoff(model: KacOuModel, floor: float = 1e-16) -> tuple[float, floa
     while step < cap and not inside(step):
         step *= 2.0
     _, outer = _search_edge(inside, step if step < cap else start, step, cap, 1e-9, 200)
-    far = cf.anchor + cf.direction * outer
-    return (lo, far) if math.isfinite(lo) else (far, hi)
+    return _window(cf, outer)
 
 
 def _histogram_range(cf: InvariantDensity) -> tuple[float, float]:
     """Finite binning window; on half-line supports it leaves a mass of 5e-4
     outside (that mass is charged to the L1 distance explicitly)."""
-    lo, hi = cf.support
     if cf.bounded:
-        return lo, hi
+        return cf.support
 
     def inside(d):
         return _tail_mass(cf, d) > 5e-4
 
     start = 1e-3 * cf.scale
     _, outer = _search_edge(inside, start, start, 1e15 * cf.scale, 1e-3, 60)
-    far = cf.anchor + cf.direction * outer
-    return (lo, far) if math.isfinite(lo) else (far, hi)
+    return _window(cf, outer)
 
 
 def _bin_masses(cf: InvariantDensity, edges: np.ndarray, state: int | None = None) -> np.ndarray:

@@ -327,7 +327,7 @@ def convergence_check(
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             emp_mean = float(np.mean(v))
             emp_var = float(np.var(v, ddof=1))
-            mean_se = float(np.std(v, ddof=1) / math.sqrt(n_paths))
+            mean_se = math.sqrt(emp_var) / math.sqrt(n_paths)
             centered = v - emp_mean
             m2 = float(np.mean(centered**2))
             m4 = float(np.mean(centered**4))

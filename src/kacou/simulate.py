@@ -5,9 +5,10 @@ estimators the other modules use as oracles.
 Nothing here discretizes time: between switches the mean path follows the
 exponential pattern exactly and the diffusion transition is the exact
 Gaussian one-step law.  The only randomness is in holding times and normal
-draws: a sampled path draws its holding times in blocks, bit for bit as one
-at a time, and one normal per constant-coefficient interval; a terminal draw
-carries its variance given the switch path and draws one normal at the end.
+draws: a sampled path draws its holding times in blocks (its switch times
+are bit for bit the sums one draw at a time gives) and one normal per
+constant-coefficient interval; a terminal draw carries its variance given
+the switch path and draws one normal at the end.
 (An equal-rate telegraph integral draws switch counts and shares; see below.)
 
 A run is split into fixed-size chunks, each with its own keyed stream (see
@@ -161,9 +162,7 @@ def sample_switch_sequence(
     """Alternating exponential holding times, truncated at the horizon.
 
     They are drawn in blocks sized from the expected switch count and summed
-    in order, so each switch time is the sum one draw at a time gives; the
-    generator is left where one draw per holding time, up to the first that
-    ends past the horizon, leaves it.
+    in order, so each switch time is the sum one draw at a time gives.
     """
     horizon = _finite(horizon, "horizon", positive=True)
     initial_state = _state(initial_state, "initial_state")
@@ -171,7 +170,6 @@ def sample_switch_sequence(
     size = int(min(rates.expected_switches(horizon) * 1.125 + 64.0, _HOLD_DRAWS))
     blocks, t, s = [], 0.0, initial_state
     while True:
-        saved = rng.bit_generator.state
         times = rng.standard_exponential(size)
         with np.errstate(over="ignore"):  # a holding time or a sum past double range is inf
             times[0::2] /= rates.rate(s)
@@ -180,9 +178,7 @@ def sample_switch_sequence(
             np.cumsum(times, out=times)
         n = int(np.searchsorted(times, horizon, side="left"))  # the first time >= horizon
         blocks.append(times[:n])
-        if n < size:  # draw again only the holding times up to the one that passes the horizon
-            rng.bit_generator.state = saved
-            rng.standard_exponential(n + 1)
+        if n < size:
             return SwitchSequence(initial_state, np.concatenate(blocks), horizon)
         t, s = times[-1], (s + size) % 2
 
@@ -408,7 +404,6 @@ def fpt_samples(
     n: int,
     seed: int,
     caps: SimCaps = SimCaps(),
-    purpose: str = "fpt",
 ) -> FptSampleBatch:
     """n independent first-passage draws (vectorized, chunked, reproducible).
 
@@ -504,7 +499,7 @@ def fpt_samples(
         np.copyto(xs, nxt)
         return over
 
-    _lane_pool(model, n, seed, purpose, initial_state, (x, 0.0), advance, max_rounds=caps.max_switches)
+    _lane_pool(model, n, seed, "fpt", initial_state, (x, 0.0), advance, max_rounds=caps.max_switches)
     return FptSampleBatch(times, censored, reason)
 
 

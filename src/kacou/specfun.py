@@ -165,6 +165,14 @@ def _stop_floor(c2, c1, c0, b2: float, z: float) -> float:
     return max(0, math.ceil(last)) if last < math.inf else math.inf
 
 
+def _unconverged(z: float, terms: int = SERIES_CAP) -> SeriesConvergenceError:
+    """The error of a series still unfinished after `terms` terms."""
+    return SeriesConvergenceError(
+        f"hypergeometric series did not converge in {terms} terms (z={z})",
+        terms_used=terms,
+    )
+
+
 def _sum_series(c2, c1, c0, b2: float, z: float) -> LogValue:
     """Direct summation of the series with first term 1 and term ratio
     (c2 k^2 + c1 k + c0) z / ((b2 + k)(k + 1)), k = 0, 1, ..., with periodic
@@ -238,10 +246,7 @@ def _sum_series(c2, c1, c0, b2: float, z: float) -> LogValue:
     # Kummer's series (c2 = 0) reports the cap
     if c2 and single_signed and total > 0.0 and term > 0.0:
         return _long_tail_positive(c1, c0, b2, z, total, term, log_scale)
-    raise SeriesConvergenceError(
-        f"hypergeometric series did not converge in {SERIES_CAP} terms (z={z})",
-        terms_used=SERIES_CAP,
-    )
+    raise _unconverged(z)
 
 
 _LONG_BLOCK = 1_000_000
@@ -268,10 +273,7 @@ def _long_tail_positive(s, p, b2, z, total, term, log_scale) -> LogValue:
         k0 += _LONG_BLOCK
         if factors[-1] < 1.0 and block_log < log_total + math.log(SERIES_RTOL):
             return LogValue(float(log_total), 1.0, k0)
-    raise SeriesConvergenceError(
-        f"hypergeometric series did not converge in {k0} terms (z={z})",
-        terms_used=k0,
-    )
+    raise _unconverged(z, k0)
 
 
 def _finish(total: float, log_scale: float, terms: int) -> LogValue:
@@ -613,10 +615,7 @@ def kummer_1f1_log(a: float, b: float, z: float) -> LogValue:
     # min(1, a/b) z / (k + 1), so here all ratios before the cap exceed 2:
     # the terms grow the whole way and summing them could only reach the cap
     if a > 0.0 and b > 0.0 and z > 2.0 * SERIES_CAP * max(1.0, b / a):
-        raise SeriesConvergenceError(
-            f"hypergeometric series did not converge in {SERIES_CAP} terms (z={z})",
-            terms_used=SERIES_CAP,
-        )
+        raise _unconverged(z)
     return _sum_series(0.0, 1.0, a, b, z)
 
 

@@ -490,16 +490,30 @@ def test_failed_write_leaves_the_old_output(tmp_path):
     import kacou.cli as cli
 
     target = str(tmp_path / "out.csv")
-    cli._atomic_write(target, ["old\n"])
+    cli._atomic_write(target, [b"old\n"])
 
     def parts():
-        yield "new\n"
+        yield b"new\n"
         raise RuntimeError("writer failed")
 
     with pytest.raises(RuntimeError, match="writer failed"):
         cli._atomic_write(target, parts())
     assert os.listdir(tmp_path) == ["out.csv"]
-    assert open(target).read() == "old\n"
+    assert open(target, "rb").read() == b"old\n"
+
+
+def test_csv_parts_are_bytes_and_reach_the_file_unchanged(tmp_path):
+    import kacou.cli as cli
+
+    rows = _CSV_BLOCK + 3
+    columns = [np.linspace(-1.0, 1.0, rows), np.arange(rows), Labels(np.arange(rows, dtype=np.uint8) % 2, ("a", ""))]
+    parts = list(_csv_blocks(["x", "i", "label"], [columns, [c[:5] for c in columns]]))
+    assert len(parts) == 4 and all(type(part) is bytes for part in parts)
+    # a part is written as given: no newline is translated
+    parts.append(b"\r\n")
+    target = str(tmp_path / "out.csv")
+    cli._atomic_write(target, iter(parts))
+    assert open(target, "rb").read() == b"".join(parts)
 
 
 def test_path_rows_reach_the_writer_one_path_at_a_time(tmp_path, monkeypatch):
@@ -528,16 +542,16 @@ def test_path_rows_reach_the_writer_one_path_at_a_time(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_atomic_write", recording_write)
     argv = ["simulate", "--config", path, "--set", "simulate.mode=path", "--set", "simulate.n_paths=20"]
     assert main(argv + ["--set", "simulate.eval_points=11"]) == 0
-    assert written[0] == ("path,t,state,x\n", 0)
+    assert written[0] == (b"path,t,state,x\n", 0)
     assert len(written) == 21
     for path_id, (part, paths_made) in enumerate(written[1:]):
-        assert {line.split(",")[0] for line in part.splitlines()} == {str(path_id)}
+        assert {line.split(b",")[0] for line in part.splitlines()} == {str(path_id).encode()}
         assert paths_made == path_id + 1
 
 
 def _written_fields(column):
     """The writer's fields of a one-column CSV, one per row."""
-    return "".join(_csv_blocks(["c"], [[column]])).split("\n")[1:-1]
+    return b"".join(_csv_blocks(["c"], [[column]])).decode("ascii").split("\n")[1:-1]
 
 
 def test_typed_columns_format_like_single_fields():
@@ -610,14 +624,14 @@ def _reference_fields(column):
 def reference_csv_blocks(header, blocks):
     """The writer's referee: each field formatted on its own by its column's
     dtype (floats by format(v, ".17g"), integers and text by str, labels by
-    their names), and each
-    part's rows joined field by field, _CSV_BLOCK rows a part."""
-    yield ",".join(header) + "\n"
+    their names), and each part's rows joined field by field, _CSV_BLOCK
+    rows a part, as ASCII bytes."""
+    yield (",".join(header) + "\n").encode("ascii")
     for columns in blocks:
         n = len(columns[0]) if columns else 0
         for lo in range(0, n, _CSV_BLOCK):
             fields = [_reference_fields(c[lo : lo + _CSV_BLOCK]) for c in columns]
-            yield "\n".join(map(",".join, zip(*fields))) + "\n"
+            yield ("\n".join(map(",".join, zip(*fields))) + "\n").encode("ascii")
 
 
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1e-300, -1e-300]

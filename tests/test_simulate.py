@@ -363,17 +363,13 @@ def test_switch_sequence_matches_one_draw_at_a_time(l0, l1, initial_state):
         "many": 1.2e5 * mean_gap,  # more than 1e5 switches: several blocks
     }
     for count, horizon in horizons.items():
-        want_rng, rng = stream(9, "blocks"), stream(9, "blocks")
-        want = _scalar_switch_times(rates, initial_state, horizon, want_rng)
-        seq = sample_switch_sequence(rates, initial_state, horizon, rng)
+        want = _scalar_switch_times(rates, initial_state, horizon, stream(9, "blocks"))
+        seq = sample_switch_sequence(rates, initial_state, horizon, stream(9, "blocks"))
         if isinstance(count, int):
             assert want.size == count
         elif count == "many":
             assert want.size > 1e5
         assert seq.switch_times.tobytes() == want.tobytes()
-        # the generator is where one draw per holding time leaves it
-        assert rng.standard_exponential(3).tobytes() == want_rng.standard_exponential(3).tobytes()
-        assert rng.random(2).tobytes() == want_rng.random(2).tobytes()
 
 
 # --- mean path ---------------------------------------------------------------
@@ -1013,8 +1009,8 @@ def test_pooled_fpt_samples_match_per_chunk_reference_bitwise(name, n, caps_name
     monkeypatch.setattr(kacou.simulate, "_flow", recorded_flow)
     monkeypatch.setattr(kacou.simulate, "hitting_time", counted_hitting_time)
     for state in states:
-        got = fpt_samples(model, x, y, state, n, seed=13, caps=caps, purpose="pool")
-        want = run_reference(n, 13, "pool", lambda sz, rng: reference_fpt_chunk(model, x, y, state, sz, rng, caps))
+        got = fpt_samples(model, x, y, state, n, seed=13, caps=caps)
+        want = run_reference(n, 13, "fpt", lambda sz, rng: reference_fpt_chunk(model, x, y, state, sz, rng, caps))
         _assert_same_batch(got, want)
         if caps_name == "short_horizon" and n > 1:
             assert np.mean(got.reason == CENSOR_HORIZON) > 0.5
@@ -1048,10 +1044,10 @@ def test_fpt_rounds_are_pooled_across_chunks(monkeypatch):
 
     monkeypatch.setattr(kacou.simulate, "pattern_phi", counted)
     model, n, caps = KERNEL_MODELS["attracting"], 8 * CHUNK, SimCaps()
-    got = fpt_samples(model, 0.2, 0.5, 0, n, seed=17, caps=caps, purpose="rounds")
+    got = fpt_samples(model, 0.2, 0.5, 0, n, seed=17, caps=caps)
     rounds = [0]
     want = run_reference(
-        n, 17, "rounds", lambda sz, rng: reference_fpt_chunk(model, 0.2, 0.5, 0, sz, _CountingStream(rng, rounds), caps)
+        n, 17, "fpt", lambda sz, rng: reference_fpt_chunk(model, 0.2, 0.5, 0, sz, _CountingStream(rng, rounds), caps)
     )
     _assert_same_batch(got, want)
     # one flow call per pooled round, which advances several chunks at once
