@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,9 @@ _TARGET_CLEARANCE = 2.0**-26
 # its denominator and, in a relabelled or rescaled frame, the frame's model
 # (one a step), so a caller sweeping start points for one target needs four
 _TARGET_MEMO_SIZE = 64
+# systems this small are finished node by node in Python floats, where a
+# vectorised level costs more in numpy calls than in arithmetic
+_DIRECT_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -427,17 +431,50 @@ def _oracle_rows(model, q, nodes, lo, hi, state):
     return down, r, near, far, defect, hit
 
 
+class _Workspace(threading.local):
+    """A thread's oracle arrays, kept between curves: a stack of views into
+    one buffer, which the next curve grows to the most that any curve took
+    (an array past its end is allocated afresh).  Kept, because a curve's
+    arrays (about 3 MB for 9,000 nodes) freed after it go back to the OS,
+    and the next curve faults their pages in again."""
+
+    def __init__(self):
+        self.buffer, self.top, self.most = np.empty(0), 0, 0
+
+    def system(self, n):
+        """A curve's start: zeroed blocks, shape (2, 6, n), and pair, shape
+        (2, n), at the bottom of the stack, overwritten by the next system."""
+        if self.buffer.size < self.most:
+            self.buffer = np.empty(self.most)
+        self.top = 0
+        blocks, pair = self.take(2, 6, n), self.take(2, n)
+        blocks.fill(0.0)
+        return blocks, pair
+
+    def take(self, *shape):
+        """An array on top of the stack; it is given up by setting top back."""
+        start, self.top = self.top, self.top + math.prod(shape)
+        self.most = max(self.most, self.top)
+        if self.top > self.buffer.size:
+            return np.empty(shape)
+        return self.buffer[start : self.top].reshape(shape)
+
+
+_WORKSPACE = _Workspace()
+
+
 def _oracle_system(model, q, grids):
     """Both states' rows on the grids (see _oracle_rows) as one block
     tridiagonal system in the pairs (ell0[j], ell1[j]) at their
-    concatenated nodes: (blocks, pair) as _cyclic_reduction takes them.  No
-    row reaches past its grid's ends, so the grids' systems stay apart."""
+    concatenated nodes: (blocks, pair) as _cyclic_reduction takes them, in
+    the thread's workspace (see _Workspace).  No row reaches past its
+    grid's ends, so the grids' systems stay apart."""
     nodes = np.concatenate(grids)
     sizes = [g.size for g in grids]
     lo = np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)
     hi = np.repeat(np.cumsum(sizes) - 1, sizes)
     idx = np.arange(nodes.size)
-    blocks, pair = np.zeros((2, 6, nodes.size)), np.empty((2, nodes.size))
+    blocks, pair = _WORKSPACE.system(nodes.size)
     for s in (0, 1):
         down, r, near, far, defect, hit = _oracle_rows(model, q, nodes, lo, hi, s)
         for col, toward in ((0, down < idx), (2, down > idx)):
@@ -448,7 +485,8 @@ def _oracle_system(model, q, grids):
 
 
 def _inverse(blocks, pair):
-    """D_j^-1 at every node j, shape (2, 2, n) (see _cyclic_reduction).
+    """D_j^-1 at every node j, shape (2, 2, n), in the workspace (see
+    _cyclic_reduction).
 
     D_j's diagonal is t + pair, t its row sums, so its determinant
     t0 t1 + t0 p10 + p01 t1 and its adjugate, whose entries are at most 1,
@@ -456,23 +494,26 @@ def _inverse(blocks, pair):
     a determinant of at least the least normal double cannot overflow; a
     smaller one (or nan), where defects underflow, raises OracleError.
     """
-    t = np.add.reduce(blocks[:, :4], axis=1)
+    n = pair.shape[1]
+    t = np.add.reduce(blocks[:, :4], axis=1, out=_WORKSPACE.take(2, n))
     t += blocks[:, 5]
     # the adjugate [[t1 + p10, p01], [p10, t0 + p01]]
-    inverse = np.array([pair[::-1], pair[::-1]])
+    inverse = _WORKSPACE.take(2, 2, n)
+    inverse[:] = pair[::-1]
     inverse[0, 0] += t[1]
     inverse[1, 1] += t[0]
-    det = t[0] * inverse[0, 0]
-    det += pair[0] * t[1]
+    det = np.multiply(t[0], inverse[0, 0], out=_WORKSPACE.take(n))
+    det += np.multiply(pair[0], t[1], out=t[1])
     if not det.min() >= 2.0**-1022:
         raise OracleError(f"a pivot of {det.min():.3g} is below the normal range: q is too small for doubles")
     inverse /= det
     return inverse
 
 
-def _cyclic_reduction(blocks, pair):
-    """Solve a block tridiagonal M-matrix system with 2 x 2 blocks; returns
-    the solution, shape (2, n).
+def _cyclic_reduction(blocks, pair, out=None):
+    """Solve a block tridiagonal M-matrix system with 2 x 2 blocks into
+    out, shape (2, n) (a fresh array if None), and return it; the system is
+    left as it was given.
 
     Node j's rows read D_j x_j - L_j x_(j-1) - U_j x_(j+1) = b_j, with the
     magnitudes of L_j, U_j and b_j in blocks[:, 0:2, j], blocks[:, 2:4, j]
@@ -484,33 +525,94 @@ def _cyclic_reduction(blocks, pair):
     whose solution gives the odd nodes' values.  The row sums go through
     the same updates as b, so no step subtracts and back-substitution adds
     terms >= 0: every value keeps its relative accuracy however small it is.
+    The levels' arrays are taken from the thread's workspace and given back
+    on return; a system of at most _DIRECT_NODES nodes is finished node by
+    node, with the same pivots (see _direct_finish).
     """
     n, no = blocks.shape[2], blocks.shape[2] // 2
-    if n == 1:
-        return np.einsum("ikm,km->im", _inverse(blocks, pair), blocks[:, 4])
-    even, odd = blocks[:, :, ::2], blocks[:, :, 1::2]
-    # an odd node's value is rows[:, 4] + rows[:, 0:2] x_(j-1) +
-    # rows[:, 2:4] x_(j+1), between nodes of 0s: the neighbours the first
-    # and last even nodes lack
-    rows = np.zeros((2, 6, n - no + 1))
-    np.einsum("ikm,kjm->ijm", _inverse(odd, pair[:, 1::2]), odd, out=rows[:, :, 1 : no + 1])
-    # each even node takes in its odd neighbours' rows, which also couple
-    # its states
-    reduced = np.einsum("ikm,kjm->ijm", even[:, 0:2], rows[:, :, :-1])
-    reduced[:, 4:] += even[:, 4:]
-    coupled = pair[:, ::2] + reduced[(0, 1), (3, 2)]
-    right = np.einsum("ikm,kjm->ijm", even[:, 2:4], rows[:, :, 1:])
-    reduced[:, 2:4] = right[:, 2:4]
-    reduced[:, 4:] += right[:, 4:]
-    coupled += right[(0, 1), (1, 0)]
-    del right  # not kept through the half-size solve
-    solved = _cyclic_reduction(reduced, coupled)
-    x = np.zeros((2, n + 1))  # a 0 past the last node, for a last odd node
-    x[:, :n:2] = solved
-    # what an odd node's row multiplies: x_(j-1), x_(j+1) and 1
-    terms = np.concatenate((x[:, 0 : 2 * no : 2], x[:, 2 : 2 * no + 1 : 2], np.ones((1, no))))
-    x[:, 1:n:2] = np.einsum("ikm,km->im", rows[:, :5, 1 : no + 1], terms)
-    return x[:, :n]
+    ne = n - no
+    if out is None:
+        out = np.empty((2, n))
+    if n <= _DIRECT_NODES:
+        return _direct_finish(blocks, pair, out)
+    work, mark = _WORKSPACE, _WORKSPACE.top
+    try:
+        even, odd = blocks[:, :, ::2], blocks[:, :, 1::2]
+        # an odd node's value is rows[:, 4] + rows[:, 0:2] x_(j-1) +
+        # rows[:, 2:4] x_(j+1), between nodes of 0s: the neighbours the first
+        # and last even nodes lack
+        rows, reduced, coupled = work.take(2, 6, ne + 1), work.take(2, 6, ne), work.take(2, ne)
+        temps = work.top
+        rows[:, :, 0] = rows[:, :, no + 1 :] = 0.0
+        np.einsum("ikm,kjm->ijm", _inverse(odd, pair[:, 1::2]), odd, out=rows[:, :, 1 : no + 1])
+        work.top = temps
+        # each even node takes in its odd neighbours' rows, which also couple
+        # its states
+        np.einsum("ikm,kjm->ijm", even[:, 0:2], rows[:, :, :-1], out=reduced)
+        reduced[:, 4:] += even[:, 4:]
+        np.add(pair[0, ::2], reduced[0, 3], out=coupled[0])
+        np.add(pair[1, ::2], reduced[1, 2], out=coupled[1])
+        right = np.einsum("ikm,kjm->ijm", even[:, 2:4], rows[:, :, 1:], out=work.take(2, 6, ne))
+        reduced[:, 2:4] = right[:, 2:4]
+        reduced[:, 4:] += right[:, 4:]
+        coupled[0] += right[0, 1]
+        coupled[1] += right[1, 0]
+        work.top = temps  # right is not kept through the half-size solve
+        _cyclic_reduction(reduced, coupled, out[:, ::2])
+        # what an odd node's row multiplies: x_(j-1), x_(j+1) (0 past the last
+        # node) and 1
+        terms = work.take(5, no)
+        terms[0:2] = out[:, 0 : 2 * no : 2]
+        terms[2:4, : ne - 1] = out[:, 2::2]
+        terms[2:4, ne - 1 :] = 0.0
+        terms[4] = 1.0
+        np.einsum("ikm,km->im", rows[:, :5, 1 : no + 1], terms, out=out[:, 1::2])
+    finally:
+        work.top = mark
+    return out
+
+
+def _direct_finish(blocks, pair, out):
+    """_cyclic_reduction's system solved node by node in Python floats into
+    out, where n is too small for numpy calls to pay.
+
+    Node j takes in node j - 1's row, solved as x_(j-1) = W x_j + c with
+    row sums r (W's row sums plus r are 1): L_j W's off-diagonal entries
+    join the pair, L_j c joins b and L_j r the row sum, so D'_j = D_j -
+    L_j W is formed as in _inverse, its diagonal from the row sums, and
+    inverted by its adjugate over t0 t1 + t0 p10 + p01 t1.  Its own row
+    solved for x_j gives the next W, c and r; the last node's c is x_(n-1)
+    (a node past it would hold 0), and back-substitution adds only terms
+    >= 0, so every value keeps its relative accuracy.  A determinant below
+    the least normal double raises OracleError, as in _inverse.
+    """
+    solved = []
+    w00 = w01 = w10 = w11 = c0 = c1 = r0 = r1 = 0.0
+    columns = zip(*blocks.reshape(12, -1).tolist(), *pair.tolist())
+    for a00, a01, v00, v01, b0, e0, a10, a11, v10, v11, b1, e1, p0, p1 in columns:
+        p0 += a00 * w01 + a01 * w11
+        p1 += a10 * w00 + a11 * w10
+        f0, f1 = b0 + a00 * c0 + a01 * c1, b1 + a10 * c0 + a11 * c1
+        s0, s1 = e0 + a00 * r0 + a01 * r1, e1 + a10 * r0 + a11 * r1
+        t0, t1 = v00 + v01 + s0, v10 + v11 + s1
+        # the adjugate [[t1 + p1, p0], [p1, t0 + p0]]
+        m00, m11 = t1 + p1, t0 + p0
+        det = t0 * m00 + p0 * t1
+        if not det >= 2.0**-1022:
+            raise OracleError(f"a pivot of {det:.3g} is below the normal range: q is too small for doubles")
+        m00, m01, m10, m11 = m00 / det, p0 / det, p1 / det, m11 / det
+        w00, w01 = m00 * v00 + m01 * v10, m00 * v01 + m01 * v11
+        w10, w11 = m10 * v00 + m11 * v10, m10 * v01 + m11 * v11
+        c0, c1 = m00 * f0 + m01 * f1, m10 * f0 + m11 * f1
+        r0, r1 = m00 * s0 + m01 * s1, m10 * s0 + m11 * s1
+        solved.append((w00, w01, w10, w11, c0, c1))
+    x0 = x1 = 0.0
+    xs = []
+    for w00, w01, w10, w11, c0, c1 in reversed(solved):
+        x0, x1 = w00 * x0 + w01 * x1 + c0, w10 * x0 + w11 * x1 + c1
+        xs.append((x0, x1))
+    out[:, ::-1] = np.array(xs).T
+    return out
 
 
 def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs):
@@ -521,8 +623,9 @@ def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs):
     alone.  The equations are written (see _oracle_rows) on a coarse grid
     (see _oracle_nodes) whose nodes include y, every level and every query
     point, and on the fine grid that halves each of its cells, and both
-    are solved exactly, as one linear system (see _cyclic_reduction).  Both
-    are O(h^2) off, so the curve is the Richardson value
+    are solved exactly, as one linear system (see _cyclic_reduction), in
+    the calling thread's workspace (see _Workspace); nothing returned
+    shares it.  Both are O(h^2) off, so the curve is the Richardson value
     ell_h + (ell_h - ell_2h) / 3, clipped to [0, 1], and
     |ell_h - ell_2h| / 3 estimates the error of ell_h.  Before any grid is
     built, it raises OracleError where q is below 1e-10 of the rate of a

@@ -26,7 +26,11 @@ lane starts and ends strictly on the start side of the target (two
 reductions tell), no lane can have met it, and the crossing test, the hit
 times and their bookkeeping are skipped.  The hit times of the lanes that
 may have crossed come from model.hitting_time, which works them out in one
-array of its own; this module takes no logarithm itself.
+array of its own; this module takes no logarithm itself.  Lanes still at
+their start (no time elapsed in the start state: a chunk's lanes in the
+round it joins) share one hit time, that of a one-entry array of x, which
+hitting_time gives every entry of x bit for bit; it is worked out only in
+a round where such a lane may have crossed.
 
 One work rule, check_work, refuses a call with WorkLimitError before it
 allocates: a call may expect at most MAX_LANE_SEGMENTS lane-segments (one
@@ -465,7 +469,16 @@ def fpt_samples(
                 side *= rem
                 np.greater(side, 0.0, out=stays)
             crossed = np.flatnonzero(np.logical_not(stays, out=stays))
-            th = hitting_time(s, xs.take(crossed), y, model)
+            # a lane with no time elapsed in the start state sits at x (a
+            # zero holding time is the identity flow): such lanes share x's
+            # hit time, which hitting_time gives every entry of x bit for bit
+            fresh = ts.take(crossed) == 0.0 if s == initial_state else None
+            if fresh is None or not fresh.any():
+                th = hitting_time(s, xs.take(crossed), y, model)
+            else:
+                th = np.full(crossed.size, hitting_time(s, np.array([x]), y, model)[0])
+                if not fresh.all():
+                    th[~fresh] = hitting_time(s, xs.take(crossed[~fresh]), y, model)
             dt_crossed = dt.take(crossed)
             hit = th < dt_crossed
 

@@ -1,5 +1,9 @@
 import contextlib
 import math
+import os
+import subprocess
+import sys
+import threading
 import time
 import warnings
 
@@ -416,11 +420,12 @@ def test_cyclic_reduction_matches_sparse_lu(model, q, y, xs):
     np.testing.assert_allclose(got[kept], want[kept], rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("n", range(1, 71))
+@pytest.mark.parametrize("n", range(1, 141))
 def test_cyclic_reduction_solves_every_size(n):
     # a random diagonally dominant system of each size, every level's odd
-    # and even node counts included: each row's couplings, off-diagonal and
-    # defect are magnitudes that add up to its unit diagonal
+    # and even node counts included (past _DIRECT_NODES, a level of
+    # reduction and then the direct finish): each row's couplings,
+    # off-diagonal and defect are magnitudes that add up to its unit diagonal
     rng = np.random.default_rng(n)
     blocks, pair = rng.uniform(0.0, 1.0, (2, 6, n)), rng.uniform(0.0, 1.0, (2, n))
     blocks[:, 0:2, 0] = blocks[:, 2:4, -1] = 0.0
@@ -430,6 +435,144 @@ def test_cyclic_reduction_solves_every_size(n):
     blocks[:, 5] /= total
     pair /= total
     np.testing.assert_allclose(fp._cyclic_reduction(blocks, pair), _sparse_solution(blocks, pair), rtol=1e-12, atol=0.0)
+
+
+def _gth_system(n, rng):
+    """A random system of the kind _cyclic_reduction takes, with defects
+    from 1e-300 to 1 and only the last node's right side nonzero; each
+    node's couplings toward the last are about 10^(-250 / (n - 1)) of those
+    away from it, so the solution falls toward 1e-250 at the first node."""
+    blocks = np.zeros((2, 6, n))
+    blocks[:, 0:2] = rng.uniform(0.1, 1.0, (2, 2, n))
+    blocks[:, 2:4] = 10.0 ** (-250.0 / max(n - 1, 1)) * rng.uniform(0.1, 1.0, (2, 2, n))
+    blocks[:, 0:2, 0] = blocks[:, 2:4, -1] = 0.0
+    blocks[:, 4, -1] = rng.uniform(0.1, 1.0, 2)
+    blocks[:, 5] = 10.0 ** rng.uniform(-300.0, 0.0, (2, n))
+    return blocks, rng.uniform(0.0, 1.0, (2, n))
+
+
+def _mp_block_elimination(blocks, pair):
+    """The system's solution by node-by-node block elimination at 50 digits,
+    each pivot's diagonal formed from its row sums (the row's defect and
+    its couplings toward the later nodes), so no step subtracts."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        (l00, l01, u00, u01, b0, e0), (l10, l11, u10, u11, b1, e1) = (
+            [[mpmath.mpf(v) for v in row] for row in state] for state in blocks.tolist()
+        )
+        p = [[mpmath.mpf(v) for v in state] for state in pair.tolist()]
+        w, c, r, solved = [[0, 0], [0, 0]], [0, 0], [0, 0], []
+        for j in range(blocks.shape[2]):
+            low, up = [[l00[j], l01[j]], [l10[j], l11[j]]], [[u00[j], u01[j]], [u10[j], u11[j]]]
+            # x_(j-1) = w x_j + c, with row sums r, taken into node j's rows
+            off = [p[s][j] + low[s][0] * w[0][1 - s] + low[s][1] * w[1][1 - s] for s in (0, 1)]
+            rhs = [(b0, b1)[s][j] + low[s][0] * c[0] + low[s][1] * c[1] for s in (0, 1)]
+            sums = [(e0, e1)[s][j] + low[s][0] * r[0] + low[s][1] * r[1] for s in (0, 1)]
+            t = [up[s][0] + up[s][1] + sums[s] for s in (0, 1)]
+            det = t[0] * t[1] + t[0] * off[1] + off[0] * t[1]
+            inv = [[(t[1] + off[1]) / det, off[0] / det], [off[1] / det, (t[0] + off[0]) / det]]
+            w = [[inv[s][0] * up[0][o] + inv[s][1] * up[1][o] for o in (0, 1)] for s in (0, 1)]
+            c = [inv[s][0] * rhs[0] + inv[s][1] * rhs[1] for s in (0, 1)]
+            r = [inv[s][0] * sums[0] + inv[s][1] * sums[1] for s in (0, 1)]
+            solved.append((w, c))
+        x, values = [0, 0], []
+        for w, c in reversed(solved):
+            x = [w[s][0] * x[0] + w[s][1] * x[1] + c[s] for s in (0, 1)]
+            values.append([float(v) for v in x])
+    return np.array(values[::-1]).T
+
+
+def test_direct_finish_is_as_close_to_mpmath_as_the_reduction(monkeypatch):
+    # GTH systems with defects down to 1e-300 and solutions down to 1e-250,
+    # on both sides of _DIRECT_NODES: the finish (alone, or after a level of
+    # reduction) against the reduction down to single nodes, which it
+    # replaced.  Both keep every value within a few eps, and neither is
+    # closer on every draw: over ten seeds of these 50 systems the finish's
+    # rms error was 0.83 to 1.23 times the reduction's, and its worst
+    # 7.9-13.9 eps against 7.8-13.5 eps
+    errors, least = {fp._DIRECT_NODES: [], 1: []}, 1.0
+    rng = np.random.default_rng(64)
+    for n in (2, 5, 17, 40, 63, 64, 65, 100, 128, 140):
+        for _ in range(5):
+            blocks, pair = _gth_system(n, rng)
+            want = _mp_block_elimination(blocks, pair)
+            least = min(least, want.min())
+            for finish, errs in errors.items():
+                monkeypatch.setattr(fp, "_DIRECT_NODES", finish)
+                errs.append((np.abs(fp._cyclic_reduction(blocks, pair) - want) / want).ravel())
+    assert least < 1e-240
+    eps = np.finfo(float).eps
+    direct, reduced = (np.concatenate(errs) for errs in errors.values())
+    assert direct.max() < 32.0 * eps and reduced.max() < 32.0 * eps
+    assert np.sqrt(np.mean(direct**2)) <= 1.25 * np.sqrt(np.mean(reduced**2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 64])
+def test_direct_finish_guards_its_pivots_as_the_reduction_does(n):
+    # a subnormal defect and no other way out of a node: the determinant
+    # is not a normal double, so nothing is divided by it
+    blocks, pair = np.zeros((2, 6, n)), np.zeros((2, n))
+    blocks[:, 4, -1] = 1.0
+    blocks[:, 5] = 5e-324
+    with pytest.raises(OracleError, match=r"^a pivot of \S+ is below the normal range: q is too small for doubles$"):
+        fp._cyclic_reduction(blocks, pair)
+
+
+# (model values, q, y, xs): two repelling states with a tail below each
+# level, 9,011 nodes on both grids, and two upward drifts, 4,505 nodes
+LARGE_CURVE = ((1.0, 1.0, 1.0, 4.0, 0.0, 0.0, -1.0, -2.0), 1.5, 0.2, [-0.5])
+SMALL_CURVE = ((1.0, 1.0, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0), 0.4, 0.75, [0.25])
+
+
+def _curve_bits(values, q, y, xs):
+    return [ell.tobytes() for ell in fpt_oracle_curve(KacOuModel.from_values(*values), q, y, np.array(xs))]
+
+
+def test_curves_keep_no_trace_of_the_workspace():
+    # large, small and large again give what each gives in a fresh process,
+    # and nothing returned shares the thread's workspace
+    got = [_curve_bits(*LARGE_CURVE), _curve_bits(*SMALL_CURVE), _curve_bits(*LARGE_CURVE)]
+    assert got[2] == got[0]
+    for ell in fpt_oracle_curve(KacOuModel.from_values(*LARGE_CURVE[0]), *LARGE_CURVE[1:]):
+        assert not np.shares_memory(ell, fp._WORKSPACE.buffer)
+    script = (
+        "import sys\n"
+        "from test_first_passage import _curve_bits\n"
+        "print([bits.hex() for bits in _curve_bits(*eval(sys.argv[1]))])\n"
+    )
+    path = os.pathsep.join([os.path.dirname(os.path.dirname(fp.__file__)), os.path.dirname(__file__)])
+    for curve, bits in zip((LARGE_CURVE, SMALL_CURVE), got):
+        fresh = subprocess.run(
+            [sys.executable, "-c", script, repr(curve)],
+            capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert eval(fresh.stdout) == [b.hex() for b in bits]
+
+
+def test_curves_in_other_threads_give_the_same_bits():
+    # each thread solves in its own workspace, so curves computed at once,
+    # in more threads than cores and switching often, give what each gives
+    # alone
+    curves = [LARGE_CURVE, SMALL_CURVE] * 2
+    want = [_curve_bits(*curve) for curve in curves]
+    got = [[] for _ in curves]
+    threads = [
+        threading.Thread(target=lambda c=curve, out=out: out.extend(_curve_bits(*c) for _ in range(10)))
+        for curve, out in zip(curves, got)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for bits, runs in zip(want, got):
+        assert runs == [bits] * 10
 
 
 @pytest.mark.parametrize("model, q, y, below, above", OPERATOR_CASES)

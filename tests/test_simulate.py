@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import betainc
 from scipy.stats import ks_2samp, kstwo, poisson
@@ -984,6 +986,34 @@ POOL_CASES = {
     "repelling_to_minus_inf": (REPELLING_TO_INFS, 0.5, 1e6, (0, 1)),
     "repelling_to_plus_inf": (REPELLING_TO_INFS, 0.5, -1e6, (0, 1)),
 }
+
+
+@given(
+    rates=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+    a=st.floats(-3.0, 3.0),
+    gamma=st.one_of(st.floats(-3.0, 3.0), st.floats(-1e-6, 1e-6)),
+    x=st.floats(-4.0, 4.0),
+    y=st.floats(-4.0, 4.0),
+    k=st.one_of(st.integers(1, 70), st.sampled_from([127, 128, 129, 1000, 4097, 65536, 70_000])),
+)
+# a slow state (|gamma| / lambda below _SERIES_GT): the rho-free form
+@example(rates=(1.0, 1.0), a=0.5, gamma=1e-7, x=0.2, y=0.8, k=70_000)
+# (x - rho) / (y - rho) is subnormal, and underflows to 0 or overflows
+@example(rates=(1.0, 1.0), a=0.0, gamma=-0.9, x=-5e-324, y=-0.75, k=70_000)
+@example(rates=(1.0, 1.0), a=0.0, gamma=-0.9, x=5e-324, y=4.0, k=70_000)
+@example(rates=(1.0, 1.0), a=0.0, gamma=0.9, x=1e300, y=1e-300, k=70_000)
+# a start next to the target: the log1p branch
+@example(rates=(1.0, 1.0), a=1.0, gamma=1.0, x=0.5, y=0.5 + 1e-12, k=65_537)
+@example(rates=(1.0, 1.0), a=1.0, gamma=0.0, x=0.5, y=0.75, k=1)
+@settings(max_examples=60, deadline=None)
+def test_hit_time_of_a_repeated_start_is_the_hit_time_of_one(rates, a, gamma, x, y, k):
+    # fpt_samples gives every lane still at its start the hit time of a
+    # one-entry array of x, so each entry of np.full(k, x) must have its bits
+    assume(x != y)
+    model = KacOuModel.from_values(*rates, a, 1.0, 0.0, 0.0, gamma, 1.0)
+    one = hitting_time(0, np.array([x]), y, model)
+    many = hitting_time(0, np.full(k, x), y, model)
+    assert many.shape == (k,) and np.all(many.view(np.int64) == one.view(np.int64)[0])
 
 
 @pytest.mark.parametrize("name", list(POOL_CASES))
