@@ -55,7 +55,7 @@ class RunConfig:
     def count(self, name: str, default=None, least: int = 1, most: float = math.inf, many: bool = False):
         """A whole number from `least` to `most`, as an int."""
         value = self._read(name, default, many, _whole, _integer, least=least)
-        if (top := max(value if many else [value], default=most)) > most:
+        if (top := max(value if many else [value])) > most:
             raise ConfigError(name, f"must be at most {most:.3g}, got {top:.15g}")
         return value
 
@@ -65,9 +65,11 @@ class RunConfig:
 
     def _read(self, name: str, default, many: bool, reader, parse=float, **rule):
         """The value readers' common part: kacou.model's `reader`(value, name, **rule) on the entry at
-        "section.key" `name` (on each entry of its list with `many`) or `default`, a refusal a ConfigError."""
+        "section.key" `name` (on each entry of its nonempty list with `many`) or `default`, a refusal a ConfigError."""
         section, key = name.split(".", 1)
         value = self.get_list(section, key, default) if many else self.get(section, key, default, parse)
+        if many and not value:
+            raise ConfigError(name, "must list at least one value")
         try:
             return [reader(v, name, **rule) for v in value] if many else reader(value, name, **rule)
         except ParameterError as exc:
@@ -107,10 +109,10 @@ def _apply_overrides(parser: configparser.ConfigParser, overrides) -> None:
         target, value = item.split("=", 1)
         if "." not in target:
             raise ConfigError(target, "override key must be section.key")
-        section, key = target.split(".", 1)
+        section, key = (part.strip() for part in target.split(".", 1))
         if not parser.has_section(section):
             parser.add_section(section)
-        parser.set(section.strip(), key.strip(), value.strip())
+        parser.set(section, key, value.strip())
 
 
 def _canonical_text(sections: dict) -> str:

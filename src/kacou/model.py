@@ -583,7 +583,10 @@ class HyperParams:
 
 
 def hyper_args(q: float, model: KacOuModel) -> HyperParams:
-    """beta_i(q) = (q + lambda_i)/gamma_i and the upper-parameter root pair."""
+    """beta_i(q) = (q + lambda_i)/gamma_i and the upper-parameter root pair, formed in
+    units of m, the power of two at or below the larger |beta|, so that no sum, square or
+    product leaves double range; each step rounds as it would unscaled.  A root past
+    double range raises DoubleRangeError."""
     q = _finite(q, "q", least=0.0)
     c0, c1 = model.coeffs
     if c0.gamma == 0.0 or c1.gamma == 0.0:
@@ -591,16 +594,16 @@ def hyper_args(q: float, model: KacOuModel) -> HyperParams:
     l0, l1 = model.rates.lambda0, model.rates.lambda1
     beta0 = (q + l0) / c0.gamma
     beta1 = (q + l1) / c1.gamma
-    beta0_0 = l0 / c0.gamma
-    beta1_0 = l1 / c1.gamma
-    s = beta0 + beta1
-    # beta0 beta1 - beta0(0) beta1(0), formed without subtracting the two
-    # products: it is of order q where they are of order 1, and it is
-    # exactly 0 at q = 0, which makes the q=0 degeneracy of the transforms
-    # exact
-    p = q * (q + l0 + l1) / c0.gamma / c1.gamma
+    m = math.ldexp(0.5, math.frexp(max(abs(beta0), abs(beta1)))[1])
+    u0, u1 = beta0 / m, beta1 / m
+    s = u0 + u1
+    # beta0 beta1 - beta0(0) beta1(0), over m^2, formed without subtracting
+    # the two products: it is of order q where they are of order 1, and it
+    # is exactly 0 at q = 0, which makes the q=0 degeneracy of the
+    # transforms exact
+    p = q / m * (q + l0 + l1) / c0.gamma / c1.gamma / m
     if p == 0.0:  # q = 0 collapse: the roots are exactly {0, sum}
-        return HyperParams(beta0, beta1, max(s, 0.0), min(s, 0.0))
+        return HyperParams(beta0, beta1, m * max(s, 0.0), m * min(s, 0.0))
     # the discriminant s^2 - 4p = (beta0 - beta1)^2 + 4 beta0(0) beta1(0) as a
     # sum of two terms >= 0: s^2 - 4p when the gammas have opposite signs
     # (p < 0; the second form cancels where it vanishes at q = 0), the
@@ -608,20 +611,11 @@ def hyper_args(q: float, model: KacOuModel) -> HyperParams:
     if p < 0.0:
         disc = s * s - 4.0 * p
     else:
-        disc = (beta0 - beta1) * (beta0 - beta1) + 4.0 * beta0_0 * beta1_0
-    if math.isfinite(disc) and math.isfinite(s) and math.isfinite(p):
-        # the root of larger magnitude without cancellation, the other from
-        # their product
-        big = 0.5 * (s + math.copysign(math.sqrt(max(disc, 0.0)), s))
-        small = p / big if big else 0.0
-        return HyperParams(beta0, beta1, max(big, small), min(big, small))
-    # the discriminant, the sum or the product left double range: form them
-    # scaled by the larger |beta|
-    m = max(abs(beta0), abs(beta1))
-    u0, u1, w0, w1 = beta0 / m, beta1 / m, beta0_0 / m, beta1_0 / m
-    half = 0.5 * (u0 + u1)
-    big = half + math.copysign(0.5 * math.sqrt(max((u0 - u1) ** 2 + 4.0 * w0 * w1, 0.0)), half)
-    small = (u0 * u1 - w0 * w1) / big if big else 0.0
+        disc = (u0 - u1) * (u0 - u1) + 4.0 * (l0 / c0.gamma / m) * (l1 / c1.gamma / m)
+    # the root of larger magnitude without cancellation, the other from
+    # their product
+    big = 0.5 * (s + math.copysign(math.sqrt(max(disc, 0.0)), s))
+    small = p / big if big else 0.0
     upper, lower = m * max(big, small), m * min(big, small)
     if not (math.isfinite(upper) and math.isfinite(lower)):
         raise DoubleRangeError(

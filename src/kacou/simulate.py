@@ -143,11 +143,15 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class FptSampleBatch:
-    """First-passage samples; censored entries carry the censoring time."""
+    """First-passage samples: hit times, or censoring times where the reason code is not 0."""
 
     times: np.ndarray
-    censored: np.ndarray
     reason: np.ndarray
+
+    @property
+    def censored(self) -> np.ndarray:
+        """The censored lanes, reason != 0."""
+        return self.reason != 0
 
 
 @dataclass(frozen=True)
@@ -423,18 +427,17 @@ def fpt_samples(
     n = _whole(n, "n", least=1)
     check_work(model.rates, caps.horizon, n, caps.max_switches)
     times = np.empty(n)  # every lane is written when it hits or is censored
-    censored = np.zeros(n, dtype=bool)
     reason = np.zeros(n, dtype=np.uint8)
 
-    # per round: next positions, time left and the crossing test, and the
-    # flags of lanes that cannot have met y and of finished lanes
-    work = np.empty((3, min(n, _POOL)))
+    # per round: next positions and time left, and the flags of lanes that
+    # cannot have met y and of finished lanes
+    work = np.empty((2, min(n, _POOL)))
     flags = np.empty((2, min(n, _POOL)), dtype=bool)
     below = x < y  # the side of y every live lane starts on
 
     def advance(s, dt, idx, cols, capped):
         xs, ts = cols  # position and elapsed time
-        nxt, rem, side = work[:, : xs.size]  # xs is needed until the lanes are checked
+        nxt, rem = work[:, : xs.size]  # xs is needed until the lanes are checked
         stays, over = flags[:, : xs.size]
         try:
             _flow(s, dt, xs, nxt, model)
@@ -457,17 +460,12 @@ def fpt_samples(
             start = xs.min() > y
             away = start and nxt.min() > y
         if not away:
-            if start:  # a lane stays where nxt is strictly on the start side
-                (np.less if below else np.greater)(nxt, y, out=stays)
-            else:
-                # a lane stays where nxt - y has the strict sign of xs - y;
-                # scaling by that sign cannot overflow, and nan counts as a
-                # crossing, so such a lane is checked
-                np.subtract(xs, y, out=rem)
-                np.sign(rem, out=rem)
-                np.subtract(nxt, y, out=side)
-                side *= rem
-                np.greater(side, 0.0, out=stays)
+            # a lane stays where nxt is strictly on the start side, and xs
+            # too unless every lane starts there; a nan is checked
+            strict = np.less if below else np.greater
+            strict(nxt, y, out=stays)
+            if not start:
+                stays &= strict(xs, y, out=over)
             crossed = np.flatnonzero(np.logical_not(stays, out=stays))
             # a lane with no time elapsed in the start state sits at x (a
             # zero holding time is the identity flow): such lanes share x's
@@ -494,7 +492,7 @@ def fpt_samples(
                     over[crossed] = np.minimum(th, dt_crossed) >= rem.take(crossed)
                     hit &= ~over.take(crossed)
                 oi = idx[over]
-                times[oi], censored[oi], reason[oi] = caps.horizon, True, CENSOR_HORIZON
+                times[oi], reason[oi] = caps.horizon, CENSOR_HORIZON
 
         if not away:
             if hit.all():  # every crossed lane hit: no compression
@@ -507,13 +505,13 @@ def fpt_samples(
         if capped:  # the lanes still running at their chunk's switch cap
             cut = np.flatnonzero(~over[:capped])
             ci = idx.take(cut)
-            times[ci], censored[ci], reason[ci] = ts.take(cut), True, CENSOR_SWITCH_CAP
+            times[ci], reason[ci] = ts.take(cut), CENSOR_SWITCH_CAP
             over[:capped] = True
         np.copyto(xs, nxt)
         return over
 
     _lane_pool(model, n, seed, "fpt", initial_state, (x, 0.0), advance, max_rounds=caps.max_switches)
-    return FptSampleBatch(times, censored, reason)
+    return FptSampleBatch(times, reason)
 
 
 def terminal_values(
@@ -673,7 +671,7 @@ def mc_laplace_fpt(query, model: KacOuModel, n: int, seed: int, caps: SimCaps = 
     batch = fpt_samples(model, query.x, query.y, query.initial_state, n, seed, caps)
     # the batch is not returned, so its times become the contributions in place
     ((mean, stderr),) = _laplace_estimates(batch, [query.q], batch.times)
-    return McEstimate(mean, stderr, n, int(np.count_nonzero(batch.censored)))
+    return McEstimate(mean, stderr, n, int(np.count_nonzero(batch.reason)))
 
 
 def _laplace_estimates(batch: FptSampleBatch, qs, work: np.ndarray) -> list[tuple[float, float]]:
@@ -688,12 +686,13 @@ def _laplace_estimates(batch: FptSampleBatch, qs, work: np.ndarray) -> list[tupl
     for bit.
     """
     n = batch.times.size
+    censored = batch.censored
     out = []
     for q in qs:
         with np.errstate(invalid="ignore"):  # q = 0 at an infinite horizon
             np.multiply(batch.times, -q, out=work)
         np.exp(work, out=work)
-        work[batch.censored] = 0.0
+        work[censored] = 0.0
         mean = work.sum() / n
         work -= mean
         work *= work

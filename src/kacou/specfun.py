@@ -193,16 +193,18 @@ def _sum_series(c2, c1, c0, b2: float, z: float) -> LogValue:
     rates around 1e6, where millions of terms precede the peak) fall back to.
 
     A parameter, sum or product past double range raises DoubleRangeError.
-    A series that cannot stop within _TERM_BUDGET terms is refused before
-    any term is summed: its numerator has no zero at k >= 0 to end it, and
-    its stop floor lies past the budget, so the cap and the long tail would
-    only grind to the same SeriesConvergenceError.
+    A series that cannot stop within the terms its kind may sum (a Gauss
+    series _TERM_BUDGET, the cap and the long tail; Kummer's SERIES_CAP,
+    since it has no long tail) is refused before any term is summed: its
+    numerator has no zero at k >= 0 to end it, and its stop floor lies past
+    those terms, so summing could only grind to a SeriesConvergenceError.
     """
     _check_range(c1, c0, b2)
     floor = _stop_floor(c2, c1, c0, b2, z)
-    if floor >= _TERM_BUDGET and (_largest_root(c2, c1, c0) if c2 else -c0) < 0.0:
+    budget = _TERM_BUDGET if c2 else SERIES_CAP
+    if floor >= budget and (_largest_root(c2, c1, c0) if c2 else -c0) < 0.0:
         raise SeriesConvergenceError(
-            f"hypergeometric series cannot stop within {_TERM_BUDGET} terms: its terms "
+            f"hypergeometric series cannot stop within {budget} terms: its terms "
             f"may grow again up to term {floor:.3g} (z={z})",
             terms_used=0,
         )
@@ -280,15 +282,6 @@ def _finish(total: float, log_scale: float, terms: int) -> LogValue:
     if total == 0.0:
         return LogValue(-math.inf, 0.0, terms)
     return LogValue(log_scale + math.log(abs(total)), math.copysign(1.0, total), terms)
-
-
-def _gauss_at_unit_log(b0: float, b1: float, b2: float) -> LogValue | None:
-    """Closed form at z = 1 when every Gamma argument is positive."""
-    args = (b2, b2 - b0 - b1, b2 - b0, b2 - b1)
-    if all(a > 0.0 for a in args):
-        lg = log_gamma(args[0]) + log_gamma(args[1]) - log_gamma(args[2]) - log_gamma(args[3])
-        return LogValue(lg, 1.0)
-    return None
 
 
 # unit roundoff
@@ -424,6 +417,18 @@ def _signed_log_gamma(x: float) -> tuple[float, float]:
     return math.lgamma(x), 1.0 if x > 0.0 or math.ceil(-x) % 2 == 0 else -1.0
 
 
+def _gauss_at_unit_log(a: float, b: float, c: float) -> LogValue:
+    """Gauss's theorem (DLMF 15.4.20), F(a, b; c; 1) = Gamma(c) Gamma(c - a - b) / (Gamma(c - a)
+    Gamma(c - b)) for c - a - b > 0: exactly 0 where c - a or c - b is a pole of its Gamma."""
+    if _is_nonpositive_int(c - a) or _is_nonpositive_int(c - b):
+        return LogValue(-math.inf, 0.0)
+    try:
+        (l0, s0), (l1, s1), (l2, s2), (l3, s3) = map(_signed_log_gamma, (c, c - a - b, c - a, c - b))
+    except OverflowError:
+        raise DoubleRangeError(f"Gauss's theorem at z = 1 leaves double range for {(a, b, c)}") from None
+    return LogValue(l0 + l1 - l2 - l3, s0 * s1 * s2 * s3)
+
+
 def _digamma_size(x: float) -> float:
     """An estimate of |psi(x)| from above: its logarithmic growth plus the
     nearest pole."""
@@ -555,8 +560,8 @@ def gauss_2f1_log(b0: float, b1: float, b2: float, z: float) -> LogValue:
     which is the direct series (Pfaff's for z < 0) where no transformation
     was tried, unless that bound also misses about 10 digits
     (SeriesConvergenceError).
-    At z = 1 the Gauss closed form is used when its Gamma arguments are
-    positive, and the series under the classical convergence conditions.
+    At z = 1 the value is Gauss's theorem (b2 - b0 - b1 > 0; the series
+    diverges otherwise), with no term summed.
     Terminating cases (an upper parameter a nonpositive integer) are summed
     exactly for any z.  A parameter past double range, or a series whose
     sum or product of upper parameters is, raises DoubleRangeError.
@@ -576,10 +581,7 @@ def gauss_2f1_log(b0: float, b1: float, b2: float, z: float) -> LogValue:
         return _selected(b0, b1, b2, z)[1]
     if b2 - b0 - b1 <= 0.0:
         raise OutOfDomainError(f"series diverges at z = 1 for b2 - b0 - b1 = {b2 - b0 - b1} <= 0")
-    closed = _gauss_at_unit_log(b0, b1, b2)
-    if closed is not None:
-        return closed
-    return _sum_series(1.0, b0 + b1, b0 * b1, b2, z)
+    return _gauss_at_unit_log(b0, b1, b2)
 
 
 def gauss_2f1_pair_log(pair_sum: float, pair_product: float, b2: float, z: float) -> LogValue:
@@ -602,6 +604,8 @@ def kummer_1f1_log(a: float, b: float, z: float) -> LogValue:
 
     Negative arguments are routed through Kummer's transformation
     Phi(a;b;z) = e^z Phi(b-a; b; -z) so every partial sum has positive terms.
+    A series whose stop floor lies past SERIES_CAP terms, and which no zero
+    of its numerator ends, is refused by ``_sum_series`` before summing.
     """
     _check_lower_param(b, name="b")
     if z == 0.0:
@@ -611,11 +615,6 @@ def kummer_1f1_log(a: float, b: float, z: float) -> LogValue:
         inner = kummer_1f1_log(b - a, b, -z)
         return LogValue(inner.log + z, inner.sign, inner.terms_used)
 
-    # for a, b > 0 every term ratio (k + a) z / ((k + b)(k + 1)) is at least
-    # min(1, a/b) z / (k + 1), so here all ratios before the cap exceed 2:
-    # the terms grow the whole way and summing them could only reach the cap
-    if a > 0.0 and b > 0.0 and z > 2.0 * SERIES_CAP * max(1.0, b / a):
-        raise _unconverged(z)
     return _sum_series(0.0, 1.0, a, b, z)
 
 

@@ -188,6 +188,54 @@ def test_override_changes_hash(tmp_path):
     assert config_hash(a.raw_text) != config_hash(b.raw_text)
 
 
+@pytest.mark.parametrize("pad", [" ", "\t", "  "])
+def test_padded_override_names_read_as_stripped(tmp_path, pad):
+    # the section was tested and added under its padded name but set under
+    # the stripped one: a new section raised NoSectionError, and an existing
+    # one gained an empty padded twin
+    path, _ = write_cfg(tmp_path)
+    plain = ["scaling.kind=kac_classic", "extra.value=3"]
+    padded = [f"{pad}scaling{pad}.{pad}kind{pad}=kac_classic", f"{pad}extra.value{pad}=3"]
+    want, got = load_config(path, overrides=plain), load_config(path, overrides=padded)
+    assert got.sections == want.sections
+    assert config_hash(got.raw_text) == config_hash(want.raw_text)
+
+
+def test_padded_override_adds_a_missing_section(tmp_path):
+    path, out = write_cfg(tmp_path)
+    text = open(path).read()
+    bare = tmp_path / "bare.cfg"
+    bare.write_text(text[: text.index("[scaling]")])
+    argv = ["scaling", "--config", str(bare), "--set", " scaling.kind=telegraph"]
+    for line in text[text.index("[scaling]") :].splitlines()[2:]:
+        if line:
+            argv += ["--set", " scaling." + line.replace(" = ", "=")]
+    assert main(argv) == 0
+    assert open(os.path.join(out, "scaling.csv")).read() == _scaling_csv(path, tmp_path / "full")
+
+
+def _scaling_csv(path, out):
+    """kacou scaling's CSV on the config at path, written under out."""
+    assert main(["scaling", "--config", path, "--set", f"run.out_dir={out}"]) == 0
+    return open(os.path.join(out, "scaling.csv")).read()
+
+
+@pytest.mark.parametrize("command, key", [("fpt", "fpt.q_grid"), ("scaling", "scaling.n_list")])
+@pytest.mark.parametrize("raw", ["", " ", ",", " , "])
+def test_an_empty_list_is_refused_up_front(tmp_path, capsys, monkeypatch, command, key, raw):
+    # an empty q grid drew the whole Monte Carlo batch and wrote a
+    # header-only fpt.csv, and an empty n_list a header-only scaling.csv
+    path, out = write_cfg(tmp_path)
+    monkeypatch.setattr(kacou.cli, "fpt_samples", None)  # refused before any draw
+    with pytest.raises(ConfigError, match=f"^{key}: must list at least one value$"):
+        getattr(load_config(path, overrides=[f"{key}={raw}"]), "positive" if command == "fpt" else "count")(
+            key, many=True
+        )
+    assert main([command, "--config", path, "--set", f"{key}={raw}"]) == 2
+    assert_refusal_names_once(capsys, key)
+    assert not os.path.exists(out)
+
+
 # --- subcommands ----------------------------------------------------------------
 
 

@@ -701,6 +701,72 @@ def test_hyper_args_small_root_next_to_a_huge_rate_gives_the_oracle_transform():
     assert laplace_fpt(query, model) == pytest.approx(fpt_integral_oracle(query, model), abs=1e-6)
 
 
+def ordinary_roots(q, model):
+    """The root pair as formed unscaled, a copy of the parent design's first
+    path, or None where its sum, product or discriminant left double range
+    (there a second path redid the algebra in units of the larger |beta|):
+    the bitwise referee of the one scaled formula wherever it returns."""
+    c0, c1 = model.coeffs
+    l0, l1 = model.rates.lambda0, model.rates.lambda1
+    beta0, beta1 = (q + l0) / c0.gamma, (q + l1) / c1.gamma
+    s = beta0 + beta1
+    p = q * (q + l0 + l1) / c0.gamma / c1.gamma
+    if p == 0.0:
+        return max(s, 0.0), min(s, 0.0)
+    if p < 0.0:
+        disc = s * s - 4.0 * p
+    else:
+        disc = (beta0 - beta1) * (beta0 - beta1) + 4.0 * (l0 / c0.gamma) * (l1 / c1.gamma)
+    if not (math.isfinite(disc) and math.isfinite(s) and math.isfinite(p)):
+        return None
+    big = 0.5 * (s + math.copysign(math.sqrt(max(disc, 0.0)), s))
+    small = p / big if big else 0.0
+    return max(big, small), min(big, small)
+
+
+@pytest.mark.parametrize("decades, q_decades", [(3.0, (-6.0, 4.0)), (30.0, (-20.0, 20.0))])
+def test_hyper_args_is_bitwise_the_unscaled_formula(decades, q_decades):
+    # the roots are formed in units of a power of two, which rounds each step
+    # as the unscaled formula does wherever that formula stays in range
+    rng = np.random.default_rng(50)
+    compared = 0
+    for _ in range(10_000):
+        l0, l1 = 10.0 ** rng.uniform(-decades, decades, 2)
+        g0, g1 = 10.0 ** rng.uniform(-decades, decades, 2) * rng.choice([-1.0, 1.0], 2)
+        q = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(*q_decades)
+        model = KacOuModel.from_values(l0, l1, 0.0, 0.0, 0.0, 0.0, g0, g1)
+        want = ordinary_roots(float(q), model)
+        if want is not None:
+            hp = hyper_args(float(q), model)
+            assert (hp.b0.hex(), hp.b1.hex()) == tuple(w.hex() for w in want), (q, l0, l1, g0, g1)
+            compared += 1
+    assert compared >= 9_000
+
+
+@pytest.mark.parametrize(
+    "q, l0, l1, g0, g1",
+    [
+        (1e-10, 1.0, 1.5, 1e-160, 2e-160),
+        (1e-10, 1.0, 1.5, 1e-160, -2e-160),
+        (1e-6, 2.0, 0.5, 3e-155, 7e-156),
+    ],
+)
+def test_hyper_args_past_double_range_keeps_the_small_root(q, l0, l1, g0, g1):
+    # the product past double range sent these through a second path that
+    # formed it as u0 u1 - w0 w1, which cancels: the small root was 1.9e-6,
+    # 1.9e-6 and 5.7e-11 off
+    hp = hyper_args(q, KacOuModel.from_values(l0, l1, 0.0, 0.0, 0.0, 0.0, g0, g1))
+    with mpmath.workdps(50):
+        q, l0, l1, g0, g1 = map(mpmath.mpf, (q, l0, l1, g0, g1))
+        beta0, beta1 = (q + l0) / g0, (q + l1) / g1
+        s = beta0 + beta1
+        root = mpmath.sqrt((beta0 - beta1) ** 2 + 4 * (l0 / g0) * (l1 / g1))
+        big = (s + mpmath.sign(s) * root) / 2
+        small = q * (q + l0 + l1) / (g0 * g1) / big
+        for got, exact in zip((hp.b0, hp.b1), (max(big, small), min(big, small))):
+            assert abs(got - exact) <= 1e-15 * abs(exact)
+
+
 # --- affine coordinates -----------------------------------------------------
 
 

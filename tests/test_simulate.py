@@ -2,7 +2,7 @@ import math
 import time
 import tracemalloc
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -33,6 +33,7 @@ from kacou.simulate import (
     CENSOR_HORIZON,
     CENSOR_SWITCH_CAP,
     CHUNK,
+    FptSampleBatch,
     SimCaps,
     SwitchSequence,
     evaluate_x,
@@ -1053,6 +1054,48 @@ def test_pooled_fpt_samples_match_per_chunk_reference_bitwise(name, n, caps_name
         assert any(flows)
 
 
+def test_a_lane_left_on_y_without_a_hit_is_checked_next_round(monkeypatch):
+    # a flow that leaves lanes exactly on y, with no hit, fails the next
+    # round's start test: that round checks every lane not strictly on the
+    # start side at both ends, which must be the lanes that the sign test of
+    # (xs - y) (nxt - y) checked, and the lanes on y hit at once
+    model, x, y, n = ATTRACTING, 0.2, 0.5, CHUNK + 500
+    flow, phi, rounds_off_start = kacou.simulate._flow, pattern_phi, [0]
+
+    def snap(out):
+        # by value, so that the reference lands the same lanes on y
+        out[(out > y - 1e-3) & (out < y)] = y
+
+    def snapping_flow(s, dt, xs, out, model):
+        on_start_side = xs < y
+        factor = flow(s, dt, xs, out, model)
+        snap(out)
+        if not on_start_side.all():
+            rounds_off_start[0] += 1
+            sign_stays = np.sign(xs - y) * (out - y) > 0.0
+            assert np.array_equal(sign_stays, on_start_side & (out < y))
+        return factor
+
+    def snapping_phi(*args):
+        out = phi(*args)
+        snap(out)
+        return out
+
+    monkeypatch.setattr(kacou.simulate, "_flow", snapping_flow)
+    monkeypatch.setitem(globals(), "pattern_phi", snapping_phi)
+    got = fpt_samples(model, x, y, 0, n, seed=4)
+    want = run_reference(n, 4, "fpt", lambda sz, rng: reference_fpt_chunk(model, x, y, 0, sz, rng, SimCaps()))
+    _assert_same_batch(got, want)
+    assert rounds_off_start[0] > 0
+
+
+def test_a_batch_keeps_one_censoring_record():
+    batch = fpt_samples(ATTRACTING, 0.2, 0.8, 0, 5_000, seed=3, caps=SimCaps(horizon=2.0, max_switches=3))
+    assert [f.name for f in fields(batch)] == ["times", "reason"]
+    assert np.array_equal(batch.censored, batch.reason != 0)
+    assert set(np.unique(batch.reason).tolist()) == {0, CENSOR_HORIZON, CENSOR_SWITCH_CAP}
+
+
 class _CountingStream:
     """A chunk's stream that counts its holding-time draws, one per round."""
 
@@ -1369,7 +1412,8 @@ def test_kernels_raise_no_warning_at_extreme_inputs(name):
     draw, reference = WARNING_FREE_CASES[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = list(vars(draw()).values())
+        got = draw()
+        got = [got.times, got.censored, got.reason] if isinstance(got, FptSampleBatch) else list(vars(got).values())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the references still warn
         want = reference()

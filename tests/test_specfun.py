@@ -1,4 +1,5 @@
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from kacou import specfun
 from kacou.errors import DoubleRangeError, OutOfDomainError, ParameterError, SeriesConvergenceError
+from kacou.first_passage import FptQuery, laplace_fpt
+from kacou.model import KacOuModel
 from kacou.specfun import (
     beta_fn,
     gauss_2f1_log,
@@ -117,11 +120,52 @@ def test_gauss_2f1_pair_conjugate_roots_real_sum():
 
 
 def test_gauss_2f1_reports_term_cap():
-    # z=1 with a small convergence exponent and no Gamma closed form (one
-    # Gamma argument negative): the series is too slow and must say so
-    with pytest.raises(SeriesConvergenceError) as err:
-        gauss_2f1_log(2.6, -1.9, 0.9, 1.0)
-    assert err.value.terms_used == 1_000_000
+    # z=1 with a small convergence exponent and one Gamma argument negative:
+    # the series converges like k^-0.8 and reached the term cap after about
+    # 0.3 s; Gauss's theorem gives the value without summing a term
+    got = gauss_2f1_log(2.6, -1.9, 0.9, 1.0)
+    assert got.terms_used == 0
+    assert got.value() == pytest.approx(1.1640351919463965, rel=1e-13)
+
+
+def _best_seconds(fn, repeats=5):
+    """The shortest of a few calls' wall times."""
+    best = math.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+UNIT_GRID = [
+    (0.3, 0.4, 2.0),  # every Gamma argument positive
+    (-2.3, -1.7, -0.4),  # c < 0
+    (0.7, -3.2, -0.4),  # c < 0 and c - a < 0
+    (1.5, -2.5, 0.3),  # c - a < 0
+    (-1.9, 2.6, 0.9),  # c - b < 0
+    (-2.2, -1.9, -3.5),  # c, c - a and c - b < 0
+    (1.5, -2.5, 0.5),  # c - a = -1, a pole of Gamma(c - a)
+    (-2.5, 1.5, 0.5),  # c - b = -1, a pole of Gamma(c - b)
+    (-2.5, -1.5, -3.5),  # both denominator poles
+]
+
+
+@pytest.mark.parametrize("a, b, c", UNIT_GRID)
+def test_gauss_2f1_at_unit_is_gauss_theorem(a, b, c):
+    # where a Gamma argument was negative, the series was summed at z = 1
+    # for about 0.3 s, to the term cap
+    import mpmath
+
+    got = gauss_2f1_log(a, b, c, 1.0)
+    assert got.terms_used == 0
+    assert _best_seconds(lambda: gauss_2f1_log(a, b, c, 1.0)) < 1e-3
+    with mpmath.workdps(50):
+        want = float(mpmath.hyp2f1(a, b, c, 1))
+    if want == 0.0:
+        assert got.sign == 0.0 and got.value() == 0.0
+    else:
+        assert got.value() == pytest.approx(want, rel=1e-13)
 
 
 def test_gauss_2f1_unit_divergence_is_error():
@@ -280,11 +324,13 @@ def reference_sum_series(c2, c1, c0, b2, z):
     would carry the term past double range is preceded by a rescale, found
     by trying the product itself rather than by a bound on the ratio.  A
     series whose numerator has no zero at k >= 0 and whose stop floor is
-    past the term budget is refused before any term."""
+    past the terms its kind may sum is refused before any term: a Gauss
+    series may sum the cap and the long tail, Kummer's the cap alone."""
     floor = specfun._stop_floor(c2, c1, c0, b2, z)
-    if floor >= specfun._TERM_BUDGET and (specfun._largest_root(c2, c1, c0) if c2 else -c0) < 0.0:
+    budget = specfun._TERM_BUDGET if c2 else specfun.SERIES_CAP
+    if floor >= budget and (specfun._largest_root(c2, c1, c0) if c2 else -c0) < 0.0:
         raise SeriesConvergenceError(
-            f"hypergeometric series cannot stop within {specfun._TERM_BUDGET} terms: its terms "
+            f"hypergeometric series cannot stop within {budget} terms: its terms "
             f"may grow again up to term {floor:.3g} (z={z})",
             terms_used=0,
         )
@@ -457,25 +503,41 @@ def test_no_warning_escapes_the_blocks():
         warnings.simplefilter("error")
         for args in CAP_AND_TAIL + [(1.0, 2e5 + 2.0, 1e5 * (1e5 + 2.0), 1e5 + 1.0, 0.3)]:
             _outcome(specfun._sum_series, args)
-        with pytest.raises(SeriesConvergenceError):
-            gauss_2f1_log(2.6, -1.9, 0.9, 1.0)
+        assert gauss_2f1_log(2.6, -1.9, 0.9, 1.0).terms_used == 0
         assert gauss_2f1_log(2e6, 5e5, 1e6 + 1.0, 0.25).log > 709.0
 
 
 def test_kummer_whose_terms_grow_to_the_cap_raises_at_once():
-    # a, b > 0 and z > 2 * SERIES_CAP * max(1, b/a): every ratio before the
-    # cap exceeds 2, so the loop could only sum to the cap (a million terms
-    # at z = 1e7) or overflow (at z = 1e300 it returned log = inf)
-    expected = _outcome(reference_sum_series, (0.0, 1.0, 0.5, 1.5, 1e7))
-    assert expected[0] is SeriesConvergenceError
-    with mock.patch.object(specfun, "_sum_series", side_effect=AssertionError("summed")):
-        assert _outcome(kummer_1f1_log, (0.5, 1.5, 1e7)) == expected
-        for z in (1e30, 1e300):
-            with pytest.raises(SeriesConvergenceError) as err:
-                kummer_1f1_log(0.5, 1.5, z)
-            assert err.value.terms_used == specfun.SERIES_CAP
-    # below the bound the series is summed as before
+    # a Kummer series whose stop floor passes the cap, with no numerator zero
+    # to end it, could only sum to the cap (a million terms at z = 1e7, 1.5e6
+    # and 5e6) or overflow (at z = 1e300 it once returned log = inf): the
+    # loop refuses it before the first term, as the referee does
+    for z in (1.5e6, 5e6, 1e7, 1e30, 1e300):
+        expected = _outcome(reference_sum_series, (0.0, 1.0, 0.5, 1.5, z))
+        assert expected[0] is SeriesConvergenceError and expected[2] == 0
+        with mock.patch.object(specfun, "_finish", side_effect=AssertionError("summed")):
+            assert _outcome(kummer_1f1_log, (0.5, 1.5, z)) == expected
+    # below the floor the series is summed as before
     assert kummer_1f1_log(0.5, 1.5, 700.0) == specfun._sum_series(0.0, 1.0, 0.5, 1.5, 700.0)
+
+
+def test_series_that_would_grind_to_the_cap_are_refused_within_a_millisecond():
+    # each summed a million terms, for about 0.3 s, before it raised
+    non_strict = KacOuModel.from_values(1, 1, 0, 1, 0, 0, 1, 0)
+    for call in (
+        lambda: kummer_1f1_log(0.5, 1.5, 1.5e6),
+        lambda: kummer_1f1_log(0.5, 1.5, 5e6),
+        lambda: laplace_fpt(FptQuery(3e5, 5.0, 6.0, 1), non_strict),
+    ):
+        with pytest.raises(SeriesConvergenceError, match="cannot stop within 1000000 terms") as err:
+            call()
+        assert err.value.terms_used == 0
+
+        def refused():
+            with pytest.raises(SeriesConvergenceError):
+                call()
+
+        assert _best_seconds(refused) < 1e-3
 
 
 def _mp_terminating_1f1(a, b, z):
