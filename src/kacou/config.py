@@ -110,6 +110,8 @@ def _apply_overrides(parser: configparser.ConfigParser, overrides) -> None:
         if "." not in target:
             raise ConfigError(target, "override key must be section.key")
         section, key = (part.strip() for part in target.split(".", 1))
+        if section == parser.default_section:  # configparser's defaults, which add_section refuses
+            raise ConfigError(f"{section}.{key}", f"override section must not be {section}")
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, key, value.strip())

@@ -224,7 +224,7 @@ def _non_strict_value(model, q, frame, state):
     # the attractor no longer solves that problem
     frame.require("y", "the threshold past the attractor", lo=rho)
     beta0 = (q + l0) / c0.gamma
-    delta = ((q + l0) * (q + l1) - l0 * l1) / (c0.gamma * (q + l1))
+    delta = q * (q + l0 + l1) / (c0.gamma * (q + l1))
     ux = (x - rho) * (q + l1)
     uy = (y - rho) * (q + l1)
     den = _target_side(kummer_1f1_log, delta, beta0, uy)
@@ -238,7 +238,8 @@ def laplace_fpt(query: FptQuery, model: KacOuModel) -> float:
 
     For q > 0 this is P{T(x,y) < e_q}, e_q an independent Exp(q) time: the
     law of the running extremum at e_q, P{min_{t <= e_q} X_t <= y} when
-    x > y and P{max_{t <= e_q} X_t >= y} when x < y.
+    x > y and P{max_{t <= e_q} X_t >= y} when x < y.  X is the mean path
+    dx/dt = a_i - gamma_i x; b0 and b1 are not read.
 
     Raises OutOfDomainError when (x, y) leaves the stated validity domain,
     and UnsupportedRegimeError when the regime has no closed form (equal
@@ -617,7 +618,8 @@ def _direct_finish(blocks, pair, out):
 
 def fpt_oracle_curve(model: KacOuModel, q: float, y: float, xs):
     """Solve the coupled renewal integral equations on the side of y that
-    contains every query point; returns (ell0, ell1) at xs.
+    contains every query point; returns (ell0, ell1) at xs: the mean path's
+    first-passage transforms, which read neither b0 nor b1.
 
     Independent of the hypergeometric route: numpy and the model's flows
     alone.  The equations are written (see _oracle_rows) on a coarse grid
@@ -672,7 +674,8 @@ def _oracle_grid_curves(model, q, y, xs, mirrored=False):
 
 def fpt_integral_oracle(query: FptQuery, model: KacOuModel) -> float:
     """Renewal-equation value of E[exp(-q T)] (see fpt_oracle_curve); works
-    in every regime, q > 0."""
+    in every regime, q > 0.  T is the mean path's first passage; b0 and b1
+    are not read."""
     e0, e1 = fpt_oracle_curve(model, query.q, query.y, np.array([query.x]))
     return float(e0[0] if query.initial_state == 0 else e1[0])
 

@@ -136,9 +136,10 @@ def _level(model: KacOuModel, state: int) -> float:
 
 def invariant_description(model: KacOuModel) -> InvariantDensity:
     """The regime's closed form, from which every density, derivative and
-    integral of the invariant measure is evaluated; kind "None" when no
-    invariant density exists.  A density whose exponents, support ends, width
-    or constants leave double range has no finite descriptor: DoubleRangeError.
+    integral of the mean path's invariant measure is evaluated (b0 and b1
+    are not read); kind "None" when no invariant density exists.  A density
+    whose exponents, support ends, width or constants leave double range has
+    no finite descriptor: DoubleRangeError.
 
     Exponents and constants are laid out for the anchor state s first and
     swapped when s = 1."""
@@ -218,7 +219,8 @@ def invariant_exists(model: KacOuModel) -> tuple[bool, tuple[float, float] | Non
 
 
 def invariant_density(x, state: int, model: KacOuModel):
-    """Closed-form stationary density of (X, state) at x (0 outside support)."""
+    """Closed-form stationary density of (X, state) at x (0 outside support),
+    X the mean path; b0 and b1 are not read."""
     state = _state(state)
     out = _require(model).evaluate(x)[state]
     return out if np.ndim(x) else float(out)

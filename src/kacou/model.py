@@ -49,15 +49,6 @@ RHO_EQUAL_RTOL = 1e-12
 # the series b^2 dt (1 - gamma dt), within (2/3) (gamma t)^2 < 2e-11 of exact.
 _SERIES_GT = 5e-6
 
-# log of the smallest normal double: a ratio (x - rho) / (y - rho) whose log
-# lies below this was rounded in the subnormal range, so hitting_time takes
-# its log as a difference of logs instead.
-_LOG_TINY = math.log(np.finfo(float).tiny)
-
-# hitting_time takes the log of a ratio (x - rho) / (y - rho) whose log is
-# below this (the ratio within about 0.67 to 1.5) as log1p((x - y) / (y - rho))
-_NEAR_LOG = 0.4
-
 
 @dataclass(frozen=True)
 class SwitchRates:
@@ -315,8 +306,7 @@ def _series_bounds(model: KacOuModel) -> list[float]:
     a t phi(gamma t) + x exp(-gamma t), which never forms rho = a / gamma:
     inf for a state whose level a / gamma is past double range, _SERIES_GT
     for a slow state (|gamma| / lambda below _SERIES_GT) and 0 for every
-    other state, gamma = 0 included.  hitting_time takes its rho-free form
-    in every state whose bound is above 0, and where gamma = 0."""
+    other state, gamma = 0 included."""
     bounds = []
     for i, c in enumerate(model.coeffs):
         if c.gamma == 0.0:
@@ -427,27 +417,23 @@ def hitting_time(state, x, y, model: KacOuModel):
     half-line branch of the renewal integral equations), never an overflow.
     Scalar x == y raises ParameterError; in arrays an entry already at y
     gets 0, so a Monte Carlo lane that lands on its target hits at once.
-    A state whose flow takes its rho-free form (see pattern_map), and a
-    state with gamma = 0, takes t = v log1p(u) / u with
-    v = (y - x) / (a - gamma y) and u = gamma v, which never forms rho and
-    is exactly (y - x) / a where gamma = 0.  Any other state takes
-    log((x - rho) / (y - rho)) / gamma, with log1p((x - y) / (y - rho))
-    for the log next to the target; where that ratio underflows to 0 with
-    x != y (x - y below about 2e-308 |y - rho|), the rho-free form keeps
-    the time.  state, x and y are scalars (a float is returned) or
-    broadcastable arrays.  Each branch is written once, for one state; an
-    array of states runs both states' branches on every entry and keeps
-    each entry's own.
+    Every state takes one law, t = v log1p(u) / u with
+    v = (y - x) / (a - gamma x) and u = -gamma v, so that
+    1 + u = (y - rho) / (x - rho); it is exactly (y - x) / a at gamma = 0,
+    and takes the log of a ratio far from 1 from the distances to
+    rho = a / gamma (see _state_time).  Whether y is reached comes from
+    signs alone, so a reached time may round to 0.  state, x and y are
+    scalars (a float is returned) or broadcastable arrays.  The law is
+    written once, for one state; an array of states runs both states' laws
+    on every entry and keeps each entry's own.
     """
     state = _state(state, each=True)
-    series = _series_bounds(model)
     x, y = _reals(x, "x"), _reals(y, "y")
     if np.ndim(state) == 0 and x.ndim == 0 and y.ndim == 0 and x == y:
         raise ParameterError("hitting_time requires x != y")
 
-    def law(i, x, y):  # state i's branch: the rho-free form where its flow takes it, and at gamma = 0
-        c = model.coeffs[i]
-        return ((_series_time if series[i] or c.gamma == 0.0 else _log_ratio_time)(c.a, c.gamma, x, y),)
+    def law(i, x, y):
+        return (_state_time(model.coeffs[i].a, model.coeffs[i].gamma, x, y),)
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         (t,) = _each_state(state, law, x, float(y) if y.ndim == 0 else y)  # a scalar y stays a float
@@ -456,76 +442,48 @@ def hitting_time(state, x, y, model: KacOuModel):
     return _result(t, state, x, y)
 
 
-# The branches of hitting_time, each for one state's scalar a and gamma and
-# each returning a fresh array, inf where its flow never reaches y; the
-# caller holds the floating-point error state.
+def _state_time(a, g, x, y):
+    """hitting_time's law for one state's scalar a and gamma, worked out in
+    its output array and one scratch array; inf where the flow never
+    reaches y.  The caller holds the floating-point error state.
 
-
-def _entries(v, shape, at):
-    """v's entries at the flat indices `at` of `shape`, or v itself if a scalar."""
-    return v if np.ndim(v) == 0 else np.broadcast_to(v, shape).reshape(-1).take(at)
-
-
-def _log_ratio_time(a, g, x, y):
-    """log((x - rho) / (y - rho)) / gamma for gamma != 0, worked out in its
-    output array and one scratch array; log1p, the lost-digit rescue and
-    the rho-free form run only on the entries that need them."""
-    rho = a / g
-    dy = y - rho
-    t = np.subtract(x, rho, out=np.empty(np.broadcast_shapes(np.shape(x), np.shape(dy))))
-    # y = rho gives r = +-inf: the level is reached only in the limit;
-    # a time past double range (a tiny gamma or drift) is inf too.  r = +-0
-    # (x = rho, or an underflow) gives a log of -inf and r < 0 a nan: a time
-    # of inf either way
-    t /= dy
-    np.log(t, out=t)
-    size = np.abs(t, out=np.empty_like(t))
-    near = np.less(size, _NEAR_LOG, out=np.empty(t.shape, dtype=bool))
-    # a ratio that under- or overflows (a subnormal x - rho, say) lost its
-    # digits (a nan size is looked at too, and never matches)
-    lost = None if size.max(initial=0.0) <= -_LOG_TINY else np.flatnonzero(size > -_LOG_TINY)
-    under = None
-    if near.any():
-        # next to the target r = 1 + (x - y) / (y - rho) rounds away the
-        # digits of x - y, which its log1p keeps (a start 1e-16 from y must
-        # not read as a log ratio of 0, which counts as unreached)
-        u = np.subtract(x, y, out=size)
-        u /= dy
-        np.log1p(u, out=t, where=near)
-        # past that u underflows to 0, which reads as unreached; the
-        # rho-free form below keeps the time
-        if not u.all():
-            under = np.flatnonzero((u == 0.0) & near & (x != y))
-    if lost is not None:
-        # the log of each finite, nonzero difference of one sign keeps the
-        # digits, and the differences are exact where they are subnormal
-        dx_l = np.broadcast_to(_entries(x, t.shape, lost) - rho, lost.shape)
-        dy_l = np.broadcast_to(_entries(dy, t.shape, lost), lost.shape)
-        keep = np.isfinite(dx_l) & np.isfinite(dy_l) & (dx_l != 0.0) & (dy_l != 0.0)
-        keep &= np.signbit(dx_l) == np.signbit(dy_l)
-        t.reshape(-1)[lost[keep]] = np.log(np.abs(dx_l[keep])) - np.log(np.abs(dy_l[keep]))
-    # y is reached where the log ratio has gamma's sign: r > 1 toward an
-    # attractor, 0 < r < 1 away from a repeller.  The sign is read before
-    # the division, which may round a reached time to 0
-    reached = np.greater(np.multiply(t, np.sign(g), out=size), 0.0, out=near)
-    t /= g
+    y is reached where y - x has the sign of the drift a - gamma x at x
+    (read from v's sign bit, which survives its rounding to 0 or inf) and,
+    where rho is a double, y - rho is nonzero and has the sign of x - rho.
+    Where u is subnormal or 0, log1p(u) / u rounds to 1 and t = v; where
+    1 + u lies outside [1/2, 2] and rho is a double,
+    t = (log|x - rho| - log|y - rho|) / gamma; elsewhere
+    t = -log1p(u) / gamma.
+    """
+    rho = a / g if g else math.inf
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    t = np.subtract(y, x, out=np.empty(shape))
+    s = np.multiply(x, g, out=np.empty(shape))
+    np.subtract(a, s, out=s)
+    reached = np.not_equal(s, 0.0, out=np.empty(shape, dtype=bool))
+    t /= s  # v
+    reached &= ~np.signbit(t)
+    np.multiply(t, -g, out=s)  # u
+    np.log1p(s, out=s)
+    # u is subnormal or 0 where v is below tiny / |gamma| (a v < 0 is never
+    # reached), and a nan v stays
+    np.divide(s, -g, out=t, where=t >= np.finfo(float).tiny / abs(g))
+    if math.isfinite(rho):
+        # log1p(u) loses the digits of a ratio 1 + u that is tiny or huge, and
+        # the distances to rho keep them
+        far = ~((-math.log(2.0) <= s) & (s <= math.log(2.0)))  # and where it is nan
+        if far.any():
+            np.subtract(x, rho, out=s)
+            np.log(np.abs(s, out=s), out=s)
+            s -= np.log(np.abs(y - rho))
+            s /= g
+            np.copyto(t, s, where=far)
+        side = np.sign(y - rho)  # x sign(y - rho) > rho sign(y - rho), exactly
+        reached &= np.multiply(x, side, out=s) > rho * side
+    # a nan (from a nan or inf input) or a negative time is never reached
+    reached &= t >= 0.0
     np.copyto(t, np.inf, where=np.logical_not(reached, out=reached))
-    if under is not None and under.size:
-        t.reshape(-1)[under] = _series_time(a, g, _entries(x, t.shape, under), _entries(y, t.shape, under))
     return t
-
-
-def _series_time(a, g, x, y):
-    """v log1p(u) / u with v = (y - x) / (a - gamma y) and u = gamma v: the
-    log-ratio time log((a - gamma x) / (a - gamma y)) / gamma without
-    forming rho.  Reached where y - x has the sign of the drift at y,
-    a - gamma y, which v may round to 0, and u > -1."""
-    d, w = y - x, a - g * y
-    v = d / w
-    u = g * v
-    t = v * np.where(u == 0.0, 1.0, np.log1p(np.where(u > -1.0, u, 0.0)) / u)
-    # (a v past double range gives a nan t, read as never)
-    return np.where((u > -1.0) & (d * np.sign(w) > 0.0) & (t >= 0.0), t, np.inf)
 
 
 def interval_variance(state, t, model: KacOuModel):

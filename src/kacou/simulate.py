@@ -25,12 +25,12 @@ A first-passage round does only the work its lanes need.  Where every live
 lane starts and ends strictly on the start side of the target (two
 reductions tell), no lane can have met it, and the crossing test, the hit
 times and their bookkeeping are skipped.  The hit times of the lanes that
-may have crossed come from model.hitting_time, which works them out in one
-array of its own; this module takes no logarithm itself.  Lanes still at
-their start (no time elapsed in the start state: a chunk's lanes in the
-round it joins) share one hit time, that of a one-entry array of x, which
-hitting_time gives every entry of x bit for bit; it is worked out only in
-a round where such a lane may have crossed.
+may have crossed come from model.hitting_time, which works them out in its
+output array and one scratch array; this module takes no logarithm itself.
+Lanes still at their start (no time elapsed in the start state: a chunk's
+lanes in the round it joins) share one hit time, that of a one-entry array
+of x, which hitting_time gives every entry of x bit for bit; it is worked
+out only in a round where such a lane may have crossed.
 
 One work rule, check_work, refuses a call with WorkLimitError before it
 allocates: a call may expect at most MAX_LANE_SEGMENTS lane-segments (one
@@ -88,9 +88,9 @@ CENSOR_SWITCH_CAP = 2
 # censoring reason names, indexed by the codes above (0: not censored)
 REASON_NAMES = ("", "horizon", "switch_cap")
 
-# the most lane-segments one call may expect, some twenty minutes at 12-13 ns each; and a pool
+# the most lane-segments one call may expect, about two minutes at 12-13 ns each; and a pool
 # round's fixed cost in them, not a knob: 11-31 us a round on a 2-vCPU host
-MAX_LANE_SEGMENTS, _ROUND_LANES = 1e11, 2048
+MAX_LANE_SEGMENTS, _ROUND_LANES = 1e10, 2048
 
 
 def check_work(rates, horizon: float, lanes: int, max_rounds=math.inf, pooled=True, spent=0.0) -> float:
@@ -413,7 +413,8 @@ def fpt_samples(
     seed: int,
     caps: SimCaps = SimCaps(),
 ) -> FptSampleBatch:
-    """n independent first-passage draws (vectorized, chunked, reproducible).
+    """n independent first-passage draws (vectorized, chunked, reproducible)
+    of the mean path, which reads neither b0 nor b1.
 
     Each round moves the live lanes across a holding time, takes the hit
     times of those that may have met y from hitting_time, and censors lanes
@@ -661,7 +662,8 @@ def _telegraph_values(model, x0, t, n, seed, initial_state, p0, purpose) -> Term
 
 
 def mc_laplace_fpt(query, model: KacOuModel, n: int, seed: int, caps: SimCaps = SimCaps()) -> McEstimate:
-    """Monte Carlo E[exp(-q T)].
+    """Monte Carlo E[exp(-q T)], T the mean path's first passage (from
+    fpt_samples; b0 and b1 are not read).
 
     Censored paths contribute 0; the induced bias is below exp(-q * horizon)
     (1e-16 at the default caps for q >= 0.04), and at q = 0 the estimate is

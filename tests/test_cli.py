@@ -214,6 +214,19 @@ def test_padded_override_adds_a_missing_section(tmp_path):
     assert open(os.path.join(out, "scaling.csv")).read() == _scaling_csv(path, tmp_path / "full")
 
 
+@pytest.mark.parametrize("target", ["DEFAULT.x", " DEFAULT .model.a0"])
+def test_an_override_of_the_default_section_is_refused(tmp_path, capsys, target):
+    # add_section('DEFAULT') raised ValueError: a traceback with exit 1
+    path, out = write_cfg(tmp_path)
+    key = ".".join(part.strip() for part in target.split(".", 1))
+    with pytest.raises(ConfigError) as err:
+        load_config(path, overrides=[f"{target}=1"])
+    assert err.value.key == key
+    assert main(["fpt", "--config", path, "--set", f"{target}=1"]) == 2
+    assert capsys.readouterr().err == f"config error: {key}: override section must not be DEFAULT\n"
+    assert not os.path.exists(out)
+
+
 def _scaling_csv(path, out):
     """kacou scaling's CSV on the config at path, written under out."""
     assert main(["scaling", "--config", path, "--set", f"run.out_dir={out}"]) == 0
@@ -923,6 +936,12 @@ SCALING_WORK_KEYS = "scaling.n_paths, scaling.t, scaling.n_list and scaling.nu"
             "simulate",
             ["simulate.mode=fpt", "simulate.n_paths=10", "model.lambda0=1e8", "model.lambda1=1e8"]
             + ["simulate.cap_switches=1e9", "simulate.x=0.2", "simulate.y=5"],
+            "simulate.n_paths, simulate.cap_horizon, simulate.cap_switches",
+        ),
+        # 2.1e10 lane-segments at the default caps: four to five minutes
+        (
+            "simulate",
+            ["simulate.mode=fpt", "simulate.n_paths=50", "model.lambda0=1e8", "model.lambda1=1e8"],
             "simulate.n_paths, simulate.cap_horizon, simulate.cap_switches",
         ),
     ],

@@ -783,6 +783,24 @@ def test_attraction_repulsion_domain_errors():
         laplace_fpt(FptQuery(0.7, -2.0, 0.5, 0), ar01_mirrored)
 
 
+@pytest.mark.parametrize("q", [1e-8, 1e-12])
+def test_non_strict_upper_parameter_keeps_its_digits_at_small_q(monkeypatch, q):
+    # delta was ((q + l0)(q + l1) - l0 l1) / (gamma0 (q + l1)), which cancels:
+    # 1.1e-8 relative off at q = 1e-8 and 8.9e-5 at q = 1e-12
+    import mpmath
+
+    seen = []
+    kummer = fp.kummer_1f1_log
+    monkeypatch.setattr(fp, "kummer_1f1_log", lambda a, b, z: seen.append(a) or kummer(a, b, z))
+    model = KacOuModel.from_values(0.7, 1.3, 0.2, 0.5, 0.0, 0.0, 1.7, 0.0)
+    for state in (0, 1):
+        laplace_fpt(FptQuery(q, 0.3, 0.8, state), model)
+    with mpmath.workdps(50):
+        q_, l0, l1 = mpmath.mpf(q), mpmath.mpf(0.7), mpmath.mpf(1.3)
+        want = float(((q_ + l0) * (q_ + l1) - l0 * l1) / (mpmath.mpf(1.7) * (q_ + l1)))
+    assert seen and all(a == pytest.approx(want, rel=2.0**-50, abs=0.0) for a in seen)
+
+
 def test_non_strict_side_restriction():
     with pytest.raises(OutOfDomainError):
         laplace_fpt(FptQuery(0.7, 0.8, 0.2, 1), NON_STRICT)  # against the drift

@@ -433,20 +433,25 @@ def test_hitting_time_at_tiny_reversion_without_drift(gamma, x, y):
     assert hitting_time(0, x, y, m) == pytest.approx(_mp_hitting_time(0.0, gamma, x, y), rel=1e-13, abs=0.0)
 
 
-def test_hitting_time_of_a_fast_state_beside_a_slow_one_keeps_its_log_form():
+def test_hitting_time_of_a_fast_state_beside_a_slow_one_keeps_its_digits():
+    # both states take the one law: the fast state (gamma 1.3) as well as
+    # the slow one (gamma 1e-12) is within a few ulps of 50-digit mpmath
     m = make(a0=1.0, gamma0=1e-12, a1=0.4, gamma1=1.3)
-    rho = 0.4 / 1.3
-    xs = np.array([2.0, -1.0, 0.9])
-    ys = np.array([0.5, 0.0, 0.31])
-    want = np.log((xs - rho) / (ys - rho)) / 1.3
-    assert np.array_equal(hitting_time(1, xs, ys, m), want)
-    assert np.array_equal(hitting_time(np.array([1, 0, 1]), xs, ys, m)[::2], want[::2])
+    xs = np.array([2.0, -1.0, 0.9, 1e-3])
+    ys = np.array([0.5, 0.0, 0.31, 0.3])
+    for s in (0, 1):
+        want = [_mp_hitting_time(m.coeffs[s].a, m.coeffs[s].gamma, x, y) for x, y in zip(xs, ys)]
+        assert hitting_time(s, xs, ys, m) == pytest.approx(want, rel=2.0**-49, abs=0.0)
+    # an array of states gives each entry the bits of a call with its own state
+    states = np.array([1, 0, 1, 0])
+    each = [np.float64(hitting_time(int(s), float(x), float(y), m)) for s, x, y in zip(states, xs, ys)]
+    assert hitting_time(states, xs, ys, m).tobytes() == np.array(each).tobytes()
 
 
 # attracting, repelling, flat, slow (both signs) and subnormal reversion
 _HIT_GAMMAS = [0.9, -0.9, 0.0, 1e-12, -1e-12, 1e-310]
 # starts and targets near the levels, on them, subnormal, huge, and a pair
-# next to each other, where the log-ratio loses its digits
+# next to each other, where a log of their ratio would lose its digits
 _HIT_POINTS = st.one_of(
     st.floats(-4.0, 4.0),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, 1.0, 1.0 + 2.0**-52, 0.5 / 0.9]),

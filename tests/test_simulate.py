@@ -36,6 +36,7 @@ from kacou.simulate import (
     FptSampleBatch,
     SimCaps,
     SwitchSequence,
+    check_work,
     evaluate_x,
     fpt_samples,
     mc_laplace_fpt,
@@ -997,13 +998,13 @@ POOL_CASES = {
     y=st.floats(-4.0, 4.0),
     k=st.one_of(st.integers(1, 70), st.sampled_from([127, 128, 129, 1000, 4097, 65536, 70_000])),
 )
-# a slow state (|gamma| / lambda below _SERIES_GT): the rho-free form
+# a slow state (|gamma| / lambda below _SERIES_GT)
 @example(rates=(1.0, 1.0), a=0.5, gamma=1e-7, x=0.2, y=0.8, k=70_000)
 # (x - rho) / (y - rho) is subnormal, and underflows to 0 or overflows
 @example(rates=(1.0, 1.0), a=0.0, gamma=-0.9, x=-5e-324, y=-0.75, k=70_000)
 @example(rates=(1.0, 1.0), a=0.0, gamma=-0.9, x=5e-324, y=4.0, k=70_000)
 @example(rates=(1.0, 1.0), a=0.0, gamma=0.9, x=1e300, y=1e-300, k=70_000)
-# a start next to the target: the log1p branch
+# a start next to the target
 @example(rates=(1.0, 1.0), a=1.0, gamma=1.0, x=0.5, y=0.5 + 1e-12, k=65_537)
 @example(rates=(1.0, 1.0), a=1.0, gamma=0.0, x=0.5, y=0.75, k=1)
 @settings(max_examples=60, deadline=None)
@@ -1663,9 +1664,16 @@ RUNAWAY_DRAWS = {
 def test_runaway_draws_are_refused_up_front(name):
     assert issubclass(WorkLimitError, ParameterError)
     t0 = time.perf_counter()
-    with pytest.raises(WorkLimitError, match=r"expects .* lane-segments.*past the bound 1e\+11"):
+    with pytest.raises(WorkLimitError, match=r"expects .* lane-segments.*past the bound 1e\+10"):
         RUNAWAY_DRAWS[name]()
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_a_few_lanes_at_fast_rates_are_refused():
+    # 50 lanes at lambda0 = lambda1 = 1e8 and the default caps count
+    # 1e7 (50 + 2,048) = 2.1e10 lane-segments: four to five minutes of rounds
+    with pytest.raises(WorkLimitError, match=r"expects 2\.1e\+10 lane-segments"):
+        check_work(SwitchRates(1e8, 1e8), 1e3, 50, 1e7)
 
 
 def test_convergence_check_refuses_its_rows_together_before_its_first_draw(monkeypatch):
@@ -1675,9 +1683,12 @@ def test_convergence_check_refuses_its_rows_together_before_its_first_draw(monke
     monkeypatch.setattr(kacou.scaling, "terminal_values", refuse)
     spec = ScalingSpec(ScalingKind.CASE_A, 2.0, base=NOISY, drift=ScaledPair(0.8, 0.4))
     # a row at n counts about 4n/3 rounds of 1,000 lanes and 2,048 more:
-    # n = 1e9 alone passes the bound, and 2e7 and 2.2e7 only together
-    for n_list in ([10, 1e9], [10, 2e7, 2.2e7]):
+    # n = 1e9 alone passes the bound, and 2e6 and 2.2e6 only together
+    for n_list in ([10, 1e9], [10, 2e6, 2.2e6]):
         with pytest.raises(WorkLimitError, match="each round of the lane pool counting at least 2048"):
+            convergence_check(spec, 1.0, n_list, 1_000, seed=1)
+    for n_list in ([10, 2e6], [10, 2.2e6]):
+        with pytest.raises(AssertionError, match="drew before"):
             convergence_check(spec, 1.0, n_list, 1_000, seed=1)
     # the rounds count at the stationary rate 2/(1/lambda0 + 1/lambda1)
     assert SwitchRates(1e8, 1.0).expected_switches(10.0) == 2.0 / (1e-8 + 1.0) * 10.0
