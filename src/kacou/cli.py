@@ -39,7 +39,6 @@ from .scaling import (
     SCALED_PAIRS,
     ConvergenceRow,
     ScaledPair,
-    ScalingKind,
     ScalingSpec,
     convergence_check,
 )
@@ -55,13 +54,6 @@ from .simulate import (
     sample_m_path,
     sample_switch_sequence,
 )
-
-
-# the most points `invariant.grid_points` or `simulate.eval_points` may ask
-# for: each is a CSV row (a path's row in simulate), and the arrays behind
-# them are allocated before any is written; the README and benchmark configs
-# use at most 401
-MAX_GRID_POINTS = 1e6
 
 
 # the most rows one `kacou simulate` path may expect, eval_points + 1 + its
@@ -381,19 +373,15 @@ def _manifest(cfg: RunConfig, command: str, outputs: list[str], t0: float, extra
 
 
 def _cmd_simulate(cfg: RunConfig):
-    mode = cfg.get("simulate", "mode", default="path", cast=str)
-    n_paths = cfg.count("simulate.n_paths", 1)
-    x0 = cfg.finite("simulate.x0", 0.0)
-    state0 = cfg.state("simulate.state0", 0)
+    mode, n_paths, x0, state0 = (cfg[f"simulate.{key}"] for key in ("mode", "n_paths", "x0", "state0"))
     reasons = (CENSOR_HORIZON, CENSOR_SWITCH_CAP)
-    extra = {"censoring": {REASON_NAMES[code]: 0 for code in reasons}}
+    extra = {"censoring": {REASON_NAMES[code]: 0 for code in reasons}, "process": "mean path"}
 
     if mode == "path":
-        horizon = cfg.positive("simulate.horizon", 10.0)
+        horizon = cfg["simulate.horizon"]
         with _work_keys("simulate.n_paths, simulate.horizon and the [model] rates"):
             check_work(cfg.model.rates, horizon, n_paths, pooled=False)  # walked one by one, outside the pool
-        with_noise = cfg.get("simulate", "with_noise", default=False, cast=bool)
-        n_eval = cfg.count("simulate.eval_points", 201, most=MAX_GRID_POINTS)
+        with_noise, n_eval = cfg["simulate.with_noise"], cfg["simulate.eval_points"]
         rows = n_eval + 1.0 + cfg.model.rates.expected_switches(horizon)
         if not rows <= MAX_PATH_ROWS:
             raise ConfigError(
@@ -424,15 +412,11 @@ def _cmd_simulate(cfg: RunConfig):
         header = ["path", "t", "state", "x"] + (["m"] if with_noise else [])
         out = os.path.join(cfg.out_dir, "paths.csv")
         _atomic_write(out, _csv_blocks(header, path_blocks()))
+        if with_noise:
+            extra["process"] = "modulated diffusion"
     else:
-        if mode != "fpt":
-            raise ConfigError("simulate.mode", f"unknown mode {mode!r}")
-        x = cfg.finite("simulate.x")
-        y = cfg.finite("simulate.y")
-        caps = SimCaps(
-            horizon=cfg.positive("simulate.cap_horizon", SimCaps.horizon),
-            max_switches=cfg.count("simulate.cap_switches", SimCaps.max_switches),
-        )
+        x, y = cfg["simulate.x"], cfg["simulate.y"]
+        caps = SimCaps(horizon=cfg["simulate.cap_horizon"], max_switches=cfg["simulate.cap_switches"])
         with _work_keys("simulate.n_paths, simulate.cap_horizon, simulate.cap_switches and the [model] rates"):
             batch = fpt_samples(cfg.model, x, y, state0, n_paths, cfg.seed, caps=caps)
         columns = [
@@ -449,11 +433,7 @@ def _cmd_simulate(cfg: RunConfig):
 
 
 def _cmd_fpt(cfg: RunConfig):
-    qs = cfg.positive("fpt.q_grid", many=True)  # the integral oracle needs q > 0
-    x = cfg.finite("fpt.x")
-    y = cfg.finite("fpt.y")
-    state = cfg.state("fpt.state")
-    n_mc = cfg.count("fpt.mc_samples", 200_000, least=1_000)
+    qs, x, y, state, n_mc = (cfg[f"fpt.{key}"] for key in ("q_grid", "x", "y", "state", "mc_samples"))
     queries = [FptQuery(q, x, y, state) for q in qs]
     # the closed forms and the oracle refuse before the batch is drawn
     exact = [(laplace_fpt(query, cfg.model), fpt_integral_oracle(query, cfg.model)) for query in queries]
@@ -466,12 +446,12 @@ def _cmd_fpt(cfg: RunConfig):
     header = ["q", "x", "y", "state", "closed_form", "oracle", "mc_mean", "mc_stderr"]
     columns = [np.array(c, dtype=np.int64 if name == "state" else np.float64) for name, c in zip(header, zip(*rows))]
     _write_csv(out, header, columns)
-    return [out], {"censoring": {"count": int(np.count_nonzero(batch.censored))}}
+    return [out], {"censoring": {"count": int(np.count_nonzero(batch.censored))}, "process": "mean path"}
 
 
 def _cmd_invariant(cfg: RunConfig):
     exists, support = invariant_exists(cfg.model)
-    grid_points = cfg.count("invariant.grid_points", 401, most=MAX_GRID_POINTS)
+    grid_points = cfg["invariant.grid_points"]
 
     out_csv = os.path.join(cfg.out_dir, "invariant.csv")
     summary = {"exists": exists, "support": None}
@@ -496,17 +476,7 @@ def _cmd_invariant(cfg: RunConfig):
         _write_csv(out_csv, ["x", "pi0", "pi1"], [])
     out_json = os.path.join(cfg.out_dir, "invariant_summary.json")
     _atomic_write(out_json, [(json.dumps(summary, indent=2, sort_keys=True, default=float) + "\n").encode()])
-    return [out_csv, out_json], None
-
-
-_SCALING_KINDS = {
-    "telegraph": ScalingKind.KAC_ASYMMETRIC,
-    "kac_classic": ScalingKind.KAC_CLASSIC,
-    "fast_switching": ScalingKind.FAST_SWITCHING,
-    "case_a": ScalingKind.CASE_A,
-    "case_b": ScalingKind.CASE_B,
-    "case_c": ScalingKind.CASE_C,
-}
+    return [out_csv, out_json], {"process": "mean path"}
 
 
 # suffix of each spec field's config keys sigma0<suffix> and delta<suffix>
@@ -514,25 +484,16 @@ _PAIR_SUFFIX = {"velocity": "", "drift": "_a", "reversion": "_g"}
 
 
 def _cmd_scaling(cfg: RunConfig):
-    kind_name = cfg.get("scaling", "kind", cast=str)
-    if kind_name not in _SCALING_KINDS:
-        raise ConfigError("scaling.kind", f"unknown kind {kind_name!r}")
-    kind = _SCALING_KINDS[kind_name]
-    nu = cfg.positive("scaling.nu", 1.0)
+    kind, nu = cfg["scaling.kind"], cfg["scaling.nu"]
     pairs = {
-        name: ScaledPair(
-            cfg.positive("scaling.sigma0" + _PAIR_SUFFIX[name]),
-            cfg.finite("scaling.delta" + _PAIR_SUFFIX[name], 0.0),
-        )
+        name: ScaledPair(cfg["scaling.sigma0" + _PAIR_SUFFIX[name]], cfg["scaling.delta" + _PAIR_SUFFIX[name]])
         for name, _, _ in SCALED_PAIRS[kind]
     }
     spec = ScalingSpec(kind, nu, base=cfg.model, **pairs)
-    t = cfg.positive("scaling.t", 1.0)
-    n_list = cfg.count("scaling.n_list", [10, 100, 1000], many=True)
-    n_paths = cfg.count("scaling.n_paths", 100_000, least=2)
+    t, n_list, n_paths = cfg["scaling.t"], cfg["scaling.n_list"], cfg["scaling.n_paths"]
     try:
         with _work_keys("scaling.n_paths, scaling.t, scaling.n_list and scaling.nu"):
-            rows = convergence_check(spec, t, n_list, n_paths, seed=cfg.seed, x0=cfg.finite("scaling.x0", 0.0))
+            rows = convergence_check(spec, t, n_list, n_paths, seed=cfg.seed, x0=cfg["scaling.x0"])
     except DoubleRangeError as exc:
         # t, x0, the model and the amplitudes (times sqrt(nu*n)) set the
         # moments together; no one key is to blame

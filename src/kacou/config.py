@@ -1,6 +1,7 @@
 """Run configuration: flat key=value text with [section] headers, validated
 before any computation, plus the content hash used in reproducibility
-manifests."""
+manifests.  KEYS names every key a command reads, with its reader and its
+default; a config that sets any other key is refused."""
 
 from __future__ import annotations
 
@@ -11,12 +12,11 @@ from dataclasses import dataclass, field
 
 from .errors import KacOuError, ParameterError
 from .model import KacOuModel, _finite, _state, _whole
+from .scaling import ScalingKind
+from .simulate import SimCaps
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "config_hash"]
+__all__ = ["ConfigError", "KEYS", "Key", "RunConfig", "load_config", "config_hash"]
 
-# the spellings configparser itself accepts: 1/true/yes/on and 0/false/no/off
-_BOOLEAN_STATES = configparser.ConfigParser.BOOLEAN_STATES
-_BOOLEAN_HINT = " as a boolean (1/true/yes/on or 0/false/no/off)"
 
 class ConfigError(KacOuError):
     """Invalid or missing configuration entry; carries the offending key."""
@@ -26,9 +26,109 @@ class ConfigError(KacOuError):
         self.key = key
 
 
+def _integer(raw: str):
+    """An integer's text as an int, every digit kept (a seed's too), any other number's as a float."""
+    return int(raw) if raw.strip().lstrip("+-").isdigit() else float(raw)
+
+
+# each number kind's parse of the text, and kacou.model's reader of the number
+_NUMBERS = {"finite": (float, _finite), "whole": (_integer, _whole), "state": (float, _state)}
+
+
+@dataclass(frozen=True)
+class Key:
+    """How one config key is read.  A number kind, "finite", "whole" or
+    "state", hands the number to kacou.model's _finite, _whole or _state with
+    the keyword arguments `rule`, and refuses one above `most`; with `many`,
+    each entry of a nonempty list split at commas and spaces.  "text" is the
+    text as given, and a dict a choice: the value of the name given, in any
+    case.  `default` is None where the key is required."""
+
+    kind: str | dict
+    default: object = None
+    rule: dict = field(default_factory=dict)
+    most: float = math.inf
+    many: bool = False
+
+    def read(self, raw: str, name: str):
+        """The value of the text `raw` set for key `name`; a refusal is a ConfigError naming the key."""
+        if self.kind == "text":
+            return raw
+        if isinstance(self.kind, dict):
+            if raw.lower() not in self.kind:
+                raise ConfigError(name, f"must be one of {', '.join(self.kind)}, got {raw!r}")
+            return self.kind[raw.lower()]
+        parse, reader = _NUMBERS[self.kind]
+        try:
+            values = [parse(tok) for tok in raw.replace(",", " ").split()] if self.many else [parse(raw)]
+        except ValueError as exc:
+            raise ConfigError(name, f"cannot parse {raw!r}") from exc
+        if not values:
+            raise ConfigError(name, "must list at least one value")
+        try:
+            values = [reader(v, name, **self.rule) for v in values]
+        except ParameterError as exc:
+            raise ConfigError(name, str(exc).removeprefix(f"{name} ")) from exc
+        if (top := max(values)) > self.most:
+            raise ConfigError(name, f"must be at most {self.most:.3g}, got {top:.15g}")
+        return values if self.many else values[0]
+
+
+_POSITIVE = {"positive": True}
+# a flag: the spellings configparser itself accepts, 1/yes/true/on and 0/no/false/off
+_FLAG = configparser.ConfigParser.BOOLEAN_STATES
+
+# Every key a command reads.  A grid count is at most 1e6: each point is a
+# CSV row (a path's row in simulate), allocated before any is written.
+KEYS = {
+    "model.lambda0": Key("finite", rule=_POSITIVE),
+    "model.lambda1": Key("finite", rule=_POSITIVE),
+    "model.a0": Key("finite"),
+    "model.a1": Key("finite"),
+    "model.b0": Key("finite", rule={"least": 0.0}),
+    "model.b1": Key("finite", rule={"least": 0.0}),
+    "model.gamma0": Key("finite"),
+    "model.gamma1": Key("finite"),
+    "run.seed": Key("whole", 0),
+    "run.out_dir": Key("text", "out"),
+    "fpt.q_grid": Key("finite", rule=_POSITIVE, many=True),  # the integral oracle needs q > 0
+    "fpt.x": Key("finite"),
+    "fpt.y": Key("finite"),
+    "fpt.state": Key("state"),
+    "fpt.mc_samples": Key("whole", 200_000, {"least": 1000}),
+    "invariant.grid_points": Key("whole", 401, {"least": 1}, most=1e6),
+    "simulate.mode": Key({"path": "path", "fpt": "fpt"}, "path"),
+    "simulate.n_paths": Key("whole", 1, {"least": 1}),
+    "simulate.x0": Key("finite", 0.0),
+    "simulate.state0": Key("state", 0),
+    "simulate.horizon": Key("finite", 10.0, _POSITIVE),
+    "simulate.with_noise": Key(_FLAG, False),
+    "simulate.eval_points": Key("whole", 201, {"least": 1}, most=1e6),
+    "simulate.x": Key("finite"),
+    "simulate.y": Key("finite"),
+    "simulate.cap_horizon": Key("finite", SimCaps.horizon, _POSITIVE),
+    "simulate.cap_switches": Key("whole", SimCaps.max_switches, {"least": 1}),
+    "scaling.kind": Key(dict(telegraph=ScalingKind.KAC_ASYMMETRIC, kac_classic=ScalingKind.KAC_CLASSIC,
+                             fast_switching=ScalingKind.FAST_SWITCHING, case_a=ScalingKind.CASE_A,
+                             case_b=ScalingKind.CASE_B, case_c=ScalingKind.CASE_C)),
+    "scaling.nu": Key("finite", 1.0, _POSITIVE),
+    "scaling.sigma0": Key("finite", rule=_POSITIVE),
+    "scaling.delta": Key("finite", 0.0),
+    "scaling.sigma0_a": Key("finite", rule=_POSITIVE),
+    "scaling.delta_a": Key("finite", 0.0),
+    "scaling.sigma0_g": Key("finite", rule=_POSITIVE),
+    "scaling.delta_g": Key("finite", 0.0),
+    "scaling.t": Key("finite", 1.0, _POSITIVE),
+    "scaling.n_list": Key("whole", [10, 100, 1000], {"least": 1}, many=True),
+    "scaling.n_paths": Key("whole", 100_000, {"least": 2}),  # a sample variance needs two draws
+    "scaling.x0": Key("finite", 0.0),
+}
+
+
 @dataclass
 class RunConfig:
-    """Parsed configuration: the model block plus raw per-command sections."""
+    """Parsed configuration: the model, seed and output directory, plus each
+    section's entries as text, read by name as KEYS says."""
 
     model: KacOuModel
     seed: int
@@ -36,70 +136,16 @@ class RunConfig:
     sections: dict = field(default_factory=dict)
     raw_text: str = ""
 
-    def get(self, section: str, key: str, default=None, cast=float):
-        if cast is bool:
-            return self._parse(section, key, default, _boolean, _BOOLEAN_HINT)
-        return self._parse(section, key, default, cast)
+    def __getitem__(self, name: str):
+        """The value of the key `name`, "section.key", or its default where the config leaves it out."""
+        section, key = name.split(".")
+        raw = self.sections.get(section, {}).get(key)
+        if raw is None and KEYS[name].default is None:
+            raise ConfigError(name, "required key is missing")
+        return KEYS[name].default if raw is None else KEYS[name].read(raw, name)
 
-    def get_list(self, section: str, key: str, default=None):
-        return self._parse(section, key, default, lambda raw: [float(tok) for tok in raw.replace(",", " ").split()])
-
-    def finite(self, name: str, default=None, least: float = -math.inf, many: bool = False):
-        """A finite number of at least `least`."""
-        return self._read(name, default, many, _finite, least=least)
-
-    def positive(self, name: str, default=None, many: bool = False):
-        """A finite, positive number."""
-        return self._read(name, default, many, _finite, positive=True)
-
-    def count(self, name: str, default=None, least: int = 1, most: float = math.inf, many: bool = False):
-        """A whole number from `least` to `most`, as an int."""
-        value = self._read(name, default, many, _whole, _integer, least=least)
-        if (top := max(value if many else [value])) > most:
-            raise ConfigError(name, f"must be at most {most:.3g}, got {top:.15g}")
-        return value
-
-    def state(self, name: str, default=None) -> int:
-        """A chain state, 0 or 1."""
-        return self._read(name, default, False, _state)
-
-    def _read(self, name: str, default, many: bool, reader, parse=float, **rule):
-        """The value readers' common part: kacou.model's `reader`(value, name, **rule) on the entry at
-        "section.key" `name` (on each entry of its nonempty list with `many`) or `default`, a refusal a ConfigError."""
-        section, key = name.split(".", 1)
-        value = self.get_list(section, key, default) if many else self.get(section, key, default, parse)
-        if many and not value:
-            raise ConfigError(name, "must list at least one value")
-        try:
-            return [reader(v, name, **rule) for v in value] if many else reader(value, name, **rule)
-        except ParameterError as exc:
-            raise ConfigError(name, str(exc).removeprefix(f"{name} ")) from exc
-
-    def _parse(self, section: str, key: str, default, parse, what: str = ""):
-        """`parse` applied to the entry's text, or `default` when the entry is
-        absent; a missing required key or a ValueError is a ConfigError."""
-        block = self.sections.get(section, {})
-        if key not in block:
-            if default is None:
-                raise ConfigError(f"{section}.{key}", "required key is missing")
-            return default
-        raw = block[key]
-        try:
-            return parse(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{section}.{key}", f"cannot parse {raw!r}{what}") from exc
-
-
-def _integer(raw: str):
-    """An integer's text as an int, every digit kept (a seed's too), any other number's as a float."""
-    return int(raw) if raw.strip().lstrip("+-").isdigit() else float(raw)
-
-
-def _boolean(raw: str) -> bool:
-    value = _BOOLEAN_STATES.get(raw.strip().lower())
-    if value is None:
-        raise ValueError(raw)
-    return value
+    def get(self, section: str, key: str):
+        return self[f"{section}.{key}"]
 
 
 def _apply_overrides(parser: configparser.ConfigParser, overrides) -> None:
@@ -119,11 +165,7 @@ def _apply_overrides(parser: configparser.ConfigParser, overrides) -> None:
 
 def _canonical_text(sections: dict) -> str:
     """Every entry as section.key=value, sorted by section and then key."""
-    lines = []
-    for section in sorted(sections):
-        for key in sorted(sections[section]):
-            lines.append(f"{section}.{key}={sections[section][key]}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{s}.{key}={value}\n" for s in sorted(sections) for key, value in sorted(sections[s].items()))
 
 
 def config_hash(text: str) -> str:
@@ -142,17 +184,14 @@ def load_config(path: str | None, overrides=None, text: str | None = None) -> Ru
     _apply_overrides(parser, overrides)
 
     sections = {s: dict(parser.items(s)) for s in parser.sections()}
+    for name in (f"{section}.{key}" for section in sections for key in sections[section]):
+        if name not in KEYS:  # a misspelt key, which no command would read
+            import difflib  # only a refusal needs it
+
+            near = difflib.get_close_matches(name, KEYS, n=1)
+            raise ConfigError(name, "unknown key" + (f" (nearest known key: {near[0]})" if near else ""))
     cfg = RunConfig(model=None, seed=0, out_dir="out", sections=sections, raw_text=_canonical_text(sections))
-    cfg.model = KacOuModel.from_values(
-        cfg.positive("model.lambda0"),
-        cfg.positive("model.lambda1"),
-        cfg.finite("model.a0"),
-        cfg.finite("model.a1"),
-        cfg.finite("model.b0", least=0.0),
-        cfg.finite("model.b1", least=0.0),
-        cfg.finite("model.gamma0"),
-        cfg.finite("model.gamma1"),
-    )
-    cfg.seed = cfg.count("run.seed", 0, least=-math.inf)
-    cfg.out_dir = cfg.get("run", "out_dir", "out", cast=str)
+    names = ("lambda0", "lambda1", "a0", "a1", "b0", "b1", "gamma0", "gamma1")
+    cfg.model = KacOuModel.from_values(*(cfg[f"model.{name}"] for name in names))
+    cfg.seed, cfg.out_dir = cfg["run.seed"], cfg["run.out_dir"]
     return cfg

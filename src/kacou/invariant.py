@@ -391,12 +391,13 @@ def empirical_invariant_profile(
     if cf.bounded:
         x0 = 0.5 * (lo + hi)
     else:
-        # median distance from the anchor by bisection on the tail mass
+        # median distance from the anchor by bisection on the tail mass, to
+        # 1e-6 relative: the start need only be near the median
         def above_median(d):
             return _tail_mass(cf, d) > 0.5
 
         d_hi = abs(hi - lo)
-        d_lo, d_hi = _search_edge(above_median, 1e-6 * cf.scale, d_hi, d_hi, 0.0, 80)
+        d_lo, d_hi = _search_edge(above_median, 1e-6 * cf.scale, d_hi, d_hi, 1e-6, 80)
         x0 = cf.anchor + cf.direction * 0.5 * (d_lo + d_hi)
     sample = terminal_values(
         model, x0, t_horizon, n_paths, seed, with_noise=False,

@@ -552,29 +552,36 @@ def hyper_args(q: float, model: KacOuModel) -> HyperParams:
     l0, l1 = model.rates.lambda0, model.rates.lambda1
     beta0 = (q + l0) / c0.gamma
     beta1 = (q + l1) / c1.gamma
-    m = math.ldexp(0.5, math.frexp(max(abs(beta0), abs(beta1)))[1])
+    k = math.frexp(max(abs(beta0), abs(beta1)))[1] - 1
+    m = math.ldexp(1.0, k)
     u0, u1 = beta0 / m, beta1 / m
     s = u0 + u1
-    # beta0 beta1 - beta0(0) beta1(0), over m^2, formed without subtracting
-    # the two products: it is of order q where they are of order 1, and it
-    # is exactly 0 at q = 0, which makes the q=0 degeneracy of the
-    # transforms exact
-    p = q / m * (q + l0 + l1) / c0.gamma / c1.gamma / m
-    if p == 0.0:  # q = 0 collapse: the roots are exactly {0, sum}
+    # p = beta0 beta1 - beta0(0) beta1(0), formed without subtracting the
+    # two products: it is of order q where they are of order 1, and it is
+    # exactly 0 at q = 0, which makes the q=0 degeneracy of the transforms
+    # exact.  It is carried as frac * 2^e, the product of its factors' frexp
+    # mantissas and the sum of their exponents, so that nothing leaves the
+    # normal range before the small root does
+    (fq, eq), (fs, es), (f0, e0), (f1, e1) = map(math.frexp, (q, q + l0 + l1, c0.gamma, c1.gamma))
+    frac, e = fq * fs / f0 / f1, eq + es - e0 - e1
+    if frac == 0.0:  # q = 0 collapse: the roots are exactly {0, sum}
         return HyperParams(beta0, beta1, m * max(s, 0.0), m * min(s, 0.0))
-    # the discriminant s^2 - 4p = (beta0 - beta1)^2 + 4 beta0(0) beta1(0) as a
-    # sum of two terms >= 0: s^2 - 4p when the gammas have opposite signs
-    # (p < 0; the second form cancels where it vanishes at q = 0), the
-    # second form when they agree (s^2 - 4p cancels at large q)
-    if p < 0.0:
-        disc = s * s - 4.0 * p
+    # the discriminant s^2 - 4p = (beta0 - beta1)^2 + 4 beta0(0) beta1(0), in
+    # units of m^2, as a sum of two terms >= 0: s^2 - 4p when the gammas have
+    # opposite signs (p < 0; the second form cancels where it vanishes at
+    # q = 0), the second form when they agree (s^2 - 4p cancels at large q)
+    if frac < 0.0:
+        disc = s * s - 4.0 * math.ldexp(frac, e - 2 * k)
     else:
         disc = (u0 - u1) * (u0 - u1) + 4.0 * (l0 / c0.gamma / m) * (l1 / c1.gamma / m)
-    # the root of larger magnitude without cancellation, the other from
-    # their product
+    # the root of larger magnitude without cancellation, the other p over
+    # it, scaled once; by Vieta it is no larger, but for rounding
     big = 0.5 * (s + math.copysign(math.sqrt(max(disc, 0.0)), s))
-    small = p / big if big else 0.0
-    upper, lower = m * max(big, small), m * min(big, small)
+    try:
+        small = math.ldexp(frac / big, e - k) if big else 0.0
+    except OverflowError:
+        small = math.inf
+    upper, lower = max(m * big, small), min(m * big, small)
     if not (math.isfinite(upper) and math.isfinite(lower)):
         raise DoubleRangeError(
             f"upper parameters leave double range at q = {q}: beta0 = {beta0}, beta1 = {beta1}"

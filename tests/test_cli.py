@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import stat
 import time
 import tracemalloc
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 
 import kacou.cli
 from kacou.cli import _CSV_BLOCK, Labels, _csv_blocks, main
-from kacou.config import ConfigError, config_hash, load_config
+from kacou.config import KEYS, ConfigError, RunConfig, config_hash, load_config
 from kacou.first_passage import FptQuery
-from kacou.simulate import fpt_samples, mc_laplace_fpt
+from kacou.simulate import SimCaps, fpt_samples, mc_laplace_fpt
 
 BASE_CFG = """
 [model]
@@ -81,7 +82,7 @@ def test_load_config_roundtrip(tmp_path):
     cfg = load_config(path)
     assert cfg.seed == 77
     assert cfg.model.rates.lambda0 == 1.0
-    assert cfg.get_list("fpt", "q_grid") == [0.5, 1.0]
+    assert cfg["fpt.q_grid"] == [0.5, 1.0]
     assert len(config_hash(cfg.raw_text)) == 64
 
 
@@ -105,10 +106,10 @@ def test_boolean_spellings(tmp_path):
     for raw, value in (("1", True), ("TRUE", True), ("Yes", True), (" on ", True),
                        ("0", False), ("False", False), ("NO", False), ("off", False)):
         cfg = load_config(path, overrides=[f"simulate.with_noise={raw}"])
-        assert cfg.get("simulate", "with_noise", cast=bool) is value
+        assert cfg["simulate.with_noise"] is value
     cfg = load_config(path, overrides=["simulate.with_noise=ture"])
     with pytest.raises(ConfigError) as err:
-        cfg.get("simulate", "with_noise", cast=bool)
+        cfg["simulate.with_noise"]
     assert err.value.key == "simulate.with_noise"
 
 
@@ -121,46 +122,46 @@ def test_misspelled_boolean_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "reader, options, raw",
+    "key, raw",
     [
-        ("finite", {}, "nan"),
-        ("finite", {}, "-inf"),
-        ("finite", {"least": 0.0}, "-1e-300"),
-        ("positive", {}, "0"),
-        ("positive", {}, "inf"),
-        ("count", {}, "0.5"),
-        ("count", {"least": 2}, "1"),
-        ("count", {"most": 10}, "11"),
-        ("count", {}, "inf"),
-        ("state", {}, "0.5"),
-        ("state", {}, "nan"),
-        ("finite", {"many": True}, "1, nan"),
-        ("positive", {"many": True}, "1, -0"),
-        ("count", {"many": True}, "3, 0"),
-        ("count", {"many": True}, "3, inf"),
+        ("fpt.x", "nan"),  # finite
+        ("simulate.x0", "-inf"),
+        ("model.b0", "-1e-300"),  # finite, at least 0
+        ("scaling.nu", "0"),  # finite and positive
+        ("simulate.horizon", "inf"),
+        ("simulate.n_paths", "0.5"),  # a count
+        ("scaling.n_paths", "1"),  # a count of at least 2
+        ("invariant.grid_points", "1000001"),  # a count of at most 1e6
+        ("simulate.cap_switches", "inf"),
+        ("fpt.state", "0.5"),  # a chain state
+        ("simulate.state0", "nan"),
+        ("fpt.q_grid", "1, nan"),  # a list of positive numbers
+        ("fpt.q_grid", "1, -0"),
+        ("scaling.n_list", "3, 0"),  # a list of counts
+        ("scaling.n_list", "3, inf"),
     ],
 )
-def test_value_readers_name_the_key_they_read(tmp_path, reader, options, raw):
+def test_value_readers_name_the_key_they_read(tmp_path, key, raw):
     path, _ = write_cfg(tmp_path)
-    cfg = load_config(path, overrides=[f"extra.value={raw}"])
     with pytest.raises(ConfigError) as err:
-        getattr(cfg, reader)("extra.value", **options)
-    assert err.value.key == "extra.value" and str(err.value).startswith("extra.value: ")
-    assert str(err.value).count("extra.value") == 1
+        load_config(path, overrides=[f"{key}={raw}"])[key]
+    assert err.value.key == key and str(err.value).startswith(f"{key}: ")
+    assert str(err.value).count(key) == 1
 
 
 def test_value_readers_return_parsed_values_and_defaults(tmp_path):
     path, _ = write_cfg(tmp_path)
-    cfg = load_config(path, overrides=["extra.counts=3, 7.9", "extra.state=1.0", "extra.zero=-0"])
+    cfg = load_config(path, overrides=["scaling.n_list=3, 7.9", "simulate.state0=1.0", "model.b0=-0"])
     # a count is a whole number: 7.9 is refused, not truncated to 7
-    with pytest.raises(ConfigError, match=r"^extra\.counts: must be a whole number of at least 1, got 7\.9$"):
-        cfg.count("extra.counts", many=True)
-    assert cfg.state("extra.state") == 1 and cfg.finite("extra.zero", least=0.0) == 0.0
-    assert cfg.positive("fpt.q_grid", many=True) == [0.5, 1.0] and cfg.count("fpt.mc_samples") == 20000
-    assert cfg.count("extra.absent", 5) == 5 and cfg.positive("extra.absent", 2.5) == 2.5
+    with pytest.raises(ConfigError, match=r"^scaling\.n_list: must be a whole number of at least 1, got 7\.9$"):
+        cfg["scaling.n_list"]
+    assert cfg["simulate.state0"] == 1 and cfg["model.b0"] == 0.0
+    assert cfg["fpt.q_grid"] == [0.5, 1.0] and cfg["fpt.mc_samples"] == 20000
+    # absent keys read as the table's defaults, and a required one is refused
+    assert cfg["simulate.cap_switches"] == SimCaps.max_switches and cfg["simulate.horizon"] == 10.0
     with pytest.raises(ConfigError) as err:
-        cfg.finite("extra.absent")
-    assert err.value.key == "extra.absent"
+        cfg["scaling.sigma0_a"]
+    assert err.value.key == "scaling.sigma0_a"
 
 
 @pytest.mark.parametrize("raw, seed", [("1e3", 1000), ("-5", -5), ("123456789012345678901", 123456789012345678901)])
@@ -194,8 +195,10 @@ def test_padded_override_names_read_as_stripped(tmp_path, pad):
     # the stripped one: a new section raised NoSectionError, and an existing
     # one gained an empty padded twin
     path, _ = write_cfg(tmp_path)
-    plain = ["scaling.kind=kac_classic", "extra.value=3"]
-    padded = [f"{pad}scaling{pad}.{pad}kind{pad}=kac_classic", f"{pad}extra.value{pad}=3"]
+    text = open(path).read()
+    open(path, "w").write(text.replace("[invariant]\ngrid_points = 21\n", ""))
+    plain = ["scaling.kind=kac_classic", "invariant.grid_points=3"]
+    padded = [f"{pad}scaling{pad}.{pad}kind{pad}=kac_classic", f"{pad}invariant.grid_points{pad}=3"]
     want, got = load_config(path, overrides=plain), load_config(path, overrides=padded)
     assert got.sections == want.sections
     assert config_hash(got.raw_text) == config_hash(want.raw_text)
@@ -241,12 +244,147 @@ def test_an_empty_list_is_refused_up_front(tmp_path, capsys, monkeypatch, comman
     path, out = write_cfg(tmp_path)
     monkeypatch.setattr(kacou.cli, "fpt_samples", None)  # refused before any draw
     with pytest.raises(ConfigError, match=f"^{key}: must list at least one value$"):
-        getattr(load_config(path, overrides=[f"{key}={raw}"]), "positive" if command == "fpt" else "count")(
-            key, many=True
-        )
+        load_config(path, overrides=[f"{key}={raw}"])[key]
     assert main([command, "--config", path, "--set", f"{key}={raw}"]) == 2
     assert_refusal_names_once(capsys, key)
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "override, key, near",
+    [
+        ("fpt.qgrid=5", "fpt.qgrid", "fpt.q_grid"),
+        ("model.lamda0=3", "model.lamda0", "model.lambda0"),
+        ("fpt.mc_sample=10", "fpt.mc_sample", "fpt.mc_samples"),
+        ("nosuch.key=1", "nosuch.key", None),
+        (None, "model.gama1", "model.gamma1"),  # a line of the config file
+    ],
+)
+def test_a_key_no_command_reads_is_refused_with_the_nearest_known_key(tmp_path, capsys, override, key, near):
+    # each was ignored, and the command exited 0
+    path, out = write_cfg(tmp_path)
+    if override is None:
+        open(path, "w").write(BASE_CFG.format(out=out).replace("gamma1 = 1.0\n", "gamma1 = 1.0\ngama1 = 5\n"))
+    overrides = [override] if override else []
+    message = f"{key}: unknown key" + (f" (nearest known key: {near})" if near else "")
+    with pytest.raises(ConfigError) as err:
+        load_config(path, overrides=overrides)
+    assert err.value.key == key and str(err.value) == message
+    argv = ["fpt", "--config", path] + [arg for item in overrides for arg in ("--set", item)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not os.path.exists(out)
+
+
+# the [scaling] overrides that give each kind its pairs at a small size
+SCALING_KINDS = {
+    "telegraph": [],
+    "kac_classic": ["scaling.delta=0"],
+    "fast_switching": [],
+    "case_a": ["scaling.sigma0_a=0.8", "scaling.delta_a=0.4"],
+    "case_b": ["scaling.sigma0_g=0.5", "scaling.delta_g=0.2"],
+    "case_c": ["scaling.sigma0_a=0.8", "scaling.delta_a=0.4", "scaling.sigma0_g=0.5", "scaling.delta_g=0.2"],
+}
+
+
+def test_every_command_reads_only_table_keys_and_every_key_is_read(tmp_path, monkeypatch):
+    path, _ = write_cfg(tmp_path)
+    runs = {
+        "path mode": ["simulate", "simulate.mode=path", "simulate.n_paths=2", "simulate.horizon=1"],
+        "fpt mode": ["simulate", "simulate.n_paths=50"],
+        "fpt": ["fpt", "fpt.mc_samples=1000"],
+        "invariant": ["invariant"],
+    }
+    for kind, extra in SCALING_KINDS.items():
+        runs[kind] = ["scaling", f"scaling.kind={kind}", "scaling.n_paths=200", *extra]
+    read = {}
+    getitem = RunConfig.__getitem__
+
+    def recording(cfg, name):
+        names.add(name)
+        return getitem(cfg, name)
+
+    monkeypatch.setattr(RunConfig, "__getitem__", recording)
+    for run, (command, *overrides) in runs.items():
+        names = read[run] = set()
+        argv = [command, "--config", path, "--set", f"run.out_dir={tmp_path / run}"]
+        assert main(argv + [arg for item in overrides for arg in ("--set", item)]) == 0, run
+        assert names <= set(KEYS), (run, names - set(KEYS))
+    assert set().union(*read.values()) == set(KEYS)
+
+
+def _readme_table():
+    """The README's key table: {key: (read as, default, bounds)}."""
+    text = open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8").read()
+    table = text[text.index("| key | read as | default | bounds |") :].split("\n\n", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in table.splitlines()[2:]]
+    return {key.strip("`"): tuple(cells) for key, *cells in rows}
+
+
+def test_the_readme_key_table_is_config_keys():
+    def number(v):
+        return f"{v:g}".replace("e+0", "e")
+
+    def bounds(key):
+        if isinstance(key.kind, dict):
+            return ", ".join(key.kind)
+        if key.kind == "state":
+            return "0 or 1"
+        if key.rule.get("positive"):
+            return "> 0"
+        least = key.rule.get("least")
+        if key.most < math.inf:
+            return f"{number(least)} to {number(key.most)}"
+        return "" if least is None else f"≥ {number(least)}"
+
+    table = _readme_table()
+    assert list(table) == list(KEYS)
+    for name, key in KEYS.items():
+        read_as, default, rule = table[name]
+        kind = "choice" if isinstance(key.kind, dict) else key.kind
+        assert read_as == kind + (" list" if key.many else ""), name
+        assert rule == bounds(key), name
+        # the default as config text, read by the key itself
+        assert (key.default is None) == (default == "required"), name
+        if key.default is not None:
+            assert key.read(default, name) == key.default, name
+
+
+def _readme_config(tmp_path):
+    """The README's ini blocks as one config file, its path."""
+    text = open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8").read()
+    path = tmp_path / "readme.cfg"
+    path.write_text("\n".join(re.findall(r"```ini\n(.*?)```", text, re.S)))
+    return str(path)
+
+
+def test_the_mean_path_answers_read_no_amplitude(tmp_path):
+    # kacou fpt, kacou invariant and simulate's first-passage samples are of
+    # the mean path: b0 and b1 change no byte, and each manifest says so
+    path = _readme_config(tmp_path)
+    runs = {
+        "fpt": (["fpt", "--set", "fpt.mc_samples=2000"], ["fpt.csv"]),
+        "invariant": (["invariant", "--set", "invariant.grid_points=41"], ["invariant.csv", "invariant_summary.json"]),
+        "simulate": (
+            ["simulate", "--set", "simulate.mode=fpt", "--set", "simulate.x=0.25", "--set", "simulate.y=0.75",
+             "--set", "simulate.n_paths=2000"],
+            ["fpt_samples.csv"],
+        ),
+    }
+    for command, (argv, files) in runs.items():
+        outputs = []
+        for amplitudes in ([], ["--set", "model.b0=1", "--set", "model.b1=1"]):
+            out = tmp_path / f"{command}{len(amplitudes)}"
+            assert main(argv + ["--config", path, "--set", f"run.out_dir={out}"] + amplitudes) == 0
+            assert json.load(open(out / f"{command}_manifest.json"))["process"] == "mean path"
+            outputs.append([(out / name).read_bytes() for name in files])
+        assert outputs[0] == outputs[1], command
+    # a path with noise is of the modulated diffusion
+    for noise, process in (("false", "mean path"), ("true", "modulated diffusion")):
+        out = tmp_path / f"path_{noise}"
+        argv = ["simulate", "--config", path, "--set", f"run.out_dir={out}", "--set", f"simulate.with_noise={noise}"]
+        assert main(argv) == 0
+        assert json.load(open(out / "simulate_manifest.json"))["process"] == process
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -267,7 +405,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         ("simulate", "simulate.n_paths", "inf"),
         ("simulate", "simulate.n_paths", "nan"),
         ("simulate", "simulate.eval_points", "-3"),
-        # grid counts past MAX_GRID_POINTS are refused before any allocation
+        # grid counts past their 1e6 cap are refused before any allocation
         ("simulate", "simulate.eval_points", "1e9"),
         ("simulate", "simulate.eval_points", "1e300"),
         ("invariant", "invariant.grid_points", "0"),
@@ -1170,8 +1308,8 @@ def test_config_inline_comments_and_lists(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text(
         "[model]\nlambda0 = 2.0  # fast\nlambda1 = 1.0\na0 = 0\na1 = 1\n"
-        "b0 = 0\nb1 = 0\ngamma0 = 1\ngamma1 = 1\n[x]\nvals = 1 2,3\n"
+        "b0 = 0\nb1 = 0\ngamma0 = 1\ngamma1 = 1\n[fpt]\nq_grid = 1 2,3\n"
     )
     cfg = load_config(str(path))
     assert cfg.model.rates.lambda0 == 2.0
-    assert cfg.get_list("x", "vals") == [1.0, 2.0, 3.0]
+    assert cfg["fpt.q_grid"] == [1.0, 2.0, 3.0]

@@ -350,13 +350,44 @@ def test_search_edge_stops_at_adjacent_doubles_with_the_same_bracket(name, model
 
     monkeypatch.setattr(inv, "_search_edge", compared)
     support_cutoff(model)
-    inv._histogram_range(inv._require(model))
+    cf = inv._require(model)
+    lo, hi = inv._histogram_range(cf)
     empirical_invariant_profile(model, 100, 1.0, 4, seed=3)
-    assert [rel_tol for rel_tol, _, _ in calls] == [1e-9, 1e-3, 1e-3, 0.0]
+    # the profile's median search, at rel_tol = 0 as it once ran
+    inv._search_edge(lambda d: inv._tail_mass(cf, d) > 0.5, 1e-6 * cf.scale, hi - lo, hi - lo, 0.0, 80)
+    assert [rel_tol for rel_tol, _, _ in calls] == [1e-9, 1e-3, 1e-3, 1e-6, 0.0]
     # rel_tol = 0 bisects until the ends are adjacent doubles, then stopped
     # spending midpoints that rounded to an end
     _, new, old = calls[-1]
     assert new < old
+
+
+class _Started(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name, model", HALF_LINE)
+def test_the_profile_start_median_is_bisected_to_one_in_a_million(name, model, monkeypatch):
+    # bisected to adjacent doubles, the median took 54 tail-mass quadratures
+    # on the montecarlo workload's first half-line profile; each midpoint
+    # halves the bracket, so 1e-6 relative needs log2(width / (1e-6 median))
+    cf = inv._require(model)
+    lo, hi = inv._histogram_range(cf)
+    _, exact = reference_search_edge(lambda d: inv._tail_mass(cf, d) > 0.5, 1e-6 * cf.scale, hi - lo, hi - lo, 0.0, 80)
+    quadratures, starts = [], []
+    tail_mass = inv._tail_mass
+    monkeypatch.setattr(inv, "_tail_mass", lambda *args: quadratures.append(args) or tail_mass(*args))
+
+    def started(model, x0, *args, **kwargs):
+        starts.append(x0)
+        raise _Started
+
+    monkeypatch.setattr(inv, "terminal_values", started)
+    monkeypatch.setattr(inv, "_histogram_range", lambda cf: (lo, hi))
+    with pytest.raises(_Started):
+        empirical_invariant_profile(model, 100, 1.0, 4, seed=3)
+    assert len(quadratures) <= math.ceil(math.log2((hi - lo) / (1e-6 * exact)))
+    assert abs(abs(starts[0] - cf.anchor) - exact) <= 1e-6 * exact
 
 
 def reference_level_nodes(h, only_odd):

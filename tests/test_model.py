@@ -754,14 +754,16 @@ def test_hyper_args_is_bitwise_the_unscaled_formula(decades, q_decades):
         (1e-10, 1.0, 1.5, 1e-160, 2e-160),
         (1e-10, 1.0, 1.5, 1e-160, -2e-160),
         (1e-6, 2.0, 0.5, 3e-155, 7e-156),
+        (2.9920432648349703e-33, 2.9982126769472274e87, 3.045468461641413e-69, -1.316500536393193e-66, 5.431013842372592e139),
     ],
 )
 def test_hyper_args_past_double_range_keeps_the_small_root(q, l0, l1, g0, g1):
-    # the product past double range sent these through a second path that
-    # formed it as u0 u1 - w0 w1, which cancels: the small root was 1.9e-6,
-    # 1.9e-6 and 5.7e-11 off
+    # the product past double range sent the first three through a second
+    # path that formed it as u0 u1 - w0 w1, which cancels: the small root was
+    # 1.9e-6, 1.9e-6 and 5.7e-11 off; the one formula then lost the last,
+    # 5.5e-173, to 0.0, since p in units of m^2 went below the least double
     hp = hyper_args(q, KacOuModel.from_values(l0, l1, 0.0, 0.0, 0.0, 0.0, g0, g1))
-    with mpmath.workdps(50):
+    with mpmath.workdps(60):
         q, l0, l1, g0, g1 = map(mpmath.mpf, (q, l0, l1, g0, g1))
         beta0, beta1 = (q + l0) / g0, (q + l1) / g1
         s = beta0 + beta1
