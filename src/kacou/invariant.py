@@ -55,7 +55,7 @@ __all__ = [
 class InvariantDensity:
     """Closed-form descriptor of one invariant family: its tag, support,
     per-state endpoint exponents and multiplicative constants, and the
-    offset frame its densities are evaluated in (all None for kind "None").
+    offset frame its densities are evaluated in; a regime without a density has none.
 
     u = direction * (x - anchor) is the distance into the support from its
     finite end; v = far_sign * (x - far) is the distance from a second
@@ -64,15 +64,15 @@ class InvariantDensity:
     c_i u^p_i v^s_i, or c_i u^p_i e^(-s_i u) for GammaLike, with
     (p_i, s_i) = exponents[i] and c_i = constants[i]."""
 
-    kind: str  # "BetaLike" | "ParetoLike" | "GammaLike" | "None"
-    support: tuple[float, float] | None
-    exponents: tuple[tuple[float, float], tuple[float, float]] | None
-    constants: tuple[float, float] | None
-    anchor: float | None = None
-    direction: float | None = None  # +1: support extends above the anchor
-    far: float | None = None
-    far_sign: float | None = None  # dv/dx
-    scale: float | None = None  # characteristic width for the half-line rational map
+    kind: str  # "BetaLike" | "ParetoLike" | "GammaLike"
+    support: tuple[float, float]
+    exponents: tuple[tuple[float, float], tuple[float, float]]
+    constants: tuple[float, float]
+    anchor: float
+    direction: float  # +1: support extends above the anchor
+    far: float
+    far_sign: float  # dv/dx
+    scale: float  # characteristic width for the half-line rational map
 
     @property
     def bounded(self) -> bool:
@@ -137,7 +137,7 @@ def _level(model: KacOuModel, state: int) -> float:
 def invariant_description(model: KacOuModel) -> InvariantDensity:
     """The regime's closed form, from which every density, derivative and
     integral of the mean path's invariant measure is evaluated (b0 and b1
-    are not read); kind "None" when no invariant density exists.  A density
+    are not read).  No invariant density: NoInvariantMeasureError.  A density
     whose exponents, support ends, width or constants leave double range has
     no finite descriptor: DoubleRangeError.
 
@@ -167,15 +167,14 @@ def invariant_description(model: KacOuModel) -> InvariantDensity:
     else:
         if tag is RegimeTag.ATTRACTING_STRICT:
             s = 0 if model.coeffs[0].rho <= model.coeffs[1].rho else 1  # the lower level
-        elif tag in (RegimeTag.ATTRACTION_REPULSION_01, RegimeTag.ATTRACTION_REPULSION_10):
-            with np.errstate(over="ignore"):
-                if lam[0] / g[0] + lam[1] / g[1] >= 0.0:
-                    return InvariantDensity("None", None, None, None)
-            s = 0 if g[0] > 0.0 else 1  # the attracting level
         else:
-            # repulsion-only, null non-strict, degenerate levels, and the
-            # unnamed zero-gamma corners: no invariant probability density
-            return InvariantDensity("None", None, None, None)
+            with np.errstate(all="ignore"):  # a zero gamma outside attraction-repulsion
+                ratios = lam[0] / g[0] + lam[1] / g[1]
+            if tag not in (RegimeTag.ATTRACTION_REPULSION_01, RegimeTag.ATTRACTION_REPULSION_10) or ratios >= 0.0:
+                # repulsion-only, null non-strict, degenerate levels, zero-gamma
+                # corners, or rate ratios summing >= 0: no invariant density
+                raise NoInvariantMeasureError(f"no invariant density in regime {tag.value}")
+            s = 0 if g[0] > 0.0 else 1  # the attracting level
         o = 1 - s
         rho_s, rho_o = _level(model, s), _level(model, o)
         a_s = _exponent(lam[s], g[s], f"lambda{s} / gamma{s}")
@@ -203,32 +202,25 @@ def invariant_description(model: KacOuModel) -> InvariantDensity:
     return InvariantDensity(kind, support, exps, consts, *frame)
 
 
-def _require(model: KacOuModel) -> InvariantDensity:
-    cf = invariant_description(model)
-    if cf.kind == "None":
-        raise NoInvariantMeasureError(
-            f"no invariant density in regime {classify_regime(model).tag.value}"
-        )
-    return cf
-
-
 def invariant_exists(model: KacOuModel) -> tuple[bool, tuple[float, float] | None]:
     """Whether an invariant probability density exists, and its support."""
-    cf = invariant_description(model)
-    return cf.kind != "None", cf.support
+    try:
+        return True, invariant_description(model).support
+    except NoInvariantMeasureError:
+        return False, None
 
 
 def invariant_density(x, state: int, model: KacOuModel):
     """Closed-form stationary density of (X, state) at x (0 outside support),
     X the mean path; b0 and b1 are not read."""
     state = _state(state)
-    out = _require(model).evaluate(x)[state]
+    out = invariant_description(model).evaluate(x)[state]
     return out if np.ndim(x) else float(out)
 
 
 def invariant_density_with_derivative(x, model: KacOuModel):
     """(pi0, pi1, dpi0/dx, dpi1/dx) with analytic derivatives."""
-    return _require(model).evaluate(x)
+    return invariant_description(model).evaluate(x)
 
 
 def stationarity_residual(x, model: KacOuModel):
@@ -259,7 +251,7 @@ def invariant_mass(model: KacOuModel) -> float:
     Bounded supports integrate directly; half-lines go through the rational
     map, so power tails lose no mass to truncation.
     """
-    cf = _require(model)
+    cf = invariant_description(model)
     if cf.bounded:
         return integrate_de_offsets(cf.density, cf.anchor, cf.far, tol=1e-11)
     return integrate_half_line_offsets(cf.anchored, scale=cf.scale, tol=1e-11)
@@ -304,7 +296,7 @@ def support_cutoff(model: KacOuModel, floor: float = 1e-16) -> tuple[float, floa
     For half-line supports the cutoff follows the density envelope by
     doubling-and-bisection; for bounded supports it is the support itself.
     """
-    cf = _require(model)
+    cf = invariant_description(model)
     if cf.bounded:
         return cf.support
 
@@ -385,7 +377,7 @@ def empirical_invariant_profile(
     window (possible for half-line supports) counts toward the distance.
     """
     n_paths, bins = _whole(n_paths, "n_paths", least=100), _whole(bins, "bins", least=2)
-    cf = _require(model)
+    cf = invariant_description(model)
 
     lo, hi = _histogram_range(cf)
     if cf.bounded:

@@ -563,6 +563,9 @@ def hyper_args(q: float, model: KacOuModel) -> HyperParams:
     # mantissas and the sum of their exponents, so that nothing leaves the
     # normal range before the small root does
     (fq, eq), (fs, es), (f0, e0), (f1, e1) = map(math.frexp, (q, q + l0 + l1, c0.gamma, c1.gamma))
+    if fs == math.inf:  # a sum past the largest double, as four times its quarter
+        fs, es = math.frexp(q / 4 + l0 / 4 + l1 / 4)
+        es += 2
     frac, e = fq * fs / f0 / f1, eq + es - e0 - e1
     if frac == 0.0:  # q = 0 collapse: the roots are exactly {0, sum}
         return HyperParams(beta0, beta1, m * max(s, 0.0), m * min(s, 0.0))

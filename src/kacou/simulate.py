@@ -22,15 +22,16 @@ lane from its exact law, whatever the number of switches.  Everything runs
 in the calling thread.
 
 A first-passage round does only the work its lanes need.  Where every live
-lane starts and ends strictly on the start side of the target (two
-reductions tell), no lane can have met it, and the crossing test, the hit
-times and their bookkeeping are skipped.  The hit times of the lanes that
-may have crossed come from model.hitting_time, which works them out in its
-output array and one scratch array; this module takes no logarithm itself.
-Lanes still at their start (no time elapsed in the start state: a chunk's
-lanes in the round it joins) share one hit time, that of a one-entry array
-of x, which hitting_time gives every entry of x bit for bit; it is worked
-out only in a round where such a lane may have crossed.
+lane starts and ends strictly below the target (two reductions tell; a
+query from above is drawn mirrored), no lane can have met it, and the
+crossing test, the hit times and their bookkeeping are skipped.  The hit
+times of the lanes that may have crossed come from model.hitting_time,
+which works them out in its output array and one scratch array; this
+module takes no logarithm itself.  Lanes still at their start (no time
+elapsed in the start state: a chunk's lanes in the round it joins) share
+one hit time, that of a one-entry array of x, which hitting_time gives
+every entry of x bit for bit; it is worked out only in a round where such
+a lane may have crossed.
 
 One work rule, check_work, refuses a call with WorkLimitError before it
 allocates: a call may expect at most MAX_LANE_SEGMENTS lane-segments (one
@@ -59,6 +60,7 @@ from .model import (
     interval_variance,
     pattern_map,
     pattern_phi,
+    rescale,
     stationary_state_dist,
 )
 from .rng import stream
@@ -416,10 +418,11 @@ def fpt_samples(
     """n independent first-passage draws (vectorized, chunked, reproducible)
     of the mean path, which reads neither b0 nor b1.
 
-    Each round moves the live lanes across a holding time, takes the hit
-    times of those that may have met y from hitting_time, and censors lanes
-    at the horizon and at the switch cap; see the module docstring for the
-    rounds that skip the crossing work.
+    A query with x > y is drawn mirrored (x -> -x maps patterns and hitting
+    times exactly), so lanes start below y.  Each round moves the live lanes
+    across a holding time, takes the hit times of those that may have met y
+    from hitting_time, and censors lanes at the horizon and at the switch
+    cap; see the module docstring for the rounds that skip the crossing work.
     """
     x, y = _finite(x, "x"), _finite(y, "y")
     initial_state = _state(initial_state, "initial_state")
@@ -427,6 +430,8 @@ def fpt_samples(
         raise ParameterError("first passage requires x != y")
     n = _whole(n, "n", least=1)
     check_work(model.rates, caps.horizon, n, caps.max_switches)
+    if x > y:
+        model, x, y = rescale(model, -1.0), -x, -y
     times = np.empty(n)  # every lane is written when it hits or is censored
     reason = np.zeros(n, dtype=np.uint8)
 
@@ -434,7 +439,6 @@ def fpt_samples(
     # cannot have met y and of finished lanes
     work = np.empty((2, min(n, _POOL)))
     flags = np.empty((2, min(n, _POOL)), dtype=bool)
-    below = x < y  # the side of y every live lane starts on
 
     def advance(s, dt, idx, cols, capped):
         xs, ts = cols  # position and elapsed time
@@ -451,22 +455,17 @@ def fpt_samples(
             moved = xs[rest]
             _flow(s, dt[rest], moved, moved, model)
             nxt[hit], nxt[rest] = y, moved
-        # a pattern is monotone, so a lane that starts and ends strictly on
-        # the start side of y has not met it, and where every lane does, no
-        # lane is checked; a nan, an inf past y or a lane on y rules that out
-        if below:
-            start = xs.max() < y
-            away = start and nxt.max() < y
-        else:
-            start = xs.min() > y
-            away = start and nxt.min() > y
+        # a pattern is monotone, so a lane that starts and ends strictly
+        # below y has not met it, and where every lane does, no lane is
+        # checked; a nan, an inf past y or a lane on y rules that out
+        start = xs.max() < y
+        away = start and nxt.max() < y
         if not away:
-            # a lane stays where nxt is strictly on the start side, and xs
-            # too unless every lane starts there; a nan is checked
-            strict = np.less if below else np.greater
-            strict(nxt, y, out=stays)
+            # a lane stays where nxt is strictly below y, and xs too unless
+            # every lane starts there; a nan is checked
+            np.less(nxt, y, out=stays)
             if not start:
-                stays &= strict(xs, y, out=over)
+                stays &= np.less(xs, y, out=over)
             crossed = np.flatnonzero(np.logical_not(stays, out=stays))
             # a lane with no time elapsed in the start state sits at x (a
             # zero holding time is the identity flow): such lanes share x's

@@ -78,7 +78,7 @@ class LogValue:
         if self.sign == 0.0:
             return 0.0
         if self.log > 709.0:
-            raise OutOfDomainError("magnitude overflows double precision")
+            raise DoubleRangeError("magnitude overflows double precision")
         return self.sign * math.exp(self.log)
 
     def ratio(self, other: "LogValue") -> float:
@@ -88,7 +88,7 @@ class LogValue:
             raise ZeroDivisionError("log-value ratio with zero denominator")
         diff = self.log - other.log
         if diff > 709.0:
-            raise OutOfDomainError("ratio overflows double precision")
+            raise DoubleRangeError("ratio overflows double precision")
         return self.sign * other.sign * math.exp(diff)
 
     def scaled(self, factor: float) -> "LogValue":

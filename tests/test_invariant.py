@@ -105,7 +105,10 @@ def test_density_takes_only_chain_states(state):
 
 
 def test_nonexistent_description_kind():
-    assert invariant_description(REPULSION).kind == "None"
+    # a regime without a density has no descriptor: invariant_description
+    # raises, and invariant_exists answers by catching it
+    with pytest.raises(NoInvariantMeasureError, match="no invariant density in regime RepulsionOnly"):
+        invariant_description(REPULSION)
 
 
 @pytest.mark.parametrize(
@@ -315,7 +318,7 @@ def test_empirical_profile_mirrored_half_line():
 
 # --- the edge search and the quadrature's node tables ------------------------------
 
-HALF_LINE = [(name, model) for name, model, _ in ALL_EXISTING if not inv._require(model).bounded]
+HALF_LINE = [(name, model) for name, model, _ in ALL_EXISTING if not inv.invariant_description(model).bounded]
 
 
 def reference_search_edge(inside, inner, outer, cap, rel_tol, max_iter):
@@ -350,7 +353,7 @@ def test_search_edge_stops_at_adjacent_doubles_with_the_same_bracket(name, model
 
     monkeypatch.setattr(inv, "_search_edge", compared)
     support_cutoff(model)
-    cf = inv._require(model)
+    cf = inv.invariant_description(model)
     lo, hi = inv._histogram_range(cf)
     empirical_invariant_profile(model, 100, 1.0, 4, seed=3)
     # the profile's median search, at rel_tol = 0 as it once ran
@@ -362,6 +365,22 @@ def test_search_edge_stops_at_adjacent_doubles_with_the_same_bracket(name, model
     assert new < old
 
 
+def test_support_cutoff_steps_out_to_a_density_below_the_floor_at_the_anchor():
+    # gamma-like with a state-0 exponent of 19: the density is 3.9e-133 at
+    # the first probe, so the cutoff doubles its step until it passes 1e-16
+    model = KacOuModel.from_values(20.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0)
+    cf = invariant_description(model)
+    assert float(cf.anchored(np.array([1e-6 * cf.scale]))[0]) < 1e-16
+    lo, hi = support_cutoff(model)
+    assert lo == cf.anchor
+
+    def mixture(x):
+        return invariant_density(x, 0, model) + invariant_density(x, 1, model)
+
+    # 1.00000004e-16 and 9.99999915e-17
+    assert mixture(hi * (1 - 1e-9)) >= 1e-16 > mixture(hi * (1 + 1e-9))
+
+
 class _Started(Exception):
     pass
 
@@ -371,7 +390,7 @@ def test_the_profile_start_median_is_bisected_to_one_in_a_million(name, model, m
     # bisected to adjacent doubles, the median took 54 tail-mass quadratures
     # on the montecarlo workload's first half-line profile; each midpoint
     # halves the bracket, so 1e-6 relative needs log2(width / (1e-6 median))
-    cf = inv._require(model)
+    cf = inv.invariant_description(model)
     lo, hi = inv._histogram_range(cf)
     _, exact = reference_search_edge(lambda d: inv._tail_mass(cf, d) > 0.5, 1e-6 * cf.scale, hi - lo, hi - lo, 0.0, 80)
     quadratures, starts = [], []
@@ -405,7 +424,7 @@ def reference_level_nodes(h, only_odd):
 
 
 def _integrals(model):
-    cf = inv._require(model)
+    cf = inv.invariant_description(model)
     lo, hi = support_cutoff(model)
     edges = np.linspace(max(lo, -6.0), min(hi, 6.0), 7)
     out = [invariant_mass(model), *inv._bin_masses(cf, edges)]

@@ -1,5 +1,7 @@
 import math
+import sys
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -772,6 +774,60 @@ def test_hyper_args_past_double_range_keeps_the_small_root(q, l0, l1, g0, g1):
         small = q * (q + l0 + l1) / (g0 * g1) / big
         for got, exact in zip((hp.b0, hp.b1), (max(big, small), min(big, small))):
             assert abs(got - exact) <= 1e-15 * abs(exact)
+
+
+DECADES = st.floats(-150.0, 150.0).map(lambda d: 10.0**d)
+SIGNED = st.tuples(DECADES, st.sampled_from([-1.0, 1.0])).map(lambda t: t[0] * t[1])
+
+
+def exact_roots(q, l0, l1, g0, g1):
+    """The upper-parameter roots of the doubles q, lambda and gamma as given,
+    and the magnitude that cancels in their sum s: s, p and s^2 - 4p formed
+    exactly, the square root at 60 digits, the small root as p over the
+    large one."""
+    q, l0, l1, g0, g1 = map(Fraction, (q, l0, l1, g0, g1))
+    beta0, beta1 = (q + l0) / g0, (q + l1) / g1
+    s, p = beta0 + beta1, q * (q + l0 + l1) / (g0 * g1)
+    cancelled = min(abs(beta0), abs(beta1)) if g0 * g1 < 0 else Fraction(0)
+    with mpmath.workdps(60):
+        s_mp, p_mp, disc, cancelled = (
+            mpmath.mpf(v.numerator) / v.denominator for v in (s, p, s * s - 4 * p, cancelled)
+        )
+        if p == 0:  # the roots 0 and s, both 0 where s is
+            return max(s_mp, 0), min(s_mp, 0), cancelled / abs(s_mp) if s else 0
+        big = (s_mp + mpmath.sqrt(disc) if s >= 0 else s_mp - mpmath.sqrt(disc)) / 2
+        return max(big, p_mp / big), min(big, p_mp / big), cancelled / abs(big)
+
+
+@given(q=st.just(0.0) | DECADES, l0=DECADES, l1=DECADES, g0=SIGNED, g1=SIGNED)
+@example(q=1e-10, l0=1.0, l1=1.5, g0=1e-160, g1=2e-160)
+@example(q=1e-10, l0=1.0, l1=1.5, g0=1e-160, g1=-2e-160)
+@example(q=1e-6, l0=2.0, l1=0.5, g0=3e-155, g1=7e-156)
+@example(q=2.9920432648349703e-33, l0=2.9982126769472274e87, l1=3.045468461641413e-69,
+         g0=-1.316500536393193e-66, g1=5.431013842372592e139)
+# q + lambda0 + lambda1 passes the largest double, though the roots are 2e307 and 0.1
+@example(q=1.0, l0=1e308, l1=1e308, g0=10.0, g1=10.0)
+# betas of opposite sign that cancel in s: 4.8 ulps off the large root
+@example(q=0.01, l0=1.0, l1=10.0, g0=-1.0, g1=10.0)
+# equal betas far above the rates: s^2 - 4p cancels to 4e-226
+@example(q=1e31, l0=1.0, l1=1.0, g0=-1e113, g1=-1e113)
+@settings(max_examples=500, deadline=None)
+def test_hyper_args_roots_hold_to_a_few_ulps_over_300_decades(q, l0, l1, g0, g1):
+    # every root that is a normal double comes out within 4 ulps of the
+    # roots of the exact inputs, times the condition of s where betas of
+    # opposite sign cancel in it (each beta is rounded before the sum, so s
+    # carries a unit of 2^-53 of the smaller |beta| into the large root);
+    # hyper_args refuses only a root past double range
+    *want, cancel = exact_roots(q, l0, l1, g0, g1)
+    model = KacOuModel.from_values(l0, l1, 0.0, 0.0, 0.0, 0.0, g0, g1)
+    if max(abs(w) for w in want) > sys.float_info.max:
+        with pytest.raises(DoubleRangeError):
+            hyper_args(q, model)
+        return
+    hp = hyper_args(q, model)
+    for got, exact in zip((hp.b0, hp.b1), want):
+        if abs(exact) >= 2.0**-1022:
+            assert abs(got - exact) <= 4 * math.ulp(float(exact)) * (1 + cancel), (got, exact)
 
 
 # --- affine coordinates -----------------------------------------------------

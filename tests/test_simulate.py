@@ -25,6 +25,7 @@ from kacou.model import (
     interval_variance,
     pattern_map,
     pattern_phi,
+    rescale,
     stationary_state_dist,
 )
 from kacou.rng import stream
@@ -955,6 +956,33 @@ def test_fpt_samples_match_reference_bitwise(name, x, y):
         got = fpt_samples(model, x, y, state, 20_000, seed=11, caps=caps)
         want = run_reference(20_000, 11, "fpt", lambda sz, rng: reference_fpt_chunk(model, x, y, state, sz, rng, caps))
         _assert_same_batch(got, want)
+
+
+MIRROR_MODELS = {
+    "attracting": KERNEL_MODELS["attracting"],
+    "attraction_repulsion": REPELLING,
+    "non_strict": NON_STRICT,
+    "pure_drift": PURE_DRIFT,
+    # state 0 repels from -1 at rate 1e300, state 1 is drawn to -1e300
+    "far_range": KacOuModel.from_values(1e-8, 1.0, 1e300, -1e300, 0.0, 0.0, -1e300, 1.0),
+}
+
+
+@pytest.mark.parametrize("caps", [SimCaps(), SimCaps(horizon=3.0, max_switches=5)], ids=["default", "short"])
+@pytest.mark.parametrize(
+    "name, x, y",
+    [(name, *xy) for name in list(MIRROR_MODELS)[:4] for xy in [(0.2, 0.8), (0.8, 0.2), (0.4, -0.3)]]
+    + [("far_range", 1e-8, -0.0), ("far_range", -1e-8, 0.0), ("far_range", 0.8, 0.2)],
+)
+def test_fpt_samples_of_the_mirrored_query_are_bitwise_the_same(name, x, y, caps):
+    # x -> -x maps patterns and hitting times exactly, so a query and its
+    # mirror image give the same batch, whichever side of y x lies on
+    model = MIRROR_MODELS[name]
+    for state in (0, 1):
+        got = fpt_samples(model, x, y, state, 4_000, seed=7, caps=caps)
+        mirrored = fpt_samples(rescale(model, -1.0), -x, -y, state, 4_000, seed=7, caps=caps)
+        assert got.times.tobytes() == mirrored.times.tobytes()
+        assert got.reason.tobytes() == mirrored.reason.tobytes()
 
 
 def _assert_same_batch(got, want):

@@ -268,6 +268,19 @@ def test_log_value_arithmetic():
     assert huge.ratio(LogValue(5000.5, 1.0)) == pytest.approx(math.exp(-0.5))
 
 
+def test_log_value_past_double_range_is_a_double_range_error():
+    # a result past the range of a double, not a query outside a closed
+    # form's domain: these raised OutOfDomainError
+    from kacou.specfun import LogValue
+
+    huge = LogValue(710.0, 1.0)
+    with pytest.raises(DoubleRangeError, match="magnitude overflows double precision"):
+        huge.value()
+    with pytest.raises(DoubleRangeError, match="ratio overflows double precision"):
+        huge.ratio(LogValue(0.5, -1.0))
+    assert huge.ratio(LogValue(1.0, -1.0)) == -math.exp(709.0)
+
+
 def test_log_scaled_series_survives_huge_parameters():
     from kacou.specfun import gauss_2f1_log
 
